@@ -38,7 +38,6 @@ from .operators import PLANES, plane_witness
 from .states import (
     DensityMatrix,
     LABELS,
-    negativity,
     partial_trace,
     partial_transpose,
 )
@@ -163,26 +162,21 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     op = np.asarray(op_pair, dtype=complex)
     if op.shape != (4, 4):
         raise BoundsError("pair operator must be 4x4")
-    pos = _pair_positions(pair)
-    spectator = next(k for k in range(3) if k not in pos)
-    out = np.zeros((8, 8), dtype=complex)
-    for row in range(8):
-        rbits = ((row >> 2) & 1, (row >> 1) & 1, row & 1)
-        for col in range(8):
-            cbits = ((col >> 2) & 1, (col >> 1) & 1, col & 1)
-            if rbits[spectator] != cbits[spectator]:
-                continue
-            r2 = 2 * rbits[pos[0]] + rbits[pos[1]]
-            c2 = 2 * cbits[pos[0]] + cbits[pos[1]]
-            out[row, col] = op[r2, c2]
-    return out
+    first, second = _pair_positions(pair)
+    spectator = 3 - first - second
+    # tensor axes of op (x) I: (first, second, spectator) for rows, then columns
+    lifted = np.kron(op, np.eye(2)).reshape((2,) * 6)
+    slots = (first, second, spectator)
+    return np.moveaxis(lifted, range(6), slots + tuple(3 + k for k in slots)).reshape(8, 8)
 
 
-def product_spectrum(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    pair: tuple[str, str] = ("B", "C"),
-) -> EigenSpectrum:
+def _congruence_spectrum(root: np.ndarray, op: np.ndarray) -> EigenSpectrum:
+    """Spectrum of root op root, which the raw product root^2 op shares."""
+    return linalg.hermitian_eigenvalues(root @ op @ root)
+
+
+def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
+                     pair: tuple[str, str] = ("B", "C")) -> EigenSpectrum:
     """Spectrum of the state times the embedded reduced pair.
 
     The raw product is not Hermitian, but it is similar to the congruence
@@ -191,23 +185,153 @@ def product_spectrum(
     hermiticity failure of the congruence signals an invalid input.
     """
     root = linalg.psd_sqrt(rho_abc.matrix)
-    embedded = embed_pair(rho_ij.matrix, pair)
-    return linalg.hermitian_eigenvalues(linalg.symmetrize(root @ embedded @ root))
+    return _congruence_spectrum(root, embed_pair(rho_ij.matrix, pair))
 
 
-def _embedded_spectrum(rho_ij: DensityMatrix, pair: tuple[str, str]) -> EigenSpectrum:
-    return linalg.hermitian_eigenvalues(embed_pair(rho_ij.matrix, pair))
+def _bound(numerator: float, visibility: float, denominator: float) -> float:
+    """8 (1 - v) N / (v D), the shape of every visibility bound."""
+    return 8.0 * (1.0 - visibility) * numerator / (visibility * denominator)
 
 
-def _state_spectrum(rho_abc: DensityMatrix) -> EigenSpectrum:
-    return linalg.hermitian_eigenvalues(rho_abc.matrix)
+def _windows(numerator: float, denominator: float,
+             admissible_upper: float = 1.0) -> tuple[Window, Window]:
+    """Admissible and genuine windows of one route.
+
+    The route's bound reaches the biseparable threshold at 2N/(2N + D),
+    where the admissible window opens, and the quantum maximum at
+    sqrt(2) N/(sqrt(2) N + D), where the genuine window opens.
+    """
+    edge_den = 2.0 * numerator + denominator
+    cutoff_den = _SQRT2 * numerator + denominator
+    if abs(edge_den) <= SINGULAR_TOL or abs(cutoff_den) <= SINGULAR_TOL:
+        raise SingularDenominatorError("window denominator vanished")
+    edge = 2.0 * numerator / edge_den
+    return Window(edge, admissible_upper), Window(_SQRT2 * numerator / cutoff_den, edge)
 
 
-def _lambda_k(embedded: EigenSpectrum) -> float:
-    lam_k = linalg.first_nonzero_eigenvalue(embedded)
-    if lam_k <= SINGULAR_TOL:
-        raise SingularDenominatorError("smallest nonzero embedded eigenvalue vanished")
-    return lam_k
+@dataclass(frozen=True)
+class PairSpectra:
+    """Every spectral number the certificates read, for one (state, pair, transpose).
+
+    pair_spectra fills it from four eigensolves: the state (which also
+    yields its square root), the product congruence
+    rho^{1/2} embed(rho_ij) rho^{1/2}, the reduced pair and its partial
+    transpose. Embedding the pair only doubles multiplicities, so the
+    embedded extremes are read off the 4x4 spectrum. The partial-transpose
+    numbers and the pair's square root are None in records built from
+    listed data that lacks them.
+
+    The methods are the certificate arithmetic. A lower route feeds its
+    numerator to lower_bound and p_windows, an upper route to upper_bound
+    and q_windows. The detected regime takes both numerators from S_NL;
+    the undetected regime takes H for the lower route and F/4 for the
+    upper one, since the paper's 2 (1 - q) F/(q lambda_k) is the upper
+    shape with numerator F/4.
+    """
+
+    lambda_min_rho: float
+    lambda_max_rho: float
+    lambda_min_product: float
+    lambda_max_product: float
+    lambda_max_embedded: float
+    lambda_k_embedded: float
+    lambda_max_pt: float | None = None
+    lambda_min_pt_squared: float | None = None
+    trace_pt_squared: float | None = None
+    negativity: float | None = None
+    reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def lambda_k(self) -> float:
+        """First nonzero embedded eigenvalue, checked for use as a divisor."""
+        if self.lambda_k_embedded <= SINGULAR_TOL:
+            raise SingularDenominatorError("smallest nonzero embedded eigenvalue vanished")
+        return self.lambda_k_embedded
+
+    def witness_max(self, witness: np.ndarray) -> float:
+        """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij."""
+        wr_max = _congruence_spectrum(
+            self.reduced_root, np.asarray(witness, dtype=complex)).lambda_max
+        if abs(wr_max) <= SINGULAR_TOL:
+            raise SingularDenominatorError("witness-state product has no spectral radius")
+        return wr_max
+
+    def detected_numerators(self, s_nl: float) -> tuple[float, float]:
+        """Lower-route and upper-route numerators of the detected regime."""
+        return (self.lambda_min_product + 2.0 * s_nl * self.lambda_max_rho,
+                self.lambda_max_product + 2.0 * s_nl * self.lambda_min_rho)
+
+    def h_value(self, ratio: float) -> float:
+        """H: the product floor discounted by the replacement strength."""
+        pt2_min = self.lambda_min_pt_squared
+        if pt2_min <= SINGULAR_TOL:
+            raise SingularDenominatorError("squared partial transpose is singular")
+        return self.lambda_min_product - (
+            ratio * self.negativity * self.lambda_max_pt * self.lambda_max_rho / pt2_min)
+
+    def f_value(self, ratio: float, wr_max: float | None) -> float:
+        """F: four times the product ceiling, corrected through the witness.
+
+        The correction carries a factor lambda_min(rho), so a state with
+        lambda_min(rho) = 0 drops it and needs no witness numbers.
+        """
+        if self.lambda_min_rho == 0.0:
+            return 4.0 * self.lambda_max_product
+        return 4.0 * self.lambda_max_product - (self.lambda_min_rho / wr_max) * (
+            8.0 * self.negativity * ratio - self.trace_pt_squared)
+
+    def lower_bound(self, numerator: float, p: float) -> float:
+        return _bound(numerator, p, self.lambda_max_embedded)
+
+    def upper_bound(self, numerator: float, q: float) -> float:
+        return _bound(numerator, q, self.lambda_k)
+
+    def p_windows(self, numerator: float, detected: bool) -> tuple[Window, Window]:
+        """Admissible and genuine windows of a lower route.
+
+        The undetected route fires with H < 0 and so meets the negative
+        thresholds, which flips the sign of lambda_max. The detected
+        admissible window closes at 2N/(2N - lambda_max) when that
+        denominator is positive, at 1 otherwise.
+        """
+        emb_max = self.lambda_max_embedded
+        if not detected:
+            return _windows(numerator, -emb_max)
+        d_minus = 2.0 * numerator - emb_max
+        return _windows(numerator, emb_max, 2.0 * numerator / d_minus if d_minus > 0.0 else 1.0)
+
+    def q_windows(self, numerator: float) -> tuple[Window, Window]:
+        """Admissible and genuine windows of an upper route."""
+        return _windows(numerator, self.lambda_k)
+
+
+def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
+                 pair: tuple[str, str] = ("B", "C"), transposed: str = "second",
+                 state: tuple[EigenSpectrum, np.ndarray] | None = None) -> PairSpectra:
+    """Diagonalize once what every certificate on this pair needs.
+
+    state, when given, is linalg.spectral_root(rho_abc.matrix); the
+    verdict search passes it so that all pairs of one state share a solve.
+    The negativity is the one states.negativity computes, read off the
+    same partial-transpose spectrum.
+    """
+    rho, root = state if state is not None else linalg.spectral_root(rho_abc.matrix)
+    reduced, reduced_root = linalg.spectral_root(rho_ij.matrix)
+    product = _congruence_spectrum(root, embed_pair(rho_ij.matrix, pair))
+    pt = linalg.hermitian_eigenvalues(partial_transpose(rho_ij, transposed)).values
+    return PairSpectra(
+        lambda_min_rho=rho.lambda_min,
+        lambda_max_rho=rho.lambda_max,
+        lambda_min_product=product.lambda_min,
+        lambda_max_product=product.lambda_max,
+        lambda_max_embedded=reduced.lambda_max,
+        lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced),
+        lambda_max_pt=pt[-1],
+        lambda_min_pt_squared=min(v * v for v in pt),
+        trace_pt_squared=sum(v * v for v in pt),
+        negativity=float(-sum(v for v in pt if v < 0.0)),
+        reduced_root=reduced_root,
+    )
 
 
 def _strength_ratio(strength: NonlocalityStrength) -> float:
@@ -226,110 +350,59 @@ def _require_regime(rho_ij: DensityMatrix, witness: np.ndarray, detected: bool) 
         raise RegimeMismatchError(f"route requires the {wanted} regime")
 
 
-def _h_value(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    strength: NonlocalityStrength,
-    pair: tuple[str, str],
-    transposed: str,
-) -> float:
+def _route_numerators(spectra: PairSpectra, rho_ij: DensityMatrix, witness: np.ndarray,
+                      r: float | None, transposed: str
+                      ) -> tuple[NonlocalityStrength, float, float]:
+    """The pair's strength under the witness, then the lower- and upper-route numerators."""
+    if is_detected(rho_ij, witness):
+        strength = NonlocalityStrength.detected(s_nl_detected(rho_ij, witness))
+        return (strength, *spectra.detected_numerators(strength.s_nl))
+    chosen_r = r if r is not None else default_r(rho_ij, witness, transposed)
+    strength = s_nl_new(rho_ij, witness, chosen_r, transposed)
     ratio = _strength_ratio(strength)
-    pt = partial_transpose(rho_ij, transposed)
-    pt_max = linalg.hermitian_eigenvalues(pt).lambda_max
-    pt2_min = linalg.hermitian_eigenvalues(linalg.symmetrize(pt @ pt)).lambda_min
-    if pt2_min <= SINGULAR_TOL:
-        raise SingularDenominatorError("squared partial transpose is singular")
-    neg = negativity(rho_ij, transposed)
-    prod = product_spectrum(rho_abc, rho_ij, pair)
-    rho_max = _state_spectrum(rho_abc).lambda_max
-    return prod.lambda_min - (ratio / pt2_min) * (neg * pt_max * rho_max)
+    f = spectra.f_value(ratio, spectra.witness_max(witness))
+    return strength, spectra.h_value(ratio), f / 4.0
 
 
-def _f_value(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    strength: NonlocalityStrength,
-    witness: np.ndarray,
-    pair: tuple[str, str],
-    transposed: str,
-) -> float:
-    ratio = _strength_ratio(strength)
-    pt = partial_transpose(rho_ij, transposed)
-    tr_pt2 = linalg.trace_product(pt, pt)
-    neg = negativity(rho_ij, transposed)
-    root = linalg.psd_sqrt(rho_ij.matrix)
-    wr_max = linalg.hermitian_eigenvalues(
-        linalg.symmetrize(root @ np.asarray(witness, dtype=complex) @ root)
-    ).lambda_max
-    if abs(wr_max) <= SINGULAR_TOL:
-        raise SingularDenominatorError("witness-state product has no spectral radius")
-    prod = product_spectrum(rho_abc, rho_ij, pair)
-    rho_min = _state_spectrum(rho_abc).lambda_min
-    return 4.0 * prod.lambda_max - (rho_min / wr_max) * (8.0 * neg * ratio - tr_pt2)
-
-
-def lower_bound_detected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    cfg: BoundConfig,
-    s_nl: float,
-) -> float:
+def lower_bound_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
+                         s_nl: float) -> float:
     """Lower bound on the Svetlichny expectation, detected regime."""
     _require_regime(rho_ij, cfg.witness, detected=True)
-    prod = product_spectrum(rho_abc, rho_ij, cfg.reduced_pair)
-    numerator = prod.lambda_min + 2.0 * s_nl * _state_spectrum(rho_abc).lambda_max
-    emb_max = _embedded_spectrum(rho_ij, cfg.reduced_pair).lambda_max
-    return 8.0 * (1.0 - cfg.p) * numerator / (cfg.p * emb_max)
+    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair)
+    return spectra.lower_bound(spectra.detected_numerators(s_nl)[0], cfg.p)
 
 
-def upper_bound_detected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    cfg: BoundConfig,
-    s_nl: float,
-) -> float:
+def upper_bound_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
+                         s_nl: float) -> float:
     """Upper bound on the Svetlichny expectation, detected regime."""
     _require_regime(rho_ij, cfg.witness, detected=True)
-    prod = product_spectrum(rho_abc, rho_ij, cfg.reduced_pair)
-    numerator = prod.lambda_max + 2.0 * s_nl * _state_spectrum(rho_abc).lambda_min
-    lam_k = _lambda_k(_embedded_spectrum(rho_ij, cfg.reduced_pair))
-    return 8.0 * (1.0 - cfg.q) * numerator / (cfg.q * lam_k)
+    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair)
+    return spectra.upper_bound(spectra.detected_numerators(s_nl)[1], cfg.q)
 
 
-def lower_bound_undetected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    cfg: BoundConfig,
-    strength: NonlocalityStrength,
-) -> float:
+def lower_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
+                           strength: NonlocalityStrength) -> float:
     """Lower bound on the Svetlichny expectation, undetected regime."""
     _require_regime(rho_ij, cfg.witness, detected=False)
-    h = _h_value(rho_abc, rho_ij, strength, cfg.reduced_pair, cfg.transpose_target)
-    emb_max = _embedded_spectrum(rho_ij, cfg.reduced_pair).lambda_max
-    return 8.0 * (1.0 - cfg.p) * h / (cfg.p * emb_max)
+    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
+    return spectra.lower_bound(spectra.h_value(_strength_ratio(strength)), cfg.p)
 
 
-def upper_bound_undetected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    cfg: BoundConfig,
-    strength: NonlocalityStrength,
-) -> float:
-    """Upper bound on the Svetlichny expectation, undetected regime."""
+def upper_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
+                           strength: NonlocalityStrength) -> float:
+    """Upper bound on the Svetlichny expectation, undetected regime.
+
+    The paper writes it 2 (1 - q) F/(q lambda_k), the upper shape with
+    numerator F/4.
+    """
     _require_regime(rho_ij, cfg.witness, detected=False)
-    f = _f_value(
-        rho_abc, rho_ij, strength, cfg.witness, cfg.reduced_pair, cfg.transpose_target
-    )
-    lam_k = _lambda_k(_embedded_spectrum(rho_ij, cfg.reduced_pair))
-    return 2.0 * (1.0 - cfg.q) * f / (cfg.q * lam_k)
+    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
+    f = spectra.f_value(_strength_ratio(strength), spectra.witness_max(cfg.witness))
+    return spectra.upper_bound(f / 4.0, cfg.q)
 
 
-def p_window_detected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    s_nl: float,
-    pair: tuple[str, str] = ("B", "C"),
-) -> tuple[Window, Window]:
+def p_window_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, s_nl: float,
+                      pair: tuple[str, str] = ("B", "C")) -> tuple[Window, Window]:
     """Admissible and genuine p windows for the detected lower route.
 
     The admissible window keeps the mixture within the biseparable bound;
@@ -337,160 +410,95 @@ def p_window_detected(
     The genuine window replaces the biseparable threshold by the quantum
     maximum, shrinking the same numerator by sqrt(2).
     """
-    prod = product_spectrum(rho_abc, rho_ij, pair)
-    numerator = prod.lambda_min + 2.0 * s_nl * _state_spectrum(rho_abc).lambda_max
-    emb_max = _embedded_spectrum(rho_ij, pair).lambda_max
-    d_plus = 2.0 * numerator + emb_max
-    d_minus = 2.0 * numerator - emb_max
-    l1 = 2.0 * numerator / d_plus
-    u1 = 2.0 * numerator / d_minus if d_minus > 0.0 else 1.0
-    cutoff = _SQRT2 * numerator / (_SQRT2 * numerator + emb_max)
-    return Window(l1, u1), Window(cutoff, l1)
+    spectra = pair_spectra(rho_abc, rho_ij, pair)
+    return spectra.p_windows(spectra.detected_numerators(s_nl)[0], detected=True)
 
 
-def q_window_detected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    s_nl: float,
-    pair: tuple[str, str] = ("B", "C"),
-) -> tuple[Window, Window]:
+def q_window_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, s_nl: float,
+                      pair: tuple[str, str] = ("B", "C")) -> tuple[Window, Window]:
     """Admissible and genuine q windows for the detected upper route."""
-    prod = product_spectrum(rho_abc, rho_ij, pair)
-    numerator = prod.lambda_max + 2.0 * s_nl * _state_spectrum(rho_abc).lambda_min
-    lam_k = _lambda_k(_embedded_spectrum(rho_ij, pair))
-    l2 = 2.0 * numerator / (2.0 * numerator + lam_k)
-    cutoff = _SQRT2 * numerator / (_SQRT2 * numerator + lam_k)
-    return Window(l2, 1.0), Window(cutoff, l2)
+    spectra = pair_spectra(rho_abc, rho_ij, pair)
+    return spectra.q_windows(spectra.detected_numerators(s_nl)[1])
 
 
-def p_window_undetected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    strength: NonlocalityStrength,
-    pair: tuple[str, str] = ("B", "C"),
-    transposed: str = "second",
-) -> tuple[Window, Window]:
+def p_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
+                        strength: NonlocalityStrength, pair: tuple[str, str] = ("B", "C"),
+                        transposed: str = "second") -> tuple[Window, Window]:
     """Admissible and genuine p windows for the undetected lower route.
 
     Both windows are built from H, the product-spectrum floor discounted
     by the replacement strength; the genuine window is nonempty exactly
     when H is negative.
     """
-    h = _h_value(rho_abc, rho_ij, strength, pair, transposed)
-    emb_max = _embedded_spectrum(rho_ij, pair).lambda_max
-    den_l = 2.0 * h - emb_max
-    den_u = _SQRT2 * h - emb_max
-    if abs(den_l) <= SINGULAR_TOL or abs(den_u) <= SINGULAR_TOL:
-        raise SingularDenominatorError("window denominator vanished (2H near lambda_max)")
-    l3 = 2.0 * h / den_l
-    cutoff = _SQRT2 * h / den_u
-    return Window(l3, 1.0), Window(cutoff, l3)
+    spectra = pair_spectra(rho_abc, rho_ij, pair, transposed)
+    return spectra.p_windows(spectra.h_value(_strength_ratio(strength)), detected=False)
 
 
-def q_window_undetected(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    strength: NonlocalityStrength,
-    witness: np.ndarray,
-    pair: tuple[str, str] = ("B", "C"),
-    transposed: str = "second",
-) -> tuple[Window, Window]:
+def q_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
+                        strength: NonlocalityStrength, witness: np.ndarray,
+                        pair: tuple[str, str] = ("B", "C"),
+                        transposed: str = "second") -> tuple[Window, Window]:
     """Admissible and genuine q windows for the undetected upper route.
 
     Built from F, the product-spectrum ceiling corrected by the witness
     route; the genuine window is nonempty exactly when F is positive.
     """
-    f = _f_value(rho_abc, rho_ij, strength, witness, pair, transposed)
-    lam_k = _lambda_k(_embedded_spectrum(rho_ij, pair))
-    den_l = f + 2.0 * lam_k
-    den_u = f + 2.0 * _SQRT2 * lam_k
-    if abs(den_l) <= SINGULAR_TOL or abs(den_u) <= SINGULAR_TOL:
-        raise SingularDenominatorError("window denominator vanished (F near -2 lambda_k)")
-    l4 = f / den_l
-    cutoff = f / den_u
-    return Window(l4, 1.0), Window(cutoff, l4)
+    spectra = pair_spectra(rho_abc, rho_ij, pair, transposed)
+    f = spectra.f_value(_strength_ratio(strength), spectra.witness_max(witness))
+    return spectra.q_windows(f / 4.0)
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
     traced = next(lbl for lbl in LABELS if lbl not in cfg.reduced_pair)
     rho_ij = partial_trace(rho_abc, traced)
-    prod = product_spectrum(rho_abc, rho_ij, cfg.reduced_pair)
-    state = _state_spectrum(rho_abc)
-    embedded = _embedded_spectrum(rho_ij, cfg.reduced_pair)
-    lam_k = _lambda_k(embedded)
-    pt = partial_transpose(rho_ij, cfg.transpose_target)
-    pt_max = linalg.hermitian_eigenvalues(pt).lambda_max
-    neg = negativity(rho_ij, cfg.transpose_target)
+    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
+    emb_max = spectra.lambda_max_embedded
+    lam_k = spectra.lambda_k
     intermediates = {
-        "lambda_min_product": prod.lambda_min,
-        "lambda_max_product": prod.lambda_max,
-        "lambda_max_embedded": embedded.lambda_max,
+        "lambda_min_product": spectra.lambda_min_product,
+        "lambda_max_product": spectra.lambda_max_product,
+        "lambda_max_embedded": emb_max,
         "lambda_k_embedded": lam_k,
-        "lambda_min_rho": state.lambda_min,
-        "lambda_max_rho": state.lambda_max,
-        "Z": neg * pt_max,
+        "lambda_min_rho": spectra.lambda_min_rho,
+        "lambda_max_rho": spectra.lambda_max_rho,
+        "Z": spectra.negativity * spectra.lambda_max_pt,
     }
 
-    if is_detected(rho_ij, cfg.witness):
-        s_nl = s_nl_detected(rho_ij, cfg.witness)
-        num_low = prod.lambda_min + 2.0 * s_nl * state.lambda_max
-        num_high = prod.lambda_max + 2.0 * s_nl * state.lambda_min
+    strength, low, high = _route_numerators(
+        spectra, rho_ij, cfg.witness, cfg.r, cfg.transpose_target)
+    detected = strength.variant == "detected"
+    if detected:
         intermediates.update(
             {
-                "d1_plus": 2.0 * num_low + embedded.lambda_max,
-                "d1_minus": 2.0 * num_low - embedded.lambda_max,
-                "d2_plus": 2.0 * num_high + lam_k,
-                "d2_minus": 2.0 * num_high - lam_k,
-                "s_nl": s_nl,
+                "d1_plus": 2.0 * low + emb_max,
+                "d1_minus": 2.0 * low - emb_max,
+                "d2_plus": 2.0 * high + lam_k,
+                "d2_minus": 2.0 * high - lam_k,
+                "s_nl": strength.s_nl,
             }
         )
-        p_adm, p_gen = p_window_detected(rho_abc, rho_ij, s_nl, cfg.reduced_pair)
-        q_adm, q_gen = q_window_detected(rho_abc, rho_ij, s_nl, cfg.reduced_pair)
-        return BoundsReport(
-            regime="detected",
-            sv_lower=lower_bound_detected(rho_abc, rho_ij, cfg, s_nl),
-            sv_upper=upper_bound_detected(rho_abc, rho_ij, cfg, s_nl),
-            p_window=p_adm,
-            q_window=q_adm,
-            genuine_p_window=p_gen,
-            genuine_q_window=q_gen,
-            intermediates=intermediates,
+    else:
+        intermediates.update(
+            {
+                "H": low,
+                "F": 4.0 * high,
+                "G": spectra.lambda_max_rho
+                * _strength_ratio(strength)
+                * intermediates["Z"]
+                / (cfg.p * spectra.lambda_min_pt_squared * emb_max),
+                "s_nl_new": strength.s_nl_new,
+                "k": strength.k,
+                "p_max": strength.p_max,
+                "r": strength.r,
+            }
         )
-
-    r = cfg.r if cfg.r is not None else default_r(rho_ij, cfg.witness, cfg.transpose_target)
-    strength = s_nl_new(rho_ij, cfg.witness, r, cfg.transpose_target)
-    h = _h_value(rho_abc, rho_ij, strength, cfg.reduced_pair, cfg.transpose_target)
-    f = _f_value(
-        rho_abc, rho_ij, strength, cfg.witness, cfg.reduced_pair, cfg.transpose_target
-    )
-    pt2_min = linalg.hermitian_eigenvalues(linalg.symmetrize(pt @ pt)).lambda_min
-    ratio = _strength_ratio(strength)
-    intermediates.update(
-        {
-            "H": h,
-            "F": f,
-            "G": state.lambda_max
-            * ratio
-            * neg
-            * pt_max
-            / (cfg.p * pt2_min * embedded.lambda_max),
-            "s_nl_new": strength.s_nl_new,
-            "k": strength.k,
-            "p_max": strength.p_max,
-            "r": r,
-        }
-    )
-    p_adm, p_gen = p_window_undetected(
-        rho_abc, rho_ij, strength, cfg.reduced_pair, cfg.transpose_target
-    )
-    q_adm, q_gen = q_window_undetected(
-        rho_abc, rho_ij, strength, cfg.witness, cfg.reduced_pair, cfg.transpose_target
-    )
+    p_adm, p_gen = spectra.p_windows(low, detected)
+    q_adm, q_gen = spectra.q_windows(high)
     return BoundsReport(
-        regime="undetected",
-        sv_lower=lower_bound_undetected(rho_abc, rho_ij, cfg, strength),
-        sv_upper=upper_bound_undetected(rho_abc, rho_ij, cfg, strength),
+        regime=strength.variant,
+        sv_lower=spectra.lower_bound(low, cfg.p),
+        sv_upper=spectra.upper_bound(high, cfg.q),
         p_window=p_adm,
         q_window=q_adm,
         genuine_p_window=p_gen,
@@ -520,17 +528,18 @@ def detect_genuine(
     if witness is not None:
         witnesses.append(("user", np.asarray(witness, dtype=complex)))
 
+    state = linalg.spectral_root(rho_abc.matrix)
     any_entangled = False
     for candidate_pair in pairs:
         positions = _pair_positions(candidate_pair)
         traced = next(lbl for k, lbl in enumerate(LABELS) if k not in positions)
         rho_ij = partial_trace(rho_abc, traced)
-        neg = negativity(rho_ij)
-        if neg > NEG_TOL:
+        spectra = pair_spectra(rho_abc, rho_ij, candidate_pair, state=state)
+        if spectra.negativity > NEG_TOL:
             any_entangled = True
         for label, w in witnesses:
             try:
-                routes = _candidate_windows(rho_abc, rho_ij, candidate_pair, w, r)
+                routes = _candidate_windows(spectra, rho_ij, w, r)
             except (NonlocalityError, BoundsError, linalg.LinalgError):
                 continue
             for route, parameter, genuine in routes:
@@ -549,20 +558,9 @@ def detect_genuine(
     return Verdict(outcome="not-applicable")
 
 
-def _candidate_windows(
-    rho_abc: DensityMatrix,
-    rho_ij: DensityMatrix,
-    pair: tuple[str, str],
-    witness: np.ndarray,
-    r: float | None,
-) -> list[tuple[str, str, Window]]:
-    if is_detected(rho_ij, witness):
-        s_nl = s_nl_detected(rho_ij, witness)
-        _, p_gen = p_window_detected(rho_abc, rho_ij, s_nl, pair)
-        _, q_gen = q_window_detected(rho_abc, rho_ij, s_nl, pair)
-        return [("detected-p", "p", p_gen), ("detected-q", "q", q_gen)]
-    chosen_r = r if r is not None else default_r(rho_ij, witness)
-    strength = s_nl_new(rho_ij, witness, chosen_r)
-    _, p_gen = p_window_undetected(rho_abc, rho_ij, strength, pair)
-    _, q_gen = q_window_undetected(rho_abc, rho_ij, strength, witness, pair)
-    return [("undetected-p", "p", p_gen), ("undetected-q", "q", q_gen)]
+def _candidate_windows(spectra: PairSpectra, rho_ij: DensityMatrix, witness: np.ndarray,
+                       r: float | None) -> list[tuple[str, str, Window]]:
+    strength, low, high = _route_numerators(spectra, rho_ij, witness, r, "second")
+    detected = strength.variant == "detected"
+    return [(f"{strength.variant}-p", "p", spectra.p_windows(low, detected)[1]),
+            (f"{strength.variant}-q", "q", spectra.q_windows(high)[1])]

@@ -1,12 +1,14 @@
 """Dense complex matrix kernel for dimensions up to 8.
 
 Everything downstream (states, operators, bounds) funnels its spectral
-needs through this module: Kronecker products, trace pairings, and a
-hand-rolled cyclic Jacobi eigensolver for Hermitian matrices. At 8x8 and
-below Jacobi is deterministic, accurate, and has no tuning knobs, which
-matters because several quantities later on (first nonzero eigenvalue,
-window endpoints) sit close to zero and inherit whatever noise the
-eigensolver produces.
+needs through this module: Kronecker products, trace pairings, and the
+Hermitian eigensolver. The solver is LAPACK's (numpy.linalg.eigh) behind
+the kernel's own gates: inputs must be square, finite, at most MAX_DIM
+wide and Hermitian to HERMITICITY_TOL, because eigh reads only one
+triangle and would silently diagonalize a non-Hermitian input. Several
+quantities later on (first nonzero eigenvalue, window endpoints) sit
+close to zero, so the spectrum reports which entry is the first one
+outside ZERO_TOL.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 ZERO_TOL = 1e-9
-JACOBI_OFFDIAG_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 64
 MAX_DIM = 8
 
 
@@ -53,6 +53,13 @@ class EigenSpectrum:
 
     values: tuple[float, ...]
     kth_nonzero_index: int | None
+
+    @classmethod
+    def from_values(cls, values) -> "EigenSpectrum":
+        """Wrap eigenvalues that are already sorted ascending."""
+        values = tuple(float(x) for x in values)
+        idx = next((i for i, val in enumerate(values) if abs(val) > ZERO_TOL), None)
+        return cls(values=values, kth_nonzero_index=idx)
 
     @property
     def lambda_min(self) -> float:
@@ -90,68 +97,28 @@ def symmetrize(m) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+    """Diagonalize a Hermitian matrix of dimension at most MAX_DIM.
 
     Returns (values, vectors) with values ascending and vectors[:, i] the
-    unit eigenvector for values[i]. Each rotation kills one off-diagonal
-    pair; sweeps repeat until the off-diagonal Frobenius mass drops below
-    JACOBI_OFFDIAG_TOL. Convergence is quadratic, so well under ten sweeps
-    suffice at these dimensions; hitting the sweep cap means the input was
-    pathological and is reported as such.
+    unit eigenvector for values[i]. A LAPACK failure to converge is
+    reported as NoConvergenceError.
     """
     a = symmetrize(m)
     n = a.shape[0]
     if n > MAX_DIM:
         raise DimensionMismatchError(f"kernel handles dimensions <= {MAX_DIM}, got {n}")
-    v = np.eye(n, dtype=complex)
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) < JACOBI_OFFDIAG_TOL:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                mag = abs(g)
-                if mag == 0.0:
-                    continue
-                phase = g / mag
-                theta = 0.5 * np.arctan2(2.0 * mag, (a[p, p] - a[q, q]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                r = np.eye(n, dtype=complex)
-                r[p, p] = c
-                r[p, q] = -s
-                r[q, p] = s * np.conj(phase)
-                r[q, q] = c * np.conj(phase)
-                a = r.conj().T @ a @ r
-                v = v @ r
-    else:
-        converged = _offdiag_norm(a) < JACOBI_OFFDIAG_TOL
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi sweeps exhausted with off-diagonal norm {_offdiag_norm(a):.3e}"
-        )
-    values = np.diag(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
+    return values, vectors
 
 
 def hermitian_eigenvalues(m) -> EigenSpectrum:
     """Ascending real spectrum of a Hermitian matrix."""
     values, _ = hermitian_eigensystem(m)
-    idx = None
-    for i, val in enumerate(values):
-        if abs(val) > ZERO_TOL:
-            idx = i
-            break
-    return EigenSpectrum(values=tuple(float(x) for x in values), kth_nonzero_index=idx)
+    return EigenSpectrum.from_values(values)
 
 
 def trace_product(a, b) -> float:
@@ -180,15 +147,20 @@ def first_nonzero_eigenvalue(spectrum: EigenSpectrum) -> float:
     return spectrum.values[spectrum.kth_nonzero_index]
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root of a PSD matrix via its eigensystem.
+def spectral_root(m) -> tuple[EigenSpectrum, np.ndarray]:
+    """Spectrum and Hermitian square root of a PSD matrix, from one solve.
 
-    Eigenvalues inside the PSD tolerance band are clipped at zero so that
-    construction noise cannot turn into NaN.
+    Eigenvalues inside the PSD tolerance band are clipped at zero for the
+    root so that construction noise cannot turn into NaN.
     """
     values, vectors = hermitian_eigensystem(m)
     roots = np.sqrt(np.clip(values, 0.0, None))
-    return (vectors * roots) @ vectors.conj().T
+    return EigenSpectrum.from_values(values), (vectors * roots) @ vectors.conj().T
+
+
+def psd_sqrt(m) -> np.ndarray:
+    """Hermitian square root of a PSD matrix (see spectral_root)."""
+    return spectral_root(m)[1]
 
 
 def sandwich_check(m, n) -> tuple[float, float, float]:

@@ -25,19 +25,12 @@ still miss get a second scan forcing the strength band directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg, nonlocality, operators, states
-from .bounds import (
-    embed_pair,
-    p_window_detected,
-    p_window_undetected,
-    product_spectrum,
-    q_window_detected,
-    q_window_undetected,
-)
+from .bounds import PairSpectra, pair_spectra
 
 TABLE_TOLERANCE = {1: 5e-3, 2: 5e-3, 3: 1e-2, 4: 1e-2, 5: 1e-2}
 CLOSED_FORM_TOL = 1e-9
@@ -276,17 +269,18 @@ _PRINTED = {
 }
 
 
+def _listed_spectra(qs: dict) -> PairSpectra:
+    """Listed spectral components as the record the certificate arithmetic reads."""
+    return PairSpectra(**{name: qs.get(key) for key, name in _RECORD_FIELDS.items()})
+
+
 def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     """Genuine p and q windows from listed detected-regime components."""
-    num1 = qs["lmin_prod"] + 2.0 * qs["snl"] * qs["lmax_rho"]
-    num2 = qs["lmax_prod"] + 2.0 * qs["snl"] * qs["lmin_rho"]
-    e = qs["lmax_emb"]
-    k = qs["lk"]
-    p_win = (_SQRT2 * num1 / (_SQRT2 * num1 + e),
-             2.0 * num1 / (2.0 * num1 + e))
-    q_win = (_SQRT2 * num2 / (_SQRT2 * num2 + k),
-             2.0 * num2 / (2.0 * num2 + k))
-    return p_win, q_win
+    spectra = _listed_spectra(qs)
+    low, high = spectra.detected_numerators(qs["snl"])
+    _, p_gen = spectra.p_windows(low, detected=True)
+    _, q_gen = spectra.q_windows(high)
+    return (p_gen.lower, p_gen.upper), (q_gen.lower, q_gen.upper)
 
 
 def _printed_windows(family: int, param: float) -> tuple[tuple, tuple]:
@@ -350,25 +344,15 @@ def _closed_form_lmax_prod5(ps: float) -> float:
 # Certificate bounds from listed components, exactly the table formulas.
 
 def _detected_bounds(qs: dict, p: float, q: float) -> tuple[float, float]:
-    lo = (8.0 * (1.0 - p) * (qs["lmin_prod"] + 2.0 * qs["lmax_rho"] * qs["snl"])
-          / (p * qs["lmax_emb"]))
-    hi = (8.0 * (1.0 - q) * (qs["lmax_prod"] + 2.0 * qs["lmin_rho"] * qs["snl"])
-          / (q * qs["lk"]))
-    return lo, hi
+    spectra = _listed_spectra(qs)
+    low, high = spectra.detected_numerators(qs["snl"])
+    return spectra.lower_bound(low, p), spectra.upper_bound(high, q)
 
 
-def _undetected_bounds(qs: dict, p: float, q: float, x: float) -> tuple[float, float]:
-    h = (qs["lmin_prod"]
-         - x * qs["neg"] * qs["lmax_pt"] * qs["lmax_rho"] / qs["lmin_pt2"])
-    lo = 8.0 * (1.0 - p) * h / (p * qs["lmax_emb"])
-    if qs["lmax_wrho"] is None or qs["lmin_rho"] == 0.0:
-        f = 4.0 * qs["lmax_prod"]
-    else:
-        f = (4.0 * qs["lmax_prod"]
-             - (qs["lmin_rho"] / qs["lmax_wrho"])
-             * (8.0 * qs["neg"] * x - qs["trpt2"]))
-    hi = 2.0 * (1.0 - q) * f / (q * qs["lk"])
-    return lo, hi
+def _undetected_bounds(spectra: PairSpectra, wr_max: float | None,
+                       p: float, q: float, x: float) -> tuple[float, float]:
+    return (spectra.lower_bound(spectra.h_value(x), p),
+            spectra.upper_bound(spectra.f_value(x, wr_max) / 4.0, q))
 
 
 def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
@@ -382,6 +366,7 @@ def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
     cap = nonlocality.r_cap(k, p_max)
     band = STRENGTH_BANDS[which]
     weight_band = WEIGHT_BANDS.get(which)
+    spectra = _listed_spectra(qs)
 
     grid = np.linspace(0.0, cap, SCAN_POINTS, endpoint=False)
     results = []
@@ -390,7 +375,7 @@ def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
     for i, r in enumerate(grid):
         s = r * (p_max - 0.75) + (1.0 - r) * k
         x = (s - r * (p_max - 0.75)) / (1.0 - r)
-        lo, hi = _undetected_bounds(qs, p, q, x)
+        lo, hi = _undetected_bounds(spectra, qs["lmax_wrho"], p, q, x)
         delta = max(abs(lo - ref_lo), abs(hi - ref_hi))
         results.append((lo, hi, delta))
         if best is None or delta < results[best][2]:
@@ -418,7 +403,7 @@ def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
         best_s_delta = np.inf
         for s in s_grid:
             x = (s - r0 * (p_max - 0.75)) / (1.0 - r0)
-            s_lo, s_hi = _undetected_bounds(qs, p, q, x)
+            s_lo, s_hi = _undetected_bounds(spectra, qs["lmax_wrho"], p, q, x)
             delta = max(abs(s_lo - ref_lo), abs(s_hi - ref_hi))
             if delta < best_s_delta:
                 best_s, best_s_delta = float(s), delta
@@ -482,6 +467,10 @@ _QUANTITY_NAMES = {
     "q_window": "q_window",
 }
 
+# Listed keys that name a PairSpectra field.
+_RECORD_FIELDS = {key: name for key, name in _QUANTITY_NAMES.items()
+                  if name in {f.name for f in fields(PairSpectra)}}
+
 _QUANTITY_ORDER = ("snl", "lmax_emb", "lmin_prod", "lmax_prod", "lk",
                    "lmax_rho", "lmin_rho", "trwrrt", "lmin_pt2", "lmax_pt",
                    "neg", "lmax_wrho", "trpt2", "p_window", "q_window")
@@ -505,36 +494,22 @@ def _closed_form_general(family: int, param: float) -> dict:
     pair = states.EXAMPLE_PAIRS[name]
     w = _family_witness(family)
 
-    prod = product_spectrum(rho, reduced, pair)
-    emb = linalg.hermitian_eigenvalues(embed_pair(reduced.matrix, pair))
-    spec = linalg.hermitian_eigenvalues(rho.matrix)
-    out = {
-        "lmax_emb": emb.lambda_max,
-        "lk": linalg.first_nonzero_eigenvalue(emb),
-        "lmin_prod": prod.lambda_min,
-        "lmax_prod": prod.lambda_max,
-        "lmax_rho": spec.lambda_max,
-        "lmin_rho": spec.lambda_min,
-    }
+    spectra = pair_spectra(rho, reduced, pair)
+    out = {key: getattr(spectra, name) for key, name in _RECORD_FIELDS.items()}
     if family in (1, 2):
         snl = nonlocality.s_nl_detected(reduced, w)
         out["snl"] = snl
-        _, gen_p = p_window_detected(rho, reduced, snl, pair)
-        _, gen_q = q_window_detected(rho, reduced, snl, pair)
+        low, high = spectra.detected_numerators(snl)
+        _, gen_p = spectra.p_windows(low, detected=True)
+        _, gen_q = spectra.q_windows(high)
     else:
         pt = states.partial_transpose(reduced)
-        root = linalg.psd_sqrt(reduced.matrix)
         out["trwrrt"] = linalg.trace_product(w, reduced.matrix @ pt)
-        out["lmin_pt2"] = linalg.hermitian_eigenvalues(
-            linalg.symmetrize(pt @ pt)).lambda_min
-        out["lmax_pt"] = linalg.hermitian_eigenvalues(pt).lambda_max
-        out["neg"] = states.negativity(reduced)
-        out["lmax_wrho"] = linalg.hermitian_eigenvalues(
-            linalg.symmetrize(root @ w @ root)).lambda_max
-        out["trpt2"] = linalg.trace_product(pt, pt)
-        strength = nonlocality.s_nl_new(reduced, w, 0.0)
-        _, gen_p = p_window_undetected(rho, reduced, strength, pair)
-        _, gen_q = q_window_undetected(rho, reduced, strength, w, pair)
+        wr_max = out["lmax_wrho"] = spectra.witness_max(w)
+        # at r = 0 the replacement strength is K itself
+        ratio = nonlocality.s_nl_new(reduced, w, 0.0).s_nl_new
+        _, gen_p = spectra.p_windows(spectra.h_value(ratio), detected=False)
+        _, gen_q = spectra.q_windows(spectra.f_value(ratio, wr_max) / 4.0)
     out["p_window"] = (gen_p.lower, gen_p.upper)
     out["q_window"] = (gen_q.lower, gen_q.upper)
     return out

@@ -8,6 +8,8 @@ on the fifth.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,61 @@ class TestVerdict:
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         verdict = detect_genuine(rho)
         assert verdict.value == pytest.approx(verdict.window.midpoint, abs=1e-15)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Matrices diagonalized, by size, counted at the kernel's solver and at
+    numpy's; a numpy solve inside the kernel's solver is the same solve."""
+    counts = collections.Counter()
+    depth = [0]
+
+    def counting(solver):
+        def counted(a, *args, **kwargs):
+            if depth[0] == 0:
+                counts[np.shape(a)[-1]] += 1
+            depth[0] += 1
+            try:
+                return solver(a, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    monkeypatch.setattr(linalg, "hermitian_eigensystem",
+                        counting(linalg.hermitian_eigensystem))
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return counts
+
+
+SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
+
+
+class TestSolveCounts:
+    """Each 8x8 spectrum is computed once: the state once per call (it
+    also gives the state's square root) and the product once per pair."""
+
+    def test_full_report_diagonalizes_state_and_product_only(self, solves):
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        for pair, r in ((("B", "C"), 0.0), (("B", "C"), None), (("A", "C"), None)):
+            solves.clear()
+            full_report(rho, BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=pair, r=r))
+            assert solves[8] <= 2, (pair, r, solves)
+
+    @pytest.mark.parametrize("pair", [None, ("B", "C"), ("A", "C")], ids=str)
+    def test_detect_genuine_solves_state_once(self, solves, pair):
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        solves.clear()
+        verdict = detect_genuine(rho, pair=pair)
+        assert verdict.outcome == "genuine"
+        tried = 1 if pair is not None else SEARCH_ORDER.index(verdict.pair) + 1
+        assert solves[8] <= 1 + tried, solves
+
+    def test_detect_genuine_without_verdict_tries_every_pair(self, solves):
+        rho = states.make_reference("GHZ")
+        solves.clear()
+        assert detect_genuine(rho).outcome == "not-applicable"
+        assert solves[8] <= 1 + len(SEARCH_ORDER), solves
 
 
 class TestSingularHandling:

@@ -1,8 +1,11 @@
 """Eigensolver and trace-inequality checks against independent oracles.
 
-The Jacobi eigensolver is compared against numpy.linalg.eigh on random
-Hermitian matrices; the two-sided trace inequality is exercised with
-hypothesis-driven PSD operands.
+The kernel's eigensolver (LAPACK behind the kernel's gates) is compared
+against numpy.linalg.eigvalsh and against a cyclic Jacobi solver kept
+here, which shares no code with LAPACK; the gates themselves (dimension,
+finiteness, hermiticity, solver failure) are exercised directly. The
+two-sided trace inequality is exercised with hypothesis-driven PSD
+operands.
 """
 
 from __future__ import annotations
@@ -11,13 +14,59 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svetlichny import linalg
+from svetlichny import bounds, linalg, operators, states
 from conftest import random_density
+
+JACOBI_OFFDIAG_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 64
 
 
 def _random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return g + g.conj().T
+
+
+def _offdiag_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+
+
+def jacobi_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a Hermitian matrix, the kernel's oracle.
+
+    Returns (values, vectors) with values ascending and vectors[:, i] the
+    unit eigenvector for values[i]. Each rotation kills one off-diagonal
+    pair; sweeps repeat until the off-diagonal Frobenius mass drops below
+    JACOBI_OFFDIAG_TOL. Convergence is quadratic, so well under ten sweeps
+    suffice at these dimensions.
+    """
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if _offdiag_norm(a) < JACOBI_OFFDIAG_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = a[p, q]
+                mag = abs(g)
+                if mag == 0.0:
+                    continue
+                phase = g / mag
+                theta = 0.5 * np.arctan2(2.0 * mag, (a[p, p] - a[q, q]).real)
+                c = np.cos(theta)
+                s = np.sin(theta)
+                r = np.eye(n, dtype=complex)
+                r[p, p] = c
+                r[p, q] = -s
+                r[q, p] = s * np.conj(phase)
+                r[q, q] = c * np.conj(phase)
+                a = r.conj().T @ a @ r
+                v = v @ r
+    assert _offdiag_norm(a) < JACOBI_OFFDIAG_TOL, "Jacobi sweeps exhausted"
+    values = np.diag(a).real.copy()
+    order = np.argsort(values, kind="stable")
+    return values[order], v[:, order]
 
 
 class TestEigensystem:
@@ -30,6 +79,27 @@ class TestEigensystem:
                 assert np.allclose(values, reference, atol=1e-10)
                 recon = vectors @ np.diag(values) @ vectors.conj().T
                 assert np.allclose(recon, m, atol=1e-9)
+
+    def test_matches_jacobi_oracle_on_random_hermitian(self, rng):
+        for dim in (2, 3, 4, 8):
+            for _ in range(25):
+                m = _random_hermitian(rng, dim)
+                values, vectors = linalg.hermitian_eigensystem(m)
+                reference, ref_vectors = jacobi_eigensystem(m)
+                assert np.allclose(values, reference, atol=1e-10)
+                recon = vectors @ np.diag(values) @ vectors.conj().T
+                assert np.allclose(recon, m, atol=1e-9)
+                # the spectrum is simple, so each eigenvector agrees up to a phase
+                overlaps = np.abs(np.sum(vectors.conj() * ref_vectors, axis=0))
+                assert np.allclose(overlaps, 1.0, atol=1e-8)
+
+    def test_matches_jacobi_oracle_on_degenerate_spectrum(self, rng):
+        # an embedded reduced pair doubles every multiplicity
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        m = (u * np.repeat([0.0, 0.1, 0.3, 0.6], 2)) @ u.conj().T
+        values, _ = linalg.hermitian_eigensystem(m)
+        assert np.allclose(values, jacobi_eigensystem(m)[0], atol=1e-10)
+        assert np.allclose(values, np.repeat([0.0, 0.1, 0.3, 0.6], 2), atol=1e-10)
 
     def test_eigenvalues_sorted_ascending(self, rng):
         m = _random_hermitian(rng, 8)
@@ -49,6 +119,58 @@ class TestEigensystem:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(linalg.NotHermitianError):
             linalg.hermitian_eigenvalues(bad)
+
+
+class TestKernelGates:
+    def test_rejects_dimension_above_max(self):
+        with pytest.raises(linalg.DimensionMismatchError):
+            linalg.hermitian_eigensystem(np.eye(linalg.MAX_DIM + 1))
+        with pytest.raises(linalg.DimensionMismatchError):
+            linalg.hermitian_eigenvalues(np.eye(linalg.MAX_DIM + 1))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "imag-nan"])
+    def test_rejects_non_finite_entries(self, entry):
+        m = np.eye(4, dtype=complex)
+        m[1, 1] = entry
+        with pytest.raises(linalg.LinalgError) as excinfo:
+            linalg.hermitian_eigenvalues(m)
+        # the finiteness gate answers, not a later hermiticity or solver failure
+        assert excinfo.type is linalg.LinalgError
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(linalg.NoConvergenceError):
+            linalg.hermitian_eigensystem(np.eye(4))
+        with pytest.raises(linalg.NoConvergenceError):
+            linalg.hermitian_eigenvalues(np.eye(4))
+
+    def test_solver_failure_skips_only_that_candidate(self, monkeypatch):
+        # identity-W 0.82 certifies first on pair AB with the xy witness,
+        # through a route that diagonalizes rho_AB^{1/2} W rho_AB^{1/2}
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        first = bounds.detect_genuine(rho)
+        assert (first.pair, first.witness_label) == (("A", "B"), "xy")
+        values, vectors = np.linalg.eigh(states.partial_trace(rho, "C").matrix)
+        root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+        target = root @ operators.plane_witness("xy") @ root
+        solve = np.linalg.eigh
+        failed = []
+
+        def eigh(a, *args, **kwargs):
+            if np.shape(a) == (4, 4) and np.allclose(a, target, atol=1e-12):
+                failed.append(True)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        verdict = bounds.detect_genuine(rho)
+        assert failed
+        assert verdict.outcome == "genuine"
+        assert (verdict.pair, verdict.witness_label) != (("A", "B"), "xy")
 
 
 class TestFirstNonzero:
