@@ -19,6 +19,7 @@ replacement strength. The verdict search tries all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +30,11 @@ from .nonlocality import (
     NonlocalityStrength,
     RegimeMismatchError,
     NEG_TOL,
-    default_r,
     is_detected,
+    k_from_negativity,
+    p_max_optimal,
     s_nl_detected,
-    s_nl_new,
+    undetected_strength,
 )
 from .operators import PLANES, plane_witness
 from .states import (
@@ -218,7 +220,7 @@ class PairSpectra:
     rho^{1/2} embed(rho_ij) rho^{1/2}, the reduced pair and its partial
     transpose. Embedding the pair only doubles multiplicities, so the
     embedded extremes are read off the 4x4 spectrum. The partial-transpose
-    numbers and the pair's square root are None in records built from
+    numbers, the pair and its square root are None in records built from
     listed data that lacks them.
 
     The methods are the certificate arithmetic. A lower route feeds its
@@ -240,6 +242,8 @@ class PairSpectra:
     trace_pt_squared: float | None = None
     negativity: float | None = None
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
+    reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
+    transposed: str = "second"
 
     @property
     def lambda_k(self) -> float:
@@ -247,6 +251,25 @@ class PairSpectra:
         if self.lambda_k_embedded <= SINGULAR_TOL:
             raise SingularDenominatorError("smallest nonzero embedded eigenvalue vanished")
         return self.lambda_k_embedded
+
+    @cached_property
+    def p_max(self) -> float:
+        """The pair's best CHSH winning probability, solved on first use only."""
+        return p_max_optimal(self.reduced)
+
+    def route_numerators(self, witness: np.ndarray, r: float | None
+                         ) -> tuple[NonlocalityStrength, float, float]:
+        """The pair's strength under the witness, then the lower- and upper-route numerators.
+
+        The undetected routes read K alone; r (the default when None) only has to be admissible.
+        """
+        if is_detected(self.reduced, witness):
+            strength = NonlocalityStrength.detected(s_nl_detected(self.reduced, witness))
+            return (strength, *self.detected_numerators(strength.s_nl))
+        k = k_from_negativity(self.reduced, witness, self.negativity, self.transposed)
+        strength = undetected_strength(k, self.p_max, r)
+        f = self.f_value(k, self.witness_max(witness))
+        return strength, self.h_value(k), f / 4.0
 
     def witness_max(self, witness: np.ndarray) -> float:
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij."""
@@ -261,15 +284,15 @@ class PairSpectra:
         return (self.lambda_min_product + 2.0 * s_nl * self.lambda_max_rho,
                 self.lambda_max_product + 2.0 * s_nl * self.lambda_min_rho)
 
-    def h_value(self, ratio: float) -> float:
-        """H: the product floor discounted by the replacement strength."""
+    def h_value(self, k: float) -> float:
+        """H: the product floor discounted by the replacement strength's K."""
         pt2_min = self.lambda_min_pt_squared
         if pt2_min <= SINGULAR_TOL:
             raise SingularDenominatorError("squared partial transpose is singular")
         return self.lambda_min_product - (
-            ratio * self.negativity * self.lambda_max_pt * self.lambda_max_rho / pt2_min)
+            k * self.negativity * self.lambda_max_pt * self.lambda_max_rho / pt2_min)
 
-    def f_value(self, ratio: float, wr_max: float | None) -> float:
+    def f_value(self, k: float, wr_max: float | None) -> float:
         """F: four times the product ceiling, corrected through the witness.
 
         The correction carries a factor lambda_min(rho), so a state with
@@ -278,7 +301,7 @@ class PairSpectra:
         if self.lambda_min_rho == 0.0:
             return 4.0 * self.lambda_max_product
         return 4.0 * self.lambda_max_product - (self.lambda_min_rho / wr_max) * (
-            8.0 * self.negativity * ratio - self.trace_pt_squared)
+            8.0 * self.negativity * k - self.trace_pt_squared)
 
     def lower_bound(self, numerator: float, p: float) -> float:
         return _bound(numerator, p, self.lambda_max_embedded)
@@ -331,37 +354,22 @@ def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
         trace_pt_squared=sum(v * v for v in pt),
         negativity=float(-sum(v for v in pt if v < 0.0)),
         reduced_root=reduced_root,
+        reduced=rho_ij,
+        transposed=transposed,
     )
 
 
-def _strength_ratio(strength: NonlocalityStrength) -> float:
-    """Collapse the replacement strength back to its r-independent core."""
+def _undetected_k(strength: NonlocalityStrength) -> float:
+    """K, the one part of the replacement strength the undetected routes read."""
     if strength.variant != "undetected":
         raise RegimeMismatchError("undetected-regime routes need the replacement strength")
-    r = strength.r
-    if r is None or not 0.0 <= r < 1.0:
-        raise BoundsError(f"strength carries an unusable r: {r}")
-    return (strength.s_nl_new - r * (strength.p_max - 0.75)) / (1.0 - r)
+    return strength.k
 
 
 def _require_regime(rho_ij: DensityMatrix, witness: np.ndarray, detected: bool) -> None:
     if is_detected(rho_ij, witness) != detected:
         wanted = "detected" if detected else "undetected"
         raise RegimeMismatchError(f"route requires the {wanted} regime")
-
-
-def _route_numerators(spectra: PairSpectra, rho_ij: DensityMatrix, witness: np.ndarray,
-                      r: float | None, transposed: str
-                      ) -> tuple[NonlocalityStrength, float, float]:
-    """The pair's strength under the witness, then the lower- and upper-route numerators."""
-    if is_detected(rho_ij, witness):
-        strength = NonlocalityStrength.detected(s_nl_detected(rho_ij, witness))
-        return (strength, *spectra.detected_numerators(strength.s_nl))
-    chosen_r = r if r is not None else default_r(rho_ij, witness, transposed)
-    strength = s_nl_new(rho_ij, witness, chosen_r, transposed)
-    ratio = _strength_ratio(strength)
-    f = spectra.f_value(ratio, spectra.witness_max(witness))
-    return strength, spectra.h_value(ratio), f / 4.0
 
 
 def lower_bound_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
@@ -385,7 +393,7 @@ def lower_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: B
     """Lower bound on the Svetlichny expectation, undetected regime."""
     _require_regime(rho_ij, cfg.witness, detected=False)
     spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
-    return spectra.lower_bound(spectra.h_value(_strength_ratio(strength)), cfg.p)
+    return spectra.lower_bound(spectra.h_value(_undetected_k(strength)), cfg.p)
 
 
 def upper_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
@@ -397,7 +405,7 @@ def upper_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: B
     """
     _require_regime(rho_ij, cfg.witness, detected=False)
     spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
-    f = spectra.f_value(_strength_ratio(strength), spectra.witness_max(cfg.witness))
+    f = spectra.f_value(_undetected_k(strength), spectra.witness_max(cfg.witness))
     return spectra.upper_bound(f / 4.0, cfg.q)
 
 
@@ -431,7 +439,7 @@ def p_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
     when H is negative.
     """
     spectra = pair_spectra(rho_abc, rho_ij, pair, transposed)
-    return spectra.p_windows(spectra.h_value(_strength_ratio(strength)), detected=False)
+    return spectra.p_windows(spectra.h_value(_undetected_k(strength)), detected=False)
 
 
 def q_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
@@ -444,17 +452,37 @@ def q_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
     route; the genuine window is nonempty exactly when F is positive.
     """
     spectra = pair_spectra(rho_abc, rho_ij, pair, transposed)
-    f = spectra.f_value(_strength_ratio(strength), spectra.witness_max(witness))
+    f = spectra.f_value(_undetected_k(strength), spectra.witness_max(witness))
     return spectra.q_windows(f / 4.0)
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
+    return _report(rho_abc, cfg, midpoints=False)[0]
+
+
+def midpoint_report(rho_abc: DensityMatrix, witness: np.ndarray,
+                    reduced_pair: tuple[str, str] = ("B", "C"), r: float | None = None
+                    ) -> tuple[BoundsReport, float, float]:
+    """full_report at its genuine-window midpoints (0.5 where one is empty), and that (p, q)."""
+    cfg = BoundConfig(p=1.0, q=1.0, witness=witness, reduced_pair=reduced_pair, r=r)
+    return _report(rho_abc, cfg, midpoints=True)
+
+
+def _report(rho_abc: DensityMatrix, cfg: BoundConfig, midpoints: bool
+            ) -> tuple[BoundsReport, float, float]:
     traced = next(lbl for lbl in LABELS if lbl not in cfg.reduced_pair)
     rho_ij = partial_trace(rho_abc, traced)
     spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
+    strength, low, high = spectra.route_numerators(cfg.witness, cfg.r)
+    detected = strength.variant == "detected"
     emb_max = spectra.lambda_max_embedded
     lam_k = spectra.lambda_k
+    p_adm, p_gen = spectra.p_windows(low, detected)
+    q_adm, q_gen = spectra.q_windows(high)
+    p, q = cfg.p, cfg.q
+    if midpoints:  # the windows do not depend on p or q, so one evaluation serves both
+        p, q = (0.5 if w.empty else w.midpoint for w in (p_gen, q_gen))
     intermediates = {
         "lambda_min_product": spectra.lambda_min_product,
         "lambda_max_product": spectra.lambda_max_product,
@@ -464,10 +492,6 @@ def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
         "lambda_max_rho": spectra.lambda_max_rho,
         "Z": spectra.negativity * spectra.lambda_max_pt,
     }
-
-    strength, low, high = _route_numerators(
-        spectra, rho_ij, cfg.witness, cfg.r, cfg.transpose_target)
-    detected = strength.variant == "detected"
     if detected:
         intermediates.update(
             {
@@ -484,27 +508,25 @@ def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
                 "H": low,
                 "F": 4.0 * high,
                 "G": spectra.lambda_max_rho
-                * _strength_ratio(strength)
+                * strength.k
                 * intermediates["Z"]
-                / (cfg.p * spectra.lambda_min_pt_squared * emb_max),
+                / (p * spectra.lambda_min_pt_squared * emb_max),
                 "s_nl_new": strength.s_nl_new,
                 "k": strength.k,
                 "p_max": strength.p_max,
                 "r": strength.r,
             }
         )
-    p_adm, p_gen = spectra.p_windows(low, detected)
-    q_adm, q_gen = spectra.q_windows(high)
     return BoundsReport(
         regime=strength.variant,
-        sv_lower=spectra.lower_bound(low, cfg.p),
-        sv_upper=spectra.upper_bound(high, cfg.q),
+        sv_lower=spectra.lower_bound(low, p),
+        sv_upper=spectra.upper_bound(high, q),
         p_window=p_adm,
         q_window=q_adm,
         genuine_p_window=p_gen,
         genuine_q_window=q_gen,
         intermediates=intermediates,
-    )
+    ), p, q
 
 
 def detect_genuine(
@@ -539,7 +561,7 @@ def detect_genuine(
             any_entangled = True
         for label, w in witnesses:
             try:
-                routes = _candidate_windows(spectra, rho_ij, w, r)
+                routes = _candidate_windows(spectra, w, r)
             except (NonlocalityError, BoundsError, linalg.LinalgError):
                 continue
             for route, parameter, genuine in routes:
@@ -558,9 +580,9 @@ def detect_genuine(
     return Verdict(outcome="not-applicable")
 
 
-def _candidate_windows(spectra: PairSpectra, rho_ij: DensityMatrix, witness: np.ndarray,
+def _candidate_windows(spectra: PairSpectra, witness: np.ndarray,
                        r: float | None) -> list[tuple[str, str, Window]]:
-    strength, low, high = _route_numerators(spectra, rho_ij, witness, r, "second")
+    strength, low, high = spectra.route_numerators(witness, r)
     detected = strength.variant == "detected"
     return [(f"{strength.variant}-p", "p", spectra.p_windows(low, detected)[1]),
             (f"{strength.variant}-q", "q", spectra.q_windows(high)[1])]

@@ -31,7 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import linalg, nonlocality, operators, reproduce, states
-from .bounds import BoundConfig, BoundsError, Verdict, Window, detect_genuine, full_report
+from .bounds import BoundsError, Verdict, Window, detect_genuine, midpoint_report
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
@@ -208,17 +208,6 @@ def _negativities(rho: DensityMatrix) -> dict[str, float]:
     return out
 
 
-def _certificate_report(rho, pair, witness, r):
-    """Bounds report at genuine-window midpoints, plus the (p, q) used."""
-    probe = full_report(rho, BoundConfig(p=0.5, q=0.5, witness=witness,
-                                         reduced_pair=pair, r=r))
-    p = probe.genuine_p_window.midpoint if not probe.genuine_p_window.empty else 0.5
-    q = probe.genuine_q_window.midpoint if not probe.genuine_q_window.empty else 0.5
-    report = full_report(rho, BoundConfig(p=p, q=q, witness=witness,
-                                          reduced_pair=pair, r=r))
-    return report, p, q
-
-
 def cmd_analyze(args) -> int:
     rho, label = _resolve_state(args)
     if rho.qubits != 3:
@@ -237,7 +226,7 @@ def cmd_analyze(args) -> int:
     report_error = None
     p = q = None
     try:
-        report, p, q = _certificate_report(rho, pair, cert_witness, args.r)
+        report, p, q = midpoint_report(rho, cert_witness, pair, args.r)
     except (nonlocality.NonlocalityError, BoundsError, linalg.LinalgError) as exc:
         report_error = str(exc)
 

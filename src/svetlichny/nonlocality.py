@@ -8,9 +8,11 @@ state is entangled but the witness misses it, the replacement measure is
 
 with K = Tr[W rho rho^T]/(4 N(rho)), P_max the best CHSH-game winning
 probability, and r a mixing weight kept below the cap that guarantees
-positivity. The K bounds (lemma_lower/upper in spirit) sandwich K without
-needing the product trace, which is what makes the undetected-regime
-certificates computable from printed spectral data alone.
+positivity. The certificates built on this measure read K alone: r only
+decides, through r_cap, whether a strength is admissible. The K bounds
+(lemma_lower/upper in spirit) sandwich K without needing the product
+trace, which is what makes the undetected-regime certificates computable
+from printed spectral data alone.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .operators import PAULIS
 from .states import DensityMatrix, negativity, partial_transpose
 
 NEG_TOL = 1e-12
 EXPECTATION_TOL = 1e-9
 TSIRELSON = 2 * np.sqrt(2.0)
-
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 class NonlocalityError(ValueError):
@@ -74,11 +71,8 @@ class NonlocalityStrength:
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 matrix of Pauli correlations t[m,n] = Tr[rho sigma_m (x) sigma_n]."""
-    t = np.empty((3, 3))
-    for m, sm in enumerate(_PAULIS):
-        for n, sn in enumerate(_PAULIS):
-            t[m, n] = linalg.trace_product(rho.matrix, linalg.kron(sm, sn))
-    return t
+    r4 = rho.matrix.reshape(2, 2, 2, 2)
+    return np.real(np.einsum("abcd,mca,ndb->mn", r4, PAULIS, PAULIS))
 
 
 def horodecki_m(rho: DensityMatrix) -> float:
@@ -111,8 +105,7 @@ def s_nl_detected(rho: DensityMatrix, w: np.ndarray) -> float:
     return max(-linalg.trace_product(w, rho.matrix) / 8.0, 0.0)
 
 
-def _entangled_negativity(rho: DensityMatrix, transposed: str) -> float:
-    n = negativity(rho, transposed)
+def _entangled_negativity(n: float) -> float:
     if n <= NEG_TOL:
         raise ZeroNegativityError(f"negativity {n!r} is numerically zero; K is undefined")
     return n
@@ -126,7 +119,6 @@ def k_value(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> fl
     always a sign the caller mixed up the two measures, so that case is
     flagged with a warning rather than an error.
     """
-    n = _entangled_negativity(rho, transposed)
     if is_detected(rho, w):
         warnings.warn(
             "k_value evaluated on a witness-detected state; the detected-regime "
@@ -134,9 +126,14 @@ def k_value(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> fl
             RegimeMismatchWarning,
             stacklevel=2,
         )
-    pt = partial_transpose(rho, transposed)
-    numerator = linalg.trace_product(w, rho.matrix @ pt)
-    return numerator / (4.0 * n)
+    return k_from_negativity(rho, w, negativity(rho, transposed), transposed)
+
+
+def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float,
+                      transposed: str = "second") -> float:
+    """k_value's arithmetic for a negativity N already read off the same partial transpose."""
+    n = _entangled_negativity(n)
+    return linalg.trace_product(w, rho.matrix @ partial_transpose(rho, transposed)) / (4.0 * n)
 
 
 def _require_undetected(rho: DensityMatrix, w: np.ndarray) -> None:
@@ -148,7 +145,7 @@ def _require_undetected(rho: DensityMatrix, w: np.ndarray) -> None:
 
 def k_lower_bound(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> float:
     """lambda_min[(rho^T)^2] Tr[W rho] / (4 lambda_max(rho^T) N(rho))."""
-    n = _entangled_negativity(rho, transposed)
+    n = _entangled_negativity(negativity(rho, transposed))
     _require_undetected(rho, w)
     pt = partial_transpose(rho, transposed)
     pt_spec = linalg.hermitian_eigenvalues(pt)
@@ -163,7 +160,7 @@ def k_upper_bound(rho: DensityMatrix, w: np.ndarray, transposed: str = "second")
     lambda_max(W rho) is taken from the Hermitian congruence
     rho^{1/2} W rho^{1/2}, which shares the product's spectrum.
     """
-    n = _entangled_negativity(rho, transposed)
+    n = _entangled_negativity(negativity(rho, transposed))
     _require_undetected(rho, w)
     root = linalg.psd_sqrt(rho.matrix)
     wr_max = linalg.hermitian_eigenvalues(root @ w @ root).lambda_max
@@ -189,23 +186,27 @@ def r_cap(k: float, p_max: float) -> float:
     return min(k / denominator, 1.0)
 
 
-def s_nl_new(rho: DensityMatrix, w: np.ndarray, r: float,
-             transposed: str = "second") -> NonlocalityStrength:
-    """Undetected-regime strength r (P_max - 3/4) + (1 - r) K.
+def undetected_strength(k: float, p_max: float, r: float | None = None) -> NonlocalityStrength:
+    """Undetected-regime strength r (P_max - 3/4) + (1 - r) K from K and P_max.
 
-    r must sit in [0, r_cap); the cap is exactly what keeps the result
-    positive, so the constraint is enforced rather than advisory.
+    r must sit in [0, r_cap), the cap that keeps the result positive, so
+    the constraint is enforced; r = None takes the default, the midpoint.
     """
-    k = k_value(rho, w, transposed)
-    p_max = p_max_optimal(rho)
     cap = r_cap(k, p_max)
-    if not 0.0 <= r < cap:
+    if r is None:
+        r = 0.5 * cap
+    elif not 0.0 <= r < cap:
         raise WindowParameterError(f"r = {r!r} outside [0, {cap!r})")
     value = r * (p_max - 0.75) + (1.0 - r) * k
     return NonlocalityStrength.undetected(s_nl_new=value, k=k, p_max=p_max, r=r)
 
 
+def s_nl_new(rho: DensityMatrix, w: np.ndarray, r: float,
+             transposed: str = "second") -> NonlocalityStrength:
+    """Undetected-regime strength of rho under w at the weight r."""
+    return undetected_strength(k_value(rho, w, transposed), p_max_optimal(rho), r)
+
+
 def default_r(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> float:
     """Midpoint of [0, r_cap), the library-wide default when r is unspecified."""
-    k = k_value(rho, w, transposed)
-    return 0.5 * r_cap(k, p_max_optimal(rho))
+    return undetected_strength(k_value(rho, w, transposed), p_max_optimal(rho)).r

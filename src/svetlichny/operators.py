@@ -15,6 +15,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
@@ -146,8 +147,17 @@ def chsh_witness(b: np.ndarray) -> np.ndarray:
     return 2 * np.eye(4, dtype=complex) - b
 
 
+# Built at import, so that every call solves the same; shared, so read-only.
+_PLANE_WITNESSES = {plane: chsh_witness(chsh_plane_operator(plane)) for plane in PLANES}
+for _witness in _PLANE_WITNESSES.values():
+    _witness.flags.writeable = False
+
+
 def plane_witness(plane: str) -> np.ndarray:
-    return chsh_witness(chsh_plane_operator(plane))
+    """The CHSH witness of a Pauli plane, a shared read-only array."""
+    if plane not in PLANES:
+        raise OperatorError(f"plane must be one of {PLANES}, got {plane!r}")
+    return _PLANE_WITNESSES[plane]
 
 
 def svetlichny_operator(settings: SvetlichnySettings) -> np.ndarray:

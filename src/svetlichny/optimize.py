@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .nonlocality import correlation_matrix
 from .operators import (
+    PAULIS,
     ChshSettings,
     SvetlichnySettings,
     UnitVector3,
@@ -41,15 +43,6 @@ BACKENDS = ("gradient", "coordinate")
 
 _FIXED_STEP = 0.1
 _MEMORY = 10
-
-_PAULIS = np.stack(
-    [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-)
-
 
 class OptimizerError(ValueError):
     pass
@@ -98,13 +91,8 @@ class Optimum:
 def _correlation_tensor3(rho: DensityMatrix) -> np.ndarray:
     r6 = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
     return np.real(
-        np.einsum("abcdef,mda,neb,ofc->mno", r6, _PAULIS, _PAULIS, _PAULIS)
+        np.einsum("abcdef,mda,neb,ofc->mno", r6, PAULIS, PAULIS, PAULIS)
     )
-
-
-def _correlation_tensor2(rho: DensityMatrix) -> np.ndarray:
-    r4 = rho.matrix.reshape(2, 2, 2, 2)
-    return np.real(np.einsum("abcd,mca,ndb->mn", r4, _PAULIS, _PAULIS))
 
 
 class _SvetlichnyObjective:
@@ -302,7 +290,7 @@ def maximize_chsh(
     if rho.qubits != 2:
         raise OptimizerError(f"expected a two-qubit state, got {rho.qubits} qubits")
     cfg = cfg or OptimizerConfig()
-    objective = _ChshObjective(_correlation_tensor2(rho))
+    objective = _ChshObjective(correlation_matrix(rho))
     value, vectors, used, converged = _run_restarts(objective, cfg, backend)
     settings = ChshSettings(
         *(spin_observable(UnitVector3.from_array(v)) for v in vectors)

@@ -14,13 +14,14 @@ closed forms themselves are then compared against the general route, and
 a deviation there becomes an erratum entry. Discrepancies are data, not
 failures: nothing in this module raises on a mismatch.
 
-Rows of the last three tables depend on an interpolation weight r that
-the reference data does not list per row. reproduce_table resolves this
-by scanning r over a grid below the admissible cap, preferring grid
-points whose replacement strength lands inside the stated bands, and
-keeping the point that minimizes the worse of the two deltas. The scan
-is attached to the row so the resolution stays auditable; rows that
-still miss get a second scan forcing the strength band directly.
+Rows of the last three tables hold for an interpolation weight r that
+the reference data does not list per row. Their bounds read the strength
+only through K, so each row is evaluated once, at K; r only decides
+admissibility. reproduce_table scans r over a grid below the cap, and a
+row matches only if some grid point puts the strength (and r, where
+stated) inside the stated bands. The scan is attached to the row so the
+check stays auditable; rows that still miss get a second scan forcing
+the strength band directly.
 """
 
 from __future__ import annotations
@@ -93,9 +94,11 @@ CLOSED_FORM_RANGES = {
 class ScanResult:
     """Record of one per-row parameter scan.
 
-    name is the scanned quantity ("r" or "s_nl_new"), best the grid point
-    the row was evaluated at, achieved_delta the minimum over the whole
-    grid of max(delta_lower, delta_upper).
+    name is the scanned quantity. The "r" scan tests admissibility: best
+    is its first grid point in the stated bands (0 when none is) and
+    achieved_delta the row's max(delta_lower, delta_upper), the same at
+    every r. The "s_nl_new" scan moves the bounds: best minimizes that
+    delta and achieved_delta is the minimum.
     """
 
     name: str
@@ -358,7 +361,7 @@ def _undetected_bounds(spectra: PairSpectra, wr_max: float | None,
 def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
                     ref_lo: float, ref_hi: float,
                     tol: float) -> tuple[float, float, str, ScanResult, ScanResult | None]:
-    """Resolve the unlisted weight r for one row of tables 3 to 5."""
+    """Evaluate one row of tables 3 to 5 at K and test which weights r are admissible."""
     name = states.FAMILIES[which - 1]
     reduced = states.example_reduced(name, param)
     p_max = nonlocality.p_max_optimal(reduced)
@@ -368,30 +371,16 @@ def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
     weight_band = WEIGHT_BANDS.get(which)
     spectra = _listed_spectra(qs)
 
+    lo, hi = _undetected_bounds(spectra, qs["lmax_wrho"], p, q, k)
+    delta = max(abs(lo - ref_lo), abs(hi - ref_hi))
     grid = np.linspace(0.0, cap, SCAN_POINTS, endpoint=False)
-    results = []
-    best = None
-    best_in_band = None
-    for i, r in enumerate(grid):
-        s = r * (p_max - 0.75) + (1.0 - r) * k
-        x = (s - r * (p_max - 0.75)) / (1.0 - r)
-        lo, hi = _undetected_bounds(spectra, qs["lmax_wrho"], p, q, x)
-        delta = max(abs(lo - ref_lo), abs(hi - ref_hi))
-        results.append((lo, hi, delta))
-        if best is None or delta < results[best][2]:
-            best = i
-        in_band = band[0] <= s <= band[1]
-        if weight_band is not None:
-            in_band = in_band and weight_band[0] <= r <= weight_band[1]
-        if in_band and (best_in_band is None or delta < results[best_in_band][2]):
-            best_in_band = i
-
-    chosen = best_in_band if best_in_band is not None else best
-    lo, hi, chosen_delta = results[chosen]
-    status = STATUS_MATCH if (best_in_band is not None
-                              and chosen_delta <= tol) else STATUS_DISCREPANCY
+    admissible = [
+        r for r in grid
+        if band[0] <= nonlocality.undetected_strength(k, p_max, r).s_nl_new <= band[1]
+        and (weight_band is None or weight_band[0] <= r <= weight_band[1])]
+    status = STATUS_MATCH if admissible and delta <= tol else STATUS_DISCREPANCY
     scan = ScanResult("r", tuple(float(r) for r in grid),
-                      float(grid[chosen]), float(results[best][2]))
+                      float(admissible[0]) if admissible else 0.0, float(delta))
 
     strength_scan = None
     if status == STATUS_DISCREPANCY:
@@ -416,8 +405,8 @@ def reproduce_table(which: int, table_tol: float | None = None) -> list[TableRow
     """Recompute every row of one reference table.
 
     Tables 1 and 2 are closed under the listed (parameter, p, q); tables
-    3 to 5 additionally scan the weight r as described in the module
-    docstring. Discrepant rows are returned, never raised.
+    3 to 5 additionally scan the weight r for admissibility as described
+    in the module docstring. Discrepant rows are returned, never raised.
     """
     if which not in TABLES:
         raise ValueError(f"no such table: {which!r}")
@@ -506,10 +495,10 @@ def _closed_form_general(family: int, param: float) -> dict:
         pt = states.partial_transpose(reduced)
         out["trwrrt"] = linalg.trace_product(w, reduced.matrix @ pt)
         wr_max = out["lmax_wrho"] = spectra.witness_max(w)
-        # at r = 0 the replacement strength is K itself
-        ratio = nonlocality.s_nl_new(reduced, w, 0.0).s_nl_new
-        _, gen_p = spectra.p_windows(spectra.h_value(ratio), detected=False)
-        _, gen_q = spectra.q_windows(spectra.f_value(ratio, wr_max) / 4.0)
+        k = nonlocality.undetected_strength(
+            nonlocality.k_from_negativity(reduced, w, spectra.negativity), spectra.p_max, 0.0).k
+        _, gen_p = spectra.p_windows(spectra.h_value(k), detected=False)
+        _, gen_q = spectra.q_windows(spectra.f_value(k, wr_max) / 4.0)
     out["p_window"] = (gen_p.lower, gen_p.upper)
     out["q_window"] = (gen_q.lower, gen_q.upper)
     return out

@@ -1,10 +1,13 @@
-"""Shared helpers: random states with reproducible generators."""
+"""Shared helpers: random states with reproducible generators, and solve counts."""
 
 from __future__ import annotations
+
+import collections
 
 import numpy as np
 import pytest
 
+from svetlichny import linalg
 from svetlichny.states import DensityMatrix, validate
 
 
@@ -66,3 +69,28 @@ def random_biseparable(rng: np.random.Generator) -> DensityMatrix:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Matrices diagonalized, by size, counted at the kernel's solver and at
+    numpy's; a numpy solve inside the kernel's solver is the same solve."""
+    counts = collections.Counter()
+    depth = [0]
+
+    def counting(solver):
+        def counted(a, *args, **kwargs):
+            if depth[0] == 0:
+                counts[np.shape(a)[-1]] += 1
+            depth[0] += 1
+            try:
+                return solver(a, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    monkeypatch.setattr(linalg, "hermitian_eigensystem",
+                        counting(linalg.hermitian_eigensystem))
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return counts

@@ -8,8 +8,6 @@ on the fifth.
 
 from __future__ import annotations
 
-import collections
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,15 @@ from svetlichny.bounds import (
     upper_bound_detected,
     upper_bound_undetected,
 )
-from conftest import random_state
+from svetlichny.nonlocality import (
+    NEG_TOL,
+    NonlocalityError,
+    is_detected,
+    k_value,
+    p_max_optimal,
+    r_cap,
+)
+from conftest import random_pure, random_state
 
 XY = operators.plane_witness("xy")
 XZ = operators.plane_witness("xz")
@@ -289,31 +295,6 @@ class TestVerdict:
         assert verdict.value == pytest.approx(verdict.window.midpoint, abs=1e-15)
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Matrices diagonalized, by size, counted at the kernel's solver and at
-    numpy's; a numpy solve inside the kernel's solver is the same solve."""
-    counts = collections.Counter()
-    depth = [0]
-
-    def counting(solver):
-        def counted(a, *args, **kwargs):
-            if depth[0] == 0:
-                counts[np.shape(a)[-1]] += 1
-            depth[0] += 1
-            try:
-                return solver(a, *args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return counted
-
-    monkeypatch.setattr(linalg, "hermitian_eigensystem",
-                        counting(linalg.hermitian_eigensystem))
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    return counts
-
-
 SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
 
 
@@ -342,6 +323,72 @@ class TestSolveCounts:
         solves.clear()
         assert detect_genuine(rho).outcome == "not-applicable"
         assert solves[8] <= 1 + len(SEARCH_ORDER), solves
+
+    def test_p_max_solved_once_per_pair(self, solves):
+        # r = 0.99 lies above every cap here, so each pair tries all three
+        # undetected witnesses and fires on none of them
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        solves.clear()
+        assert detect_genuine(rho, r=0.99).outcome == "inconclusive"
+        assert solves[3] <= len(SEARCH_ORDER), solves
+
+
+class TestWeightIndependence:
+    """The undetected routes read the strength through K alone, so every
+    admissible r gives the same H, F, G, windows and bounds."""
+
+    @staticmethod
+    def _reports(rho, pair, witness):
+        traced = next(label for label in states.LABELS if label not in pair)
+        reduced = states.partial_trace(rho, traced)
+        cap = r_cap(k_value(reduced, witness), p_max_optimal(reduced))
+        return [full_report(rho, BoundConfig(p=0.5, q=0.5, witness=witness,
+                                             reduced_pair=pair, r=r))
+                for r in (0.0, 0.25 * cap, None, 0.9 * cap)]
+
+    @staticmethod
+    def _assert_same_certificate(reports):
+        first = reports[0]
+        assert first.regime == "undetected"
+        assert len({rep.intermediates["r"] for rep in reports}) == len(reports)
+        for rep in reports[1:]:
+            for key in ("H", "F", "G", "k"):
+                assert rep.intermediates[key] == first.intermediates[key], key
+            for name in ("p_window", "q_window", "genuine_p_window", "genuine_q_window"):
+                assert getattr(rep, name) == getattr(first, name), name
+            assert (rep.sv_lower, rep.sv_upper) == (first.sv_lower, first.sv_upper)
+
+    @pytest.mark.parametrize("family, param, pair", [
+        (states.FAMILY_MAXIMAL_SLICE, 1.2, "AB"),
+        (states.FAMILY_MAXIMAL_SLICE, 1.4, "AB"),
+        (states.FAMILY_GHZ_W_CONVEX, 0.5, "BC"),
+        (states.FAMILY_GHZ_W_CONVEX, 0.8, "BC"),
+        (states.FAMILY_IDENTITY_W, 0.82, "BC"),
+        (states.FAMILY_IDENTITY_W, 0.92, "AC"),
+    ])
+    def test_undetected_worked_families(self, family, param, pair):
+        rho = states.make_example(family, param)
+        self._assert_same_certificate(self._reports(rho, tuple(pair), XY))
+
+    def test_random_pure_states(self, rng):
+        checked = 0
+        for _ in range(20):
+            ket = random_pure(rng, 8)
+            rho = states.validate(np.outer(ket, ket.conj()), 3)
+            for pair in SEARCH_ORDER:
+                traced = next(label for label in states.LABELS if label not in pair)
+                reduced = states.partial_trace(rho, traced)
+                for plane in operators.PLANES:
+                    w = operators.plane_witness(plane)
+                    if states.negativity(reduced) <= NEG_TOL or is_detected(reduced, w):
+                        continue
+                    try:
+                        reports = self._reports(rho, pair, w)
+                    except (NonlocalityError, BoundsError):
+                        continue
+                    self._assert_same_certificate(reports)
+                    checked += 1
+        assert checked >= 20, checked
 
 
 class TestSingularHandling:

@@ -127,6 +127,17 @@ class TestAnalyzeOutput:
                    "--witness", str(path)) == 0
         assert "witness user" in capsys.readouterr().out
 
+    def test_analyze_solve_counts(self, solves, capsys):
+        # one certificate pass (state, pair, product, transpose, witness,
+        # P_max), one verdict search that fires on its first pair, the
+        # three pair negativities, and no plane witness rebuilt
+        solves.clear()
+        assert run("analyze", "--family", "identity-W", "--param", "0.82",
+                   "--format", "json") == 0
+        capsys.readouterr()
+        assert solves[8] <= 5 and solves[4] <= 14 and solves[3] <= 2, solves
+        assert solves[2] == 0, solves
+
     def test_r_flag_forwarded(self, capsys):
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--r", "0.0", "--format", "json") == 0

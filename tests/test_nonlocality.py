@@ -24,6 +24,27 @@ def _reduced(family, param):
     return states.example_reduced(family, param)
 
 
+class TestCorrelationMatrix:
+    """T against the textbook entries t[m,n] = Tr[rho sigma_m (x) sigma_n]."""
+
+    @staticmethod
+    def _textbook(rho):
+        paulis = [operators.pauli(axis) for axis in "xyz"]
+        return np.array([[np.trace(rho.matrix @ np.kron(sm, sn)).real for sn in paulis]
+                         for sm in paulis])
+
+    def test_matches_textbook_entries_on_random_states(self, rng):
+        for _ in range(50):
+            rho = random_state(rng, 2)
+            t = nonlocality.correlation_matrix(rho)
+            assert t.shape == (3, 3) and t.dtype == np.float64
+            assert np.allclose(t, self._textbook(rho), atol=1e-14, rtol=0.0)
+
+    def test_bell_phi_plus(self):
+        t = nonlocality.correlation_matrix(states.make_reference("Bell-Phi+"))
+        assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-15, rtol=0.0)
+
+
 class TestHorodecki:
     def test_bell_state_reaches_two(self):
         rho = states.make_reference("Bell-Phi+")

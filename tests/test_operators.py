@@ -109,6 +109,19 @@ class TestPlaneOperators:
     def test_unknown_plane_rejected(self):
         with pytest.raises(operators.OperatorError):
             operators.chsh_plane_operator("xw")
+        with pytest.raises(operators.OperatorError):
+            operators.plane_witness("xw")
+
+    @pytest.mark.parametrize("plane", operators.PLANES)
+    def test_plane_witness_is_a_shared_read_only_constant(self, plane):
+        w = operators.plane_witness(plane)
+        assert w is operators.plane_witness(plane)
+        assert np.array_equal(w, operators.chsh_witness(operators.chsh_plane_operator(plane)))
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            w += 1.0
+        assert np.array_equal(w, operators.chsh_witness(operators.chsh_plane_operator(plane)))
 
 
 class TestFrozenWitnessTraces:

@@ -89,6 +89,24 @@ class TestFrozenDeltas:
             assert row.strength_scan is not None
             assert row.strength_scan.achieved_delta > 4.0
 
+    @pytest.mark.parametrize("which", (3, 4, 5))
+    def test_weight_scan_decides_admissibility_only(self, tables, which):
+        # the bounds read the strength only through K, so each row is
+        # evaluated once and the scan keeps its first in-band weight; table
+        # 5 has none, and falls back to r = 0
+        band = reproduce.STRENGTH_BANDS[which]
+        weights = reproduce.WEIGHT_BANDS.get(which, (0.0, 1.0))
+        for row in tables[which]:
+            reduced = states.example_reduced(states.FAMILIES[which - 1], row.parameter)
+            k = nonlocality.k_value(reduced, operators.plane_witness("xy"))
+            p_max = nonlocality.p_max_optimal(reduced)
+            in_band = [r for r in row.scan.grid
+                       if band[0] <= r * (p_max - 0.75) + (1.0 - r) * k <= band[1]
+                       and weights[0] <= r <= weights[1]]
+            assert row.scan.best == (in_band[0] if in_band else 0.0)
+            assert (which == 5) == (not in_band)
+            assert row.scan.achieved_delta == max(row.delta_lower, row.delta_upper)
+
     def test_table3_scans_found_in_band_points(self, tables):
         for row in tables[3]:
             assert row.scan is not None
