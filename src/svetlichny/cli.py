@@ -35,9 +35,9 @@ from .bounds import BoundsError, Verdict, Window, detect_genuine, midpoint_repor
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
+    DEFAULT_SEED,
     OptimizerConfig,
     OptimizerError,
-    STEP_RULES,
     maximize_chsh,
     maximize_svetlichny,
 )
@@ -325,7 +325,6 @@ def cmd_optimize(args) -> int:
     rho, label = _resolve_state(args)
     cfg = OptimizerConfig(restarts=args.restarts,
                           max_iterations=args.max_iterations,
-                          step_rule=args.step_rule,
                           seed=args.seed)
     if args.target == "svetlichny":
         if rho.qubits != 3:
@@ -354,7 +353,7 @@ def cmd_optimize(args) -> int:
             "value": optimum.value,
             "iterations_used": optimum.iterations_used,
             "converged": optimum.converged,
-            "seed": cfg.resolved_seed(),
+            "seed": cfg.seed,
             "backend": args.backend,
             "settings": {name: {"vector": [float(x) for x in vec],
                                 "theta": theta, "phi": phi}
@@ -367,7 +366,7 @@ def cmd_optimize(args) -> int:
         print(f"optimum: {optimum.value:.9f}")
         print(f"iterations: {optimum.iterations_used}, converged: "
               f"{optimum.converged}, restarts: {cfg.restarts}, seed: "
-              f"{cfg.resolved_seed()}, backend: {args.backend}")
+              f"{cfg.seed}, backend: {args.backend}")
         for name, vec, theta, phi in vectors:
             print(f"  {name}: [{vec[0]: .6f} {vec[1]: .6f} {vec[2]: .6f}]  "
                   f"theta = {theta:.6f}, phi = {phi:.6f}")
@@ -444,11 +443,8 @@ def build_parser() -> _Parser:
                           help="reduced pair for chsh on a three-qubit state")
     optimize.add_argument("--restarts", type=int, default=64)
     optimize.add_argument("--max-iterations", type=int, default=500)
-    optimize.add_argument("--step-rule", choices=STEP_RULES,
-                          default="backtracking")
     optimize.add_argument("--backend", choices=BACKENDS, default="gradient")
-    optimize.add_argument("--seed", type=int, default=None,
-                          help="overrides the SVET_SEED environment variable")
+    optimize.add_argument("--seed", type=int, default=DEFAULT_SEED)
     optimize.add_argument("--format", choices=("text", "json"), default="text")
     optimize.set_defaults(func=cmd_optimize)
 

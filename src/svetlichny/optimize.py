@@ -3,22 +3,23 @@
 The certificates elsewhere in this package never optimize measurement
 settings; this module is the independent cross-check that does. Both
 objectives are multilinear in the Bloch vectors of the settings, so two
-backends are natural. The gradient backend ascends on spherical angles
-(theta, phi per vector) with a spectral-seeded backtracking line search,
-which copes with the degenerate ridges these landscapes develop at
+backends are natural, and both work on the unit vectors themselves. The
+gradient backend steps along the tangent gradient g - (g.v)v and
+renormalizes each trial point (a retraction onto the sphere, which has no
+poles to stall at), with a spectral-seeded nonmonotone backtracking line
+search that copes with the degenerate ridges these landscapes develop at
 product-state optima. The coordinate backend exploits multilinearity
 directly: freezing all but one vector leaves a linear functional whose
 maximizer on the unit sphere is the normalized coefficient vector. The
 two must agree; tests hold them to 1e-6 of each other.
 
-Restarts draw initial angles from a seeded generator, all draws made up
-front so a longer restart schedule extends a shorter one and the best
-value is nondecreasing in the restart count.
+Restarts draw uniform starting directions from a seeded generator, all
+draws made up front so a longer restart schedule extends a shorter one
+and the best value is nondecreasing in the restart count.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,12 @@ from .operators import (
 from .states import DensityMatrix
 
 DEFAULT_SEED = 1729
-SEED_ENV_VAR = "SVET_SEED"
-STEP_RULES = ("fixed", "backtracking")
 BACKENDS = ("gradient", "coordinate")
 
-_FIXED_STEP = 0.1
+# A restart stops once the tangent-gradient norm (gradient backend) or the
+# gain of a full sweep (coordinate backend) falls below _TOL.
+_TOL = 1e-10
+_FIRST_STEP = 0.1
 _MEMORY = 10
 
 class OptimizerError(ValueError):
@@ -50,28 +52,17 @@ class OptimizerError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Restart schedule and stopping rules shared by both objectives."""
+    """Restart count, per-restart iteration cap and the seed of the draws."""
 
     restarts: int = 64
     max_iterations: int = 500
-    gradient_tol: float = 1e-10
-    step_rule: str = "backtracking"
-    seed: int | None = None
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise OptimizerError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise OptimizerError("max_iterations must be at least 1")
-        if self.gradient_tol <= 0.0:
-            raise OptimizerError("gradient_tol must be positive")
-        if self.step_rule not in STEP_RULES:
-            raise OptimizerError(f"step_rule must be one of {STEP_RULES}")
-
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
 
 
 @dataclass(frozen=True)
@@ -155,79 +146,58 @@ class _ChshObjective:
         )
 
 
-def _vectors_from_angles(angles: np.ndarray) -> np.ndarray:
-    theta, phi = angles[:, 0], angles[:, 1]
-    sin_t = np.sin(theta)
-    return np.stack(
-        [sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1
-    )
-
-
-def _angle_gradient(objective, angles: np.ndarray) -> np.ndarray:
-    vectors = _vectors_from_angles(angles)
+def _tangent_gradient(objective, vectors: np.ndarray) -> np.ndarray:
     coeffs = objective.coefficient_gradients(vectors)
-    theta, phi = angles[:, 0], angles[:, 1]
-    d_theta = np.stack(
-        [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)],
-        axis=1,
-    )
-    d_phi = np.stack(
-        [-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), np.zeros_like(theta)],
-        axis=1,
-    )
-    return np.stack(
-        [np.sum(coeffs * d_theta, axis=1), np.sum(coeffs * d_phi, axis=1)], axis=1
-    )
+    return coeffs - np.sum(coeffs * vectors, axis=1, keepdims=True) * vectors
 
 
-def _gradient_ascent(objective, angles: np.ndarray, cfg: OptimizerConfig):
-    """Ascend on angles; spectral seed when backtracking, constant otherwise.
+def _gradient_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig):
+    """Ascend along the tangent gradient, renormalizing every trial point.
 
-    The line search halves the trial step until the value clears a
-    nonmonotone reference (best of the last few iterates), which lets the
-    spectral step stride across flat ridges without losing ground.
+    The trial v + t*g is at least unit length because g is orthogonal to v.
+    The first step is _FIRST_STEP, later ones the Barzilai-Borwein step of
+    the last displacement and tangent-gradient change. The line search
+    halves the trial step until the value clears a nonmonotone reference
+    (best of the last few iterates), which lets the spectral step stride
+    across flat ridges without losing ground.
     """
-    energy = objective.energy(_vectors_from_angles(angles))
-    gradient = _angle_gradient(objective, angles)
+    energy = objective.energy(vectors)
+    gradient = _tangent_gradient(objective, vectors)
     history = [energy]
-    step = _FIXED_STEP
     previous: tuple[np.ndarray, np.ndarray] | None = None
     used, converged = 0, False
     for iteration in range(cfg.max_iterations):
         used = iteration + 1
         norm_sq = float(np.sum(gradient * gradient))
-        if np.sqrt(norm_sq) < cfg.gradient_tol:
+        if np.sqrt(norm_sq) < _TOL:
             converged = True
             break
-        if cfg.step_rule == "backtracking" and previous is not None:
-            displacement = (angles - previous[0]).ravel()
+        trial = _FIRST_STEP
+        if previous is not None:
+            displacement = (vectors - previous[0]).ravel()
             bend = -float(displacement @ (gradient - previous[1]).ravel())
-            step = float(displacement @ displacement) / bend if bend > 1e-16 else 1.0
-            step = min(max(step, 1e-8), 1e4)
-        else:
-            step = _FIXED_STEP
+            trial = float(displacement @ displacement) / bend if bend > 1e-16 else 1.0
+            trial = min(max(trial, 1e-8), 1e4)
         reference = max(history[-_MEMORY:])
-        trial, accepted = step, False
         for _ in range(60):
-            candidate = angles + trial * gradient
-            value = objective.energy(_vectors_from_angles(candidate))
+            candidate = vectors + trial * gradient
+            candidate /= np.linalg.norm(candidate, axis=1, keepdims=True)
+            value = objective.energy(candidate)
             if value > energy or value >= reference + 1e-6 * trial * norm_sq - 1e-12:
-                previous = (angles, gradient)
-                angles, energy = candidate, value
-                gradient = _angle_gradient(objective, angles)
+                previous = (vectors, gradient)
+                vectors, energy = candidate, value
+                gradient = _tangent_gradient(objective, vectors)
                 history.append(energy)
-                accepted = True
                 break
             trial *= 0.5
-        if not accepted:
+        else:
             converged = True
             break
-    return energy, _vectors_from_angles(angles), used, converged
+    return energy, vectors, used, converged
 
 
-def _coordinate_ascent(objective, angles: np.ndarray, cfg: OptimizerConfig):
+def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig):
     """Sweep the vectors, replacing each by its normalized coefficient."""
-    vectors = _vectors_from_angles(angles)
     energy = objective.energy(vectors)
     used, converged = 0, False
     for sweep in range(cfg.max_iterations):
@@ -238,7 +208,7 @@ def _coordinate_ascent(objective, angles: np.ndarray, cfg: OptimizerConfig):
             if norm > 1e-14:
                 vectors[i] = coefficient / norm
         improved = objective.energy(vectors)
-        if improved - energy < cfg.gradient_tol:
+        if improved - energy < _TOL:
             energy = improved
             converged = True
             break
@@ -249,16 +219,15 @@ def _coordinate_ascent(objective, angles: np.ndarray, cfg: OptimizerConfig):
 def _run_restarts(objective, cfg: OptimizerConfig, backend: str):
     if backend not in BACKENDS:
         raise OptimizerError(f"backend must be one of {BACKENDS}")
-    rng = np.random.default_rng(cfg.resolved_seed())
+    rng = np.random.default_rng(cfg.seed)
     draws = rng.random((cfg.restarts, objective.n_vectors, 2))
+    theta, phi = np.arccos(1.0 - 2.0 * draws[..., 0]), 2.0 * np.pi * draws[..., 1]
+    sin_t = np.sin(theta)
+    starts = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
     ascend = _gradient_ascent if backend == "gradient" else _coordinate_ascent
     best = (-np.inf, None, 0, False)
-    for restart in range(cfg.restarts):
-        angles = np.stack(
-            [np.arccos(1.0 - 2.0 * draws[restart, :, 0]), 2.0 * np.pi * draws[restart, :, 1]],
-            axis=1,
-        )
-        value, vectors, used, converged = ascend(objective, angles, cfg)
+    for start in starts:
+        value, vectors, used, converged = ascend(objective, start, cfg)
         if value > best[0]:
             best = (value, vectors, used, converged)
     return best

@@ -146,21 +146,28 @@ class ClosedFormCheck:
         return STATUS_DISCREPANCY
 
 
+# Family 2's witness, built at import like the plane witnesses; shared,
+# so read-only.
+_FAMILY2_WITNESS = operators.chsh_witness(operators.chsh_operator(
+    operators.ChshSettings(
+        A0=operators.PAULI_X,
+        A1=operators.PAULI_Y,
+        B0=0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
+            + 0.447 * operators.PAULI_Z,
+        B1=-0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
+            + 0.447 * operators.PAULI_Z,
+    ),
+    operators.SIGNS_VARIANT,
+))
+_FAMILY2_WITNESS.flags.writeable = False
+
+
 def _family_witness(family: int) -> np.ndarray:
     """Witness operator each family's analysis runs with."""
     if family == 1:
         return operators.plane_witness("xz")
     if family == 2:
-        settings = operators.ChshSettings(
-            A0=operators.PAULI_X,
-            A1=operators.PAULI_Y,
-            B0=0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
-                + 0.447 * operators.PAULI_Z,
-            B1=-0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
-                + 0.447 * operators.PAULI_Z,
-        )
-        b = operators.chsh_operator(settings, operators.SIGNS_VARIANT)
-        return operators.chsh_witness(b)
+        return _FAMILY2_WITNESS
     return operators.plane_witness("xy")
 
 

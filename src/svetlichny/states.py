@@ -116,14 +116,17 @@ def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     """Trace out one subsystem of a 3-qubit state.
 
     The two survivors keep ascending label order, e.g. tracing B from
-    rho_ABC yields rho_AC with A as the first factor.
+    rho_ABC yields rho_AC with A as the first factor. The reduction of a
+    validated state is not validated again: it is exactly Hermitian, and a
+    second positivity check could reject what the tolerance let through,
+    since tracing out a qubit can add two tolerated negative eigenvalues.
     """
     if rho.qubits != 3:
         raise InvalidStateError("bad-dimension", "partial_trace expects a 3-qubit state")
     k = _label_index(traced)
     t = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
     reduced = np.trace(t, axis1=k, axis2=k + 3)
-    return validate(reduced.reshape(4, 4), 2)
+    return DensityMatrix(qubits=2, matrix=reduced.reshape(4, 4))
 
 
 def partial_transpose(rho: DensityMatrix, transposed: str = "second") -> np.ndarray:

@@ -13,7 +13,6 @@ from svetlichny.optimize import (
     DEFAULT_SEED,
     OptimizerConfig,
     OptimizerError,
-    SEED_ENV_VAR,
     chsh_expectation,
     maximize_chsh,
     maximize_svetlichny,
@@ -69,21 +68,8 @@ class TestDeterminism:
         second = maximize_svetlichny(rho, _cfg(seed=123))
         assert first == second
 
-    def test_env_var_seeds_when_unset(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "4242")
-        rho = states.make_reference("W")
-        first = maximize_svetlichny(rho, OptimizerConfig(restarts=4))
-        second = maximize_svetlichny(rho, OptimizerConfig(restarts=4))
-        assert first == second
-        assert OptimizerConfig(restarts=4).resolved_seed() == 4242
-
-    def test_default_seed_without_env(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        assert OptimizerConfig().resolved_seed() == DEFAULT_SEED
-
-    def test_explicit_seed_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "4242")
-        assert OptimizerConfig(seed=9).resolved_seed() == 9
+    def test_default_seed(self):
+        assert OptimizerConfig().seed == DEFAULT_SEED
 
 
 class TestRestarts:
@@ -120,13 +106,21 @@ class TestBackends:
             maximize_svetlichny(states.make_reference("GHZ"), _cfg(),
                                 backend="annealing")
 
-    def test_fixed_step_rule_still_converges(self):
-        opt = maximize_svetlichny(states.make_reference("GHZ"),
-                                  _cfg(step_rule="fixed", max_iterations=2000))
-        assert opt.value == pytest.approx(SV_MAX, abs=1e-6)
-
     def test_backends_listed(self):
         assert set(BACKENDS) == {"gradient", "coordinate"}
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("maximize, rho, expected", [
+        (maximize_svetlichny, states.make_example(states.FAMILY_IDENTITY_W, 0.82),
+         3.570811713924),
+        (maximize_chsh, states.make_reference("Bell-Phi+"), CHSH_MAX),
+    ], ids=["identity-W-0.82", "Bell-Phi+"])
+    def test_gradient_backend_converges_before_cap(self, maximize, rho, expected):
+        opt = maximize(rho, OptimizerConfig(restarts=4, seed=1729), backend="gradient")
+        assert opt.converged is True
+        assert opt.iterations_used < 500
+        assert opt.value == pytest.approx(expected, abs=1e-9)
 
 
 class TestPhysicalCeilings:
@@ -163,5 +157,3 @@ class TestInputChecks:
             OptimizerConfig(restarts=0)
         with pytest.raises(OptimizerError):
             OptimizerConfig(max_iterations=-1)
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(step_rule="adaptive")

@@ -155,6 +155,25 @@ class TestClosedForms:
         assert all(c.max_deviation >= 0.0 for c in group)
 
 
+class TestFamilyWitness:
+    def test_family2_witness_is_a_shared_read_only_constant(self):
+        w = reproduce._family_witness(2)
+        assert w is reproduce._family_witness(2)
+        settings = operators.ChshSettings(
+            A0=operators.pauli("x"),
+            A1=operators.pauli("y"),
+            B0=0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
+            + 0.447 * operators.pauli("z"),
+            B1=-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
+            + 0.447 * operators.pauli("z"),
+        )
+        expected = operators.chsh_witness(
+            operators.chsh_operator(settings, signs=operators.SIGNS_VARIANT))
+        assert np.array_equal(w, expected)
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+
+
 class TestErratum:
     def test_counts(self, entries):
         assert len(entries) == 19

@@ -70,6 +70,15 @@ class TestPartialTrace:
             assert reduced.qubits == 2
             assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_tolerated_negative_eigenvalues_survive_reduction(self):
+        # -0.9e-9 twice passes validation; tracing out C adds the two into
+        # one -1.8e-9 diagonal entry, which a second check would reject
+        m = np.diag([1 + 1.8e-9, 0, 0, 0, 0, 0, -0.9e-9, -0.9e-9]).astype(complex)
+        rho = states.validate(m, 3)
+        reduced = states.partial_trace(rho, "C")
+        assert reduced.qubits == 2
+        assert reduced.matrix[3, 3] == pytest.approx(-1.8e-9, abs=1e-15)
+
     def test_product_state_reduces_to_factor(self):
         rho = states.make_reference("product-000")
         reduced = states.partial_trace(rho, "A")
