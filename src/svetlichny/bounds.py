@@ -14,10 +14,15 @@ Four routes: detected regime (witness expectation negative) gives the
 p-route and q-route built from S_NL; undetected regime (entangled but
 witness-positive) gives the corresponding routes built from the
 replacement strength. The verdict search tries all of them.
+
+One PairSpectra record per (state, pair) holds every number the routes
+read, and its methods are the only certificate arithmetic; the records
+of one state share a single solve of the state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,7 +33,6 @@ from .linalg import EigenSpectrum
 from .nonlocality import (
     NonlocalityError,
     NonlocalityStrength,
-    RegimeMismatchError,
     NEG_TOL,
     is_detected,
     k_from_negativity,
@@ -46,6 +50,7 @@ from .states import (
 
 WINDOW_EMPTY_TOL = 1e-9
 SINGULAR_TOL = 1e-12
+SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -87,15 +92,14 @@ class BoundConfig:
 
     p weights the lower-route mixture, q the upper-route mixture; both are
     strictly positive because every bound divides by them. The witness acts
-    on the ordered reduced pair, and transpose_target names which qubit of
-    that pair the partial transpose acts on.
+    on the ordered reduced pair; the partial transpose always acts on the
+    second qubit of that pair.
     """
 
     p: float
     q: float
     witness: np.ndarray
     reduced_pair: tuple[str, str] = ("B", "C")
-    transpose_target: str = "second"
     r: float | None = None
 
     def __post_init__(self) -> None:
@@ -103,15 +107,12 @@ class BoundConfig:
             raise BoundsError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 < self.q <= 1.0:
             raise BoundsError(f"q must lie in (0, 1], got {self.q}")
-        if self.r is not None and not 0.0 <= self.r < 1.0:
-            raise BoundsError(f"r must lie in [0, 1), got {self.r}")
+        _check_r(self.r)
         w = np.asarray(self.witness, dtype=complex)
         if w.shape != (4, 4):
             raise BoundsError("witness must be a 4x4 matrix")
         linalg.symmetrize(w)
         _pair_positions(self.reduced_pair)
-        if self.transpose_target not in ("first", "second"):
-            raise BoundsError("transpose_target must be 'first' or 'second'")
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,12 @@ class Verdict:
     window: Window | None = None
     pair: tuple[str, str] | None = None
     witness_label: str | None = None
+
+
+def _check_r(r: float | None) -> None:
+    """Reject a mixing weight outside [0, 1); NaN is outside."""
+    if r is not None and not 0.0 <= r < 1.0:
+        raise BoundsError(f"r must lie in [0, 1), got {r}")
 
 
 def _pair_positions(pair: tuple[str, str]) -> tuple[int, int]:
@@ -213,7 +220,7 @@ def _windows(numerator: float, denominator: float,
 
 @dataclass(frozen=True)
 class PairSpectra:
-    """Every spectral number the certificates read, for one (state, pair, transpose).
+    """Every spectral number the certificates read, for one (state, pair).
 
     pair_spectra fills it from four eigensolves: the state (which also
     yields its square root), the product congruence
@@ -243,7 +250,6 @@ class PairSpectra:
     negativity: float | None = None
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
-    transposed: str = "second"
 
     @property
     def lambda_k(self) -> float:
@@ -266,7 +272,7 @@ class PairSpectra:
         if is_detected(self.reduced, witness):
             strength = NonlocalityStrength.detected(s_nl_detected(self.reduced, witness))
             return (strength, *self.detected_numerators(strength.s_nl))
-        k = k_from_negativity(self.reduced, witness, self.negativity, self.transposed)
+        k = k_from_negativity(self.reduced, witness, self.negativity)
         strength = undetected_strength(k, self.p_max, r)
         f = self.f_value(k, self.witness_max(witness))
         return strength, self.h_value(k), f / 4.0
@@ -329,19 +335,19 @@ class PairSpectra:
 
 
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                 pair: tuple[str, str] = ("B", "C"), transposed: str = "second",
+                 pair: tuple[str, str] = ("B", "C"),
                  state: tuple[EigenSpectrum, np.ndarray] | None = None) -> PairSpectra:
     """Diagonalize once what every certificate on this pair needs.
 
-    state, when given, is linalg.spectral_root(rho_abc.matrix); the
-    verdict search passes it so that all pairs of one state share a solve.
+    state, when given, is linalg.spectral_root(rho_abc.matrix);
+    pair_records passes it so that all pairs of one state share a solve.
     The negativity is the one states.negativity computes, read off the
     same partial-transpose spectrum.
     """
     rho, root = state if state is not None else linalg.spectral_root(rho_abc.matrix)
     reduced, reduced_root = linalg.spectral_root(rho_ij.matrix)
     product = _congruence_spectrum(root, embed_pair(rho_ij.matrix, pair))
-    pt = linalg.hermitian_eigenvalues(partial_transpose(rho_ij, transposed)).values
+    pt = linalg.hermitian_eigenvalues(partial_transpose(rho_ij)).values
     return PairSpectra(
         lambda_min_rho=rho.lambda_min,
         lambda_max_rho=rho.lambda_max,
@@ -355,134 +361,45 @@ def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
         negativity=float(-sum(v for v in pt if v < 0.0)),
         reduced_root=reduced_root,
         reduced=rho_ij,
-        transposed=transposed,
     )
 
 
-def _undetected_k(strength: NonlocalityStrength) -> float:
-    """K, the one part of the replacement strength the undetected routes read."""
-    if strength.variant != "undetected":
-        raise RegimeMismatchError("undetected-regime routes need the replacement strength")
-    return strength.k
+def _reduce(rho_abc: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
+    positions = _pair_positions(pair)
+    return partial_trace(rho_abc, next(lbl for k, lbl in enumerate(LABELS) if k not in positions))
 
 
-def _require_regime(rho_ij: DensityMatrix, witness: np.ndarray, detected: bool) -> None:
-    if is_detected(rho_ij, witness) != detected:
-        wanted = "detected" if detected else "undetected"
-        raise RegimeMismatchError(f"route requires the {wanted} regime")
-
-
-def lower_bound_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
-                         s_nl: float) -> float:
-    """Lower bound on the Svetlichny expectation, detected regime."""
-    _require_regime(rho_ij, cfg.witness, detected=True)
-    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair)
-    return spectra.lower_bound(spectra.detected_numerators(s_nl)[0], cfg.p)
-
-
-def upper_bound_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
-                         s_nl: float) -> float:
-    """Upper bound on the Svetlichny expectation, detected regime."""
-    _require_regime(rho_ij, cfg.witness, detected=True)
-    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair)
-    return spectra.upper_bound(spectra.detected_numerators(s_nl)[1], cfg.q)
-
-
-def lower_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
-                           strength: NonlocalityStrength) -> float:
-    """Lower bound on the Svetlichny expectation, undetected regime."""
-    _require_regime(rho_ij, cfg.witness, detected=False)
-    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
-    return spectra.lower_bound(spectra.h_value(_undetected_k(strength)), cfg.p)
-
-
-def upper_bound_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, cfg: BoundConfig,
-                           strength: NonlocalityStrength) -> float:
-    """Upper bound on the Svetlichny expectation, undetected regime.
-
-    The paper writes it 2 (1 - q) F/(q lambda_k), the upper shape with
-    numerator F/4.
-    """
-    _require_regime(rho_ij, cfg.witness, detected=False)
-    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
-    f = spectra.f_value(_undetected_k(strength), spectra.witness_max(cfg.witness))
-    return spectra.upper_bound(f / 4.0, cfg.q)
-
-
-def p_window_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, s_nl: float,
-                      pair: tuple[str, str] = ("B", "C")) -> tuple[Window, Window]:
-    """Admissible and genuine p windows for the detected lower route.
-
-    The admissible window keeps the mixture within the biseparable bound;
-    its upper endpoint is 1 when the alternate denominator goes negative.
-    The genuine window replaces the biseparable threshold by the quantum
-    maximum, shrinking the same numerator by sqrt(2).
-    """
-    spectra = pair_spectra(rho_abc, rho_ij, pair)
-    return spectra.p_windows(spectra.detected_numerators(s_nl)[0], detected=True)
-
-
-def q_window_detected(rho_abc: DensityMatrix, rho_ij: DensityMatrix, s_nl: float,
-                      pair: tuple[str, str] = ("B", "C")) -> tuple[Window, Window]:
-    """Admissible and genuine q windows for the detected upper route."""
-    spectra = pair_spectra(rho_abc, rho_ij, pair)
-    return spectra.q_windows(spectra.detected_numerators(s_nl)[1])
-
-
-def p_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                        strength: NonlocalityStrength, pair: tuple[str, str] = ("B", "C"),
-                        transposed: str = "second") -> tuple[Window, Window]:
-    """Admissible and genuine p windows for the undetected lower route.
-
-    Both windows are built from H, the product-spectrum floor discounted
-    by the replacement strength; the genuine window is nonempty exactly
-    when H is negative.
-    """
-    spectra = pair_spectra(rho_abc, rho_ij, pair, transposed)
-    return spectra.p_windows(spectra.h_value(_undetected_k(strength)), detected=False)
-
-
-def q_window_undetected(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                        strength: NonlocalityStrength, witness: np.ndarray,
-                        pair: tuple[str, str] = ("B", "C"),
-                        transposed: str = "second") -> tuple[Window, Window]:
-    """Admissible and genuine q windows for the undetected upper route.
-
-    Built from F, the product-spectrum ceiling corrected by the witness
-    route; the genuine window is nonempty exactly when F is positive.
-    """
-    spectra = pair_spectra(rho_abc, rho_ij, pair, transposed)
-    f = spectra.f_value(_undetected_k(strength), spectra.witness_max(witness))
-    return spectra.q_windows(f / 4.0)
+def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
+                 ) -> Iterator[tuple[tuple[str, str], PairSpectra]]:
+    """(pair, record) for each pair in turn, built on first use from one solve of the state."""
+    state = linalg.spectral_root(rho_abc.matrix)
+    for pair in pairs:
+        yield pair, pair_spectra(rho_abc, _reduce(rho_abc, pair), pair, state=state)
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
-    return _report(rho_abc, cfg, midpoints=False)[0]
+    spectra = pair_spectra(rho_abc, _reduce(rho_abc, cfg.reduced_pair), cfg.reduced_pair)
+    return _report(spectra, cfg.witness, cfg.r, (cfg.p, cfg.q))[0]
 
 
-def midpoint_report(rho_abc: DensityMatrix, witness: np.ndarray,
-                    reduced_pair: tuple[str, str] = ("B", "C"), r: float | None = None
+def midpoint_report(spectra: PairSpectra, witness: np.ndarray, r: float | None = None
                     ) -> tuple[BoundsReport, float, float]:
-    """full_report at its genuine-window midpoints (0.5 where one is empty), and that (p, q)."""
-    cfg = BoundConfig(p=1.0, q=1.0, witness=witness, reduced_pair=reduced_pair, r=r)
-    return _report(rho_abc, cfg, midpoints=True)
+    """The record's report at its genuine-window midpoints (0.5 where one is empty), and that (p, q)."""
+    _check_r(r)
+    return _report(spectra, witness, r, None)
 
 
-def _report(rho_abc: DensityMatrix, cfg: BoundConfig, midpoints: bool
-            ) -> tuple[BoundsReport, float, float]:
-    traced = next(lbl for lbl in LABELS if lbl not in cfg.reduced_pair)
-    rho_ij = partial_trace(rho_abc, traced)
-    spectra = pair_spectra(rho_abc, rho_ij, cfg.reduced_pair, cfg.transpose_target)
-    strength, low, high = spectra.route_numerators(cfg.witness, cfg.r)
+def _report(spectra: PairSpectra, witness: np.ndarray, r: float | None,
+            pq: tuple[float, float] | None) -> tuple[BoundsReport, float, float]:
+    strength, low, high = spectra.route_numerators(witness, r)
     detected = strength.variant == "detected"
     emb_max = spectra.lambda_max_embedded
     lam_k = spectra.lambda_k
     p_adm, p_gen = spectra.p_windows(low, detected)
     q_adm, q_gen = spectra.q_windows(high)
-    p, q = cfg.p, cfg.q
-    if midpoints:  # the windows do not depend on p or q, so one evaluation serves both
-        p, q = (0.5 if w.empty else w.midpoint for w in (p_gen, q_gen))
+    # the windows do not depend on p or q, so one evaluation serves the midpoints
+    p, q = pq if pq is not None else (0.5 if w.empty else w.midpoint for w in (p_gen, q_gen))
     intermediates = {
         "lambda_min_product": spectra.lambda_min_product,
         "lambda_max_product": spectra.lambda_max_product,
@@ -542,21 +459,28 @@ def detect_genuine(
     undetected, in a fixed order so the answer is deterministic. The first
     nonempty genuine window wins. With no firing window the verdict is
     inconclusive when some pair was entangled, not-applicable otherwise.
+    Records are built as the search reaches their pair.
     """
-    pairs = [pair] if pair is not None else [("A", "B"), ("A", "C"), ("B", "C")]
+    return search_records(pair_records(rho_abc, SEARCH_ORDER if pair is None else (pair,)),
+                          witness, r)
+
+
+def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
+                   witness: np.ndarray | None = None, r: float | None = None) -> Verdict:
+    """detect_genuine's search over (pair, record) items, in their order.
+
+    An r outside [0, 1) is an error; an admissible r above one
+    candidate's cap only skips that candidate.
+    """
+    _check_r(r)
     witnesses: list[tuple[str, np.ndarray]] = [
         (plane, plane_witness(plane)) for plane in PLANES
     ]
     if witness is not None:
         witnesses.append(("user", np.asarray(witness, dtype=complex)))
 
-    state = linalg.spectral_root(rho_abc.matrix)
     any_entangled = False
-    for candidate_pair in pairs:
-        positions = _pair_positions(candidate_pair)
-        traced = next(lbl for k, lbl in enumerate(LABELS) if k not in positions)
-        rho_ij = partial_trace(rho_abc, traced)
-        spectra = pair_spectra(rho_abc, rho_ij, candidate_pair, state=state)
+    for candidate_pair, spectra in records:
         if spectra.negativity > NEG_TOL:
             any_entangled = True
         for label, w in witnesses:

@@ -31,7 +31,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import linalg, nonlocality, operators, reproduce, states
-from .bounds import BoundsError, Verdict, Window, detect_genuine, midpoint_report
+from .bounds import (BoundsError, Verdict, Window, midpoint_report, pair_records,
+                     search_records)
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
@@ -200,14 +201,6 @@ def _verdict_dict(verdict: Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _negativities(rho: DensityMatrix) -> dict[str, float]:
-    out = {}
-    for key, pair in _PAIRS.items():
-        traced = next(lbl for lbl in states.LABELS if lbl not in pair)
-        out[key] = states.negativity(states.partial_trace(rho, traced))
-    return out
-
-
 def cmd_analyze(args) -> int:
     rho, label = _resolve_state(args)
     if rho.qubits != 3:
@@ -221,17 +214,20 @@ def cmd_analyze(args) -> int:
     cert_witness_label, cert_witness = witness_spec if witness_spec else \
         ("xy", operators.plane_witness("xy"))
 
-    negs = _negativities(rho)
+    # one record per pair serves the negativity table, the certificate and the search
+    records = dict(pair_records(rho))
+    negs = {key: records[ij].negativity for key, ij in _PAIRS.items()}
+    search_witness = cert_witness if witness_spec and witness_spec[0] == "user" else None
+    searched = records.items() if args.pair is None else [(args.pair, records[args.pair])]
+    verdict = search_records(searched, witness=search_witness, r=args.r)
+
     report = None
     report_error = None
     p = q = None
     try:
-        report, p, q = midpoint_report(rho, cert_witness, pair, args.r)
+        report, p, q = midpoint_report(records[pair], cert_witness, args.r)
     except (nonlocality.NonlocalityError, BoundsError, linalg.LinalgError) as exc:
         report_error = str(exc)
-
-    search_witness = cert_witness if witness_spec and witness_spec[0] == "user" else None
-    verdict = detect_genuine(rho, pair=args.pair, witness=search_witness, r=args.r)
 
     if args.format == "json":
         payload = {

@@ -86,7 +86,7 @@ def p_max_from_expectation(chsh_expectation: float) -> float:
     """Winning probability (1 + <B>/4)/2 of the CHSH game at a given expectation."""
     if abs(chsh_expectation) > TSIRELSON + EXPECTATION_TOL:
         raise WindowParameterError(
-            f"|<B>| = {abs(chsh_expectation)!r} exceeds the quantum bound 2*sqrt(2)"
+            f"|<B>| = {float(abs(chsh_expectation))} exceeds the quantum bound 2*sqrt(2)"
         )
     return 0.5 * (1.0 + chsh_expectation / 4.0)
 
@@ -107,11 +107,11 @@ def s_nl_detected(rho: DensityMatrix, w: np.ndarray) -> float:
 
 def _entangled_negativity(n: float) -> float:
     if n <= NEG_TOL:
-        raise ZeroNegativityError(f"negativity {n!r} is numerically zero; K is undefined")
+        raise ZeroNegativityError(f"negativity {float(n)} is numerically zero; K is undefined")
     return n
 
 
-def k_value(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> float:
+def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
     """K = Tr[W rho rho^T]/(4 N(rho)).
 
     Defined for entangled inputs. The formula itself does not care which
@@ -126,14 +126,13 @@ def k_value(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> fl
             RegimeMismatchWarning,
             stacklevel=2,
         )
-    return k_from_negativity(rho, w, negativity(rho, transposed), transposed)
+    return k_from_negativity(rho, w, negativity(rho))
 
 
-def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float,
-                      transposed: str = "second") -> float:
+def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float) -> float:
     """k_value's arithmetic for a negativity N already read off the same partial transpose."""
     n = _entangled_negativity(n)
-    return linalg.trace_product(w, rho.matrix @ partial_transpose(rho, transposed)) / (4.0 * n)
+    return linalg.trace_product(w, rho.matrix @ partial_transpose(rho)) / (4.0 * n)
 
 
 def _require_undetected(rho: DensityMatrix, w: np.ndarray) -> None:
@@ -143,28 +142,28 @@ def _require_undetected(rho: DensityMatrix, w: np.ndarray) -> None:
         )
 
 
-def k_lower_bound(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> float:
+def k_lower_bound(rho: DensityMatrix, w: np.ndarray) -> float:
     """lambda_min[(rho^T)^2] Tr[W rho] / (4 lambda_max(rho^T) N(rho))."""
-    n = _entangled_negativity(negativity(rho, transposed))
+    n = _entangled_negativity(negativity(rho))
     _require_undetected(rho, w)
-    pt = partial_transpose(rho, transposed)
+    pt = partial_transpose(rho)
     pt_spec = linalg.hermitian_eigenvalues(pt)
     pt2_min = linalg.hermitian_eigenvalues(pt @ pt).lambda_min
     trw = linalg.trace_product(w, rho.matrix)
     return pt2_min * trw / (4.0 * pt_spec.lambda_max * n)
 
 
-def k_upper_bound(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> float:
+def k_upper_bound(rho: DensityMatrix, w: np.ndarray) -> float:
     """[lambda_max(W rho) Tr[W rho] + Tr[(rho^T)^2]] / (8 N(rho)).
 
     lambda_max(W rho) is taken from the Hermitian congruence
     rho^{1/2} W rho^{1/2}, which shares the product's spectrum.
     """
-    n = _entangled_negativity(negativity(rho, transposed))
+    n = _entangled_negativity(negativity(rho))
     _require_undetected(rho, w)
     root = linalg.psd_sqrt(rho.matrix)
     wr_max = linalg.hermitian_eigenvalues(root @ w @ root).lambda_max
-    pt = partial_transpose(rho, transposed)
+    pt = partial_transpose(rho)
     trw = linalg.trace_product(w, rho.matrix)
     return (wr_max * trw + linalg.trace_product(pt, pt)) / (8.0 * n)
 
@@ -177,11 +176,11 @@ def r_cap(k: float, p_max: float) -> float:
     the formula lands above 1, and the clamp makes the cap vacuous.
     """
     if k <= 0.0:
-        raise WindowParameterError(f"the cap needs K > 0, got {k!r}")
+        raise WindowParameterError(f"the cap needs K > 0, got {float(k)}")
     denominator = 0.75 - p_max + k
     if denominator <= 0.0:
         raise WindowParameterError(
-            f"nonpositive cap denominator 3/4 - P_max + K = {denominator!r}"
+            f"nonpositive cap denominator 3/4 - P_max + K = {float(denominator)}"
         )
     return min(k / denominator, 1.0)
 
@@ -196,17 +195,16 @@ def undetected_strength(k: float, p_max: float, r: float | None = None) -> Nonlo
     if r is None:
         r = 0.5 * cap
     elif not 0.0 <= r < cap:
-        raise WindowParameterError(f"r = {r!r} outside [0, {cap!r})")
+        raise WindowParameterError(f"r = {float(r)} outside [0, {float(cap)})")
     value = r * (p_max - 0.75) + (1.0 - r) * k
     return NonlocalityStrength.undetected(s_nl_new=value, k=k, p_max=p_max, r=r)
 
 
-def s_nl_new(rho: DensityMatrix, w: np.ndarray, r: float,
-             transposed: str = "second") -> NonlocalityStrength:
+def s_nl_new(rho: DensityMatrix, w: np.ndarray, r: float) -> NonlocalityStrength:
     """Undetected-regime strength of rho under w at the weight r."""
-    return undetected_strength(k_value(rho, w, transposed), p_max_optimal(rho), r)
+    return undetected_strength(k_value(rho, w), p_max_optimal(rho), r)
 
 
-def default_r(rho: DensityMatrix, w: np.ndarray, transposed: str = "second") -> float:
+def default_r(rho: DensityMatrix, w: np.ndarray) -> float:
     """Midpoint of [0, r_cap), the library-wide default when r is unspecified."""
-    return undetected_strength(k_value(rho, w, transposed), p_max_optimal(rho)).r
+    return undetected_strength(k_value(rho, w), p_max_optimal(rho)).r

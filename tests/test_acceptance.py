@@ -19,14 +19,7 @@ import numpy as np
 import pytest
 
 from svetlichny import linalg, nonlocality, operators, reproduce, states
-from svetlichny.bounds import (
-    BoundConfig,
-    detect_genuine,
-    lower_bound_detected,
-    lower_bound_undetected,
-    upper_bound_detected,
-    upper_bound_undetected,
-)
+from svetlichny.bounds import detect_genuine, pair_spectra
 from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
 from conftest import (
     random_biseparable,
@@ -274,17 +267,20 @@ class TestCriterion8:
         rho1 = states.make_example(states.FAMILY_PURE_W1, 0.92)
         red1 = states.partial_trace(rho1, "B")
         s_nl = nonlocality.s_nl_detected(red1, XZ)
-        cfg1 = BoundConfig(p=1.0, q=1.0, witness=XZ, reduced_pair=("A", "C"))
+        spectra1 = pair_spectra(rho1, red1, ("A", "C"))
+        low1, high1 = spectra1.detected_numerators(s_nl)
         rho5 = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         red5 = states.partial_trace(rho5, "A")
-        strength = nonlocality.s_nl_new(red5, XY, 0.0)
-        cfg5 = BoundConfig(p=1.0, q=1.0, witness=XY, reduced_pair=("B", "C"),
-                           r=0.0)
+        k5 = nonlocality.s_nl_new(red5, XY, 0.0).k
+        spectra5 = pair_spectra(rho5, red5, ("B", "C"))
+        f5 = spectra5.f_value(k5, spectra5.witness_max(XY))
         vanish_ok = (
-            lower_bound_detected(rho1, red1, cfg1, s_nl) == 0.0
-            and upper_bound_detected(rho1, red1, cfg1, s_nl) == 0.0
-            and lower_bound_undetected(rho5, red5, cfg5, strength) == 0.0
-            and upper_bound_undetected(rho5, red5, cfg5, strength) == 0.0)
+            nonlocality.is_detected(red1, XZ)
+            and not nonlocality.is_detected(red5, XY)
+            and spectra1.lower_bound(low1, 1.0) == 0.0
+            and spectra1.upper_bound(high1, 1.0) == 0.0
+            and spectra5.lower_bound(spectra5.h_value(k5), 1.0) == 0.0
+            and spectra5.upper_bound(f5 / 4.0, 1.0) == 0.0)
         # restart determinism, bit for bit
         det_a = maximize_svetlichny(rho5, OptimizerConfig(restarts=6, seed=17))
         det_b = maximize_svetlichny(rho5, OptimizerConfig(restarts=6, seed=17))

@@ -20,11 +20,8 @@ from svetlichny.bounds import (
     detect_genuine,
     embed_pair,
     full_report,
-    lower_bound_detected,
-    lower_bound_undetected,
+    pair_spectra,
     product_spectrum,
-    upper_bound_detected,
-    upper_bound_undetected,
 )
 from svetlichny.nonlocality import (
     NEG_TOL,
@@ -190,9 +187,11 @@ class TestDetectedRoute:
         reduced = states.partial_trace(rho, "B")
         from svetlichny.nonlocality import s_nl_detected
         s_nl = s_nl_detected(reduced, XZ)
-        one = BoundConfig(p=1.0, q=1.0, witness=XZ, reduced_pair=("A", "C"))
-        assert lower_bound_detected(rho, reduced, one, s_nl) == 0.0
-        assert upper_bound_detected(rho, reduced, one, s_nl) == 0.0
+        assert is_detected(reduced, XZ)
+        spectra = pair_spectra(rho, reduced, ("A", "C"))
+        low, high = spectra.detected_numerators(s_nl)
+        assert spectra.lower_bound(low, 1.0) == 0.0
+        assert spectra.upper_bound(high, 1.0) == 0.0
 
 
 class TestUndetectedRoute:
@@ -231,23 +230,25 @@ class TestUndetectedRoute:
         reduced = states.partial_trace(rho, "A")
         from svetlichny.nonlocality import s_nl_new
         strength = s_nl_new(reduced, XY, 0.0)
-        one = BoundConfig(p=1.0, q=1.0, witness=XY, reduced_pair=("B", "C"), r=0.0)
-        assert lower_bound_undetected(rho, reduced, one, strength) == 0.0
-        assert upper_bound_undetected(rho, reduced, one, strength) == 0.0
+        assert not is_detected(reduced, XY)
+        spectra = pair_spectra(rho, reduced, ("B", "C"))
+        f = spectra.f_value(strength.k, spectra.witness_max(XY))
+        assert spectra.lower_bound(spectra.h_value(strength.k), 1.0) == 0.0
+        assert spectra.upper_bound(f / 4.0, 1.0) == 0.0
 
     def test_genuine_p_window_tracks_h_sign(self):
-        from svetlichny.bounds import p_window_undetected
         from svetlichny.nonlocality import NonlocalityStrength, s_nl_new
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         reduced = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         strength = s_nl_new(reduced, XY, 0.0)
-        _, genuine = p_window_undetected(rho, reduced, strength)
+        spectra = pair_spectra(rho, reduced)
+        _, genuine = spectra.p_windows(spectra.h_value(strength.k), detected=False)
         assert not genuine.empty
         # a vanishing strength leaves H at the positive product floor, and
         # a positive H has to close the genuine window
         feeble = NonlocalityStrength.undetected(
             s_nl_new=1e-12, k=1e-12, p_max=0.75, r=0.0)
-        _, closed = p_window_undetected(rho, reduced, feeble)
+        _, closed = spectra.p_windows(spectra.h_value(feeble.k), detected=False)
         assert closed.empty
 
 

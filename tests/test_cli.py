@@ -128,15 +128,27 @@ class TestAnalyzeOutput:
         assert "witness user" in capsys.readouterr().out
 
     def test_analyze_solve_counts(self, solves, capsys):
-        # one certificate pass (state, pair, product, transpose, witness,
-        # P_max), one verdict search that fires on its first pair, the
-        # three pair negativities, and no plane witness rebuilt
+        # one record per pair (the state once, then product, pair and
+        # transpose per pair) serves the negativities, the certificate and
+        # the search; each certificate adds its witness and P_max, and no
+        # plane witness is rebuilt
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--format", "json") == 0
         capsys.readouterr()
-        assert solves[8] <= 5 and solves[4] <= 9 and solves[3] <= 2, solves
+        assert solves[8] <= 5 and solves[4] <= 8 and solves[3] <= 2, solves
         assert solves[2] == 0, solves
+        # GHZ fires on no pair, so the search reads all three records
+        solves.clear()
+        assert run("analyze", "--ref", "GHZ", "--format", "json") == 2
+        capsys.readouterr()
+        assert solves[8] <= 5 and solves[4] <= 6, solves
+        # the certificate and the search share the pair's cached P_max
+        solves.clear()
+        assert run("analyze", "--family", "identity-W", "--param", "0.82",
+                   "--pair", "AC", "--format", "json") == 0
+        capsys.readouterr()
+        assert solves[3] <= 1, solves
 
     def test_analyze_accepts_state_with_tolerated_negative_eigenvalues(
             self, tmp_path, capsys):
@@ -151,6 +163,23 @@ class TestAnalyzeOutput:
                    "--r", "0.0", "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["intermediates"]["r"] == 0.0
+
+    @pytest.mark.parametrize("r", ["1.5", "-0.2", "nan"])
+    def test_r_outside_unit_interval_is_sixty_five(self, r, capsys):
+        assert run("analyze", "--family", "identity-W", "--param", "0.82",
+                   "--r", r) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r must lie in [0, 1)" in captured.err
+
+    def test_r_above_cap_prints_plain_numbers(self, capsys):
+        # 0.99 is a valid weight above this pair's cap: the certificate is
+        # unavailable, the search skips every undetected candidate
+        assert run("analyze", "--family", "identity-W", "--param", "0.82",
+                   "--r", "0.99") == 1
+        out = capsys.readouterr().out
+        assert "unavailable: r = 0.99 outside [0, 0.80997" in out
+        assert "np.float64" not in out
 
 
 class TestOptimizeCommand:

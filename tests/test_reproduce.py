@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from svetlichny import nonlocality, operators, reproduce, states
-from svetlichny.bounds import BoundConfig, lower_bound_detected, product_spectrum
+from svetlichny.bounds import pair_spectra, product_spectrum
 
 EXPECTED_STATUSES = {
     1: ("match", "match", "discrepancy", "match"),
@@ -223,11 +223,11 @@ class TestErratumReasons:
             lo, hi = reproduce._detected_bounds(qs, p, q)
             assert abs(lo - ref_lo) <= tol, (param, lo, ref_lo)
             assert abs(hi - ref_hi) <= tol, (param, hi, ref_hi)
-            cfg = BoundConfig(p=p, q=q, witness=witness,
-                              reduced_pair=states.EXAMPLE_PAIRS[family])
-            certified = lower_bound_detected(
-                states.make_example(family, param),
-                states.example_reduced(family, param), cfg, 0.0033)
+            reduced = states.example_reduced(family, param)
+            assert nonlocality.is_detected(reduced, witness)
+            spectra = pair_spectra(states.make_example(family, param), reduced,
+                                   states.EXAMPLE_PAIRS[family])
+            certified = spectra.lower_bound(spectra.detected_numerators(0.0033)[0], p)
             assert abs(certified - ref_lo) <= tol, (param, certified, ref_lo)
 
     def test_table1_lower_bound_with_leading_zero_restored(self):
