@@ -349,6 +349,9 @@ def cmd_optimize(args) -> int:
             "value": optimum.value,
             "iterations_used": optimum.iterations_used,
             "converged": optimum.converged,
+            "restarts_at_best": sum(v >= optimum.value - 1e-6
+                                    for v in optimum.restart_values),
+            "restarts_capped": optimum.restarts_capped,
             "seed": cfg.seed,
             "backend": args.backend,
             "settings": {name: {"vector": [float(x) for x in vec],

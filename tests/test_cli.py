@@ -208,6 +208,21 @@ class TestOptimizeCommand:
         assert first["value"] == second["value"]
         assert first["settings"] == second["settings"]
 
+    def test_json_reports_restart_statistics(self, capsys):
+        assert run("optimize", "--ref", "GHZ", "--restarts", "6",
+                   "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 1 <= payload["restarts_at_best"] <= 6
+        assert payload["restarts_capped"] == 0
+        assert run("optimize", "--ref", "GHZ", "--restarts", "6") == 0
+        assert "restarts_at_best" not in capsys.readouterr().out
+
+    def test_negative_seed_is_sixty_five(self, capsys):
+        assert run("optimize", "--ref", "GHZ", "--seed", "-1") == 65
+        err = capsys.readouterr().err
+        assert "seed" in err
+        assert "Traceback" not in err
+
     def test_chsh_on_three_qubits_requires_pair(self, capsys):
         assert run("optimize", "--ref", "GHZ", "--target", "chsh") == 65
         assert run("optimize", "--ref", "GHZ", "--target", "chsh",

@@ -1,4 +1,8 @@
-"""Measurement-settings ascent: anchors, determinism, backend agreement."""
+"""Measurement-settings ascent: anchors, determinism, backend agreement.
+
+The per-restart einsum objectives below are the independent oracle for
+the batched matmul kernels in svetlichny.optimize.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from svetlichny import operators, states
+from svetlichny import operators, optimize, states
 from svetlichny.optimize import (
     BACKENDS,
     DEFAULT_SEED,
@@ -22,6 +26,54 @@ from conftest import random_biseparable, random_state
 
 SV_MAX = 4.0 * math.sqrt(2.0)
 CHSH_MAX = 2.0 * math.sqrt(2.0)
+
+
+def svetlichny_energy(t, vectors):
+    a, ap, b, bp, c, cp = vectors
+    plus, minus = c + cp, c - cp
+    contract = lambda x, y, z: float(np.einsum("mno,m,n,o->", t, x, y, z))
+    return (contract(a, b, plus) + contract(a, bp, minus)
+            + contract(ap, b, minus) - contract(ap, bp, plus))
+
+
+def svetlichny_gradients(t, vectors):
+    a, ap, b, bp, c, cp = vectors
+    plus, minus = c + cp, c - cp
+    first = lambda y, z: np.einsum("mno,n,o->m", t, y, z)
+    second = lambda x, z: np.einsum("mno,m,o->n", t, x, z)
+    third = lambda x, y: np.einsum("mno,m,n->o", t, x, y)
+    same = third(a, b) - third(ap, bp)
+    cross = third(a, bp) + third(ap, b)
+    return np.stack([
+        first(b, plus) + first(bp, minus),
+        first(b, minus) - first(bp, plus),
+        second(a, plus) + second(ap, minus),
+        second(a, minus) - second(ap, plus),
+        same + cross,
+        same - cross,
+    ])
+
+
+def chsh_energy(t, vectors):
+    a0, a1, b0, b1 = vectors
+    return float(a0 @ t @ (b0 + b1) + a1 @ t @ (b0 - b1))
+
+
+def chsh_gradients(t, vectors):
+    a0, a1, b0, b1 = vectors
+    return np.stack([t @ (b0 + b1), t @ (b0 - b1), t.T @ (a0 + a1), t.T @ (a0 - a1)])
+
+
+KERNELS = {
+    "svetlichny": (optimize._SvetlichnyObjective, (3, 3, 3), svetlichny_energy,
+                   svetlichny_gradients),
+    "chsh": (optimize._ChshObjective, (3, 3), chsh_energy, chsh_gradients),
+}
+
+
+def _unit_vectors(rng, shape):
+    v = rng.normal(size=(*shape, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _cfg(**kw):
@@ -40,9 +92,16 @@ class TestAnchors:
         assert opt.value == pytest.approx(4.0, abs=1e-9)
 
     def test_maximally_mixed_is_flat_zero(self):
+        # T = 0: every restart stops at once, on finite unit vectors
         rho = states.validate(np.eye(8) / 8.0, 3)
-        opt = maximize_svetlichny(rho, _cfg(restarts=4))
-        assert abs(opt.value) <= 1e-9
+        for backend in BACKENDS:
+            opt = maximize_svetlichny(rho, _cfg(restarts=4), backend=backend)
+            assert opt.value == 0.0
+            assert opt.restart_values == (0.0,) * 4
+            assert opt.converged is True
+            for vector in opt.settings.vectors():
+                assert np.all(np.isfinite(vector))
+                assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_reaches_tsirelson(self):
         opt = maximize_chsh(states.make_reference("Bell-Phi+"), _cfg())
@@ -78,7 +137,7 @@ class TestRestarts:
         values = [maximize_svetlichny(rho, _cfg(restarts=n, seed=31)).value
                   for n in (2, 4, 8, 16)]
         for a, b in zip(values, values[1:]):
-            assert b >= a - 1e-12
+            assert b >= a
 
     def test_value_matches_reported_settings(self):
         rho = states.make_reference("GHZ")
@@ -157,3 +216,57 @@ class TestInputChecks:
             OptimizerConfig(restarts=0)
         with pytest.raises(OptimizerError):
             OptimizerConfig(max_iterations=-1)
+        with pytest.raises(OptimizerError):
+            OptimizerConfig(seed=-1)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_batched_kernels_match_einsum_oracle(self, kind, batch):
+        make, shape, energy, gradients = KERNELS[kind]
+        rng = np.random.default_rng(11 + batch)
+        for _ in range(3):
+            tensor = rng.normal(size=shape)
+            objective = make(tensor)
+            vectors = _unit_vectors(rng, (batch, objective.n_vectors))
+            expected_energy = [energy(tensor, v) for v in vectors]
+            expected_rows = np.stack([gradients(tensor, v) for v in vectors])
+            np.testing.assert_allclose(objective.energy(vectors), expected_energy,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(objective.coefficient_gradients(vectors),
+                                       expected_rows, rtol=0, atol=1e-12)
+            for row in range(objective.n_vectors):
+                np.testing.assert_allclose(
+                    objective.coefficient_gradients(vectors, row=row),
+                    expected_rows[:, row], rtol=0, atol=1e-12)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_restart_values_extend_bit_for_bit(self, backend):
+        rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525)
+        short = maximize_svetlichny(rho, OptimizerConfig(restarts=4, seed=1729), backend)
+        long = maximize_svetlichny(rho, OptimizerConfig(restarts=16, seed=1729), backend)
+        assert len(short.restart_values) == 4
+        assert len(long.restart_values) == 16
+        assert long.restart_values[:4] == short.restart_values
+        assert short.value == max(short.restart_values)
+        assert long.value == max(long.restart_values)
+        assert 0 <= short.restarts_capped <= 4
+
+    @pytest.mark.parametrize("ascend", [optimize._gradient_ascent,
+                                        optimize._coordinate_ascent])
+    def test_each_restart_is_independent_of_its_batch(self, ascend):
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        objective = optimize._SvetlichnyObjective(optimize._correlation_tensor3(rho))
+        starts = _unit_vectors(np.random.default_rng(5), (17, objective.n_vectors))
+        cfg = OptimizerConfig(max_iterations=60)
+        full = ascend(objective, starts, cfg)
+        assert isinstance(full.converged, bool)
+        for size in (1, 3, 4):
+            part = ascend(objective, starts[:size], cfg)
+            for mine, theirs in zip(part, full):
+                if isinstance(mine, np.ndarray):
+                    np.testing.assert_array_equal(mine, theirs[:size])
+

@@ -12,6 +12,9 @@ import inspect
 import pathlib
 import types
 
+from svetlichny import states
+from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,3 +35,27 @@ def test_every_hook_resolves_to_a_package_function():
             owner = getattr(owner, part, None)
         assert inspect.isfunction(owner), f"{layer}.{qualname} does not resolve"
         assert owner.__module__ == module
+
+
+def test_traced_ascents_report_a_bool_and_raise_nothing():
+    # the tracer reads item 3 of an ascent's result with bool(); an array
+    # there would raise inside the wrapper and fail every traced optimize
+    tracer = _load_tracer()
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        traced.op = 0
+        cfg = OptimizerConfig(restarts=4, max_iterations=50)
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        for backend in ("gradient", "coordinate"):
+            maximize_svetlichny(rho, cfg, backend=backend)
+        maximize_chsh(states.make_reference("Bell-Phi+"), cfg)
+    finally:
+        traced.op = None
+        traced.uninstall()
+    spans = traced.spans
+    assert spans
+    assert not any(tracer._raised(s[tracer.INFO]) for s in spans)
+    ascents = [s for s in spans if s[tracer.NAME].endswith("_ascent")]
+    assert len(ascents) == 3
+    assert all(type(s[tracer.INFO]) is bool for s in ascents)
