@@ -93,21 +93,20 @@ class BoundConfig:
     p weights the lower-route mixture, q the upper-route mixture; both are
     strictly positive because every bound divides by them. The witness acts
     on the ordered reduced pair; the partial transpose always acts on the
-    second qubit of that pair.
+    second qubit of that pair. The undetected routes read the strength
+    through K alone, so no mixing weight r is needed.
     """
 
     p: float
     q: float
     witness: np.ndarray
     reduced_pair: tuple[str, str] = ("B", "C")
-    r: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise BoundsError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 < self.q <= 1.0:
             raise BoundsError(f"q must lie in (0, 1], got {self.q}")
-        _check_r(self.r)
         w = np.asarray(self.witness, dtype=complex)
         if w.shape != (4, 4):
             raise BoundsError("witness must be a 4x4 matrix")
@@ -145,12 +144,6 @@ class Verdict:
     window: Window | None = None
     pair: tuple[str, str] | None = None
     witness_label: str | None = None
-
-
-def _check_r(r: float | None) -> None:
-    """Reject a mixing weight outside [0, 1); NaN is outside."""
-    if r is not None and not 0.0 <= r < 1.0:
-        raise BoundsError(f"r must lie in [0, 1), got {r}")
 
 
 def _pair_positions(pair: tuple[str, str]) -> tuple[int, int]:
@@ -263,17 +256,17 @@ class PairSpectra:
         """The pair's best CHSH winning probability, solved on first use only."""
         return p_max_optimal(self.reduced)
 
-    def route_numerators(self, witness: np.ndarray, r: float | None
+    def route_numerators(self, witness: np.ndarray
                          ) -> tuple[NonlocalityStrength, float, float]:
         """The pair's strength under the witness, then the lower- and upper-route numerators.
 
-        The undetected routes read K alone; r (the default when None) only has to be admissible.
+        The undetected routes read K alone; the strength is reported at the default weight.
         """
         if is_detected(self.reduced, witness):
             strength = NonlocalityStrength.detected(s_nl_detected(self.reduced, witness))
             return (strength, *self.detected_numerators(strength.s_nl))
         k = k_from_negativity(self.reduced, witness, self.negativity)
-        strength = undetected_strength(k, self.p_max, r)
+        strength = undetected_strength(k, self.p_max)
         f = self.f_value(k, self.witness_max(witness))
         return strength, self.h_value(k), f / 4.0
 
@@ -380,19 +373,18 @@ def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEAR
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
     spectra = pair_spectra(rho_abc, _reduce(rho_abc, cfg.reduced_pair), cfg.reduced_pair)
-    return _report(spectra, cfg.witness, cfg.r, (cfg.p, cfg.q))[0]
+    return _report(spectra, cfg.witness, (cfg.p, cfg.q))[0]
 
 
-def midpoint_report(spectra: PairSpectra, witness: np.ndarray, r: float | None = None
+def midpoint_report(spectra: PairSpectra, witness: np.ndarray
                     ) -> tuple[BoundsReport, float, float]:
     """The record's report at its genuine-window midpoints (0.5 where one is empty), and that (p, q)."""
-    _check_r(r)
-    return _report(spectra, witness, r, None)
+    return _report(spectra, witness, None)
 
 
-def _report(spectra: PairSpectra, witness: np.ndarray, r: float | None,
+def _report(spectra: PairSpectra, witness: np.ndarray,
             pq: tuple[float, float] | None) -> tuple[BoundsReport, float, float]:
-    strength, low, high = spectra.route_numerators(witness, r)
+    strength, low, high = spectra.route_numerators(witness)
     detected = strength.variant == "detected"
     emb_max = spectra.lambda_max_embedded
     lam_k = spectra.lambda_k
@@ -446,12 +438,8 @@ def _report(spectra: PairSpectra, witness: np.ndarray, r: float | None,
     ), p, q
 
 
-def detect_genuine(
-    rho_abc: DensityMatrix,
-    pair: tuple[str, str] | None = None,
-    witness: np.ndarray | None = None,
-    r: float | None = None,
-) -> Verdict:
+def detect_genuine(rho_abc: DensityMatrix, pair: tuple[str, str] | None = None,
+                   witness: np.ndarray | None = None) -> Verdict:
     """Search reduced pairs and witnesses for a firing certificate.
 
     Tries every reduced pair (or just the requested one) against the three
@@ -462,17 +450,16 @@ def detect_genuine(
     Records are built as the search reaches their pair.
     """
     return search_records(pair_records(rho_abc, SEARCH_ORDER if pair is None else (pair,)),
-                          witness, r)
+                          witness)
 
 
 def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
-                   witness: np.ndarray | None = None, r: float | None = None) -> Verdict:
+                   witness: np.ndarray | None = None) -> Verdict:
     """detect_genuine's search over (pair, record) items, in their order.
 
-    An r outside [0, 1) is an error; an admissible r above one
-    candidate's cap only skips that candidate.
+    A candidate whose strength or windows cannot be formed (zero
+    negativity, a vanished denominator) is skipped.
     """
-    _check_r(r)
     witnesses: list[tuple[str, np.ndarray]] = [
         (plane, plane_witness(plane)) for plane in PLANES
     ]
@@ -485,7 +472,7 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
             any_entangled = True
         for label, w in witnesses:
             try:
-                routes = _candidate_windows(spectra, w, r)
+                routes = _candidate_windows(spectra, w)
             except (NonlocalityError, BoundsError, linalg.LinalgError):
                 continue
             for route, parameter, genuine in routes:
@@ -504,9 +491,9 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
     return Verdict(outcome="not-applicable")
 
 
-def _candidate_windows(spectra: PairSpectra, witness: np.ndarray,
-                       r: float | None) -> list[tuple[str, str, Window]]:
-    strength, low, high = spectra.route_numerators(witness, r)
+def _candidate_windows(spectra: PairSpectra, witness: np.ndarray
+                       ) -> list[tuple[str, str, Window]]:
+    strength, low, high = spectra.route_numerators(witness)
     detected = strength.variant == "detected"
     return [(f"{strength.variant}-p", "p", spectra.p_windows(low, detected)[1]),
             (f"{strength.variant}-q", "q", spectra.q_windows(high)[1])]

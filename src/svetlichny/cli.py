@@ -17,6 +17,8 @@ comment. Parse failures exit 64, semantically invalid inputs exit 65.
 The certificate section of analyze evaluates its bounds at the midpoints
 of the genuine windows (falling back to 0.5 where a window is empty), so
 the printed interval is always attainable by the reported parameters.
+The undetected-regime strength is printed at the default weight r, half
+its cap; the certificate reads only its K, so no weight is asked for.
 JSON output mirrors the BoundsReport field names verbatim.
 """
 
@@ -219,13 +221,13 @@ def cmd_analyze(args) -> int:
     negs = {key: records[ij].negativity for key, ij in _PAIRS.items()}
     search_witness = cert_witness if witness_spec and witness_spec[0] == "user" else None
     searched = records.items() if args.pair is None else [(args.pair, records[args.pair])]
-    verdict = search_records(searched, witness=search_witness, r=args.r)
+    verdict = search_records(searched, witness=search_witness)
 
     report = None
     report_error = None
     p = q = None
     try:
-        report, p, q = midpoint_report(records[pair], cert_witness, args.r)
+        report, p, q = midpoint_report(records[pair], cert_witness)
     except (nonlocality.NonlocalityError, BoundsError, linalg.LinalgError) as exc:
         report_error = str(exc)
 
@@ -425,8 +427,6 @@ def build_parser() -> _Parser:
     analyze.add_argument("--witness",
                          help="plane (xy, xz, yz) or a 4x4 matrix file; "
                               "a file is also added to the verdict search")
-    analyze.add_argument("--r", type=float, default=None,
-                         help="interpolation weight for the undetected regime")
     analyze.add_argument("--format", choices=("text", "json", "csv"),
                          default="text")
     analyze.add_argument("--export",

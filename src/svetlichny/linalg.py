@@ -7,7 +7,7 @@ the kernel's own gates: inputs must be square, finite, at most MAX_DIM
 wide and Hermitian to HERMITICITY_TOL, because eigh reads only one
 triangle and would silently diagonalize a non-Hermitian input. Several
 quantities later on (first nonzero eigenvalue, window endpoints) sit
-close to zero, so the spectrum reports which entry is the first one
+close to zero, so first_nonzero_eigenvalue reads the first entry
 outside ZERO_TOL.
 """
 
@@ -44,22 +44,14 @@ class DimensionMismatchError(LinalgError):
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Real eigenvalues sorted ascending.
-
-    kth_nonzero_index points at the first entry with |value| > ZERO_TOL
-    (scanning ascending, negatives included), or is None when every
-    eigenvalue is numerically zero.
-    """
+    """Real eigenvalues sorted ascending."""
 
     values: tuple[float, ...]
-    kth_nonzero_index: int | None
 
     @classmethod
     def from_values(cls, values) -> "EigenSpectrum":
         """Wrap eigenvalues that are already sorted ascending."""
-        values = tuple(float(x) for x in values)
-        idx = next((i for i, val in enumerate(values) if abs(val) > ZERO_TOL), None)
-        return cls(values=values, kth_nonzero_index=idx)
+        return cls(values=tuple(float(x) for x in values))
 
     @property
     def lambda_min(self) -> float:
@@ -142,9 +134,10 @@ def first_nonzero_eigenvalue(spectrum: EigenSpectrum) -> float:
     """
     if len(spectrum.values) == 0:
         raise AllZeroSpectrumError("empty spectrum")
-    if spectrum.kth_nonzero_index is None:
-        raise AllZeroSpectrumError("all eigenvalues are numerically zero")
-    return spectrum.values[spectrum.kth_nonzero_index]
+    for value in spectrum.values:
+        if abs(value) > ZERO_TOL:
+            return value
+    raise AllZeroSpectrumError("all eigenvalues are numerically zero")
 
 
 def spectral_root(m) -> tuple[EigenSpectrum, np.ndarray]:

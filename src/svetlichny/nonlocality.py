@@ -8,8 +8,9 @@ state is entangled but the witness misses it, the replacement measure is
 
 with K = Tr[W rho rho^T]/(4 N(rho)), P_max the best CHSH-game winning
 probability, and r a mixing weight kept below the cap that guarantees
-positivity. The certificates built on this measure read K alone: r only
-decides, through r_cap, whether a strength is admissible. The K bounds
+positivity. The certificates built on this measure read K alone, so
+they take no r and report the strength at the default weight, half the
+cap; s_nl_new evaluates it at any admissible r. The K bounds
 (lemma_lower/upper in spirit) sandwich K without needing the product
 trace, which is what makes the undetected-regime certificates computable
 from printed spectral data alone.
@@ -172,16 +173,15 @@ def r_cap(k: float, p_max: float) -> float:
     """Upper limit K/(3/4 - P_max + K) on the mixing weight r, clamped to (0, 1].
 
     Positivity of S_NL_new needs r below this value when P_max <= 3/4.
-    When P_max exceeds 3/4 both terms of S_NL_new are positive for every r,
-    the formula lands above 1, and the clamp makes the cap vacuous.
+    When P_max exceeds 3/4 both terms of S_NL_new are positive for every r:
+    the formula lands above 1, or its denominator is not positive once
+    P_max >= 3/4 + K, and either way the cap is vacuous.
     """
     if k <= 0.0:
         raise WindowParameterError(f"the cap needs K > 0, got {float(k)}")
     denominator = 0.75 - p_max + k
     if denominator <= 0.0:
-        raise WindowParameterError(
-            f"nonpositive cap denominator 3/4 - P_max + K = {float(denominator)}"
-        )
+        return 1.0
     return min(k / denominator, 1.0)
 
 

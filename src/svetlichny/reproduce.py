@@ -502,8 +502,7 @@ def _closed_form_general(family: int, param: float) -> dict:
         pt = states.partial_transpose(reduced)
         out["trwrrt"] = linalg.trace_product(w, reduced.matrix @ pt)
         wr_max = out["lmax_wrho"] = spectra.witness_max(w)
-        k = nonlocality.undetected_strength(
-            nonlocality.k_from_negativity(reduced, w, spectra.negativity), spectra.p_max, 0.0).k
+        k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
         _, gen_p = spectra.p_windows(spectra.h_value(k), detected=False)
         _, gen_q = spectra.q_windows(spectra.f_value(k, wr_max) / 4.0)
     out["p_window"] = (gen_p.lower, gen_p.upper)

@@ -129,31 +129,25 @@ def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     return DensityMatrix(qubits=2, matrix=reduced.reshape(4, 4))
 
 
-def partial_transpose(rho: DensityMatrix, transposed: str = "second") -> np.ndarray:
-    """Transpose one factor of a 2-qubit state; result may be non-PSD.
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose the second qubit of a 2-qubit state; result may be non-PSD.
 
-    Defaults to the second listed qubit (T_j with j the second subsystem
-    of the pair); pass "first" to transpose the other factor.
+    Transposing the first qubit instead gives the full transpose of this
+    result, with the same spectrum, so the negativity does not depend on
+    the side.
     """
     if rho.qubits != 2:
         raise InvalidStateError("bad-dimension", "partial_transpose expects a 2-qubit state")
-    if transposed not in ("first", "second"):
-        raise UnknownNameError(f"transposed must be 'first' or 'second', got {transposed!r}")
-    t = rho.matrix.reshape(2, 2, 2, 2)
-    if transposed == "second":
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        t = t.transpose(2, 1, 0, 3)
-    return t.reshape(4, 4)
+    return rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def negativity(rho: DensityMatrix, transposed: str = "second") -> float:
+def negativity(rho: DensityMatrix) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues.
 
     Equals (||rho^T||_1 - 1)/2; zero exactly for PPT (in particular all
     separable) two-qubit states.
     """
-    spec = linalg.hermitian_eigenvalues(partial_transpose(rho, transposed))
+    spec = linalg.hermitian_eigenvalues(partial_transpose(rho))
     return float(-sum(v for v in spec.values if v < 0.0))
 
 

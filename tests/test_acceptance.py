@@ -253,7 +253,7 @@ class TestCriterion8:
                 oracle_ok = False
                 break
             rho2 = states.validate(random_density(rng, 4), 2)
-            ours_pt = states.partial_transpose(rho2, transposed="second")
+            ours_pt = states.partial_transpose(rho2)
             ref_pt = oracle_partial_transpose(rho2.matrix, second=True)
             if np.abs(ours_pt - ref_pt).max() > 1e-13:
                 oracle_ok = False

@@ -17,21 +17,24 @@ from svetlichny.bounds import (
     BoundsError,
     SingularDenominatorError,
     Window,
+    _candidate_windows,
     detect_genuine,
     embed_pair,
     full_report,
+    pair_records,
     pair_spectra,
     product_spectrum,
 )
 from svetlichny.nonlocality import (
     NEG_TOL,
     NonlocalityError,
+    default_r,
     is_detected,
-    k_value,
-    p_max_optimal,
     r_cap,
+    s_nl_new,
 )
 from conftest import random_pure, random_state
+from test_states import oracle_partial_transpose
 
 XY = operators.plane_witness("xy")
 XZ = operators.plane_witness("xz")
@@ -43,9 +46,9 @@ def _f1_report(p=0.0065, q=0.95):
     return rho, cfg, full_report(rho, cfg)
 
 
-def _f5_report(p=0.993, q=0.89, r=0.0):
+def _f5_report(p=0.993, q=0.89):
     rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-    cfg = BoundConfig(p=p, q=q, witness=XY, reduced_pair=("B", "C"), r=r)
+    cfg = BoundConfig(p=p, q=q, witness=XY, reduced_pair=("B", "C"))
     return rho, cfg, full_report(rho, cfg)
 
 
@@ -66,10 +69,6 @@ class TestBoundConfig:
         for p, q in ((0.0, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 1.0001)):
             with pytest.raises(BoundsError):
                 BoundConfig(p=p, q=q, witness=XY)
-
-    def test_rejects_bad_r(self):
-        with pytest.raises(BoundsError):
-            BoundConfig(p=0.5, q=0.5, witness=XY, r=1.0)
 
     def test_rejects_non_hermitian_witness(self):
         bad = np.zeros((4, 4))
@@ -206,7 +205,8 @@ class TestUndetectedRoute:
         assert inter["H"] == pytest.approx(-0.7999096086713142, abs=1e-12)
         assert inter["F"] == pytest.approx(1.697542732653113, abs=1e-12)
         assert inter["k"] == pytest.approx(0.2417860474608272, abs=1e-13)
-        assert inter["r"] == 0.0
+        rho5 = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
+        assert inter["r"] == pytest.approx(default_r(rho5, XY), abs=1e-15)
 
     def test_frozen_f5_windows(self):
         _, _, rep = _f5_report()
@@ -220,15 +220,17 @@ class TestUndetectedRoute:
             0.9496515532994169, abs=1e-12)
 
     def test_default_r_used_when_unset(self):
-        _, _, rep = _f5_report(r=None)
-        from svetlichny.nonlocality import default_r
+        _, _, rep = _f5_report()
+        inter = rep.intermediates
         rho5 = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
-        assert rep.intermediates["r"] == pytest.approx(default_r(rho5, XY), abs=1e-15)
+        assert inter["r"] == pytest.approx(default_r(rho5, XY), abs=1e-15)
+        # the reported strength is S_NL_new at that weight
+        assert inter["s_nl_new"] == pytest.approx(
+            inter["r"] * (inter["p_max"] - 0.75) + (1.0 - inter["r"]) * inter["k"], abs=1e-15)
 
     def test_bounds_vanish_at_unit_visibility_exactly(self):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         reduced = states.partial_trace(rho, "A")
-        from svetlichny.nonlocality import s_nl_new
         strength = s_nl_new(reduced, XY, 0.0)
         assert not is_detected(reduced, XY)
         spectra = pair_spectra(rho, reduced, ("B", "C"))
@@ -237,7 +239,7 @@ class TestUndetectedRoute:
         assert spectra.upper_bound(f / 4.0, 1.0) == 0.0
 
     def test_genuine_p_window_tracks_h_sign(self):
-        from svetlichny.nonlocality import NonlocalityStrength, s_nl_new
+        from svetlichny.nonlocality import NonlocalityStrength
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         reduced = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         strength = s_nl_new(reduced, XY, 0.0)
@@ -305,10 +307,10 @@ class TestSolveCounts:
 
     def test_full_report_diagonalizes_state_and_product_only(self, solves):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        for pair, r in ((("B", "C"), 0.0), (("B", "C"), None), (("A", "C"), None)):
+        for pair in (("B", "C"), ("A", "C")):
             solves.clear()
-            full_report(rho, BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=pair, r=r))
-            assert solves[8] <= 2, (pair, r, solves)
+            full_report(rho, BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=pair))
+            assert solves[8] <= 2, (pair, solves)
 
     @pytest.mark.parametrize("pair", [None, ("B", "C"), ("A", "C")], ids=str)
     def test_detect_genuine_solves_state_once(self, solves, pair):
@@ -326,38 +328,56 @@ class TestSolveCounts:
         assert solves[8] <= 1 + len(SEARCH_ORDER), solves
 
     def test_p_max_solved_once_per_pair(self, solves):
-        # r = 0.99 lies above every cap here, so each pair tries all three
-        # undetected witnesses and fires on none of them
+        # every (pair, plane) candidate, undetected ones included, reads
+        # its pair's P_max from the record's single 3x3 solve
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        records = list(pair_records(rho))
         solves.clear()
-        assert detect_genuine(rho, r=0.99).outcome == "inconclusive"
+        for _, spectra in records:
+            for plane in operators.PLANES:
+                try:
+                    _candidate_windows(spectra, operators.plane_witness(plane))
+                except (NonlocalityError, BoundsError):
+                    pass
         assert solves[3] <= len(SEARCH_ORDER), solves
 
 
 class TestWeightIndependence:
-    """The undetected routes read the strength through K alone, so every
-    admissible r gives the same H, F, G, windows and bounds."""
+    """The paper states the undetected bounds through S_NL_new at a weight
+    r; the certificate reads K alone. Recovering K from S_NL_new at any
+    admissible r and evaluating the paper's H and F with numpy gives the
+    H and F of the certificate's report."""
 
     @staticmethod
-    def _reports(rho, pair, witness):
-        traced = next(label for label in states.LABELS if label not in pair)
-        reduced = states.partial_trace(rho, traced)
-        cap = r_cap(k_value(reduced, witness), p_max_optimal(reduced))
-        return [full_report(rho, BoundConfig(p=0.5, q=0.5, witness=witness,
-                                             reduced_pair=pair, r=r))
-                for r in (0.0, 0.25 * cap, None, 0.9 * cap)]
+    def _paper_h_f(rho, reduced, pair, witness, r):
+        def root(m):
+            values, vectors = np.linalg.eigh(m)
+            return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
 
-    @staticmethod
-    def _assert_same_certificate(reports):
-        first = reports[0]
-        assert first.regime == "undetected"
-        assert len({rep.intermediates["r"] for rep in reports}) == len(reports)
-        for rep in reports[1:]:
-            for key in ("H", "F", "G", "k"):
-                assert rep.intermediates[key] == first.intermediates[key], key
-            for name in ("p_window", "q_window", "genuine_p_window", "genuine_q_window"):
-                assert getattr(rep, name) == getattr(first, name), name
-            assert (rep.sv_lower, rep.sv_upper) == (first.sv_lower, first.sv_upper)
+        strength = s_nl_new(reduced, witness, r)
+        k = (strength.s_nl_new - r * (strength.p_max - 0.75)) / (1.0 - r)
+        rho_values = np.linalg.eigvalsh(rho.matrix)
+        state_root, pair_root = root(rho.matrix), root(reduced.matrix)
+        product = np.linalg.eigvalsh(state_root @ embed_pair(reduced.matrix, pair) @ state_root)
+        pt = np.linalg.eigvalsh(oracle_partial_transpose(reduced.matrix, second=True))
+        n = -pt[pt < 0.0].sum()
+        h = product[0] - k * n * pt[-1] * rho_values[-1] / np.min(pt ** 2)
+        wr_max = np.linalg.eigvalsh(pair_root @ witness @ pair_root)[-1]
+        f = 4.0 * product[-1] - rho_values[0] / wr_max * (8.0 * n * k - np.sum(pt ** 2))
+        return h, f
+
+    def _assert_weight_free(self, rho, pair, witness):
+        reduced = states.partial_trace(
+            rho, next(label for label in states.LABELS if label not in pair))
+        report = full_report(rho, BoundConfig(p=0.5, q=0.5, witness=witness,
+                                              reduced_pair=pair))
+        assert report.regime == "undetected"
+        inter = report.intermediates
+        cap = r_cap(inter["k"], inter["p_max"])
+        for r in (0.0, 0.25 * cap, inter["r"], 0.9 * cap):
+            h, f = self._paper_h_f(rho, reduced, pair, witness, r)
+            assert inter["H"] == pytest.approx(h, abs=1e-10), r
+            assert inter["F"] == pytest.approx(f, abs=1e-10), r
 
     @pytest.mark.parametrize("family, param, pair", [
         (states.FAMILY_MAXIMAL_SLICE, 1.2, "AB"),
@@ -369,7 +389,7 @@ class TestWeightIndependence:
     ])
     def test_undetected_worked_families(self, family, param, pair):
         rho = states.make_example(family, param)
-        self._assert_same_certificate(self._reports(rho, tuple(pair), XY))
+        self._assert_weight_free(rho, tuple(pair), XY)
 
     def test_random_pure_states(self, rng):
         checked = 0
@@ -384,10 +404,9 @@ class TestWeightIndependence:
                     if states.negativity(reduced) <= NEG_TOL or is_detected(reduced, w):
                         continue
                     try:
-                        reports = self._reports(rho, pair, w)
+                        self._assert_weight_free(rho, pair, w)
                     except (NonlocalityError, BoundsError):
                         continue
-                    self._assert_same_certificate(reports)
                     checked += 1
         assert checked >= 20, checked
 
@@ -397,8 +416,7 @@ class TestSingularHandling:
         # a pure product reduced pair has zero negativity, which the
         # undetected route reports before any denominator is formed
         rho = states.make_reference("product-000")
-        cfg = BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=("B", "C"),
-                          r=0.0)
+        cfg = BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=("B", "C"))
         from svetlichny.nonlocality import NonlocalityError
         with pytest.raises((NonlocalityError, SingularDenominatorError,
                             BoundsError)):

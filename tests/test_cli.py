@@ -158,28 +158,20 @@ class TestAnalyzeOutput:
         assert run("analyze", "--matrix", str(path)) in (0, 1, 2)
         capsys.readouterr()
 
-    def test_r_flag_forwarded(self, capsys):
-        assert run("analyze", "--family", "identity-W", "--param", "0.82",
-                   "--r", "0.0", "--format", "json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["report"]["intermediates"]["r"] == 0.0
-
-    @pytest.mark.parametrize("r", ["1.5", "-0.2", "nan"])
-    def test_r_outside_unit_interval_is_sixty_five(self, r, capsys):
-        assert run("analyze", "--family", "identity-W", "--param", "0.82",
-                   "--r", r) == 65
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "r must lie in [0, 1)" in captured.err
-
-    def test_r_above_cap_prints_plain_numbers(self, capsys):
-        # 0.99 is a valid weight above this pair's cap: the certificate is
-        # unavailable, the search skips every undetected candidate
-        assert run("analyze", "--family", "identity-W", "--param", "0.82",
-                   "--r", "0.99") == 1
-        out = capsys.readouterr().out
-        assert "unavailable: r = 0.99 outside [0, 0.80997" in out
-        assert "np.float64" not in out
+    def test_vacuous_cap_still_reports(self, tmp_path, capsys):
+        # P_max = 0.8051 exceeds 3/4 + K (K = 0.00111) on pair AB under xz:
+        # every weight keeps the strength positive, so the cap is 1
+        gen = np.random.default_rng(15)
+        ket = gen.normal(size=8) + 1j * gen.normal(size=8)
+        ket /= np.linalg.norm(ket)
+        path = tmp_path / "vacuous.mat"
+        path.write_text(cli.format_matrix_text(np.outer(ket, ket.conj())))
+        run("analyze", "--matrix", str(path), "--pair", "AB", "--witness", "xz",
+            "--format", "json")
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report is not None
+        assert report["regime"] == "undetected"
+        assert report["intermediates"]["r"] == 0.5
 
 
 class TestOptimizeCommand:

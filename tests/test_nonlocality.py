@@ -174,6 +174,21 @@ class TestInterpolatedStrength:
         with pytest.raises(nonlocality.WindowParameterError):
             nonlocality.s_nl_new(rho, XY, -0.01)
 
+    def test_vacuous_cap_is_one(self):
+        # 3/4 - P_max + K <= 0: the strength is positive for every r
+        assert nonlocality.r_cap(0.04, 0.80) == 1.0
+        assert nonlocality.r_cap(0.05, 0.80) == 1.0
+
+    def test_r_above_cap_prints_plain_numbers(self):
+        rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
+        k = nonlocality.k_value(rho, XY)
+        p_max = nonlocality.p_max_optimal(rho)
+        with pytest.raises(nonlocality.WindowParameterError) as excinfo:
+            nonlocality.undetected_strength(k, p_max, 0.99)
+        message = str(excinfo.value)
+        assert message.startswith("r = 0.99 outside [0, 0.80997")
+        assert "np.float64" not in message
+
     def test_default_r_is_half_the_cap(self):
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
         k = nonlocality.k_value(rho, XY)

@@ -1,8 +1,11 @@
-"""The benchmark tracer's hooks must name functions the package still has.
+"""The benchmark's hooks and arguments must match what the package still has.
 
 perfbench/tracer.py skips a hook it cannot resolve without a word, so a
 renamed function would silently zero the per-layer counts built on it.
 The tracer is compiled from its source file, never imported or modified.
+A command-line flag the workloads pass but the parser no longer knows
+would only show as failed benchmark operations, so every argv is parsed
+here.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ import inspect
 import pathlib
 import types
 
-from svetlichny import states
+import pytest
+
+from svetlichny import cli, states
 from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer() -> types.ModuleType:
@@ -59,3 +65,14 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
     ascents = [s for s in spans if s[tracer.NAME].endswith("_ascent")]
     assert len(ascents) == 3
     assert all(type(s[tracer.INFO]) is bool for s in ascents)
+
+
+@pytest.mark.parametrize("workload", ["certify", "optimize", "reproduce"])
+def test_every_benchmark_argv_parses(workload, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.WORKLOADS[workload](401, str(tmp_path))
+    assert ops
+    parser = cli.build_parser()
+    for op in ops:
+        parser.parse_args(op.argv)
