@@ -344,6 +344,8 @@ def cmd_optimize(args) -> int:
                       optimum.settings.B0, optimum.settings.B1)))
 
     vectors = [(name, vec, *_spherical(vec)) for name, vec in named]
+    at_best = sum(v >= optimum.value - 1e-6 for v in optimum.restart_values)
+    spread = optimum.value - min(optimum.restart_values)
     if args.format == "json":
         payload = {
             "state": label,
@@ -351,9 +353,9 @@ def cmd_optimize(args) -> int:
             "value": optimum.value,
             "iterations_used": optimum.iterations_used,
             "converged": optimum.converged,
-            "restarts_at_best": sum(v >= optimum.value - 1e-6
-                                    for v in optimum.restart_values),
+            "restarts_at_best": at_best,
             "restarts_capped": optimum.restarts_capped,
+            "restart_spread": spread,
             "seed": cfg.seed,
             "backend": args.backend,
             "settings": {name: {"vector": [float(x) for x in vec],
@@ -368,6 +370,8 @@ def cmd_optimize(args) -> int:
         print(f"iterations: {optimum.iterations_used}, converged: "
               f"{optimum.converged}, restarts: {cfg.restarts}, seed: "
               f"{cfg.seed}, backend: {args.backend}")
+        print(f"restarts within 1e-6 of best: {at_best}, capped: "
+              f"{optimum.restarts_capped}, spread: {spread:.3g}")
         for name, vec, theta, phi in vectors:
             print(f"  {name}: [{vec[0]: .6f} {vec[1]: .6f} {vec[2]: .6f}]  "
                   f"theta = {theta:.6f}, phi = {phi:.6f}")
@@ -415,11 +419,13 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="svet",
+    # allow_abbrev=False everywhere: a prefix such as --r must not silently
+    # stand for --ref or --restarts
+    parser = _Parser(prog="svet", allow_abbrev=False,
                      description="genuine tripartite nonlocality certificates")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    analyze = commands.add_parser("analyze",
+    analyze = commands.add_parser("analyze", allow_abbrev=False,
                                   help="negativities, certificate report, verdict")
     _add_state_flags(analyze)
     analyze.add_argument("--pair", type=_pair_arg,
@@ -433,7 +439,7 @@ def build_parser() -> _Parser:
                          help="write the resolved state to this matrix file")
     analyze.set_defaults(func=cmd_analyze)
 
-    optimize = commands.add_parser("optimize",
+    optimize = commands.add_parser("optimize", allow_abbrev=False,
                                    help="maximize an objective over settings")
     _add_state_flags(optimize)
     optimize.add_argument("--target", choices=("svetlichny", "chsh"),
@@ -447,7 +453,7 @@ def build_parser() -> _Parser:
     optimize.add_argument("--format", choices=("text", "json"), default="text")
     optimize.set_defaults(func=cmd_optimize)
 
-    repro = commands.add_parser("reproduce",
+    repro = commands.add_parser("reproduce", allow_abbrev=False,
                                 help="regenerate the reference tables")
     repro.add_argument("--table", choices=("1", "2", "3", "4", "5", "all"),
                        default="all")

@@ -4,15 +4,20 @@ The certificates elsewhere in this package never optimize measurement
 settings; this module is the independent cross-check that does. Both
 objectives are multilinear in the Bloch vectors of the settings, so two
 backends are natural, and both work on the unit vectors themselves. The
-gradient backend steps along the tangent gradient g - (g.v)v and
-renormalizes each trial point (a retraction onto the sphere, which has no
-poles to stall at), with a spectral-seeded nonmonotone backtracking line
-search that copes with the degenerate ridges these landscapes develop at
-product-state optima. The coordinate backend exploits multilinearity
-directly: freezing all but one vector leaves a linear functional whose
-maximizer on the unit sphere is the normalized coefficient vector, and
-each update computes only that one coefficient row. The two must agree;
-tests hold them to 1e-6 of each other.
+gradient backend takes Riemannian Newton steps on the product of spheres.
+Multilinearity makes the exact Hessian cheap: each block is the
+correlation tensor, for three parties contracted with a sum or difference
+of the third party's vectors. Its projection onto the tangent planes is
+diagonalized, and the step divides the gradient by the absolute
+curvature along each eigenvector, so it climbs even where the Hessian is
+indefinite and strides along the nearly flat ridges these landscapes
+develop near product-state optima. Each trial point is renormalized (a
+retraction onto the sphere, which has no poles to stall at) and the step
+halved until the value rises. The coordinate backend exploits
+multilinearity directly: freezing all but one vector leaves a linear
+functional whose maximizer on the unit sphere is the normalized
+coefficient vector, and each update computes only that one coefficient
+row. The two must agree; tests hold them to 1e-6 of each other.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
@@ -50,8 +55,10 @@ BACKENDS = ("gradient", "coordinate")
 # A restart stops once the tangent-gradient norm (gradient backend) or the
 # gain of a full sweep (coordinate backend) falls below _TOL.
 _TOL = 1e-10
-_FIRST_STEP = 0.1
-_MEMORY = 10
+# The Newton step never divides by a curvature smaller than this, and
+# halves a trial step at most _HALVINGS times.
+_CURVATURE_FLOOR = 1e-8
+_HALVINGS = 60
 
 class OptimizerError(ValueError):
     pass
@@ -122,12 +129,14 @@ _SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]])
 
 
 class _Multilinear:
-    """energy and coefficient rows of a batch of (restarts, n, 3) vectors.
+    """energy, coefficient rows and Hessian of a batch of (restarts, n, 3) vectors.
 
     The rows come in pairs (row 2g and 2g + 1 for g = 0, 1, ...); _rows
     returns, for a slice of pairs and a slice of parities, a
     (restarts, pairs * parities, 3) array. The objective is linear in each
-    vector, so the energy is v0.g0 + v1.g1.
+    vector, so the energy is v0.g0 + v1.g1. Subclasses also give hessian,
+    the exact (restarts, 3n, 3n) Euclidean Hessian; the objective is a
+    homogeneous polynomial of the given degree, so Hv = (degree - 1) g.
     """
 
     def energy(self, vectors: np.ndarray) -> np.ndarray:
@@ -147,26 +156,47 @@ class _SvetlichnyObjective(_Multilinear):
     In a row pair, M0 and M1 are T contracted with the two vectors x0, x1
     of another pair, and w0, w1 come from the third. T is precontracted
     with each w into a (3, 9) slice, so a row is one 6-term product of
-    (x0, x1) with the stacked slices.
+    (x0, x1) with the stacked slices. The signs of the eight terms are
+    symmetric in the three parties, so the Hessian block of any two
+    parties' vectors i and j is the same slice contracted with the third
+    party's w of parity pair (i, j).
     """
 
     n_vectors = 6
+    degree = 3
     # per row pair (a, b, c): the x pair and the pair forming w
     _contracted = np.array([[2, 3], [0, 1], [0, 1]])
     _formed = np.array([[4, 5], [4, 5], [2, 3]])
+    # per party pair (AB, AC, BC): the third party's vectors, and where
+    # the block of vector pair (i, j) sits in the (6, 6) block grid
+    _third = np.array([[4, 5], [2, 3], [0, 1]])
+    _block_rows = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3]])
+    _block_cols = np.array([[2, 3, 2, 3], [4, 5, 4, 5], [4, 5, 4, 5]])
 
     def __init__(self, tensor: np.ndarray) -> None:
-        # T as [w index, (x index, row index)] for each row pair
+        # T as [w index, (x index, row index)] for each row pair; the last
+        # three are also T as [third index, (first index, second index)]
+        # for each party pair
         self._slices = np.stack([tensor.transpose(2, 1, 0).reshape(3, 9),
                                  tensor.transpose(2, 0, 1).reshape(3, 9),
-                                 tensor.transpose(1, 0, 2).reshape(3, 9)])
+                                 tensor.transpose(1, 0, 2).reshape(3, 9),
+                                 tensor.reshape(3, 9)])
 
     def _rows(self, vectors: np.ndarray, pairs: slice, parities: slice) -> np.ndarray:
         count = len(vectors)
         w = _SIGNS[parities].reshape(-1, 2) @ vectors[:, self._formed[pairs]]
-        sliced = (w @ self._slices[pairs]).reshape(*w.shape[:2], -1, 6, 3)
+        sliced = (w @ self._slices[:3][pairs]).reshape(*w.shape[:2], -1, 6, 3)
         x = vectors[:, self._contracted[pairs]].reshape(count, -1, 1, 1, 6)
         return (x @ sliced).reshape(count, -1, 3)
+
+    def hessian(self, vectors: np.ndarray) -> np.ndarray:
+        count = len(vectors)
+        w = _SIGNS.reshape(4, 2) @ vectors[:, self._third]
+        blocks = (w @ self._slices[1:]).reshape(count, 3, 4, 3, 3)
+        grid = np.zeros((count, 6, 6, 3, 3))
+        grid[:, self._block_rows, self._block_cols] = blocks
+        grid[:, self._block_cols, self._block_rows] = blocks.swapaxes(-1, -2)
+        return grid.swapaxes(2, 3).reshape(count, 18, 18)
 
 
 class _ChshObjective(_Multilinear):
@@ -176,19 +206,42 @@ class _ChshObjective(_Multilinear):
     """
 
     n_vectors = 4
+    degree = 2
     _formed = np.array([[2, 3], [0, 1]])
 
     def __init__(self, tensor: np.ndarray) -> None:
         self._right = np.stack([tensor.T, tensor])  # w @ right is T w, then T^T w
+        # the Hessian is constant: block (a_i, b_j) is T times _SIGNS[0][i, j]
+        grid = np.zeros((4, 3, 4, 3))
+        grid[:2, :, 2:] = _SIGNS[0][:, None, :, None] * tensor[:, None, :]
+        grid[2:, :, :2] = grid[:2, :, 2:].transpose(2, 3, 0, 1)
+        self._hessian = grid.reshape(12, 12)
+
+    def hessian(self, vectors: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self._hessian, (len(vectors), 12, 12))
 
     def _rows(self, vectors: np.ndarray, pairs: slice, parities: slice) -> np.ndarray:
         w = _SIGNS[0, parities] @ vectors[:, self._formed[pairs]]
         return (w @ self._right[pairs]).reshape(len(vectors), -1, 3)
 
 
-def _tangent_gradient(objective, vectors: np.ndarray) -> np.ndarray:
-    coeffs = objective.coefficient_gradients(vectors)
-    return coeffs - np.add.reduce(coeffs * vectors, axis=2, keepdims=True) * vectors
+_E_Z = np.array([0.0, 0.0, 1.0])
+_PLANE = np.eye(3)[:, :2]
+
+
+def _tangent_frame(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases of (count, n, 3) unit vectors, block-diagonal.
+
+    Returns (count, 3n, 2n) with vector i's basis in block (i, i): the
+    first two columns of the Householder reflection I - uu^T / (1 + |z|),
+    u = v + sign(z) e_z, which maps v to -sign(z) e_z. No division is by
+    less than 1, whatever the vector.
+    """
+    count, n = vectors.shape[:2]
+    z = vectors[..., 2:]
+    u = vectors + np.copysign(_E_Z, z)
+    basis = _PLANE - u[..., None] * (u[..., None, :2] / (1.0 + np.abs(z))[..., None])
+    return (basis[:, :, :, None] * np.eye(n)[:, None, :, None]).reshape(count, 3 * n, 2 * n)
 
 
 class _Batch(NamedTuple):
@@ -211,72 +264,70 @@ def _batch(values, vectors, used, stopped) -> _Batch:
 
 
 def _gradient_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _Batch:
-    """Ascend along the tangent gradient, renormalizing every trial point.
+    """Riemannian Newton ascent on the product of unit spheres.
 
-    The trial v + t*g is at least unit length because g is orthogonal to v.
-    The first step is _FIRST_STEP, later ones the Barzilai-Borwein step of
-    the last displacement and tangent-gradient change. The line search
-    halves the trial step until the value clears a nonmonotone reference
-    (best of the last few iterates), which lets the spectral step stride
-    across flat ridges without losing ground. Every restart keeps its own
-    step; the line search halves only the steps still pending, and the
-    tangent gradient is evaluated once per iteration for all restarts that
-    accepted a step.
+    Each iteration reads the Euclidean gradient g = Hv / (degree - 1) off
+    the exact Hessian H (Euler's identity for a homogeneous polynomial) and
+    projects H onto a tangent basis B: the Riemannian Hessian is
+    B^T (H - diag(lambda_i I)) B with lambda_i = v_i.g_i (Absil, Baker and
+    Gallivan, FoCM 7, 303, 2007). Far from a maximum it is indefinite, so
+    the step is saddle-free: along each eigenvector u_k, with curvature
+    w_k, it moves (u_k.g) / max(|w_k|, _CURVATURE_FLOOR), which climbs
+    whatever the sign of w_k. The step is capped at length 1 (a trust
+    radius), the trial point renormalized, and the step halved until the
+    value rises. A restart stops when its tangent gradient is below _TOL,
+    when the predicted gain g.d is at the rounding level of its value, or
+    when no halving raises the value; each counts as converged.
     """
-    count = len(vectors)
+    count, n = vectors.shape[:2]
     vectors = vectors.copy()
     energy = objective.energy(vectors)
-    gradient = _tangent_gradient(objective, vectors)
-    previous_vectors, previous_gradient = np.empty_like(vectors), np.empty_like(gradient)
-    # a live restart has appended one value per iteration, so the ring's
-    # write position is shared
-    history = np.full((count, _MEMORY), -np.inf)
-    history[:, 0] = energy
     used = np.zeros(count, dtype=int)
     stopped = np.zeros(count, dtype=bool)
     live = np.arange(count)
+    diagonal = np.arange(2 * n)
     for iteration in range(cfg.max_iterations):
         used[live] = iteration + 1
-        here, slope = vectors[live], gradient[live]
-        norm_sq = np.add.reduce(slope * slope, axis=(1, 2))
-        flat = np.sqrt(norm_sq) < _TOL
-        if flat.any():
-            stopped[live[flat]] = True
-            live, here, slope, norm_sq = (x[~flat] for x in (live, here, slope, norm_sq))
+        here = vectors[live]
+        hessian = objective.hessian(here)
+        gradient = hessian @ here.reshape(-1, 3 * n, 1)
+        gradient /= objective.degree - 1
+        radial = np.add.reduce(gradient.reshape(here.shape) * here, axis=2)
+        frame = _tangent_frame(here)
+        frame_t = frame.swapaxes(1, 2)
+        projected = frame_t @ hessian @ frame
+        projected[:, diagonal, diagonal] -= np.repeat(radial, 2, axis=1)
+        curvature, directions = np.linalg.eigh(projected)
+        along = directions.swapaxes(1, 2) @ (frame_t @ gradient)
+        scaled = along / np.maximum(np.abs(curvature), _CURVATURE_FLOOR)[..., None]
+        gain = _dot(along, scaled)
+        done = (np.sqrt(_dot(along, along)) < _TOL) | (
+            gain <= 1e-15 * np.maximum(1.0, np.abs(energy[live])))
+        step = (frame @ (directions @ scaled)).reshape(here.shape)
+        step /= np.maximum(1.0, np.sqrt(_dot(step, step)))[:, None, None]
+        if done.any():
+            stopped[live[done]] = True
+            live, here, step = (x[~done] for x in (live, here, step))
             if live.size == 0:
                 break
-        if iteration == 0:
-            trial = np.full(live.size, _FIRST_STEP)
-        else:
-            displacement = here - previous_vectors[live]
-            bend = -_dot(displacement, slope - previous_gradient[live])
-            trial = np.divide(_dot(displacement, displacement), bend,
-                              out=np.ones(live.size), where=bend > 1e-16)
-            trial = np.minimum(np.maximum(trial, 1e-8), 1e4)
-        previous_vectors[live], previous_gradient[live] = here, slope
-        reference = history[live].max(axis=1)
         pending, current = live, energy[live]
-        for _ in range(60):
-            candidate = here + trial[:, None, None] * slope
+        for _ in range(_HALVINGS):
+            candidate = here + step
             candidate /= _norms(candidate, axis=2)
             value = objective.energy(candidate)
-            accept = (value > current) | (
-                value >= reference + 1e-6 * trial * norm_sq - 1e-12)
-            if accept.any():
-                stepped = pending[accept]
-                vectors[stepped], energy[stepped] = candidate[accept], value[accept]
-                wait = ~accept
-                pending, here, slope, current, reference, norm_sq, trial = (
-                    x[wait] for x in (pending, here, slope, current, reference, norm_sq, trial))
+            rose = value > current
+            if rose.any():
+                stepped = pending[rose]
+                vectors[stepped], energy[stepped] = candidate[rose], value[rose]
+                pending, here, step, current = (
+                    x[~rose] for x in (pending, here, step, current))
                 if pending.size == 0:
                     break
-            trial *= 0.5
+            step *= 0.5
         stopped[pending] = True
         live = live[~stopped[live]]
         if live.size == 0:
             break
-        gradient[live] = _tangent_gradient(objective, vectors[live])
-        history[live, (iteration + 1) % _MEMORY] = energy[live]
     return _batch(energy, vectors, used, stopped)
 
 

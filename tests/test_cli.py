@@ -42,6 +42,15 @@ class TestExitCodes:
         assert run("analyze", "--family", "pure-W-class-1", "--param", "oops") == 64
         capsys.readouterr()
 
+    def test_flag_prefixes_are_sixty_four(self, capsys):
+        # a unique prefix of a flag is an unknown flag, not the flag itself
+        assert run("analyze", "--ref", "GHZ", "--form", "json") == 64
+        assert "--form" in capsys.readouterr().err
+        assert run("optimize", "--ref", "GHZ", "--rest", "2") == 64
+        assert "--rest" in capsys.readouterr().err
+        assert run("reproduce", "--tab", "1") == 64
+        capsys.readouterr()
+
     def test_invalid_state_is_sixty_five(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
         bad.write_text("dim 8\n" + "\n".join(" ".join("0,0" for _ in range(8))
@@ -206,8 +215,11 @@ class TestOptimizeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert 1 <= payload["restarts_at_best"] <= 6
         assert payload["restarts_capped"] == 0
+        assert 0.0 <= payload["restart_spread"] <= 1e-6
         assert run("optimize", "--ref", "GHZ", "--restarts", "6") == 0
-        assert "restarts_at_best" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert (f"restarts within 1e-6 of best: {payload['restarts_at_best']}, "
+                f"capped: 0, spread: {payload['restart_spread']:.3g}") in lines
 
     def test_negative_seed_is_sixty_five(self, capsys):
         assert run("optimize", "--ref", "GHZ", "--seed", "-1") == 65

@@ -64,6 +64,18 @@ def chsh_gradients(t, vectors):
     return np.stack([t @ (b0 + b1), t @ (b0 - b1), t.T @ (a0 + a1), t.T @ (a0 - a1)])
 
 
+def hessian_oracle(gradients, t, vectors):
+    """Second derivatives of an oracle's rows, one coordinate at a time.
+
+    Each row is linear in every other vector and constant in its own, so
+    moving one coordinate by 1 changes the rows by exactly that column.
+    """
+    base = gradients(t, vectors).reshape(-1)
+    moves = np.eye(vectors.size).reshape(-1, *vectors.shape)
+    return np.stack([gradients(t, vectors + move).reshape(-1) - base for move in moves],
+                    axis=1)
+
+
 KERNELS = {
     "svetlichny": (optimize._SvetlichnyObjective, (3, 3, 3), svetlichny_energy,
                    svetlichny_gradients),
@@ -170,16 +182,39 @@ class TestBackends:
 
 
 class TestConvergence:
+    """The benchmark's optimize cases: every restart converges, well before the cap.
+
+    The expected values are those of the earlier first-order ascent, which
+    stopped at the 500-iteration cap on GHZ-W-convex 0.525 about 2e-12
+    below the Newton value.
+    """
+
     @pytest.mark.parametrize("maximize, rho, expected", [
+        (maximize_svetlichny, states.make_reference("GHZ"), SV_MAX),
+        (maximize_svetlichny, states.make_example(states.FAMILY_MIXED_GHZ_2W, 0.4),
+         1.131370849898),
+        (maximize_svetlichny, states.make_example(states.FAMILY_PURE_W1, 0.238), 4.0),
         (maximize_svetlichny, states.make_example(states.FAMILY_IDENTITY_W, 0.82),
          3.570811713924),
+        (maximize_svetlichny, states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525),
+         3.447423907684),
         (maximize_chsh, states.make_reference("Bell-Phi+"), CHSH_MAX),
-    ], ids=["identity-W-0.82", "Bell-Phi+"])
+        (maximize_chsh, states.partial_trace(
+            states.make_example(states.FAMILY_IDENTITY_W, 0.82), "A"), 1.546206828195),
+    ], ids=["GHZ", "mixed-GHZ-2W-0.4", "pure-W-class-1-0.238", "identity-W-0.82",
+            "GHZ-W-convex-0.525", "Bell-Phi+", "identity-W-0.82-BC"])
     def test_gradient_backend_converges_before_cap(self, maximize, rho, expected):
         opt = maximize(rho, OptimizerConfig(restarts=4, seed=1729), backend="gradient")
         assert opt.converged is True
-        assert opt.iterations_used < 500
+        assert opt.restarts_capped == 0
+        assert opt.iterations_used <= 50
         assert opt.value == pytest.approx(expected, abs=1e-9)
+
+    def test_default_restarts_on_the_ridge_all_converge(self):
+        rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525)
+        opt = maximize_svetlichny(rho)
+        assert len(opt.restart_values) == 64
+        assert opt.restarts_capped == 0
 
 
 class TestPhysicalCeilings:
@@ -240,6 +275,25 @@ class TestKernels:
                 np.testing.assert_allclose(
                     objective.coefficient_gradients(vectors, row=row),
                     expected_rows[:, row], rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_hessian_matches_second_derivatives(self, kind, batch):
+        make, shape, _, gradients = KERNELS[kind]
+        rng = np.random.default_rng(23 + batch)
+        for _ in range(3):
+            tensor = rng.normal(size=shape)
+            objective = make(tensor)
+            vectors = _unit_vectors(rng, (batch, objective.n_vectors))
+            hessian = objective.hessian(vectors)
+            expected = np.stack([hessian_oracle(gradients, tensor, v) for v in vectors])
+            np.testing.assert_allclose(hessian, expected, rtol=0, atol=1e-12)
+            # Euler's identity, which the gradient backend reads its rows from
+            rows = hessian @ vectors.reshape(batch, -1, 1) / (objective.degree - 1)
+            np.testing.assert_allclose(rows.reshape(vectors.shape),
+                                       objective.coefficient_gradients(vectors),
+                                       rtol=0, atol=1e-12)
 
 
 class TestBatch:
