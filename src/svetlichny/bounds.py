@@ -16,15 +16,18 @@ witness-positive) gives the corresponding routes built from the
 replacement strength. The verdict search tries all of them.
 
 One PairSpectra record per (state, pair) holds every number the routes
-read, and its methods are the only certificate arithmetic; the records
-of one state share a single solve of the state.
+read, and its methods are the only certificate arithmetic. The records
+of one state share the state's eigensystem (solved once, by validation)
+and one stacked solve of the reduced pairs and their partial transposes;
+a pair's 8x8 product spectrum is solved only when a route reads it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -155,6 +158,22 @@ def _pair_positions(pair: tuple[str, str]) -> tuple[int, int]:
         raise BoundsError(f"pair labels must come from {LABELS}, got {pair}") from None
 
 
+def _embedding_index(pair: tuple[str, str]) -> np.ndarray:
+    """Where each entry of the lift reads from op.reshape(16) with a zero appended.
+
+    Entry (r, c) is op[pair bits of r, pair bits of c] when r and c agree
+    on the spectator qubit, and zero (index 16) otherwise.
+    """
+    first, second = _pair_positions(pair)
+    bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # columns A, B, C
+    sub = 2 * bits[:, first] + bits[:, second]
+    spectator = bits[:, 3 - first - second]
+    return np.where(spectator[:, None] == spectator[None, :], 4 * sub[:, None] + sub[None, :], 16)
+
+
+_EMBEDDING = {pair: _embedding_index(pair) for pair in permutations(LABELS, 2)}
+
+
 def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
     """Lift a two-qubit operator to three qubits, identity on the rest.
 
@@ -164,12 +183,8 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     op = np.asarray(op_pair, dtype=complex)
     if op.shape != (4, 4):
         raise BoundsError("pair operator must be 4x4")
-    first, second = _pair_positions(pair)
-    spectator = 3 - first - second
-    # tensor axes of op (x) I: (first, second, spectator) for rows, then columns
-    lifted = np.kron(op, np.eye(2)).reshape((2,) * 6)
-    slots = (first, second, spectator)
-    return np.moveaxis(lifted, range(6), slots + tuple(3 + k for k in slots)).reshape(8, 8)
+    _pair_positions(pair)
+    return np.append(op.reshape(16), 0.0)[_EMBEDDING[tuple(pair)]]
 
 
 def _congruence_spectrum(root: np.ndarray, op: np.ndarray) -> EigenSpectrum:
@@ -186,7 +201,7 @@ def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
     spectrum is real whenever the state is a genuine density matrix. A
     hermiticity failure of the congruence signals an invalid input.
     """
-    root = linalg.psd_sqrt(rho_abc.matrix)
+    root = linalg.eigen_root(*rho_abc.eigensystem)
     return _congruence_spectrum(root, embed_pair(rho_ij.matrix, pair))
 
 
@@ -215,13 +230,16 @@ def _windows(numerator: float, denominator: float,
 class PairSpectra:
     """Every spectral number the certificates read, for one (state, pair).
 
-    pair_spectra fills it from four eigensolves: the state (which also
-    yields its square root), the product congruence
-    rho^{1/2} embed(rho_ij) rho^{1/2}, the reduced pair and its partial
-    transpose. Embedding the pair only doubles multiplicities, so the
-    embedded extremes are read off the 4x4 spectrum. The partial-transpose
-    numbers, the pair and its square root are None in records built from
-    listed data that lacks them.
+    The builder fills it from the state's eigensystem and from the spectra
+    of the reduced pair and its partial transpose. Embedding the pair only
+    doubles multiplicities, so the embedded extremes are read off the 4x4
+    spectrum. The extremes of the product congruence
+    rho^{1/2} embed(rho_ij) rho^{1/2} are solved on first read
+    (product_spectrum, with the root from the same eigensystem), or given
+    as listed_product. The
+    partial-transpose numbers, the reduced pair, its labels and square
+    root and the state are None in records built from listed data that
+    lacks them.
 
     The methods are the certificate arithmetic. A lower route feeds its
     numerator to lower_bound and p_windows, an upper route to upper_bound
@@ -233,16 +251,33 @@ class PairSpectra:
 
     lambda_min_rho: float
     lambda_max_rho: float
-    lambda_min_product: float
-    lambda_max_product: float
     lambda_max_embedded: float
     lambda_k_embedded: float
+    listed_product: tuple[float | None, float | None] | None = None
     lambda_max_pt: float | None = None
     lambda_min_pt_squared: float | None = None
     trace_pt_squared: float | None = None
     negativity: float | None = None
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
+    pair: tuple[str, str] | None = None
+    state: DensityMatrix | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def product(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of the product congruence, solved on first read only."""
+        if self.listed_product is not None:
+            return self.listed_product
+        spectrum = product_spectrum(self.state, self.reduced, self.pair)
+        return spectrum.lambda_min, spectrum.lambda_max
+
+    @property
+    def lambda_min_product(self) -> float:
+        return self.product[0]
+
+    @property
+    def lambda_max_product(self) -> float:
+        return self.product[1]
 
     @property
     def lambda_k(self) -> float:
@@ -328,46 +363,63 @@ class PairSpectra:
 
 
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                 pair: tuple[str, str] = ("B", "C"),
-                 state: tuple[EigenSpectrum, np.ndarray] | None = None) -> PairSpectra:
-    """Diagonalize once what every certificate on this pair needs.
+                 pair: tuple[str, str] = ("B", "C")) -> PairSpectra:
+    """The record of one reduced pair: _build_records on a stack of one."""
+    _pair_positions(pair)
+    return _build_records(rho_abc, [rho_ij], [pair])[0]
 
-    state, when given, is linalg.spectral_root(rho_abc.matrix);
-    pair_records passes it so that all pairs of one state share a solve.
-    The negativity is the one states.negativity computes, read off the
-    same partial-transpose spectrum.
+
+def _build_records(rho_abc: DensityMatrix, reductions: Sequence[DensityMatrix],
+                   pairs: Sequence[tuple[str, str]]) -> list[PairSpectra]:
+    """One record per (reduction, pair), from one gated solve of all their 4x4 matrices.
+
+    The stack holds every reduction and then every second-qubit partial
+    transpose; the reductions' square roots come from the same solve. The
+    state's eigensystem is the one validation computed. The negativity is
+    the one states.negativity computes, read off the same partial-transpose
+    spectrum.
     """
-    rho, root = state if state is not None else linalg.spectral_root(rho_abc.matrix)
-    reduced, reduced_root = linalg.spectral_root(rho_ij.matrix)
-    product = _congruence_spectrum(root, embed_pair(rho_ij.matrix, pair))
-    pt = linalg.hermitian_eigenvalues(partial_transpose(rho_ij)).values
-    return PairSpectra(
-        lambda_min_rho=rho.lambda_min,
-        lambda_max_rho=rho.lambda_max,
-        lambda_min_product=product.lambda_min,
-        lambda_max_product=product.lambda_max,
-        lambda_max_embedded=reduced.lambda_max,
-        lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced),
-        lambda_max_pt=pt[-1],
-        lambda_min_pt_squared=min(v * v for v in pt),
-        trace_pt_squared=sum(v * v for v in pt),
-        negativity=float(-sum(v for v in pt if v < 0.0)),
-        reduced_root=reduced_root,
-        reduced=rho_ij,
-    )
+    values, _ = rho_abc.eigensystem
+    k = len(reductions)
+    stacked, vectors = linalg.hermitian_eigensystem(
+        [rho.matrix for rho in reductions] + [partial_transpose(rho) for rho in reductions])
+    roots = linalg.eigen_root(stacked[:k], vectors[:k])
+    records = []
+    for i, (rho_ij, pair) in enumerate(zip(reductions, pairs)):
+        reduced = EigenSpectrum.from_values(stacked[i])
+        pt = stacked[k + i].tolist()
+        records.append(PairSpectra(
+            lambda_min_rho=float(values[0]),
+            lambda_max_rho=float(values[-1]),
+            lambda_max_embedded=reduced.lambda_max,
+            lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced),
+            lambda_max_pt=pt[-1],
+            lambda_min_pt_squared=min(v * v for v in pt),
+            trace_pt_squared=sum(v * v for v in pt),
+            negativity=float(-sum(v for v in pt if v < 0.0)),
+            reduced_root=roots[i],
+            reduced=rho_ij,
+            pair=pair,
+            state=rho_abc,
+        ))
+    return records
 
 
 def _reduce(rho_abc: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
-    positions = _pair_positions(pair)
-    return partial_trace(rho_abc, next(lbl for k, lbl in enumerate(LABELS) if k not in positions))
+    """The marginal of the ordered pair: its first label takes the first tensor slot."""
+    first, second = _pair_positions(pair)
+    reduced = partial_trace(rho_abc, LABELS[3 - first - second])
+    if first < second:
+        return reduced
+    swapped = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    return DensityMatrix(qubits=2, matrix=swapped)
 
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
-                 ) -> Iterator[tuple[tuple[str, str], PairSpectra]]:
-    """(pair, record) for each pair in turn, built on first use from one solve of the state."""
-    state = linalg.spectral_root(rho_abc.matrix)
-    for pair in pairs:
-        yield pair, pair_spectra(rho_abc, _reduce(rho_abc, pair), pair, state=state)
+                 ) -> list[tuple[tuple[str, str], PairSpectra]]:
+    """(pair, record) for each pair, all built together; products are solved as read."""
+    pairs = list(pairs)
+    return list(zip(pairs, _build_records(rho_abc, [_reduce(rho_abc, p) for p in pairs], pairs)))
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
@@ -447,7 +499,7 @@ def detect_genuine(rho_abc: DensityMatrix, pair: tuple[str, str] | None = None,
     undetected, in a fixed order so the answer is deterministic. The first
     nonempty genuine window wins. With no firing window the verdict is
     inconclusive when some pair was entangled, not-applicable otherwise.
-    Records are built as the search reaches their pair.
+    Each pair's product is solved only when its candidates read it.
     """
     return search_records(pair_records(rho_abc, SEARCH_ORDER if pair is None else (pair,)),
                           witness)

@@ -13,6 +13,8 @@ States come from a family name with a parameter, a bundled reference
 name, or a matrix file. The file grammar is one header line "dim N",
 then N rows of N whitespace-separated "re,im" tokens; '#' starts a
 comment. Parse failures exit 64, semantically invalid inputs exit 65.
+The parser is built once, at import, and main dispatches on the command
+name to the module's cmd_* function.
 
 The certificate section of analyze evaluates its bounds at the midpoints
 of the genuine windows (falling back to 0.5 where a window is empty), so
@@ -437,7 +439,6 @@ def build_parser() -> _Parser:
                          default="text")
     analyze.add_argument("--export",
                          help="write the resolved state to this matrix file")
-    analyze.set_defaults(func=cmd_analyze)
 
     optimize = commands.add_parser("optimize", allow_abbrev=False,
                                    help="maximize an objective over settings")
@@ -451,7 +452,6 @@ def build_parser() -> _Parser:
     optimize.add_argument("--backend", choices=BACKENDS, default="gradient")
     optimize.add_argument("--seed", type=int, default=DEFAULT_SEED)
     optimize.add_argument("--format", choices=("text", "json"), default="text")
-    optimize.set_defaults(func=cmd_optimize)
 
     repro = commands.add_parser("reproduce", allow_abbrev=False,
                                 help="regenerate the reference tables")
@@ -461,15 +461,19 @@ def build_parser() -> _Parser:
                        help="directory for the text and CSV reports")
     repro.add_argument("--erratum",
                        help="also write the erratum record to this JSON file")
-    repro.set_defaults(func=cmd_reproduce)
     return parser
 
 
+# Built once per process: parsing leaves the parser unchanged, and building
+# it costs about as much as a small analysis.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        # looked up at call time, so a cmd_* rebound on the module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

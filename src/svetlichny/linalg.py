@@ -5,7 +5,9 @@ needs through this module: Kronecker products, trace pairings, and the
 Hermitian eigensolver. The solver is LAPACK's (numpy.linalg.eigh) behind
 the kernel's own gates: inputs must be square, finite, at most MAX_DIM
 wide and Hermitian to HERMITICITY_TOL, because eigh reads only one
-triangle and would silently diagonalize a non-Hermitian input. Several
+triangle and would silently diagonalize a non-Hermitian input. The gates
+and the solver also take a (k, n, n) stack, checked once as a whole, so
+that a caller with several small matrices pays for one gated call. Several
 quantities later on (first nonzero eigenvalue, window endpoints) sit
 close to zero, so first_nonzero_eigenvalue reads the first entry
 outside ZERO_TOL.
@@ -63,41 +65,54 @@ class EigenSpectrum:
 
 
 def _as_square(m) -> np.ndarray:
+    """A square matrix or a (k, n, n) stack of them, as complex, all entries finite."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise LinalgError("matrix contains NaN or Inf entries")
+    return a
+
+
+def _as_matrix(m) -> np.ndarray:
+    """_as_square for the operations defined on a single matrix only."""
+    a = _as_square(m)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices."""
-    return np.kron(_as_square(a), _as_square(b))
+    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def symmetrize(m) -> np.ndarray:
     """Return (M + M†)/2, rejecting inputs that are not Hermitian to tolerance.
 
-    The tolerance is entrywise (max-abs of M - M†); anything within it is
-    construction noise from irrational amplitudes and gets averaged away.
+    The tolerance is entrywise (max-abs of M - M†, over the whole stack);
+    anything within it is construction noise from irrational amplitudes
+    and gets averaged away.
     """
     a = _as_square(m)
-    residual = np.max(np.abs(a - a.conj().T))
+    adjoint = np.swapaxes(a, -1, -2).conj()
+    residual = np.max(np.abs(a - adjoint))
     if residual > HERMITICITY_TOL:
         raise NotHermitianError(f"hermiticity residual {residual:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    return (a + a.conj().T) / 2
+    return (a + adjoint) / 2
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix of dimension at most MAX_DIM.
+    """Diagonalize a Hermitian matrix, or a stack of them, of dimension at most MAX_DIM.
 
-    Returns (values, vectors) with values ascending and vectors[:, i] the
-    unit eigenvector for values[i]. A LAPACK failure to converge is
+    Returns (values, vectors) with values ascending and vectors[..., i] the
+    unit eigenvector for values[..., i]; a stack gives one row of values
+    and one matrix of vectors per member. A LAPACK failure to converge is
     reported as NoConvergenceError.
     """
     a = symmetrize(m)
-    n = a.shape[0]
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatchError(f"kernel handles dimensions <= {MAX_DIM}, got {n}")
     try:
@@ -119,8 +134,8 @@ def trace_product(a, b) -> float:
     Never forms the product matrix; for Hermitian inputs the imaginary
     part is pure roundoff and is discarded.
     """
-    am = _as_square(a)
-    bm = _as_square(b)
+    am = _as_matrix(a)
+    bm = _as_matrix(b)
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"trace pairing needs equal shapes, got {am.shape} vs {bm.shape}")
     return float(np.einsum("ij,ji->", am, bm).real)
@@ -140,20 +155,19 @@ def first_nonzero_eigenvalue(spectrum: EigenSpectrum) -> float:
     raise AllZeroSpectrumError("all eigenvalues are numerically zero")
 
 
-def spectral_root(m) -> tuple[EigenSpectrum, np.ndarray]:
-    """Spectrum and Hermitian square root of a PSD matrix, from one solve.
+def eigen_root(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix, or of each in a stack, from its eigensystem.
 
     Eigenvalues inside the PSD tolerance band are clipped at zero for the
     root so that construction noise cannot turn into NaN.
     """
-    values, vectors = hermitian_eigensystem(m)
     roots = np.sqrt(np.clip(values, 0.0, None))
-    return EigenSpectrum.from_values(values), (vectors * roots) @ vectors.conj().T
+    return (vectors * roots[..., None, :]) @ np.swapaxes(vectors, -1, -2).conj()
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (see spectral_root)."""
-    return spectral_root(m)[1]
+    """Hermitian square root of a PSD matrix (see eigen_root)."""
+    return eigen_root(*hermitian_eigensystem(m))
 
 
 def sandwich_check(m, n) -> tuple[float, float, float]:
@@ -164,6 +178,6 @@ def sandwich_check(m, n) -> tuple[float, float, float]:
     ordering for PSD N.
     """
     spec = hermitian_eigenvalues(m)
-    tn = float(np.trace(_as_square(n)).real)
+    tn = float(np.trace(_as_matrix(n)).real)
     tmn = trace_product(m, n)
     return spec.lambda_min * tn, tmn, spec.lambda_max * tn

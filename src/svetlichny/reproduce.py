@@ -281,7 +281,8 @@ _PRINTED = {
 
 def _listed_spectra(qs: dict) -> PairSpectra:
     """Listed spectral components as the record the certificate arithmetic reads."""
-    return PairSpectra(**{name: qs.get(key) for key, name in _RECORD_FIELDS.items()})
+    return PairSpectra(**{name: qs.get(key) for key, name in _RECORD_FIELDS.items()},
+                       listed_product=(qs.get("lmin_prod"), qs.get("lmax_prod")))
 
 
 def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -463,7 +464,7 @@ _QUANTITY_NAMES = {
     "q_window": "q_window",
 }
 
-# Listed keys that name a PairSpectra field.
+# Listed keys that name a PairSpectra field; the product extremes go in listed_product.
 _RECORD_FIELDS = {key: name for key, name in _QUANTITY_NAMES.items()
                   if name in {f.name for f in fields(PairSpectra)}}
 
@@ -492,6 +493,7 @@ def _closed_form_general(family: int, param: float) -> dict:
 
     spectra = pair_spectra(rho, reduced, pair)
     out = {key: getattr(spectra, name) for key, name in _RECORD_FIELDS.items()}
+    out["lmin_prod"], out["lmax_prod"] = spectra.product
     if family in (1, 2):
         snl = nonlocality.s_nl_detected(reduced, w)
         out["snl"] = snl

@@ -8,6 +8,7 @@ of whichever pair survived the partial trace, in ascending label order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,15 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2 ** self.qubits
 
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """linalg.hermitian_eigensystem of the matrix, solved on first read only.
+
+        validate reads it for its positivity check, so a validated state
+        arrives with its spectrum and eigenvectors already solved.
+        """
+        return linalg.hermitian_eigensystem(self.matrix)
+
 
 def validate(candidate, qubits: int) -> DensityMatrix:
     """Check Hermiticity, unit trace, and positivity; symmetrize and wrap.
@@ -99,10 +109,11 @@ def validate(candidate, qubits: int) -> DensityMatrix:
     tr = float(np.trace(sym).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
-    spectrum = linalg.hermitian_eigenvalues(sym)
-    if spectrum.lambda_min < PSD_TOL:
-        raise InvalidStateError("not-psd", f"lambda_min = {spectrum.lambda_min:.3e}")
-    return DensityMatrix(qubits=qubits, matrix=sym)
+    rho = DensityMatrix(qubits=qubits, matrix=sym)
+    lambda_min = rho.eigensystem[0][0]
+    if lambda_min < PSD_TOL:
+        raise InvalidStateError("not-psd", f"lambda_min = {lambda_min:.3e}")
+    return rho
 
 
 def _label_index(label: str) -> int:

@@ -74,14 +74,16 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def solves(monkeypatch):
     """Matrices diagonalized, by size, counted at the kernel's solver and at
-    numpy's; a numpy solve inside the kernel's solver is the same solve."""
+    numpy's; a numpy solve inside the kernel's solver is the same solve, and
+    a stacked call counts each matrix of its stack."""
     counts = collections.Counter()
     depth = [0]
 
     def counting(solver):
         def counted(a, *args, **kwargs):
             if depth[0] == 0:
-                counts[np.shape(a)[-1]] += 1
+                shape = np.shape(a)
+                counts[shape[-1]] += int(np.prod(shape[:-2]))
             depth[0] += 1
             try:
                 return solver(a, *args, **kwargs)

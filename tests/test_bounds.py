@@ -8,6 +8,8 @@ on the fifth.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from svetlichny.bounds import (
     pair_records,
     pair_spectra,
     product_spectrum,
+    search_records,
 )
 from svetlichny.nonlocality import (
     NEG_TOL,
@@ -143,12 +146,71 @@ class TestEmbedding:
         assert np.allclose(values, np.sort(np.concatenate([direct, direct])),
                            atol=1e-12)
 
+    def test_embed_is_exact_lift(self, rng):
+        # the index gather copies entries: no roundoff against the kron oracle
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for pair in permutations(states.LABELS, 2):
+            assert np.array_equal(embed_pair(op, pair), _kron_embed(op, pair))
+
     def test_product_spectrum_is_real_and_psd_shaped(self, rng):
         rho = random_state(rng, 3)
         reduced = states.partial_trace(rho, "A")
         spec = product_spectrum(rho, reduced, ("B", "C"))
         assert spec.lambda_min >= -1e-12
         assert spec.lambda_max <= 1.0 + 1e-12
+
+
+def _ordered_marginal(rho: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
+    """einsum oracle: the marginal of the ordered pair, pair[0] in the first slot."""
+    first, second = (states.LABELS.index(label) for label in pair)
+    spectator = 3 - first - second
+    axes = [0, 1, 2, 3, 4, 5]
+    axes[3 + spectator] = spectator
+    return np.einsum(rho.reshape((2,) * 6), axes,
+                     [first, second, 3 + first, 3 + second]).reshape(4, 4)
+
+
+ORDERED_PAIRS = tuple(permutations(states.LABELS, 2))
+
+
+class TestOrderedPairs:
+    """A pair is ordered: ("C", "A") reduces to rho_CA with C in the first
+    slot, so that embed_pair and the witness see the operator they name."""
+
+    def test_records_hold_the_ordered_marginal(self, rng):
+        for _ in range(5):
+            rho = random_state(rng, 3)
+            for (pair, record) in pair_records(rho, ORDERED_PAIRS):
+                want = _ordered_marginal(rho.matrix, pair)
+                assert np.abs(record.reduced.matrix - want).max() <= 1e-15, pair
+
+    @pytest.mark.parametrize("pair", [p for p in ORDERED_PAIRS if p[0] > p[1]], ids="".join)
+    def test_descending_pair_matches_its_ascending_twin(self, rng, pair):
+        twin = pair[::-1]
+        for _ in range(5):
+            rho = random_state(rng, 3)
+            (_, record), (_, ascending) = pair_records(rho, [pair, twin])
+            assert record.product == pytest.approx(ascending.product, abs=1e-12)
+            assert record.negativity == pytest.approx(ascending.negativity, abs=1e-12)
+            for name in ("lambda_max_embedded", "lambda_k_embedded", "lambda_max_pt",
+                         "trace_pt_squared"):
+                assert getattr(record, name) == pytest.approx(
+                    getattr(ascending, name), abs=1e-12), name
+
+    def test_reversed_pure_w1_pair_keeps_its_product_spectrum(self):
+        # rho_AC read with C in the first slot used to lift a swapped
+        # operator: lambda_max of the product fell from 0.5512 to 0.1156
+        rho = states.make_example(states.FAMILY_PURE_W1, 0.5)
+        reports = [full_report(rho, BoundConfig(p=0.5, q=0.5, witness=XZ, reduced_pair=pair))
+                   for pair in (("A", "C"), ("C", "A"))]
+        for name in ("lambda_min_product", "lambda_max_product", "Z"):
+            assert reports[1].intermediates[name] == pytest.approx(
+                reports[0].intermediates[name], abs=1e-12), name
+        assert reports[1].intermediates["lambda_max_product"] == pytest.approx(0.5512, abs=1e-4)
+        ascending = detect_genuine(rho, pair=("A", "C"))
+        descending = detect_genuine(rho, pair=("C", "A"))
+        assert (descending.outcome, descending.route) == (ascending.outcome, ascending.route)
+        assert descending.value == pytest.approx(ascending.value, abs=1e-12)
 
 
 class TestDetectedRoute:
@@ -302,30 +364,57 @@ SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
 
 
 class TestSolveCounts:
-    """Each 8x8 spectrum is computed once: the state once per call (it
-    also gives the state's square root) and the product once per pair."""
+    """Each 8x8 spectrum is computed once: the state once, by validation
+    (it also gives the state's square root), and a pair's product only
+    when a route reads it. The 4x4 matrices of all pairs share one
+    stacked solve."""
 
     def test_full_report_diagonalizes_state_and_product_only(self, solves):
-        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         for pair in (("B", "C"), ("A", "C")):
             solves.clear()
+            rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
             full_report(rho, BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=pair))
-            assert solves[8] <= 2, (pair, solves)
+            assert solves[8] == 2, (pair, solves)
 
     @pytest.mark.parametrize("pair", [None, ("B", "C"), ("A", "C")], ids=str)
     def test_detect_genuine_solves_state_once(self, solves, pair):
-        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         solves.clear()
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         verdict = detect_genuine(rho, pair=pair)
         assert verdict.outcome == "genuine"
-        tried = 1 if pair is not None else SEARCH_ORDER.index(verdict.pair) + 1
-        assert solves[8] <= 1 + tried, solves
+        # the first pair tried fires, so one product is read
+        assert solves[8] == 2, solves
+
+    def test_unvalidated_state_is_solved_once(self, solves):
+        matrix = states.make_example(states.FAMILY_IDENTITY_W, 0.82).matrix
+        rho = states.DensityMatrix(qubits=3, matrix=matrix)
+        solves.clear()
+        pair_records(rho)
+        assert solves[8] == 1 and solves[4] == 2 * len(SEARCH_ORDER), solves
+        detect_genuine(rho)
+        assert solves[8] == 2, solves
+
+    def test_search_firing_on_ab_solves_no_other_product(self, solves):
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        records = pair_records(rho)
+        solves.clear()
+        verdict = search_records(records)
+        assert verdict.pair == ("A", "B")
+        assert solves[8] == 1, solves
+        # that one solve was AB's: reading it again is free, the others are not
+        by_pair = dict(records)
+        by_pair[("A", "B")].lambda_max_product
+        assert solves[8] == 1, solves
+        by_pair[("A", "C")].lambda_max_product
+        by_pair[("B", "C")].lambda_max_product
+        assert solves[8] == 3, solves
 
     def test_detect_genuine_without_verdict_tries_every_pair(self, solves):
         rho = states.make_reference("GHZ")
         solves.clear()
         assert detect_genuine(rho).outcome == "not-applicable"
-        assert solves[8] <= 1 + len(SEARCH_ORDER), solves
+        # no GHZ pair is entangled, so no route reaches a product
+        assert solves[8] == 0, solves
 
     def test_p_max_solved_once_per_pair(self, solves):
         # every (pair, plane) candidate, undetected ones included, reads

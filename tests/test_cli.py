@@ -65,6 +65,43 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestParserReuse:
+    """main parses with one parser built at import and dispatches on the
+    command through the module's cmd_* names."""
+
+    GOOD = ("analyze", "--family", "identity-W", "--param", "0.82", "--format", "csv")
+
+    def test_bad_flag_then_good_call_prints_what_a_fresh_interpreter_prints(self, capsys):
+        assert run("analyze", "--ref", "GHZ", "--bogus") == 64
+        assert run(*self.GOOD) == 0
+        out, err = capsys.readouterr()
+        code = ("import sys; from svetlichny import cli; "
+                f"sys.exit(cli.main({list(self.GOOD)!r}))")
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, env=_child_env())
+        assert fresh.returncode == 0, fresh.stderr
+        assert out == fresh.stdout
+        assert err == "error: unrecognized arguments: --bogus\n" + fresh.stderr
+
+    def test_rebound_command_is_the_one_that_runs(self, monkeypatch, capsys):
+        assert run("analyze", "--ref", "GHZ") == 2
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.ref) or 7)
+        assert run("analyze", "--ref", "W") == 7
+        assert seen == ["W"]
+        capsys.readouterr()
+
+
+def _child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH, for a child
+    interpreter that may start elsewhere."""
+    package = importlib.import_module("svetlichny")
+    source_root = str(Path(package.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestMatrixGrammar:
     def test_round_trip_at_full_precision(self, rng):
         for _ in range(25):
@@ -137,27 +174,29 @@ class TestAnalyzeOutput:
         assert "witness user" in capsys.readouterr().out
 
     def test_analyze_solve_counts(self, solves, capsys):
-        # one record per pair (the state once, then product, pair and
-        # transpose per pair) serves the negativities, the certificate and
-        # the search; each certificate adds its witness and P_max, and no
-        # plane witness is rebuilt
+        # one record per pair serves the negativities, the certificate and
+        # the search: the state once (by validation), one stack of the
+        # three pairs and their transposes, and the product of a pair only
+        # when a route reads it; each certificate adds its witness and
+        # P_max, and no plane witness is rebuilt
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--format", "json") == 0
         capsys.readouterr()
-        assert solves[8] <= 5 and solves[4] <= 8 and solves[3] <= 2, solves
+        # the search fires on AB and the certificate reads BC: no AC product
+        assert solves[8] == 3 and solves[4] == 8 and solves[3] == 2, solves
         assert solves[2] == 0, solves
-        # GHZ fires on no pair, so the search reads all three records
+        # GHZ has no entangled pair, so no route reaches a product
         solves.clear()
         assert run("analyze", "--ref", "GHZ", "--format", "json") == 2
         capsys.readouterr()
-        assert solves[8] <= 5 and solves[4] <= 6, solves
-        # the certificate and the search share the pair's cached P_max
+        assert solves[8] == 1 and solves[4] == 6, solves
+        # the certificate and the search share the pair's cached P_max and product
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--pair", "AC", "--format", "json") == 0
         capsys.readouterr()
-        assert solves[3] <= 1, solves
+        assert solves[8] == 2 and solves[3] == 1, solves
 
     def test_analyze_accepts_state_with_tolerated_negative_eigenvalues(
             self, tmp_path, capsys):
@@ -293,12 +332,7 @@ class TestConsoleScript:
                 f"sys.exit({entry.attr}())")
         # the child starts in tmp_path, where a relative source path from
         # the parent's PYTHONPATH no longer resolves
-        package = importlib.import_module(entry.module.split(".")[0])
-        source_root = str(Path(package.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (source_root, env.get("PYTHONPATH"))))
-        self._reproduce_table_1([sys.executable, "-c", code], tmp_path, env)
+        self._reproduce_table_1([sys.executable, "-c", code], tmp_path, _child_env())
 
     @pytest.mark.skipif(shutil.which("svet") is None,
                         reason="no installed svet script on PATH")

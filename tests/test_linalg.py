@@ -173,6 +173,56 @@ class TestKernelGates:
         assert (verdict.pair, verdict.witness_label) != (("A", "B"), "xy")
 
 
+class TestStacks:
+    """A (k, n, n) stack goes through the same gates and solver as its members,
+    checked once as a whole."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_stack_gives_the_bits_of_per_matrix_calls(self, rng, dim):
+        stack = np.array([_random_hermitian(rng, dim) for _ in range(5)])
+        values, vectors = linalg.hermitian_eigensystem(stack)
+        assert values.shape == (5, dim) and vectors.shape == (5, dim, dim)
+        for member, member_values, member_vectors in zip(stack, values, vectors):
+            one_values, one_vectors = linalg.hermitian_eigensystem(member)
+            assert np.array_equal(member_values, one_values)
+            assert np.array_equal(member_vectors, one_vectors)
+        roots = linalg.eigen_root(*linalg.hermitian_eigensystem(stack @ stack))
+        for member, root in zip(stack, roots):
+            assert np.array_equal(root, linalg.psd_sqrt(member @ member))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "imag-nan"])
+    def test_one_non_finite_member_fails_the_stack(self, rng, entry):
+        stack = np.array([_random_hermitian(rng, 4) for _ in range(3)])
+        stack[1, 2, 2] = entry
+        with pytest.raises(linalg.LinalgError) as excinfo:
+            linalg.hermitian_eigensystem(stack)
+        assert excinfo.type is linalg.LinalgError
+
+    def test_one_non_hermitian_member_fails_the_stack(self, rng):
+        stack = np.array([_random_hermitian(rng, 4) for _ in range(3)])
+        stack[2, 0, 3] += 1e-6
+        with pytest.raises(linalg.NotHermitianError):
+            linalg.hermitian_eigensystem(stack)
+
+    def test_stack_above_max_dimension_is_rejected(self):
+        stack = np.array([np.eye(linalg.MAX_DIM + 1)] * 2)
+        with pytest.raises(linalg.DimensionMismatchError):
+            linalg.hermitian_eigensystem(stack)
+
+    def test_non_square_or_deeper_input_is_rejected(self):
+        for shape in ((2, 4, 3), (2, 2, 4, 4), (4,)):
+            with pytest.raises(linalg.DimensionMismatchError):
+                linalg.hermitian_eigensystem(np.zeros(shape))
+
+    def test_single_matrix_operations_reject_a_stack(self):
+        stack = np.array([np.eye(2)] * 3)
+        with pytest.raises(linalg.DimensionMismatchError):
+            linalg.kron(stack, np.eye(2))
+        with pytest.raises(linalg.DimensionMismatchError):
+            linalg.trace_product(stack, stack)
+
+
 class TestFirstNonzero:
     def test_negative_entry_counts_as_nonzero(self):
         spec = linalg.hermitian_eigenvalues(np.diag([0.0, -0.3, 0.7, 0.6]))

@@ -38,6 +38,18 @@ class TestValidate:
         assert rho.qubits == 3
         assert rho.dim == 8
 
+    def test_keeps_the_eigensystem_it_solved(self, rng, solves):
+        matrix = random_density(rng, 8)
+        solves.clear()
+        rho = states.validate(matrix, 3)
+        values, vectors = rho.eigensystem
+        assert solves[8] == 1, solves
+        assert np.array_equal(values, np.linalg.eigh(rho.matrix)[0])
+        assert np.allclose((vectors * values) @ vectors.conj().T, rho.matrix, atol=1e-14)
+        # a cached solve is not part of the state's value
+        assert rho == states.DensityMatrix(qubits=3, matrix=rho.matrix)
+        assert "eigensystem" not in repr(rho)
+
     def test_rejects_non_unit_trace(self):
         with pytest.raises(states.StateError):
             states.validate(np.eye(8), 3)
