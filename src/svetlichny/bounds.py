@@ -16,10 +16,12 @@ witness-positive) gives the corresponding routes built from the
 replacement strength. The verdict search tries all of them.
 
 One PairSpectra record per (state, pair) holds every number the routes
-read, and its methods are the only certificate arithmetic. The records
-of one state share the state's eigensystem (solved once, by validation)
-and one stacked solve of the reduced pairs and their partial transposes;
-a pair's 8x8 product spectrum is solved only when a route reads it.
+read, and its methods are the only certificate arithmetic; each (pair,
+witness) is evaluated once, into the Routes value that the report and
+the search read. The records of one state share the state's eigensystem
+(solved once, by validation) and one stacked solve of the reduced pairs
+and their partial transposes; a pair's 8x8 product spectrum is solved
+only when a route reads it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +132,15 @@ class BoundsReport:
     genuine_p_window: Window
     genuine_q_window: Window
     intermediates: dict[str, float]
+
+
+class Routes(NamedTuple):
+    """One (pair, witness) candidate: regime, reported strength, p- and q-route numerators."""
+
+    regime: str
+    strength: NonlocalityStrength | None
+    lower_numerator: float
+    upper_numerator: float
 
 
 @dataclass(frozen=True)
@@ -241,12 +253,13 @@ class PairSpectra:
     root and the state are None in records built from listed data that
     lacks them.
 
-    The methods are the certificate arithmetic. A lower route feeds its
-    numerator to lower_bound and p_windows, an upper route to upper_bound
-    and q_windows. The detected regime takes both numerators from S_NL;
-    the undetected regime takes H for the lower route and F/4 for the
-    upper one, since the paper's 2 (1 - q) F/(q lambda_k) is the upper
-    shape with numerator F/4.
+    The methods are the certificate arithmetic. routes(witness) is the
+    one regime dispatch; detected (from S_NL) and undetected (from K)
+    give the two regimes' numerators to callers that hold the strength
+    already. bounds and windows read a Routes value: the lower route
+    divides by lambda_max of the embedded pair, the upper route by
+    lambda_k. The paper's undetected 2 (1 - q) F/(q lambda_k) is the
+    upper shape with numerator F/4.
     """
 
     lambda_min_rho: float
@@ -262,6 +275,7 @@ class PairSpectra:
     reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
     pair: tuple[str, str] | None = None
     state: DensityMatrix | None = field(default=None, repr=False, compare=False)
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def product(self) -> tuple[float, float]:
@@ -291,19 +305,23 @@ class PairSpectra:
         """The pair's best CHSH winning probability, solved on first use only."""
         return p_max_optimal(self.reduced)
 
-    def route_numerators(self, witness: np.ndarray
-                         ) -> tuple[NonlocalityStrength, float, float]:
-        """The pair's strength under the witness, then the lower- and upper-route numerators.
+    def routes(self, witness: np.ndarray) -> Routes:
+        """The candidate under this witness, cached by the witness's value.
 
-        The undetected routes read K alone; the strength is reported at the default weight.
+        The undetected strength (at the default weight) is formed before
+        the numerators, which read K alone.
         """
-        if is_detected(self.reduced, witness):
-            strength = NonlocalityStrength.detected(s_nl_detected(self.reduced, witness))
-            return (strength, *self.detected_numerators(strength.s_nl))
-        k = k_from_negativity(self.reduced, witness, self.negativity)
-        strength = undetected_strength(k, self.p_max)
-        f = self.f_value(k, self.witness_max(witness))
-        return strength, self.h_value(k), f / 4.0
+        w = np.asarray(witness, dtype=complex)
+        key = w.tobytes()
+        if key not in self._routes:
+            if is_detected(self.reduced, w):
+                routes = self.detected(s_nl_detected(self.reduced, w))
+            else:
+                k = k_from_negativity(self.reduced, w, self.negativity)
+                strength = undetected_strength(k, self.p_max)
+                routes = self.undetected(k, self.witness_max(w), strength)
+            self._routes[key] = routes
+        return self._routes[key]
 
     def witness_max(self, witness: np.ndarray) -> float:
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij."""
@@ -313,53 +331,50 @@ class PairSpectra:
             raise SingularDenominatorError("witness-state product has no spectral radius")
         return wr_max
 
-    def detected_numerators(self, s_nl: float) -> tuple[float, float]:
-        """Lower-route and upper-route numerators of the detected regime."""
-        return (self.lambda_min_product + 2.0 * s_nl * self.lambda_max_rho,
-                self.lambda_max_product + 2.0 * s_nl * self.lambda_min_rho)
+    def detected(self, s_nl: float) -> Routes:
+        """Both numerators of the detected regime, from S_NL."""
+        return Routes("detected", NonlocalityStrength.detected(s_nl),
+                      self.lambda_min_product + 2.0 * s_nl * self.lambda_max_rho,
+                      self.lambda_max_product + 2.0 * s_nl * self.lambda_min_rho)
 
-    def h_value(self, k: float) -> float:
-        """H: the product floor discounted by the replacement strength's K."""
+    def undetected(self, k: float, wr_max: float | None,
+                   strength: NonlocalityStrength | None = None) -> Routes:
+        """H and F/4, the numerators of the undetected regime, from K; strength is only carried.
+
+        F's witness correction carries a factor lambda_min(rho), so a
+        state with lambda_min(rho) = 0 drops it and needs no wr_max.
+        """
         pt2_min = self.lambda_min_pt_squared
         if pt2_min <= SINGULAR_TOL:
             raise SingularDenominatorError("squared partial transpose is singular")
-        return self.lambda_min_product - (
+        h = self.lambda_min_product - (
             k * self.negativity * self.lambda_max_pt * self.lambda_max_rho / pt2_min)
+        f = 4.0 * self.lambda_max_product
+        if self.lambda_min_rho != 0.0:
+            f -= (self.lambda_min_rho / wr_max) * (
+                8.0 * self.negativity * k - self.trace_pt_squared)
+        return Routes("undetected", strength, h, f / 4.0)
 
-    def f_value(self, k: float, wr_max: float | None) -> float:
-        """F: four times the product ceiling, corrected through the witness.
+    def bounds(self, routes: Routes, p: float, q: float) -> tuple[float, float]:
+        """The lower route's bound at visibility p and the upper route's at q."""
+        return (_bound(routes.lower_numerator, p, self.lambda_max_embedded),
+                _bound(routes.upper_numerator, q, self.lambda_k))
 
-        The correction carries a factor lambda_min(rho), so a state with
-        lambda_min(rho) = 0 drops it and needs no witness numbers.
+    def windows(self, routes: Routes) -> tuple[tuple[Window, Window], tuple[Window, Window]]:
+        """(admissible, genuine) windows of the lower route in p, then of the upper route in q.
+
+        The undetected lower route fires with H < 0 and so meets the
+        negative thresholds, which flips the sign of lambda_max. The
+        detected admissible p window closes at 2N/(2N - lambda_max) when
+        that denominator is positive, at 1 otherwise.
         """
-        if self.lambda_min_rho == 0.0:
-            return 4.0 * self.lambda_max_product
-        return 4.0 * self.lambda_max_product - (self.lambda_min_rho / wr_max) * (
-            8.0 * self.negativity * k - self.trace_pt_squared)
-
-    def lower_bound(self, numerator: float, p: float) -> float:
-        return _bound(numerator, p, self.lambda_max_embedded)
-
-    def upper_bound(self, numerator: float, q: float) -> float:
-        return _bound(numerator, q, self.lambda_k)
-
-    def p_windows(self, numerator: float, detected: bool) -> tuple[Window, Window]:
-        """Admissible and genuine windows of a lower route.
-
-        The undetected route fires with H < 0 and so meets the negative
-        thresholds, which flips the sign of lambda_max. The detected
-        admissible window closes at 2N/(2N - lambda_max) when that
-        denominator is positive, at 1 otherwise.
-        """
-        emb_max = self.lambda_max_embedded
-        if not detected:
-            return _windows(numerator, -emb_max)
-        d_minus = 2.0 * numerator - emb_max
-        return _windows(numerator, emb_max, 2.0 * numerator / d_minus if d_minus > 0.0 else 1.0)
-
-    def q_windows(self, numerator: float) -> tuple[Window, Window]:
-        """Admissible and genuine windows of an upper route."""
-        return _windows(numerator, self.lambda_k)
+        low, emb_max = routes.lower_numerator, self.lambda_max_embedded
+        if routes.regime == "detected":
+            d_minus = 2.0 * low - emb_max
+            p_windows = _windows(low, emb_max, 2.0 * low / d_minus if d_minus > 0.0 else 1.0)
+        else:
+            p_windows = _windows(low, -emb_max)
+        return p_windows, _windows(routes.upper_numerator, self.lambda_k)
 
 
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
@@ -436,14 +451,14 @@ def midpoint_report(spectra: PairSpectra, witness: np.ndarray
 
 def _report(spectra: PairSpectra, witness: np.ndarray,
             pq: tuple[float, float] | None) -> tuple[BoundsReport, float, float]:
-    strength, low, high = spectra.route_numerators(witness)
-    detected = strength.variant == "detected"
+    routes = spectra.routes(witness)
+    strength, low, high = routes.strength, routes.lower_numerator, routes.upper_numerator
     emb_max = spectra.lambda_max_embedded
     lam_k = spectra.lambda_k
-    p_adm, p_gen = spectra.p_windows(low, detected)
-    q_adm, q_gen = spectra.q_windows(high)
+    (p_adm, p_gen), (q_adm, q_gen) = spectra.windows(routes)
     # the windows do not depend on p or q, so one evaluation serves the midpoints
     p, q = pq if pq is not None else (0.5 if w.empty else w.midpoint for w in (p_gen, q_gen))
+    sv_lower, sv_upper = spectra.bounds(routes, p, q)
     intermediates = {
         "lambda_min_product": spectra.lambda_min_product,
         "lambda_max_product": spectra.lambda_max_product,
@@ -453,7 +468,7 @@ def _report(spectra: PairSpectra, witness: np.ndarray,
         "lambda_max_rho": spectra.lambda_max_rho,
         "Z": spectra.negativity * spectra.lambda_max_pt,
     }
-    if detected:
+    if routes.regime == "detected":
         intermediates.update(
             {
                 "d1_plus": 2.0 * low + emb_max,
@@ -479,9 +494,9 @@ def _report(spectra: PairSpectra, witness: np.ndarray,
             }
         )
     return BoundsReport(
-        regime=strength.variant,
-        sv_lower=spectra.lower_bound(low, p),
-        sv_upper=spectra.upper_bound(high, q),
+        regime=routes.regime,
+        sv_lower=sv_lower,
+        sv_upper=sv_upper,
         p_window=p_adm,
         q_window=q_adm,
         genuine_p_window=p_gen,
@@ -545,7 +560,6 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
 
 def _candidate_windows(spectra: PairSpectra, witness: np.ndarray
                        ) -> list[tuple[str, str, Window]]:
-    strength, low, high = spectra.route_numerators(witness)
-    detected = strength.variant == "detected"
-    return [(f"{strength.variant}-p", "p", spectra.p_windows(low, detected)[1]),
-            (f"{strength.variant}-q", "q", spectra.q_windows(high)[1])]
+    routes = spectra.routes(witness)
+    (_, p_gen), (_, q_gen) = spectra.windows(routes)
+    return [(f"{routes.regime}-p", "p", p_gen), (f"{routes.regime}-q", "q", q_gen)]

@@ -203,8 +203,3 @@ def undetected_strength(k: float, p_max: float, r: float | None = None) -> Nonlo
 def s_nl_new(rho: DensityMatrix, w: np.ndarray, r: float) -> NonlocalityStrength:
     """Undetected-regime strength of rho under w at the weight r."""
     return undetected_strength(k_value(rho, w), p_max_optimal(rho), r)
-
-
-def default_r(rho: DensityMatrix, w: np.ndarray) -> float:
-    """Midpoint of [0, r_cap), the library-wide default when r is unspecified."""
-    return undetected_strength(k_value(rho, w), p_max_optimal(rho)).r

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg, nonlocality, operators, states
-from .bounds import PairSpectra, pair_spectra
+from .bounds import PairSpectra, Routes, pair_spectra
 
 TABLE_TOLERANCE = {1: 5e-3, 2: 5e-3, 3: 1e-2, 4: 1e-2, 5: 1e-2}
 CLOSED_FORM_TOL = 1e-9
@@ -285,13 +285,17 @@ def _listed_spectra(qs: dict) -> PairSpectra:
                        listed_product=(qs.get("lmin_prod"), qs.get("lmax_prod")))
 
 
+def _genuine_windows(spectra: PairSpectra, routes: Routes
+                     ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Genuine (p window, q window) of one evaluated candidate, each (lower, upper)."""
+    (_, p_gen), (_, q_gen) = spectra.windows(routes)
+    return (p_gen.lower, p_gen.upper), (q_gen.lower, q_gen.upper)
+
+
 def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     """Genuine p and q windows from listed detected-regime components."""
     spectra = _listed_spectra(qs)
-    low, high = spectra.detected_numerators(qs["snl"])
-    _, p_gen = spectra.p_windows(low, detected=True)
-    _, q_gen = spectra.q_windows(high)
-    return (p_gen.lower, p_gen.upper), (q_gen.lower, q_gen.upper)
+    return _genuine_windows(spectra, spectra.detected(qs["snl"]))
 
 
 def _printed_windows(family: int, param: float) -> tuple[tuple, tuple]:
@@ -356,14 +360,7 @@ def _closed_form_lmax_prod5(ps: float) -> float:
 
 def _detected_bounds(qs: dict, p: float, q: float) -> tuple[float, float]:
     spectra = _listed_spectra(qs)
-    low, high = spectra.detected_numerators(qs["snl"])
-    return spectra.lower_bound(low, p), spectra.upper_bound(high, q)
-
-
-def _undetected_bounds(spectra: PairSpectra, wr_max: float | None,
-                       p: float, q: float, x: float) -> tuple[float, float]:
-    return (spectra.lower_bound(spectra.h_value(x), p),
-            spectra.upper_bound(spectra.f_value(x, wr_max) / 4.0, q))
+    return spectra.bounds(spectra.detected(qs["snl"]), p, q)
 
 
 def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
@@ -379,7 +376,7 @@ def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
     weight_band = WEIGHT_BANDS.get(which)
     spectra = _listed_spectra(qs)
 
-    lo, hi = _undetected_bounds(spectra, qs["lmax_wrho"], p, q, k)
+    lo, hi = spectra.bounds(spectra.undetected(k, qs["lmax_wrho"]), p, q)
     delta = max(abs(lo - ref_lo), abs(hi - ref_hi))
     grid = np.linspace(0.0, cap, SCAN_POINTS, endpoint=False)
     admissible = [
@@ -400,7 +397,7 @@ def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
         best_s_delta = np.inf
         for s in s_grid:
             x = (s - r0 * (p_max - 0.75)) / (1.0 - r0)
-            s_lo, s_hi = _undetected_bounds(spectra, qs["lmax_wrho"], p, q, x)
+            s_lo, s_hi = spectra.bounds(spectra.undetected(x, qs["lmax_wrho"]), p, q)
             delta = max(abs(s_lo - ref_lo), abs(s_hi - ref_hi))
             if delta < best_s_delta:
                 best_s, best_s_delta = float(s), delta
@@ -446,12 +443,13 @@ def reproduce_table(which: int, table_tol: float | None = None) -> list[TableRow
 # ---------------------------------------------------------------------------
 # Closed-form cross-checks against the general route.
 
+# Listed keys and the names the checks report them under, in report order.
 _QUANTITY_NAMES = {
     "snl": "s_nl",
     "lmax_emb": "lambda_max_embedded",
-    "lk": "lambda_k_embedded",
     "lmin_prod": "lambda_min_product",
     "lmax_prod": "lambda_max_product",
+    "lk": "lambda_k_embedded",
     "lmax_rho": "lambda_max_rho",
     "lmin_rho": "lambda_min_rho",
     "trwrrt": "trace_witness_product",
@@ -467,10 +465,6 @@ _QUANTITY_NAMES = {
 # Listed keys that name a PairSpectra field; the product extremes go in listed_product.
 _RECORD_FIELDS = {key: name for key, name in _QUANTITY_NAMES.items()
                   if name in {f.name for f in fields(PairSpectra)}}
-
-_QUANTITY_ORDER = ("snl", "lmax_emb", "lmin_prod", "lmax_prod", "lk",
-                   "lmax_rho", "lmin_rho", "trwrrt", "lmin_pt2", "lmax_pt",
-                   "neg", "lmax_wrho", "trpt2", "p_window", "q_window")
 
 
 def _closed_form_printed(family: int, param: float) -> dict:
@@ -495,20 +489,15 @@ def _closed_form_general(family: int, param: float) -> dict:
     out = {key: getattr(spectra, name) for key, name in _RECORD_FIELDS.items()}
     out["lmin_prod"], out["lmax_prod"] = spectra.product
     if family in (1, 2):
-        snl = nonlocality.s_nl_detected(reduced, w)
-        out["snl"] = snl
-        low, high = spectra.detected_numerators(snl)
-        _, gen_p = spectra.p_windows(low, detected=True)
-        _, gen_q = spectra.q_windows(high)
+        snl = out["snl"] = nonlocality.s_nl_detected(reduced, w)
+        routes = spectra.detected(snl)
     else:
         pt = states.partial_transpose(reduced)
         out["trwrrt"] = linalg.trace_product(w, reduced.matrix @ pt)
         wr_max = out["lmax_wrho"] = spectra.witness_max(w)
         k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
-        _, gen_p = spectra.p_windows(spectra.h_value(k), detected=False)
-        _, gen_q = spectra.q_windows(spectra.f_value(k, wr_max) / 4.0)
-    out["p_window"] = (gen_p.lower, gen_p.upper)
-    out["q_window"] = (gen_q.lower, gen_q.upper)
+        routes = spectra.undetected(k, wr_max)
+    out["p_window"], out["q_window"] = _genuine_windows(spectra, routes)
     return out
 
 
@@ -534,7 +523,7 @@ def reproduce_closed_forms(family: int, grid_points: int = GRID_POINTS) -> list[
                 dev = abs(listed - general[key])
             worst[key] = max(worst.get(key, 0.0), float(dev))
     return [ClosedFormCheck(family, _QUANTITY_NAMES[key], worst[key])
-            for key in _QUANTITY_ORDER if key in worst]
+            for key in _QUANTITY_NAMES if key in worst]
 
 
 # ---------------------------------------------------------------------------

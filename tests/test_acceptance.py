@@ -268,19 +268,20 @@ class TestCriterion8:
         red1 = states.partial_trace(rho1, "B")
         s_nl = nonlocality.s_nl_detected(red1, XZ)
         spectra1 = pair_spectra(rho1, red1, ("A", "C"))
-        low1, high1 = spectra1.detected_numerators(s_nl)
+        lower1, upper1 = spectra1.bounds(spectra1.detected(s_nl), 1.0, 1.0)
         rho5 = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         red5 = states.partial_trace(rho5, "A")
         k5 = nonlocality.s_nl_new(red5, XY, 0.0).k
         spectra5 = pair_spectra(rho5, red5, ("B", "C"))
-        f5 = spectra5.f_value(k5, spectra5.witness_max(XY))
+        lower5, upper5 = spectra5.bounds(
+            spectra5.undetected(k5, spectra5.witness_max(XY)), 1.0, 1.0)
         vanish_ok = (
             nonlocality.is_detected(red1, XZ)
             and not nonlocality.is_detected(red5, XY)
-            and spectra1.lower_bound(low1, 1.0) == 0.0
-            and spectra1.upper_bound(high1, 1.0) == 0.0
-            and spectra5.lower_bound(spectra5.h_value(k5), 1.0) == 0.0
-            and spectra5.upper_bound(f5 / 4.0, 1.0) == 0.0)
+            and lower1 == 0.0
+            and upper1 == 0.0
+            and lower5 == 0.0
+            and upper5 == 0.0)
         # restart determinism, bit for bit
         det_a = maximize_svetlichny(rho5, OptimizerConfig(restarts=6, seed=17))
         det_b = maximize_svetlichny(rho5, OptimizerConfig(restarts=6, seed=17))

@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from svetlichny import linalg, operators, states
+from svetlichny import linalg, operators, reproduce, states
 from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
@@ -31,10 +31,12 @@ from svetlichny.bounds import (
 from svetlichny.nonlocality import (
     NEG_TOL,
     NonlocalityError,
-    default_r,
     is_detected,
+    k_value,
+    p_max_optimal,
     r_cap,
     s_nl_new,
+    undetected_strength,
 )
 from conftest import random_pure, random_state
 from test_states import oracle_partial_transpose
@@ -250,9 +252,9 @@ class TestDetectedRoute:
         s_nl = s_nl_detected(reduced, XZ)
         assert is_detected(reduced, XZ)
         spectra = pair_spectra(rho, reduced, ("A", "C"))
-        low, high = spectra.detected_numerators(s_nl)
-        assert spectra.lower_bound(low, 1.0) == 0.0
-        assert spectra.upper_bound(high, 1.0) == 0.0
+        lower, upper = spectra.bounds(spectra.detected(s_nl), 1.0, 1.0)
+        assert lower == 0.0
+        assert upper == 0.0
 
 
 class TestUndetectedRoute:
@@ -268,7 +270,8 @@ class TestUndetectedRoute:
         assert inter["F"] == pytest.approx(1.697542732653113, abs=1e-12)
         assert inter["k"] == pytest.approx(0.2417860474608272, abs=1e-13)
         rho5 = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
-        assert inter["r"] == pytest.approx(default_r(rho5, XY), abs=1e-15)
+        default_r = undetected_strength(k_value(rho5, XY), p_max_optimal(rho5)).r
+        assert inter["r"] == pytest.approx(default_r, abs=1e-15)
 
     def test_frozen_f5_windows(self):
         _, _, rep = _f5_report()
@@ -285,7 +288,8 @@ class TestUndetectedRoute:
         _, _, rep = _f5_report()
         inter = rep.intermediates
         rho5 = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
-        assert inter["r"] == pytest.approx(default_r(rho5, XY), abs=1e-15)
+        default_r = undetected_strength(k_value(rho5, XY), p_max_optimal(rho5)).r
+        assert inter["r"] == pytest.approx(default_r, abs=1e-15)
         # the reported strength is S_NL_new at that weight
         assert inter["s_nl_new"] == pytest.approx(
             inter["r"] * (inter["p_max"] - 0.75) + (1.0 - inter["r"]) * inter["k"], abs=1e-15)
@@ -296,9 +300,10 @@ class TestUndetectedRoute:
         strength = s_nl_new(reduced, XY, 0.0)
         assert not is_detected(reduced, XY)
         spectra = pair_spectra(rho, reduced, ("B", "C"))
-        f = spectra.f_value(strength.k, spectra.witness_max(XY))
-        assert spectra.lower_bound(spectra.h_value(strength.k), 1.0) == 0.0
-        assert spectra.upper_bound(f / 4.0, 1.0) == 0.0
+        routes = spectra.undetected(strength.k, spectra.witness_max(XY))
+        lower, upper = spectra.bounds(routes, 1.0, 1.0)
+        assert lower == 0.0
+        assert upper == 0.0
 
     def test_genuine_p_window_tracks_h_sign(self):
         from svetlichny.nonlocality import NonlocalityStrength
@@ -306,13 +311,14 @@ class TestUndetectedRoute:
         reduced = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         strength = s_nl_new(reduced, XY, 0.0)
         spectra = pair_spectra(rho, reduced)
-        _, genuine = spectra.p_windows(spectra.h_value(strength.k), detected=False)
+        wr_max = spectra.witness_max(XY)
+        (_, genuine), _ = spectra.windows(spectra.undetected(strength.k, wr_max))
         assert not genuine.empty
         # a vanishing strength leaves H at the positive product floor, and
         # a positive H has to close the genuine window
         feeble = NonlocalityStrength.undetected(
             s_nl_new=1e-12, k=1e-12, p_max=0.75, r=0.0)
-        _, closed = spectra.p_windows(spectra.h_value(feeble.k), detected=False)
+        (_, closed), _ = spectra.windows(spectra.undetected(feeble.k, wr_max))
         assert closed.empty
 
 
@@ -358,6 +364,22 @@ class TestVerdict:
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         verdict = detect_genuine(rho)
         assert verdict.value == pytest.approx(verdict.window.midpoint, abs=1e-15)
+
+    @pytest.mark.parametrize("table,param", [
+        (table, row[0]) for table, rows in reproduce.TABLES.items() for row in rows])
+    def test_verdict_window_is_the_reports_genuine_window(self, table, param):
+        # the search and the report read one evaluation of the firing
+        # candidate, so their windows agree exactly
+        rho = states.make_example(states.FAMILIES[table - 1], param)
+        verdict = detect_genuine(rho)
+        assert verdict.outcome == "genuine"
+        witness = operators.plane_witness(verdict.witness_label)
+        report = full_report(rho, BoundConfig(p=0.5, q=0.5, witness=witness,
+                                              reduced_pair=verdict.pair))
+        assert verdict.route == f"{report.regime}-{verdict.parameter}"
+        genuine = (report.genuine_p_window if verdict.parameter == "p"
+                   else report.genuine_q_window)
+        assert verdict.window == genuine
 
 
 SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
@@ -429,6 +451,32 @@ class TestSolveCounts:
                 except (NonlocalityError, BoundsError):
                     pass
         assert solves[3] <= len(SEARCH_ORDER), solves
+
+
+class TestRoutesCache:
+    """A record evaluates each witness once, keyed by the witness's value."""
+
+    def test_equal_witnesses_share_one_evaluation(self, solves):
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        spectra = pair_spectra(rho, states.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
+        solves.clear()
+        first = spectra.routes(XY)
+        assert spectra.routes(XY.copy()) is first
+        # one 4x4 solve between them: the congruence rho_ij^{1/2} W rho_ij^{1/2}
+        assert solves[4] == 1, solves
+
+    def test_witness_changed_in_place_is_evaluated_again(self, solves):
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        spectra = pair_spectra(rho, states.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
+        witness = XY.copy()
+        first = spectra.routes(witness)
+        solves.clear()
+        witness *= 0.5
+        halved = spectra.routes(witness)
+        assert solves[4] == 1, solves
+        assert halved.strength.k == pytest.approx(0.5 * first.strength.k, rel=1e-12)
+        assert halved.lower_numerator != first.lower_numerator
+        assert spectra.routes(XY) is first
 
 
 class TestWeightIndependence:

@@ -191,12 +191,13 @@ class TestAnalyzeOutput:
         assert run("analyze", "--ref", "GHZ", "--format", "json") == 2
         capsys.readouterr()
         assert solves[8] == 1 and solves[4] == 6, solves
-        # the certificate and the search share the pair's cached P_max and product
+        # the certificate and the search share the pair's cached P_max and
+        # product, and its (AC, xy) candidate with its witness congruence
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--pair", "AC", "--format", "json") == 0
         capsys.readouterr()
-        assert solves[8] == 2 and solves[3] == 1, solves
+        assert solves[8] == 2 and solves[4] == 7 and solves[3] == 1, solves
 
     def test_analyze_accepts_state_with_tolerated_negative_eigenvalues(
             self, tmp_path, capsys):

@@ -192,8 +192,10 @@ class TestInterpolatedStrength:
     def test_default_r_is_half_the_cap(self):
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
         k = nonlocality.k_value(rho, XY)
-        cap = nonlocality.r_cap(k, nonlocality.p_max_optimal(rho))
-        assert nonlocality.default_r(rho, XY) == pytest.approx(0.5 * cap, abs=1e-15)
+        p_max = nonlocality.p_max_optimal(rho)
+        cap = nonlocality.r_cap(k, p_max)
+        assert nonlocality.undetected_strength(k, p_max).r == pytest.approx(
+            0.5 * cap, abs=1e-15)
 
 
 class TestLemmaSandwichGrids:

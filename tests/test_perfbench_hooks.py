@@ -17,7 +17,7 @@ import types
 
 import pytest
 
-from svetlichny import cli, states
+from svetlichny import bounds, cli, operators, states
 from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,6 +65,33 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
     ascents = [s for s in spans if s[tracer.NAME].endswith("_ascent")]
     assert len(ascents) == 3
     assert all(type(s[tracer.INFO]) is bool for s in ascents)
+
+
+@pytest.mark.parametrize("state,user_witness,candidates,raised", [
+    ("GHZ", False, 9, 9),
+    ("GHZ", True, 12, 12),
+    ("identity-W", False, 1, 0),
+])
+def test_search_traces_one_span_per_candidate(state, user_witness, candidates, raised):
+    # bounds.candidates and bounds.window_errors count the spans of
+    # _candidate_windows: the search must call it once per candidate it
+    # tries, a skipped one included. GHZ has no entangled pair, so every
+    # candidate raises; identity-W 0.82 fires on its first.
+    tracer = _load_tracer()
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        traced.op = 0
+        rho = (states.make_reference(state) if state == "GHZ"
+               else states.make_example(state, 0.82))
+        witness = operators.plane_witness("xz") if user_witness else None
+        bounds.detect_genuine(rho, witness=witness)
+    finally:
+        traced.op = None
+        traced.uninstall()
+    spans = [s for s in traced.spans if s[tracer.NAME] == "bounds._candidate_windows"]
+    assert len(spans) == candidates
+    assert sum(tracer._raised(s[tracer.INFO]) for s in spans) == raised
 
 
 @pytest.mark.parametrize("workload", ["certify", "optimize", "reproduce"])

@@ -227,7 +227,7 @@ class TestErratumReasons:
             assert nonlocality.is_detected(reduced, witness)
             spectra = pair_spectra(states.make_example(family, param), reduced,
                                    states.EXAMPLE_PAIRS[family])
-            certified = spectra.lower_bound(spectra.detected_numerators(0.0033)[0], p)
+            certified, _ = spectra.bounds(spectra.detected(0.0033), p, q)
             assert abs(certified - ref_lo) <= tol, (param, certified, ref_lo)
 
     def test_table1_lower_bound_with_leading_zero_restored(self):
