@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import EigenSpectrum
 from .nonlocality import (
     NonlocalityError,
     NonlocalityStrength,
@@ -50,8 +49,9 @@ from .operators import PLANES, plane_witness
 from .states import (
     DensityMatrix,
     LABELS,
-    partial_trace,
     partial_transpose,
+    partial_transpose_numbers,
+    reduce_to_pair,
 )
 
 WINDOW_EMPTY_TOL = 1e-9
@@ -199,14 +199,9 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     return np.append(op.reshape(16), 0.0)[_EMBEDDING[tuple(pair)]]
 
 
-def _congruence_spectrum(root: np.ndarray, op: np.ndarray) -> EigenSpectrum:
-    """Spectrum of root op root, which the raw product root^2 op shares."""
-    return linalg.hermitian_eigenvalues(root @ op @ root)
-
-
 def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                     pair: tuple[str, str] = ("B", "C")) -> EigenSpectrum:
-    """Spectrum of the state times the embedded reduced pair.
+                     pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
+    """Ascending spectrum of the state times the embedded reduced pair.
 
     The raw product is not Hermitian, but it is similar to the congruence
     of the embedded operator by the square root of the state, so its
@@ -214,7 +209,7 @@ def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
     hermiticity failure of the congruence signals an invalid input.
     """
     root = linalg.eigen_root(*rho_abc.eigensystem)
-    return _congruence_spectrum(root, embed_pair(rho_ij.matrix, pair))
+    return linalg.congruence_eigenvalues(root, embed_pair(rho_ij.matrix, pair))
 
 
 def _bound(numerator: float, visibility: float, denominator: float) -> float:
@@ -282,8 +277,7 @@ class PairSpectra:
         """(lambda_min, lambda_max) of the product congruence, solved on first read only."""
         if self.listed_product is not None:
             return self.listed_product
-        spectrum = product_spectrum(self.state, self.reduced, self.pair)
-        return spectrum.lambda_min, spectrum.lambda_max
+        return tuple(product_spectrum(self.state, self.reduced, self.pair)[[0, -1]].tolist())
 
     @property
     def lambda_min_product(self) -> float:
@@ -325,8 +319,8 @@ class PairSpectra:
 
     def witness_max(self, witness: np.ndarray) -> float:
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij."""
-        wr_max = _congruence_spectrum(
-            self.reduced_root, np.asarray(witness, dtype=complex)).lambda_max
+        wr_max = float(linalg.congruence_eigenvalues(
+            self.reduced_root, np.asarray(witness, dtype=complex))[-1])
         if abs(wr_max) <= SINGULAR_TOL:
             raise SingularDenominatorError("witness-state product has no spectral radius")
         return wr_max
@@ -390,9 +384,9 @@ def _build_records(rho_abc: DensityMatrix, reductions: Sequence[DensityMatrix],
 
     The stack holds every reduction and then every second-qubit partial
     transpose; the reductions' square roots come from the same solve. The
-    state's eigensystem is the one validation computed. The negativity is
-    the one states.negativity computes, read off the same partial-transpose
-    spectrum.
+    state's eigensystem is the one validation computed. The negativity and
+    the other partial-transpose numbers come from partial_transpose_numbers,
+    the formula states.negativity reads.
     """
     values, _ = rho_abc.eigensystem
     k = len(reductions)
@@ -401,17 +395,16 @@ def _build_records(rho_abc: DensityMatrix, reductions: Sequence[DensityMatrix],
     roots = linalg.eigen_root(stacked[:k], vectors[:k])
     records = []
     for i, (rho_ij, pair) in enumerate(zip(reductions, pairs)):
-        reduced = EigenSpectrum.from_values(stacked[i])
-        pt = stacked[k + i].tolist()
+        n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(stacked[k + i])
         records.append(PairSpectra(
             lambda_min_rho=float(values[0]),
             lambda_max_rho=float(values[-1]),
-            lambda_max_embedded=reduced.lambda_max,
-            lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced),
-            lambda_max_pt=pt[-1],
-            lambda_min_pt_squared=min(v * v for v in pt),
-            trace_pt_squared=sum(v * v for v in pt),
-            negativity=float(-sum(v for v in pt if v < 0.0)),
+            lambda_max_embedded=float(stacked[i, -1]),
+            lambda_k_embedded=linalg.first_nonzero_eigenvalue(stacked[i]),
+            lambda_max_pt=pt_max,
+            lambda_min_pt_squared=pt2_min,
+            trace_pt_squared=pt2_trace,
+            negativity=n,
             reduced_root=roots[i],
             reduced=rho_ij,
             pair=pair,
@@ -420,26 +413,19 @@ def _build_records(rho_abc: DensityMatrix, reductions: Sequence[DensityMatrix],
     return records
 
 
-def _reduce(rho_abc: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
-    """The marginal of the ordered pair: its first label takes the first tensor slot."""
-    first, second = _pair_positions(pair)
-    reduced = partial_trace(rho_abc, LABELS[3 - first - second])
-    if first < second:
-        return reduced
-    swapped = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return DensityMatrix(qubits=2, matrix=swapped)
-
-
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
                  ) -> list[tuple[tuple[str, str], PairSpectra]]:
     """(pair, record) for each pair, all built together; products are solved as read."""
     pairs = list(pairs)
-    return list(zip(pairs, _build_records(rho_abc, [_reduce(rho_abc, p) for p in pairs], pairs)))
+    for pair in pairs:
+        _pair_positions(pair)
+    return list(zip(pairs, _build_records(
+        rho_abc, [reduce_to_pair(rho_abc, p) for p in pairs], pairs)))
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
-    spectra = pair_spectra(rho_abc, _reduce(rho_abc, cfg.reduced_pair), cfg.reduced_pair)
+    spectra = pair_spectra(rho_abc, reduce_to_pair(rho_abc, cfg.reduced_pair), cfg.reduced_pair)
     return _report(spectra, cfg.witness, (cfg.p, cfg.q))[0]
 
 

@@ -336,8 +336,7 @@ def cmd_optimize(args) -> int:
         if rho.qubits == 3:
             if args.pair is None:
                 raise StateError("the chsh target needs --pair for a three-qubit state")
-            traced = next(lbl for lbl in states.LABELS if lbl not in args.pair)
-            rho = states.partial_trace(rho, traced)
+            rho = states.reduce_to_pair(rho, args.pair)
             label = f"{label} reduced to {args.pair[0]}-{args.pair[1]}"
         optimum = maximize_chsh(rho, cfg, backend=args.backend)
         named = zip(("A0", "A1", "B0", "B1"),

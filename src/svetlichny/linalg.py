@@ -7,15 +7,15 @@ the kernel's own gates: inputs must be square, finite, at most MAX_DIM
 wide and Hermitian to HERMITICITY_TOL, because eigh reads only one
 triangle and would silently diagonalize a non-Hermitian input. The gates
 and the solver also take a (k, n, n) stack, checked once as a whole, so
-that a caller with several small matrices pays for one gated call. Several
-quantities later on (first nonzero eigenvalue, window endpoints) sit
-close to zero, so first_nonzero_eigenvalue reads the first entry
-outside ZERO_TOL.
+that a caller with several small matrices pays for one gated call. A
+spectrum is an ascending float array, its extremes at [0] and [-1];
+congruence_eigenvalues solves the spectrum of a product rho X, rho PSD,
+as that of rho^{1/2} X rho^{1/2}. Several quantities later on (first
+nonzero eigenvalue, window endpoints) sit close to zero, so
+first_nonzero_eigenvalue reads the first entry outside ZERO_TOL.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,26 +42,6 @@ class AllZeroSpectrumError(LinalgError):
 
 class DimensionMismatchError(LinalgError):
     pass
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Real eigenvalues sorted ascending."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_values(cls, values) -> "EigenSpectrum":
-        """Wrap eigenvalues that are already sorted ascending."""
-        return cls(values=tuple(float(x) for x in values))
-
-    @property
-    def lambda_min(self) -> float:
-        return self.values[0]
-
-    @property
-    def lambda_max(self) -> float:
-        return self.values[-1]
 
 
 def _as_square(m) -> np.ndarray:
@@ -122,10 +102,14 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def hermitian_eigenvalues(m) -> EigenSpectrum:
-    """Ascending real spectrum of a Hermitian matrix."""
-    values, _ = hermitian_eigensystem(m)
-    return EigenSpectrum.from_values(values)
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending real spectrum of a Hermitian matrix, as a float array."""
+    return hermitian_eigensystem(m)[0]
+
+
+def congruence_eigenvalues(root, op) -> np.ndarray:
+    """Ascending spectrum of root op root, which the raw product root^2 op shares."""
+    return hermitian_eigenvalues(root @ op @ root)
 
 
 def trace_product(a, b) -> float:
@@ -141,15 +125,15 @@ def trace_product(a, b) -> float:
     return float(np.einsum("ij,ji->", am, bm).real)
 
 
-def first_nonzero_eigenvalue(spectrum: EigenSpectrum) -> float:
-    """First eigenvalue with |value| > ZERO_TOL, scanning ascending.
+def first_nonzero_eigenvalue(values) -> float:
+    """First eigenvalue with |value| > ZERO_TOL, scanning an ascending spectrum.
 
     Negative eigenvalues count: for the spectrum {-0.3, 0, 0.6, 0.7} the
     answer is -0.3, not 0.6.
     """
-    if len(spectrum.values) == 0:
+    if len(values) == 0:
         raise AllZeroSpectrumError("empty spectrum")
-    for value in spectrum.values:
+    for value in np.asarray(values, dtype=float).tolist():
         if abs(value) > ZERO_TOL:
             return value
     raise AllZeroSpectrumError("all eigenvalues are numerically zero")
@@ -177,7 +161,6 @@ def sandwich_check(m, n) -> tuple[float, float, float]:
     this helper only evaluates the three quantities, callers assert the
     ordering for PSD N.
     """
-    spec = hermitian_eigenvalues(m)
+    lo, hi = hermitian_eigenvalues(m)[[0, -1]].tolist()
     tn = float(np.trace(_as_matrix(n)).real)
-    tmn = trace_product(m, n)
-    return spec.lambda_min * tn, tmn, spec.lambda_max * tn
+    return lo * tn, trace_product(m, n), hi * tn

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .operators import PAULIS
-from .states import DensityMatrix, negativity, partial_transpose
+from .states import DensityMatrix, negativity, partial_transpose, partial_transpose_numbers
 
 NEG_TOL = 1e-12
 EXPECTATION_TOL = 1e-9
@@ -79,8 +79,8 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
 def horodecki_m(rho: DensityMatrix) -> float:
     """Sum of the two largest eigenvalues of T^t T; CHSH violation iff > 1."""
     t = correlation_matrix(rho)
-    spec = linalg.hermitian_eigenvalues(t.T @ t)
-    return spec.values[-1] + spec.values[-2]
+    values = linalg.hermitian_eigenvalues(t.T @ t)
+    return float(values[-1] + values[-2])
 
 
 def p_max_from_expectation(chsh_expectation: float) -> float:
@@ -136,22 +136,21 @@ def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float) -> float:
     return linalg.trace_product(w, rho.matrix @ partial_transpose(rho)) / (4.0 * n)
 
 
-def _require_undetected(rho: DensityMatrix, w: np.ndarray) -> None:
+def _bound_transpose_numbers(rho: DensityMatrix, w: np.ndarray) -> tuple[float, ...]:
+    """partial_transpose_numbers of rho, once the K bounds' hypotheses are checked."""
+    numbers = partial_transpose_numbers(linalg.hermitian_eigenvalues(partial_transpose(rho)))
+    _entangled_negativity(numbers[0])
     if is_detected(rho, w):
         raise RegimeMismatchError(
             "bound hypotheses require the witness not to detect the state (Tr[W rho] >= 0)"
         )
+    return numbers
 
 
 def k_lower_bound(rho: DensityMatrix, w: np.ndarray) -> float:
     """lambda_min[(rho^T)^2] Tr[W rho] / (4 lambda_max(rho^T) N(rho))."""
-    n = _entangled_negativity(negativity(rho))
-    _require_undetected(rho, w)
-    pt = partial_transpose(rho)
-    pt_spec = linalg.hermitian_eigenvalues(pt)
-    pt2_min = linalg.hermitian_eigenvalues(pt @ pt).lambda_min
-    trw = linalg.trace_product(w, rho.matrix)
-    return pt2_min * trw / (4.0 * pt_spec.lambda_max * n)
+    n, pt_max, pt2_min, _ = _bound_transpose_numbers(rho, w)
+    return pt2_min * linalg.trace_product(w, rho.matrix) / (4.0 * pt_max * n)
 
 
 def k_upper_bound(rho: DensityMatrix, w: np.ndarray) -> float:
@@ -160,13 +159,9 @@ def k_upper_bound(rho: DensityMatrix, w: np.ndarray) -> float:
     lambda_max(W rho) is taken from the Hermitian congruence
     rho^{1/2} W rho^{1/2}, which shares the product's spectrum.
     """
-    n = _entangled_negativity(negativity(rho))
-    _require_undetected(rho, w)
-    root = linalg.psd_sqrt(rho.matrix)
-    wr_max = linalg.hermitian_eigenvalues(root @ w @ root).lambda_max
-    pt = partial_transpose(rho)
-    trw = linalg.trace_product(w, rho.matrix)
-    return (wr_max * trw + linalg.trace_product(pt, pt)) / (8.0 * n)
+    n, _, _, pt2_trace = _bound_transpose_numbers(rho, w)
+    wr_max = float(linalg.congruence_eigenvalues(linalg.psd_sqrt(rho.matrix), w)[-1])
+    return (wr_max * linalg.trace_product(w, rho.matrix) + pt2_trace) / (8.0 * n)
 
 
 def r_cap(k: float, p_max: float) -> float:

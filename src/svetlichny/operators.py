@@ -14,7 +14,6 @@ UNIT_TOL = 1e-12
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
@@ -90,8 +89,8 @@ class ChshSettings:
             obs = np.asarray(getattr(self, name), dtype=complex)
             if obs.shape != (2, 2):
                 raise OperatorError(f"{name} must be 2x2, got {obs.shape}")
-            spec = linalg.hermitian_eigenvalues(obs)  # raises if not Hermitian
-            radius = max(radius, abs(spec.lambda_min), abs(spec.lambda_max))
+            # raises if not Hermitian
+            radius = max(radius, *np.abs(linalg.hermitian_eigenvalues(obs)).tolist())
         object.__setattr__(self, "within_unit_ball", radius <= 1.0 + 1e-9)
 
 

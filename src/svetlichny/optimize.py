@@ -17,7 +17,9 @@ halved until the value rises. The coordinate backend exploits
 multilinearity directly: freezing all but one vector leaves a linear
 functional whose maximizer on the unit sphere is the normalized
 coefficient vector, and each update computes only that one coefficient
-row. The two must agree; tests hold them to 1e-6 of each other.
+row. Tests hold the two to 1e-6 of each other on random states; on ridge
+states the coordinate backend can stop at its cap up to 2e-6 short, and
+restarts_capped reports it.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.

@@ -152,21 +152,44 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
+def reduce_to_pair(rho: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
+    """The marginal of an ordered pair of a 3-qubit state.
+
+    The pair's first label takes the first tensor slot, so ("C", "A")
+    gives rho_CA, the swap of the rho_AC that partial_trace returns.
+    """
+    first, second = (_label_index(label) for label in pair)
+    if first == second:
+        raise UnknownNameError(f"a pair names two distinct qubits, got {pair}")
+    reduced = partial_trace(rho, LABELS[3 - first - second])
+    if first < second:
+        return reduced
+    swapped = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    return DensityMatrix(qubits=2, matrix=swapped)
+
+
+def partial_transpose_numbers(values) -> tuple[float, float, float, float]:
+    """(N, lambda_max(rho^T), lambda_min[(rho^T)^2], Tr[(rho^T)^2]) from rho^T's ascending spectrum.
+
+    The square's spectrum is the squares of the spectrum, so no second
+    solve is needed.
+    """
+    pt = np.asarray(values, dtype=float).tolist()
+    return (float(-sum(v for v in pt if v < 0.0)), pt[-1],
+            min(v * v for v in pt), sum(v * v for v in pt))
+
+
 def negativity(rho: DensityMatrix) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues.
 
     Equals (||rho^T||_1 - 1)/2; zero exactly for PPT (in particular all
     separable) two-qubit states.
     """
-    spec = linalg.hermitian_eigenvalues(partial_transpose(rho))
-    return float(-sum(v for v in spec.values if v < 0.0))
+    return partial_transpose_numbers(linalg.hermitian_eigenvalues(partial_transpose(rho)))[0]
 
 
-def ket(*components: tuple[int, complex]) -> np.ndarray:
-    """8-dim (or smaller) state vector from (basis index, amplitude) pairs."""
-    dim = 8 if max(idx for idx, _ in components) > 3 else 4
-    if max(idx for idx, _ in components) <= 1:
-        dim = 2
+def ket(*components: tuple[int, complex], dim: int = 8) -> np.ndarray:
+    """State vector of dimension dim from (basis index, amplitude) pairs."""
     v = np.zeros(dim, dtype=complex)
     for idx, amp in components:
         v[idx] = amp
@@ -260,9 +283,9 @@ def make_reference(name: str) -> DensityMatrix:
     if name == "W2":
         return validate(projector(_w2_vec()), 3)
     if name in ("Bell-Phi+", "Bell-Φ+"):
-        return validate(projector(ket((0, 1 / _SQ2), (3, 1 / _SQ2))), 2)
+        return validate(projector(ket((0, 1 / _SQ2), (3, 1 / _SQ2), dim=4)), 2)
     if name == "product-000":
-        return validate(projector(ket((0, 1.0), (7, 0.0))), 3)
+        return validate(projector(ket((0, 1.0))), 3)
     raise UnknownNameError(f"unknown reference state {name!r}; pick from {REFERENCE_NAMES}")
 
 
@@ -294,7 +317,4 @@ def example_reduced(family: str, param: float) -> DensityMatrix:
         m[0, 0] = m[3, 3] = 0.5
         m[0, 3] = m[3, 0] = c
         return validate(m, 2)
-    rho = make_example(family, param)
-    (keep1, keep2) = EXAMPLE_PAIRS[family]
-    traced = next(l for l in LABELS if l not in (keep1, keep2))
-    return partial_trace(rho, traced)
+    return reduce_to_pair(make_example(family, param), EXAMPLE_PAIRS[family])

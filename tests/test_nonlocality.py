@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from svetlichny import nonlocality, operators, states
+from svetlichny import bounds, linalg, nonlocality, operators, states
 from conftest import random_state
 
 XY = operators.plane_witness("xy")
@@ -212,3 +212,67 @@ class TestLemmaSandwichGrids:
                 k = nonlocality.k_value(rho, XY)
             assert nonlocality.k_lower_bound(rho, XY) - 1e-10 <= k
             assert k <= nonlocality.k_upper_bound(rho, XY) + 1e-10
+
+
+def _random_rank(rng: np.random.Generator, rank: int) -> states.DensityMatrix:
+    """Three-qubit state of the given rank from an 8 x rank Ginibre block."""
+    g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    m = g @ g.conj().T
+    return states.validate(m / np.trace(m).real, 3)
+
+
+class TestOneFormulaPerQuantity:
+    """The partial-transpose numbers and the congruence spectrum each have one
+    formula: the K bounds, the negativity and the pair record all read it."""
+
+    @pytest.mark.parametrize("function,count", [
+        (nonlocality.k_lower_bound, 1),
+        (nonlocality.k_value, 1),
+        (nonlocality.k_upper_bound, 3),
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_solve_counts(self, solves, function, count):
+        rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
+        solves.clear()
+        function(rho, XY)
+        assert dict(solves) == {4: count}
+
+    def test_negativity_solves_once(self, solves):
+        rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
+        solves.clear()
+        states.negativity(rho)
+        assert dict(solves) == {4: 1}
+
+    def test_functions_agree_with_the_pair_record(self):
+        # random rank-8 states have PPT marginals only, so they check nothing
+        rng = np.random.default_rng(700)
+        checked = 0
+        for rank in (1, 2, 3, 4, 8) * 20:
+            for pair, record in bounds.pair_records(_random_rank(rng, rank)):
+                if record.negativity <= nonlocality.NEG_TOL:
+                    continue
+                rho = record.reduced
+                assert states.negativity(rho) == record.negativity, pair
+                for plane in operators.PLANES:
+                    w = operators.plane_witness(plane)
+                    if nonlocality.is_detected(rho, w):
+                        continue
+                    trw = linalg.trace_product(w, rho.matrix)
+                    n = record.negativity
+                    lower = record.lambda_min_pt_squared * trw / (
+                        4.0 * record.lambda_max_pt * n)
+                    upper = (record.witness_max(w) * trw + record.trace_pt_squared) / (8.0 * n)
+                    assert nonlocality.k_lower_bound(rho, w) == pytest.approx(lower, abs=1e-12)
+                    assert nonlocality.k_upper_bound(rho, w) == pytest.approx(upper, abs=1e-12)
+                    checked += 1
+        assert checked > 300
+
+    def test_return_types(self, rng):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        values = linalg.hermitian_eigenvalues(m + m.conj().T)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert list(values) == sorted(values)
+        rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
+        for x in (states.negativity(rho), nonlocality.horodecki_m(rho),
+                  nonlocality.k_lower_bound(rho, XY), nonlocality.k_upper_bound(rho, XY),
+                  linalg.first_nonzero_eigenvalue(values)):
+            assert type(x) is float

@@ -54,8 +54,8 @@ class TestChshOperator:
         b = operators.chsh_operator(settings)
         assert np.allclose(b, b.conj().T, atol=1e-12)
         spec = hermitian_eigenvalues(b)
-        assert spec.lambda_max <= 2.0 * math.sqrt(2.0) + 1e-10
-        assert spec.lambda_min >= -2.0 * math.sqrt(2.0) - 1e-10
+        assert spec[-1] <= 2.0 * math.sqrt(2.0) + 1e-10
+        assert spec[0] >= -2.0 * math.sqrt(2.0) - 1e-10
 
     def test_witness_trace_complements_operator(self, rng):
         settings = operators.ChshSettings(
@@ -103,8 +103,8 @@ class TestPlaneOperators:
     def test_plane_witness_eigenvalues(self):
         w = operators.plane_witness("xy")
         spec = hermitian_eigenvalues(w)
-        assert spec.lambda_min == pytest.approx(2.0 - 2.0 * math.sqrt(2.0), abs=1e-12)
-        assert spec.lambda_max == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
+        assert spec[0] == pytest.approx(2.0 - 2.0 * math.sqrt(2.0), abs=1e-12)
+        assert spec[-1] == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_unknown_plane_rejected(self):
         with pytest.raises(operators.OperatorError):
@@ -169,8 +169,8 @@ class TestSvetlichnyOperator:
         for _ in range(20):
             s = operators.svetlichny_operator(self._random_settings(rng))
             spec = hermitian_eigenvalues(s)
-            assert spec.lambda_max <= bound + 1e-9
-            assert spec.lambda_min >= -bound - 1e-9
+            assert spec[-1] <= bound + 1e-9
+            assert spec[0] >= -bound - 1e-9
 
     def test_expectations_bounded_on_random_states(self, rng):
         bound = 4.0 * math.sqrt(2.0) + 1e-9

@@ -5,14 +5,18 @@ renamed function would silently zero the per-layer counts built on it.
 The tracer is compiled from its source file, never imported or modified.
 A command-line flag the workloads pass but the parser no longer knows
 would only show as failed benchmark operations, so every argv is parsed
-here.
+here. The benchmark's own test suite runs here too, in a fresh
+interpreter.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -103,3 +107,17 @@ def test_every_benchmark_argv_parses(workload, monkeypatch, tmp_path):
     parser = cli.build_parser()
     for op in ops:
         parser.parse_args(op.argv)
+
+
+def test_benchmark_suite_passes_in_a_fresh_interpreter():
+    # perfbench/test_perfbench.py checks embed_pair, the spectra of
+    # full_report and the tracer's restore of hermitian_eigenvalues. Its pkg
+    # fixture purges and re-imports svetlichny, which would disturb this
+    # session's modules, so the suite runs in its own interpreter.
+    root = PERFBENCH.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]

@@ -262,7 +262,7 @@ class TestErratumReasons:
             lam2 = lam ** 2
             top = product_spectrum(states.make_example(family, lam),
                                    states.example_reduced(family, lam),
-                                   pair).lambda_max
+                                   pair)[-1]
             assert top == pytest.approx((lam2 + 0.09) ** 2 + (0.91 - lam2) ** 2,
                                         abs=1e-12)
 
