@@ -313,25 +313,18 @@ def _spherical(vector: np.ndarray) -> tuple[float, float]:
     return float(np.arccos(z)), float(np.arctan2(vector[1], vector[0]))
 
 
-def _observable_vector(observable: np.ndarray) -> np.ndarray:
-    return 0.5 * np.array([
-        linalg.trace_product(operators.PAULI_X, observable),
-        linalg.trace_product(operators.PAULI_Y, observable),
-        linalg.trace_product(operators.PAULI_Z, observable),
-    ])
-
-
 def cmd_optimize(args) -> int:
     rho, label = _resolve_state(args)
     cfg = OptimizerConfig(restarts=args.restarts,
                           max_iterations=args.max_iterations,
                           seed=args.seed)
+    if args.pair is not None and (args.target != "chsh" or rho.qubits != 3):
+        raise CliParseError("--pair applies only to the chsh target on a three-qubit state")
     if args.target == "svetlichny":
         if rho.qubits != 3:
             raise StateError("the svetlichny target needs a three-qubit state")
         optimum = maximize_svetlichny(rho, cfg, backend=args.backend)
-        named = zip(("a", "a'", "b", "b'", "c", "c'"),
-                    optimum.settings.vectors())
+        names = ("a", "a'", "b", "b'", "c", "c'")
     else:
         if rho.qubits == 3:
             if args.pair is None:
@@ -339,11 +332,9 @@ def cmd_optimize(args) -> int:
             rho = states.reduce_to_pair(rho, args.pair)
             label = f"{label} reduced to {args.pair[0]}-{args.pair[1]}"
         optimum = maximize_chsh(rho, cfg, backend=args.backend)
-        named = zip(("A0", "A1", "B0", "B1"),
-                    (_observable_vector(obs) for obs in
-                     (optimum.settings.A0, optimum.settings.A1,
-                      optimum.settings.B0, optimum.settings.B1)))
+        names = ("A0", "A1", "B0", "B1")
 
+    named = zip(names, (unit.as_array() for unit in optimum.vectors))
     vectors = [(name, vec, *_spherical(vec)) for name, vec in named]
     at_best = sum(v >= optimum.value - 1e-6 for v in optimum.restart_values)
     spread = optimum.value - min(optimum.restart_values)

@@ -70,15 +70,23 @@ class NonlocalityStrength:
         return cls(variant="undetected", s_nl_new=s_nl_new, k=k, p_max=p_max, r=r)
 
 
-def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix of Pauli correlations t[m,n] = Tr[rho sigma_m (x) sigma_n]."""
-    r4 = rho.matrix.reshape(2, 2, 2, 2)
-    return np.real(np.einsum("abcd,mca,ndb->mn", r4, PAULIS, PAULIS))
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
+    """Pauli correlations T[m, n, ...] = Tr[rho sigma_m (x) sigma_n (x) ...].
+
+    Shape (3, 3) for two qubits, (3, 3, 3) for three.
+    """
+    n = rho.qubits
+    if n not in (2, 3):
+        raise NonlocalityError(f"expected two or three qubits, got {n}")
+    rows, cols, out = "abc"[:n], "abcdef"[n:2 * n], "mno"[:n]
+    subscripts = ",".join([rows + cols, *map("".join, zip(out, cols, rows))])
+    return np.real(np.einsum(f"{subscripts}->{out}", rho.matrix.reshape((2,) * (2 * n)),
+                             *[PAULIS] * n))
 
 
 def horodecki_m(rho: DensityMatrix) -> float:
     """Sum of the two largest eigenvalues of T^t T; CHSH violation iff > 1."""
-    t = correlation_matrix(rho)
+    t = correlation_tensor(rho)
     values = linalg.hermitian_eigenvalues(t.T @ t)
     return float(values[-1] + values[-2])
 

@@ -2,24 +2,27 @@
 
 The certificates elsewhere in this package never optimize measurement
 settings; this module is the independent cross-check that does. Both
-objectives are multilinear in the Bloch vectors of the settings, so two
-backends are natural, and both work on the unit vectors themselves. The
-gradient backend takes Riemannian Newton steps on the product of spheres.
-Multilinearity makes the exact Hessian cheap: each block is the
-correlation tensor, for three parties contracted with a sum or difference
-of the third party's vectors. Its projection onto the tangent planes is
-diagonalized, and the step divides the gradient by the absolute
-curvature along each eigenvector, so it climbs even where the Hessian is
-indefinite and strides along the nearly flat ridges these landscapes
-develop near product-state optima. Each trial point is renormalized (a
-retraction onto the sphere, which has no poles to stall at) and the step
-halved until the value rises. The coordinate backend exploits
-multilinearity directly: freezing all but one vector leaves a linear
-functional whose maximizer on the unit sphere is the normalized
-coefficient vector, and each update computes only that one coefficient
-row. Tests hold the two to 1e-6 of each other on random states; on ridge
-states the coordinate backend can stop at its cap up to 2e-6 short, and
-restarts_capped reports it.
+objectives follow one sign rule: a term of the correlation tensor T at
+one setting per party counts +1 when at most one party uses its primed
+setting, and -1 otherwise. So each is the party tensor K = s (x) T
+contracted with every party's stacked vector [a; a'], [b; b'], ...; it
+is multilinear in the Bloch vectors, and both backends work on the unit
+vectors themselves. The gradient backend takes Riemannian Newton steps
+on the product of spheres. Multilinearity makes the exact Hessian cheap:
+the block of two parties is K contracted with the rest. Its projection
+onto the tangent planes is diagonalized, and the step divides the
+gradient by the absolute curvature along each eigenvector, so it climbs
+even where the Hessian is indefinite and strides along the nearly flat
+ridges these landscapes develop near product-state optima. Each trial
+point is renormalized (a retraction onto the sphere, which has no poles
+to stall at) and the step halved until the value rises. The coordinate
+backend exploits multilinearity directly: freezing the other parties
+leaves a linear functional of one party's two vectors, maximized by its
+two normalized coefficient rows, which never read that party's own
+vectors; a sweep updates one party at a time. Tests hold the two to
+1e-6 of each other on random states; on ridge states the coordinate
+backend can stop at its cap up to 2e-6 short, and restarts_capped
+reports it.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
@@ -39,9 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .nonlocality import correlation_matrix
+from .nonlocality import correlation_tensor
 from .operators import (
-    PAULIS,
     ChshSettings,
     SvetlichnySettings,
     UnitVector3,
@@ -89,25 +91,20 @@ class Optimum:
 
     All restarts ascend as one batch. iterations_used and converged describe
     the restart that produced the winning value (the first best in draw
-    order), not the sum over restarts. restart_values holds every restart's
-    final value in draw order, so the first k entries are the values a
-    k-restart run finds; restarts_capped counts the restarts that used all
-    max_iterations without converging.
+    order), not the sum over restarts; vectors are its unit vectors in
+    setting order (a, a', b, b', c, c' or a0, a1, b0, b1). restart_values
+    holds every restart's final value in draw order, so the first k entries
+    are the values a k-restart run finds; restarts_capped counts the
+    restarts that used all max_iterations without converging.
     """
 
     value: float
     settings: SvetlichnySettings | ChshSettings
+    vectors: tuple[UnitVector3, ...]
     iterations_used: int
     converged: bool
     restart_values: tuple[float, ...]
     restarts_capped: int
-
-
-def _correlation_tensor3(rho: DensityMatrix) -> np.ndarray:
-    r6 = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
-    return np.real(
-        np.einsum("abcdef,mda,neb,ofc->mno", r6, PAULIS, PAULIS, PAULIS)
-    )
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,107 +121,79 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
 
 
-# _SIGNS[parity] forms, from a vector pair (u, v), the vectors that meet
-# the pair's two matrices in the row of that parity: a row pair is
-# M0 w0 + M1 w1 and M0 w1 - M1 w0, with w0 = u + v and w1 = u - v.
-_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, -1.0]]])
-
-
 class _Multilinear:
-    """energy, coefficient rows and Hessian of a batch of (restarts, n, 3) vectors.
+    """energy, coefficient rows and Hessian of a batch of (restarts, 2n, 3) vectors.
 
-    The rows come in pairs (row 2g and 2g + 1 for g = 0, 1, ...); _rows
-    returns, for a slice of pairs and a slice of parities, a
-    (restarts, pairs * parities, 3) array. The objective is linear in each
-    vector, so the energy is v0.g0 + v1.g1. Subclasses also give hessian,
-    the exact (restarts, 3n, 3n) Euclidean Hessian; the objective is a
-    homogeneous polynomial of the given degree, so Hv = (degree - 1) g.
+    Party p's stacked vector x_p = [v_2p; v_2p+1] meets the party tensor
+    K[(i, m), (j, n), ...] = s(i, j, ...) T[m, n, ...] of shape (6,)^n,
+    where s is +1 when at most one party uses its primed setting (bit 1)
+    and -1 otherwise: the expectation is K contracted with every x_p. A
+    party's two coefficient rows are K contracted with every other party,
+    so they never read its own vectors. The Hessian block of two parties
+    is K contracted with the rest; the objective is a homogeneous
+    polynomial of degree n, so Hv = (n - 1) g.
     """
 
-    def energy(self, vectors: np.ndarray) -> np.ndarray:
-        return _dot(vectors[:, :2], self._rows(vectors, slice(0, 1), slice(None)))
+    def __init__(self, tensor: np.ndarray) -> None:
+        n = tensor.ndim
+        self.degree, self.n_vectors = n, 2 * n
+        signs = np.where(np.indices((2,) * n).sum(axis=0) <= 1, 1.0, -1.0)
+        interleave = np.arange(2 * n).reshape(2, n).T.reshape(-1)
+        party = np.multiply.outer(signs, tensor).transpose(interleave).reshape((6,) * n)
+        # party p's axis first, the others in order after it
+        self._facing = [np.moveaxis(party, p, 0).reshape(-1, 6) for p in range(n)]
+        self._pairs = np.triu_indices(n, 1)
+        if n == 2:
+            # constant: the one block is K itself
+            self._hessian = self._grid(party[None, None])
+        else:
+            # K with the party outside each pair (AB, AC, BC) last
+            self._outside = np.stack([np.moveaxis(party, r, -1).reshape(36, 6)
+                                      for r in (2, 1, 0)])
 
-    def coefficient_gradients(self, vectors: np.ndarray, row: int | None = None):
-        """Every coefficient row, (restarts, n, 3), or only `row`, (restarts, 3)."""
-        if row is None:
-            return self._rows(vectors, slice(None), slice(None))
-        pair, parity = divmod(row, 2)
-        return self._rows(vectors, slice(pair, pair + 1), slice(parity, parity + 1))[:, 0]
+    def _party(self, x: np.ndarray, p: int) -> np.ndarray:
+        """Party p's two rows, (restarts, 6), from (restarts, n, 6) stacked vectors."""
+        out = self._facing[p]
+        for q in reversed(range(self.degree)):
+            if q != p:
+                out = (out @ x[:, q, :, None]).reshape(len(x), -1, 6)
+        return out[:, 0]
+
+    def _grid(self, blocks: np.ndarray) -> np.ndarray:
+        """The (restarts, 6n, 6n) Hessian from its (restarts, pairs, 6, 6) upper blocks."""
+        count, n = len(blocks), self.degree
+        first, second = self._pairs
+        grid = np.zeros((count, n, n, 6, 6))
+        grid[:, first, second] = blocks
+        grid[:, second, first] = blocks.swapaxes(-1, -2)
+        return grid.swapaxes(2, 3).reshape(count, 6 * n, 6 * n)
+
+    def energy(self, vectors: np.ndarray) -> np.ndarray:
+        x = vectors.reshape(len(vectors), -1, 6)
+        return _dot(x[:, 0], self._party(x, 0))
+
+    def coefficient_gradients(self, vectors: np.ndarray, party: int | None = None):
+        """Every coefficient row, (restarts, 2n, 3), or `party`'s two, (restarts, 2, 3)."""
+        x = vectors.reshape(len(vectors), -1, 6)
+        parties = range(self.degree) if party is None else (party,)
+        return np.concatenate([self._party(x, p) for p in parties],
+                              axis=1).reshape(len(x), -1, 3)
+
+    def hessian(self, vectors: np.ndarray) -> np.ndarray:
+        count = len(vectors)
+        if self.degree == 2:
+            return np.broadcast_to(self._hessian, (count, 12, 12))
+        # parties C, B, A: the one outside each pair
+        x = vectors.reshape(count, 3, 6)[:, ::-1, :, None]
+        return self._grid((self._outside @ x).reshape(count, 3, 6, 6))
 
 
 class _SvetlichnyObjective(_Multilinear):
-    """<S_v> as a multilinear function of six unit vectors a, a', b, b', c, c'.
-
-    In a row pair, M0 and M1 are T contracted with the two vectors x0, x1
-    of another pair, and w0, w1 come from the third. T is precontracted
-    with each w into a (3, 9) slice, so a row is one 6-term product of
-    (x0, x1) with the stacked slices. The signs of the eight terms are
-    symmetric in the three parties, so the Hessian block of any two
-    parties' vectors i and j is the same slice contracted with the third
-    party's w of parity pair (i, j).
-    """
-
-    n_vectors = 6
-    degree = 3
-    # per row pair (a, b, c): the x pair and the pair forming w
-    _contracted = np.array([[2, 3], [0, 1], [0, 1]])
-    _formed = np.array([[4, 5], [4, 5], [2, 3]])
-    # per party pair (AB, AC, BC): the third party's vectors, and where
-    # the block of vector pair (i, j) sits in the (6, 6) block grid
-    _third = np.array([[4, 5], [2, 3], [0, 1]])
-    _block_rows = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3]])
-    _block_cols = np.array([[2, 3, 2, 3], [4, 5, 4, 5], [4, 5, 4, 5]])
-
-    def __init__(self, tensor: np.ndarray) -> None:
-        # T as [w index, (x index, row index)] for each row pair; the last
-        # three are also T as [third index, (first index, second index)]
-        # for each party pair
-        self._slices = np.stack([tensor.transpose(2, 1, 0).reshape(3, 9),
-                                 tensor.transpose(2, 0, 1).reshape(3, 9),
-                                 tensor.transpose(1, 0, 2).reshape(3, 9),
-                                 tensor.reshape(3, 9)])
-
-    def _rows(self, vectors: np.ndarray, pairs: slice, parities: slice) -> np.ndarray:
-        count = len(vectors)
-        w = _SIGNS[parities].reshape(-1, 2) @ vectors[:, self._formed[pairs]]
-        sliced = (w @ self._slices[:3][pairs]).reshape(*w.shape[:2], -1, 6, 3)
-        x = vectors[:, self._contracted[pairs]].reshape(count, -1, 1, 1, 6)
-        return (x @ sliced).reshape(count, -1, 3)
-
-    def hessian(self, vectors: np.ndarray) -> np.ndarray:
-        count = len(vectors)
-        w = _SIGNS.reshape(4, 2) @ vectors[:, self._third]
-        blocks = (w @ self._slices[1:]).reshape(count, 3, 4, 3, 3)
-        grid = np.zeros((count, 6, 6, 3, 3))
-        grid[:, self._block_rows, self._block_cols] = blocks
-        grid[:, self._block_cols, self._block_rows] = blocks.swapaxes(-1, -2)
-        return grid.swapaxes(2, 3).reshape(count, 18, 18)
+    """<S_v> as a multilinear function of six unit vectors a, a', b, b', c, c'."""
 
 
 class _ChshObjective(_Multilinear):
-    """<B_CHSH> as a multilinear function of four unit vectors a0, a1, b0, b1.
-
-    The rows are T(b0 + b1), T(b0 - b1), T^T(a0 + a1) and T^T(a0 - a1).
-    """
-
-    n_vectors = 4
-    degree = 2
-    _formed = np.array([[2, 3], [0, 1]])
-
-    def __init__(self, tensor: np.ndarray) -> None:
-        self._right = np.stack([tensor.T, tensor])  # w @ right is T w, then T^T w
-        # the Hessian is constant: block (a_i, b_j) is T times _SIGNS[0][i, j]
-        grid = np.zeros((4, 3, 4, 3))
-        grid[:2, :, 2:] = _SIGNS[0][:, None, :, None] * tensor[:, None, :]
-        grid[2:, :, :2] = grid[:2, :, 2:].transpose(2, 3, 0, 1)
-        self._hessian = grid.reshape(12, 12)
-
-    def hessian(self, vectors: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self._hessian, (len(vectors), 12, 12))
-
-    def _rows(self, vectors: np.ndarray, pairs: slice, parities: slice) -> np.ndarray:
-        w = _SIGNS[0, parities] @ vectors[:, self._formed[pairs]]
-        return (w @ self._right[pairs]).reshape(len(vectors), -1, 3)
+    """<B_CHSH> as a multilinear function of four unit vectors a0, a1, b0, b1."""
 
 
 _E_Z = np.array([0.0, 0.0, 1.0])
@@ -334,7 +303,7 @@ def _gradient_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _B
 
 
 def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _Batch:
-    """Sweep the vectors, replacing each by its normalized coefficient row."""
+    """Sweep the parties, replacing both vectors of each by their normalized rows."""
     count = len(vectors)
     vectors = vectors.copy()
     energy = objective.energy(vectors)
@@ -344,10 +313,11 @@ def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> 
     for sweep in range(cfg.max_iterations):
         used[live] = sweep + 1
         batch = vectors[live]
-        for i in range(objective.n_vectors):
-            coefficient = objective.coefficient_gradients(batch, row=i)
-            norm = _norms(coefficient, axis=1)
-            np.divide(coefficient, norm, out=batch[:, i], where=norm > 1e-14)
+        for party in range(objective.degree):
+            coefficient = objective.coefficient_gradients(batch, party=party)
+            norm = _norms(coefficient, axis=2)
+            np.divide(coefficient, norm, out=batch[:, 2 * party:2 * party + 2],
+                      where=norm > 1e-14)
         improved = objective.energy(batch)
         vectors[live] = batch
         flat = improved - energy[live] < _TOL
@@ -375,9 +345,11 @@ def _run_restarts(objective, cfg: OptimizerConfig, backend: str,
     ascend = _gradient_ascent if backend == "gradient" else _coordinate_ascent
     batch = ascend(objective, starts, cfg)
     best = int(np.argmax(batch.values))
+    units = tuple(UnitVector3.from_array(v) for v in batch.vectors[best])
     return Optimum(
         value=float(batch.values[best]),
-        settings=make_settings(UnitVector3.from_array(v) for v in batch.vectors[best]),
+        settings=make_settings(units),
+        vectors=units,
         iterations_used=int(batch.used[best]),
         converged=not batch.capped[best],
         restart_values=tuple(batch.values.tolist()),
@@ -394,7 +366,7 @@ def maximize_svetlichny(
     if rho.qubits != 3:
         raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
     cfg = cfg or OptimizerConfig()
-    objective = _SvetlichnyObjective(_correlation_tensor3(rho))
+    objective = _SvetlichnyObjective(correlation_tensor(rho))
     return _run_restarts(objective, cfg, backend,
                          lambda units: SvetlichnySettings(*units))
 
@@ -408,7 +380,7 @@ def maximize_chsh(
     if rho.qubits != 2:
         raise OptimizerError(f"expected a two-qubit state, got {rho.qubits} qubits")
     cfg = cfg or OptimizerConfig()
-    objective = _ChshObjective(correlation_matrix(rho))
+    objective = _ChshObjective(correlation_tensor(rho))
     return _run_restarts(objective, cfg, backend,
                          lambda units: ChshSettings(*map(spin_observable, units)))
 

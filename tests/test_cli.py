@@ -273,6 +273,14 @@ class TestOptimizeCommand:
                    "--pair", "BC", "--restarts", "4") == 0
         capsys.readouterr()
 
+    def test_pair_without_use_is_sixty_four(self, capsys):
+        # --pair only reduces a three-qubit state for the chsh target
+        assert run("optimize", "--ref", "GHZ", "--pair", "AC") == 64
+        assert "--pair" in capsys.readouterr().err
+        assert run("optimize", "--ref", "Bell-Phi+", "--target", "chsh",
+                   "--pair", "AC") == 64
+        assert "--pair" in capsys.readouterr().err
+
 
 class TestReproduceCommand:
     def test_writes_text_and_csv(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ separate script before this module's implementation was written.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -25,24 +26,38 @@ def _reduced(family, param):
 
 
 class TestCorrelationMatrix:
-    """T against the textbook entries t[m,n] = Tr[rho sigma_m (x) sigma_n]."""
+    """T against the textbook entries t[m,n,...] = Tr[rho sigma_m (x) sigma_n (x) ...]."""
 
     @staticmethod
     def _textbook(rho):
         paulis = [operators.pauli(axis) for axis in "xyz"]
-        return np.array([[np.trace(rho.matrix @ np.kron(sm, sn)).real for sn in paulis]
-                         for sm in paulis])
+        t = np.empty((3,) * rho.qubits)
+        for index in np.ndindex(t.shape):
+            product = functools.reduce(np.kron, [paulis[m] for m in index])
+            t[index] = np.trace(rho.matrix @ product).real
+        return t
 
     def test_matches_textbook_entries_on_random_states(self, rng):
         for _ in range(50):
             rho = random_state(rng, 2)
-            t = nonlocality.correlation_matrix(rho)
+            t = nonlocality.correlation_tensor(rho)
             assert t.shape == (3, 3) and t.dtype == np.float64
             assert np.allclose(t, self._textbook(rho), atol=1e-14, rtol=0.0)
 
+    def test_three_qubit_tensor_matches_textbook_entries(self, rng):
+        for _ in range(20):
+            rho = random_state(rng, 3)
+            t = nonlocality.correlation_tensor(rho)
+            assert t.shape == (3, 3, 3) and t.dtype == np.float64
+            assert np.allclose(t, self._textbook(rho), atol=1e-14, rtol=0.0)
+
     def test_bell_phi_plus(self):
-        t = nonlocality.correlation_matrix(states.make_reference("Bell-Phi+"))
+        t = nonlocality.correlation_tensor(states.make_reference("Bell-Phi+"))
         assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-15, rtol=0.0)
+
+    def test_other_qubit_counts_rejected(self):
+        with pytest.raises(nonlocality.NonlocalityError):
+            nonlocality.correlation_tensor(states.validate(np.eye(2) / 2.0, 1))
 
 
 class TestHorodecki:

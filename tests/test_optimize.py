@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from svetlichny import operators, optimize, states
+from svetlichny import nonlocality, operators, optimize, states
 from svetlichny.optimize import (
     BACKENDS,
     DEFAULT_SEED,
@@ -271,10 +271,10 @@ class TestKernels:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(objective.coefficient_gradients(vectors),
                                        expected_rows, rtol=0, atol=1e-12)
-            for row in range(objective.n_vectors):
+            for party in range(objective.degree):
                 np.testing.assert_allclose(
-                    objective.coefficient_gradients(vectors, row=row),
-                    expected_rows[:, row], rtol=0, atol=1e-12)
+                    objective.coefficient_gradients(vectors, party=party),
+                    expected_rows[:, 2 * party:2 * party + 2], rtol=0, atol=1e-12)
 
 
     @pytest.mark.parametrize("kind", sorted(KERNELS))
@@ -295,6 +295,38 @@ class TestKernels:
                                        objective.coefficient_gradients(vectors),
                                        rtol=0, atol=1e-12)
 
+    def test_bc_block_is_the_per_setting_matrix(self):
+        # K(a, a') = [[T(a + a'), T(a - a')], [T(a - a'), -T(a + a')]], with
+        # T(x) the correlation tensor contracted with x on Alice's index
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            tensor = rng.normal(size=(3, 3, 3))
+            vectors = _unit_vectors(rng, (1, 6))
+            a, ap = vectors[0, :2]
+            plus, minus = (np.einsum("mno,m->no", tensor, x) for x in (a + ap, a - ap))
+            per_setting = np.block([[plus, minus], [minus, -plus]])
+            hessian = optimize._SvetlichnyObjective(tensor).hessian(vectors)[0]
+            np.testing.assert_allclose(hessian[6:12, 12:18], per_setting,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_coordinate_sweep_matches_vector_at_a_time_oracle(self, kind):
+        # both vectors of a party are replaced from one call; the oracle
+        # replaces one vector at a time, each from freshly computed rows
+        make, shape, _, gradients = KERNELS[kind]
+        rng = np.random.default_rng(53)
+        tensor = rng.normal(size=shape)
+        objective = make(tensor)
+        starts = _unit_vectors(rng, (5, objective.n_vectors))
+        swept = optimize._coordinate_ascent(objective, starts,
+                                            OptimizerConfig(max_iterations=1)).vectors
+        for start, got in zip(starts, swept):
+            expected = start.copy()
+            for i in range(len(expected)):
+                row = gradients(tensor, expected)[i]
+                expected[i] = row / np.linalg.norm(row)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
 
 class TestBatch:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -313,7 +345,7 @@ class TestBatch:
                                         optimize._coordinate_ascent])
     def test_each_restart_is_independent_of_its_batch(self, ascend):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        objective = optimize._SvetlichnyObjective(optimize._correlation_tensor3(rho))
+        objective = optimize._SvetlichnyObjective(nonlocality.correlation_tensor(rho))
         starts = _unit_vectors(np.random.default_rng(5), (17, objective.n_vectors))
         cfg = OptimizerConfig(max_iterations=60)
         full = ascend(objective, starts, cfg)

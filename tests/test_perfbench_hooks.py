@@ -69,6 +69,13 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
     ascents = [s for s in spans if s[tracer.NAME].endswith("_ascent")]
     assert len(ascents) == 3
     assert all(type(s[tracer.INFO]) is bool for s in ascents)
+    # both objectives are hooked under their own names, each wrapped once:
+    # a subclass turned into an alias would be wrapped twice, nesting one
+    # energy span in another and doubling optimize.energy_evals
+    energies = {i for i, s in enumerate(spans) if s[tracer.NAME].endswith(".energy")}
+    assert {spans[i][tracer.NAME] for i in energies} == {
+        "optimize._SvetlichnyObjective.energy", "optimize._ChshObjective.energy"}
+    assert not any(spans[i][tracer.PARENT] in energies for i in energies)
 
 
 @pytest.mark.parametrize("state,user_witness,candidates,raised", [
