@@ -374,10 +374,14 @@ def cmd_optimize(args) -> int:
 # reproduce
 
 def cmd_reproduce(args) -> int:
-    which = range(1, 6) if args.table == "all" else (int(args.table),)
+    every = sorted(reproduce.TABLES)
+    shown = every if args.table == "all" else [int(args.table)]
     os.makedirs(args.out, exist_ok=True)
-    for table in which:
-        rows = reproduce.reproduce_table(table)
+    # the erratum covers every table, so it needs all five
+    tables = {table: reproduce.reproduce_table(table)
+              for table in (every if args.erratum is not None else shown)}
+    for table in shown:
+        rows = tables[table]
         text = reproduce.render_table_text(table, rows)
         csv = reproduce.render_table_csv(rows)
         base = os.path.join(args.out, f"table_{table}")
@@ -389,8 +393,9 @@ def cmd_reproduce(args) -> int:
         print(text, end="")
         print(f"-> {base}.txt, {base}.csv ({matches}/{len(rows)} rows match)")
     if args.erratum is not None:
+        forms = {family: reproduce.reproduce_closed_forms(family) for family in every}
         with open(args.erratum, "w", encoding="utf-8") as handle:
-            json.dump(reproduce.erratum_entries(), handle, indent=2)
+            json.dump(reproduce.erratum_entries(tables, forms), handle, indent=2)
             handle.write("\n")
         print(f"-> {args.erratum}")
     return 0

@@ -48,7 +48,6 @@ from .operators import (
     SvetlichnySettings,
     UnitVector3,
     chsh_operator,
-    spin_observable,
     svetlichny_operator,
 )
 from .states import DensityMatrix
@@ -87,7 +86,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class Optimum:
-    """Best value found, the settings achieving it, and how hard it was.
+    """Best value found, the unit vectors achieving it, and how hard it was.
 
     All restarts ascend as one batch. iterations_used and converged describe
     the restart that produced the winning value (the first best in draw
@@ -99,7 +98,6 @@ class Optimum:
     """
 
     value: float
-    settings: SvetlichnySettings | ChshSettings
     vectors: tuple[UnitVector3, ...]
     iterations_used: int
     converged: bool
@@ -329,12 +327,8 @@ def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> 
     return _batch(energy, vectors, used, stopped)
 
 
-def _run_restarts(objective, cfg: OptimizerConfig, backend: str,
-                  make_settings) -> Optimum:
-    """Ascend every restart in one batch and report the first best one.
-
-    make_settings turns the winner's unit vectors into its settings type.
-    """
+def _run_restarts(objective, cfg: OptimizerConfig, backend: str) -> Optimum:
+    """Ascend every restart in one batch and report the first best one."""
     if backend not in BACKENDS:
         raise OptimizerError(f"backend must be one of {BACKENDS}")
     rng = np.random.default_rng(cfg.seed)
@@ -345,11 +339,9 @@ def _run_restarts(objective, cfg: OptimizerConfig, backend: str,
     ascend = _gradient_ascent if backend == "gradient" else _coordinate_ascent
     batch = ascend(objective, starts, cfg)
     best = int(np.argmax(batch.values))
-    units = tuple(UnitVector3.from_array(v) for v in batch.vectors[best])
     return Optimum(
         value=float(batch.values[best]),
-        settings=make_settings(units),
-        vectors=units,
+        vectors=tuple(UnitVector3.from_array(v) for v in batch.vectors[best]),
         iterations_used=int(batch.used[best]),
         converged=not batch.capped[best],
         restart_values=tuple(batch.values.tolist()),
@@ -366,9 +358,7 @@ def maximize_svetlichny(
     if rho.qubits != 3:
         raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
     cfg = cfg or OptimizerConfig()
-    objective = _SvetlichnyObjective(correlation_tensor(rho))
-    return _run_restarts(objective, cfg, backend,
-                         lambda units: SvetlichnySettings(*units))
+    return _run_restarts(_SvetlichnyObjective(correlation_tensor(rho)), cfg, backend)
 
 
 def maximize_chsh(
@@ -380,9 +370,7 @@ def maximize_chsh(
     if rho.qubits != 2:
         raise OptimizerError(f"expected a two-qubit state, got {rho.qubits} qubits")
     cfg = cfg or OptimizerConfig()
-    objective = _ChshObjective(correlation_tensor(rho))
-    return _run_restarts(objective, cfg, backend,
-                         lambda units: ChshSettings(*map(spin_observable, units)))
+    return _run_restarts(_ChshObjective(correlation_tensor(rho)), cfg, backend)
 
 
 def svetlichny_expectation(rho: DensityMatrix, settings: SvetlichnySettings) -> float:

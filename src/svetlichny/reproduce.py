@@ -12,7 +12,8 @@ forms exactly as the reference derivation used them, so a row mismatch
 points at the reference arithmetic rather than at our pipeline; the
 closed forms themselves are then compared against the general route, and
 a deviation there becomes an erratum entry. Discrepancies are data, not
-failures: nothing in this module raises on a mismatch.
+failures: nothing in this module raises on a mismatch. The erratum, like
+the text and CSV reports, renders results the caller already holds.
 
 Rows of the last three tables hold for an interpolation weight r that
 the reference data does not list per row. Their bounds read the strength
@@ -298,14 +299,14 @@ def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float
     return _genuine_windows(spectra, spectra.detected(qs["snl"]))
 
 
-def _printed_windows(family: int, param: float) -> tuple[tuple, tuple]:
-    """Listed genuine windows, (p window, q window), each (lower, upper)."""
+def _printed_windows(family: int, param: float, qs: dict) -> tuple[tuple, tuple]:
+    """Listed genuine windows from the listed dict qs, (p window, q window), each (lower, upper)."""
     if family == 1:
-        return _detected_windows(_printed_family1(param))
+        return _detected_windows(qs)
     if family == 2:
         # The q window is listed with standalone decimal denominators; the
         # middle coefficient 0.3423 has no exact antecedent and is kept.
-        p_win, _ = _detected_windows(_printed_family2(param))
+        p_win, _ = _detected_windows(qs)
         t = param
         num = t * (4.3 - t)
         q_win = (0.1571 * num / (0.3667 + 0.3423 * t - 0.1571 * t ** 2),
@@ -336,23 +337,16 @@ def _printed_windows(family: int, param: float) -> tuple[tuple, tuple]:
                  num / (28.0 - 20.0 * ps + ps ** 2 + rad))
         return p_win, q_win
     ps = param
-    qs = _printed_family5(ps)
     h = (qs["lmin_prod"]
          - (qs["trwrrt"] / 4.0) * qs["lmax_pt"] * qs["lmax_rho"] / qs["lmin_pt2"])
     e = (3.0 + ps) / 12.0
     p_win = (_SQRT2 * h / (_SQRT2 * h - e), 2.0 * h / (2.0 * h - e))
     # The listed q window uses the embedded ceiling e (not the first
     # nonzero eigenvalue) and flips a sign in its upper denominator.
-    f = (4.0 * _closed_form_lmax_prod5(ps)
+    f = (4.0 * qs["lmax_prod"]
          - (qs["lmin_rho"] / qs["lmax_wrho"]) * (2.0 * qs["trwrrt"] - qs["trpt2"]))
     q_win = (f / (f + 2.0 * _SQRT2 * e), f / (f - 2.0 * _SQRT2 * e))
     return p_win, q_win
-
-
-def _closed_form_lmax_prod5(ps: float) -> float:
-    """Family 5 product ceiling exactly as listed, denominator 28."""
-    rad = np.sqrt(27.0 * ps ** 2 + 42.0 * ps ** 3 - 3.0 * ps ** 4)
-    return (9.0 + 30.0 * ps + 25.0 * ps ** 2 + 8.0 * rad) / 28.0
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +465,10 @@ def _closed_form_printed(family: int, param: float) -> dict:
     qs = dict(_PRINTED[family](param))
     qs.pop("regime")
     if family == 5:
-        qs["lmax_prod"] = _closed_form_lmax_prod5(param)
-    p_win, q_win = _printed_windows(family, param)
+        # the product ceiling exactly as listed, denominator 28
+        rad = np.sqrt(27.0 * param ** 2 + 42.0 * param ** 3 - 3.0 * param ** 4)
+        qs["lmax_prod"] = (9.0 + 30.0 * param + 25.0 * param ** 2 + 8.0 * rad) / 28.0
+    p_win, q_win = _printed_windows(family, param, qs)
     qs["p_window"] = p_win
     qs["q_window"] = q_win
     return {key: value for key, value in qs.items() if value is not None}
@@ -481,8 +477,10 @@ def _closed_form_printed(family: int, param: float) -> dict:
 def _closed_form_general(family: int, param: float) -> dict:
     name = states.FAMILIES[family - 1]
     rho = states.make_example(name, param)
-    reduced = states.example_reduced(name, param)
     pair = states.EXAMPLE_PAIRS[name]
+    # maximal-slice's designated matrix is not a reduction of rho
+    reduced = (states.example_reduced(name, param) if name == states.FAMILY_MAXIMAL_SLICE
+               else states.reduce_to_pair(rho, pair))
     w = _family_witness(family)
 
     spectra = pair_spectra(rho, reduced, pair)
@@ -573,11 +571,16 @@ _FORM_NOTES = {
 }
 
 
-def erratum_entries() -> list[dict]:
-    """Machine-readable record of every discrepancy, tables and forms."""
+def erratum_entries(tables: dict[int, list[TableRow]],
+                    forms: dict[int, list[ClosedFormCheck]]) -> list[dict]:
+    """Machine-readable record of every discrepancy among the given results.
+
+    tables maps a table number to its reproduce_table rows and forms a
+    family to its reproduce_closed_forms checks; nothing is evaluated here.
+    """
     entries = []
-    for which in sorted(TABLES):
-        for row in reproduce_table(which):
+    for which in sorted(tables):
+        for row in tables[which]:
             if row.status != STATUS_DISCREPANCY:
                 continue
             note = _ROW_NOTES.get((which, row.parameter),
@@ -604,8 +607,8 @@ def erratum_entries() -> list[dict]:
                 entry["strength_scan_achieved_delta"] = (
                     row.strength_scan.achieved_delta)
             entries.append(entry)
-    for family in sorted(TABLES):
-        for check in reproduce_closed_forms(family):
+    for family in sorted(forms):
+        for check in forms[family]:
             if check.status != STATUS_DISCREPANCY:
                 continue
             entries.append({

@@ -41,7 +41,9 @@ def erratum():
     """Erratum entries keyed (table, parameter) for table rows and
     (family, quantity) for closed forms."""
     keyed = {}
-    for e in reproduce.erratum_entries():
+    tables = {which: reproduce.reproduce_table(which) for which in reproduce.TABLES}
+    forms = {family: reproduce.reproduce_closed_forms(family) for family in reproduce.TABLES}
+    for e in reproduce.erratum_entries(tables, forms):
         if e["kind"] == "table-row":
             keyed[(e["table"], e["parameter"])] = e
         else:

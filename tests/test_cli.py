@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svetlichny import cli, states
+from svetlichny import cli, reproduce, states
 from conftest import random_density
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -304,6 +304,37 @@ class TestReproduceCommand:
         entries = json.loads(err.read_text())
         assert len(entries) == 19
         capsys.readouterr()
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Table numbers in the order reproduce_table is called."""
+        calls = []
+        table = reproduce.reproduce_table
+        monkeypatch.setattr(reproduce, "reproduce_table",
+                            lambda which: calls.append(which) or table(which))
+        return calls
+
+    def test_each_result_evaluated_once(self, tmp_path, evaluated, solves, capsys):
+        # the erratum renders the printed rows and the closed-form checks,
+        # and each family state is built once per grid point, so no 8x8 or
+        # 3x3 matrix is diagonalized twice
+        solves.clear()
+        assert run("reproduce", "--out", str(tmp_path),
+                   "--erratum", str(tmp_path / "erratum.json")) == 0
+        capsys.readouterr()
+        assert evaluated == [1, 2, 3, 4, 5]
+        assert solves[8] == 508 and solves[3] == 12, solves
+
+    def test_erratum_covers_every_table_whichever_is_shown(self, tmp_path, evaluated,
+                                                           capsys):
+        for shown in ("all", "3"):
+            evaluated.clear()
+            assert run("reproduce", "--table", shown, "--out", str(tmp_path / shown),
+                       "--erratum", str(tmp_path / f"{shown}.json")) == 0
+            assert evaluated == [1, 2, 3, 4, 5]
+        assert "table 3 " in capsys.readouterr().out
+        assert not (tmp_path / "3" / "table_1.txt").exists()
+        assert (tmp_path / "3.json").read_bytes() == (tmp_path / "all.json").read_bytes()
 
 
 class TestConsoleScript:

@@ -111,7 +111,7 @@ class TestAnchors:
             assert opt.value == 0.0
             assert opt.restart_values == (0.0,) * 4
             assert opt.converged is True
-            for vector in opt.settings.vectors():
+            for vector in operators.SvetlichnySettings(*opt.vectors).vectors():
                 assert np.all(np.isfinite(vector))
                 assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
@@ -138,6 +138,9 @@ class TestDeterminism:
         first = maximize_svetlichny(rho, _cfg(seed=123))
         second = maximize_svetlichny(rho, _cfg(seed=123))
         assert first == second
+        # an Optimum of either target compares by value
+        pair = states.reduce_to_pair(rho, ("B", "C"))
+        assert maximize_chsh(pair, _cfg(seed=123)) == maximize_chsh(pair, _cfg(seed=123))
 
     def test_default_seed(self):
         assert OptimizerConfig().seed == DEFAULT_SEED
@@ -154,13 +157,15 @@ class TestRestarts:
     def test_value_matches_reported_settings(self):
         rho = states.make_reference("GHZ")
         opt = maximize_svetlichny(rho, _cfg())
-        assert svetlichny_expectation(rho, opt.settings) == pytest.approx(
+        settings = operators.SvetlichnySettings(*opt.vectors)
+        assert svetlichny_expectation(rho, settings) == pytest.approx(
             opt.value, abs=1e-12)
 
     def test_chsh_value_matches_reported_settings(self):
         rho = states.make_reference("Bell-Phi+")
         opt = maximize_chsh(rho, _cfg())
-        assert chsh_expectation(rho, opt.settings) == pytest.approx(
+        settings = operators.ChshSettings(*map(operators.spin_observable, opt.vectors))
+        assert chsh_expectation(rho, settings) == pytest.approx(
             opt.value, abs=1e-12)
 
 

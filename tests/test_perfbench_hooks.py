@@ -116,6 +116,26 @@ def test_every_benchmark_argv_parses(workload, monkeypatch, tmp_path):
         parser.parse_args(op.argv)
 
 
+@pytest.mark.parametrize("workload", ["certify", "optimize", "reproduce"])
+def test_every_benchmark_op_passes_its_check(workload, monkeypatch, tmp_path, capsys):
+    # a benchmark op whose output fails its oracle check counts as a failed
+    # operation; here it fails the suite, naming the op and the check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.WORKLOADS[workload](401, str(tmp_path))
+    assert ops
+    for op in ops:
+        if op.prepare is not None:
+            op.prepare()
+        capsys.readouterr()
+        code = cli.main(op.argv)
+        stdout = capsys.readouterr().out
+        try:
+            op.check(code, stdout)
+        except workloads.CheckFailed as exc:
+            pytest.fail(f"{op.label}: check {exc} failed")
+
+
 def test_benchmark_suite_passes_in_a_fresh_interpreter():
     # perfbench/test_perfbench.py checks embed_pair, the spectra of
     # full_report and the tracer's restore of hermitian_eigenvalues. Its pkg

@@ -38,8 +38,8 @@ def checks():
 
 
 @pytest.fixture(scope="module")
-def entries():
-    return reproduce.erratum_entries()
+def entries(tables, checks):
+    return reproduce.erratum_entries(tables, checks)
 
 
 class TestRowStatuses:
