@@ -12,8 +12,10 @@ genuine nonlocality without ever optimizing measurement settings.
 
 Four routes: detected regime (witness expectation negative) gives the
 p-route and q-route built from S_NL; undetected regime (entangled but
-witness-positive) gives the corresponding routes built from the
-replacement strength. The verdict search tries all of them.
+witness-positive) gives the corresponding routes built from K, the part
+of the replacement strength they read. The verdict search tries all of
+them, and skips a candidate with K <= 0, where the replacement strength
+is undefined.
 
 One PairSpectra record per (state, pair) holds every number the routes
 read, and its methods are the only certificate arithmetic; each (pair,
@@ -37,11 +39,11 @@ import numpy as np
 from . import linalg
 from .nonlocality import (
     NonlocalityError,
-    NonlocalityStrength,
     NEG_TOL,
     is_detected,
     k_from_negativity,
     p_max_optimal,
+    positive_k,
     s_nl_detected,
     undetected_strength,
 )
@@ -135,10 +137,11 @@ class BoundsReport:
 
 
 class Routes(NamedTuple):
-    """One (pair, witness) candidate: regime, reported strength, p- and q-route numerators."""
+    """One (pair, witness) candidate: regime, the strength its numerators read
+    (S_NL, or K, which is positive), and the p- and q-route numerators."""
 
     regime: str
-    strength: NonlocalityStrength | None
+    strength: float
     lower_numerator: float
     upper_numerator: float
 
@@ -294,16 +297,11 @@ class PairSpectra:
             raise SingularDenominatorError("smallest nonzero embedded eigenvalue vanished")
         return self.lambda_k_embedded
 
-    @cached_property
-    def p_max(self) -> float:
-        """The pair's best CHSH winning probability, solved on first use only."""
-        return p_max_optimal(self.reduced)
-
     def routes(self, witness: np.ndarray) -> Routes:
         """The candidate under this witness, cached by the witness's value.
 
-        The undetected strength (at the default weight) is formed before
-        the numerators, which read K alone.
+        An undetected candidate with K <= 0 raises WindowParameterError
+        before any solve: the replacement strength is undefined there.
         """
         w = np.asarray(witness, dtype=complex)
         key = w.tobytes()
@@ -311,9 +309,8 @@ class PairSpectra:
             if is_detected(self.reduced, w):
                 routes = self.detected(s_nl_detected(self.reduced, w))
             else:
-                k = k_from_negativity(self.reduced, w, self.negativity)
-                strength = undetected_strength(k, self.p_max)
-                routes = self.undetected(k, self.witness_max(w), strength)
+                k = positive_k(k_from_negativity(self.reduced, w, self.negativity))
+                routes = self.undetected(k, self.witness_max(w))
             self._routes[key] = routes
         return self._routes[key]
 
@@ -327,13 +324,12 @@ class PairSpectra:
 
     def detected(self, s_nl: float) -> Routes:
         """Both numerators of the detected regime, from S_NL."""
-        return Routes("detected", NonlocalityStrength.detected(s_nl),
+        return Routes("detected", s_nl,
                       self.lambda_min_product + 2.0 * s_nl * self.lambda_max_rho,
                       self.lambda_max_product + 2.0 * s_nl * self.lambda_min_rho)
 
-    def undetected(self, k: float, wr_max: float | None,
-                   strength: NonlocalityStrength | None = None) -> Routes:
-        """H and F/4, the numerators of the undetected regime, from K; strength is only carried.
+    def undetected(self, k: float, wr_max: float | None) -> Routes:
+        """H and F/4, the numerators of the undetected regime, from K.
 
         F's witness correction carries a factor lambda_min(rho), so a
         state with lambda_min(rho) = 0 drops it and needs no wr_max.
@@ -347,7 +343,7 @@ class PairSpectra:
         if self.lambda_min_rho != 0.0:
             f -= (self.lambda_min_rho / wr_max) * (
                 8.0 * self.negativity * k - self.trace_pt_squared)
-        return Routes("undetected", strength, h, f / 4.0)
+        return Routes("undetected", k, h, f / 4.0)
 
     def bounds(self, routes: Routes, p: float, q: float) -> tuple[float, float]:
         """The lower route's bound at visibility p and the upper route's at q."""
@@ -438,7 +434,7 @@ def midpoint_report(spectra: PairSpectra, witness: np.ndarray
 def _report(spectra: PairSpectra, witness: np.ndarray,
             pq: tuple[float, float] | None) -> tuple[BoundsReport, float, float]:
     routes = spectra.routes(witness)
-    strength, low, high = routes.strength, routes.lower_numerator, routes.upper_numerator
+    low, high = routes.lower_numerator, routes.upper_numerator
     emb_max = spectra.lambda_max_embedded
     lam_k = spectra.lambda_k
     (p_adm, p_gen), (q_adm, q_gen) = spectra.windows(routes)
@@ -461,10 +457,12 @@ def _report(spectra: PairSpectra, witness: np.ndarray,
                 "d1_minus": 2.0 * low - emb_max,
                 "d2_plus": 2.0 * high + lam_k,
                 "d2_minus": 2.0 * high - lam_k,
-                "s_nl": strength.s_nl,
+                "s_nl": routes.strength,
             }
         )
     else:
+        # the reported strength, at the default weight, is formed here only
+        strength = undetected_strength(routes.strength, p_max_optimal(spectra.reduced))
         intermediates.update(
             {
                 "H": low,
@@ -511,7 +509,7 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
     """detect_genuine's search over (pair, record) items, in their order.
 
     A candidate whose strength or windows cannot be formed (zero
-    negativity, a vanished denominator) is skipped.
+    negativity, K <= 0, a vanished denominator) is skipped.
     """
     witnesses: list[tuple[str, np.ndarray]] = [
         (plane, plane_witness(plane)) for plane in PLANES

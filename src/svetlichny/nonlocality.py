@@ -8,9 +8,10 @@ state is entangled but the witness misses it, the replacement measure is
 
 with K = Tr[W rho rho^T]/(4 N(rho)), P_max the best CHSH-game winning
 probability, and r a mixing weight kept below the cap that guarantees
-positivity. The certificates built on this measure read K alone, so
-they take no r and report the strength at the default weight, half the
-cap; s_nl_new evaluates it at any admissible r. The K bounds
+positivity. The certificates built on this measure read K alone (and
+need K > 0, the cap's own hypothesis, checked by positive_k), so they
+take no r; a report forms NonlocalityStrength at the default weight,
+half the cap, and s_nl_new evaluates it at any admissible r. The K bounds
 (lemma_lower/upper in spirit) sandwich K without needing the product
 trace, which is what makes the undetected-regime certificates computable
 from printed spectral data alone.
@@ -54,20 +55,12 @@ class RegimeMismatchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class NonlocalityStrength:
-    variant: str                      # "detected" | "undetected"
-    s_nl: float | None = None         # detected
-    s_nl_new: float | None = None     # undetected
-    k: float | None = None
-    p_max: float | None = None
-    r: float | None = None
+    """S_NL_new = r (P_max - 3/4) + (1 - r) K, with the K, P_max and r it was formed from."""
 
-    @classmethod
-    def detected(cls, s_nl: float) -> "NonlocalityStrength":
-        return cls(variant="detected", s_nl=s_nl)
-
-    @classmethod
-    def undetected(cls, s_nl_new: float, k: float, p_max: float, r: float) -> "NonlocalityStrength":
-        return cls(variant="undetected", s_nl_new=s_nl_new, k=k, p_max=p_max, r=r)
+    s_nl_new: float
+    k: float
+    p_max: float
+    r: float
 
 
 def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
@@ -172,6 +165,13 @@ def k_upper_bound(rho: DensityMatrix, w: np.ndarray) -> float:
     return (wr_max * linalg.trace_product(w, rho.matrix) + pt2_trace) / (8.0 * n)
 
 
+def positive_k(k: float) -> float:
+    """K itself, once it is positive: the cap, and so S_NL_new, is defined only then."""
+    if k <= 0.0:
+        raise WindowParameterError(f"the cap needs K > 0, got {float(k)}")
+    return k
+
+
 def r_cap(k: float, p_max: float) -> float:
     """Upper limit K/(3/4 - P_max + K) on the mixing weight r, clamped to (0, 1].
 
@@ -180,8 +180,7 @@ def r_cap(k: float, p_max: float) -> float:
     the formula lands above 1, or its denominator is not positive once
     P_max >= 3/4 + K, and either way the cap is vacuous.
     """
-    if k <= 0.0:
-        raise WindowParameterError(f"the cap needs K > 0, got {float(k)}")
+    k = positive_k(k)
     denominator = 0.75 - p_max + k
     if denominator <= 0.0:
         return 1.0
@@ -200,7 +199,7 @@ def undetected_strength(k: float, p_max: float, r: float | None = None) -> Nonlo
     elif not 0.0 <= r < cap:
         raise WindowParameterError(f"r = {float(r)} outside [0, {float(cap)})")
     value = r * (p_max - 0.75) + (1.0 - r) * k
-    return NonlocalityStrength.undetected(s_nl_new=value, k=k, p_max=p_max, r=r)
+    return NonlocalityStrength(s_nl_new=value, k=k, p_max=p_max, r=r)
 
 
 def s_nl_new(rho: DensityMatrix, w: np.ndarray, r: float) -> NonlocalityStrength:

@@ -31,6 +31,7 @@ from svetlichny.bounds import (
 from svetlichny.nonlocality import (
     NEG_TOL,
     NonlocalityError,
+    WindowParameterError,
     is_detected,
     k_value,
     p_max_optimal,
@@ -306,7 +307,6 @@ class TestUndetectedRoute:
         assert upper == 0.0
 
     def test_genuine_p_window_tracks_h_sign(self):
-        from svetlichny.nonlocality import NonlocalityStrength
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         reduced = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         strength = s_nl_new(reduced, XY, 0.0)
@@ -316,9 +316,7 @@ class TestUndetectedRoute:
         assert not genuine.empty
         # a vanishing strength leaves H at the positive product floor, and
         # a positive H has to close the genuine window
-        feeble = NonlocalityStrength.undetected(
-            s_nl_new=1e-12, k=1e-12, p_max=0.75, r=0.0)
-        (_, closed), _ = spectra.windows(spectra.undetected(feeble.k, wr_max))
+        (_, closed), _ = spectra.windows(spectra.undetected(1e-12, wr_max))
         assert closed.empty
 
 
@@ -438,9 +436,9 @@ class TestSolveCounts:
         # no GHZ pair is entangled, so no route reaches a product
         assert solves[8] == 0, solves
 
-    def test_p_max_solved_once_per_pair(self, solves):
-        # every (pair, plane) candidate, undetected ones included, reads
-        # its pair's P_max from the record's single 3x3 solve
+    def test_search_solves_no_p_max(self, solves):
+        # every (pair, plane) candidate, undetected ones included, reads K
+        # alone: P_max is a 3x3 solve that only the report needs
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         records = list(pair_records(rho))
         solves.clear()
@@ -450,7 +448,20 @@ class TestSolveCounts:
                     _candidate_windows(spectra, operators.plane_witness(plane))
                 except (NonlocalityError, BoundsError):
                     pass
-        assert solves[3] <= len(SEARCH_ORDER), solves
+        assert solves[3] == 0, solves
+
+    def test_k_not_positive_is_skipped_before_any_solve(self, solves):
+        # pair AC of this pure state is entangled and missed by the xz
+        # witness with K = -0.0643: the replacement strength is undefined
+        gen = np.random.default_rng(0)
+        for _ in range(5):
+            ket = random_pure(gen, 8)
+        rho = states.validate(np.outer(ket, ket.conj()), 3)
+        spectra = dict(pair_records(rho))[("A", "C")]
+        solves.clear()
+        with pytest.raises(WindowParameterError, match="K > 0"):
+            spectra.routes(XZ)
+        assert sum(solves.values()) == 0, solves
 
 
 class TestRoutesCache:
@@ -474,7 +485,7 @@ class TestRoutesCache:
         witness *= 0.5
         halved = spectra.routes(witness)
         assert solves[4] == 1, solves
-        assert halved.strength.k == pytest.approx(0.5 * first.strength.k, rel=1e-12)
+        assert halved.strength == pytest.approx(0.5 * first.strength, rel=1e-12)
         assert halved.lower_numerator != first.lower_numerator
         assert spectra.routes(XY) is first
 

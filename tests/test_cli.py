@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from svetlichny import cli, reproduce, states
-from conftest import random_density
+from conftest import random_density, random_pure
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -177,22 +177,22 @@ class TestAnalyzeOutput:
         # one record per pair serves the negativities, the certificate and
         # the search: the state once (by validation), one stack of the
         # three pairs and their transposes, and the product of a pair only
-        # when a route reads it; each certificate adds its witness and
-        # P_max, and no plane witness is rebuilt
+        # when a route reads it; each certificate adds its witness, the
+        # report alone solves P_max, and no plane witness is rebuilt
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--format", "json") == 0
         capsys.readouterr()
         # the search fires on AB and the certificate reads BC: no AC product
-        assert solves[8] == 3 and solves[4] == 8 and solves[3] == 2, solves
+        assert solves[8] == 3 and solves[4] == 8 and solves[3] == 1, solves
         assert solves[2] == 0, solves
         # GHZ has no entangled pair, so no route reaches a product
         solves.clear()
         assert run("analyze", "--ref", "GHZ", "--format", "json") == 2
         capsys.readouterr()
         assert solves[8] == 1 and solves[4] == 6, solves
-        # the certificate and the search share the pair's cached P_max and
-        # product, and its (AC, xy) candidate with its witness congruence
+        # the certificate and the search share the pair's product and its
+        # (AC, xy) candidate with its witness congruence
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--pair", "AC", "--format", "json") == 0
@@ -221,6 +221,19 @@ class TestAnalyzeOutput:
         assert report is not None
         assert report["regime"] == "undetected"
         assert report["intermediates"]["r"] == 0.5
+
+    def test_k_not_positive_leaves_report_unavailable(self, tmp_path, capsys):
+        # pair AC under xz has K = -0.0643: no strength to report, while
+        # the search still fires on AC under xy
+        gen = np.random.default_rng(0)
+        for _ in range(5):
+            ket = random_pure(gen, 8)
+        path = tmp_path / "k-negative.mat"
+        path.write_text(cli.format_matrix_text(np.outer(ket, ket.conj())))
+        assert run("analyze", "--matrix", str(path), "--pair", "AC", "--witness", "xz") == 0
+        out = capsys.readouterr().out
+        assert "  unavailable: the cap needs K > 0, got -0.06429993149031803\n" in out
+        assert "verdict: genuine\n  route undetected-p, pair A-C, witness xy\n" in out
 
 
 class TestOptimizeCommand:

@@ -171,7 +171,6 @@ class TestInterpolatedStrength:
         strength = nonlocality.s_nl_new(rho, XY, 0.0)
         assert strength.s_nl_new == nonlocality.k_value(rho, XY)
         assert strength.r == 0.0
-        assert strength.variant == "undetected"
 
     def test_strength_positive_below_cap(self):
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
