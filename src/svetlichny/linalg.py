@@ -148,19 +148,3 @@ def eigen_root(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     roots = np.sqrt(np.clip(values, 0.0, None))
     return (vectors * roots[..., None, :]) @ np.swapaxes(vectors, -1, -2).conj()
 
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (see eigen_root)."""
-    return eigen_root(*hermitian_eigensystem(m))
-
-
-def sandwich_check(m, n) -> tuple[float, float, float]:
-    """Evaluate (lambda_min(M) Tr N, Tr[M N], lambda_max(M) Tr N).
-
-    The two-sided trace inequality holds when N is positive semidefinite;
-    this helper only evaluates the three quantities, callers assert the
-    ordering for PSD N.
-    """
-    lo, hi = hermitian_eigenvalues(m)[[0, -1]].tolist()
-    tn = float(np.trace(_as_matrix(n)).real)
-    return lo * tn, trace_product(m, n), hi * tn

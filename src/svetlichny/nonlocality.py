@@ -11,10 +11,7 @@ probability, and r a mixing weight kept below the cap that guarantees
 positivity. The certificates built on this measure read K alone (and
 need K > 0, the cap's own hypothesis, checked by positive_k), so they
 take no r; a report forms NonlocalityStrength at the default weight,
-half the cap, and s_nl_new evaluates it at any admissible r. The K bounds
-(lemma_lower/upper in spirit) sandwich K without needing the product
-trace, which is what makes the undetected-regime certificates computable
-from printed spectral data alone.
+half the cap, and s_nl_new evaluates it at any admissible r.
 """
 
 from __future__ import annotations
@@ -26,11 +23,9 @@ import numpy as np
 
 from . import linalg
 from .operators import PAULIS
-from .states import DensityMatrix, negativity, partial_transpose, partial_transpose_numbers
+from .states import DensityMatrix, negativity, partial_transpose
 
 NEG_TOL = 1e-12
-EXPECTATION_TOL = 1e-9
-TSIRELSON = 2 * np.sqrt(2.0)
 
 
 class NonlocalityError(ValueError):
@@ -38,11 +33,7 @@ class NonlocalityError(ValueError):
 
 
 class ZeroNegativityError(NonlocalityError):
-    """K and its bounds divide by the negativity; separable inputs have none."""
-
-
-class RegimeMismatchError(NonlocalityError):
-    """Raised when an operation's regime hypothesis (detected vs not) fails."""
+    """K divides by the negativity; separable inputs have none."""
 
 
 class WindowParameterError(NonlocalityError):
@@ -84,15 +75,6 @@ def horodecki_m(rho: DensityMatrix) -> float:
     return float(values[-1] + values[-2])
 
 
-def p_max_from_expectation(chsh_expectation: float) -> float:
-    """Winning probability (1 + <B>/4)/2 of the CHSH game at a given expectation."""
-    if abs(chsh_expectation) > TSIRELSON + EXPECTATION_TOL:
-        raise WindowParameterError(
-            f"|<B>| = {float(abs(chsh_expectation))} exceeds the quantum bound 2*sqrt(2)"
-        )
-    return 0.5 * (1.0 + chsh_expectation / 4.0)
-
-
 def p_max_optimal(rho: DensityMatrix) -> float:
     """Best winning probability over all settings: (1 + sqrt(M)/2)/2."""
     return 0.5 * (1.0 + np.sqrt(max(horodecki_m(rho), 0.0)) / 2.0)
@@ -105,12 +87,6 @@ def is_detected(rho: DensityMatrix, w: np.ndarray) -> bool:
 def s_nl_detected(rho: DensityMatrix, w: np.ndarray) -> float:
     """max{-Tr[W rho]/8, 0}; zero whenever the witness fails to detect."""
     return max(-linalg.trace_product(w, rho.matrix) / 8.0, 0.0)
-
-
-def _entangled_negativity(n: float) -> float:
-    if n <= NEG_TOL:
-        raise ZeroNegativityError(f"negativity {float(n)} is numerically zero; K is undefined")
-    return n
 
 
 def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
@@ -133,36 +109,9 @@ def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
 
 def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float) -> float:
     """k_value's arithmetic for a negativity N already read off the same partial transpose."""
-    n = _entangled_negativity(n)
+    if n <= NEG_TOL:
+        raise ZeroNegativityError(f"negativity {float(n)} is numerically zero; K is undefined")
     return linalg.trace_product(w, rho.matrix @ partial_transpose(rho)) / (4.0 * n)
-
-
-def _bound_transpose_numbers(rho: DensityMatrix, w: np.ndarray) -> tuple[float, ...]:
-    """partial_transpose_numbers of rho, once the K bounds' hypotheses are checked."""
-    numbers = partial_transpose_numbers(linalg.hermitian_eigenvalues(partial_transpose(rho)))
-    _entangled_negativity(numbers[0])
-    if is_detected(rho, w):
-        raise RegimeMismatchError(
-            "bound hypotheses require the witness not to detect the state (Tr[W rho] >= 0)"
-        )
-    return numbers
-
-
-def k_lower_bound(rho: DensityMatrix, w: np.ndarray) -> float:
-    """lambda_min[(rho^T)^2] Tr[W rho] / (4 lambda_max(rho^T) N(rho))."""
-    n, pt_max, pt2_min, _ = _bound_transpose_numbers(rho, w)
-    return pt2_min * linalg.trace_product(w, rho.matrix) / (4.0 * pt_max * n)
-
-
-def k_upper_bound(rho: DensityMatrix, w: np.ndarray) -> float:
-    """[lambda_max(W rho) Tr[W rho] + Tr[(rho^T)^2]] / (8 N(rho)).
-
-    lambda_max(W rho) is taken from the Hermitian congruence
-    rho^{1/2} W rho^{1/2}, which shares the product's spectrum.
-    """
-    n, _, _, pt2_trace = _bound_transpose_numbers(rho, w)
-    wr_max = float(linalg.congruence_eigenvalues(linalg.psd_sqrt(rho.matrix), w)[-1])
-    return (wr_max * linalg.trace_product(w, rho.matrix) + pt2_trace) / (8.0 * n)
 
 
 def positive_k(k: float) -> float:

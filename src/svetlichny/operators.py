@@ -3,7 +3,7 @@ three-party Svetlichny operator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,25 +73,21 @@ class ChshSettings:
     """Four 2x2 Hermitian observables.
 
     Dichotomic +-1 observables have spectrum exactly {-1, +1}; observables
-    whose spectral radius exceeds 1 are accepted (one published example
-    uses them) but flagged via within_unit_ball = False.
+    whose spectral radius exceeds 1 are accepted too (one published
+    example uses them).
     """
 
     A0: np.ndarray
     A1: np.ndarray
     B0: np.ndarray
     B1: np.ndarray
-    within_unit_ball: bool = field(init=False)
 
     def __post_init__(self):
-        radius = 0.0
         for name in ("A0", "A1", "B0", "B1"):
             obs = np.asarray(getattr(self, name), dtype=complex)
             if obs.shape != (2, 2):
                 raise OperatorError(f"{name} must be 2x2, got {obs.shape}")
-            # raises if not Hermitian
-            radius = max(radius, *np.abs(linalg.hermitian_eigenvalues(obs)).tolist())
-        object.__setattr__(self, "within_unit_ball", radius <= 1.0 + 1e-9)
+            linalg.symmetrize(obs)  # raises if not Hermitian
 
 
 def pauli(axis: str) -> np.ndarray:

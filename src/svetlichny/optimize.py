@@ -19,10 +19,10 @@ to stall at) and the step halved until the value rises. The coordinate
 backend exploits multilinearity directly: freezing the other parties
 leaves a linear functional of one party's two vectors, maximized by its
 two normalized coefficient rows, which never read that party's own
-vectors; a sweep updates one party at a time. Tests hold the two to
-1e-6 of each other on random states; on ridge states the coordinate
-backend can stop at its cap up to 2e-6 short, and restarts_capped
-reports it.
+vectors; a sweep updates one party at a time. On 100 seeded random
+states (16 restarts) it never ended above the gradient backend by more
+than 1e-9 and ended below it on 24, by up to 4.6e-6; on ridge states it
+stops at its cap, and restarts_capped reports that.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.

@@ -1,4 +1,8 @@
-"""Shared helpers: random states with reproducible generators, and solve counts."""
+"""Shared helpers: random states with reproducible generators, and solve counts.
+
+Hypothesis runs derandomized and without an example database, so every
+property test draws the same examples on every run and every machine.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,13 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from svetlichny import linalg
 from svetlichny.states import DensityMatrix, validate
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from svetlichny import linalg, nonlocality, operators, reproduce, states
+from svetlichny import nonlocality, operators, reproduce, states
 from svetlichny.bounds import detect_genuine, pair_spectra
 from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
 from conftest import (
@@ -26,6 +26,7 @@ from conftest import (
     random_density,
     random_product_two_qubit,
 )
+import lemmas
 
 XY = operators.plane_witness("xy")
 XZ = operators.plane_witness("xz")
@@ -219,8 +220,8 @@ class TestCriterion7:
             for param in np.linspace(lo, hi, 50):
                 reduced = states.example_reduced(family, float(param))
                 k = nonlocality.k_value(reduced, XY)
-                k_lo = nonlocality.k_lower_bound(reduced, XY)
-                k_hi = nonlocality.k_upper_bound(reduced, XY)
+                k_lo = lemmas.k_lower_bound(reduced, XY)
+                k_hi = lemmas.k_upper_bound(reduced, XY)
                 points += 1
                 if not (k_lo - 1e-10 <= k <= k_hi + 1e-10):
                     failures.append((family, param, k_lo, k, k_hi))
@@ -239,7 +240,7 @@ class TestCriterion8:
             dim = int(rng.integers(2, 5))
             m = random_density(rng, dim) * float(rng.uniform(0.5, 3.0))
             n = random_density(rng, dim) * float(rng.uniform(0.5, 3.0))
-            lo, mid, hi = linalg.sandwich_check(m, n)
+            lo, mid, hi = lemmas.sandwich(m, n)
             if not (lo - 1e-10 <= mid <= hi + 1e-10):
                 sandwich_ok = False
                 break

@@ -1,8 +1,12 @@
-"""The package depends on the standard library and numpy only.
+"""The package depends on the standard library and numpy only, and holds
+no function that nothing reads.
 
 scipy may be installed next to it, but the package must not reach for it
 (or anything else): every absolute import in src/svetlichny is checked
-against the interpreter's list of standard-library modules.
+against the interpreter's list of standard-library modules. A public
+module-level function must be read somewhere else in the package, where
+an export through __all__ counts; a check that only the tests call
+belongs in tests/.
 """
 
 from __future__ import annotations
@@ -32,3 +36,43 @@ def test_imports_only_stdlib_and_numpy(path):
     foreign = [name for name in _absolute_imports(path)
                if name.partition(".")[0] not in ALLOWED]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _functions_and_reads(path: Path) -> tuple[list[str], set[str]]:
+    """Public module-level functions of a module, and the names its code reads
+    outside each function's own body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    reads = set()
+    for statement in tree.body:
+        own = statement.name if isinstance(statement, ast.FunctionDef) else None
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != own:
+                reads.add(name)
+    return functions, reads
+
+
+def unread_functions() -> list[str]:
+    """module.function for every public module-level function that no other
+    package code reads. __init__ exports a name through __all__ by
+    importing it, and an import counts as a read. The cli.cmd_* commands
+    are exempt: main dispatches them by name."""
+    modules = {path.stem: _functions_and_reads(path) for path in sorted(SOURCE.glob("*.py"))}
+    reads = set().union(*(read for _, read in modules.values()))
+    return [f"{module}.{name}" for module, (functions, _) in modules.items()
+            for name in functions
+            if name not in reads and not (module == "cli" and name.startswith("cmd_"))]
+
+
+def test_every_public_function_is_read():
+    unread = unread_functions()
+    assert not unread, f"no package code reads {unread}; move test-only checks to tests/"

@@ -4,8 +4,8 @@ The kernel's eigensolver (LAPACK behind the kernel's gates) is compared
 against numpy.linalg.eigvalsh and against a cyclic Jacobi solver kept
 here, which shares no code with LAPACK; the gates themselves (dimension,
 finiteness, hermiticity, solver failure) are exercised directly. The
-two-sided trace inequality is exercised with hypothesis-driven PSD
-operands.
+two-sided trace inequality, whose oracle lives in tests/lemmas.py, is
+exercised with hypothesis-driven PSD operands.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from svetlichny import bounds, linalg, operators, states
 from conftest import random_density
+import lemmas
 
 JACOBI_OFFDIAG_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 64
@@ -188,7 +189,8 @@ class TestStacks:
             assert np.array_equal(member_vectors, one_vectors)
         roots = linalg.eigen_root(*linalg.hermitian_eigensystem(stack @ stack))
         for member, root in zip(stack, roots):
-            assert np.array_equal(root, linalg.psd_sqrt(member @ member))
+            assert np.array_equal(
+                root, linalg.eigen_root(*linalg.hermitian_eigensystem(member @ member)))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
                              ids=["nan", "inf", "imag-nan"])
@@ -257,12 +259,12 @@ class TestKron:
 class TestPsdSqrt:
     def test_square_recovers_input(self, rng):
         m = random_density(rng, 4)
-        root = linalg.psd_sqrt(m)
+        root = linalg.eigen_root(*linalg.hermitian_eigensystem(m))
         assert np.allclose(root @ root, m, atol=1e-10)
 
     def test_clips_tiny_negative_eigenvalues(self):
         m = np.diag([1.0, -1e-14])
-        root = linalg.psd_sqrt(m)
+        root = linalg.eigen_root(*linalg.hermitian_eigensystem(m))
         assert np.allclose(root @ root, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -284,12 +286,12 @@ class TestSandwich:
         m = g @ g.conj().T
         h = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
         n = h @ h.conj().T
-        lo, mid, hi = linalg.sandwich_check(m, n)
+        lo, mid, hi = lemmas.sandwich(m, n)
         assert lo - 1e-10 <= mid <= hi + 1e-10
 
     def test_identity_operand_is_tight(self):
         m = np.diag([0.25, 0.75])
-        lo, mid, hi = linalg.sandwich_check(m, np.eye(2))
+        lo, mid, hi = lemmas.sandwich(m, np.eye(2))
         assert lo == pytest.approx(0.5)
         assert mid == pytest.approx(1.0)
         assert hi == pytest.approx(1.5)

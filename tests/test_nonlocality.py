@@ -2,7 +2,9 @@
 
 The frozen decimals below were produced by evaluating the defining
 formulas directly (trace quotients and eigenvalue expressions) in a
-separate script before this module's implementation was written.
+separate script before this module's implementation was written. The K
+bounds are the paper's lemmas, which the package does not use; their
+oracle lives in tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from svetlichny import bounds, linalg, nonlocality, operators, states
 from conftest import random_state
+import lemmas
 
 XY = operators.plane_witness("xy")
 XZ = operators.plane_witness("xz")
@@ -86,7 +89,7 @@ class TestHorodecki:
         rho = random_state(rng, 2)
         m = nonlocality.horodecki_m(rho)
         chsh = 2.0 * math.sqrt(m)
-        assert nonlocality.p_max_from_expectation(chsh) == pytest.approx(
+        assert 0.5 * (1.0 + chsh / 4.0) == pytest.approx(
             nonlocality.p_max_optimal(rho), abs=1e-12)
 
 
@@ -142,8 +145,8 @@ class TestKValue:
 class TestKBounds:
     def test_identity_w_sandwich_anchor(self):
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
-        lo = nonlocality.k_lower_bound(rho, XY)
-        hi = nonlocality.k_upper_bound(rho, XY)
+        lo = lemmas.k_lower_bound(rho, XY)
+        hi = lemmas.k_upper_bound(rho, XY)
         assert lo == pytest.approx(0.02885418611188304, abs=1e-12)
         assert hi == pytest.approx(0.7508016668754417, abs=1e-12)
         k = nonlocality.k_value(rho, XY)
@@ -151,10 +154,10 @@ class TestKBounds:
 
     def test_detected_state_rejected(self):
         rho_ac = states.partial_trace(states.make_example(states.FAMILY_PURE_W1, 0.92), "B")
-        with pytest.raises(nonlocality.RegimeMismatchError):
-            nonlocality.k_lower_bound(rho_ac, XZ)
-        with pytest.raises(nonlocality.RegimeMismatchError):
-            nonlocality.k_upper_bound(rho_ac, XZ)
+        with pytest.raises(lemmas.HypothesisError):
+            lemmas.k_lower_bound(rho_ac, XZ)
+        with pytest.raises(lemmas.HypothesisError):
+            lemmas.k_upper_bound(rho_ac, XZ)
 
 
 class TestInterpolatedStrength:
@@ -224,8 +227,8 @@ class TestLemmaSandwichGrids:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", nonlocality.RegimeMismatchWarning)
                 k = nonlocality.k_value(rho, XY)
-            assert nonlocality.k_lower_bound(rho, XY) - 1e-10 <= k
-            assert k <= nonlocality.k_upper_bound(rho, XY) + 1e-10
+            assert lemmas.k_lower_bound(rho, XY) - 1e-10 <= k
+            assert k <= lemmas.k_upper_bound(rho, XY) + 1e-10
 
 
 def _random_rank(rng: np.random.Generator, rank: int) -> states.DensityMatrix:
@@ -237,12 +240,11 @@ def _random_rank(rng: np.random.Generator, rank: int) -> states.DensityMatrix:
 
 class TestOneFormulaPerQuantity:
     """The partial-transpose numbers and the congruence spectrum each have one
-    formula: the K bounds, the negativity and the pair record all read it."""
+    formula: the negativity and the pair record read it, and the pair record
+    agrees with the K bounds' oracle."""
 
     @pytest.mark.parametrize("function,count", [
-        (nonlocality.k_lower_bound, 1),
         (nonlocality.k_value, 1),
-        (nonlocality.k_upper_bound, 3),
     ], ids=lambda x: getattr(x, "__name__", x))
     def test_solve_counts(self, solves, function, count):
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
@@ -275,8 +277,8 @@ class TestOneFormulaPerQuantity:
                     lower = record.lambda_min_pt_squared * trw / (
                         4.0 * record.lambda_max_pt * n)
                     upper = (record.witness_max(w) * trw + record.trace_pt_squared) / (8.0 * n)
-                    assert nonlocality.k_lower_bound(rho, w) == pytest.approx(lower, abs=1e-12)
-                    assert nonlocality.k_upper_bound(rho, w) == pytest.approx(upper, abs=1e-12)
+                    assert lemmas.k_lower_bound(rho, w) == pytest.approx(lower, abs=1e-12)
+                    assert lemmas.k_upper_bound(rho, w) == pytest.approx(upper, abs=1e-12)
                     checked += 1
         assert checked > 300
 
@@ -287,6 +289,6 @@ class TestOneFormulaPerQuantity:
         assert list(values) == sorted(values)
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
         for x in (states.negativity(rho), nonlocality.horodecki_m(rho),
-                  nonlocality.k_lower_bound(rho, XY), nonlocality.k_upper_bound(rho, XY),
+                  lemmas.k_lower_bound(rho, XY), lemmas.k_upper_bound(rho, XY),
                   linalg.first_nonzero_eigenvalue(values)):
             assert type(x) is float

@@ -69,16 +69,6 @@ class TestChshOperator:
         assert np.trace(w).real == pytest.approx(8.0 - np.trace(b).real, abs=1e-12)
         assert np.allclose(w, 2.0 * np.eye(4) - b, atol=1e-13)
 
-    def test_unit_ball_flag(self):
-        inside = operators.ChshSettings(
-            A0=operators.pauli("x"), A1=operators.pauli("y"),
-            B0=operators.pauli("x"), B1=operators.pauli("y"))
-        assert inside.within_unit_ball
-        outside = operators.ChshSettings(
-            A0=2.0 * operators.pauli("x"), A1=operators.pauli("y"),
-            B0=operators.pauli("x"), B1=operators.pauli("y"))
-        assert not outside.within_unit_ball
-
     def test_non_hermitian_observable_rejected(self):
         from svetlichny.linalg import NotHermitianError
         with pytest.raises(NotHermitianError):
