@@ -124,11 +124,13 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Everything one certificate evaluation produced, windows included."""
+    """Everything one certificate evaluation produced, its (p, q) and windows included."""
 
     regime: str
     sv_lower: float
     sv_upper: float
+    p: float
+    q: float
     p_window: Window
     q_window: Window
     genuine_p_window: Window
@@ -422,17 +424,16 @@ def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEAR
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
     spectra = pair_spectra(rho_abc, reduce_to_pair(rho_abc, cfg.reduced_pair), cfg.reduced_pair)
-    return _report(spectra, cfg.witness, (cfg.p, cfg.q))[0]
+    return _report(spectra, cfg.witness, (cfg.p, cfg.q))
 
 
-def midpoint_report(spectra: PairSpectra, witness: np.ndarray
-                    ) -> tuple[BoundsReport, float, float]:
-    """The record's report at its genuine-window midpoints (0.5 where one is empty), and that (p, q)."""
+def midpoint_report(spectra: PairSpectra, witness: np.ndarray) -> BoundsReport:
+    """The record's report at its genuine-window midpoints (0.5 where one is empty)."""
     return _report(spectra, witness, None)
 
 
 def _report(spectra: PairSpectra, witness: np.ndarray,
-            pq: tuple[float, float] | None) -> tuple[BoundsReport, float, float]:
+            pq: tuple[float, float] | None) -> BoundsReport:
     routes = spectra.routes(witness)
     low, high = routes.lower_numerator, routes.upper_numerator
     emb_max = spectra.lambda_max_embedded
@@ -481,12 +482,14 @@ def _report(spectra: PairSpectra, witness: np.ndarray,
         regime=routes.regime,
         sv_lower=sv_lower,
         sv_upper=sv_upper,
+        p=p,
+        q=q,
         p_window=p_adm,
         q_window=q_adm,
         genuine_p_window=p_gen,
         genuine_q_window=q_gen,
         intermediates=intermediates,
-    ), p, q
+    )
 
 
 def detect_genuine(rho_abc: DensityMatrix, pair: tuple[str, str] | None = None,

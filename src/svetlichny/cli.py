@@ -21,7 +21,7 @@ of the genuine windows (falling back to 0.5 where a window is empty), so
 the printed interval is always attainable by the reported parameters.
 The undetected-regime strength is printed at the default weight r, half
 its cap; the certificate reads only its K, so no weight is asked for.
-JSON output mirrors the BoundsReport field names verbatim.
+JSON output is the records: BoundsReport and Verdict, fields in declaration order.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
 from . import linalg, nonlocality, operators, reproduce, states
-from .bounds import (BoundsError, Verdict, Window, midpoint_report, pair_records,
-                     search_records)
+from .bounds import BoundsError, Window, midpoint_report, pair_records, search_records
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
@@ -184,22 +183,14 @@ def _pair_arg(value: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Serialization helpers.
 
-def _window_dict(window: Window | None) -> dict | None:
-    if window is None:
-        return None
-    return {"lower": window.lower, "upper": window.upper, "empty": window.empty}
+def _fields(record) -> dict:
+    """json's default: a dataclass's fields in declaration order, TypeError for anything else."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _window_str(window: Window) -> str:
     tag = "empty" if window.empty else "nonempty"
     return f"[{window.lower:.9g}, {window.upper:.9g}] ({tag})"
-
-
-def _verdict_dict(verdict: Verdict) -> dict:
-    out = asdict(verdict)
-    out["window"] = _window_dict(verdict.window)
-    out["pair"] = list(verdict.pair) if verdict.pair is not None else None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +218,8 @@ def cmd_analyze(args) -> int:
 
     report = None
     report_error = None
-    p = q = None
     try:
-        report, p, q = midpoint_report(records[pair], cert_witness)
+        report = midpoint_report(records[pair], cert_witness)
     except (nonlocality.NonlocalityError, BoundsError, linalg.LinalgError) as exc:
         report_error = str(exc)
 
@@ -237,24 +227,13 @@ def cmd_analyze(args) -> int:
         payload = {
             "state": label,
             "negativity": negs,
-            "certificate_pair": list(pair),
+            "certificate_pair": pair,
             "certificate_witness": cert_witness_label,
-            "report": None if report is None else {
-                "regime": report.regime,
-                "sv_lower": report.sv_lower,
-                "sv_upper": report.sv_upper,
-                "p": p,
-                "q": q,
-                "p_window": _window_dict(report.p_window),
-                "q_window": _window_dict(report.q_window),
-                "genuine_p_window": _window_dict(report.genuine_p_window),
-                "genuine_q_window": _window_dict(report.genuine_q_window),
-                "intermediates": report.intermediates,
-            },
+            "report": report,
             "report_error": report_error,
-            "verdict": _verdict_dict(verdict),
+            "verdict": verdict,
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=_fields))
     elif args.format == "csv":
         header = ("outcome,route,parameter,value,window_lower,window_upper,"
                   "pair,witness,neg_AB,neg_AC,neg_BC")
@@ -289,7 +268,7 @@ def cmd_analyze(args) -> int:
                 print(f"  strength: s_nl_new = {inter['s_nl_new']:.9g} "
                       f"(k = {inter['k']:.9g}, p_max = {inter['p_max']:.9g}, "
                       f"r = {inter['r']:.9g})")
-            print(f"  bounds at p = {p:.9g}, q = {q:.9g}: "
+            print(f"  bounds at p = {report.p:.9g}, q = {report.q:.9g}: "
                   f"lower {report.sv_lower:.9g}, upper {report.sv_upper:.9g}")
             print(f"  p window: {_window_str(report.p_window)}  "
                   f"genuine: {_window_str(report.genuine_p_window)}")

@@ -170,12 +170,10 @@ class _Multilinear:
         x = vectors.reshape(len(vectors), -1, 6)
         return _dot(x[:, 0], self._party(x, 0))
 
-    def coefficient_gradients(self, vectors: np.ndarray, party: int | None = None):
-        """Every coefficient row, (restarts, 2n, 3), or `party`'s two, (restarts, 2, 3)."""
+    def coefficient_gradients(self, vectors: np.ndarray, party: int):
+        """`party`'s two coefficient rows, (restarts, 2, 3)."""
         x = vectors.reshape(len(vectors), -1, 6)
-        parties = range(self.degree) if party is None else (party,)
-        return np.concatenate([self._party(x, p) for p in parties],
-                              axis=1).reshape(len(x), -1, 3)
+        return self._party(x, party).reshape(len(x), 2, 3)
 
     def hessian(self, vectors: np.ndarray) -> np.ndarray:
         count = len(vectors)
@@ -216,7 +214,7 @@ def _tangent_frame(vectors: np.ndarray) -> np.ndarray:
 class _Batch(NamedTuple):
     """Every restart's final state after one ascent, in draw order.
 
-    converged (item 3) is a plain bool, True when every restart converged,
+    converged is a plain bool, True when every restart converged,
     so a reader of (value, vectors, iterations, converged) can test it;
     capped marks each restart that ran out of iterations.
     """

@@ -45,6 +45,8 @@ STATUS_DISCREPANCY = "discrepancy"
 CSV_COLUMNS = ("param", "p", "q", "computed_lower", "computed_upper",
                "paper_lower", "paper_upper", "delta_lower", "delta_upper",
                "status")
+# TableRow's value fields, named as the CSV columns between param and status
+_ROW_VALUES = ("parameter",) + CSV_COLUMNS[1:-1]
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT5 = np.sqrt(5.0)
@@ -113,7 +115,7 @@ class TableRow:
     """One reference row recomputed.
 
     paper_lower and paper_upper carry the bundled reference bounds; the
-    sv values are ours, deltas are absolute differences, and status is
+    computed values are ours, deltas are absolute differences, and status is
     "match" exactly when both deltas stay within the table tolerance (at
     an in-band scan point, for the scanned tables).
     """
@@ -121,8 +123,8 @@ class TableRow:
     parameter: float
     p: float
     q: float
-    sv_lower: float
-    sv_upper: float
+    computed_lower: float
+    computed_upper: float
     paper_lower: float
     paper_upper: float
     delta_lower: float
@@ -425,7 +427,7 @@ def reproduce_table(which: int, table_tol: float | None = None) -> list[TableRow
                 which, qs, param, p, q, ref_lo, ref_hi, tol)
             delta_lo, delta_hi = abs(lo - ref_lo), abs(hi - ref_hi)
         rows.append(TableRow(parameter=param, p=p, q=q,
-                             sv_lower=float(lo), sv_upper=float(hi),
+                             computed_lower=float(lo), computed_upper=float(hi),
                              paper_lower=ref_lo, paper_upper=ref_hi,
                              delta_lower=float(delta_lo),
                              delta_upper=float(delta_hi),
@@ -585,20 +587,8 @@ def erratum_entries(tables: dict[int, list[TableRow]],
                 continue
             note = _ROW_NOTES.get((which, row.parameter),
                                   _TABLE_NOTES.get(which, ""))
-            entry = {
-                "kind": "table-row",
-                "table": which,
-                "parameter": row.parameter,
-                "p": row.p,
-                "q": row.q,
-                "computed_lower": row.sv_lower,
-                "computed_upper": row.sv_upper,
-                "paper_lower": row.paper_lower,
-                "paper_upper": row.paper_upper,
-                "delta_lower": row.delta_lower,
-                "delta_upper": row.delta_upper,
-                "note": note,
-            }
+            entry = {"kind": "table-row", "table": which,
+                     **{name: getattr(row, name) for name in _ROW_VALUES}, "note": note}
             if row.scan is not None:
                 entry["scan_best_r"] = row.scan.best
                 entry["scan_achieved_delta"] = row.scan.achieved_delta
@@ -611,13 +601,9 @@ def erratum_entries(tables: dict[int, list[TableRow]],
         for check in forms[family]:
             if check.status != STATUS_DISCREPANCY:
                 continue
-            entries.append({
-                "kind": "closed-form",
-                "family": family,
-                "quantity": check.quantity,
-                "max_deviation": check.max_deviation,
-                "note": _FORM_NOTES.get((family, check.quantity), ""),
-            })
+            entries.append({"kind": "closed-form",
+                            **{f.name: getattr(check, f.name) for f in fields(check)},
+                            "note": _FORM_NOTES.get((family, check.quantity), "")})
     return entries
 
 
@@ -629,13 +615,8 @@ def render_table_csv(rows: list[TableRow]) -> str:
     """CSV report, one line per row, columns per CSV_COLUMNS."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join((
-            _fmt(row.parameter), _fmt(row.p), _fmt(row.q),
-            _fmt(row.sv_lower), _fmt(row.sv_upper),
-            _fmt(row.paper_lower), _fmt(row.paper_upper),
-            _fmt(row.delta_lower), _fmt(row.delta_upper),
-            row.status,
-        )))
+        lines.append(",".join([_fmt(getattr(row, name)) for name in _ROW_VALUES]
+                              + [row.status]))
     return "\n".join(lines) + "\n"
 
 
@@ -646,7 +627,7 @@ def render_table_text(which: int, rows: list[TableRow]) -> str:
     lines = [f"table {which}  (tolerance {TABLE_TOLERANCE[which]:g})", header]
     for row in rows:
         cells = (_fmt(row.parameter), _fmt(row.p), _fmt(row.q),
-                 f"{row.sv_lower:.6f}", f"{row.sv_upper:.6f}",
+                 f"{row.computed_lower:.6f}", f"{row.computed_upper:.6f}",
                  _fmt(row.paper_lower), _fmt(row.paper_upper),
                  f"{row.delta_lower:.2e}", f"{row.delta_upper:.2e}",
                  row.status)

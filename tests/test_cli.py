@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from svetlichny import cli, reproduce, states
+from svetlichny.bounds import BoundsReport, Verdict
 from conftest import random_density, random_pure
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -139,15 +141,22 @@ class TestAnalyzeOutput:
                    "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
         report = payload["report"]
-        for key in ("regime", "sv_lower", "sv_upper", "p_window", "q_window",
-                    "genuine_p_window", "genuine_q_window", "intermediates"):
-            assert key in report
+        assert list(report) == [f.name for f in fields(BoundsReport)]
         assert report["regime"] == "undetected"
-        for key in ("lower", "upper", "empty"):
-            assert key in report["p_window"]
         verdict = payload["verdict"]
+        assert list(verdict) == [f.name for f in fields(Verdict)]
         assert verdict["outcome"] == "genuine"
         assert verdict["window"]["empty"] is False
+        windows = [value for key, value in report.items() if key.endswith("window")]
+        for window in windows + [verdict["window"]]:
+            assert list(window) == ["lower", "upper", "empty"]
+
+    def test_json_report_is_null_when_it_cannot_be_formed(self, capsys):
+        assert run("analyze", "--ref", "product-000", "--format", "json") == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report_error"]
+        assert payload["report"] is None
+        assert list(payload["verdict"]) == [f.name for f in fields(Verdict)]
 
     def test_csv_single_row(self, capsys):
         assert run("analyze", "--family", "mixed-GHZ-2W", "--param", "0.55",

@@ -1,12 +1,14 @@
 """The package depends on the standard library and numpy only, and holds
-no function that nothing reads.
+no function, import or private name that nothing reads.
 
 scipy may be installed next to it, but the package must not reach for it
 (or anything else): every absolute import in src/svetlichny is checked
 against the interpreter's list of standard-library modules. A public
 module-level function must be read somewhere else in the package, where
 an export through __all__ counts; a check that only the tests call
-belongs in tests/.
+belongs in tests/. Within each module (__init__ aside, whose imports are
+its exports), every import and every private module-level function,
+class and constant must be loaded somewhere in that module.
 """
 
 from __future__ import annotations
@@ -76,3 +78,35 @@ def unread_functions() -> list[str]:
 def test_every_public_function_is_read():
     unread = unread_functions()
     assert not unread, f"no package code reads {unread}; move test-only checks to tests/"
+
+
+def unloaded_names(path: Path) -> list[str]:
+    """Imports, and private module-level functions, classes and constants, that
+    no code of the module loads. A __future__ import is a directive, not a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        bound += [name for name in names if name.startswith("_")]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in loaded]
+
+
+@pytest.mark.parametrize("path", sorted(set(SOURCE.glob("*.py")) - {SOURCE / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_every_import_and_private_name_is_loaded(path):
+    unloaded = unloaded_names(path)
+    assert not unloaded, f"nothing in {path.name} loads {unloaded}"

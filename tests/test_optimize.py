@@ -76,6 +76,12 @@ def hessian_oracle(gradients, t, vectors):
                     axis=1)
 
 
+def every_row(objective, vectors):
+    """All coefficient rows, (restarts, 2n, 3): the per-party rows in party order."""
+    return np.concatenate([objective.coefficient_gradients(vectors, party)
+                           for party in range(objective.degree)], axis=1)
+
+
 KERNELS = {
     "svetlichny": (optimize._SvetlichnyObjective, (3, 3, 3), svetlichny_energy,
                    svetlichny_gradients),
@@ -274,7 +280,7 @@ class TestKernels:
             expected_rows = np.stack([gradients(tensor, v) for v in vectors])
             np.testing.assert_allclose(objective.energy(vectors), expected_energy,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(objective.coefficient_gradients(vectors),
+            np.testing.assert_allclose(every_row(objective, vectors),
                                        expected_rows, rtol=0, atol=1e-12)
             for party in range(objective.degree):
                 np.testing.assert_allclose(
@@ -297,7 +303,7 @@ class TestKernels:
             # Euler's identity, which the gradient backend reads its rows from
             rows = hessian @ vectors.reshape(batch, -1, 1) / (objective.degree - 1)
             np.testing.assert_allclose(rows.reshape(vectors.shape),
-                                       objective.coefficient_gradients(vectors),
+                                       every_row(objective, vectors),
                                        rtol=0, atol=1e-12)
 
     def test_bc_block_is_the_per_setting_matrix(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,11 +71,11 @@ class TestFrozenDeltas:
     def test_table1_leading_zero_row(self, tables):
         row = tables[1][2]
         assert row.parameter == 0.94
-        assert row.sv_lower == pytest.approx(0.19098996158008139, abs=1e-9)
+        assert row.computed_lower == pytest.approx(0.19098996158008139, abs=1e-9)
         assert row.delta_upper <= 6e-5
 
     def test_table2_lower_bounds(self, tables):
-        computed = [row.sv_lower for row in tables[2]]
+        computed = [row.computed_lower for row in tables[2]]
         expected = [4.528333, 4.577857, 4.305000, 4.379143]
         assert computed == pytest.approx(expected, abs=1e-5)
         for row in tables[2]:
@@ -209,6 +210,24 @@ class TestErratum:
                 assert 1 <= e["family"] <= 5
 
 
+class TestRecordContract:
+    """The CSV and the erratum write the records' own fields, in their order."""
+
+    def test_outputs_are_the_record_fields(self, tables, entries):
+        values = [f.name for f in fields(reproduce.TableRow)
+                  if f.name not in ("status", "scan", "strength_scan")]
+        header = next(csv.reader(io.StringIO(reproduce.render_table_csv(tables[1]))))
+        assert header[0] == "param" and header[-1] == "status"
+        assert ["parameter"] + header[1:-1] == values
+        checks = [f.name for f in fields(reproduce.ClosedFormCheck)]
+        for entry in entries:
+            keys = list(entry)
+            if entry["kind"] == "table-row":
+                assert keys[keys.index("table") + 1:keys.index("note")] == values
+            else:
+                assert keys[1:keys.index("note")] == checks
+
+
 class TestErratumReasons:
     """The reason each erratum note gives, checked on its own numbers."""
 
@@ -283,7 +302,7 @@ class TestRendering:
         reader = csv.DictReader(io.StringIO(text))
         for parsed, row in zip(reader, tables[4]):
             assert float(parsed["computed_lower"]) == pytest.approx(
-                row.sv_lower, rel=1e-9)
+                row.computed_lower, rel=1e-9)
             assert float(parsed["delta_upper"]) == pytest.approx(
                 row.delta_upper, rel=1e-9)
 
