@@ -235,22 +235,20 @@ def cmd_analyze(args) -> int:
         }
         print(json.dumps(payload, indent=2, default=_fields))
     elif args.format == "csv":
-        header = ("outcome,route,parameter,value,window_lower,window_upper,"
-                  "pair,witness,neg_AB,neg_AC,neg_BC")
         window = verdict.window
-        row = (
-            verdict.outcome,
-            verdict.route or "",
-            verdict.parameter or "",
-            "" if verdict.value is None else f"{verdict.value:.10g}",
-            "" if window is None else f"{window.lower:.10g}",
-            "" if window is None else f"{window.upper:.10g}",
-            "" if verdict.pair is None else "".join(verdict.pair),
-            verdict.witness_label or "",
-            f"{negs['AB']:.10g}", f"{negs['AC']:.10g}", f"{negs['BC']:.10g}",
+        columns = (
+            ("outcome", verdict.outcome),
+            ("route", verdict.route or ""),
+            ("parameter", verdict.parameter or ""),
+            ("value", "" if verdict.value is None else f"{verdict.value:.10g}"),
+            ("window_lower", "" if window is None else f"{window.lower:.10g}"),
+            ("window_upper", "" if window is None else f"{window.upper:.10g}"),
+            ("pair", "" if verdict.pair is None else "".join(verdict.pair)),
+            ("witness", verdict.witness_label or ""),
+            *((f"neg_{key}", f"{neg:.10g}") for key, neg in negs.items()),
         )
-        print(header)
-        print(",".join(row))
+        print(",".join(name for name, _ in columns))
+        print(",".join(value for _, value in columns))
     else:
         print(f"state: {label}")
         print("negativity:")

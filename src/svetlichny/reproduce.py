@@ -11,18 +11,23 @@ Two routes coexist on purpose. Table rows are evaluated from the closed
 forms exactly as the reference derivation used them, so a row mismatch
 points at the reference arithmetic rather than at our pipeline; the
 closed forms themselves are then compared against the general route, and
-a deviation there becomes an erratum entry. Discrepancies are data, not
-failures: nothing in this module raises on a mismatch. The erratum, like
-the text and CSV reports, renders results the caller already holds.
+a deviation there becomes an erratum entry. Each listed quantity is keyed
+by the name the checks report it under (lambda_max_embedded, s_nl, ...),
+so the listed data, the general route and the erratum share one name per
+quantity. Discrepancies are data, not failures: nothing in this module
+raises on a mismatch. The erratum, like the text and CSV reports, renders
+results the caller already holds.
 
-Rows of the last three tables hold for an interpolation weight r that
-the reference data does not list per row. Their bounds read the strength
-only through K, so each row is evaluated once, at K; r only decides
-admissibility. reproduce_table scans r over a grid below the cap, and a
-row matches only if some grid point puts the strength (and r, where
-stated) inside the stated bands. The scan is attached to the row so the
-check stays auditable; rows that still miss get a second scan forcing
-the strength band directly.
+Every table row is evaluated once: the listed components form a
+PairSpectra record, its family's regime gives the numerators, and the
+bounds, both deltas and the tolerance test follow from that one
+evaluation. Rows of the last three tables hold for an interpolation
+weight r that the reference data does not list per row. Their bounds
+read the strength only through K, so they are evaluated at K and r only
+decides admissibility: a grid over r below the cap must put the strength
+(and r, where stated) inside the stated bands for the row to match. The
+scan is attached to the row so the check stays auditable; rows that
+still miss get a second scan forcing the strength band directly.
 """
 
 from __future__ import annotations
@@ -182,49 +187,43 @@ def _family_witness(family: int) -> np.ndarray:
 # kept as listed.
 
 def _printed_family1(lam: float) -> dict:
-    snl = (0.6 * _SQRT2 * lam + 2.0 * _SQRT2 * lam ** 2
-           - 2.0 - 0.82 * _SQRT2) / 8.0
     return {
-        "regime": "detected",
-        "snl": snl,
-        "lmax_emb": 0.09 + lam ** 2,
-        "lk": 0.91 - lam ** 2,
-        "lmin_prod": 0.0,
-        "lmax_prod": 0.09 * lam ** 2 + lam ** 4,
-        "lmax_rho": 1.0,
-        "lmin_rho": 0.0,
+        "s_nl": (0.6 * _SQRT2 * lam + 2.0 * _SQRT2 * lam ** 2
+                 - 2.0 - 0.82 * _SQRT2) / 8.0,
+        "lambda_max_embedded": 0.09 + lam ** 2,
+        "lambda_k_embedded": 0.91 - lam ** 2,
+        "lambda_min_product": 0.0,
+        "lambda_max_product": 0.09 * lam ** 2 + lam ** 4,
+        "lambda_max_rho": 1.0,
+        "lambda_min_rho": 0.0,
     }
 
 
 def _printed_family2(t: float) -> dict:
     return {
-        "regime": "detected",
-        "snl": 1.0 / 300.0,
-        "lmax_emb": 8.0 / 15.0,
-        "lk": (1.1 - t) / 3.0,
-        "lmin_prod": 0.0,
-        "lmax_prod": t * (4.3 - t) / 9.0,
-        "lmax_rho": t,
-        "lmin_rho": 0.0,
+        "s_nl": 1.0 / 300.0,
+        "lambda_max_embedded": 8.0 / 15.0,
+        "lambda_k_embedded": (1.1 - t) / 3.0,
+        "lambda_min_product": 0.0,
+        "lambda_max_product": t * (4.3 - t) / 9.0,
+        "lambda_max_rho": t,
+        "lambda_min_rho": 0.0,
     }
 
 
 def _printed_family3(theta: float) -> dict:
     c = np.cos(theta)
     return {
-        "regime": "undetected",
-        "lmax_emb": (1.0 + 2.0 * c) / 2.0,
-        "lk": (1.0 - 2.0 * c) / 2.0,
-        "lmin_prod": 0.0,
-        "lmax_prod": (3.0 - np.cos(2.0 * theta)) / 8.0,
-        "lmax_rho": 1.0,
-        "lmin_rho": 0.0,
-        "trwrrt": 1.0,
-        "lmin_pt2": c ** 2,
-        "lmax_pt": 0.5,
-        "neg": c,
-        "lmax_wrho": None,
-        "trpt2": None,
+        "lambda_max_embedded": (1.0 + 2.0 * c) / 2.0,
+        "lambda_k_embedded": (1.0 - 2.0 * c) / 2.0,
+        "lambda_min_product": 0.0,
+        "lambda_max_product": (3.0 - np.cos(2.0 * theta)) / 8.0,
+        "lambda_max_rho": 1.0,
+        "lambda_min_rho": 0.0,
+        "trace_witness_product": 1.0,
+        "lambda_min_pt_squared": c ** 2,
+        "lambda_max_pt": 0.5,
+        "negativity": c,
     }
 
 
@@ -232,20 +231,17 @@ def _printed_family4(ps: float) -> dict:
     rad = np.sqrt(256.0 - 640.0 * ps + 672.0 * ps ** 2
                   - 232.0 * ps ** 3 + 25.0 * ps ** 4)
     return {
-        "regime": "undetected",
-        "lmax_emb": (4.0 - ps) / 6.0,
-        "lk": (1.0 - ps) / 3.0,
-        "lmin_prod": 0.0,
-        "lmax_prod": (16.0 - 8.0 * ps + ps ** 2 + rad) / 72.0,
-        "lmax_rho": (3.0 + np.sqrt(9.0 - 30.0 * ps + 30.0 * ps ** 2)) / 6.0,
-        "lmin_rho": 0.0,
-        "trwrrt": (6.0 - 4.0 * _SQRT2 + 2.0 * _SQRT2 * ps
-                   + (3.0 + 2.0 * _SQRT2) * ps ** 2) / 9.0,
-        "lmin_pt2": (1.0 - ps) ** 2 * (3.0 - _SQRT5) / 18.0,
-        "lmax_pt": (2.0 + ps) / 6.0,
-        "neg": (1.0 - ps) * (_SQRT5 - 1.0) / 6.0,
-        "lmax_wrho": None,
-        "trpt2": None,
+        "lambda_max_embedded": (4.0 - ps) / 6.0,
+        "lambda_k_embedded": (1.0 - ps) / 3.0,
+        "lambda_min_product": 0.0,
+        "lambda_max_product": (16.0 - 8.0 * ps + ps ** 2 + rad) / 72.0,
+        "lambda_max_rho": (3.0 + np.sqrt(9.0 - 30.0 * ps + 30.0 * ps ** 2)) / 6.0,
+        "lambda_min_rho": 0.0,
+        "trace_witness_product": (6.0 - 4.0 * _SQRT2 + 2.0 * _SQRT2 * ps
+                                  + (3.0 + 2.0 * _SQRT2) * ps ** 2) / 9.0,
+        "lambda_min_pt_squared": (1.0 - ps) ** 2 * (3.0 - _SQRT5) / 18.0,
+        "lambda_max_pt": (2.0 + ps) / 6.0,
+        "negativity": (1.0 - ps) * (_SQRT5 - 1.0) / 6.0,
     }
 
 
@@ -255,21 +251,20 @@ def _printed_family5(ps: float) -> dict:
     # closed-form check still compares the listed 28, see below).
     rad = np.sqrt(27.0 * ps ** 2 + 42.0 * ps ** 3 - 3.0 * ps ** 4)
     return {
-        "regime": "undetected",
-        "lmax_emb": (3.0 + 5.0 * ps) / 12.0,
-        "lk": (1.0 - ps) / 4.0,
-        "lmin_prod": (ps ** 2 - 1.0) / 32.0,
-        "lmax_prod": (9.0 + 30.0 * ps + 25.0 * ps ** 2 + 8.0 * rad) / 288.0,
-        "lmax_rho": (1.0 + 7.0 * ps) / 8.0,
-        "lmin_rho": (1.0 - ps) / 8.0,
-        "trwrrt": (9.0 - 6.0 * _SQRT2 * ps
-                   + (3.0 - 2.0 * _SQRT2) * ps ** 2) / 18.0,
-        "lmin_pt2": (9.0 - 6.0 * ps + 21.0 * ps ** 2
-                     - 4.0 * _SQRT5 * ps * (3.0 - ps)) / 144.0,
-        "lmax_pt": (3.0 - ps + 2.0 * _SQRT5 * ps) / 12.0,
-        "neg": (ps * (1.0 + 2.0 * _SQRT5) - 3.0) / 12.0,
-        "lmax_wrho": (3.0 + ps) / 6.0,
-        "trpt2": (9.0 + 11.0 * ps ** 2) / 36.0,
+        "lambda_max_embedded": (3.0 + 5.0 * ps) / 12.0,
+        "lambda_k_embedded": (1.0 - ps) / 4.0,
+        "lambda_min_product": (ps ** 2 - 1.0) / 32.0,
+        "lambda_max_product": (9.0 + 30.0 * ps + 25.0 * ps ** 2 + 8.0 * rad) / 288.0,
+        "lambda_max_rho": (1.0 + 7.0 * ps) / 8.0,
+        "lambda_min_rho": (1.0 - ps) / 8.0,
+        "trace_witness_product": (9.0 - 6.0 * _SQRT2 * ps
+                                  + (3.0 - 2.0 * _SQRT2) * ps ** 2) / 18.0,
+        "lambda_min_pt_squared": (9.0 - 6.0 * ps + 21.0 * ps ** 2
+                                  - 4.0 * _SQRT5 * ps * (3.0 - ps)) / 144.0,
+        "lambda_max_pt": (3.0 - ps + 2.0 * _SQRT5 * ps) / 12.0,
+        "negativity": (ps * (1.0 + 2.0 * _SQRT5) - 3.0) / 12.0,
+        "lambda_max_witness_state": (3.0 + ps) / 6.0,
+        "trace_pt_squared": (9.0 + 11.0 * ps ** 2) / 36.0,
     }
 
 
@@ -281,11 +276,25 @@ _PRINTED = {
     5: _printed_family5,
 }
 
+# Families whose witness detects the reduced pair; the others take the undetected route.
+_DETECTED = {1, 2}
+
+# Listed quantities, named as reported and in report order.
+_QUANTITIES = ("s_nl", "lambda_max_embedded", "lambda_min_product", "lambda_max_product",
+               "lambda_k_embedded", "lambda_max_rho", "lambda_min_rho",
+               "trace_witness_product", "lambda_min_pt_squared", "lambda_max_pt",
+               "negativity", "lambda_max_witness_state", "trace_pt_squared",
+               "p_window", "q_window")
+
+# Quantities that name a PairSpectra field; the product extremes go in listed_product.
+_RECORD_FIELDS = tuple(f.name for f in fields(PairSpectra) if f.name in _QUANTITIES)
+
 
 def _listed_spectra(qs: dict) -> PairSpectra:
     """Listed spectral components as the record the certificate arithmetic reads."""
-    return PairSpectra(**{name: qs.get(key) for key, name in _RECORD_FIELDS.items()},
-                       listed_product=(qs.get("lmin_prod"), qs.get("lmax_prod")))
+    return PairSpectra(**{name: qs.get(name) for name in _RECORD_FIELDS},
+                       listed_product=(qs.get("lambda_min_product"),
+                                       qs.get("lambda_max_product")))
 
 
 def _genuine_windows(spectra: PairSpectra, routes: Routes
@@ -298,7 +307,7 @@ def _genuine_windows(spectra: PairSpectra, routes: Routes
 def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     """Genuine p and q windows from listed detected-regime components."""
     spectra = _listed_spectra(qs)
-    return _genuine_windows(spectra, spectra.detected(qs["snl"]))
+    return _genuine_windows(spectra, spectra.detected(qs["s_nl"]))
 
 
 def _printed_windows(family: int, param: float, qs: dict) -> tuple[tuple, tuple]:
@@ -339,141 +348,110 @@ def _printed_windows(family: int, param: float, qs: dict) -> tuple[tuple, tuple]
                  num / (28.0 - 20.0 * ps + ps ** 2 + rad))
         return p_win, q_win
     ps = param
-    h = (qs["lmin_prod"]
-         - (qs["trwrrt"] / 4.0) * qs["lmax_pt"] * qs["lmax_rho"] / qs["lmin_pt2"])
+    h = (qs["lambda_min_product"]
+         - (qs["trace_witness_product"] / 4.0) * qs["lambda_max_pt"] * qs["lambda_max_rho"]
+         / qs["lambda_min_pt_squared"])
     e = (3.0 + ps) / 12.0
     p_win = (_SQRT2 * h / (_SQRT2 * h - e), 2.0 * h / (2.0 * h - e))
     # The listed q window uses the embedded ceiling e (not the first
     # nonzero eigenvalue) and flips a sign in its upper denominator.
-    f = (4.0 * qs["lmax_prod"]
-         - (qs["lmin_rho"] / qs["lmax_wrho"]) * (2.0 * qs["trwrrt"] - qs["trpt2"]))
+    f = (4.0 * qs["lambda_max_product"]
+         - (qs["lambda_min_rho"] / qs["lambda_max_witness_state"])
+         * (2.0 * qs["trace_witness_product"] - qs["trace_pt_squared"]))
     q_win = (f / (f + 2.0 * _SQRT2 * e), f / (f - 2.0 * _SQRT2 * e))
     return p_win, q_win
 
 
 # ---------------------------------------------------------------------------
-# Certificate bounds from listed components, exactly the table formulas.
+# Table rows from listed components, exactly the table formulas.
 
-def _detected_bounds(qs: dict, p: float, q: float) -> tuple[float, float]:
-    spectra = _listed_spectra(qs)
-    return spectra.bounds(spectra.detected(qs["snl"]), p, q)
+def _scan_weights(which: int, param: float, k: float, delta: float, within: bool,
+                  delta_at) -> tuple[bool, ScanResult, ScanResult | None]:
+    """Weight work for one row of tables 3 to 5, whose bounds at K miss by delta.
 
-
-def _scan_table_row(which: int, qs: dict, param: float, p: float, q: float,
-                    ref_lo: float, ref_hi: float,
-                    tol: float) -> tuple[float, float, str, ScanResult, ScanResult | None]:
-    """Evaluate one row of tables 3 to 5 at K and test which weights r are admissible."""
-    name = states.FAMILIES[which - 1]
-    reduced = states.example_reduced(name, param)
+    The row matches when it is within tolerance and some weight r of the
+    grid below the cap puts the strength (and r, where stated) inside the
+    stated bands. A row that misses also gets the strength scan, which
+    reads delta_at(k), the row's delta with the bounds taken at strength k.
+    Returns (matched, r scan, strength scan or None).
+    """
+    reduced = states.example_reduced(states.FAMILIES[which - 1], param)
     p_max = nonlocality.p_max_optimal(reduced)
-    k = qs["trwrrt"] / (4.0 * qs["neg"])
     cap = nonlocality.r_cap(k, p_max)
     band = STRENGTH_BANDS[which]
     weight_band = WEIGHT_BANDS.get(which)
-    spectra = _listed_spectra(qs)
-
-    lo, hi = spectra.bounds(spectra.undetected(k, qs["lmax_wrho"]), p, q)
-    delta = max(abs(lo - ref_lo), abs(hi - ref_hi))
     grid = np.linspace(0.0, cap, SCAN_POINTS, endpoint=False)
     admissible = [
         r for r in grid
         if band[0] <= nonlocality.undetected_strength(k, p_max, r).s_nl_new <= band[1]
         and (weight_band is None or weight_band[0] <= r <= weight_band[1])]
-    status = STATUS_MATCH if admissible and delta <= tol else STATUS_DISCREPANCY
     scan = ScanResult("r", tuple(float(r) for r in grid),
                       float(admissible[0]) if admissible else 0.0, float(delta))
-
-    strength_scan = None
-    if status == STATUS_DISCREPANCY:
-        # Force the stated strength band directly at a fixed in-band
-        # weight, documenting how far the row stays off even then.
-        r0 = (sum(weight_band) / 2.0) if weight_band is not None else cap / 2.0
-        s_grid = np.linspace(band[0], band[1], SCAN_POINTS)
-        best_s = None
-        best_s_delta = np.inf
-        for s in s_grid:
-            x = (s - r0 * (p_max - 0.75)) / (1.0 - r0)
-            s_lo, s_hi = spectra.bounds(spectra.undetected(x, qs["lmax_wrho"]), p, q)
-            delta = max(abs(s_lo - ref_lo), abs(s_hi - ref_hi))
-            if delta < best_s_delta:
-                best_s, best_s_delta = float(s), delta
-        strength_scan = ScanResult("s_nl_new", tuple(float(s) for s in s_grid),
-                                   best_s, float(best_s_delta))
-    return lo, hi, status, scan, strength_scan
+    if admissible and within:
+        return True, scan, None
+    # Force the stated strength band directly at a fixed in-band weight,
+    # documenting how far the row stays off even then.
+    r0 = (sum(weight_band) / 2.0) if weight_band is not None else cap / 2.0
+    s_grid = np.linspace(band[0], band[1], SCAN_POINTS)
+    best_delta, best_s = min((delta_at((s - r0 * (p_max - 0.75)) / (1.0 - r0)), s)
+                             for s in s_grid)
+    return False, scan, ScanResult("s_nl_new", tuple(float(s) for s in s_grid),
+                                   float(best_s), float(best_delta))
 
 
-def reproduce_table(which: int, table_tol: float | None = None) -> list[TableRow]:
+def reproduce_table(which: int) -> list[TableRow]:
     """Recompute every row of one reference table.
 
-    Tables 1 and 2 are closed under the listed (parameter, p, q); tables
-    3 to 5 additionally scan the weight r for admissibility as described
-    in the module docstring. Discrepant rows are returned, never raised.
+    Each row is evaluated once, through the listed components in its
+    family's regime; tables 3 to 5 additionally scan the weight r for
+    admissibility as described in the module docstring. Discrepant rows
+    are returned, never raised.
     """
     if which not in TABLES:
         raise ValueError(f"no such table: {which!r}")
-    tol = TABLE_TOLERANCE[which] if table_tol is None else float(table_tol)
     rows = []
     for param, p, q, ref_lo, ref_hi in TABLES[which]:
         qs = _PRINTED[which](param)
-        scan = None
-        strength_scan = None
-        if qs["regime"] == "detected":
-            lo, hi = _detected_bounds(qs, p, q)
-            delta_lo, delta_hi = abs(lo - ref_lo), abs(hi - ref_hi)
-            status = (STATUS_MATCH if delta_lo <= tol and delta_hi <= tol
-                      else STATUS_DISCREPANCY)
+        spectra = _listed_spectra(qs)
+        wr_max = qs.get("lambda_max_witness_state")
+        if which in _DETECTED:
+            routes = spectra.detected(qs["s_nl"])
         else:
-            lo, hi, status, scan, strength_scan = _scan_table_row(
-                which, qs, param, p, q, ref_lo, ref_hi, tol)
-            delta_lo, delta_hi = abs(lo - ref_lo), abs(hi - ref_hi)
+            routes = spectra.undetected(
+                qs["trace_witness_product"] / (4.0 * qs["negativity"]), wr_max)
+        lo, hi = spectra.bounds(routes, p, q)
+        delta_lo, delta_hi = abs(lo - ref_lo), abs(hi - ref_hi)
+        delta = max(delta_lo, delta_hi)
+        matched = delta <= TABLE_TOLERANCE[which]
+        scan = strength_scan = None
+        if which not in _DETECTED:
+            def delta_at(k):
+                k_lo, k_hi = spectra.bounds(spectra.undetected(k, wr_max), p, q)
+                return max(abs(k_lo - ref_lo), abs(k_hi - ref_hi))
+            matched, scan, strength_scan = _scan_weights(
+                which, param, routes.strength, delta, matched, delta_at)
         rows.append(TableRow(parameter=param, p=p, q=q,
                              computed_lower=float(lo), computed_upper=float(hi),
                              paper_lower=ref_lo, paper_upper=ref_hi,
                              delta_lower=float(delta_lo),
                              delta_upper=float(delta_hi),
-                             status=status, scan=scan,
-                             strength_scan=strength_scan))
+                             status=STATUS_MATCH if matched else STATUS_DISCREPANCY,
+                             scan=scan, strength_scan=strength_scan))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Closed-form cross-checks against the general route.
 
-# Listed keys and the names the checks report them under, in report order.
-_QUANTITY_NAMES = {
-    "snl": "s_nl",
-    "lmax_emb": "lambda_max_embedded",
-    "lmin_prod": "lambda_min_product",
-    "lmax_prod": "lambda_max_product",
-    "lk": "lambda_k_embedded",
-    "lmax_rho": "lambda_max_rho",
-    "lmin_rho": "lambda_min_rho",
-    "trwrrt": "trace_witness_product",
-    "lmin_pt2": "lambda_min_pt_squared",
-    "lmax_pt": "lambda_max_pt",
-    "neg": "negativity",
-    "lmax_wrho": "lambda_max_witness_state",
-    "trpt2": "trace_pt_squared",
-    "p_window": "p_window",
-    "q_window": "q_window",
-}
-
-# Listed keys that name a PairSpectra field; the product extremes go in listed_product.
-_RECORD_FIELDS = {key: name for key, name in _QUANTITY_NAMES.items()
-                  if name in {f.name for f in fields(PairSpectra)}}
-
-
 def _closed_form_printed(family: int, param: float) -> dict:
-    qs = dict(_PRINTED[family](param))
-    qs.pop("regime")
+    qs = _PRINTED[family](param)
     if family == 5:
         # the product ceiling exactly as listed, denominator 28
         rad = np.sqrt(27.0 * param ** 2 + 42.0 * param ** 3 - 3.0 * param ** 4)
-        qs["lmax_prod"] = (9.0 + 30.0 * param + 25.0 * param ** 2 + 8.0 * rad) / 28.0
-    p_win, q_win = _printed_windows(family, param, qs)
-    qs["p_window"] = p_win
-    qs["q_window"] = q_win
-    return {key: value for key, value in qs.items() if value is not None}
+        qs["lambda_max_product"] = (9.0 + 30.0 * param + 25.0 * param ** 2
+                                    + 8.0 * rad) / 28.0
+    qs["p_window"], qs["q_window"] = _printed_windows(family, param, qs)
+    return qs
 
 
 def _closed_form_general(family: int, param: float) -> dict:
@@ -486,22 +464,22 @@ def _closed_form_general(family: int, param: float) -> dict:
     w = _family_witness(family)
 
     spectra = pair_spectra(rho, reduced, pair)
-    out = {key: getattr(spectra, name) for key, name in _RECORD_FIELDS.items()}
-    out["lmin_prod"], out["lmax_prod"] = spectra.product
-    if family in (1, 2):
-        snl = out["snl"] = nonlocality.s_nl_detected(reduced, w)
-        routes = spectra.detected(snl)
+    out = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
+    out["lambda_min_product"], out["lambda_max_product"] = spectra.product
+    if family in _DETECTED:
+        s_nl = out["s_nl"] = nonlocality.s_nl_detected(reduced, w)
+        routes = spectra.detected(s_nl)
     else:
         pt = states.partial_transpose(reduced)
-        out["trwrrt"] = linalg.trace_product(w, reduced.matrix @ pt)
-        wr_max = out["lmax_wrho"] = spectra.witness_max(w)
+        out["trace_witness_product"] = linalg.trace_product(w, reduced.matrix @ pt)
+        wr_max = out["lambda_max_witness_state"] = spectra.witness_max(w)
         k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
         routes = spectra.undetected(k, wr_max)
     out["p_window"], out["q_window"] = _genuine_windows(spectra, routes)
     return out
 
 
-def reproduce_closed_forms(family: int, grid_points: int = GRID_POINTS) -> list[ClosedFormCheck]:
+def reproduce_closed_forms(family: int) -> list[ClosedFormCheck]:
     """Compare every listed closed form with the general route on a grid.
 
     Returns one check per quantity with the grid-wide maximum absolute
@@ -510,20 +488,20 @@ def reproduce_closed_forms(family: int, grid_points: int = GRID_POINTS) -> list[
     if family not in CLOSED_FORM_RANGES:
         raise ValueError(f"no such family index: {family!r}")
     low, high = CLOSED_FORM_RANGES[family]
-    grid = np.linspace(low, high, grid_points)
+    grid = np.linspace(low, high, GRID_POINTS)
     worst: dict[str, float] = {}
     for param in grid:
         printed = _closed_form_printed(family, float(param))
         general = _closed_form_general(family, float(param))
-        for key, listed in printed.items():
-            if key.endswith("window"):
-                dev = max(abs(listed[0] - general[key][0]),
-                          abs(listed[1] - general[key][1]))
+        for name, listed in printed.items():
+            if name.endswith("window"):
+                dev = max(abs(listed[0] - general[name][0]),
+                          abs(listed[1] - general[name][1]))
             else:
-                dev = abs(listed - general[key])
-            worst[key] = max(worst.get(key, 0.0), float(dev))
-    return [ClosedFormCheck(family, _QUANTITY_NAMES[key], worst[key])
-            for key in _QUANTITY_NAMES if key in worst]
+                dev = abs(listed - general[name])
+            worst[name] = max(worst.get(name, 0.0), float(dev))
+    return [ClosedFormCheck(family, name, worst[name])
+            for name in _QUANTITIES if name in worst]
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ def _table_criterion(num: int, table: int, tolerance: float, budget: float,
                      erratum: dict):
     """Tables I and II share one shape: >=3/4 rows within tolerance and
     every failing row explained in the erratum with recomputed values."""
+    assert reproduce.TABLE_TOLERANCE[table] == tolerance
     t0 = time.perf_counter()
-    rows = reproduce.reproduce_table(table, table_tol=tolerance)
+    rows = reproduce.reproduce_table(table)
     elapsed = time.perf_counter() - t0
     matches = sum(r.status == reproduce.STATUS_MATCH for r in rows)
     failing = [r for r in rows if r.status != reproduce.STATUS_MATCH]
@@ -99,10 +100,11 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_c3_scanned_tables_reproduce_seventy_percent(self, erratum):
+        assert all(reproduce.TABLE_TOLERANCE[which] == 1e-2 for which in (3, 4, 5))
         t0 = time.perf_counter()
         all_rows = [(which, row)
                     for which in (3, 4, 5)
-                    for row in reproduce.reproduce_table(which, table_tol=1e-2)]
+                    for row in reproduce.reproduce_table(which)]
         elapsed = time.perf_counter() - t0
         reproduced = [row for _, row in all_rows
                       if row.status == reproduce.STATUS_MATCH]
@@ -129,11 +131,12 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_c4_closed_forms_match_general_route(self, erratum):
+        assert reproduce.GRID_POINTS == 50
         t0 = time.perf_counter()
         failures = []
         total = 0
         for family in range(1, 6):
-            for check in reproduce.reproduce_closed_forms(family, grid_points=50):
+            for check in reproduce.reproduce_closed_forms(family):
                 total += 1
                 if check.max_deviation > 1e-9:
                     failures.append(

@@ -163,8 +163,8 @@ class TestAnalyzeOutput:
                    "--format", "csv") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
-        header = lines[0].split(",")
-        assert header[0] == "outcome"
+        assert lines[0] == ("outcome,route,parameter,value,window_lower,window_upper,"
+                            "pair,witness,neg_AB,neg_AC,neg_BC")
         assert lines[1].split(",")[0] == "genuine"
 
     def test_pair_and_witness_flags_change_certificate(self, capsys):

@@ -151,10 +151,6 @@ class TestClosedForms:
         assert by_key[(5, "q_window")] == pytest.approx(1.182e-1, rel=1e-3)
         assert by_key[(5, "lambda_max_product")] == pytest.approx(4.001, rel=1e-3)
 
-    def test_grid_size_respected(self):
-        group = reproduce.reproduce_closed_forms(3, grid_points=10)
-        assert all(c.max_deviation >= 0.0 for c in group)
-
 
 class TestFamilyWitness:
     def test_family2_witness_is_a_shared_read_only_constant(self):
@@ -209,6 +205,14 @@ class TestErratum:
                 assert e["max_deviation"] > reproduce.CLOSED_FORM_TOL
                 assert 1 <= e["family"] <= 5
 
+    def test_every_note_has_an_entry(self, entries):
+        # a note keyed by a mistyped row, table or quantity would never print
+        rows = {(e["table"], e["parameter"]) for e in entries if e["kind"] == "table-row"}
+        forms = {(e["family"], e["quantity"]) for e in entries if e["kind"] == "closed-form"}
+        assert set(reproduce._ROW_NOTES) <= rows
+        assert set(reproduce._TABLE_NOTES) <= {table for table, _ in rows}
+        assert set(reproduce._FORM_NOTES) <= forms
+
 
 class TestRecordContract:
     """The CSV and the erratum write the records' own fields, in their order."""
@@ -238,8 +242,8 @@ class TestErratumReasons:
         witness = reproduce._family_witness(2)
         tol = reproduce.TABLE_TOLERANCE[2]
         for param, p, q, ref_lo, ref_hi in reproduce.TABLES[2]:
-            qs = dict(reproduce._PRINTED[2](param), snl=0.0033)
-            lo, hi = reproduce._detected_bounds(qs, p, q)
+            listed = reproduce._listed_spectra(reproduce._PRINTED[2](param))
+            lo, hi = listed.bounds(listed.detected(0.0033), p, q)
             assert abs(lo - ref_lo) <= tol, (param, lo, ref_lo)
             assert abs(hi - ref_hi) <= tol, (param, hi, ref_hi)
             reduced = states.example_reduced(family, param)
@@ -252,8 +256,9 @@ class TestErratumReasons:
     def test_table1_lower_bound_with_leading_zero_restored(self):
         param, p, q, ref_lo, _ = reproduce.TABLES[1][2]
         assert (param, p) == (0.94, 0.596)
-        lo, _ = reproduce._detected_bounds(reproduce._PRINTED[1](param),
-                                           0.0596, q)
+        qs = reproduce._PRINTED[1](param)
+        listed = reproduce._listed_spectra(qs)
+        lo, _ = listed.bounds(listed.detected(qs["s_nl"]), 0.0596, q)
         assert abs(lo - ref_lo) <= 5e-5
 
     @pytest.mark.parametrize("row", reproduce.TABLES[5],
@@ -312,6 +317,17 @@ class TestRendering:
         assert "scan s_nl_new" in text
         plain = reproduce.render_table_text(1, tables[1])
         assert "scan r" not in plain
+
+    @pytest.mark.parametrize("which, parameter, scan_line", (
+        (3, "1.5", "    scan r: best 0.580000 of 200 points in [0, 0.995000], "
+                   "achieved delta 2.835e-05"),
+        (5, "0.82", "    scan s_nl_new: best 0.548400 in stated band, "
+                    "achieved delta 4.572e+00"),
+    ), ids=("table3-1.5", "table5-0.82"))
+    def test_scan_lines_pinned(self, tables, which, parameter, scan_line):
+        lines = reproduce.render_table_text(which, tables[which]).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split()[0] == parameter)
+        assert scan_line in lines[row + 1:row + 3]
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
