@@ -20,10 +20,14 @@ is undefined.
 One PairSpectra record per (state, pair) holds every number the routes
 read, and its methods are the only certificate arithmetic; each (pair,
 witness) is evaluated once, into the Routes value that the report and
-the search read. The records of one state share the state's eigensystem
-(solved once, by validation) and one stacked solve of the reduced pairs
-and their partial transposes; a pair's 8x8 product spectrum is solved
-only when a route reads it.
+the search read. build_records builds the records of many (state,
+reduction, pair) triples together: each state's eigensystem is the one
+validation solved, and one stacked solve covers the partial transposes
+and the reductions not solved yet. A record's 8x8 product spectrum is
+solved only when a route reads it; solve_products and witness_maxima
+solve the products and the witness congruences of many records in one
+stacked call each, through the same congruence the single-record reads
+solve.
 """
 
 from __future__ import annotations
@@ -192,16 +196,18 @@ _EMBEDDING = {pair: _embedding_index(pair) for pair in permutations(LABELS, 2)}
 
 
 def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
-    """Lift a two-qubit operator to three qubits, identity on the rest.
+    """Lift a two-qubit operator, or each of a (k, 4, 4) stack, to three qubits, identity on the rest.
 
     The pair is ordered: its first label takes the operator's first tensor
     slot. Basis convention is |abc> at index 4a + 2b + c.
     """
     op = np.asarray(op_pair, dtype=complex)
-    if op.shape != (4, 4):
+    if op.ndim not in (2, 3) or op.shape[-2:] != (4, 4):
         raise BoundsError("pair operator must be 4x4")
     _pair_positions(pair)
-    return np.append(op.reshape(16), 0.0)[_EMBEDDING[tuple(pair)]]
+    flat = op.reshape(op.shape[:-2] + (16,))
+    padded = np.concatenate([flat, np.zeros(op.shape[:-2] + (1,), dtype=complex)], axis=-1)
+    return padded[..., _EMBEDDING[tuple(pair)]]
 
 
 def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
@@ -212,9 +218,24 @@ def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
     of the embedded operator by the square root of the state, so its
     spectrum is real whenever the state is a genuine density matrix. A
     hermiticity failure of the congruence signals an invalid input.
+    product_spectra solves the same congruence for a stack.
     """
-    root = linalg.eigen_root(*rho_abc.eigensystem)
-    return linalg.congruence_eigenvalues(root, embed_pair(rho_ij.matrix, pair))
+    return _product_spectra(*rho_abc.eigensystem, rho_ij.matrix, pair)
+
+
+def product_spectra(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
+                    pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
+    """product_spectrum of each (state, reduction), one row each, from one stacked congruence solve."""
+    values, vectors = (np.array(part) for part in zip(*(rho.eigensystem for rho in states)))
+    return _product_spectra(values, vectors, np.array([rho.matrix for rho in reductions]), pair)
+
+
+def _product_spectra(values: np.ndarray, vectors: np.ndarray, reduced: np.ndarray,
+                     pair: tuple[str, str]) -> np.ndarray:
+    """The product congruence's spectrum for one state or a stack, its root taken from the
+    eigensystem that validation solved."""
+    return linalg.congruence_eigenvalues(linalg.eigen_root(values, vectors),
+                                         embed_pair(reduced, pair))
 
 
 def _bound(numerator: float, visibility: float, denominator: float) -> float:
@@ -279,10 +300,13 @@ class PairSpectra:
 
     @cached_property
     def product(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max) of the product congruence, solved on first read only."""
+        """(lambda_min, lambda_max) of the product congruence, solved on first read only.
+
+        solve_products fills it for many records at once.
+        """
         if self.listed_product is not None:
             return self.listed_product
-        return tuple(product_spectrum(self.state, self.reduced, self.pair)[[0, -1]].tolist())
+        return _extremes(product_spectrum(self.state, self.reduced, self.pair))
 
     @property
     def lambda_min_product(self) -> float:
@@ -318,11 +342,7 @@ class PairSpectra:
 
     def witness_max(self, witness: np.ndarray) -> float:
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij."""
-        wr_max = float(linalg.congruence_eigenvalues(
-            self.reduced_root, np.asarray(witness, dtype=complex))[-1])
-        if abs(wr_max) <= SINGULAR_TOL:
-            raise SingularDenominatorError("witness-state product has no spectral radius")
-        return wr_max
+        return _witness_maxima(self.reduced_root, witness)[0]
 
     def detected(self, s_nl: float) -> Routes:
         """Both numerators of the detected regime, from S_NL."""
@@ -371,34 +391,44 @@ class PairSpectra:
 
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
                  pair: tuple[str, str] = ("B", "C")) -> PairSpectra:
-    """The record of one reduced pair: _build_records on a stack of one."""
+    """The record of one reduced pair: build_records on a stack of one."""
     _pair_positions(pair)
-    return _build_records(rho_abc, [rho_ij], [pair])[0]
+    return build_records([rho_abc], [rho_ij], [pair])[0]
 
 
-def _build_records(rho_abc: DensityMatrix, reductions: Sequence[DensityMatrix],
-                   pairs: Sequence[tuple[str, str]]) -> list[PairSpectra]:
-    """One record per (reduction, pair), from one gated solve of all their 4x4 matrices.
+def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
+                  pairs: Sequence[tuple[str, str]]) -> list[PairSpectra]:
+    """One record per (state, reduction, pair), from one gated solve of their 4x4 matrices.
 
-    The stack holds every reduction and then every second-qubit partial
-    transpose; the reductions' square roots come from the same solve. The
-    state's eigensystem is the one validation computed. The negativity and
-    the other partial-transpose numbers come from partial_transpose_numbers,
-    the formula states.negativity reads.
+    Each state's eigensystem is the one validation computed. The stack
+    holds every second-qubit partial transpose, then each reduction whose
+    eigensystem is not solved yet (a validated reduction, such as
+    maximal-slice's designated matrix, arrives solved); the reductions'
+    square roots come from those eigensystems. The negativity and the
+    other partial-transpose numbers come from partial_transpose_numbers,
+    the formula states.negativity reads. The pairs are the caller's to
+    check.
     """
-    values, _ = rho_abc.eigensystem
     k = len(reductions)
-    stacked, vectors = linalg.hermitian_eigensystem(
-        [rho.matrix for rho in reductions] + [partial_transpose(rho) for rho in reductions])
-    roots = linalg.eigen_root(stacked[:k], vectors[:k])
+    cached = [rho.__dict__.get("eigensystem") for rho in reductions]
+    values, vectors = linalg.hermitian_eigensystem(
+        [partial_transpose(rho) for rho in reductions]
+        + [rho.matrix for rho, system in zip(reductions, cached) if system is None])
+    reduced_values, reduced_vectors = values[k:], vectors[k:]
+    if any(system is not None for system in cached):
+        solved = zip(reduced_values, reduced_vectors)
+        reduced_values, reduced_vectors = (np.array(part) for part in zip(*(
+            system or next(solved) for system in cached)))
+    roots = linalg.eigen_root(reduced_values, reduced_vectors)
     records = []
-    for i, (rho_ij, pair) in enumerate(zip(reductions, pairs)):
-        n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(stacked[k + i])
+    for i, (rho_abc, rho_ij, pair) in enumerate(zip(states, reductions, pairs)):
+        state_values = rho_abc.eigensystem[0]
+        n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(values[i])
         records.append(PairSpectra(
-            lambda_min_rho=float(values[0]),
-            lambda_max_rho=float(values[-1]),
-            lambda_max_embedded=float(stacked[i, -1]),
-            lambda_k_embedded=linalg.first_nonzero_eigenvalue(stacked[i]),
+            lambda_min_rho=float(state_values[0]),
+            lambda_max_rho=float(state_values[-1]),
+            lambda_max_embedded=float(reduced_values[i, -1]),
+            lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values[i]),
             lambda_max_pt=pt_max,
             lambda_min_pt_squared=pt2_min,
             trace_pt_squared=pt2_trace,
@@ -411,14 +441,44 @@ def _build_records(rho_abc: DensityMatrix, reductions: Sequence[DensityMatrix],
     return records
 
 
+def _extremes(spectrum: np.ndarray) -> tuple[float, float]:
+    return tuple(spectrum[[0, -1]].tolist())
+
+
+def solve_products(records: Sequence[PairSpectra]) -> None:
+    """Fill the product of every record built from a state that has not read it yet,
+    with one stacked congruence solve per pair."""
+    pending = [r for r in records if r.state is not None and "product" not in r.__dict__]
+    for pair in dict.fromkeys(r.pair for r in pending):
+        group = [r for r in pending if r.pair == pair]
+        spectra = product_spectra([r.state for r in group], [r.reduced for r in group], pair)
+        for record, spectrum in zip(group, spectra):
+            record.__dict__["product"] = _extremes(spectrum)
+
+
+def witness_maxima(records: Sequence[PairSpectra], witness: np.ndarray) -> list[float]:
+    """PairSpectra.witness_max of each record, from one stacked congruence solve."""
+    return _witness_maxima(np.array([record.reduced_root for record in records]), witness)
+
+
+def _witness_maxima(roots: np.ndarray, witness: np.ndarray) -> list[float]:
+    """Top of the spectrum of root W root, for one root or each of a stack,
+    each checked for use as a divisor."""
+    maxima = linalg.congruence_eigenvalues(
+        roots, np.asarray(witness, dtype=complex))[..., -1:].reshape(-1).tolist()
+    if any(abs(wr_max) <= SINGULAR_TOL for wr_max in maxima):
+        raise SingularDenominatorError("witness-state product has no spectral radius")
+    return maxima
+
+
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
                  ) -> list[tuple[tuple[str, str], PairSpectra]]:
     """(pair, record) for each pair, all built together; products are solved as read."""
     pairs = list(pairs)
     for pair in pairs:
         _pair_positions(pair)
-    return list(zip(pairs, _build_records(
-        rho_abc, [reduce_to_pair(rho_abc, p) for p in pairs], pairs)))
+    return list(zip(pairs, build_records(
+        [rho_abc] * len(pairs), [reduce_to_pair(rho_abc, p) for p in pairs], pairs)))
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:

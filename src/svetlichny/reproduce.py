@@ -5,7 +5,11 @@ parameters (p, q) with the certificate bounds they produce, and closed
 forms for every spectral quantity those certificates consume. This module
 rebuilds each table row through the certificate formulas and attaches a
 match or discrepancy status, then cross-checks every closed form against
-the general eigensolver route on a parameter grid.
+the general eigensolver route on a parameter grid. Each family's grid is
+validated and solved as one stack (its states, its records' 4x4
+matrices, its products and its witness congruences in one call each);
+the certificate arithmetic still runs point by point, through the
+records' methods.
 
 Two routes coexist on purpose. Table rows are evaluated from the closed
 forms exactly as the reference derivation used them, so a row mismatch
@@ -37,7 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg, nonlocality, operators, states
-from .bounds import PairSpectra, Routes, pair_spectra
+from .bounds import PairSpectra, Routes, build_records, solve_products, witness_maxima
 
 TABLE_TOLERANCE = {1: 5e-3, 2: 5e-3, 3: 1e-2, 4: 1e-2, 5: 1e-2}
 CLOSED_FORM_TOL = 1e-9
@@ -454,29 +458,41 @@ def _closed_form_printed(family: int, param: float) -> dict:
     return qs
 
 
-def _closed_form_general(family: int, param: float) -> dict:
-    name = states.FAMILIES[family - 1]
-    rho = states.make_example(name, param)
-    pair = states.EXAMPLE_PAIRS[name]
-    # maximal-slice's designated matrix is not a reduction of rho
-    reduced = (states.example_reduced(name, param) if name == states.FAMILY_MAXIMAL_SLICE
-               else states.reduce_to_pair(rho, pair))
-    w = _family_witness(family)
+def _closed_forms_general(family: int, params: list[float]) -> list[dict]:
+    """The general route's value of every listed quantity, one dict per parameter.
 
-    spectra = pair_spectra(rho, reduced, pair)
-    out = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
-    out["lambda_min_product"], out["lambda_max_product"] = spectra.product
-    if family in _DETECTED:
-        s_nl = out["s_nl"] = nonlocality.s_nl_detected(reduced, w)
-        routes = spectra.detected(s_nl)
-    else:
-        pt = states.partial_transpose(reduced)
-        out["trace_witness_product"] = linalg.trace_product(w, reduced.matrix @ pt)
-        wr_max = out["lambda_max_witness_state"] = spectra.witness_max(w)
-        k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
-        routes = spectra.undetected(k, wr_max)
-    out["p_window"], out["q_window"] = _genuine_windows(spectra, routes)
-    return out
+    The grid's states, reductions and records are built as one stack, and
+    the products and witness congruences solved as one stack each; each
+    point's quantities, numerators and windows are then read through the
+    record's methods and the nonlocality formulas.
+    """
+    name = states.FAMILIES[family - 1]
+    pair = states.EXAMPLE_PAIRS[name]
+    rhos = states.make_examples(name, params)
+    # maximal-slice's designated matrix is not a reduction of rho
+    reductions = (states.example_reductions(name, params) if name == states.FAMILY_MAXIMAL_SLICE
+                  else [states.reduce_to_pair(rho, pair) for rho in rhos])
+    records = build_records(rhos, reductions, [pair] * len(rhos))
+    solve_products(records)
+    w = _family_witness(family)
+    detected = family in _DETECTED
+    wr_maxima = None if detected else witness_maxima(records, w)
+    points = []
+    for i, (reduced, spectra) in enumerate(zip(reductions, records)):
+        out = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
+        out["lambda_min_product"], out["lambda_max_product"] = spectra.product
+        if detected:
+            s_nl = out["s_nl"] = nonlocality.s_nl_detected(reduced, w)
+            routes = spectra.detected(s_nl)
+        else:
+            pt = states.partial_transpose(reduced)
+            out["trace_witness_product"] = linalg.trace_product(w, reduced.matrix @ pt)
+            wr_max = out["lambda_max_witness_state"] = wr_maxima[i]
+            k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
+            routes = spectra.undetected(k, wr_max)
+        out["p_window"], out["q_window"] = _genuine_windows(spectra, routes)
+        points.append(out)
+    return points
 
 
 def reproduce_closed_forms(family: int) -> list[ClosedFormCheck]:
@@ -488,11 +504,10 @@ def reproduce_closed_forms(family: int) -> list[ClosedFormCheck]:
     if family not in CLOSED_FORM_RANGES:
         raise ValueError(f"no such family index: {family!r}")
     low, high = CLOSED_FORM_RANGES[family]
-    grid = np.linspace(low, high, GRID_POINTS)
+    grid = np.linspace(low, high, GRID_POINTS).tolist()
     worst: dict[str, float] = {}
-    for param in grid:
-        printed = _closed_form_printed(family, float(param))
-        general = _closed_form_general(family, float(param))
+    for param, general in zip(grid, _closed_forms_general(family, grid)):
+        printed = _closed_form_printed(family, param)
         for name, listed in printed.items():
             if name.endswith("window"):
                 dev = max(abs(listed[0] - general[name][0]),

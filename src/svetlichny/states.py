@@ -3,6 +3,11 @@
 Qubit registers are ordered A (x) B (x) C with basis index 4a + 2b + c, so
 |abc> lives at that row of an 8-vector. Two-qubit objects keep the labels
 of whichever pair survived the partial trace, in ascending label order.
+
+validate checks a (k, d, d) stack under the same gates as one matrix and
+solves all its members in one call; each validated state keeps its
+eigensystem. The family builders build a whole parameter grid that way,
+and the single-state builders are the same code on a list of one.
 """
 
 from __future__ import annotations
@@ -85,35 +90,47 @@ class DensityMatrix:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """linalg.hermitian_eigensystem of the matrix, solved on first read only.
 
-        validate reads it for its positivity check, so a validated state
-        arrives with its spectrum and eigenvectors already solved.
+        validate fills it from the solve its positivity check reads, so a
+        validated state arrives with its spectrum and eigenvectors already
+        solved.
         """
         return linalg.hermitian_eigensystem(self.matrix)
 
 
-def validate(candidate, qubits: int) -> DensityMatrix:
+def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     """Check Hermiticity, unit trace, and positivity; symmetrize and wrap.
 
     Tolerances: hermiticity per the linalg kernel, trace within 1e-10,
     eigenvalues >= -1e-9 (irrational amplitudes leave construction noise
     of order machine epsilon, which must not reject a valid state).
+
+    A (k, d, d) stack passes the same gates member by member and gives one
+    DensityMatrix per member, in a list; each member's eigensystem comes
+    from one stacked solve. Any other input is a single matrix, checked as
+    a stack of one.
     """
     a = np.asarray(candidate, dtype=complex)
+    stack = a if a.ndim == 3 else a[None]
     dim = 2 ** qubits
-    if a.shape != (dim, dim):
-        raise InvalidStateError("bad-dimension", f"expected {dim}x{dim}, got {a.shape}")
+    if stack.shape[1:] != (dim, dim):
+        raise InvalidStateError("bad-dimension", f"expected {dim}x{dim}, got {stack.shape[1:]}")
+    if not len(stack):
+        return []
     try:
-        sym = linalg.symmetrize(a)
+        sym = linalg.symmetrize(stack)
     except linalg.NotHermitianError as exc:
         raise InvalidStateError("not-hermitian", str(exc)) from exc
-    tr = float(np.trace(sym).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
-    rho = DensityMatrix(qubits=qubits, matrix=sym)
-    lambda_min = rho.eigensystem[0][0]
-    if lambda_min < PSD_TOL:
-        raise InvalidStateError("not-psd", f"lambda_min = {lambda_min:.3e}")
-    return rho
+    for tr in np.trace(sym, axis1=1, axis2=2).real.tolist():
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
+    values, vectors = linalg.hermitian_eigensystem(sym)
+    for lambda_min in values[:, 0].tolist():
+        if lambda_min < PSD_TOL:
+            raise InvalidStateError("not-psd", f"lambda_min = {lambda_min:.3e}")
+    rhos = [DensityMatrix(qubits=qubits, matrix=matrix) for matrix in sym]
+    for rho, system in zip(rhos, zip(values, vectors)):
+        rho.__dict__["eigensystem"] = system  # the cached_property's own slot
+    return rhos if a.ndim == 3 else rhos[0]
 
 
 def _label_index(label: str) -> int:
@@ -230,7 +247,7 @@ def _w2_vec() -> np.ndarray:
 
 
 def make_example(family: str, param: float) -> DensityMatrix:
-    """Construct one of the five worked example families.
+    """Construct one of the five worked example families: make_examples on a list of one.
 
     Families and parameters:
       pure-W-class-1  lambda0 in [0, 0.953939]
@@ -245,29 +262,37 @@ def make_example(family: str, param: float) -> DensityMatrix:
       identity-W      p_s in (0.816, 1]
                       (1 - p_s) I/8 + p_s |W><W|
     """
+    return make_examples(family, [param])[0]
+
+
+def _family_params(family: str, params) -> np.ndarray:
+    """The parameters as a float array, once each is in the family's range."""
     if family not in FAMILIES:
         raise UnknownNameError(f"unknown example family {family!r}")
-    _check_range(family, param)
-    if family == FAMILY_PURE_W1:
-        lam = param
-        vec = ket((0, lam), (5, 0.3), (6, np.sqrt(0.91 - lam * lam)))
-        return validate(projector(vec), 3)
+    for param in params:
+        _check_range(family, param)
+    return np.asarray(params, dtype=float).reshape(-1)
+
+
+def make_examples(family: str, params) -> list[DensityMatrix]:
+    """The family's state at every parameter (see make_example), validated as one stack."""
+    x = _family_params(family, params)
+    if family in (FAMILY_PURE_W1, FAMILY_MAXIMAL_SLICE):
+        vecs = np.zeros((len(x), 8), dtype=complex)
+        if family == FAMILY_PURE_W1:
+            vecs[:, 0], vecs[:, 5], vecs[:, 6] = x, 0.3, np.sqrt(0.91 - x * x)
+        else:
+            vecs[:, 0], vecs[:, 6], vecs[:, 7] = 1 / _SQ2, np.cos(x) / _SQ2, np.sin(x) / _SQ2
+        return validate(vecs[:, :, None] * vecs.conj()[:, None, :], 3)
+    x = x[:, None, None]
     if family == FAMILY_MIXED_GHZ_2W:
-        t = param
         ghz = ket((0, 1 / _SQ2), (7, 1 / _SQ2))
-        mix = 0.2 * projector(ghz) + t * projector(_w1_vec()) + (0.8 - t) * projector(_w2_vec())
-        return validate(mix, 3)
-    if family == FAMILY_MAXIMAL_SLICE:
-        th = param
-        vec = ket((0, 1 / _SQ2), (6, np.cos(th) / _SQ2), (7, np.sin(th) / _SQ2))
-        return validate(projector(vec), 3)
-    if family == FAMILY_GHZ_W_CONVEX:
-        ps = param
+        mix = 0.2 * projector(ghz) + x * projector(_w1_vec()) + (0.8 - x) * projector(_w2_vec())
+    elif family == FAMILY_GHZ_W_CONVEX:
         ghzp = ket((2, 1 / _SQ2), (5, 1 / _SQ2))
-        mix = ps * projector(ghzp) + (1 - ps) * projector(_w1_vec())
-        return validate(mix, 3)
-    ps = param
-    mix = (1 - ps) * np.eye(8, dtype=complex) / 8 + ps * projector(_w1_vec())
+        mix = x * projector(ghzp) + (1 - x) * projector(_w1_vec())
+    else:
+        mix = (1 - x) * np.eye(8, dtype=complex) / 8 + x * projector(_w1_vec())
     return validate(mix, 3)
 
 
@@ -290,7 +315,8 @@ def make_reference(name: str) -> DensityMatrix:
 
 
 def example_reduced(family: str, param: float) -> DensityMatrix:
-    """The designated two-qubit reduced state each family's analysis uses.
+    """The designated two-qubit reduced state each family's analysis uses:
+    example_reductions on a list of one.
 
     For four of the five families this is literally the partial trace over
     the complement of EXAMPLE_PAIRS[family]. The maximal-slice family is
@@ -308,13 +334,19 @@ def example_reduced(family: str, param: float) -> DensityMatrix:
     it as given so the downstream quantities reproduce, and leave the true
     reductions to partial_trace.
     """
-    if family not in FAMILIES:
-        raise UnknownNameError(f"unknown example family {family!r}")
-    _check_range(family, param)
-    if family == FAMILY_MAXIMAL_SLICE:
-        c = np.cos(param)
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = m[3, 3] = 0.5
-        m[0, 3] = m[3, 0] = c
-        return validate(m, 2)
-    return reduce_to_pair(make_example(family, param), EXAMPLE_PAIRS[family])
+    return example_reductions(family, [param])[0]
+
+
+def example_reductions(family: str, params) -> list[DensityMatrix]:
+    """The designated reduced state at every parameter (see example_reduced).
+
+    maximal-slice's designated matrices are validated as one stack; the
+    other families reduce the states of make_examples.
+    """
+    if family != FAMILY_MAXIMAL_SLICE:
+        return [reduce_to_pair(rho, EXAMPLE_PAIRS[family]) for rho in make_examples(family, params)]
+    c = np.cos(_family_params(family, params))
+    m = np.zeros((len(c), 4, 4), dtype=complex)
+    m[:, 0, 0] = m[:, 3, 3] = 0.5
+    m[:, 0, 3] = m[:, 3, 0] = c
+    return validate(m, 2)

@@ -1,6 +1,6 @@
-"""The paper's lemmas, as independent oracles for the tests.
+"""Oracles for the tests: the paper's lemmas, and the closed-form check one point at a time.
 
-Each function is written with numpy from the printed formula, not through
+Each lemma is written with numpy from the printed formula, not through
 the package (PairSpectra, partial_transpose_numbers, the linalg kernel),
 so that a test comparing the two checks one against the other. None of them is read by the package itself: the
 certificates read K = Tr[W rho rho^T]/(4 N(rho)) directly.
@@ -10,11 +10,19 @@ certificates read K = Tr[W rho rho^T]/(4 N(rho)) directly.
 - The two-sided trace inequality
   lambda_min(M) Tr N <= Tr[M N] <= lambda_max(M) Tr N holds for Hermitian
   M and positive semidefinite N.
+
+closed_form_general is the other kind of oracle: the general route of
+the closed-form check written one grid point at a time, from
+make_example, pair_spectra and the nonlocality formulas, against which
+the package's stacked grid route is compared.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from svetlichny import linalg, nonlocality, reproduce, states
+from svetlichny.bounds import pair_spectra
 
 NEG_TOL = 1e-12
 
@@ -83,3 +91,36 @@ def sandwich(m, n) -> tuple[float, float, float]:
     values = _spectrum(m)
     tn = float(np.trace(n).real)
     return float(values[0]) * tn, float(np.trace(m @ n).real), float(values[-1]) * tn
+
+
+def closed_form_general(family: int, param: float) -> dict:
+    """Every listed quantity of one closed-form grid point, from its own state and record.
+
+    Families 1 and 2 take the detected regime, the others the undetected
+    one; maximal-slice reads its designated matrix, which is not a
+    reduction of its state.
+    """
+    name = states.FAMILIES[family - 1]
+    pair = states.EXAMPLE_PAIRS[name]
+    rho = states.make_example(name, param)
+    reduced = (states.example_reduced(name, param) if name == states.FAMILY_MAXIMAL_SLICE
+               else states.reduce_to_pair(rho, pair))
+    w = reproduce._family_witness(family)
+    spectra = pair_spectra(rho, reduced, pair)
+    out = {name: getattr(spectra, name) for name in (
+        "lambda_min_rho", "lambda_max_rho", "lambda_max_embedded", "lambda_k_embedded",
+        "lambda_max_pt", "lambda_min_pt_squared", "trace_pt_squared", "negativity")}
+    out["lambda_min_product"], out["lambda_max_product"] = spectra.product
+    if family in (1, 2):
+        s_nl = out["s_nl"] = nonlocality.s_nl_detected(reduced, w)
+        routes = spectra.detected(s_nl)
+    else:
+        pt = states.partial_transpose(reduced)
+        out["trace_witness_product"] = linalg.trace_product(w, reduced.matrix @ pt)
+        wr_max = out["lambda_max_witness_state"] = spectra.witness_max(w)
+        k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
+        routes = spectra.undetected(k, wr_max)
+    (_, p_gen), (_, q_gen) = spectra.windows(routes)
+    out["p_window"] = (p_gen.lower, p_gen.upper)
+    out["q_window"] = (q_gen.lower, q_gen.upper)
+    return out

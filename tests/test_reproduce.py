@@ -15,7 +15,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from svetlichny import nonlocality, operators, reproduce, states
+import lemmas
+from svetlichny import linalg, nonlocality, operators, reproduce, states
 from svetlichny.bounds import pair_spectra, product_spectrum
 
 EXPECTED_STATUSES = {
@@ -150,6 +151,44 @@ class TestClosedForms:
         assert by_key[(5, "p_window")] == pytest.approx(1.704e-1, rel=1e-3)
         assert by_key[(5, "q_window")] == pytest.approx(1.182e-1, rel=1e-3)
         assert by_key[(5, "lambda_max_product")] == pytest.approx(4.001, rel=1e-3)
+
+
+class TestClosedFormGrid:
+    """Each family's grid is validated, reduced and solved as one stack."""
+
+    # gated solves per family: the states, maximal-slice's designated
+    # matrices, the records' 4x4 stack, the products, and the witness
+    # congruences of the undetected families (150/150/250/200/200 one
+    # point at a time on the 50-point grid)
+    CALLS = {1: 3, 2: 3, 3: 5, 4: 4, 5: 4}
+    # matrices per grid point, by size: what the per-point route solved,
+    # less its second solve of maximal-slice's designated matrix
+    PER_POINT = {1: {8: 2, 4: 2}, 2: {8: 2, 4: 2}, 3: {8: 2, 4: 3},
+                 4: {8: 2, 4: 3}, 5: {8: 2, 4: 3}}
+
+    @pytest.mark.parametrize("points", (10, 50))
+    @pytest.mark.parametrize("family", range(1, 6))
+    def test_solve_calls_do_not_grow_with_the_grid(self, monkeypatch, solves, family, points):
+        monkeypatch.setattr(reproduce, "GRID_POINTS", points)
+        calls = []
+        solver = linalg.hermitian_eigensystem
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return solver(m)
+
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", counted)
+        reproduce.reproduce_closed_forms(family)
+        assert len(calls) == self.CALLS[family], calls
+        assert dict(solves) == {size: n * points for size, n in self.PER_POINT[family].items()}
+
+    @pytest.mark.parametrize("family", range(1, 6))
+    def test_grid_route_equals_the_per_point_route(self, family):
+        grid = np.linspace(*reproduce.CLOSED_FORM_RANGES[family], reproduce.GRID_POINTS).tolist()
+        points = reproduce._closed_forms_general(family, grid)
+        assert len(points) == reproduce.GRID_POINTS
+        for param, point in zip(grid, points):
+            assert point == lemmas.closed_form_general(family, param), (family, param)
 
 
 class TestFamilyWitness:

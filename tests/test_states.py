@@ -64,6 +64,97 @@ class TestValidate:
             states.validate(random_density(rng, 4), 3)
 
 
+class TestValidateStack:
+    """A (k, d, d) stack passes the same gates as its members, one by one."""
+
+    @staticmethod
+    def _error(candidate, qubits):
+        with pytest.raises(states.InvalidStateError) as excinfo:
+            states.validate(candidate, qubits)
+        return excinfo.value
+
+    @staticmethod
+    def _bad(reason, rng):
+        m = random_density(rng, 8)
+        if reason == "not-hermitian":
+            m[0, 1] += 1e-6
+        elif reason == "trace-not-one":
+            m *= 1.0 + 1e-8
+        else:
+            # a negative diagonal entry, with the trace kept at one
+            m[0, 0] -= 1.6
+            m += 0.2 * np.eye(8)
+        return m
+
+    @pytest.mark.parametrize("reason", ("not-hermitian", "trace-not-one", "not-psd"))
+    @pytest.mark.parametrize("position", (0, 2, 4))
+    def test_one_bad_member_raises_its_own_error(self, rng, reason, position):
+        bad = self._bad(reason, rng)
+        alone = self._error(bad, 3)
+        assert alone.reason == reason
+        stack = [random_density(rng, 8) for _ in range(5)]
+        stack[position] = bad
+        stacked = self._error(np.array(stack), 3)
+        assert type(stacked) is type(alone)
+        assert (stacked.reason, str(stacked)) == (alone.reason, str(alone))
+
+    @pytest.mark.parametrize("reason", ("not-hermitian", "trace-not-one", "not-psd"))
+    def test_single_matrix_is_a_stack_of_one(self, rng, reason):
+        bad = self._bad(reason, rng)
+        assert str(self._error(bad, 3)) == str(self._error(bad[None], 3))
+        good = random_density(rng, 8)
+        (member,) = states.validate(good[None], 3)
+        single = states.validate(good, 3)
+        assert member.qubits == single.qubits
+        assert np.array_equal(member.matrix, single.matrix)
+        for got, want in zip(member.eigensystem, single.eigensystem):
+            assert np.array_equal(got, want)
+
+    def test_dimension_errors_name_the_member_shape(self, rng):
+        assert str(self._error(random_density(rng, 4), 3)) == (
+            "bad-dimension: expected 8x8, got (4, 4)")
+        assert str(self._error(np.zeros(8), 3)) == "bad-dimension: expected 8x8, got (8,)"
+        assert str(self._error(np.zeros((2, 4, 4)), 3)) == (
+            "bad-dimension: expected 8x8, got (4, 4)")
+
+    def test_members_match_single_validation_bit_for_bit(self, rng, solves):
+        stack = np.array([random_density(rng, 8) for _ in range(6)])
+        solves.clear()
+        members = states.validate(stack, 3)
+        assert dict(solves) == {8: 6}
+        assert len(members) == 6
+        for matrix, member in zip(stack, members):
+            single = states.validate(matrix, 3)
+            assert np.array_equal(member.matrix, single.matrix)
+            for got, want in zip(member.eigensystem, single.eigensystem):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", states.FAMILIES)
+    def test_family_grid_members_match_single_builds(self, family):
+        lo, hi = states.FAMILY_RANGES[family]
+        grid = np.linspace(lo, hi, 9)[1:-1].tolist()
+        for build, builds in ((states.make_example, states.make_examples),
+                              (states.example_reduced, states.example_reductions)):
+            if family == states.FAMILY_MAXIMAL_SLICE and build is states.example_reduced:
+                grid = [x for x in grid if x >= np.pi / 3]
+            for param, member in zip(grid, builds(family, grid), strict=True):
+                single = build(family, param)
+                assert np.array_equal(member.matrix, single.matrix), (family, param)
+                for got, want in zip(member.eigensystem, single.eigensystem):
+                    assert np.array_equal(got, want), (family, param)
+
+    @pytest.mark.parametrize("family", states.FAMILIES)
+    @pytest.mark.parametrize("position", (0, 3, 6))
+    def test_out_of_range_parameter_anywhere_in_a_grid_raises(self, family, position):
+        lo, hi = states.FAMILY_RANGES[family]
+        grid = np.linspace(lo, hi, 9)[1:-1].tolist()
+        grid[position] = hi + 0.1
+        with pytest.raises(states.ParameterRangeError):
+            states.make_examples(family, grid)
+        with pytest.raises(states.ParameterRangeError):
+            states.example_reductions(family, grid)
+
+
 class TestPartialTrace:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
