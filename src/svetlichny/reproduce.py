@@ -7,9 +7,13 @@ rebuilds each table row through the certificate formulas and attaches a
 match or discrepancy status, then cross-checks every closed form against
 the general eigensolver route on a parameter grid. Each family's grid is
 validated and solved as one stack (its states, its records' 4x4
-matrices, its products and its witness congruences in one call each);
-the certificate arithmetic still runs point by point, through the
-records' methods.
+matrices, its products and its witness congruences in one call each).
+The certificate arithmetic then runs once per grid on arrays, through
+the same record methods and nonlocality formulas a single point uses:
+the grid's numbers form one record whose fields are arrays, the witness
+pairing is one stacked einsum, and each quantity's deviation is reduced
+by one max. The listed closed forms stay per point, since a Python
+float's ** n and numpy's array power can differ in the last bit.
 
 Two routes coexist on purpose. Table rows are evaluated from the closed
 forms exactly as the reference derivation used them, so a row mismatch
@@ -31,7 +35,8 @@ read the strength only through K, so they are evaluated at K and r only
 decides admissibility: a grid over r below the cap must put the strength
 (and r, where stated) inside the stated bands for the row to match. The
 scan is attached to the row so the check stays auditable; rows that
-still miss get a second scan forcing the strength band directly.
+still miss get a second scan forcing the strength band directly. Each
+scan scores its 200 points in one array evaluation.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import linalg, nonlocality, operators, states
+from . import nonlocality, operators, states
 from .bounds import PairSpectra, Routes, build_records, solve_products, witness_maxima
 
 TABLE_TOLERANCE = {1: 5e-3, 2: 5e-3, 3: 1e-2, 4: 1e-2, 5: 1e-2}
@@ -301,11 +306,11 @@ def _listed_spectra(qs: dict) -> PairSpectra:
                                        qs.get("lambda_max_product")))
 
 
-def _genuine_windows(spectra: PairSpectra, routes: Routes
-                     ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Genuine (p window, q window) of one evaluated candidate, each (lower, upper)."""
-    (_, p_gen), (_, q_gen) = spectra.windows(routes)
-    return (p_gen.lower, p_gen.upper), (q_gen.lower, q_gen.upper)
+def _genuine_windows(spectra: PairSpectra, routes: Routes) -> tuple[tuple, tuple]:
+    """Genuine (p window, q window) of one evaluated candidate, each (lower, upper),
+    elementwise over a grid record."""
+    (p_cutoff, p_edge, _), (q_cutoff, q_edge, _) = spectra.window_edges(routes)
+    return (p_cutoff, p_edge), (q_cutoff, q_edge)
 
 
 def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -376,7 +381,8 @@ def _scan_weights(which: int, param: float, k: float, delta: float, within: bool
     The row matches when it is within tolerance and some weight r of the
     grid below the cap puts the strength (and r, where stated) inside the
     stated bands. A row that misses also gets the strength scan, which
-    reads delta_at(k), the row's delta with the bounds taken at strength k.
+    reads delta_at(k), the row's delta with the bounds taken at each
+    strength of an array k. Each scan evaluates its whole grid at once.
     Returns (matched, r scan, strength scan or None).
     """
     reduced = states.example_reduced(states.FAMILIES[which - 1], param)
@@ -385,22 +391,23 @@ def _scan_weights(which: int, param: float, k: float, delta: float, within: bool
     band = STRENGTH_BANDS[which]
     weight_band = WEIGHT_BANDS.get(which)
     grid = np.linspace(0.0, cap, SCAN_POINTS, endpoint=False)
-    admissible = [
-        r for r in grid
-        if band[0] <= nonlocality.undetected_strength(k, p_max, r).s_nl_new <= band[1]
-        and (weight_band is None or weight_band[0] <= r <= weight_band[1])]
-    scan = ScanResult("r", tuple(float(r) for r in grid),
-                      float(admissible[0]) if admissible else 0.0, float(delta))
-    if admissible and within:
+    strength = nonlocality.undetected_strength(k, p_max, grid).s_nl_new
+    in_band = (band[0] <= strength) & (strength <= band[1])
+    if weight_band is not None:
+        in_band &= (weight_band[0] <= grid) & (grid <= weight_band[1])
+    admissible = grid[in_band]
+    scan = ScanResult("r", tuple(grid.tolist()),
+                      float(admissible[0]) if admissible.size else 0.0, float(delta))
+    if admissible.size and within:
         return True, scan, None
     # Force the stated strength band directly at a fixed in-band weight,
     # documenting how far the row stays off even then.
     r0 = (sum(weight_band) / 2.0) if weight_band is not None else cap / 2.0
     s_grid = np.linspace(band[0], band[1], SCAN_POINTS)
-    best_delta, best_s = min((delta_at((s - r0 * (p_max - 0.75)) / (1.0 - r0)), s)
-                             for s in s_grid)
-    return False, scan, ScanResult("s_nl_new", tuple(float(s) for s in s_grid),
-                                   float(best_s), float(best_delta))
+    deltas = delta_at((s_grid - r0 * (p_max - 0.75)) / (1.0 - r0))
+    best = int(np.argmin(deltas))
+    return False, scan, ScanResult("s_nl_new", tuple(s_grid.tolist()),
+                                   float(s_grid[best]), float(deltas[best]))
 
 
 def reproduce_table(which: int) -> list[TableRow]:
@@ -431,7 +438,7 @@ def reproduce_table(which: int) -> list[TableRow]:
         if which not in _DETECTED:
             def delta_at(k):
                 k_lo, k_hi = spectra.bounds(spectra.undetected(k, wr_max), p, q)
-                return max(abs(k_lo - ref_lo), abs(k_hi - ref_hi))
+                return np.maximum(abs(k_lo - ref_lo), abs(k_hi - ref_hi))
             matched, scan, strength_scan = _scan_weights(
                 which, param, routes.strength, delta, matched, delta_at)
         rows.append(TableRow(parameter=param, p=p, q=q,
@@ -458,13 +465,15 @@ def _closed_form_printed(family: int, param: float) -> dict:
     return qs
 
 
-def _closed_forms_general(family: int, params: list[float]) -> list[dict]:
-    """The general route's value of every listed quantity, one dict per parameter.
+def _closed_forms_general(family: int, params: list[float]) -> dict[str, np.ndarray]:
+    """The general route's value of every listed quantity over the grid, one array each.
 
     The grid's states, reductions and records are built as one stack, and
-    the products and witness congruences solved as one stack each; each
-    point's quantities, numerators and windows are then read through the
-    record's methods and the nonlocality formulas.
+    the products and witness congruences solved as one stack each. Their
+    numbers then form one record whose fields are arrays over the grid, so
+    the numerators and windows are evaluated once, elementwise, through
+    the record's methods and the nonlocality formulas. A window's array
+    holds one (lower, upper) row per parameter.
     """
     name = states.FAMILIES[family - 1]
     pair = states.EXAMPLE_PAIRS[name]
@@ -475,48 +484,45 @@ def _closed_forms_general(family: int, params: list[float]) -> list[dict]:
     records = build_records(rhos, reductions, [pair] * len(rhos))
     solve_products(records)
     w = _family_witness(family)
-    detected = family in _DETECTED
-    wr_maxima = None if detected else witness_maxima(records, w)
-    points = []
-    for i, (reduced, spectra) in enumerate(zip(reductions, records)):
-        out = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
-        out["lambda_min_product"], out["lambda_max_product"] = spectra.product
-        if detected:
-            s_nl = out["s_nl"] = nonlocality.s_nl_detected(reduced, w)
-            routes = spectra.detected(s_nl)
-        else:
-            pt = states.partial_transpose(reduced)
-            out["trace_witness_product"] = linalg.trace_product(w, reduced.matrix @ pt)
-            wr_max = out["lambda_max_witness_state"] = wr_maxima[i]
-            k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
-            routes = spectra.undetected(k, wr_max)
-        out["p_window"], out["q_window"] = _genuine_windows(spectra, routes)
-        points.append(out)
-    return points
+    columns = {field: np.array([getattr(r, field) for r in records]) for field in _RECORD_FIELDS}
+    columns["lambda_min_product"], columns["lambda_max_product"] = (
+        np.array([r.product for r in records]).T)
+    spectra = _listed_spectra(columns)
+    if family in _DETECTED:
+        s_nl = columns["s_nl"] = np.array([nonlocality.s_nl_detected(r, w) for r in reductions])
+        routes = spectra.detected(s_nl)
+    else:
+        products = (np.array([r.matrix for r in reductions])
+                    @ np.array([states.partial_transpose(r) for r in reductions]))
+        pairing = columns["trace_witness_product"] = np.einsum("ij,kji->k", w, products).real
+        wr_max = columns["lambda_max_witness_state"] = np.array(witness_maxima(records, w))
+        routes = spectra.undetected(nonlocality.k_from_pairing(pairing, spectra.negativity),
+                                    wr_max)
+    columns["p_window"], columns["q_window"] = (
+        np.column_stack(edges) for edges in _genuine_windows(spectra, routes))
+    return columns
 
 
 def reproduce_closed_forms(family: int) -> list[ClosedFormCheck]:
     """Compare every listed closed form with the general route on a grid.
 
     Returns one check per quantity with the grid-wide maximum absolute
-    deviation (window quantities take the worse endpoint).
+    deviation (window quantities take the worse endpoint), each reduced
+    from the quantity's whole grid at once.
     """
     if family not in CLOSED_FORM_RANGES:
         raise ValueError(f"no such family index: {family!r}")
     low, high = CLOSED_FORM_RANGES[family]
     grid = np.linspace(low, high, GRID_POINTS).tolist()
-    worst: dict[str, float] = {}
-    for param, general in zip(grid, _closed_forms_general(family, grid)):
-        printed = _closed_form_printed(family, param)
-        for name, listed in printed.items():
-            if name.endswith("window"):
-                dev = max(abs(listed[0] - general[name][0]),
-                          abs(listed[1] - general[name][1]))
-            else:
-                dev = abs(listed - general[name])
-            worst[name] = max(worst.get(name, 0.0), float(dev))
-    return [ClosedFormCheck(family, name, worst[name])
-            for name in _QUANTITIES if name in worst]
+    general = _closed_forms_general(family, grid)
+    printed = [_closed_form_printed(family, param) for param in grid]
+    checks = []
+    for name in _QUANTITIES:
+        if name in printed[0]:
+            listed = np.array([point[name] for point in printed])
+            checks.append(ClosedFormCheck(family, name,
+                                          float(np.max(np.abs(listed - general[name])))))
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ certificates read K = Tr[W rho rho^T]/(4 N(rho)) directly.
   lambda_min(M) Tr N <= Tr[M N] <= lambda_max(M) Tr N holds for Hermitian
   M and positive semidefinite N.
 
-closed_form_general is the other kind of oracle: the general route of
-the closed-form check written one grid point at a time, from
-make_example, pair_spectra and the nonlocality formulas, against which
-the package's stacked grid route is compared.
+closed_form_general and table_scans are the other kind of oracle: the
+general route of the closed-form check and the weight and strength scans
+of a table row, written one grid point at a time through the package's
+scalar formulas (make_example, pair_spectra, the record's methods), against
+which the package's array evaluations are compared.
 """
 
 from __future__ import annotations
@@ -124,3 +125,36 @@ def closed_form_general(family: int, param: float) -> dict:
     out["p_window"] = (p_gen.lower, p_gen.upper)
     out["q_window"] = (q_gen.lower, q_gen.upper)
     return out
+
+
+def table_scans(which: int, row) -> tuple[float, tuple[float, float] | None]:
+    """(first in-band weight r or 0, (achieved delta, best strength) or None) of one row
+    of tables 3 to 5, one scan point at a time.
+
+    The strength scan, run when the row misses, takes the smallest delta
+    over the stated strength band, the first such strength on a tie.
+    """
+    qs = reproduce._PRINTED[which](row.parameter)
+    spectra = reproduce._listed_spectra(qs)
+    wr_max = qs.get("lambda_max_witness_state")
+    k = qs["trace_witness_product"] / (4.0 * qs["negativity"])
+    p_max = nonlocality.p_max_optimal(
+        states.example_reduced(states.FAMILIES[which - 1], row.parameter))
+    cap = nonlocality.r_cap(k, p_max)
+    band = reproduce.STRENGTH_BANDS[which]
+    weight_band = reproduce.WEIGHT_BANDS.get(which)
+    admissible = [
+        r for r in np.linspace(0.0, cap, reproduce.SCAN_POINTS, endpoint=False)
+        if band[0] <= nonlocality.undetected_strength(k, p_max, float(r)).s_nl_new <= band[1]
+        and (weight_band is None or weight_band[0] <= r <= weight_band[1])]
+    first = float(admissible[0]) if admissible else 0.0
+    if row.status == reproduce.STATUS_MATCH:
+        return first, None
+
+    def delta_at(strength):
+        lo, hi = spectra.bounds(spectra.undetected(strength, wr_max), row.p, row.q)
+        return max(abs(lo - row.paper_lower), abs(hi - row.paper_upper))
+
+    r0 = (sum(weight_band) / 2.0) if weight_band is not None else cap / 2.0
+    return first, min((delta_at((s - r0 * (p_max - 0.75)) / (1.0 - r0)), s)
+                      for s in np.linspace(band[0], band[1], reproduce.SCAN_POINTS))

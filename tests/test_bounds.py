@@ -17,6 +17,7 @@ from svetlichny import linalg, operators, reproduce, states
 from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
+    PairSpectra,
     SingularDenominatorError,
     Window,
     _candidate_windows,
@@ -559,6 +560,29 @@ class TestWeightIndependence:
         assert checked >= 20, checked
 
 
+_NUMBERS = dict(lambda_min_rho=0.1, lambda_max_rho=0.6, lambda_max_embedded=0.5,
+                lambda_k_embedded=0.2, lambda_max_pt=0.4, lambda_min_pt_squared=0.02,
+                trace_pt_squared=0.3, negativity=0.1,
+                lambda_min_product=0.01, lambda_max_product=0.3)
+
+
+def _middle(grid: bool, number: float, changed: float):
+    """changed itself, or a three-point grid holding it between two copies of number."""
+    return np.array([number, changed, number]) if grid else changed
+
+
+def _record(grid: bool, **changed) -> PairSpectra:
+    """A listed record of _NUMBERS, the changed fields taking their value at the grid's middle."""
+    values = {name: _middle(grid, number, changed.get(name, number))
+              for name, number in _NUMBERS.items()}
+    return PairSpectra(**{name: values[name] for name in _NUMBERS if "product" not in name},
+                       listed_product=(values["lambda_min_product"], values["lambda_max_product"]))
+
+
+def _flat(values) -> list:
+    return [x for v in values for x in (_flat(v) if isinstance(v, tuple) else [v])]
+
+
 class TestSingularHandling:
     def test_singular_denominator_raises(self):
         # a pure product reduced pair has zero negativity, which the
@@ -569,3 +593,48 @@ class TestSingularHandling:
         with pytest.raises((NonlocalityError, SingularDenominatorError,
                             BoundsError)):
             full_report(rho, cfg)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["scalar", "grid"])
+    @pytest.mark.parametrize("vanishing, s_nl", [
+        # the S_NL at which _record's detected p-route edge 2N + lambda_max_embedded vanishes
+        ("window", -(0.5 / 2.0 + 0.01) / (2.0 * 0.6)),
+        ("lambda_k_embedded", 0.05),
+        ("lambda_min_pt_squared", 0.05),
+    ], ids=["window", "lambda_k", "pt2_min"])
+    def test_vanishing_denominator_raises(self, vanishing, s_nl, grid):
+        # on a grid only the middle point vanishes, and the whole evaluation raises
+        record = _record(grid, **({} if vanishing == "window" else {vanishing: 0.0}))
+        strength = _middle(grid, 0.05, s_nl)
+        with pytest.raises(SingularDenominatorError):
+            if vanishing == "lambda_min_pt_squared":
+                record.undetected(strength, 0.5)
+            else:
+                record.window_edges(record.detected(strength))
+
+
+class TestGridRecord:
+    """A record whose fields are arrays over a grid evaluates each point as its own record."""
+
+    @pytest.mark.parametrize("regime", ["detected", "undetected"])
+    def test_grid_record_gives_the_scalar_values(self, regime):
+        # lambda_min_rho is zero at the last point, which like families 3 and 4
+        # lists no witness maximum or Tr[(rho^T)^2] (NaN here): F's witness
+        # correction applies at the other points only
+        points = [reproduce._PRINTED[5](x) for x in (0.82, 0.87, 0.92)]
+        points[-1].update(lambda_min_rho=0.0, lambda_max_witness_state=np.nan,
+                          trace_pt_squared=np.nan)
+        grid = reproduce._listed_spectra({name: np.array([qs[name] for qs in points])
+                                          for name in points[0]})
+        strengths = np.array([0.05, 0.2, 0.3])
+        wr_max = np.array([qs["lambda_max_witness_state"] for qs in points])
+
+        def evaluate(record, strength, wr):
+            routes = (record.detected(strength) if regime == "detected"
+                      else record.undetected(strength, wr))
+            return routes[1:], record.bounds(routes, 0.9, 0.8), record.window_edges(routes)
+
+        columns = [np.broadcast_to(c, 3) for c in _flat(evaluate(grid, strengths, wr_max))]
+        for i, qs in enumerate(points):
+            expected = _flat(evaluate(reproduce._listed_spectra(qs), float(strengths[i]),
+                                      float(wr_max[i])))
+            assert [float(c[i]) for c in columns] == [float(x) for x in expected], i

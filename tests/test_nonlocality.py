@@ -132,6 +132,18 @@ class TestKValue:
         with pytest.raises(nonlocality.ZeroNegativityError):
             nonlocality.k_value(rho, XY)
 
+    @pytest.mark.parametrize("n", [0.0, np.array([0.1, 0.0, 0.2])], ids=["scalar", "array"])
+    def test_k_from_pairing_rejects_a_zero_negativity(self, n):
+        with pytest.raises(nonlocality.ZeroNegativityError, match=r"^negativity 0\.0 is"):
+            nonlocality.k_from_pairing(np.ones_like(n), n)
+
+    def test_k_from_pairing_is_k_value_elementwise(self):
+        rhos = [_reduced(states.FAMILY_IDENTITY_W, x) for x in (0.82, 0.87, 0.92)]
+        pairings = np.einsum("ij,kji->k", XY, np.array(
+            [rho.matrix @ states.partial_transpose(rho) for rho in rhos])).real
+        k = nonlocality.k_from_pairing(pairings, np.array([states.negativity(r) for r in rhos]))
+        assert k.tolist() == [nonlocality.k_value(rho, XY) for rho in rhos]
+
     def test_detected_state_warns(self):
         rho = _reduced(states.FAMILY_PURE_W1, 0.92)
         # reduced pair A-C of the first family, where the xz witness detects
@@ -190,6 +202,33 @@ class TestInterpolatedStrength:
             nonlocality.s_nl_new(rho, XY, cap)
         with pytest.raises(nonlocality.WindowParameterError):
             nonlocality.s_nl_new(rho, XY, -0.01)
+
+    # each case gives (r, the entry the error names) from the cap
+    @pytest.mark.parametrize("weights", [
+        lambda cap: (cap, cap),
+        lambda cap: (-0.01, -0.01),
+        lambda cap: (np.array([0.0, 0.5 * cap, cap]), cap),
+        lambda cap: (np.array([0.5 * cap, -0.01, 1.5 * cap]), -0.01),
+    ], ids=["scalar-cap", "scalar-negative", "array-cap", "array-negative"])
+    def test_weights_outside_the_cap_rejected(self, weights):
+        rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
+        k = nonlocality.k_value(rho, XY)
+        p_max = nonlocality.p_max_optimal(rho)
+        cap = nonlocality.r_cap(k, p_max)
+        r, named = weights(cap)
+        with pytest.raises(nonlocality.WindowParameterError) as excinfo:
+            nonlocality.undetected_strength(k, p_max, r)
+        assert str(excinfo.value) == f"r = {float(named)} outside [0, {float(cap)})"
+
+    def test_weight_array_gives_the_scalar_strengths(self):
+        rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
+        k = nonlocality.k_value(rho, XY)
+        p_max = nonlocality.p_max_optimal(rho)
+        grid = np.linspace(0.0, nonlocality.r_cap(k, p_max), 50, endpoint=False)
+        strength = nonlocality.undetected_strength(k, p_max, grid)
+        assert strength.r is grid
+        assert strength.s_nl_new.tolist() == [
+            nonlocality.undetected_strength(k, p_max, r).s_nl_new for r in grid.tolist()]
 
     def test_vacuous_cap_is_one(self):
         # 3/4 - P_max + K <= 0: the strength is positive for every r

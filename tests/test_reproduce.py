@@ -184,11 +184,33 @@ class TestClosedFormGrid:
 
     @pytest.mark.parametrize("family", range(1, 6))
     def test_grid_route_equals_the_per_point_route(self, family):
+        # one column per quantity, a window's holding one (lower, upper) row
+        # per point; entry i of each equals the per-point route at grid[i]
         grid = np.linspace(*reproduce.CLOSED_FORM_RANGES[family], reproduce.GRID_POINTS).tolist()
-        points = reproduce._closed_forms_general(family, grid)
-        assert len(points) == reproduce.GRID_POINTS
-        for param, point in zip(grid, points):
+        columns = reproduce._closed_forms_general(family, grid)
+        assert {len(column) for column in columns.values()} == {reproduce.GRID_POINTS}
+        for i, param in enumerate(grid):
+            point = {name: tuple(column[i].tolist()) if column.ndim == 2 else column[i]
+                     for name, column in columns.items()}
             assert point == lemmas.closed_form_general(family, param), (family, param)
+
+
+class TestScans:
+    """Each row scan evaluates its grid at once; the per-point loop is the oracle."""
+
+    @pytest.mark.parametrize("which", (3, 4, 5))
+    def test_scans_equal_the_per_point_loop(self, tables, which):
+        for row in tables[which]:
+            first, strength = lemmas.table_scans(which, row)
+            assert row.scan.best == first, row.parameter
+            if strength is None:
+                assert row.strength_scan is None
+            else:
+                best_delta, best = strength
+                assert row.strength_scan.best == best, row.parameter
+                assert row.strength_scan.achieved_delta == best_delta, row.parameter
+        # only table 5's rows miss, so only they carry a strength scan
+        assert any(row.strength_scan is not None for row in tables[which]) == (which == 5)
 
 
 class TestFamilyWitness:
