@@ -20,14 +20,16 @@ is undefined.
 One PairSpectra record per (state, pair) holds every number the routes
 read, and its methods are the only certificate arithmetic; each (pair,
 witness) is evaluated once, into the Routes value that the report and
-the search read. build_records builds the records of many (state,
-reduction, pair) triples together: each state's eigensystem is the one
-validation solved, and one stacked solve covers the partial transposes
-and the reductions not solved yet. A record's 8x8 product spectrum is
-solved only when a route reads it; solve_products and witness_maxima
-solve the products and the witness congruences of many records in one
-stacked call each, through the same congruence the single-record reads
-solve.
+the search read. One column builder reads the numbers of many (state,
+reduction) points together, one array per field: each state's
+eigensystem is the one validation solved, and one stacked solve covers
+the partial transposes and the reductions not solved yet.
+build_records cuts the columns into one record of floats per point,
+whose 8x8 product spectrum is solved only when a route reads it.
+grid_record keeps them as one record of arrays over a grid, its
+products solved in one stacked call through the congruence that
+product_spectrum solves for one point, and its witness maxima in one
+more.
 """
 
 from __future__ import annotations
@@ -219,16 +221,9 @@ def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
     of the embedded operator by the square root of the state, so its
     spectrum is real whenever the state is a genuine density matrix. A
     hermiticity failure of the congruence signals an invalid input.
-    product_spectra solves the same congruence for a stack.
+    grid_record solves the same congruence for a stack.
     """
     return _product_spectra(*rho_abc.eigensystem, rho_ij.matrix, pair)
-
-
-def product_spectra(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
-                    pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
-    """product_spectrum of each (state, reduction), one row each, from one stacked congruence solve."""
-    values, vectors = (np.array(part) for part in zip(*(rho.eigensystem for rho in states)))
-    return _product_spectra(values, vectors, np.array([rho.matrix for rho in reductions]), pair)
 
 
 def _product_spectra(values: np.ndarray, vectors: np.ndarray, reduced: np.ndarray,
@@ -261,18 +256,20 @@ def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
 
 @dataclass(frozen=True)
 class PairSpectra:
-    """Every spectral number the certificates read, for one (state, pair).
+    """Every spectral number the certificates read, for one (state, pair) or for a grid of them.
 
-    The builder fills it from the state's eigensystem and from the spectra
-    of the reduced pair and its partial transpose. Embedding the pair only
-    doubles multiplicities, so the embedded extremes are read off the 4x4
-    spectrum. The extremes of the product congruence
+    build_records fills it from the state's eigensystem and from the
+    spectra of the reduced pair and its partial transpose. Embedding the
+    pair only doubles multiplicities, so the embedded extremes are read
+    off the 4x4 spectrum. The extremes of the product congruence
     rho^{1/2} embed(rho_ij) rho^{1/2} are solved on first read
-    (product_spectrum, with the root from the same eigensystem), or given
-    as listed_product. The
-    partial-transpose numbers, the reduced pair, its labels and square
-    root and the state are None in records built from listed data that
-    lacks them.
+    (product_spectrum, with the root from the same eigensystem), unless
+    given as product_extremes. The partial-transpose numbers, the reduced
+    pair, its labels and square root and the state are None in records
+    built from listed data that lacks them. A grid record (grid_record)
+    holds arrays over the grid in its number fields, product_extremes and
+    reduced_root, and leaves reduced and state None, so routes, which
+    reads the reduced pair, serves records of one point only.
 
     The methods are the certificate arithmetic. routes(witness) is the
     one regime dispatch; detected (from S_NL) and undetected (from K)
@@ -282,17 +279,17 @@ class PairSpectra:
     route by lambda_k. The paper's undetected 2 (1 - q) F/(q lambda_k) is
     the upper shape with numerator F/4.
 
-    detected, undetected, bounds and window_edges also work elementwise:
-    on a strength given as an array, and on a record whose number fields
-    (listed_product included) are arrays over a grid. Each guard then
-    checks the whole array and raises as it does for one number.
+    detected, undetected, bounds, window_edges and witness_max also work
+    elementwise: on a strength given as an array, and on a grid record.
+    Each guard then checks the whole array and raises as it does for one
+    number.
     """
 
     lambda_min_rho: float
     lambda_max_rho: float
     lambda_max_embedded: float
     lambda_k_embedded: float
-    listed_product: tuple[float | None, float | None] | None = None
+    product_extremes: tuple | None = None
     lambda_max_pt: float | None = None
     lambda_min_pt_squared: float | None = None
     trace_pt_squared: float | None = None
@@ -305,13 +302,11 @@ class PairSpectra:
 
     @cached_property
     def product(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max) of the product congruence, solved on first read only.
-
-        solve_products fills it for many records at once.
-        """
-        if self.listed_product is not None:
-            return self.listed_product
-        return _extremes(product_spectrum(self.state, self.reduced, self.pair))
+        """(lambda_min, lambda_max) of the product congruence: product_extremes when given,
+        otherwise solved on first read only."""
+        if self.product_extremes is not None:
+            return self.product_extremes
+        return tuple(product_spectrum(self.state, self.reduced, self.pair)[[0, -1]].tolist())
 
     @property
     def lambda_min_product(self) -> float:
@@ -345,9 +340,14 @@ class PairSpectra:
             self._routes[key] = routes
         return self._routes[key]
 
-    def witness_max(self, witness: np.ndarray) -> float:
-        """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij."""
-        return _witness_maxima(self.reduced_root, witness)[0]
+    def witness_max(self, witness: np.ndarray):
+        """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij,
+        checked for use as a divisor; one per point of a grid record, from one stacked solve."""
+        wr_max = linalg.congruence_eigenvalues(
+            self.reduced_root, np.asarray(witness, dtype=complex))[..., -1]
+        if _anywhere(abs(wr_max) <= SINGULAR_TOL):
+            raise SingularDenominatorError("witness-state product has no spectral radius")
+        return wr_max if wr_max.ndim else float(wr_max)
 
     def detected(self, s_nl: float) -> Routes:
         """Both numerators of the detected regime, from S_NL."""
@@ -417,16 +417,44 @@ def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
 
 def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
                   pairs: Sequence[tuple[str, str]]) -> list[PairSpectra]:
-    """One record per (state, reduction, pair), from one gated solve of their 4x4 matrices.
+    """One record of floats per (state, reduction, pair), from the rows of _columns.
 
-    Each state's eigensystem is the one validation computed. The stack
-    holds every second-qubit partial transpose, then each reduction whose
-    eigensystem is not solved yet (a validated reduction, such as
-    maximal-slice's designated matrix, arrives solved); the reductions'
-    square roots come from those eigensystems. The negativity and the
-    other partial-transpose numbers come from partial_transpose_numbers,
-    the formula states.negativity reads. The pairs are the caller's to
-    check.
+    The pairs are the caller's to check.
+    """
+    columns, roots = _columns(np.array([rho.eigensystem[0] for rho in states]), reductions)
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return [PairSpectra(**dict(zip(columns, row)), reduced_root=root, reduced=rho_ij, pair=pair,
+                        state=rho_abc)
+            for row, root, rho_abc, rho_ij, pair in zip(rows, roots, states, reductions, pairs)]
+
+
+def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
+                pair: tuple[str, str]) -> PairSpectra:
+    """One record for a grid of (state, reduction) points on one pair, each field an array.
+
+    The numbers are build_records's columns; the products come from one
+    stacked congruence solve with the roots taken from the states'
+    eigensystems, as product_spectrum takes one.
+    """
+    values, vectors = (np.array(part) for part in zip(*(rho.eigensystem for rho in states)))
+    columns, roots = _columns(values, reductions)
+    products = _product_spectra(values, vectors, np.array([rho.matrix for rho in reductions]), pair)
+    return PairSpectra(**columns, product_extremes=(products[:, 0], products[:, -1]),
+                       reduced_root=roots, pair=pair)
+
+
+def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
+             ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Every number field of the records of (state, reduction) points, one array each, and the
+    reductions' square roots, from one gated solve of their 4x4 matrices.
+
+    state_values holds each state's ascending spectrum, from the
+    eigensystem validation solved. The stack holds every second-qubit
+    partial transpose, then each reduction whose eigensystem is not
+    solved yet (a validated reduction, such as maximal-slice's designated
+    matrix, arrives solved); the roots come from those eigensystems. The
+    negativity and the other partial-transpose numbers come from
+    partial_transpose_numbers, the formula states.negativity reads.
     """
     k = len(reductions)
     cached = [rho.__dict__.get("eigensystem") for rho in reductions]
@@ -438,56 +466,13 @@ def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityM
         solved = zip(reduced_values, reduced_vectors)
         reduced_values, reduced_vectors = (np.array(part) for part in zip(*(
             system or next(solved) for system in cached)))
-    roots = linalg.eigen_root(reduced_values, reduced_vectors)
-    records = []
-    for i, (rho_abc, rho_ij, pair) in enumerate(zip(states, reductions, pairs)):
-        state_values = rho_abc.eigensystem[0]
-        n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(values[i])
-        records.append(PairSpectra(
-            lambda_min_rho=float(state_values[0]),
-            lambda_max_rho=float(state_values[-1]),
-            lambda_max_embedded=float(reduced_values[i, -1]),
-            lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values[i]),
-            lambda_max_pt=pt_max,
-            lambda_min_pt_squared=pt2_min,
-            trace_pt_squared=pt2_trace,
-            negativity=n,
-            reduced_root=roots[i],
-            reduced=rho_ij,
-            pair=pair,
-            state=rho_abc,
-        ))
-    return records
-
-
-def _extremes(spectrum: np.ndarray) -> tuple[float, float]:
-    return tuple(spectrum[[0, -1]].tolist())
-
-
-def solve_products(records: Sequence[PairSpectra]) -> None:
-    """Fill the product of every record built from a state that has not read it yet,
-    with one stacked congruence solve per pair."""
-    pending = [r for r in records if r.state is not None and "product" not in r.__dict__]
-    for pair in dict.fromkeys(r.pair for r in pending):
-        group = [r for r in pending if r.pair == pair]
-        spectra = product_spectra([r.state for r in group], [r.reduced for r in group], pair)
-        for record, spectrum in zip(group, spectra):
-            record.__dict__["product"] = _extremes(spectrum)
-
-
-def witness_maxima(records: Sequence[PairSpectra], witness: np.ndarray) -> list[float]:
-    """PairSpectra.witness_max of each record, from one stacked congruence solve."""
-    return _witness_maxima(np.array([record.reduced_root for record in records]), witness)
-
-
-def _witness_maxima(roots: np.ndarray, witness: np.ndarray) -> list[float]:
-    """Top of the spectrum of root W root, for one root or each of a stack,
-    each checked for use as a divisor."""
-    maxima = linalg.congruence_eigenvalues(
-        roots, np.asarray(witness, dtype=complex))[..., -1:].reshape(-1).tolist()
-    if any(abs(wr_max) <= SINGULAR_TOL for wr_max in maxima):
-        raise SingularDenominatorError("witness-state product has no spectral radius")
-    return maxima
+    n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(values[:k])
+    columns = dict(lambda_min_rho=state_values[:, 0], lambda_max_rho=state_values[:, -1],
+                   lambda_max_embedded=reduced_values[:, -1],
+                   lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values),
+                   lambda_max_pt=pt_max, lambda_min_pt_squared=pt2_min,
+                   trace_pt_squared=pt2_trace, negativity=n)
+    return columns, linalg.eigen_root(reduced_values, reduced_vectors)
 
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER

@@ -6,14 +6,14 @@ forms for every spectral quantity those certificates consume. This module
 rebuilds each table row through the certificate formulas and attaches a
 match or discrepancy status, then cross-checks every closed form against
 the general eigensolver route on a parameter grid. Each family's grid is
-validated and solved as one stack (its states, its records' 4x4
-matrices, its products and its witness congruences in one call each).
-The certificate arithmetic then runs once per grid on arrays, through
-the same record methods and nonlocality formulas a single point uses:
-the grid's numbers form one record whose fields are arrays, the witness
-pairing is one stacked einsum, and each quantity's deviation is reduced
-by one max. The listed closed forms stay per point, since a Python
-float's ** n and numpy's array power can differ in the last bit.
+validated and solved as one stack, and bounds.grid_record reads it into
+one record whose fields are arrays over the grid (its 4x4 matrices, its
+products and its witness congruences solved in one call each). The
+certificate arithmetic then runs once per grid on arrays, through the
+same record methods and nonlocality formulas a single point uses: the
+witness pairing is one stacked einsum, and each quantity's deviation is
+reduced by one max. The listed closed forms stay per point, since a
+Python float's ** n and numpy's array power can differ in the last bit.
 
 Two routes coexist on purpose. Table rows are evaluated from the closed
 forms exactly as the reference derivation used them, so a row mismatch
@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nonlocality, operators, states
-from .bounds import PairSpectra, Routes, build_records, solve_products, witness_maxima
+from .bounds import PairSpectra, Routes, grid_record
 
 TABLE_TOLERANCE = {1: 5e-3, 2: 5e-3, 3: 1e-2, 4: 1e-2, 5: 1e-2}
 CLOSED_FORM_TOL = 1e-9
@@ -295,15 +295,15 @@ _QUANTITIES = ("s_nl", "lambda_max_embedded", "lambda_min_product", "lambda_max_
                "negativity", "lambda_max_witness_state", "trace_pt_squared",
                "p_window", "q_window")
 
-# Quantities that name a PairSpectra field; the product extremes go in listed_product.
+# Quantities that name a PairSpectra field; the product extremes go in product_extremes.
 _RECORD_FIELDS = tuple(f.name for f in fields(PairSpectra) if f.name in _QUANTITIES)
 
 
 def _listed_spectra(qs: dict) -> PairSpectra:
     """Listed spectral components as the record the certificate arithmetic reads."""
     return PairSpectra(**{name: qs.get(name) for name in _RECORD_FIELDS},
-                       listed_product=(qs.get("lambda_min_product"),
-                                       qs.get("lambda_max_product")))
+                       product_extremes=(qs.get("lambda_min_product"),
+                                         qs.get("lambda_max_product")))
 
 
 def _genuine_windows(spectra: PairSpectra, routes: Routes) -> tuple[tuple, tuple]:
@@ -428,8 +428,8 @@ def reproduce_table(which: int) -> list[TableRow]:
         if which in _DETECTED:
             routes = spectra.detected(qs["s_nl"])
         else:
-            routes = spectra.undetected(
-                qs["trace_witness_product"] / (4.0 * qs["negativity"]), wr_max)
+            routes = spectra.undetected(nonlocality.k_from_pairing(
+                qs["trace_witness_product"], qs["negativity"]), wr_max)
         lo, hi = spectra.bounds(routes, p, q)
         delta_lo, delta_hi = abs(lo - ref_lo), abs(hi - ref_hi)
         delta = max(delta_lo, delta_hi)
@@ -468,12 +468,10 @@ def _closed_form_printed(family: int, param: float) -> dict:
 def _closed_forms_general(family: int, params: list[float]) -> dict[str, np.ndarray]:
     """The general route's value of every listed quantity over the grid, one array each.
 
-    The grid's states, reductions and records are built as one stack, and
-    the products and witness congruences solved as one stack each. Their
-    numbers then form one record whose fields are arrays over the grid, so
-    the numerators and windows are evaluated once, elementwise, through
-    the record's methods and the nonlocality formulas. A window's array
-    holds one (lower, upper) row per parameter.
+    The grid's states and reductions are built as one stack each and read
+    into one grid record, so the numerators and windows are evaluated
+    once, elementwise, through the record's methods and the nonlocality
+    formulas. A window's array holds one (lower, upper) row per parameter.
     """
     name = states.FAMILIES[family - 1]
     pair = states.EXAMPLE_PAIRS[name]
@@ -481,13 +479,10 @@ def _closed_forms_general(family: int, params: list[float]) -> dict[str, np.ndar
     # maximal-slice's designated matrix is not a reduction of rho
     reductions = (states.example_reductions(name, params) if name == states.FAMILY_MAXIMAL_SLICE
                   else [states.reduce_to_pair(rho, pair) for rho in rhos])
-    records = build_records(rhos, reductions, [pair] * len(rhos))
-    solve_products(records)
+    spectra = grid_record(rhos, reductions, pair)
     w = _family_witness(family)
-    columns = {field: np.array([getattr(r, field) for r in records]) for field in _RECORD_FIELDS}
-    columns["lambda_min_product"], columns["lambda_max_product"] = (
-        np.array([r.product for r in records]).T)
-    spectra = _listed_spectra(columns)
+    columns = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
+    columns["lambda_min_product"], columns["lambda_max_product"] = spectra.product
     if family in _DETECTED:
         s_nl = columns["s_nl"] = np.array([nonlocality.s_nl_detected(r, w) for r in reductions])
         routes = spectra.detected(s_nl)
@@ -495,7 +490,7 @@ def _closed_forms_general(family: int, params: list[float]) -> dict[str, np.ndar
         products = (np.array([r.matrix for r in reductions])
                     @ np.array([states.partial_transpose(r) for r in reductions]))
         pairing = columns["trace_witness_product"] = np.einsum("ij,kji->k", w, products).real
-        wr_max = columns["lambda_max_witness_state"] = np.array(witness_maxima(records, w))
+        wr_max = columns["lambda_max_witness_state"] = spectra.witness_max(w)
         routes = spectra.undetected(nonlocality.k_from_pairing(pairing, spectra.negativity),
                                     wr_max)
     columns["p_window"], columns["q_window"] = (

@@ -185,15 +185,20 @@ def reduce_to_pair(rho: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
     return DensityMatrix(qubits=2, matrix=swapped)
 
 
-def partial_transpose_numbers(values) -> tuple[float, float, float, float]:
-    """(N, lambda_max(rho^T), lambda_min[(rho^T)^2], Tr[(rho^T)^2]) from rho^T's ascending spectrum.
+def partial_transpose_numbers(values) -> tuple:
+    """(N, lambda_max(rho^T), lambda_min[(rho^T)^2], Tr[(rho^T)^2]) from rho^T's ascending spectrum,
+    as floats, or as four arrays with one entry per row of a (k, n) stack of spectra.
 
     The square's spectrum is the squares of the spectrum, so no second
-    solve is needed.
+    solve is needed. A PPT spectrum has N = +0.0. The rows are read as
+    Python lists, which on the three rows of a pair search costs less than
+    numpy's reductions.
     """
-    pt = np.asarray(values, dtype=float).tolist()
-    return (float(-sum(v for v in pt if v < 0.0)), pt[-1],
-            min(v * v for v in pt), sum(v * v for v in pt))
+    pt = np.asarray(values, dtype=float)
+    rows = [(0.0 - sum(v for v in row if v < 0.0), row[-1],
+             min(v * v for v in row), sum(v * v for v in row))
+            for row in pt.reshape(-1, pt.shape[-1]).tolist()]
+    return tuple(map(np.array, zip(*rows))) if pt.ndim > 1 else rows[0]
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -18,12 +18,14 @@ from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
     PairSpectra,
+    build_records,
     SingularDenominatorError,
     Window,
     _candidate_windows,
     detect_genuine,
     embed_pair,
     full_report,
+    grid_record,
     pair_records,
     pair_spectra,
     product_spectrum,
@@ -576,7 +578,8 @@ def _record(grid: bool, **changed) -> PairSpectra:
     values = {name: _middle(grid, number, changed.get(name, number))
               for name, number in _NUMBERS.items()}
     return PairSpectra(**{name: values[name] for name in _NUMBERS if "product" not in name},
-                       listed_product=(values["lambda_min_product"], values["lambda_max_product"]))
+                       product_extremes=(values["lambda_min_product"],
+                                         values["lambda_max_product"]))
 
 
 def _flat(values) -> list:
@@ -615,18 +618,36 @@ class TestSingularHandling:
 class TestGridRecord:
     """A record whose fields are arrays over a grid evaluates each point as its own record."""
 
-    @pytest.mark.parametrize("regime", ["detected", "undetected"])
-    def test_grid_record_gives_the_scalar_values(self, regime):
-        # lambda_min_rho is zero at the last point, which like families 3 and 4
-        # lists no witness maximum or Tr[(rho^T)^2] (NaN here): F's witness
-        # correction applies at the other points only
-        points = [reproduce._PRINTED[5](x) for x in (0.82, 0.87, 0.92)]
-        points[-1].update(lambda_min_rho=0.0, lambda_max_witness_state=np.nan,
-                          trace_pt_squared=np.nan)
-        grid = reproduce._listed_spectra({name: np.array([qs[name] for qs in points])
-                                          for name in points[0]})
+    @pytest.mark.parametrize("regime, source", [
+        ("detected", "listed"), ("undetected", "listed"),
+        ("detected", "solved"), ("undetected", "solved"),
+    ], ids=["detected", "undetected", "detected-solved", "undetected-solved"])
+    def test_grid_record_gives_the_scalar_values(self, regime, source):
+        if source == "listed":
+            # lambda_min_rho is zero at the last point, which like families 3 and 4
+            # lists no witness maximum or Tr[(rho^T)^2] (NaN here): F's witness
+            # correction applies at the other points only
+            points = [reproduce._PRINTED[5](x) for x in (0.82, 0.87, 0.92)]
+            points[-1].update(lambda_min_rho=0.0, lambda_max_witness_state=np.nan,
+                              trace_pt_squared=np.nan)
+            grid = reproduce._listed_spectra({name: np.array([qs[name] for qs in points])
+                                              for name in points[0]})
+            records = [reproduce._listed_spectra(qs) for qs in points]
+            wr_max = np.array([qs["lambda_max_witness_state"] for qs in points])
+        else:
+            # grid_record's fields are build_records's rows, and its products and
+            # witness maxima the ones each row solves on its own
+            rhos = states.make_examples(states.FAMILY_IDENTITY_W, [0.82, 0.87, 0.92])
+            reductions = [states.reduce_to_pair(rho, ("B", "C")) for rho in rhos]
+            grid = grid_record(rhos, reductions, ("B", "C"))
+            records = build_records(rhos, reductions, [("B", "C")] * 3)
+            for name in (name for name in _NUMBERS if "product" not in name):
+                assert getattr(grid, name).tolist() == [getattr(r, name) for r in records], name
+            assert list(zip(*(column.tolist() for column in grid.product))) == [
+                r.product for r in records]
+            wr_max = grid.witness_max(XY)
+            assert wr_max.tolist() == [r.witness_max(XY) for r in records]
         strengths = np.array([0.05, 0.2, 0.3])
-        wr_max = np.array([qs["lambda_max_witness_state"] for qs in points])
 
         def evaluate(record, strength, wr):
             routes = (record.detected(strength) if regime == "detected"
@@ -634,7 +655,6 @@ class TestGridRecord:
             return routes[1:], record.bounds(routes, 0.9, 0.8), record.window_edges(routes)
 
         columns = [np.broadcast_to(c, 3) for c in _flat(evaluate(grid, strengths, wr_max))]
-        for i, qs in enumerate(points):
-            expected = _flat(evaluate(reproduce._listed_spectra(qs), float(strengths[i]),
-                                      float(wr_max[i])))
+        for i, record in enumerate(records):
+            expected = _flat(evaluate(record, float(strengths[i]), float(wr_max[i])))
             assert [float(c[i]) for c in columns] == [float(x) for x in expected], i

@@ -239,6 +239,20 @@ class TestFirstNonzero:
         with pytest.raises(linalg.AllZeroSpectrumError):
             linalg.first_nonzero_eigenvalue(spec)
 
+    def test_stack_gives_each_row_its_own_value(self, rng):
+        spectra = np.sort(rng.normal(size=(6, 4)), axis=1)
+        spectra[1, :2] = 0.0
+        spectra[2, 0] = 5e-10
+        firsts = linalg.first_nonzero_eigenvalue(spectra)
+        assert isinstance(firsts, np.ndarray) and firsts.shape == (6,)
+        assert firsts.tolist() == [linalg.first_nonzero_eigenvalue(row) for row in spectra]
+
+    def test_stack_with_an_all_zero_row_raises(self, rng):
+        spectra = np.sort(rng.normal(size=(3, 4)), axis=1)
+        spectra[1] = [-1e-10, 0.0, 0.0, 1e-10]
+        with pytest.raises(linalg.AllZeroSpectrumError):
+            linalg.first_nonzero_eigenvalue(spectra)
+
 
 class TestKron:
     def test_mixed_product_identity(self, rng):

@@ -329,5 +329,6 @@ class TestOneFormulaPerQuantity:
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
         for x in (states.negativity(rho), nonlocality.horodecki_m(rho),
                   lemmas.k_lower_bound(rho, XY), lemmas.k_upper_bound(rho, XY),
-                  linalg.first_nonzero_eigenvalue(values)):
+                  linalg.first_nonzero_eigenvalue(values),
+                  *states.partial_transpose_numbers(values)):
             assert type(x) is float

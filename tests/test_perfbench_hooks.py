@@ -1,8 +1,10 @@
 """The benchmark's hooks and arguments must match what the package still has.
 
 perfbench/tracer.py skips a hook it cannot resolve without a word, so a
-renamed function would silently zero the per-layer counts built on it.
-The tracer is compiled from its source file, never imported or modified.
+renamed function would silently zero the per-layer counts built on it;
+the same holds for every function whose spans layer_metrics counts or
+times by name. The tracer is compiled from its source file, never
+imported or modified, and those names are read from its syntax tree.
 A command-line flag the workloads pass but the parser no longer knows
 would only show as failed benchmark operations, so every argv is parsed
 here. The benchmark's own test suite runs here too, in a fresh
@@ -11,6 +13,7 @@ interpreter.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
@@ -45,6 +48,43 @@ def test_every_hook_resolves_to_a_package_function():
             owner = getattr(owner, part, None)
         assert inspect.isfunction(owner), f"{layer}.{qualname} does not resolve"
         assert owner.__module__ == module
+
+
+def _metric_names() -> set[str]:
+    """The span names layer_metrics counts or times: the arguments of count(...)
+    and the constant keys of inclusive_ms[...] and raised[...]."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    metrics = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics")
+    names = set()
+    for node in ast.walk(metrics):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "count"):
+            names.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+              and node.value.id in ("inclusive_ms", "raised")
+              and isinstance(node.slice, ast.Constant)):
+            names.add(node.slice.value)
+    return names
+
+
+def test_every_counted_name_resolves_to_a_traced_function():
+    # a name whose function is gone, or private and not hooked, gets no
+    # spans, so its count or time reads 0 without a word
+    tracer = _load_tracer()
+    names = _metric_names()
+    assert {"bounds.product_spectrum", "states.validate",
+            "reproduce.reproduce_closed_forms"} <= names, names
+    for name in sorted(names):
+        layer, qualname = name.split(".", 1)
+        module = f"{tracer.PACKAGE}.{layer}"
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        assert inspect.isfunction(owner), f"{name} does not resolve"
+        assert owner.__module__ == module, name
+        public = "." not in qualname and not qualname.startswith("_")
+        assert public or (layer, qualname) in tracer.HOOKS, f"{name} is private and not hooked"
 
 
 def test_traced_ascents_report_a_bool_and_raise_nothing():

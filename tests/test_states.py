@@ -7,11 +7,13 @@ code, so a bug in the reshaping logic cannot hide in both places.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svetlichny import states
+from svetlichny import linalg, states
 from conftest import random_density, random_product_two_qubit, random_pure, random_state
 
 
@@ -233,6 +235,24 @@ class TestNegativity:
             first_negativity = -first[first < 0.0].sum()
             assert first_negativity > 1e-3
             assert states.negativity(rho) == pytest.approx(first_negativity, abs=1e-12)
+
+
+class TestPartialTransposeNumbers:
+    def test_stack_gives_each_row_its_own_numbers(self, rng):
+        spectra = np.array([linalg.hermitian_eigenvalues(states.partial_transpose(
+            random_state(rng, 2))) for _ in range(5)])
+        columns = states.partial_transpose_numbers(spectra)
+        assert all(isinstance(c, np.ndarray) and c.shape == (5,) for c in columns)
+        rows = [states.partial_transpose_numbers(row) for row in spectra]
+        assert list(zip(*(c.tolist() for c in columns))) == rows
+
+    def test_ppt_row_has_positive_zero_negativity(self):
+        # -0.0 would print as "-0.0" in a JSON report
+        n = states.partial_transpose_numbers(np.array([[-0.5, 0.0, 0.5, 1.0],
+                                                       [0.0, 0.1, 0.4, 0.5]]))[0]
+        assert n.tolist() == [0.5, 0.0]
+        assert math.copysign(1.0, n[1]) == 1.0
+        assert math.copysign(1.0, states.partial_transpose_numbers([0.0, 0.1, 0.4, 0.5])[0]) == 1.0
 
 
 class TestExampleFamilies:
