@@ -54,10 +54,10 @@ from .nonlocality import (
     s_nl_detected,
     undetected_strength,
 )
-from .operators import PLANES, plane_witness
+from .operators import PLANES, plane_witness, witness_matrix
 from .states import (
     DensityMatrix,
-    LABELS,
+    pair_positions,
     partial_transpose,
     partial_transpose_numbers,
     reduce_to_pair,
@@ -76,6 +76,10 @@ class BoundsError(ValueError):
 
 class SingularDenominatorError(BoundsError):
     """A certificate formula divides by a quantity that vanished."""
+
+
+# Raised by a candidate that cannot be formed: the search skips it, svet analyze reports it.
+CANDIDATE_ERRORS = (NonlocalityError, BoundsError, linalg.LinalgError)
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,8 @@ class BoundConfig:
             raise BoundsError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 < self.q <= 1.0:
             raise BoundsError(f"q must lie in (0, 1], got {self.q}")
-        w = np.asarray(self.witness, dtype=complex)
-        if w.shape != (4, 4):
-            raise BoundsError("witness must be a 4x4 matrix")
-        linalg.symmetrize(w)
-        _pair_positions(self.reduced_pair)
+        object.__setattr__(self, "witness", witness_matrix(self.witness))
+        pair_positions(self.reduced_pair)
 
 
 @dataclass(frozen=True)
@@ -173,29 +174,20 @@ class Verdict:
     witness_label: str | None = None
 
 
-def _pair_positions(pair: tuple[str, str]) -> tuple[int, int]:
-    if len(pair) != 2 or len(set(pair)) != 2:
-        raise BoundsError(f"reduced pair must name two distinct qubits, got {pair}")
-    try:
-        return tuple(LABELS.index(label) for label in pair)
-    except ValueError:
-        raise BoundsError(f"pair labels must come from {LABELS}, got {pair}") from None
-
-
-def _embedding_index(pair: tuple[str, str]) -> np.ndarray:
+def _embedding_index(first: int, second: int) -> np.ndarray:
     """Where each entry of the lift reads from op.reshape(16) with a zero appended.
 
-    Entry (r, c) is op[pair bits of r, pair bits of c] when r and c agree
-    on the spectator qubit, and zero (index 16) otherwise.
+    first and second are the pair's positions in LABELS. Entry (r, c) is
+    op[pair bits of r, pair bits of c] when r and c agree on the spectator
+    qubit, and zero (index 16) otherwise.
     """
-    first, second = _pair_positions(pair)
     bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # columns A, B, C
     sub = 2 * bits[:, first] + bits[:, second]
     spectator = bits[:, 3 - first - second]
     return np.where(spectator[:, None] == spectator[None, :], 4 * sub[:, None] + sub[None, :], 16)
 
 
-_EMBEDDING = {pair: _embedding_index(pair) for pair in permutations(LABELS, 2)}
+_EMBEDDING = {pair: _embedding_index(*pair) for pair in permutations(range(3), 2)}  # by position
 
 
 def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
@@ -207,10 +199,10 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     op = np.asarray(op_pair, dtype=complex)
     if op.ndim not in (2, 3) or op.shape[-2:] != (4, 4):
         raise BoundsError("pair operator must be 4x4")
-    _pair_positions(pair)
+    index = _EMBEDDING[pair_positions(pair)]
     flat = op.reshape(op.shape[:-2] + (16,))
     padded = np.concatenate([flat, np.zeros(op.shape[:-2] + (1,), dtype=complex)], axis=-1)
-    return padded[..., _EMBEDDING[tuple(pair)]]
+    return padded[..., index]
 
 
 def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
@@ -411,7 +403,7 @@ class PairSpectra:
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
                  pair: tuple[str, str] = ("B", "C")) -> PairSpectra:
     """The record of one reduced pair: build_records on a stack of one."""
-    _pair_positions(pair)
+    pair_positions(pair)
     return build_records([rho_abc], [rho_ij], [pair])[0]
 
 
@@ -477,10 +469,8 @@ def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
                  ) -> list[tuple[tuple[str, str], PairSpectra]]:
-    """(pair, record) for each pair, all built together; products are solved as read."""
-    pairs = list(pairs)
-    for pair in pairs:
-        _pair_positions(pair)
+    """(pair, record) for each pair, as a tuple, all built together; products are solved as read."""
+    pairs = [tuple(pair) for pair in pairs]
     return list(zip(pairs, build_records(
         [rho_abc] * len(pairs), [reduce_to_pair(rho_abc, p) for p in pairs], pairs)))
 
@@ -575,14 +565,15 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
                    witness: np.ndarray | None = None) -> Verdict:
     """detect_genuine's search over (pair, record) items, in their order.
 
-    A candidate whose strength or windows cannot be formed (zero
-    negativity, K <= 0, a vanished denominator) is skipped.
+    A user witness is checked before any candidate. A candidate whose
+    strength or windows cannot be formed (zero negativity, K <= 0, a
+    vanished denominator) raises one of CANDIDATE_ERRORS and is skipped.
     """
     witnesses: list[tuple[str, np.ndarray]] = [
         (plane, plane_witness(plane)) for plane in PLANES
     ]
     if witness is not None:
-        witnesses.append(("user", np.asarray(witness, dtype=complex)))
+        witnesses.append(("user", witness_matrix(witness)))
 
     any_entangled = False
     for candidate_pair, spectra in records:
@@ -591,7 +582,7 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
         for label, w in witnesses:
             try:
                 routes = _candidate_windows(spectra, w)
-            except (NonlocalityError, BoundsError, linalg.LinalgError):
+            except CANDIDATE_ERRORS:
                 continue
             for route, parameter, genuine in routes:
                 if not genuine.empty:

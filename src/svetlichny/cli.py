@@ -34,8 +34,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import linalg, nonlocality, operators, reproduce, states
-from .bounds import BoundsError, Window, midpoint_report, pair_records, search_records
+from . import operators, reproduce, states
+from .bounds import CANDIDATE_ERRORS, Window, midpoint_report, pair_records, search_records
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
@@ -167,10 +167,7 @@ def _resolve_witness(choice: str | None) -> tuple[str, np.ndarray] | None:
         return None
     if choice in operators.PLANES:
         return choice, operators.plane_witness(choice)
-    matrix = parse_matrix_text(_read_file(choice))
-    if matrix.shape != (4, 4):
-        raise StateError(f"witness must be 4x4, got {matrix.shape}")
-    return "user", linalg.symmetrize(matrix)
+    return "user", operators.witness_matrix(parse_matrix_text(_read_file(choice)))
 
 
 def _pair_arg(value: str) -> tuple[str, str]:
@@ -220,7 +217,7 @@ def cmd_analyze(args) -> int:
     report_error = None
     try:
         report = midpoint_report(records[pair], cert_witness)
-    except (nonlocality.NonlocalityError, BoundsError, linalg.LinalgError) as exc:
+    except CANDIDATE_ERRORS as exc:
         report_error = str(exc)
 
     if args.format == "json":
@@ -298,8 +295,6 @@ def cmd_optimize(args) -> int:
     if args.pair is not None and (args.target != "chsh" or rho.qubits != 3):
         raise CliParseError("--pair applies only to the chsh target on a three-qubit state")
     if args.target == "svetlichny":
-        if rho.qubits != 3:
-            raise StateError("the svetlichny target needs a three-qubit state")
         optimum = maximize_svetlichny(rho, cfg, backend=args.backend)
         names = ("a", "a'", "b", "b'", "c", "c'")
     else:
@@ -449,8 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (StateError, OperatorError, nonlocality.NonlocalityError,
-            BoundsError, OptimizerError, linalg.LinalgError) as exc:
+    except (StateError, OperatorError, OptimizerError, *CANDIDATE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

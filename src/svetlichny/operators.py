@@ -135,11 +135,18 @@ def chsh_plane_operator(plane: str) -> np.ndarray:
 
 
 def chsh_witness(b: np.ndarray) -> np.ndarray:
-    """W = 2I - B; Tr W = 8 - Tr B."""
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (4, 4):
-        raise OperatorError(f"witness wants a 4x4 Bell operator, got {b.shape}")
-    return 2 * np.eye(4, dtype=complex) - b
+    """W = 2I - B; Tr W = 8 - Tr B. B passes the witness check, so W is a witness."""
+    return 2 * np.eye(4, dtype=complex) - witness_matrix(b)
+
+
+def witness_matrix(witness) -> np.ndarray:
+    """The one witness check: a finite 4x4 matrix, Hermitian to tolerance, symmetrized.
+
+    Another shape raises OperatorError; the linalg error covers the rest."""
+    w = np.asarray(witness, dtype=complex)
+    if w.shape != (4, 4):
+        raise OperatorError(f"witness must be a 4x4 matrix, got shape {w.shape}")
+    return linalg.symmetrize(w)
 
 
 # Built at import, so that every call solves the same; shared, so read-only.

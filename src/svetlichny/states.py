@@ -169,15 +169,22 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
+def pair_positions(pair) -> tuple[int, int]:
+    """The one pair check: the LABELS positions of exactly two distinct labels, in any
+    sequence ("AB" and ["A", "B"] name ("A", "B")); UnknownNameError otherwise."""
+    positions = tuple(map(_label_index, pair))
+    if len(positions) != 2 or positions[0] == positions[1]:
+        raise UnknownNameError(f"a pair names two distinct qubits of {LABELS}, got {pair!r}")
+    return positions
+
+
 def reduce_to_pair(rho: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
     """The marginal of an ordered pair of a 3-qubit state.
 
     The pair's first label takes the first tensor slot, so ("C", "A")
     gives rho_CA, the swap of the rho_AC that partial_trace returns.
     """
-    first, second = (_label_index(label) for label in pair)
-    if first == second:
-        raise UnknownNameError(f"a pair names two distinct qubits, got {pair}")
+    first, second = pair_positions(pair)
     reduced = partial_trace(rho, LABELS[3 - first - second])
     if first < second:
         return reduced
@@ -312,7 +319,7 @@ def make_reference(name: str) -> DensityMatrix:
         return validate(projector(_w1_vec()), 3)
     if name == "W2":
         return validate(projector(_w2_vec()), 3)
-    if name in ("Bell-Phi+", "Bell-Φ+"):
+    if name == "Bell-Phi+":
         return validate(projector(ket((0, 1 / _SQ2), (3, 1 / _SQ2), dim=4)), 2)
     if name == "product-000":
         return validate(projector(ket((0, 1.0))), 3)

@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from svetlichny import linalg, operators, reproduce, states
+from svetlichny import cli, linalg, operators, reproduce, states
 from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
@@ -71,6 +71,53 @@ class TestWindow:
         assert w.midpoint == pytest.approx(0.3)
         assert w.contains(0.25)
         assert not w.contains(0.45)
+
+
+GHZ_W_06 = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
+
+PAIR_ENTRY_POINTS = {
+    "reduce_to_pair": lambda pair: states.reduce_to_pair(GHZ_W_06, pair),
+    "embed_pair": lambda pair: embed_pair(np.eye(4), pair),
+    "BoundConfig": lambda pair: BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=pair),
+    "pair_spectra": lambda pair: pair_spectra(
+        GHZ_W_06, states.reduce_to_pair(GHZ_W_06, ("A", "B")), pair),
+    "pair_records": lambda pair: pair_records(GHZ_W_06, [pair]),
+    "detect_genuine": lambda pair: detect_genuine(GHZ_W_06, pair=pair),
+}
+
+
+@pytest.mark.parametrize("pair", [("A",), ("A", "B", "C"), ("A", "A"), ("A", "D")], ids=str)
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_malformed_pair(entry, pair):
+    # one rule, states.pair_positions, behind every entry point that takes a pair
+    with pytest.raises(states.UnknownNameError):
+        PAIR_ENTRY_POINTS[entry](pair)
+
+
+MALFORMED_WITNESSES = {"3x3": np.eye(3), "8x8": np.eye(8),
+                       "non-Hermitian": np.triu(np.ones((4, 4))), "NaN": np.full((4, 4), np.nan)}
+
+
+@pytest.mark.parametrize("witness", MALFORMED_WITNESSES)
+@pytest.mark.parametrize("entry", ["BoundConfig", "detect_genuine", "svet analyze"])
+def test_every_entry_point_rejects_a_malformed_witness(entry, witness, tmp_path, capsys):
+    # one rule, operators.witness_matrix: a typed error, never a skipped
+    # witness and the verdict of the planes alone
+    w = MALFORMED_WITNESSES[witness]
+    if entry == "svet analyze":
+        path = tmp_path / "witness.mat"
+        path.write_text(cli.format_matrix_text(w))
+        code = cli.main(["analyze", "--family", states.FAMILY_GHZ_W_CONVEX, "--param", "0.6",
+                         "--pair", "AB", "--witness", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return
+    with pytest.raises((operators.OperatorError, linalg.LinalgError)):
+        if entry == "BoundConfig":
+            BoundConfig(p=0.5, q=0.5, witness=w)
+        else:
+            detect_genuine(GHZ_W_06, pair=("A", "B"), witness=w)
 
 
 class TestBoundConfig:
@@ -356,10 +403,12 @@ class TestVerdict:
         assert verdict.outcome == "not-applicable"
 
     def test_pair_restriction_respected(self):
+        # the verdict's pair is a tuple whatever sequence the caller passed
         rho = states.make_example(states.FAMILY_PURE_W1, 0.92)
-        verdict = detect_genuine(rho, pair=("A", "C"))
-        assert verdict.outcome == "genuine"
-        assert verdict.pair == ("A", "C")
+        for pair, expected in ((("A", "C"), ("A", "C")), (["A", "B"], ("A", "B"))):
+            verdict = detect_genuine(rho, pair=pair)
+            assert verdict.outcome == "genuine"
+            assert verdict.pair == expected
 
     def test_verdict_value_sits_at_window_midpoint(self):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)

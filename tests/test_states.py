@@ -319,5 +319,7 @@ class TestReferences:
             assert states.negativity(reduced) > 0.2
 
     def test_unknown_reference_rejected(self):
-        with pytest.raises(states.StateError):
-            states.make_reference("nope")
+        # make_reference accepts exactly REFERENCE_NAMES, one spelling each
+        for name in ("nope", "Bell-Φ+"):
+            with pytest.raises(states.StateError):
+                states.make_reference(name)
