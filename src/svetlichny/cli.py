@@ -4,7 +4,8 @@ Three subcommands. analyze resolves a three-qubit state, prints the
 per-pair negativities, the certificate report for one pair and witness,
 and the verdict of the full certificate search; its exit code encodes
 the verdict (0 genuine, 1 inconclusive, 2 not-applicable). optimize runs
-the measurement-settings ascent for the Svetlichny or CHSH objective.
+the measurement-settings ascent for the Svetlichny objective, or solves
+the CHSH objective in closed form.
 reproduce regenerates the bundled reference tables as text and CSV files
 and can export the erratum record; discrepancies never change its exit
 code.
@@ -195,12 +196,6 @@ def _window_str(window: Window) -> str:
 
 def cmd_analyze(args) -> int:
     rho, label = _resolve_state(args)
-    if rho.qubits != 3:
-        raise StateError("analyze needs a three-qubit state")
-    if args.export is not None:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(format_matrix_text(rho.matrix))
-
     witness_spec = _resolve_witness(args.witness)
     pair = args.pair if args.pair is not None else ("B", "C")
     cert_witness_label, cert_witness = witness_spec if witness_spec else \
@@ -208,6 +203,10 @@ def cmd_analyze(args) -> int:
 
     # one record per pair serves the negativity table, the certificate and the search
     records = dict(pair_records(rho))
+    # exported only once the state has passed the three-qubit rule
+    if args.export is not None:
+        with open(args.export, "w", encoding="utf-8") as handle:
+            handle.write(format_matrix_text(rho.matrix))
     negs = {key: records[ij].negativity for key, ij in _PAIRS.items()}
     search_witness = cert_witness if witness_spec and witness_spec[0] == "user" else None
     searched = records.items() if args.pair is None else [(args.pair, records[args.pair])]
@@ -303,7 +302,7 @@ def cmd_optimize(args) -> int:
                 raise StateError("the chsh target needs --pair for a three-qubit state")
             rho = states.reduce_to_pair(rho, args.pair)
             label = f"{label} reduced to {args.pair[0]}-{args.pair[1]}"
-        optimum = maximize_chsh(rho, cfg, backend=args.backend)
+        optimum = maximize_chsh(rho)
         names = ("A0", "A1", "B0", "B1")
 
     named = zip(names, (unit.as_array() for unit in optimum.vectors))
@@ -332,7 +331,7 @@ def cmd_optimize(args) -> int:
         print(f"target: {args.target}")
         print(f"optimum: {optimum.value:.9f}")
         print(f"iterations: {optimum.iterations_used}, converged: "
-              f"{optimum.converged}, restarts: {cfg.restarts}, seed: "
+              f"{optimum.converged}, restarts: {len(optimum.restart_values)}, seed: "
               f"{cfg.seed}, backend: {args.backend}")
         print(f"restarts within 1e-6 of best: {at_best}, capped: "
               f"{optimum.restarts_capped}, spread: {spread:.3g}")
@@ -407,8 +406,10 @@ def build_parser() -> _Parser:
     analyze.add_argument("--export",
                          help="write the resolved state to this matrix file")
 
-    optimize = commands.add_parser("optimize", allow_abbrev=False,
-                                   help="maximize an objective over settings")
+    optimize = commands.add_parser(
+        "optimize", allow_abbrev=False, help="maximize an objective over settings",
+        description="The chsh maximum is exact; --restarts, --max-iterations, "
+                    "--backend and --seed apply to the svetlichny target only.")
     _add_state_flags(optimize)
     optimize.add_argument("--target", choices=("svetlichny", "chsh"),
                           default="svetlichny")

@@ -1,28 +1,35 @@
-"""Direct numerical maximization of Svetlichny and CHSH expectations.
+"""Maximization of the Svetlichny and CHSH expectations over settings.
 
 The certificates elsewhere in this package never optimize measurement
 settings; this module is the independent cross-check that does. Both
 objectives follow one sign rule: a term of the correlation tensor T at
 one setting per party counts +1 when at most one party uses its primed
 setting, and -1 otherwise. So each is the party tensor K = s (x) T
-contracted with every party's stacked vector [a; a'], [b; b'], ...; it
-is multilinear in the Bloch vectors, and both backends work on the unit
-vectors themselves. The gradient backend takes Riemannian Newton steps
-on the product of spheres. Multilinearity makes the exact Hessian cheap:
-the block of two parties is K contracted with the rest. Its projection
-onto the tangent planes is diagonalized, and the step divides the
-gradient by the absolute curvature along each eigenvector, so it climbs
-even where the Hessian is indefinite and strides along the nearly flat
-ridges these landscapes develop near product-state optima. Each trial
-point is renormalized (a retraction onto the sphere, which has no poles
-to stall at) and the step halved until the value rises. The coordinate
-backend exploits multilinearity directly: freezing the other parties
-leaves a linear functional of one party's two vectors, maximized by its
-two normalized coefficient rows, which never read that party's own
-vectors; a sweep updates one party at a time. On 100 seeded random
-states (16 restarts) it never ended above the gradient backend by more
-than 1e-9 and ended below it on 24, by up to 4.6e-6; on ridge states it
-stops at its cap, and restarts_capped reports that.
+contracted with every party's stacked vector [a; a'], [b; b'], ...,
+multilinear in the Bloch vectors.
+
+The CHSH maximum is exact. With T = U diag(s1, s2, s3) V^T, it is
+2 sqrt(s1^2 + s2^2) (Horodecki, Horodecki and Horodecki, PLA 200, 340,
+1995), attained at a0 = u1, a1 = u2 and b0, b1 = cos t v1 +- sin t v2
+with t = atan2(s2, s1); the value is the objective at those vectors.
+
+The Svetlichny maximum has no closed form, so it is ascended from
+restarts, and both backends work on the unit vectors themselves. The
+gradient backend takes Riemannian Newton steps on the product of
+spheres. Multilinearity makes the exact Hessian cheap: the block of two
+parties is K contracted with the third. Its projection onto the tangent
+planes is diagonalized, and the step divides the gradient by the
+absolute curvature along each eigenvector, so it climbs even where the
+Hessian is indefinite and strides along the nearly flat ridges these
+landscapes develop near product-state optima. Each trial point is
+renormalized (a retraction onto the sphere, which has no poles to stall
+at) and the step halved until the value rises. The coordinate backend
+exploits multilinearity directly: freezing the other parties leaves a
+linear functional of one party's two vectors, maximized by its two
+normalized coefficient rows, which never read that party's own vectors;
+a sweep updates one party at a time. It can end slightly below the
+gradient backend, and on ridge states it stops at its cap, which
+restarts_capped reports.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
@@ -88,13 +95,13 @@ class OptimizerConfig:
 class Optimum:
     """Best value found, the unit vectors achieving it, and how hard it was.
 
-    All restarts ascend as one batch. iterations_used and converged describe
-    the restart that produced the winning value (the first best in draw
-    order), not the sum over restarts; vectors are its unit vectors in
-    setting order (a, a', b, b', c, c' or a0, a1, b0, b1). restart_values
-    holds every restart's final value in draw order, so the first k entries
-    are the values a k-restart run finds; restarts_capped counts the
-    restarts that used all max_iterations without converging.
+    vectors are in setting order (a, a', b, b', c, c' or a0, a1, b0, b1).
+    A CHSH optimum is exact: one restart, 0 iterations, none capped. A
+    Svetlichny optimum is the first best in draw order of a batch of
+    restarts; iterations_used and converged describe that restart.
+    restart_values holds every restart's final value in draw order, so the
+    first k entries are the values a k-restart run finds; restarts_capped
+    counts the restarts that used all max_iterations without converging.
     """
 
     value: float
@@ -120,16 +127,14 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Multilinear:
-    """energy, coefficient rows and Hessian of a batch of (restarts, 2n, 3) vectors.
+    """energy and coefficient rows of a batch of (restarts, 2n, 3) vectors.
 
     Party p's stacked vector x_p = [v_2p; v_2p+1] meets the party tensor
     K[(i, m), (j, n), ...] = s(i, j, ...) T[m, n, ...] of shape (6,)^n,
     where s is +1 when at most one party uses its primed setting (bit 1)
     and -1 otherwise: the expectation is K contracted with every x_p. A
     party's two coefficient rows are K contracted with every other party,
-    so they never read its own vectors. The Hessian block of two parties
-    is K contracted with the rest; the objective is a homogeneous
-    polynomial of degree n, so Hv = (n - 1) g.
+    so they never read its own vectors.
     """
 
     def __init__(self, tensor: np.ndarray) -> None:
@@ -137,17 +142,9 @@ class _Multilinear:
         self.degree, self.n_vectors = n, 2 * n
         signs = np.where(np.indices((2,) * n).sum(axis=0) <= 1, 1.0, -1.0)
         interleave = np.arange(2 * n).reshape(2, n).T.reshape(-1)
-        party = np.multiply.outer(signs, tensor).transpose(interleave).reshape((6,) * n)
+        self._tensor = np.multiply.outer(signs, tensor).transpose(interleave).reshape((6,) * n)
         # party p's axis first, the others in order after it
-        self._facing = [np.moveaxis(party, p, 0).reshape(-1, 6) for p in range(n)]
-        self._pairs = np.triu_indices(n, 1)
-        if n == 2:
-            # constant: the one block is K itself
-            self._hessian = self._grid(party[None, None])
-        else:
-            # K with the party outside each pair (AB, AC, BC) last
-            self._outside = np.stack([np.moveaxis(party, r, -1).reshape(36, 6)
-                                      for r in (2, 1, 0)])
+        self._facing = [np.moveaxis(self._tensor, p, 0).reshape(-1, 6) for p in range(n)]
 
     def _party(self, x: np.ndarray, p: int) -> np.ndarray:
         """Party p's two rows, (restarts, 6), from (restarts, n, 6) stacked vectors."""
@@ -156,15 +153,6 @@ class _Multilinear:
             if q != p:
                 out = (out @ x[:, q, :, None]).reshape(len(x), -1, 6)
         return out[:, 0]
-
-    def _grid(self, blocks: np.ndarray) -> np.ndarray:
-        """The (restarts, 6n, 6n) Hessian from its (restarts, pairs, 6, 6) upper blocks."""
-        count, n = len(blocks), self.degree
-        first, second = self._pairs
-        grid = np.zeros((count, n, n, 6, 6))
-        grid[:, first, second] = blocks
-        grid[:, second, first] = blocks.swapaxes(-1, -2)
-        return grid.swapaxes(2, 3).reshape(count, 6 * n, 6 * n)
 
     def energy(self, vectors: np.ndarray) -> np.ndarray:
         x = vectors.reshape(len(vectors), -1, 6)
@@ -175,17 +163,30 @@ class _Multilinear:
         x = vectors.reshape(len(vectors), -1, 6)
         return self._party(x, party).reshape(len(x), 2, 3)
 
-    def hessian(self, vectors: np.ndarray) -> np.ndarray:
-        count = len(vectors)
-        if self.degree == 2:
-            return np.broadcast_to(self._hessian, (count, 12, 12))
-        # parties C, B, A: the one outside each pair
-        x = vectors.reshape(count, 3, 6)[:, ::-1, :, None]
-        return self._grid((self._outside @ x).reshape(count, 3, 6, 6))
-
 
 class _SvetlichnyObjective(_Multilinear):
-    """<S_v> as a multilinear function of six unit vectors a, a', b, b', c, c'."""
+    """<S_v> as a multilinear function of six unit vectors a, a', b, b', c, c'.
+
+    The Hessian block of two parties is K contracted with the third; the
+    objective is a homogeneous cubic, so Hv = 2g.
+    """
+
+    def __init__(self, tensor: np.ndarray) -> None:
+        super().__init__(tensor)
+        # K with the party outside each pair (AB, AC, BC) last
+        self._outside = np.stack([np.moveaxis(self._tensor, r, -1).reshape(36, 6)
+                                  for r in (2, 1, 0)])
+
+    def hessian(self, vectors: np.ndarray) -> np.ndarray:
+        """The (restarts, 18, 18) Hessian from its blocks AB, AC and BC."""
+        count = len(vectors)
+        # parties C, B, A: the one outside each pair
+        x = vectors.reshape(count, 3, 6)[:, ::-1, :, None]
+        blocks = (self._outside @ x).reshape(count, 3, 6, 6)
+        grid = np.zeros((count, 3, 3, 6, 6))
+        grid[:, (0, 0, 1), (1, 2, 2)] = blocks
+        grid[:, (1, 2, 2), (0, 0, 1)] = blocks.swapaxes(-1, -2)
+        return grid.swapaxes(2, 3).reshape(count, 18, 18)
 
 
 class _ChshObjective(_Multilinear):
@@ -325,17 +326,23 @@ def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> 
     return _batch(energy, vectors, used, stopped)
 
 
-def _run_restarts(objective, cfg: OptimizerConfig, backend: str) -> Optimum:
-    """Ascend every restart in one batch and report the first best one."""
+def maximize_svetlichny(
+    rho: DensityMatrix,
+    cfg: OptimizerConfig | None = None,
+    backend: str = "gradient",
+) -> Optimum:
+    """Best Svetlichny expectation over all six measurement directions."""
+    if rho.qubits != 3:
+        raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
     if backend not in BACKENDS:
         raise OptimizerError(f"backend must be one of {BACKENDS}")
-    rng = np.random.default_rng(cfg.seed)
-    draws = rng.random((cfg.restarts, objective.n_vectors, 2))
+    cfg = cfg or OptimizerConfig()
+    draws = np.random.default_rng(cfg.seed).random((cfg.restarts, 6, 2))
     theta, phi = np.arccos(1.0 - 2.0 * draws[..., 0]), 2.0 * np.pi * draws[..., 1]
     sin_t = np.sin(theta)
     starts = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
     ascend = _gradient_ascent if backend == "gradient" else _coordinate_ascent
-    batch = ascend(objective, starts, cfg)
+    batch = ascend(_SvetlichnyObjective(correlation_tensor(rho)), starts, cfg)
     best = int(np.argmax(batch.values))
     return Optimum(
         value=float(batch.values[best]),
@@ -347,28 +354,19 @@ def _run_restarts(objective, cfg: OptimizerConfig, backend: str) -> Optimum:
     )
 
 
-def maximize_svetlichny(
-    rho: DensityMatrix,
-    cfg: OptimizerConfig | None = None,
-    backend: str = "gradient",
-) -> Optimum:
-    """Best Svetlichny expectation over all six measurement directions."""
-    if rho.qubits != 3:
-        raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
-    cfg = cfg or OptimizerConfig()
-    return _run_restarts(_SvetlichnyObjective(correlation_tensor(rho)), cfg, backend)
-
-
-def maximize_chsh(
-    rho: DensityMatrix,
-    cfg: OptimizerConfig | None = None,
-    backend: str = "gradient",
-) -> Optimum:
-    """Best CHSH expectation over traceless spin observables."""
+def maximize_chsh(rho: DensityMatrix) -> Optimum:
+    """Best CHSH expectation over traceless spin observables, in closed form."""
     if rho.qubits != 2:
         raise OptimizerError(f"expected a two-qubit state, got {rho.qubits} qubits")
-    cfg = cfg or OptimizerConfig()
-    return _run_restarts(_ChshObjective(correlation_tensor(rho)), cfg, backend)
+    tensor = correlation_tensor(rho)
+    left, singular, right = np.linalg.svd(tensor)
+    angle = np.arctan2(singular[1], singular[0])
+    mix = np.array([[np.cos(angle), np.sin(angle)], [np.cos(angle), -np.sin(angle)]])
+    units = tuple(map(UnitVector3.from_array, [*left.T[:2], *mix @ right[:2]]))
+    vectors = np.array([unit.as_array() for unit in units])
+    value = float(_ChshObjective(tensor).energy(vectors[None])[0])
+    return Optimum(value=value, vectors=units, iterations_used=0, converged=True,
+                   restart_values=(value,), restarts_capped=0)
 
 
 def svetlichny_expectation(rho: DensityMatrix, settings: SvetlichnySettings) -> float:

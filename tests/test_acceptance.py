@@ -20,7 +20,12 @@ import pytest
 
 from svetlichny import nonlocality, operators, reproduce, states
 from svetlichny.bounds import detect_genuine, pair_spectra
-from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
+from svetlichny.optimize import (
+    OptimizerConfig,
+    chsh_expectation,
+    maximize_chsh,
+    maximize_svetlichny,
+)
 from conftest import (
     random_biseparable,
     random_density,
@@ -164,8 +169,7 @@ class TestCriterion5:
         t0 = time.perf_counter()
         ghz = maximize_svetlichny(states.make_reference("GHZ"),
                                   OptimizerConfig(restarts=12, seed=5)).value
-        bell = maximize_chsh(states.make_reference("Bell-Phi+"),
-                             OptimizerConfig(restarts=12, seed=5)).value
+        bell = maximize_chsh(states.make_reference("Bell-Phi+")).value
         rng = np.random.default_rng(606)
         worst = 0.0
         for i in range(50):
@@ -196,8 +200,12 @@ class TestCriterion6:
         for i in range(200):
             rho = states.validate(random_density(rng, 4), 2)
             m = nonlocality.horodecki_m(rho)
-            opt = maximize_chsh(rho, OptimizerConfig(restarts=6,
-                                                     seed=1000 + i)).value
+            optimum = maximize_chsh(rho)
+            opt = optimum.value
+            # the operator trace shares no code with the closed form
+            settings = operators.ChshSettings(*map(operators.spin_observable,
+                                                   optimum.vectors))
+            assert abs(chsh_expectation(rho, settings) - opt) <= 1e-12, (i, opt)
             worst = max(worst, abs(opt - 2.0 * math.sqrt(m)))
             assert abs(opt - 2.0 * math.sqrt(m)) <= 1e-4, (i, m, opt)
             if abs(m - 1.0) <= 2e-4:
@@ -206,7 +214,8 @@ class TestCriterion6:
             assert (m > 1.0) == (opt > 2.0), (i, m, opt)
         _verdict(6, True,
                  f"200 random states: worst |opt - 2 sqrt(M)| = {worst:.1e} "
-                 f"<= 1e-4, violation iff M > 1 "
+                 f"<= 1e-4, the expectation at its settings within 1e-12, "
+                 f"violation iff M > 1 "
                  f"({boundary_skips} within 2e-4 of the boundary skipped)")
 
 

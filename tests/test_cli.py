@@ -135,6 +135,15 @@ class TestMatrixGrammar:
         assert first.splitlines()[-2:] == second.splitlines()[-2:]
 
 
+    def test_two_qubit_state_is_rejected_and_never_exported(self, tmp_path, capsys):
+        # partial_trace's three-qubit rule is the only one, and it runs before the export
+        out = tmp_path / "state.mat"
+        assert run("analyze", "--ref", "Bell-Phi+", "--export", str(out)) == 65
+        assert capsys.readouterr().err == (
+            "error: bad-dimension: partial_trace expects a 3-qubit state\n")
+        assert not out.exists()
+
+
 class TestAnalyzeOutput:
     def test_json_mirrors_report_field_names(self, capsys):
         assert run("analyze", "--family", "identity-W", "--param", "0.82",

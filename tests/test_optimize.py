@@ -6,6 +6,7 @@ the batched matmul kernels in svetlichny.optimize.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -89,6 +90,37 @@ KERNELS = {
 }
 
 
+# the benchmark's Svetlichny cases
+BENCHMARK_SVETLICHNY = (
+    states.make_reference("GHZ"),
+    states.make_example(states.FAMILY_MIXED_GHZ_2W, 0.4),
+    states.make_example(states.FAMILY_PURE_W1, 0.238),
+    states.make_example(states.FAMILY_IDENTITY_W, 0.82),
+    states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525),
+)
+
+
+def _ranked_state(rng, rank):
+    g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    m = g @ g.conj().T
+    return states.validate(m / np.trace(m).real, 3)
+
+
+def _werner(p):
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return states.validate(p * np.outer(singlet, singlet) + (1.0 - p) * np.eye(4) / 4.0, 2)
+
+
+def _product(rng, mixed):
+    halves = []
+    for _ in range(2):
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket /= np.linalg.norm(ket)
+        pure = np.outer(ket, ket.conj())
+        halves.append(0.6 * pure + 0.2 * np.eye(2) if mixed else pure)
+    return states.validate(np.kron(*halves), 2)
+
+
 def _unit_vectors(rng, shape):
     v = rng.normal(size=(*shape, 3))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -122,12 +154,12 @@ class TestAnchors:
                 assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_reaches_tsirelson(self):
-        opt = maximize_chsh(states.make_reference("Bell-Phi+"), _cfg())
+        opt = maximize_chsh(states.make_reference("Bell-Phi+"))
         assert opt.value == pytest.approx(CHSH_MAX, abs=1e-9)
 
     def test_two_qubit_mixed_identity_is_zero(self):
         rho = states.validate(np.eye(4) / 4.0, 2)
-        opt = maximize_chsh(rho, _cfg(restarts=4))
+        opt = maximize_chsh(rho)
         assert abs(opt.value) <= 1e-9
 
     def test_pure_w_class_tops_out_at_four(self):
@@ -146,7 +178,7 @@ class TestDeterminism:
         assert first == second
         # an Optimum of either target compares by value
         pair = states.reduce_to_pair(rho, ("B", "C"))
-        assert maximize_chsh(pair, _cfg(seed=123)) == maximize_chsh(pair, _cfg(seed=123))
+        assert maximize_chsh(pair) == maximize_chsh(pair)
 
     def test_default_seed(self):
         assert OptimizerConfig().seed == DEFAULT_SEED
@@ -167,12 +199,48 @@ class TestRestarts:
         assert svetlichny_expectation(rho, settings) == pytest.approx(
             opt.value, abs=1e-12)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_svetlichny_value_is_the_expectation_at_its_settings(self, backend):
+        # the operator trace shares no code with the party tensor
+        rng = np.random.default_rng(97)
+        cases = [*BENCHMARK_SVETLICHNY, *(_ranked_state(rng, rank) for rank in range(1, 9))]
+        for rho in cases:
+            opt = maximize_svetlichny(rho, _cfg(restarts=4), backend=backend)
+            settings = operators.SvetlichnySettings(*opt.vectors)
+            assert abs(svetlichny_expectation(rho, settings) - opt.value) <= 1e-12
+
     def test_chsh_value_matches_reported_settings(self):
         rho = states.make_reference("Bell-Phi+")
-        opt = maximize_chsh(rho, _cfg())
+        opt = maximize_chsh(rho)
         settings = operators.ChshSettings(*map(operators.spin_observable, opt.vectors))
         assert chsh_expectation(rho, settings) == pytest.approx(
             opt.value, abs=1e-12)
+
+
+class TestChshClosedForm:
+    """Degenerate correlation matrices: T = 0, rank one, and Werner's -pI."""
+
+    @pytest.mark.parametrize("rho", [
+        states.validate(np.eye(4) / 4.0, 2),
+        states.validate(np.diag([1.0, 0.0, 0.0, 0.0]), 2),
+        _product(np.random.default_rng(3), mixed=False),
+        _product(np.random.default_rng(4), mixed=True),
+        states.make_reference("Bell-Phi+"),
+        _werner(0.3),
+        _werner(1.0 / math.sqrt(2.0)),
+        _werner(0.9),
+    ], ids=["I/4", "product-00", "product-pure", "product-mixed", "Bell-Phi+",
+            "Werner-0.3", "Werner-0.707", "Werner-0.9"])
+    def test_settings_are_unit_and_attain_two_sqrt_m(self, rho):
+        opt = maximize_chsh(rho)
+        for unit in opt.vectors:
+            assert np.linalg.norm(unit.as_array()) == pytest.approx(1.0, abs=1e-12)
+        m = nonlocality.horodecki_m(rho)
+        assert abs(opt.value - 2.0 * math.sqrt(max(m, 0.0))) <= 1e-12
+        settings = operators.ChshSettings(*map(operators.spin_observable, opt.vectors))
+        assert abs(chsh_expectation(rho, settings) - opt.value) <= 1e-12
+        assert (opt.iterations_used, opt.converged, opt.restarts_capped) == (0, True, 0)
+        assert opt.restart_values == (opt.value,)
 
 
 class TestBackends:
@@ -200,22 +268,22 @@ class TestConvergence:
     below the Newton value.
     """
 
+    _ascend = functools.partial(maximize_svetlichny, cfg=OptimizerConfig(restarts=4, seed=1729),
+                                backend="gradient")
+
     @pytest.mark.parametrize("maximize, rho, expected", [
-        (maximize_svetlichny, states.make_reference("GHZ"), SV_MAX),
-        (maximize_svetlichny, states.make_example(states.FAMILY_MIXED_GHZ_2W, 0.4),
-         1.131370849898),
-        (maximize_svetlichny, states.make_example(states.FAMILY_PURE_W1, 0.238), 4.0),
-        (maximize_svetlichny, states.make_example(states.FAMILY_IDENTITY_W, 0.82),
-         3.570811713924),
-        (maximize_svetlichny, states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525),
-         3.447423907684),
+        (_ascend, BENCHMARK_SVETLICHNY[0], SV_MAX),
+        (_ascend, BENCHMARK_SVETLICHNY[1], 1.131370849898),
+        (_ascend, BENCHMARK_SVETLICHNY[2], 4.0),
+        (_ascend, BENCHMARK_SVETLICHNY[3], 3.570811713924),
+        (_ascend, BENCHMARK_SVETLICHNY[4], 3.447423907684),
         (maximize_chsh, states.make_reference("Bell-Phi+"), CHSH_MAX),
         (maximize_chsh, states.partial_trace(
             states.make_example(states.FAMILY_IDENTITY_W, 0.82), "A"), 1.546206828195),
     ], ids=["GHZ", "mixed-GHZ-2W-0.4", "pure-W-class-1-0.238", "identity-W-0.82",
             "GHZ-W-convex-0.525", "Bell-Phi+", "identity-W-0.82-BC"])
     def test_gradient_backend_converges_before_cap(self, maximize, rho, expected):
-        opt = maximize(rho, OptimizerConfig(restarts=4, seed=1729), backend="gradient")
+        opt = maximize(rho)
         assert opt.converged is True
         assert opt.restarts_capped == 0
         assert opt.iterations_used <= 50
@@ -244,7 +312,7 @@ class TestPhysicalCeilings:
     def test_chsh_never_exceeds_tsirelson(self, rng):
         for _ in range(10):
             rho = random_state(rng, 2)
-            opt = maximize_chsh(rho, _cfg(restarts=4))
+            opt = maximize_chsh(rho)
             assert opt.value <= CHSH_MAX + 1e-8
 
 
@@ -255,7 +323,7 @@ class TestInputChecks:
 
     def test_chsh_needs_two_qubits(self):
         with pytest.raises(OptimizerError):
-            maximize_chsh(states.make_reference("GHZ"), _cfg())
+            maximize_chsh(states.make_reference("GHZ"))
 
     def test_bad_config_values_rejected(self):
         with pytest.raises(OptimizerError):
@@ -288,7 +356,8 @@ class TestKernels:
                     expected_rows[:, 2 * party:2 * party + 2], rtol=0, atol=1e-12)
 
 
-    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    # only the Svetlichny ascent reads a Hessian
+    @pytest.mark.parametrize("kind", ["svetlichny"])
     @pytest.mark.parametrize("batch", [1, 7])
     def test_hessian_matches_second_derivatives(self, kind, batch):
         make, shape, _, gradients = KERNELS[kind]

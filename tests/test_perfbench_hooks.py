@@ -99,7 +99,8 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         for backend in ("gradient", "coordinate"):
             maximize_svetlichny(rho, cfg, backend=backend)
-        maximize_chsh(states.make_reference("Bell-Phi+"), cfg)
+        chsh_start = len(traced.spans)
+        maximize_chsh(states.make_reference("Bell-Phi+"))
     finally:
         traced.op = None
         traced.uninstall()
@@ -107,8 +108,12 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
     assert spans
     assert not any(tracer._raised(s[tracer.INFO]) for s in spans)
     ascents = [s for s in spans if s[tracer.NAME].endswith("_ascent")]
-    assert len(ascents) == 3
+    assert len(ascents) == 2
     assert all(type(s[tracer.INFO]) is bool for s in ascents)
+    # the CHSH maximum is closed form: no ascent, one objective evaluation
+    chsh = [s[tracer.NAME] for s in spans[chsh_start:]]
+    assert not any(name.endswith("_ascent") for name in chsh)
+    assert chsh.count("optimize._ChshObjective.energy") == 1
     # both objectives are hooked under their own names, each wrapped once:
     # a subclass turned into an alias would be wrapped twice, nesting one
     # energy span in another and doubling optimize.energy_evals

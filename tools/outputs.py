@@ -23,7 +23,10 @@ The set:
   `--pair AB --witness xz` and `--witness yz`: 1,968 calls;
 - `reproduce --table all --erratum`;
 - `optimize` in text and JSON on the 14 cases of the benchmark's
-  optimize workload (both backends, 4 restarts, seed 1729).
+  optimize workload (both backends, 4 restarts, seed 1729);
+- `optimize --target chsh` in text and JSON, with default flags, on 20
+  random two-qubit states (`default_rng(2025)`, 5 each of ranks 1, 2, 3
+  and 4, read from matrix files): 40 calls.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ REFERENCES = ("GHZ", "W", "W2", "product-000")
 RANDOM_SEED = 2024
 RANDOM_RANKS = (1, 2, 3, 4, 8)
 STATES_PER_RANK = 20
+PAIR_SEED = 2025
+PAIR_RANKS = (1, 2, 3, 4)
+PAIRS_PER_RANK = 5
 ANALYZE_FLAGS = {
     "default": [],
     "pairAC": ["--pair", "AC"],
@@ -76,15 +82,26 @@ def _matrix_text(matrix: np.ndarray) -> str:
     return f"dim {len(matrix)}\n" + "\n".join(rows) + "\n"
 
 
-def _random_states() -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(RANDOM_SEED)
+def _random_states(seed: int, dim: int, ranks, per_rank: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
     out = {}
-    for rank in RANDOM_RANKS:
-        for k in range(STATES_PER_RANK):
-            g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    for rank in ranks:
+        for k in range(per_rank):
+            g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
             m = g @ g.conj().T
             out[f"rank{rank}-{k:02d}"] = m / np.trace(m).real
     return out
+
+
+def _matrix_files(inputs: str, prefix: str, matrices) -> list[tuple[str, list[str]]]:
+    """(name, state flags) of each matrix, written to inputs/<prefix><name>.mat."""
+    sources = []
+    for name, matrix in matrices.items():
+        file = f"{prefix}{name}.mat"
+        with open(os.path.join(inputs, file), "w", encoding="utf-8") as handle:
+            handle.write(_matrix_text(matrix))
+        sources.append((name, ["--matrix", os.path.join(os.path.basename(inputs), file)]))
+    return sources
 
 
 def _sources(inputs: str) -> list[tuple[str, list[str]]]:
@@ -95,16 +112,12 @@ def _sources(inputs: str) -> list[tuple[str, list[str]]]:
             param = lo + (hi - lo) * (k + 1) / (FAMILY_POINTS + 1)
             sources.append((f"{family}-{k:02d}", ["--family", family, "--param", repr(param)]))
     sources += [(name, ["--ref", name]) for name in REFERENCES]
-    os.makedirs(inputs)
-    for name, matrix in _random_states().items():
-        path = os.path.join(os.path.basename(inputs), f"{name}.mat")
-        with open(os.path.join(inputs, f"{name}.mat"), "w", encoding="utf-8") as handle:
-            handle.write(_matrix_text(matrix))
-        sources.append((name, ["--matrix", path]))
-    return sources
+    randoms = _random_states(RANDOM_SEED, 8, RANDOM_RANKS, STATES_PER_RANK)
+    return sources + _matrix_files(inputs, "", randoms)
 
 
 def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
+    os.makedirs(inputs)
     calls = []
     for name, state in _sources(inputs):
         for flag_name, flags in ANALYZE_FLAGS.items():
@@ -119,6 +132,11 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
                 calls.append((f"optimize/{k}-{target}-{backend}.{fmt}",
                               ["optimize", *state, "--target", target, "--backend", backend,
                                "--restarts", "4", "--seed", "1729", "--format", fmt]))
+    pairs = _random_states(PAIR_SEED, 4, PAIR_RANKS, PAIRS_PER_RANK)
+    for name, state in _matrix_files(inputs, "pair-", pairs):
+        for fmt in ("text", "json"):
+            calls.append((f"optimize/chsh-{name}.{fmt}",
+                          ["optimize", *state, "--target", "chsh", "--format", fmt]))
     return calls
 
 
