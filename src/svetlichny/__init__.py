@@ -41,7 +41,6 @@ from .operators import (
 from .optimize import (
     DEFAULT_SEED,
     Optimum,
-    OptimizerConfig,
     chsh_expectation,
     maximize_chsh,
     maximize_svetlichny,
@@ -67,7 +66,6 @@ __all__ = [
     "FAMILIES",
     "NonlocalityStrength",
     "Optimum",
-    "OptimizerConfig",
     "SvetlichnySettings",
     "UnitVector3",
     "Verdict",

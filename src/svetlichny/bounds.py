@@ -449,7 +449,7 @@ def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
     partial_transpose_numbers, the formula states.negativity reads.
     """
     k = len(reductions)
-    cached = [rho.__dict__.get("eigensystem") for rho in reductions]
+    cached = [rho.solved_eigensystem for rho in reductions]
     values, vectors = linalg.hermitian_eigensystem(
         [partial_transpose(rho) for rho in reductions]
         + [rho.matrix for rho, system in zip(reductions, cached) if system is None])

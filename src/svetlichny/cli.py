@@ -40,8 +40,8 @@ from .bounds import CANDIDATE_ERRORS, Window, midpoint_report, pair_records, sea
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
+    DEFAULT_RESTARTS,
     DEFAULT_SEED,
-    OptimizerConfig,
     OptimizerError,
     maximize_chsh,
     maximize_svetlichny,
@@ -151,9 +151,10 @@ def _resolve_state(args) -> tuple[DensityMatrix, str]:
                if getattr(args, name, None) is not None]
     if len(sources) != 1:
         raise CliParseError("give exactly one of --family, --ref, --matrix")
+    if (args.family is None) != (args.param is None):
+        raise CliParseError("--family needs --param" if args.param is None
+                            else "--param needs --family")
     if args.family is not None:
-        if args.param is None:
-            raise CliParseError("--family needs --param")
         rho = states.make_example(args.family, args.param)
         return rho, f"{args.family}({args.param:g})"
     if args.ref is not None:
@@ -288,13 +289,12 @@ def _spherical(vector: np.ndarray) -> tuple[float, float]:
 
 def cmd_optimize(args) -> int:
     rho, label = _resolve_state(args)
-    cfg = OptimizerConfig(restarts=args.restarts,
-                          max_iterations=args.max_iterations,
-                          seed=args.seed)
     if args.pair is not None and (args.target != "chsh" or rho.qubits != 3):
         raise CliParseError("--pair applies only to the chsh target on a three-qubit state")
+    ascent = {}  # seed and backend shape only the ascent, so only its report names them
     if args.target == "svetlichny":
-        optimum = maximize_svetlichny(rho, cfg, backend=args.backend)
+        ascent = {"seed": args.seed, "backend": args.backend}
+        optimum = maximize_svetlichny(rho, restarts=args.restarts, **ascent)
         names = ("a", "a'", "b", "b'", "c", "c'")
     else:
         if rho.qubits == 3:
@@ -319,8 +319,7 @@ def cmd_optimize(args) -> int:
             "restarts_at_best": at_best,
             "restarts_capped": optimum.restarts_capped,
             "restart_spread": spread,
-            "seed": cfg.seed,
-            "backend": args.backend,
+            **ascent,
             "settings": {name: {"vector": [float(x) for x in vec],
                                 "theta": theta, "phi": phi}
                          for name, vec, theta, phi in vectors},
@@ -331,8 +330,8 @@ def cmd_optimize(args) -> int:
         print(f"target: {args.target}")
         print(f"optimum: {optimum.value:.9f}")
         print(f"iterations: {optimum.iterations_used}, converged: "
-              f"{optimum.converged}, restarts: {len(optimum.restart_values)}, seed: "
-              f"{cfg.seed}, backend: {args.backend}")
+              f"{optimum.converged}, restarts: {len(optimum.restart_values)}"
+              + "".join(f", {key}: {value}" for key, value in ascent.items()))
         print(f"restarts within 1e-6 of best: {at_best}, capped: "
               f"{optimum.restarts_capped}, spread: {spread:.3g}")
         for name, vec, theta, phi in vectors:
@@ -408,15 +407,14 @@ def build_parser() -> _Parser:
 
     optimize = commands.add_parser(
         "optimize", allow_abbrev=False, help="maximize an objective over settings",
-        description="The chsh maximum is exact; --restarts, --max-iterations, "
-                    "--backend and --seed apply to the svetlichny target only.")
+        description="The chsh maximum is exact; --restarts, --backend and --seed "
+                    "apply to the svetlichny target only.")
     _add_state_flags(optimize)
     optimize.add_argument("--target", choices=("svetlichny", "chsh"),
                           default="svetlichny")
     optimize.add_argument("--pair", type=_pair_arg,
                           help="reduced pair for chsh on a three-qubit state")
-    optimize.add_argument("--restarts", type=int, default=64)
-    optimize.add_argument("--max-iterations", type=int, default=500)
+    optimize.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     optimize.add_argument("--backend", choices=BACKENDS, default="gradient")
     optimize.add_argument("--seed", type=int, default=DEFAULT_SEED)
     optimize.add_argument("--format", choices=("text", "json"), default="text")

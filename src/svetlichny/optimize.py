@@ -28,8 +28,8 @@ exploits multilinearity directly: freezing the other parties leaves a
 linear functional of one party's two vectors, maximized by its two
 normalized coefficient rows, which never read that party's own vectors;
 a sweep updates one party at a time. It can end slightly below the
-gradient backend, and on ridge states it stops at its cap, which
-restarts_capped reports.
+gradient backend, and on ridge states it stops at its cap of 500
+sweeps, which restarts_capped reports.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
@@ -60,10 +60,13 @@ from .operators import (
 from .states import DensityMatrix
 
 DEFAULT_SEED = 1729
+DEFAULT_RESTARTS = 64
 BACKENDS = ("gradient", "coordinate")
 
-# A restart stops once the tangent-gradient norm (gradient backend) or the
+# Each restart takes at most _MAX_ITERATIONS Newton steps or sweeps, and
+# stops sooner once the tangent-gradient norm (gradient backend) or the
 # gain of a full sweep (coordinate backend) falls below _TOL.
+_MAX_ITERATIONS = 500
 _TOL = 1e-10
 # The Newton step never divides by a curvature smaller than this, and
 # halves a trial step at most _HALVINGS times.
@@ -72,23 +75,6 @@ _HALVINGS = 60
 
 class OptimizerError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Restart count, per-restart iteration cap and the seed of the draws."""
-
-    restarts: int = 64
-    max_iterations: int = 500
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise OptimizerError("restarts must be at least 1")
-        if self.max_iterations < 1:
-            raise OptimizerError("max_iterations must be at least 1")
-        if self.seed < 0:
-            raise OptimizerError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -101,7 +87,7 @@ class Optimum:
     restarts; iterations_used and converged describe that restart.
     restart_values holds every restart's final value in draw order, so the
     first k entries are the values a k-restart run finds; restarts_capped
-    counts the restarts that used all max_iterations without converging.
+    counts the restarts that hit the cap of 500 iterations unconverged.
     """
 
     value: float
@@ -231,7 +217,7 @@ def _batch(values, vectors, used, stopped) -> _Batch:
     return _Batch(values, vectors, used, bool(stopped.all()), ~stopped)
 
 
-def _gradient_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _Batch:
+def _gradient_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATIONS) -> _Batch:
     """Riemannian Newton ascent on the product of unit spheres.
 
     Each iteration reads the Euclidean gradient g = Hv / (degree - 1) off
@@ -254,7 +240,7 @@ def _gradient_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _B
     stopped = np.zeros(count, dtype=bool)
     live = np.arange(count)
     diagonal = np.arange(2 * n)
-    for iteration in range(cfg.max_iterations):
+    for iteration in range(max_iterations):
         used[live] = iteration + 1
         here = vectors[live]
         hessian = objective.hessian(here)
@@ -299,7 +285,7 @@ def _gradient_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _B
     return _batch(energy, vectors, used, stopped)
 
 
-def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> _Batch:
+def _coordinate_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATIONS) -> _Batch:
     """Sweep the parties, replacing both vectors of each by their normalized rows."""
     count = len(vectors)
     vectors = vectors.copy()
@@ -307,7 +293,7 @@ def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> 
     used = np.zeros(count, dtype=int)
     stopped = np.zeros(count, dtype=bool)
     live = np.arange(count)
-    for sweep in range(cfg.max_iterations):
+    for sweep in range(max_iterations):
         used[live] = sweep + 1
         batch = vectors[live]
         for party in range(objective.degree):
@@ -326,23 +312,24 @@ def _coordinate_ascent(objective, vectors: np.ndarray, cfg: OptimizerConfig) -> 
     return _batch(energy, vectors, used, stopped)
 
 
-def maximize_svetlichny(
-    rho: DensityMatrix,
-    cfg: OptimizerConfig | None = None,
-    backend: str = "gradient",
-) -> Optimum:
-    """Best Svetlichny expectation over all six measurement directions."""
-    if rho.qubits != 3:
-        raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
+def maximize_svetlichny(rho: DensityMatrix, *, restarts: int = DEFAULT_RESTARTS,
+                        seed: int = DEFAULT_SEED, backend: str = "gradient") -> Optimum:
+    """Best Svetlichny expectation over all six measurement directions, from
+    `restarts` starts drawn with `seed`, each ascended by `backend`."""
+    if restarts < 1:
+        raise OptimizerError("restarts must be at least 1")
+    if seed < 0:
+        raise OptimizerError("seed must be non-negative")
     if backend not in BACKENDS:
         raise OptimizerError(f"backend must be one of {BACKENDS}")
-    cfg = cfg or OptimizerConfig()
-    draws = np.random.default_rng(cfg.seed).random((cfg.restarts, 6, 2))
+    if rho.qubits != 3:
+        raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
+    draws = np.random.default_rng(seed).random((restarts, 6, 2))
     theta, phi = np.arccos(1.0 - 2.0 * draws[..., 0]), 2.0 * np.pi * draws[..., 1]
     sin_t = np.sin(theta)
     starts = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
     ascend = _gradient_ascent if backend == "gradient" else _coordinate_ascent
-    batch = ascend(_SvetlichnyObjective(correlation_tensor(rho)), starts, cfg)
+    batch = ascend(_SvetlichnyObjective(correlation_tensor(rho)), starts)
     best = int(np.argmax(batch.values))
     return Optimum(
         value=float(batch.values[best]),

@@ -96,6 +96,11 @@ class DensityMatrix:
         """
         return linalg.hermitian_eigensystem(self.matrix)
 
+    @property
+    def solved_eigensystem(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The eigensystem if it is already solved, else None; solves nothing."""
+        return self.__dict__.get("eigensystem")
+
 
 def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     """Check Hermiticity, unit trace, and positivity; symmetrize and wrap.

@@ -21,7 +21,6 @@ import pytest
 from svetlichny import nonlocality, operators, reproduce, states
 from svetlichny.bounds import detect_genuine, pair_spectra
 from svetlichny.optimize import (
-    OptimizerConfig,
     chsh_expectation,
     maximize_chsh,
     maximize_svetlichny,
@@ -167,15 +166,13 @@ class TestCriterion4:
 class TestCriterion5:
     def test_c5_optimizer_anchors_and_biseparable_ceiling(self):
         t0 = time.perf_counter()
-        ghz = maximize_svetlichny(states.make_reference("GHZ"),
-                                  OptimizerConfig(restarts=12, seed=5)).value
+        ghz = maximize_svetlichny(states.make_reference("GHZ"), restarts=12, seed=5).value
         bell = maximize_chsh(states.make_reference("Bell-Phi+")).value
         rng = np.random.default_rng(606)
         worst = 0.0
         for i in range(50):
             rho = random_biseparable(rng)
-            opt = maximize_svetlichny(rho, OptimizerConfig(restarts=4,
-                                                           seed=2000 + i))
+            opt = maximize_svetlichny(rho, restarts=4, seed=2000 + i)
             worst = max(worst, opt.value)
         elapsed = time.perf_counter() - t0
         ghz_err = abs(ghz - 4.0 * math.sqrt(2.0))
@@ -298,8 +295,8 @@ class TestCriterion8:
             and lower5 == 0.0
             and upper5 == 0.0)
         # restart determinism, bit for bit
-        det_a = maximize_svetlichny(rho5, OptimizerConfig(restarts=6, seed=17))
-        det_b = maximize_svetlichny(rho5, OptimizerConfig(restarts=6, seed=17))
+        det_a = maximize_svetlichny(rho5, restarts=6, seed=17)
+        det_b = maximize_svetlichny(rho5, restarts=6, seed=17)
         determinism_ok = det_a == det_b
 
         ok = (sandwich_ok and oracle_ok and separable_ok and vanish_ok

@@ -44,6 +44,12 @@ class TestExitCodes:
         assert run("analyze", "--family", "pure-W-class-1", "--param", "oops") == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_param_without_family_is_sixty_four(self, command, capsys):
+        # only a family reads a parameter, so one given without it is an error, not dropped
+        assert run(command, "--ref", "GHZ", "--param", "0.5") == 64
+        assert "--param needs --family" in capsys.readouterr().err
+
     def test_flag_prefixes_are_sixty_four(self, capsys):
         # a unique prefix of a flag is an unknown flag, not the flag itself
         assert run("analyze", "--ref", "GHZ", "--form", "json") == 64
@@ -262,12 +268,28 @@ class TestOptimizeCommand:
         assert "theta" in out
 
     def test_json_reports_seed_and_settings(self, capsys):
+        assert run("optimize", "--ref", "GHZ", "--restarts", "2", "--seed", "3",
+                   "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["seed"], payload["backend"]) == (3, "gradient")
         assert run("optimize", "--ref", "Bell-Phi+", "--target", "chsh",
                    "--restarts", "6", "--seed", "3", "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["seed"] == 3
         assert payload["value"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
         assert set(payload["settings"]) == {"A0", "A1", "B0", "B1"}
+
+    def test_chsh_reads_no_ascent_setting(self, capsys):
+        # the exact target ignores values the ascent would reject, and reports neither
+        assert run("optimize", "--ref", "Bell-Phi+", "--target", "chsh", "--restarts", "0",
+                   "--seed", "-1", "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "seed" not in payload and "backend" not in payload
+        assert run("optimize", "--ref", "Bell-Phi+", "--target", "chsh", "--seed", "-1") == 0
+        assert "restarts: 1\n" in capsys.readouterr().out
+
+    def test_iteration_cap_is_not_a_flag(self, capsys):
+        assert run("optimize", "--ref", "GHZ", "--max-iterations", "5") == 64
+        assert "--max-iterations" in capsys.readouterr().err
 
     def test_env_seed_respected(self, capsys):
         assert run("optimize", "--ref", "W", "--restarts", "4",
@@ -297,6 +319,8 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert "seed" in err
         assert "Traceback" not in err
+        assert run("optimize", "--ref", "GHZ", "--restarts", "0") == 65
+        assert "restarts" in capsys.readouterr().err
 
     def test_chsh_on_three_qubits_requires_pair(self, capsys):
         assert run("optimize", "--ref", "GHZ", "--target", "chsh") == 65

@@ -15,8 +15,8 @@ import pytest
 from svetlichny import nonlocality, operators, optimize, states
 from svetlichny.optimize import (
     BACKENDS,
+    DEFAULT_RESTARTS,
     DEFAULT_SEED,
-    OptimizerConfig,
     OptimizerError,
     chsh_expectation,
     maximize_chsh,
@@ -126,26 +126,26 @@ def _unit_vectors(rng, shape):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _cfg(**kw):
+def _settings(**kw):
     kw.setdefault("restarts", 12)
     kw.setdefault("seed", 7)
-    return OptimizerConfig(**kw)
+    return kw
 
 
 class TestAnchors:
     def test_ghz_reaches_quantum_maximum(self):
-        opt = maximize_svetlichny(states.make_reference("GHZ"), _cfg())
+        opt = maximize_svetlichny(states.make_reference("GHZ"), **_settings())
         assert opt.value == pytest.approx(SV_MAX, abs=1e-9)
 
     def test_product_state_caps_at_hybrid_bound(self):
-        opt = maximize_svetlichny(states.make_reference("product-000"), _cfg())
+        opt = maximize_svetlichny(states.make_reference("product-000"), **_settings())
         assert opt.value == pytest.approx(4.0, abs=1e-9)
 
     def test_maximally_mixed_is_flat_zero(self):
         # T = 0: every restart stops at once, on finite unit vectors
         rho = states.validate(np.eye(8) / 8.0, 3)
         for backend in BACKENDS:
-            opt = maximize_svetlichny(rho, _cfg(restarts=4), backend=backend)
+            opt = maximize_svetlichny(rho, **_settings(restarts=4), backend=backend)
             assert opt.value == 0.0
             assert opt.restart_values == (0.0,) * 4
             assert opt.converged is True
@@ -166,35 +166,37 @@ class TestAnchors:
         # the first worked family never exceeds the hybrid bound under
         # direct optimization even though the certificates fire
         rho = states.make_example(states.FAMILY_PURE_W1, 0.92)
-        opt = maximize_svetlichny(rho, _cfg(restarts=16))
+        opt = maximize_svetlichny(rho, **_settings(restarts=16))
         assert opt.value == pytest.approx(4.0, abs=1e-8)
 
 
 class TestDeterminism:
     def test_same_seed_bit_for_bit(self):
         rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
-        first = maximize_svetlichny(rho, _cfg(seed=123))
-        second = maximize_svetlichny(rho, _cfg(seed=123))
+        first = maximize_svetlichny(rho, **_settings(seed=123))
+        second = maximize_svetlichny(rho, **_settings(seed=123))
         assert first == second
         # an Optimum of either target compares by value
         pair = states.reduce_to_pair(rho, ("B", "C"))
         assert maximize_chsh(pair) == maximize_chsh(pair)
 
     def test_default_seed(self):
-        assert OptimizerConfig().seed == DEFAULT_SEED
+        rho = states.make_reference("W")
+        assert (maximize_svetlichny(rho, restarts=2)
+                == maximize_svetlichny(rho, restarts=2, seed=DEFAULT_SEED))
 
 
 class TestRestarts:
     def test_more_restarts_never_hurt(self):
         rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.55)
-        values = [maximize_svetlichny(rho, _cfg(restarts=n, seed=31)).value
+        values = [maximize_svetlichny(rho, **_settings(restarts=n, seed=31)).value
                   for n in (2, 4, 8, 16)]
         for a, b in zip(values, values[1:]):
             assert b >= a
 
     def test_value_matches_reported_settings(self):
         rho = states.make_reference("GHZ")
-        opt = maximize_svetlichny(rho, _cfg())
+        opt = maximize_svetlichny(rho, **_settings())
         settings = operators.SvetlichnySettings(*opt.vectors)
         assert svetlichny_expectation(rho, settings) == pytest.approx(
             opt.value, abs=1e-12)
@@ -205,7 +207,7 @@ class TestRestarts:
         rng = np.random.default_rng(97)
         cases = [*BENCHMARK_SVETLICHNY, *(_ranked_state(rng, rank) for rank in range(1, 9))]
         for rho in cases:
-            opt = maximize_svetlichny(rho, _cfg(restarts=4), backend=backend)
+            opt = maximize_svetlichny(rho, **_settings(restarts=4), backend=backend)
             settings = operators.SvetlichnySettings(*opt.vectors)
             assert abs(svetlichny_expectation(rho, settings) - opt.value) <= 1e-12
 
@@ -247,13 +249,13 @@ class TestBackends:
     def test_backends_agree(self, rng):
         for _ in range(3):
             rho = random_state(rng, 3)
-            grad = maximize_svetlichny(rho, _cfg(restarts=8), backend="gradient")
-            coord = maximize_svetlichny(rho, _cfg(restarts=8), backend="coordinate")
+            grad = maximize_svetlichny(rho, **_settings(restarts=8), backend="gradient")
+            coord = maximize_svetlichny(rho, **_settings(restarts=8), backend="coordinate")
             assert grad.value == pytest.approx(coord.value, abs=1e-6)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(OptimizerError):
-            maximize_svetlichny(states.make_reference("GHZ"), _cfg(),
+            maximize_svetlichny(states.make_reference("GHZ"), **_settings(),
                                 backend="annealing")
 
     def test_backends_listed(self):
@@ -268,8 +270,7 @@ class TestConvergence:
     below the Newton value.
     """
 
-    _ascend = functools.partial(maximize_svetlichny, cfg=OptimizerConfig(restarts=4, seed=1729),
-                                backend="gradient")
+    _ascend = functools.partial(maximize_svetlichny, restarts=4, seed=1729, backend="gradient")
 
     @pytest.mark.parametrize("maximize, rho, expected", [
         (_ascend, BENCHMARK_SVETLICHNY[0], SV_MAX),
@@ -292,7 +293,7 @@ class TestConvergence:
     def test_default_restarts_on_the_ridge_all_converge(self):
         rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525)
         opt = maximize_svetlichny(rho)
-        assert len(opt.restart_values) == 64
+        assert len(opt.restart_values) == DEFAULT_RESTARTS == 64
         assert opt.restarts_capped == 0
 
 
@@ -300,13 +301,13 @@ class TestPhysicalCeilings:
     def test_never_exceeds_quantum_bound(self, rng):
         for _ in range(10):
             rho = random_state(rng, 3)
-            opt = maximize_svetlichny(rho, _cfg(restarts=4))
+            opt = maximize_svetlichny(rho, **_settings(restarts=4))
             assert opt.value <= SV_MAX + 1e-8
 
     def test_biseparable_states_respect_hybrid_bound(self, rng):
         for _ in range(10):
             rho = random_biseparable(rng)
-            opt = maximize_svetlichny(rho, _cfg(restarts=4))
+            opt = maximize_svetlichny(rho, **_settings(restarts=4))
             assert opt.value <= 4.0 + 1e-4
 
     def test_chsh_never_exceeds_tsirelson(self, rng):
@@ -319,19 +320,25 @@ class TestPhysicalCeilings:
 class TestInputChecks:
     def test_svetlichny_needs_three_qubits(self):
         with pytest.raises(OptimizerError):
-            maximize_svetlichny(states.make_reference("Bell-Phi+"), _cfg())
+            maximize_svetlichny(states.make_reference("Bell-Phi+"), **_settings())
 
     def test_chsh_needs_two_qubits(self):
         with pytest.raises(OptimizerError):
             maximize_chsh(states.make_reference("GHZ"))
 
     def test_bad_config_values_rejected(self):
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(restarts=0)
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(max_iterations=-1)
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(seed=-1)
+        rho = states.make_reference("GHZ")
+        with pytest.raises(OptimizerError, match="restarts"):
+            maximize_svetlichny(rho, restarts=0)
+        with pytest.raises(OptimizerError, match="seed"):
+            maximize_svetlichny(rho, seed=-1)
+        with pytest.raises(OptimizerError, match="backend"):
+            maximize_svetlichny(rho, backend="newton")
+
+    def test_settings_are_keyword_only(self):
+        # a leftover positional settings object must fail, not run
+        with pytest.raises(TypeError):
+            maximize_svetlichny(states.make_reference("GHZ"), 4)
 
 
 class TestKernels:
@@ -398,8 +405,7 @@ class TestKernels:
         tensor = rng.normal(size=shape)
         objective = make(tensor)
         starts = _unit_vectors(rng, (5, objective.n_vectors))
-        swept = optimize._coordinate_ascent(objective, starts,
-                                            OptimizerConfig(max_iterations=1)).vectors
+        swept = optimize._coordinate_ascent(objective, starts, 1).vectors
         for start, got in zip(starts, swept):
             expected = start.copy()
             for i in range(len(expected)):
@@ -412,8 +418,8 @@ class TestBatch:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_restart_values_extend_bit_for_bit(self, backend):
         rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.525)
-        short = maximize_svetlichny(rho, OptimizerConfig(restarts=4, seed=1729), backend)
-        long = maximize_svetlichny(rho, OptimizerConfig(restarts=16, seed=1729), backend)
+        short = maximize_svetlichny(rho, restarts=4, seed=1729, backend=backend)
+        long = maximize_svetlichny(rho, restarts=16, seed=1729, backend=backend)
         assert len(short.restart_values) == 4
         assert len(long.restart_values) == 16
         assert long.restart_values[:4] == short.restart_values
@@ -427,11 +433,10 @@ class TestBatch:
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         objective = optimize._SvetlichnyObjective(nonlocality.correlation_tensor(rho))
         starts = _unit_vectors(np.random.default_rng(5), (17, objective.n_vectors))
-        cfg = OptimizerConfig(max_iterations=60)
-        full = ascend(objective, starts, cfg)
+        full = ascend(objective, starts, 60)
         assert isinstance(full.converged, bool)
         for size in (1, 3, 4):
-            part = ascend(objective, starts[:size], cfg)
+            part = ascend(objective, starts[:size], 60)
             for mine, theirs in zip(part, full):
                 if isinstance(mine, np.ndarray):
                     np.testing.assert_array_equal(mine, theirs[:size])

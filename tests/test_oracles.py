@@ -32,10 +32,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svetlichny import states
-from svetlichny.optimize import OptimizerConfig, maximize_svetlichny
+from svetlichny.optimize import maximize_svetlichny
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-CONFIG = OptimizerConfig(restarts=16, seed=1729)
+ASCENT = {"restarts": 16, "seed": 1729}
 RANKS = (1, 2, 3, 4, 8)
 PERMUTATIONS = list(itertools.permutations(range(3)))[1:]
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -52,7 +52,7 @@ def bound(m: np.ndarray) -> float:
 
 
 def optimum(m: np.ndarray) -> float:
-    return maximize_svetlichny(states.validate(m, 3), CONFIG).value
+    return maximize_svetlichny(states.validate(m, 3), **ASCENT).value
 
 
 def random_rank(rng: np.random.Generator, rank: int) -> np.ndarray:

@@ -25,7 +25,7 @@ import types
 import pytest
 
 from svetlichny import bounds, cli, operators, states
-from svetlichny.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
+from svetlichny.optimize import maximize_chsh, maximize_svetlichny
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -95,10 +95,9 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
     traced.install()
     try:
         traced.op = 0
-        cfg = OptimizerConfig(restarts=4, max_iterations=50)
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         for backend in ("gradient", "coordinate"):
-            maximize_svetlichny(rho, cfg, backend=backend)
+            maximize_svetlichny(rho, restarts=4, backend=backend)
         chsh_start = len(traced.spans)
         maximize_chsh(states.make_reference("Bell-Phi+"))
     finally:

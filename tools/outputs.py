@@ -26,7 +26,11 @@ The set:
   optimize workload (both backends, 4 restarts, seed 1729);
 - `optimize --target chsh` in text and JSON, with default flags, on 20
   random two-qubit states (`default_rng(2025)`, 5 each of ranks 1, 2, 3
-  and 4, read from matrix files): 40 calls.
+  and 4, read from matrix files): 40 calls;
+- in text and JSON, `optimize --ref Bell-Phi+ --target chsh --restarts 0
+  --seed -1` (flags the exact target ignores), `optimize --ref GHZ` with
+  default flags (the default restart count) and `analyze --ref GHZ
+  --param 0.5` (a parameter without a family).
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ OPTIMIZE_CASES = (
     ("chsh", ["--family", "identity-W", "--param", "0.82", "--pair", "BC"]),
 )
 BACKENDS = ("gradient", "coordinate")
+EXTRA_CASES = (
+    ("optimize/chsh-ignored-flags", ["optimize", "--ref", "Bell-Phi+", "--target", "chsh",
+                                     "--restarts", "0", "--seed", "-1"]),
+    ("optimize/GHZ-default", ["optimize", "--ref", "GHZ"]),
+    ("analyze/GHZ-param", ["analyze", "--ref", "GHZ", "--param", "0.5"]),
+)
 
 
 def _matrix_text(matrix: np.ndarray) -> str:
@@ -137,6 +147,9 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
         for fmt in ("text", "json"):
             calls.append((f"optimize/chsh-{name}.{fmt}",
                           ["optimize", *state, "--target", "chsh", "--format", fmt]))
+    for name, argv in EXTRA_CASES:
+        for fmt in ("text", "json"):
+            calls.append((f"{name}.{fmt}", [*argv, "--format", fmt]))
     return calls
 
 
