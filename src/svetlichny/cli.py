@@ -36,7 +36,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import operators, reproduce, states
-from .bounds import CANDIDATE_ERRORS, Window, midpoint_report, pair_records, search_records
+from .bounds import (CANDIDATE_ERRORS, SEARCH_ORDER, Window, midpoint_report, pair_records,
+                     search_records)
 from .operators import OperatorError
 from .optimize import (
     BACKENDS,
@@ -61,7 +62,7 @@ _VERDICT_EXITS = {
     "not-applicable": EXIT_NOT_APPLICABLE,
 }
 
-_PAIRS = {"AB": ("A", "B"), "AC": ("A", "C"), "BC": ("B", "C")}
+_PAIRS = {"".join(pair): pair for pair in SEARCH_ORDER}
 
 
 class CliParseError(Exception):
@@ -175,7 +176,7 @@ def _resolve_witness(choice: str | None) -> tuple[str, np.ndarray] | None:
 def _pair_arg(value: str) -> tuple[str, str]:
     key = value.upper().replace(",", "").replace("-", "")
     if key not in _PAIRS:
-        raise argparse.ArgumentTypeError(f"pair must be one of AB, AC, BC, got {value!r}")
+        raise argparse.ArgumentTypeError(f"pair must be one of {', '.join(_PAIRS)}, got {value!r}")
     return _PAIRS[key]
 
 
@@ -249,8 +250,8 @@ def cmd_analyze(args) -> int:
     else:
         print(f"state: {label}")
         print("negativity:")
-        for key in ("AB", "AC", "BC"):
-            print(f"  {key[0]}-{key[1]}: {negs[key]:.9g}")
+        for key, neg in negs.items():
+            print(f"  {key[0]}-{key[1]}: {neg:.9g}")
         print(f"certificate (pair {pair[0]}-{pair[1]}, witness {cert_witness_label}):")
         if report is None:
             print(f"  unavailable: {report_error}")

@@ -11,10 +11,10 @@ probability, and r a mixing weight kept below the cap that guarantees
 positivity. The certificates built on this measure read K alone (and
 need K > 0, the cap's own hypothesis, checked by positive_k), so they
 take no r; a report forms NonlocalityStrength at the default weight,
-half the cap, and s_nl_new evaluates it at any admissible r. K also
-evaluates elementwise over arrays of pairings and negativities, and the
-strength over an array of weights r; each guard then checks the whole
-array and raises as it does for one number.
+half the cap, and s_nl_new evaluates it at any admissible r. S_NL and K
+also evaluate elementwise over arrays of pairings (and negativities),
+and the strength over an array of weights r; each guard then checks the
+whole array and raises as it does for one number.
 """
 
 from __future__ import annotations
@@ -92,7 +92,12 @@ def is_detected(rho: DensityMatrix, w: np.ndarray) -> bool:
 
 def s_nl_detected(rho: DensityMatrix, w: np.ndarray) -> float:
     """max{-Tr[W rho]/8, 0}; zero whenever the witness fails to detect."""
-    return max(-linalg.trace_product(w, rho.matrix) / 8.0, 0.0)
+    return float(s_nl_from_pairing(linalg.trace_product(w, rho.matrix)))
+
+
+def s_nl_from_pairing(pairing):
+    """S_NL = max{-Tr[W rho]/8, 0} from the pairing Tr[W rho], or elementwise from an array."""
+    return np.maximum(-pairing / 8.0, 0.0)
 
 
 def k_value(rho: DensityMatrix, w: np.ndarray) -> float:

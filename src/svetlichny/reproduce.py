@@ -8,35 +8,34 @@ match or discrepancy status, then cross-checks every closed form against
 the general eigensolver route on a parameter grid. Each family's grid is
 validated and solved as one stack, and bounds.grid_record reads it into
 one record whose fields are arrays over the grid (its 4x4 matrices, its
-products and its witness congruences solved in one call each). The
-certificate arithmetic then runs once per grid on arrays, through the
-same record methods and nonlocality formulas a single point uses: the
-witness pairing is one stacked einsum, and each quantity's deviation is
-reduced by one max. The listed closed forms stay per point, since a
-Python float's ** n and numpy's array power can differ in the last bit.
+products and its witness congruences solved in one call each). Both
+sides then run once per grid on arrays, through the formulas and record
+methods one point uses (each witness pairing one stacked einsum; the
+listed forms land within 2 ulp of one point at a time, as numpy's array
+power and a Python float's ** n can differ in the last bit), and each
+deviation is reduced by one max.
 
 Two routes coexist on purpose. Table rows are evaluated from the closed
 forms exactly as the reference derivation used them, so a row mismatch
 points at the reference arithmetic rather than at our pipeline; the
 closed forms themselves are then compared against the general route, and
-a deviation there becomes an erratum entry. Each listed quantity is keyed
-by the name the checks report it under (lambda_max_embedded, s_nl, ...),
-so the listed data, the general route and the erratum share one name per
-quantity. Discrepancies are data, not failures: nothing in this module
-raises on a mismatch. The erratum, like the text and CSV reports, renders
-results the caller already holds.
+a deviation there becomes an erratum entry. Each quantity is keyed by
+the name the checks report it under (lambda_max_embedded, s_nl, ...),
+and one function, _family_routes, picks a family's regime from them for
+the table rows, the listed windows and the general route alike.
+Discrepancies are data, not failures: nothing here raises on a mismatch,
+and the erratum, like the reports, renders results the caller holds.
 
-Every table row is evaluated once: the listed components form a
-PairSpectra record, its family's regime gives the numerators, and the
-bounds, both deltas and the tolerance test follow from that one
-evaluation. Rows of the last three tables hold for an interpolation
-weight r that the reference data does not list per row. Their bounds
-read the strength only through K, so they are evaluated at K and r only
-decides admissibility: a grid over r below the cap must put the strength
-(and r, where stated) inside the stated bands for the row to match. The
-scan is attached to the row so the check stays auditable; rows that
-still miss get a second scan forcing the strength band directly. Each
-scan scores its 200 points in one array evaluation.
+Every table row is evaluated once: its listed components form a
+PairSpectra record, and the bounds, both deltas and the tolerance test
+follow from its routes. Rows of the last three tables hold for a weight
+r that the reference data does not list per row. Their bounds read the
+strength only through K, so r only decides admissibility: a grid over r
+below the cap must put the strength (and r, where stated) inside the
+stated bands for the row to match. The scan is attached to the row so
+the check stays auditable; rows that still miss get a second scan
+forcing the strength band directly. Each scan scores its 200 points in
+one array evaluation.
 """
 
 from __future__ import annotations
@@ -306,31 +305,35 @@ def _listed_spectra(qs: dict) -> PairSpectra:
                                          qs.get("lambda_max_product")))
 
 
-def _genuine_windows(spectra: PairSpectra, routes: Routes) -> tuple[tuple, tuple]:
-    """Genuine (p window, q window) of one evaluated candidate, each (lower, upper),
-    elementwise over a grid record."""
-    (p_cutoff, p_edge, _), (q_cutoff, q_edge, _) = spectra.window_edges(routes)
+def _family_routes(family: int, spectra: PairSpectra, quantities: dict) -> Routes:
+    """The module's one regime choice: the family's routes from its quantities, listed or
+    computed, one number or one array each, keyed by their reported names."""
+    if family in _DETECTED:
+        return spectra.detected(quantities["s_nl"])
+    return spectra.undetected(
+        nonlocality.k_from_pairing(quantities["trace_witness_product"], quantities["negativity"]),
+        quantities.get("lambda_max_witness_state"))
+
+
+def _genuine_windows(family: int, spectra: PairSpectra, quantities: dict) -> tuple[tuple, tuple]:
+    """Genuine (p window, q window) of the family's routes, each (lower, upper), elementwise
+    over a grid."""
+    (p_cutoff, p_edge, _), (q_cutoff, q_edge, _) = spectra.window_edges(
+        _family_routes(family, spectra, quantities))
     return (p_cutoff, p_edge), (q_cutoff, q_edge)
 
 
-def _detected_windows(qs: dict) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Genuine p and q windows from listed detected-regime components."""
-    spectra = _listed_spectra(qs)
-    return _genuine_windows(spectra, spectra.detected(qs["s_nl"]))
-
-
-def _printed_windows(family: int, param: float, qs: dict) -> tuple[tuple, tuple]:
-    """Listed genuine windows from the listed dict qs, (p window, q window), each (lower, upper)."""
-    if family == 1:
-        return _detected_windows(qs)
-    if family == 2:
-        # The q window is listed with standalone decimal denominators; the
-        # middle coefficient 0.3423 has no exact antecedent and is kept.
-        p_win, _ = _detected_windows(qs)
-        t = param
-        num = t * (4.3 - t)
-        q_win = (0.1571 * num / (0.3667 + 0.3423 * t - 0.1571 * t ** 2),
-                 0.2222 * num / (0.3667 + 0.6222 * t - 0.2222 * t ** 2))
+def _printed_windows(family: int, param, qs: dict) -> tuple[tuple, tuple]:
+    """Listed genuine windows from the listed quantities qs, as _genuine_windows gives them."""
+    if family in (1, 2):
+        p_win, q_win = _genuine_windows(family, _listed_spectra(qs), qs)
+        if family == 2:
+            # The q window is listed with standalone decimal denominators; the
+            # middle coefficient 0.3423 has no exact antecedent and is kept.
+            t = param
+            num = t * (4.3 - t)
+            q_win = (0.1571 * num / (0.3667 + 0.3423 * t - 0.1571 * t ** 2),
+                     0.2222 * num / (0.3667 + 0.6222 * t - 0.2222 * t ** 2))
         return p_win, q_win
     if family == 3:
         c = np.cos(param)
@@ -374,7 +377,7 @@ def _printed_windows(family: int, param: float, qs: dict) -> tuple[tuple, tuple]
 # ---------------------------------------------------------------------------
 # Table rows from listed components, exactly the table formulas.
 
-def _scan_weights(which: int, param: float, k: float, delta: float, within: bool,
+def _scan_weights(which: int, p_max: float, k: float, delta: float, within: bool,
                   delta_at) -> tuple[bool, ScanResult, ScanResult | None]:
     """Weight work for one row of tables 3 to 5, whose bounds at K miss by delta.
 
@@ -385,8 +388,6 @@ def _scan_weights(which: int, param: float, k: float, delta: float, within: bool
     strength of an array k. Each scan evaluates its whole grid at once.
     Returns (matched, r scan, strength scan or None).
     """
-    reduced = states.example_reduced(states.FAMILIES[which - 1], param)
-    p_max = nonlocality.p_max_optimal(reduced)
     cap = nonlocality.r_cap(k, p_max)
     band = STRENGTH_BANDS[which]
     weight_band = WEIGHT_BANDS.get(which)
@@ -420,27 +421,28 @@ def reproduce_table(which: int) -> list[TableRow]:
     """
     if which not in TABLES:
         raise ValueError(f"no such table: {which!r}")
+    params = [row[0] for row in TABLES[which]]
+    # the weight scans (of the tables with a stated strength band) read P_max, from one stack
+    p_maxes = ([nonlocality.p_max_optimal(rho) for rho in
+                states.example_reductions(states.FAMILIES[which - 1], params)]
+               if which in STRENGTH_BANDS else [None] * len(params))
     rows = []
-    for param, p, q, ref_lo, ref_hi in TABLES[which]:
+    for (param, p, q, ref_lo, ref_hi), p_max in zip(TABLES[which], p_maxes):
         qs = _PRINTED[which](param)
         spectra = _listed_spectra(qs)
-        wr_max = qs.get("lambda_max_witness_state")
-        if which in _DETECTED:
-            routes = spectra.detected(qs["s_nl"])
-        else:
-            routes = spectra.undetected(nonlocality.k_from_pairing(
-                qs["trace_witness_product"], qs["negativity"]), wr_max)
+        routes = _family_routes(which, spectra, qs)
         lo, hi = spectra.bounds(routes, p, q)
         delta_lo, delta_hi = abs(lo - ref_lo), abs(hi - ref_hi)
         delta = max(delta_lo, delta_hi)
         matched = delta <= TABLE_TOLERANCE[which]
         scan = strength_scan = None
-        if which not in _DETECTED:
+        if p_max is not None:
+            wr_max = qs.get("lambda_max_witness_state")
             def delta_at(k):
                 k_lo, k_hi = spectra.bounds(spectra.undetected(k, wr_max), p, q)
                 return np.maximum(abs(k_lo - ref_lo), abs(k_hi - ref_hi))
             matched, scan, strength_scan = _scan_weights(
-                which, param, routes.strength, delta, matched, delta_at)
+                which, p_max, routes.strength, delta, matched, delta_at)
         rows.append(TableRow(parameter=param, p=p, q=q,
                              computed_lower=float(lo), computed_upper=float(hi),
                              paper_lower=ref_lo, paper_upper=ref_hi,
@@ -454,7 +456,8 @@ def reproduce_table(which: int) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 # Closed-form cross-checks against the general route.
 
-def _closed_form_printed(family: int, param: float) -> dict:
+def _closed_form_printed(family: int, param) -> dict:
+    """Every listed quantity at param, or elementwise over an array; a window is (lower, upper)."""
     qs = _PRINTED[family](param)
     if family == 5:
         # the product ceiling exactly as listed, denominator 28
@@ -465,7 +468,7 @@ def _closed_form_printed(family: int, param: float) -> dict:
     return qs
 
 
-def _closed_forms_general(family: int, params: list[float]) -> dict[str, np.ndarray]:
+def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     """The general route's value of every listed quantity over the grid, one array each.
 
     The grid's states and reductions are built as one stack each and read
@@ -483,18 +486,15 @@ def _closed_forms_general(family: int, params: list[float]) -> dict[str, np.ndar
     w = _family_witness(family)
     columns = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
     columns["lambda_min_product"], columns["lambda_max_product"] = spectra.product
+    matrices = np.array([r.matrix for r in reductions])
     if family in _DETECTED:
-        s_nl = columns["s_nl"] = np.array([nonlocality.s_nl_detected(r, w) for r in reductions])
-        routes = spectra.detected(s_nl)
+        columns["s_nl"] = nonlocality.s_nl_from_pairing(np.einsum("ij,kji->k", w, matrices).real)
     else:
-        products = (np.array([r.matrix for r in reductions])
-                    @ np.array([states.partial_transpose(r) for r in reductions]))
-        pairing = columns["trace_witness_product"] = np.einsum("ij,kji->k", w, products).real
-        wr_max = columns["lambda_max_witness_state"] = spectra.witness_max(w)
-        routes = spectra.undetected(nonlocality.k_from_pairing(pairing, spectra.negativity),
-                                    wr_max)
+        products = matrices @ np.array([states.partial_transpose(r) for r in reductions])
+        columns["trace_witness_product"] = np.einsum("ij,kji->k", w, products).real
+        columns["lambda_max_witness_state"] = spectra.witness_max(w)
     columns["p_window"], columns["q_window"] = (
-        np.column_stack(edges) for edges in _genuine_windows(spectra, routes))
+        np.column_stack(edges) for edges in _genuine_windows(family, spectra, columns))
     return columns
 
 
@@ -502,22 +502,19 @@ def reproduce_closed_forms(family: int) -> list[ClosedFormCheck]:
     """Compare every listed closed form with the general route on a grid.
 
     Returns one check per quantity with the grid-wide maximum absolute
-    deviation (window quantities take the worse endpoint), each reduced
-    from the quantity's whole grid at once.
+    deviation (window quantities take the worse endpoint). Both sides are
+    evaluated once on the whole grid, as arrays, and each deviation is
+    reduced by one max.
     """
     if family not in CLOSED_FORM_RANGES:
         raise ValueError(f"no such family index: {family!r}")
-    low, high = CLOSED_FORM_RANGES[family]
-    grid = np.linspace(low, high, GRID_POINTS).tolist()
+    grid = np.linspace(*CLOSED_FORM_RANGES[family], GRID_POINTS)
     general = _closed_forms_general(family, grid)
-    printed = [_closed_form_printed(family, param) for param in grid]
-    checks = []
-    for name in _QUANTITIES:
-        if name in printed[0]:
-            listed = np.array([point[name] for point in printed])
-            checks.append(ClosedFormCheck(family, name,
-                                          float(np.max(np.abs(listed - general[name])))))
-    return checks
+    listed = _closed_form_printed(family, grid)
+    # transposed, a listed (lower, upper) window holds one row per point, as general's does
+    return [ClosedFormCheck(family, name,
+                            float(np.max(np.abs(np.transpose(listed[name]) - general[name]))))
+            for name in _QUANTITIES if name in listed]
 
 
 # ---------------------------------------------------------------------------

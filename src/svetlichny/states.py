@@ -331,34 +331,20 @@ def make_reference(name: str) -> DensityMatrix:
     raise UnknownNameError(f"unknown reference state {name!r}; pick from {REFERENCE_NAMES}")
 
 
-def example_reduced(family: str, param: float) -> DensityMatrix:
-    """The designated two-qubit reduced state each family's analysis uses:
-    example_reductions on a list of one.
-
-    For four of the five families this is literally the partial trace over
-    the complement of EXAMPLE_PAIRS[family]. The maximal-slice family is
-    the exception: its designated matrix
-
-        [[1/2, 0, 0, cos(theta)],
-         [0,   0, 0, 0],
-         [0,   0, 0, 0],
-         [cos(theta), 0, 0, 1/2]]
-
-    is not the partial trace of the three-qubit state over any single
-    qubit (the true reductions carry cos(theta)/2 in the corner or are
-    separable); it is the matrix the family's published analysis is built
-    on, and it is only positive semidefinite for theta >= pi/3. We expose
-    it as given so the downstream quantities reproduce, and leave the true
-    reductions to partial_trace.
-    """
-    return example_reductions(family, [param])[0]
-
-
 def example_reductions(family: str, params) -> list[DensityMatrix]:
-    """The designated reduced state at every parameter (see example_reduced).
+    """The designated two-qubit reduced state each family's analysis uses, at every parameter.
 
-    maximal-slice's designated matrices are validated as one stack; the
-    other families reduce the states of make_examples.
+    For four of the five families this is literally the partial trace
+    over the complement of EXAMPLE_PAIRS[family] of make_examples's
+    states. The maximal-slice family is the exception: its designated
+    matrix has 1/2 at both ends of the diagonal, cos(theta) in the two
+    corners that join them, and zeros elsewhere. It is not the partial
+    trace of the three-qubit state over any single qubit (the true
+    reductions carry cos(theta)/2 in the corner or are separable); it is
+    the matrix the family's published analysis is built on, and it is only
+    positive semidefinite for theta >= pi/3. We expose it as given,
+    validated as one stack, so the downstream quantities reproduce, and
+    leave the true reductions to partial_trace.
     """
     if family != FAMILY_MAXIMAL_SLICE:
         return [reduce_to_pair(rho, EXAMPLE_PAIRS[family]) for rho in make_examples(family, params)]

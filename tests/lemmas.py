@@ -15,7 +15,8 @@ closed_form_general and table_scans are the other kind of oracle: the
 general route of the closed-form check and the weight and strength scans
 of a table row, written one grid point at a time through the package's
 scalar formulas (make_example, pair_spectra, the record's methods), against
-which the package's array evaluations are compared.
+which the package's array evaluations are compared. example_reduced is
+their one-parameter designated reduction.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def sandwich(m, n) -> tuple[float, float, float]:
     return float(values[0]) * tn, float(np.trace(m @ n).real), float(values[-1]) * tn
 
 
+def example_reduced(family: str, param: float):
+    """The designated reduced state at one parameter: states.example_reductions on a list of one."""
+    return states.example_reductions(family, [param])[0]
+
+
 def closed_form_general(family: int, param: float) -> dict:
     """Every listed quantity of one closed-form grid point, from its own state and record.
 
@@ -104,7 +110,7 @@ def closed_form_general(family: int, param: float) -> dict:
     name = states.FAMILIES[family - 1]
     pair = states.EXAMPLE_PAIRS[name]
     rho = states.make_example(name, param)
-    reduced = (states.example_reduced(name, param) if name == states.FAMILY_MAXIMAL_SLICE
+    reduced = (example_reduced(name, param) if name == states.FAMILY_MAXIMAL_SLICE
                else states.reduce_to_pair(rho, pair))
     w = reproduce._family_witness(family)
     spectra = pair_spectra(rho, reduced, pair)
@@ -139,7 +145,7 @@ def table_scans(which: int, row) -> tuple[float, tuple[float, float] | None]:
     wr_max = qs.get("lambda_max_witness_state")
     k = qs["trace_witness_product"] / (4.0 * qs["negativity"])
     p_max = nonlocality.p_max_optimal(
-        states.example_reduced(states.FAMILIES[which - 1], row.parameter))
+        example_reduced(states.FAMILIES[which - 1], row.parameter))
     cap = nonlocality.r_cap(k, p_max)
     band = reproduce.STRENGTH_BANDS[which]
     weight_band = reproduce.WEIGHT_BANDS.get(which)

@@ -227,7 +227,7 @@ class TestCriterion7:
         points = 0
         for family, (lo, hi) in grids.items():
             for param in np.linspace(lo, hi, 50):
-                reduced = states.example_reduced(family, float(param))
+                reduced = lemmas.example_reduced(family, float(param))
                 k = nonlocality.k_value(reduced, XY)
                 k_lo = lemmas.k_lower_bound(reduced, XY)
                 k_hi = lemmas.k_upper_bound(reduced, XY)

@@ -43,6 +43,7 @@ from svetlichny.nonlocality import (
     undetected_strength,
 )
 from conftest import random_pure, random_state
+import lemmas
 from test_states import oracle_partial_transpose
 
 XY = operators.plane_witness("xy")
@@ -177,7 +178,7 @@ class TestEmbedding:
         # the listed product spectra that disagree with product_spectrum
         # are wrong about this operator, not the general route
         rho = states.make_example(family, param)
-        reduced = states.example_reduced(family, param)
+        reduced = lemmas.example_reduced(family, param)
         pair = states.EXAMPLE_PAIRS[family]
         raw = np.linalg.eigvals(rho.matrix @ _kron_embed(reduced.matrix, pair))
         spec = product_spectrum(rho, reduced, pair)
@@ -320,7 +321,7 @@ class TestUndetectedRoute:
         assert inter["H"] == pytest.approx(-0.7999096086713142, abs=1e-12)
         assert inter["F"] == pytest.approx(1.697542732653113, abs=1e-12)
         assert inter["k"] == pytest.approx(0.2417860474608272, abs=1e-13)
-        rho5 = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
+        rho5 = lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         default_r = undetected_strength(k_value(rho5, XY), p_max_optimal(rho5)).r
         assert inter["r"] == pytest.approx(default_r, abs=1e-15)
 
@@ -338,7 +339,7 @@ class TestUndetectedRoute:
     def test_default_r_used_when_unset(self):
         _, _, rep = _f5_report()
         inter = rep.intermediates
-        rho5 = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
+        rho5 = lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         default_r = undetected_strength(k_value(rho5, XY), p_max_optimal(rho5)).r
         assert inter["r"] == pytest.approx(default_r, abs=1e-15)
         # the reported strength is S_NL_new at that weight
@@ -358,7 +359,7 @@ class TestUndetectedRoute:
 
     def test_genuine_p_window_tracks_h_sign(self):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        reduced = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
+        reduced = lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         strength = s_nl_new(reduced, XY, 0.0)
         spectra = pair_spectra(rho, reduced)
         wr_max = spectra.witness_max(XY)
@@ -521,7 +522,7 @@ class TestRoutesCache:
 
     def test_equal_witnesses_share_one_evaluation(self, solves):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        spectra = pair_spectra(rho, states.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
+        spectra = pair_spectra(rho, lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
         solves.clear()
         first = spectra.routes(XY)
         assert spectra.routes(XY.copy()) is first
@@ -530,7 +531,7 @@ class TestRoutesCache:
 
     def test_witness_changed_in_place_is_evaluated_again(self, solves):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        spectra = pair_spectra(rho, states.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
+        spectra = pair_spectra(rho, lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
         witness = XY.copy()
         first = spectra.routes(witness)
         solves.clear()

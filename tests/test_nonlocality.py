@@ -25,7 +25,7 @@ XZ = operators.plane_witness("xz")
 
 
 def _reduced(family, param):
-    return states.example_reduced(family, param)
+    return lemmas.example_reduced(family, param)
 
 
 class TestCorrelationMatrix:
@@ -113,6 +113,15 @@ class TestDetectedStrength:
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)
         assert not nonlocality.is_detected(rho, XY)
         assert nonlocality.s_nl_detected(rho, XY) == 0.0
+
+    def test_s_nl_from_pairing_is_s_nl_detected_elementwise(self):
+        # xz misses pure-W-class-1's pair at 0.5 and detects it at 0.92 and 0.94
+        rhos = states.example_reductions(states.FAMILY_PURE_W1, (0.5, 0.92, 0.94))
+        pairings = np.einsum("ij,kji->k", XZ, np.array([rho.matrix for rho in rhos])).real
+        s_nl = nonlocality.s_nl_from_pairing(pairings)
+        assert s_nl.tolist() == [nonlocality.s_nl_detected(rho, XZ) for rho in rhos]
+        assert s_nl[0] == 0.0 < s_nl[1] < s_nl[2]
+        assert type(nonlocality.s_nl_detected(rhos[1], XZ)) is float
 
 
 class TestKValue:

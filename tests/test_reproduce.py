@@ -99,7 +99,7 @@ class TestFrozenDeltas:
         band = reproduce.STRENGTH_BANDS[which]
         weights = reproduce.WEIGHT_BANDS.get(which, (0.0, 1.0))
         for row in tables[which]:
-            reduced = states.example_reduced(states.FAMILIES[which - 1], row.parameter)
+            reduced = lemmas.example_reduced(states.FAMILIES[which - 1], row.parameter)
             k = nonlocality.k_value(reduced, operators.plane_witness("xy"))
             p_max = nonlocality.p_max_optimal(reduced)
             in_band = [r for r in row.scan.grid
@@ -193,6 +193,49 @@ class TestClosedFormGrid:
             point = {name: tuple(column[i].tolist()) if column.ndim == 2 else column[i]
                      for name, column in columns.items()}
             assert point == lemmas.closed_form_general(family, param), (family, param)
+
+
+class TestRegime:
+    """_DETECTED, each family's hard-coded regime, is the one its witness gives."""
+
+    @pytest.mark.parametrize("family", range(1, 6))
+    def test_detected_families_are_the_ones_the_witness_detects(self, family):
+        # every table row and every closed-form grid point
+        params = [row[0] for row in reproduce.TABLES[family]] + np.linspace(
+            *reproduce.CLOSED_FORM_RANGES[family], reproduce.GRID_POINTS).tolist()
+        witness = reproduce._family_witness(family)
+        reductions = states.example_reductions(states.FAMILIES[family - 1], params)
+        for param, reduced in zip(params, reductions, strict=True):
+            assert nonlocality.is_detected(reduced, witness) == (
+                family in reproduce._DETECTED), (family, param)
+
+
+class TestListedGrid:
+    """The listed closed forms are evaluated once per grid, as arrays."""
+
+    @pytest.mark.parametrize("family", range(1, 6))
+    def test_grid_is_within_two_ulp_of_each_point(self, family):
+        # numpy's array power and a Python float's ** n can differ in the last bit
+        grid = np.linspace(*reproduce.CLOSED_FORM_RANGES[family], reproduce.GRID_POINTS)
+        listed = reproduce._closed_form_printed(family, grid)
+        points = [reproduce._closed_form_printed(family, x) for x in grid.tolist()]
+        assert {"p_window", "q_window"} <= set(listed)
+        for name, values in listed.items():
+            # a window is a (lower, upper) pair; per point, one row of the transpose
+            expected = np.array([point[name] for point in points])
+            got = np.broadcast_to(np.transpose(values), expected.shape)
+            np.testing.assert_array_max_ulp(got, expected, maxulp=2)
+
+    def test_each_family_builds_its_listed_forms_once(self, monkeypatch):
+        calls = []
+        for family, build in list(reproduce._PRINTED.items()):
+            def counted(param, family=family, build=build):
+                calls.append(family)
+                return build(param)
+            monkeypatch.setitem(reproduce._PRINTED, family, counted)
+        for family in range(1, 6):
+            reproduce.reproduce_closed_forms(family)
+        assert calls == [1, 2, 3, 4, 5]
 
 
 class TestScans:
@@ -307,7 +350,7 @@ class TestErratumReasons:
             lo, hi = listed.bounds(listed.detected(0.0033), p, q)
             assert abs(lo - ref_lo) <= tol, (param, lo, ref_lo)
             assert abs(hi - ref_hi) <= tol, (param, hi, ref_hi)
-            reduced = states.example_reduced(family, param)
+            reduced = lemmas.example_reduced(family, param)
             assert nonlocality.is_detected(reduced, witness)
             spectra = pair_spectra(states.make_example(family, param), reduced,
                                    states.EXAMPLE_PAIRS[family])
@@ -327,7 +370,7 @@ class TestErratumReasons:
     def test_table5_strength_tops_out_below_band(self, row):
         # for P_max < 3/4 the strength falls with r, so r = 0 gives its
         # largest admissible value K
-        reduced = states.example_reduced(states.FAMILY_IDENTITY_W, row[0])
+        reduced = lemmas.example_reduced(states.FAMILY_IDENTITY_W, row[0])
         witness = operators.plane_witness("xy")
         k = nonlocality.k_value(reduced, witness)
         p_max = nonlocality.p_max_optimal(reduced)
@@ -346,7 +389,7 @@ class TestErratumReasons:
         for lam in np.linspace(*reproduce.CLOSED_FORM_RANGES[1], 10):
             lam2 = lam ** 2
             top = product_spectrum(states.make_example(family, lam),
-                                   states.example_reduced(family, lam),
+                                   lemmas.example_reduced(family, lam),
                                    pair)[-1]
             assert top == pytest.approx((lam2 + 0.09) ** 2 + (0.91 - lam2) ** 2,
                                         abs=1e-12)
@@ -405,7 +448,7 @@ class TestBandConstants:
     def test_family5_band_unreachable(self):
         # the replacement strength tops out at K (r = 0), far below the
         # stated band floor, which is why every table-5 row is discrepant
-        reduced = states.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
+        reduced = lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         w = operators.plane_witness("xy")
         k = nonlocality.k_value(reduced, w)
         assert k < reproduce.STRENGTH_BANDS[5][0]

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from svetlichny import linalg, states
 from conftest import random_density, random_product_two_qubit, random_pure, random_state
+import lemmas
 
 
 def oracle_partial_trace(matrix: np.ndarray, traced: int) -> np.ndarray:
@@ -136,8 +137,8 @@ class TestValidateStack:
         lo, hi = states.FAMILY_RANGES[family]
         grid = np.linspace(lo, hi, 9)[1:-1].tolist()
         for build, builds in ((states.make_example, states.make_examples),
-                              (states.example_reduced, states.example_reductions)):
-            if family == states.FAMILY_MAXIMAL_SLICE and build is states.example_reduced:
+                              (lemmas.example_reduced, states.example_reductions)):
+            if family == states.FAMILY_MAXIMAL_SLICE and build is lemmas.example_reduced:
                 grid = [x for x in grid if x >= np.pi / 3]
             for param, member in zip(grid, builds(family, grid), strict=True):
                 single = build(family, param)
@@ -291,7 +292,7 @@ class TestExampleFamilies:
 class TestDesignatedReduction:
     def test_maximal_slice_uses_designated_matrix(self):
         theta = 1.2
-        reduced = states.example_reduced(states.FAMILY_MAXIMAL_SLICE, theta)
+        reduced = lemmas.example_reduced(states.FAMILY_MAXIMAL_SLICE, theta)
         m = reduced.matrix
         assert m[0, 0].real == pytest.approx(0.5, abs=1e-12)
         assert m[3, 3].real == pytest.approx(0.5, abs=1e-12)
@@ -300,7 +301,7 @@ class TestDesignatedReduction:
 
     def test_other_families_match_true_partial_trace(self):
         rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
-        reduced = states.example_reduced(states.FAMILY_GHZ_W_CONVEX, 0.6)
+        reduced = lemmas.example_reduced(states.FAMILY_GHZ_W_CONVEX, 0.6)
         traced = states.partial_trace(rho, "A")
         assert np.allclose(reduced.matrix, traced.matrix, atol=1e-13)
 

@@ -21,7 +21,9 @@ The set:
   (`default_rng(2024)`, 20 each of ranks 1, 2, 3, 4 and 8, read from
   matrix files), each with default flags, `--pair AC`,
   `--pair AB --witness xz` and `--witness yz`: 1,968 calls;
-- `reproduce --table all --erratum`;
+- `reproduce --table all --erratum`, and `reproduce --table 3` and
+  `reproduce --table 5` without `--erratum` (one printed table alone,
+  whose rows read their P_max from one stack);
 - `optimize` in text and JSON on the 14 cases of the benchmark's
   optimize workload (both backends, 4 restarts, seed 1729);
 - `optimize --target chsh` in text and JSON, with default flags, on 20
@@ -136,6 +138,8 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
                               ["analyze", *state, *flags, "--format", fmt]))
     calls.append(("reproduce/all-erratum", ["reproduce", "--table", "all", "--out", "tables",
                                             "--erratum", "tables/erratum.json"]))
+    for table in ("3", "5"):
+        calls.append((f"reproduce/table-{table}", ["reproduce", "--table", table, "--out", "tables"]))
     for k, (target, state) in enumerate(OPTIMIZE_CASES):
         for backend in BACKENDS:
             for fmt in ("text", "json"):
