@@ -47,11 +47,10 @@ from .nonlocality import (
     NonlocalityError,
     NEG_TOL,
     _anywhere,
-    is_detected,
     k_from_negativity,
     p_max_optimal,
     positive_k,
-    s_nl_detected,
+    s_nl_from_pairing,
     undetected_strength,
 )
 from .operators import PLANES, plane_witness, witness_matrix
@@ -324,8 +323,9 @@ class PairSpectra:
         w = np.asarray(witness, dtype=complex)
         key = w.tobytes()
         if key not in self._routes:
-            if is_detected(self.reduced, w):
-                routes = self.detected(s_nl_detected(self.reduced, w))
+            pairing = linalg.trace_product(w, self.reduced.matrix)
+            if pairing < 0.0:
+                routes = self.detected(float(s_nl_from_pairing(pairing)))
             else:
                 k = positive_k(k_from_negativity(self.reduced, w, self.negativity))
                 routes = self.undetected(k, self.witness_max(w))

@@ -15,7 +15,10 @@ name, or a matrix file. The file grammar is one header line "dim N",
 then N rows of N whitespace-separated "re,im" tokens; '#' starts a
 comment. Parse failures exit 64, semantically invalid inputs exit 65.
 The parser is built once, at import, and main dispatches on the command
-name to the module's cmd_* function.
+name to the module's cmd_* function. The reproduce module is imported by
+cmd_reproduce on the first reproduce command, not here: analyze and
+optimize never read it, and compiling and running it would cost each of
+their calls several milliseconds.
 
 The certificate section of analyze evaluates its bounds at the midpoints
 of the genuine windows (falling back to 0.5 where a window is empty), so
@@ -35,7 +38,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import operators, reproduce, states
+from . import operators, states
 from .bounds import (CANDIDATE_ERRORS, SEARCH_ORDER, Window, midpoint_report, pair_records,
                      search_records)
 from .operators import OperatorError
@@ -345,6 +348,8 @@ def cmd_optimize(args) -> int:
 # reproduce
 
 def cmd_reproduce(args) -> int:
+    from . import reproduce
+
     every = sorted(reproduce.TABLES)
     shown = every if args.table == "all" else [int(args.table)]
     os.makedirs(args.out, exist_ok=True)

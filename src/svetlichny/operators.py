@@ -33,6 +33,9 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True)
 class UnitVector3:
+    """A measurement direction: a vector of R^3 whose squared length is 1
+    within UNIT_TOL, checked on construction."""
+
     x: float
     y: float
     z: float
@@ -56,6 +59,9 @@ class UnitVector3:
 
 @dataclass(frozen=True)
 class SvetlichnySettings:
+    """The six directions of a Svetlichny test: a, a' for party A, b, b'
+    for B and c, c' for C."""
+
     a: UnitVector3
     a_prime: UnitVector3
     b: UnitVector3

@@ -79,6 +79,12 @@ class UnknownNameError(StateError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
+    """A state of `qubits` qubits as its 2^qubits square complex matrix.
+
+    validate and the reductions build it from a matrix already checked or
+    derived from a checked one; the constructor itself checks nothing.
+    """
+
     qubits: int
     matrix: np.ndarray
 

@@ -100,6 +100,38 @@ class TestParserReuse:
         capsys.readouterr()
 
 
+class TestImportOnDemand:
+    """analyze and optimize leave the reproduce module unimported; the first
+    reproduce command imports it."""
+
+    # the modules the benchmark reads from sys.modules right after importing cli
+    EAGER = ("bounds", "optimize", "operators", "states", "nonlocality")
+
+    def test_only_reproduce_imports_reproduce(self, tmp_path):
+        out = tmp_path / "reports"
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from svetlichny import cli\n"
+            "def loaded():\n"
+            "    return sorted(name for name in sys.modules if name.startswith('svetlichny.'))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['analyze', '--ref', 'GHZ']),\n"
+            "             cli.main(['optimize', '--ref', 'GHZ', '--restarts', '2'])]\n"
+            "    before = loaded()\n"
+            f"    codes.append(cli.main(['reproduce', '--table', '1', '--out', {str(out)!r}]))\n"
+            "print(json.dumps({'codes': codes, 'before': before, 'after': loaded()}))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["codes"] == [2, 0, 0]
+        assert "svetlichny.reproduce" not in seen["before"]
+        assert {f"svetlichny.{name}" for name in self.EAGER} <= set(seen["before"])
+        assert "svetlichny.reproduce" in seen["after"]
+        assert (out / "table_1.txt").exists()
+        assert (out / "table_1.csv").exists()
+
+
 def _child_env() -> dict:
     """The environment with this checkout's package first on PYTHONPATH, for a child
     interpreter that may start elsewhere."""
