@@ -27,9 +27,13 @@ at) and the step halved until the value rises. The coordinate backend
 exploits multilinearity directly: freezing the other parties leaves a
 linear functional of one party's two vectors, maximized by its two
 normalized coefficient rows, which never read that party's own vectors;
-a sweep updates one party at a time. It can end slightly below the
-gradient backend, and on ridge states it stops at its cap of 500
-sweeps, which restarts_capped reports.
+a sweep updates one party at a time, A, then B, then C. One pair block,
+K contracted with x_C, serves A and B: A's rows are the block times x_B,
+then B's rows are its transpose times A's new vectors. One more
+contraction gives C's rows, and C's rows dotted with C's new vectors are
+the sweep's value, so a sweep evaluates no separate energy. It can end
+slightly below the gradient backend, and on ridge states it stops at its
+cap of 500 sweeps, which restarts_capped reports.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
@@ -132,13 +136,22 @@ class _Multilinear:
         # party p's axis first, the others in order after it
         self._facing = [np.moveaxis(self._tensor, p, 0).reshape(-1, 6) for p in range(n)]
 
+    def _contract(self, x: np.ndarray, p: int, parties) -> np.ndarray:
+        """K with party p's axis first, contracted with `parties` (the last first)
+        of the (restarts, n, 6) stacked vectors x."""
+        out = self._facing[p]
+        for q in reversed(parties):
+            out = (out @ x[:, q, :, None]).reshape(len(x), -1, 6)
+        return out
+
     def _party(self, x: np.ndarray, p: int) -> np.ndarray:
         """Party p's two rows, (restarts, 6), from (restarts, n, 6) stacked vectors."""
-        out = self._facing[p]
-        for q in reversed(range(self.degree)):
-            if q != p:
-                out = (out @ x[:, q, :, None]).reshape(len(x), -1, 6)
-        return out[:, 0]
+        return self._contract(x, p, [q for q in range(self.degree) if q != p])[:, 0]
+
+    def pair_block(self, x: np.ndarray) -> np.ndarray:
+        """K contracted with every party after the first two, (restarts, 6, 6)
+        from (restarts, n, 6) stacked vectors; K itself, (6, 6), for two parties."""
+        return self._contract(x, 0, range(2, self.degree))
 
     def energy(self, vectors: np.ndarray) -> np.ndarray:
         x = vectors.reshape(len(vectors), -1, 6)
@@ -285,30 +298,49 @@ def _gradient_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATI
     return _batch(energy, vectors, used, stopped)
 
 
+def _normalize(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write one party's two normalized rows into its (restarts, 2, 3) vectors,
+    leaving a vector whose row vanishes as it was."""
+    rows = rows.reshape(out.shape)
+    norm = _norms(rows, axis=2)
+    np.divide(rows, norm, out=out, where=norm > 1e-14)
+
+
 def _coordinate_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATIONS) -> _Batch:
-    """Sweep the parties, replacing both vectors of each by their normalized rows."""
+    """Sweep the parties, replacing both vectors of each by their normalized rows.
+
+    The first two parties read their rows off one pair block (for CHSH, K
+    itself), each later party off one coefficient_gradients call, and the
+    sweep's value is the last party's rows dotted with its new vectors.
+    The live restarts are updated in place; one that stops is written out
+    and leaves the batch.
+    """
     count = len(vectors)
-    vectors = vectors.copy()
     energy = objective.energy(vectors)
-    used = np.zeros(count, dtype=int)
+    used = np.full(count, max_iterations)
     stopped = np.zeros(count, dtype=bool)
-    live = np.arange(count)
-    for sweep in range(max_iterations):
-        used[live] = sweep + 1
-        batch = vectors[live]
-        for party in range(objective.degree):
-            coefficient = objective.coefficient_gradients(batch, party=party)
-            norm = _norms(coefficient, axis=2)
-            np.divide(coefficient, norm, out=batch[:, 2 * party:2 * party + 2],
-                      where=norm > 1e-14)
-        improved = objective.energy(batch)
-        vectors[live] = batch
-        flat = improved - energy[live] < _TOL
-        energy[live] = improved
-        stopped[live[flat]] = True
-        live = live[~flat]
-        if live.size == 0:
-            break
+    live, batch, current = np.arange(count), vectors.copy(), energy
+    vectors = np.empty_like(batch)
+    for sweep in range(1, max_iterations + 1):
+        x = batch.reshape(len(batch), -1, 6)
+        block = objective.pair_block(x)
+        _normalize(block @ x[:, 1, :, None], batch[:, 0:2])
+        rows = x[:, 0, None] @ block
+        _normalize(rows, batch[:, 2:4])
+        for party in range(2, objective.degree):
+            rows = objective.coefficient_gradients(batch, party=party)
+            _normalize(rows, batch[:, 2 * party:2 * party + 2])
+        improved = _dot(rows, batch[:, -2:])
+        flat = improved - current < _TOL
+        current = improved
+        if flat.any():
+            done = live[flat]
+            vectors[done], energy[done], used[done] = batch[flat], current[flat], sweep
+            stopped[done] = True
+            live, batch, current = (a[~flat] for a in (live, batch, current))
+            if live.size == 0:
+                break
+    vectors[live], energy[live] = batch, current
     return _batch(energy, vectors, used, stopped)
 
 

@@ -296,6 +296,19 @@ class TestConvergence:
         assert len(opt.restart_values) == DEFAULT_RESTARTS == 64
         assert opt.restarts_capped == 0
 
+    @pytest.mark.parametrize("family, param, capped, gap", [
+        (states.FAMILY_GHZ_W_CONVEX, 0.525, 64, 1.76e-6),
+        (states.FAMILY_MAXIMAL_SLICE, 1.3, 63, 1.8e-7),
+    ], ids=["GHZ-W-convex-0.525", "maximal-slice-1.3"])
+    def test_coordinate_backend_on_the_ridge_stops_short(self, family, param, capped, gap):
+        # the README's figures: at the default restarts the coordinate
+        # backend hits its cap and ends this far below the gradient backend
+        rho = states.make_example(family, param)
+        coordinate = maximize_svetlichny(rho, backend="coordinate")
+        assert len(coordinate.restart_values) == DEFAULT_RESTARTS
+        assert coordinate.restarts_capped == capped
+        assert maximize_svetlichny(rho).value - coordinate.value == pytest.approx(gap, rel=0.05)
+
 
 class TestPhysicalCeilings:
     def test_never_exceeds_quantum_bound(self, rng):
@@ -399,19 +412,41 @@ class TestKernels:
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_coordinate_sweep_matches_vector_at_a_time_oracle(self, kind):
         # both vectors of a party are replaced from one call; the oracle
-        # replaces one vector at a time, each from freshly computed rows
-        make, shape, _, gradients = KERNELS[kind]
+        # replaces one vector at a time, each from freshly computed rows.
+        # The sweep reads its value off the last party's rows, the oracle
+        # evaluates the energy at its swept vectors.
+        make, shape, energy, gradients = KERNELS[kind]
         rng = np.random.default_rng(53)
         tensor = rng.normal(size=shape)
         objective = make(tensor)
         starts = _unit_vectors(rng, (5, objective.n_vectors))
-        swept = optimize._coordinate_ascent(objective, starts, 1).vectors
-        for start, got in zip(starts, swept):
+        swept = optimize._coordinate_ascent(objective, starts, 1)
+        assert (swept.used == 1).all()
+        for start, got, value in zip(starts, swept.vectors, swept.values):
             expected = start.copy()
             for i in range(len(expected)):
                 row = gradients(tensor, expected)[i]
                 expected[i] = row / np.linalg.norm(row)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            assert value == pytest.approx(energy(tensor, expected), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_coordinate_sweep_keeps_vectors_whose_rows_vanish(self, kind):
+        # T = e_z (x) e_z (x) ... has no term in the xy-plane, so from starts
+        # there every row vanishes and the norm guard keeps every vector
+        make, shape, _, _ = KERNELS[kind]
+        tensor = np.zeros(shape)
+        tensor[(2,) * len(shape)] = 1.0
+        objective = make(tensor)
+        starts = np.random.default_rng(59).normal(size=(5, objective.n_vectors, 3))
+        starts[..., 2] = 0.0
+        starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
+        swept = optimize._coordinate_ascent(objective, starts)
+        assert swept.vectors.tobytes() == starts.tobytes()
+        assert (swept.values == 0.0).all()
+        assert (swept.used == 1).all()
+        assert swept.converged is True
+        assert not swept.capped.any()
 
 
 class TestBatch:

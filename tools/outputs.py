@@ -31,8 +31,11 @@ The set:
   and 4, read from matrix files): 40 calls;
 - in text and JSON, `optimize --ref Bell-Phi+ --target chsh --restarts 0
   --seed -1` (flags the exact target ignores), `optimize --ref GHZ` with
-  default flags (the default restart count) and `analyze --ref GHZ
-  --param 0.5` (a parameter without a family).
+  default flags (the default restart count), `optimize --backend
+  coordinate` at the default restart count on the ridge states
+  GHZ-W-convex 0.525 and maximal-slice 1.3 (where restarts stop at the
+  sweep cap) and `analyze --ref GHZ --param 0.5` (a parameter without a
+  family).
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ EXTRA_CASES = (
     ("optimize/chsh-ignored-flags", ["optimize", "--ref", "Bell-Phi+", "--target", "chsh",
                                      "--restarts", "0", "--seed", "-1"]),
     ("optimize/GHZ-default", ["optimize", "--ref", "GHZ"]),
+    ("optimize/GHZ-W-convex-0.525-coordinate-default",
+     ["optimize", "--family", "GHZ-W-convex", "--param", "0.525", "--backend", "coordinate"]),
+    ("optimize/maximal-slice-1.3-coordinate-default",
+     ["optimize", "--family", "maximal-slice", "--param", "1.3", "--backend", "coordinate"]),
     ("analyze/GHZ-param", ["analyze", "--ref", "GHZ", "--param", "0.5"]),
 )
 
