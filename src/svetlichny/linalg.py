@@ -7,8 +7,19 @@ the kernel's own gates: inputs must be square, finite, at most MAX_DIM
 wide and Hermitian to HERMITICITY_TOL, because eigh reads only one
 triangle and would silently diagonalize a non-Hermitian input. The gates
 and the solver also take a (k, n, n) stack, checked once as a whole, so
-that a caller with several small matrices pays for one gated call. A
-spectrum is an ascending float array, its extremes at [0] and [-1];
+that a caller with several small matrices pays for one gated call.
+
+Each gate reads its matrix in one pass. A NaN or Inf entry makes the
+hermiticity residual, or the trace pairing, non-finite, so the
+finiteness check runs only once that one pass has failed; whichever
+pass fails, the errors come in the same order: DimensionMismatchError
+for a shape, then LinalgError for a non-finite entry, then
+NotHermitianError, then DimensionMismatchError above MAX_DIM and
+NoConvergenceError from LAPACK. A caller that has symmetrized a matrix
+already (states.validate) hands it to _eigh, the solver's LAPACK step,
+so that no matrix passes the gates twice.
+
+A spectrum is an ascending float array, its extremes at [0] and [-1];
 congruence_eigenvalues solves the spectrum of a product rho X, rho PSD,
 as that of rho^{1/2} X rho^{1/2}. Several quantities later on (first
 nonzero eigenvalue, window endpoints) sit close to zero, so
@@ -46,19 +57,23 @@ class DimensionMismatchError(LinalgError):
 
 
 def _as_square(m) -> np.ndarray:
-    """A square matrix or a (k, n, n) stack of them, as complex, all entries finite."""
+    """A square matrix or a (k, n, n) stack of them, as complex; entries unchecked."""
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
             f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise LinalgError("matrix contains NaN or Inf entries")
     return a
 
 
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise LinalgError("matrix contains NaN or Inf entries")
+
+
 def _as_matrix(m) -> np.ndarray:
-    """_as_square for the operations defined on a single matrix only."""
+    """A single square matrix, as complex, all entries finite."""
     a = _as_square(m)
+    _check_finite(a)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -77,9 +92,11 @@ def symmetrize(m) -> np.ndarray:
     and gets averaged away.
     """
     a = _as_square(m)
-    adjoint = np.swapaxes(a, -1, -2).conj()
-    residual = np.max(np.abs(a - adjoint))
-    if residual > HERMITICITY_TOL:
+    adjoint = a.swapaxes(-1, -2).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf, answered by the finiteness check
+        residual = np.abs(a - adjoint).max()
+    if not residual <= HERMITICITY_TOL:
+        _check_finite(a)
         raise NotHermitianError(f"hermiticity residual {residual:.3e} exceeds {HERMITICITY_TOL:.0e}")
     return (a + adjoint) / 2
 
@@ -92,7 +109,11 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     and one matrix of vectors per member. A LAPACK failure to converge is
     reported as NoConvergenceError.
     """
-    a = symmetrize(m)
+    return _eigh(symmetrize(m))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eigensystem of what symmetrize returned: the size cap and LAPACK alone."""
     n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatchError(f"kernel handles dimensions <= {MAX_DIM}, got {n}")
@@ -117,10 +138,19 @@ def trace_product(a, b) -> float:
     """Re Tr[a b] via the entrywise pairing sum(a[i,j] b[j,i]).
 
     Never forms the product matrix; for Hermitian inputs the imaginary
-    part is pure roundoff and is discarded.
+    part is pure roundoff and is discarded. Each entry of a meets one of
+    b in the pairing, so a non-finite entry leaves it non-finite: the
+    operands' gates run only when the pairing is not finite or a shape
+    is wrong, and finite operands whose pairing overflows give inf.
     """
-    am = _as_matrix(a)
-    bm = _as_matrix(b)
+    am = np.asarray(a, dtype=complex)
+    bm = np.asarray(b, dtype=complex)
+    if am.ndim == 2 and am.shape[0] == am.shape[1] and am.shape == bm.shape:
+        pairing = np.einsum("ij,ji->", am, bm)
+        if np.isfinite(pairing):
+            return float(pairing.real)
+    am = _as_matrix(am)
+    bm = _as_matrix(bm)
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"trace pairing needs equal shapes, got {am.shape} vs {bm.shape}")
     return float(np.einsum("ij,ji->", am, bm).real)
@@ -150,6 +180,6 @@ def eigen_root(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     Eigenvalues inside the PSD tolerance band are clipped at zero for the
     root so that construction noise cannot turn into NaN.
     """
-    roots = np.sqrt(np.clip(values, 0.0, None))
+    roots = np.sqrt(np.maximum(values, 0.0))
     return (vectors * roots[..., None, :]) @ np.swapaxes(vectors, -1, -2).conj()
 

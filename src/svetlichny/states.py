@@ -119,6 +119,11 @@ def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     DensityMatrix per member, in a list; each member's eigensystem comes
     from one stacked solve. Any other input is a single matrix, checked as
     a stack of one.
+
+    The stack is gated once: linalg.symmetrize checks its shape,
+    finiteness and hermiticity, and the symmetrized stack goes straight
+    to the solver's LAPACK step, which keeps the MAX_DIM cap and reports
+    a LAPACK failure as NoConvergenceError.
     """
     a = np.asarray(candidate, dtype=complex)
     stack = a if a.ndim == 3 else a[None]
@@ -134,7 +139,7 @@ def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     for tr in np.trace(sym, axis1=1, axis2=2).real.tolist():
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
-    values, vectors = linalg.hermitian_eigensystem(sym)
+    values, vectors = linalg._eigh(sym)
     for lambda_min in values[:, 0].tolist():
         if lambda_min < PSD_TOL:
             raise InvalidStateError("not-psd", f"lambda_min = {lambda_min:.3e}")

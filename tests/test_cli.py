@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -67,6 +68,19 @@ class TestExitCodes:
         assert run("optimize", "--ref", "Bell-Phi+", "--target", "svetlichny") == 65
         assert run("optimize", "--ref", "GHZ", "--target", "chsh") == 65
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("token", ["inf,0.0", "nan,0.0"])
+    def test_non_finite_entry_is_sixty_five(self, tmp_path, capsys, token, cell):
+        rows = [["0.125,0.0" if i == j else "0.0,0.0" for j in range(8)] for i in range(8)]
+        rows[cell[0]][cell[1]] = token
+        bad = tmp_path / "bad.mat"
+        bad.write_text("dim 8\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--matrix", str(bad)) == 65
+        assert caught == []
+        assert capsys.readouterr().err == "error: matrix contains NaN or Inf entries\n"
 
     def test_out_of_range_family_parameter_is_sixty_five(self, capsys):
         assert run("analyze", "--family", "pure-W-class-1", "--param", "2.0") == 65

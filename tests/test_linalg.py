@@ -3,12 +3,16 @@
 The kernel's eigensolver (LAPACK behind the kernel's gates) is compared
 against numpy.linalg.eigvalsh and against a cyclic Jacobi solver kept
 here, which shares no code with LAPACK; the gates themselves (dimension,
-finiteness, hermiticity, solver failure) are exercised directly. The
-two-sided trace inequality, whose oracle lives in tests/lemmas.py, is
-exercised with hypothesis-driven PSD operands.
+finiteness, hermiticity, solver failure) are exercised directly, and
+checked against the two-pass gates they replaced, kept here as the
+reference. The two-sided trace inequality, whose oracle lives in
+tests/lemmas.py, is exercised with hypothesis-driven PSD operands.
 """
 
 from __future__ import annotations
+
+import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -320,3 +324,172 @@ class TestSymmetrize:
     def test_rejects_genuinely_asymmetric(self):
         with pytest.raises(linalg.NotHermitianError):
             linalg.symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+POISONS = (np.nan, np.inf, -np.inf)
+
+
+def _two_pass_square(m) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise linalg.DimensionMismatchError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise linalg.LinalgError("matrix contains NaN or Inf entries")
+    return a
+
+
+def _two_pass_matrix(m) -> np.ndarray:
+    a = _two_pass_square(m)
+    if a.ndim != 2:
+        raise linalg.DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def two_pass_symmetrize(m) -> np.ndarray:
+    """The reference gate: the whole input checked for finiteness, then the residual."""
+    a = _two_pass_square(m)
+    adjoint = np.swapaxes(a, -1, -2).conj()
+    residual = np.max(np.abs(a - adjoint))
+    if residual > linalg.HERMITICITY_TOL:
+        raise linalg.NotHermitianError(
+            f"hermiticity residual {residual:.3e} exceeds {linalg.HERMITICITY_TOL:.0e}")
+    return (a + adjoint) / 2
+
+
+def two_pass_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    a = two_pass_symmetrize(m)
+    n = a.shape[-1]
+    if n > linalg.MAX_DIM:
+        raise linalg.DimensionMismatchError(f"kernel handles dimensions <= {linalg.MAX_DIM}, got {n}")
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise linalg.NoConvergenceError(f"eigh did not converge: {exc}") from exc
+    return values, vectors
+
+
+def two_pass_trace_product(a, b) -> float:
+    """The reference pairing: both operands gated, in order, before the einsum."""
+    am = _two_pass_matrix(a)
+    bm = _two_pass_matrix(b)
+    if am.shape != bm.shape:
+        raise linalg.DimensionMismatchError(
+            f"trace pairing needs equal shapes, got {am.shape} vs {bm.shape}")
+    return float(np.einsum("ij,ji->", am, bm).real)
+
+
+def _gate_input(gen, shape) -> np.ndarray:
+    """A Hermitian matrix or stack of the shape (random, for a shape that is not square),
+    then one of: a NaN or Inf in the real part, the imaginary part or both, at a
+    diagonal, an off-diagonal or a mirrored pair of positions of one member; a
+    perturbation at 0.5 to 2 times HERMITICITY_TOL; a 1e300 scale; nothing."""
+    g = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    if shape[-1] == shape[-2]:
+        g = g + np.swapaxes(g, -1, -2).conj()
+    m = g * 10.0 ** int(gen.integers(-2, 3))
+    flat = m.reshape(-1, *shape[-2:])
+    member = flat[gen.integers(len(flat))]
+    n = min(shape[-2:])
+    i, j = (int(x) for x in gen.integers(n, size=2))
+    kind = gen.integers(4)
+    if kind == 0:
+        where = gen.integers(3)
+        if where == 0:
+            j = i
+        elif i == j:
+            j = (i + 1) % n
+        part = gen.integers(3)
+        for cell in ([(i, j), (j, i)] if where == 2 else [(i, j)]):
+            if part != 1:
+                member.real[cell] = gen.choice(POISONS)
+            if part != 0:
+                member.imag[cell] = gen.choice(POISONS)
+    elif kind == 1:
+        scale = gen.choice((0.5, 0.99, 1.01, 2.0))
+        member[i, j] += linalg.HERMITICITY_TOL * scale * np.exp(2j * np.pi * gen.random())
+    elif kind == 2:
+        m *= 1e300
+    return m
+
+
+def _single_shape(gen) -> tuple[int, ...]:
+    n = int(gen.choice((2, 3, 4, 8, 9)))
+    kind = gen.integers(8)
+    if kind < 4:
+        return (n, n)
+    if kind < 7:
+        return (int(gen.integers(1, 4)), n, n)
+    return (n, n + 1) if gen.integers(2) else (2, 2, n, n)
+
+
+def _operand_shapes(gen) -> list[tuple[int, ...]]:
+    n = int(gen.choice((2, 3, 4)))
+    shapes = [(n, n), (n, n)]
+    kind = gen.integers(8)
+    if kind < 3:
+        shapes[gen.integers(2)] = ((n + 1, n + 1), (2, n, n), (n, n + 1))[kind]
+    return shapes
+
+
+def _outcome(gate, *args):
+    """The exception's type and message, or the bits of the result."""
+    try:
+        result = gate(*args)
+    except Exception as exc:  # a RuntimeWarning too, raised under the "error" filter
+        return type(exc), str(exc)
+    parts = (np.asarray(part) for part in (result if isinstance(result, tuple) else (result,)))
+    return [(part.dtype.str, part.shape, part.tobytes()) for part in parts]
+
+
+class TestOnePassGates:
+    """A gate reads its matrix in one pass and checks finiteness only once that pass
+    has failed. On seeded inputs it gives what the two-pass gates give: the same
+    exception type and message, or the same result bits, and never a warning."""
+
+    CASES = 2000
+
+    def _compare(self, gate, reference, draw):
+        gen = np.random.default_rng(2028)
+        outcomes = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(self.CASES):
+                args = draw(gen)
+                got = _outcome(gate, *args)
+                assert got == _outcome(reference, *args), args
+                outcomes[got[0] if isinstance(got, tuple) else "result"] += 1
+        return outcomes
+
+    @pytest.mark.parametrize("gate, reference", [
+        (linalg.symmetrize, two_pass_symmetrize),
+        (linalg.hermitian_eigensystem, two_pass_eigensystem),
+    ], ids=["symmetrize", "hermitian_eigensystem"])
+    def test_single_matrix_gates(self, gate, reference):
+        outcomes = self._compare(gate, reference,
+                                 lambda gen: [_gate_input(gen, _single_shape(gen))])
+        assert {"result", linalg.LinalgError, linalg.NotHermitianError,
+                linalg.DimensionMismatchError} <= set(outcomes), outcomes
+
+    def test_trace_product(self):
+        outcomes = self._compare(
+            linalg.trace_product, two_pass_trace_product,
+            lambda gen: [_gate_input(gen, shape) for shape in _operand_shapes(gen)])
+        assert {"result", linalg.LinalgError,
+                linalg.DimensionMismatchError} <= set(outcomes), outcomes
+
+    def test_overflowing_pairing_is_returned(self):
+        # finite operands whose pairing overflows give inf, not a finiteness error
+        a = np.full((4, 4), 1e300 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.trace_product(a, a) == two_pass_trace_product(a, a) == np.inf
+
+    def test_eigen_root_clamps_like_clip(self):
+        values = np.array([[-0.0, 0.0, 5e-324, -5e-324, -1e-14, 0.25, np.inf, np.nan]])
+        vectors = np.eye(8)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vectors
+            got = linalg.eigen_root(values, vectors)
+        assert got.tobytes() == expected.tobytes()

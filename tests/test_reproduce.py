@@ -156,10 +156,11 @@ class TestClosedForms:
 class TestClosedFormGrid:
     """Each family's grid is validated, reduced and solved as one stack."""
 
-    # gated solves per family: the states, maximal-slice's designated
-    # matrices, the records' 4x4 stack, the products, and the witness
-    # congruences of the undetected families (150/150/250/200/200 one
-    # point at a time on the 50-point grid)
+    # stacked solves per family, counted at the kernel's LAPACK step,
+    # which validation's gated stack reaches directly: the states,
+    # maximal-slice's designated matrices, the records' 4x4 stack, the
+    # products, and the witness congruences of the undetected families
+    # (150/150/250/200/200 one point at a time on the 50-point grid)
     CALLS = {1: 3, 2: 3, 3: 5, 4: 4, 5: 4}
     # matrices per grid point, by size: what the per-point route solved,
     # less its second solve of maximal-slice's designated matrix
@@ -171,13 +172,13 @@ class TestClosedFormGrid:
     def test_solve_calls_do_not_grow_with_the_grid(self, monkeypatch, solves, family, points):
         monkeypatch.setattr(reproduce, "GRID_POINTS", points)
         calls = []
-        solver = linalg.hermitian_eigensystem
+        solver = linalg._eigh
 
         def counted(m):
             calls.append(np.shape(m))
             return solver(m)
 
-        monkeypatch.setattr(linalg, "hermitian_eigensystem", counted)
+        monkeypatch.setattr(linalg, "_eigh", counted)
         reproduce.reproduce_closed_forms(family)
         assert len(calls) == self.CALLS[family], calls
         assert dict(solves) == {size: n * points for size, n in self.PER_POINT[family].items()}

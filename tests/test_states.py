@@ -158,6 +158,53 @@ class TestValidateStack:
             states.example_reductions(family, grid)
 
 
+class TestValidateGatesOnce:
+    """validate symmetrizes its input once and hands the symmetrized stack to the
+    kernel's LAPACK step, which keeps the size cap and the solver-failure mapping."""
+
+    @pytest.fixture
+    def symmetrized(self, monkeypatch):
+        calls = []
+        symmetrize = linalg.symmetrize
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return symmetrize(m)
+
+        monkeypatch.setattr(linalg, "symmetrize", counted)
+        return calls
+
+    @pytest.mark.parametrize("members", (None, 1, 5), ids=("single", "stack-1", "stack-5"))
+    def test_symmetrizes_once_and_keeps_the_eigh_bits(self, rng, symmetrized, members):
+        if members is None:
+            candidate = random_density(rng, 8)
+            rhos = [states.validate(candidate, 3)]
+        else:
+            candidate = np.array([random_density(rng, 8) for _ in range(members)])
+            rhos = states.validate(candidate, 3)
+        assert symmetrized == [(1, 8, 8) if members is None else (members, 8, 8)]
+        for rho in rhos:
+            values, vectors = rho.eigensystem
+            want_values, want_vectors = np.linalg.eigh(rho.matrix)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(vectors, want_vectors)
+
+    def test_solver_failure_is_no_convergence(self, rng, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(linalg.NoConvergenceError):
+            states.validate(random_density(rng, 8), 3)
+        with pytest.raises(linalg.NoConvergenceError):
+            states.validate(np.array([random_density(rng, 8)] * 2), 3)
+
+    def test_four_qubits_exceed_the_kernel(self, rng):
+        with pytest.raises(linalg.DimensionMismatchError) as excinfo:
+            states.validate(random_density(rng, 16), 4)
+        assert str(excinfo.value) == f"kernel handles dimensions <= {linalg.MAX_DIM}, got 16"
+
+
 class TestPartialTrace:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
