@@ -26,6 +26,9 @@ the printed interval is always attainable by the reported parameters.
 The undetected-regime strength is printed at the default weight r, half
 its cap; the certificate reads only its K, so no weight is asked for.
 JSON output is the records: BoundsReport and Verdict, fields in declaration order.
+One writer prints every JSON text, analyze's and optimize's --format json
+and reproduce's erratum file, and its bytes are those of
+json.dumps(value, indent=2), which runs json's slower pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from math import isfinite
 
 import numpy as np
 
@@ -186,9 +190,76 @@ def _pair_arg(value: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Serialization helpers.
 
-def _fields(record) -> dict:
-    """json's default: a dataclass's fields in declaration order, TypeError for anything else."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _json_text(value) -> str:
+    """The text of json.dumps(value, indent=2), a dataclass printed as its fields.
+
+    With indent set, json runs its pure-Python encoder, whose closures also
+    leave cyclic garbage on every call; this walk writes the same bytes in
+    one list joined once. Strings are escaped by json's C function, keys
+    must be strings, and a value json cannot print raises TypeError.
+    """
+    parts = []
+    _json_parts(value, parts.append, "\n")
+    return "".join(parts)
+
+
+def _json_parts(value, put, newline: str) -> None:
+    # True and False come before int, as in json, because bool is an int.
+    # Floats and strings, the commonest values, come first: no type is
+    # both one of them and another kind json prints.
+    if isinstance(value, float):
+        if isfinite(value):
+            put(float.__repr__(value))
+        else:
+            put("NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, str):
+        put(_ESCAPE(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            put(separator)
+            separator = "," + inner
+            _json_parts(item, put, inner)
+        put(newline + "]")
+    else:
+        if not isinstance(value, dict):
+            value = _field_dict(value)
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(separator + _ESCAPE(key) + ": ")
+            separator = "," + inner
+            _json_parts(item, put, inner)
+        put(newline + "}")
+
+
+def _field_dict(record) -> dict:
+    """A dataclass's fields in declaration order, TypeError for anything else."""
+    names = _FIELD_NAMES.get(type(record))
+    if names is None:
+        names = _FIELD_NAMES[type(record)] = tuple(f.name for f in fields(record))
+    return {name: getattr(record, name) for name in names}
 
 
 def _window_str(window: Window) -> str:
@@ -234,7 +305,7 @@ def cmd_analyze(args) -> int:
             "report_error": report_error,
             "verdict": verdict,
         }
-        print(json.dumps(payload, indent=2, default=_fields))
+        print(_json_text(payload))
     elif args.format == "csv":
         window = verdict.window
         columns = (
@@ -328,7 +399,7 @@ def cmd_optimize(args) -> int:
                                 "theta": theta, "phi": phi}
                          for name, vec, theta, phi in vectors},
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"state: {label}")
         print(f"target: {args.target}")
@@ -371,8 +442,7 @@ def cmd_reproduce(args) -> int:
     if args.erratum is not None:
         forms = {family: reproduce.reproduce_closed_forms(family) for family in every}
         with open(args.erratum, "w", encoding="utf-8") as handle:
-            json.dump(reproduce.erratum_entries(tables, forms), handle, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(reproduce.erratum_entries(tables, forms)) + "\n")
         print(f"-> {args.erratum}")
     return 0
 

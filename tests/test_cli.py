@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import importlib
+import io
 import json
 import os
 import shutil
@@ -15,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svetlichny import cli, reproduce, states
-from svetlichny.bounds import BoundsReport, Verdict
+from svetlichny import cli, operators, reproduce, states
+from svetlichny.bounds import BoundsReport, Verdict, Window
 from conftest import random_density, random_pure
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -436,6 +440,119 @@ class TestReproduceCommand:
         assert "table 3 " in capsys.readouterr().out
         assert not (tmp_path / "3" / "table_1.txt").exists()
         assert (tmp_path / "3.json").read_bytes() == (tmp_path / "all.json").read_bytes()
+
+
+def _fields(record) -> dict:
+    """json's default for the oracle: a dataclass's fields in declaration order."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+_CHARACTERS = st.one_of(st.characters(),
+                        st.sampled_from("\ud800\udbff\udc00\udfff\"\\/\x00\x1f\x7f\n\té€😀"))
+_TEXT = st.text(_CHARACTERS, max_size=8)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
+    st.floats().map(np.float64),
+)
+_SCALARS = st.one_of(_TEXT, st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+                     st.booleans(), st.none(), _FLOATS)
+_WINDOWS = st.builds(Window, _FLOATS, _FLOATS)
+
+
+def _records(children):
+    reports = st.builds(BoundsReport, _TEXT, _FLOATS, _FLOATS, _FLOATS, _FLOATS,
+                        _WINDOWS, _WINDOWS, _WINDOWS, _WINDOWS,
+                        st.dictionaries(_TEXT, children, max_size=3))
+    verdicts = st.builds(Verdict, _TEXT, st.none() | _TEXT, st.none() | _TEXT,
+                         st.none() | _FLOATS, st.none() | _WINDOWS,
+                         st.none() | st.tuples(_TEXT, _TEXT), st.none() | _TEXT)
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        _WINDOWS, reports, verdicts,
+    )
+
+
+_VALUES = st.recursive(_SCALARS, _records, max_leaves=24)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer prints the bytes of json.dumps(indent=2)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, default=_fields)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), object(), {1, 2}, {1: 2}, [0.5, {"a": np.int64(1)}], {"a": {None: 1}},
+    ], ids=["np.int64", "object", "set", "int-key", "nested-np.int64", "nested-None-key"])
+    def test_unprintable_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+def _json_outputs(tmp_path) -> dict[str, str]:
+    """Every kind of JSON text the CLI writes, each ending in its newline."""
+    witness = tmp_path / "w.mat"
+    witness.write_text(cli.format_matrix_text(operators.plane_witness("xz")))
+    named = tmp_path / 'état "q".mat'
+    named.write_text(cli.format_matrix_text(states.make_example("identity-W", 0.82).matrix))
+    calls = {
+        "analyze-family": ["analyze", "--family", "identity-W", "--param", "0.82"],
+        "analyze-product": ["analyze", "--ref", "product-000"],
+        "analyze-witness-file": ["analyze", "--matrix", str(named), "--witness", str(witness)],
+        "optimize-svetlichny": ["optimize", "--ref", "GHZ", "--restarts", "2"],
+        "optimize-chsh": ["optimize", "--ref", "Bell-Phi+", "--target", "chsh"],
+    }
+    outputs = {}
+    for name, argv in calls.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            run(*argv, "--format", "json")
+        outputs[name] = stdout.getvalue()
+    erratum = tmp_path / "erratum.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("reproduce", "--out", str(tmp_path), "--erratum", str(erratum)) == 0
+    outputs["erratum"] = erratum.read_text(encoding="utf-8")
+    return outputs
+
+
+class TestJsonOutputs:
+    def test_each_output_is_its_own_json_dumps(self, tmp_path):
+        # json.dumps(json.loads(text), indent=2) gives the text back: this
+        # oracle reads only the printed bytes, never the writer
+        outputs = _json_outputs(tmp_path)
+        assert json.loads(outputs["analyze-product"])["report"] is None
+        assert isinstance(json.loads(outputs["analyze-product"])["report_error"], str)
+        assert r'\u00e9tat \"q\".mat",' in outputs["analyze-witness-file"]
+        for name, text in outputs.items():
+            assert text.endswith("\n"), name
+            assert json.dumps(json.loads(text), indent=2) == text[:-1], name
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--family", "identity-W", "--param", "0.82", "--format", "json"],
+        ["optimize", "--ref", "GHZ", "--restarts", "2", "--format", "json"],
+        ["reproduce", "--table", "1", "--out", ".", "--erratum", "erratum.json"],
+    ], ids=["analyze", "optimize", "reproduce-erratum"])
+    def test_call_leaves_no_cyclic_garbage(self, argv, tmp_path, monkeypatch, capsys):
+        # json's pure-Python encoder left its closures as cycles on every
+        # call, which kept the collector running in a long-lived process
+        monkeypatch.chdir(tmp_path)
+        run(*argv)  # warm-up: first-call caches and imports
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            run(*argv)
+            unreachable = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert unreachable == 0
 
 
 class TestConsoleScript:

@@ -21,6 +21,9 @@ The set:
   (`default_rng(2024)`, 20 each of ranks 1, 2, 3, 4 and 8, read from
   matrix files), each with default flags, `--pair AC`,
   `--pair AB --witness xz` and `--witness yz`: 1,968 calls;
+- `analyze` in text, JSON and CSV on identity-W 0.82 read from the matrix
+  file `état "q".mat`: the state label is the only free text in an
+  output, and this name puts a non-ASCII letter and a double quote in it;
 - `reproduce --table all --erratum`, and `reproduce --table 3` and
   `reproduce --table 5` without `--erratum` (one printed table alone,
   whose rows read their P_max from one stack);
@@ -49,7 +52,7 @@ import tempfile
 
 import numpy as np
 
-from svetlichny import cli
+from svetlichny import cli, states
 
 FAMILY_RANGES = {
     "pure-W-class-1": (0.0, 0.953939),
@@ -60,6 +63,7 @@ FAMILY_RANGES = {
 }
 FAMILY_POINTS = 12
 REFERENCES = ("GHZ", "W", "W2", "product-000")
+NAMED_MATRIX = ('état "q"', "identity-W", 0.82)
 RANDOM_SEED = 2024
 RANDOM_RANKS = (1, 2, 3, 4, 8)
 STATES_PER_RANK = 20
@@ -143,6 +147,11 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
             for fmt in FORMATS:
                 calls.append((f"analyze/{name}_{flag_name}.{fmt}",
                               ["analyze", *state, *flags, "--format", fmt]))
+    name, family, param = NAMED_MATRIX
+    named = {name: states.make_example(family, param).matrix}
+    for _, state in _matrix_files(inputs, "", named):
+        for fmt in FORMATS:
+            calls.append((f"analyze/named-matrix.{fmt}", ["analyze", *state, "--format", fmt]))
     calls.append(("reproduce/all-erratum", ["reproduce", "--table", "all", "--out", "tables",
                                             "--erratum", "tables/erratum.json"]))
     for table in ("3", "5"):
