@@ -2,8 +2,10 @@
 
 Each lemma is written with numpy from the printed formula, not through
 the package (PairSpectra, partial_transpose_numbers, the linalg kernel),
-so that a test comparing the two checks one against the other. None of them is read by the package itself: the
-certificates read K = Tr[W rho rho^T]/(4 N(rho)) directly.
+so that a test comparing the two checks one against the other; the
+partial transpose is the one in tests/corpus.py. None of them is read by
+the package itself: the certificates read K = Tr[W rho rho^T]/(4 N(rho))
+directly.
 
 - The K bounds hold for an NPT pair whose witness does not detect it
   (Tr[W rho] >= 0); outside that hypothesis they raise HypothesisError.
@@ -25,6 +27,7 @@ import numpy as np
 
 from svetlichny import linalg, nonlocality, reproduce, states
 from svetlichny.bounds import pair_spectra
+import corpus
 
 NEG_TOL = 1e-12
 
@@ -47,15 +50,10 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(m)[0]
 
 
-def _partial_transpose(m: np.ndarray) -> np.ndarray:
-    """rho^T on the second qubit: <ij|rho^T|kl> = <il|rho|kj>."""
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
 def _lemma_inputs(rho, w) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(rho, rho^T, N(rho), Tr[W rho]) once the K bounds' hypotheses hold."""
     m = _matrix(rho)
-    pt = _partial_transpose(m)
+    pt = corpus.partial_transpose(m)
     n = float(-np.clip(_spectrum(pt), None, 0.0).sum())
     if n <= NEG_TOL:
         raise HypothesisError(f"the K bounds need an NPT pair, got N = {n}")

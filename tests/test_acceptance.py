@@ -25,11 +25,7 @@ from svetlichny.optimize import (
     maximize_chsh,
     maximize_svetlichny,
 )
-from conftest import (
-    random_biseparable,
-    random_density,
-    random_product_two_qubit,
-)
+import corpus
 import lemmas
 
 XY = operators.plane_witness("xy")
@@ -171,7 +167,7 @@ class TestCriterion5:
         rng = np.random.default_rng(606)
         worst = 0.0
         for i in range(50):
-            rho = random_biseparable(rng)
+            rho = states.validate(corpus.random_biseparable(rng), 3)
             opt = maximize_svetlichny(rho, restarts=4, seed=2000 + i)
             worst = max(worst, opt.value)
         elapsed = time.perf_counter() - t0
@@ -195,7 +191,7 @@ class TestCriterion6:
         worst = 0.0
         boundary_skips = 0
         for i in range(200):
-            rho = states.validate(random_density(rng, 4), 2)
+            rho = states.validate(corpus.random_density(rng, 4), 2)
             m = nonlocality.horodecki_m(rho)
             optimum = maximize_chsh(rho)
             opt = optimum.value
@@ -247,32 +243,31 @@ class TestCriterion8:
         sandwich_ok = True
         for _ in range(1000):
             dim = int(rng.integers(2, 5))
-            m = random_density(rng, dim) * float(rng.uniform(0.5, 3.0))
-            n = random_density(rng, dim) * float(rng.uniform(0.5, 3.0))
+            m = corpus.random_density(rng, dim) * float(rng.uniform(0.5, 3.0))
+            n = corpus.random_density(rng, dim) * float(rng.uniform(0.5, 3.0))
             lo, mid, hi = lemmas.sandwich(m, n)
             if not (lo - 1e-10 <= mid <= hi + 1e-10):
                 sandwich_ok = False
                 break
         # reduction and transpose against index oracles, 1e-13
-        from test_states import oracle_partial_trace, oracle_partial_transpose
         oracle_ok = True
         for _ in range(200):
-            rho3 = states.validate(random_density(rng, 8), 3)
+            rho3 = states.validate(corpus.random_density(rng, 8), 3)
             label = states.LABELS[int(rng.integers(3))]
             ours = states.partial_trace(rho3, label).matrix
-            ref = oracle_partial_trace(rho3.matrix, states.LABELS.index(label))
+            ref = corpus.marginal(rho3.matrix, corpus.PARTIES.replace(label, ""))
             if np.abs(ours - ref).max() > 1e-13:
                 oracle_ok = False
                 break
-            rho2 = states.validate(random_density(rng, 4), 2)
+            rho2 = states.validate(corpus.random_density(rng, 4), 2)
             ours_pt = states.partial_transpose(rho2)
-            ref_pt = oracle_partial_transpose(rho2.matrix, second=True)
+            ref_pt = corpus.partial_transpose(rho2.matrix)
             if np.abs(ours_pt - ref_pt).max() > 1e-13:
                 oracle_ok = False
                 break
         # negativity vanishes on separable mixtures
         separable_ok = all(
-            states.negativity(states.validate(random_product_two_qubit(rng), 2))
+            states.negativity(states.validate(corpus.random_product_two_qubit(rng), 2))
             <= 1e-12
             for _ in range(100))
         # every bound formula returns exactly zero at unit visibility

@@ -42,9 +42,9 @@ from svetlichny.nonlocality import (
     s_nl_new,
     undetected_strength,
 )
-from conftest import random_pure, random_state
+from conftest import random_state
+import corpus
 import lemmas
-from test_states import oracle_partial_transpose
 
 XY = operators.plane_witness("xy")
 XZ = operators.plane_witness("xz")
@@ -214,16 +214,6 @@ class TestEmbedding:
         assert spec[-1] <= 1.0 + 1e-12
 
 
-def _ordered_marginal(rho: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
-    """einsum oracle: the marginal of the ordered pair, pair[0] in the first slot."""
-    first, second = (states.LABELS.index(label) for label in pair)
-    spectator = 3 - first - second
-    axes = [0, 1, 2, 3, 4, 5]
-    axes[3 + spectator] = spectator
-    return np.einsum(rho.reshape((2,) * 6), axes,
-                     [first, second, 3 + first, 3 + second]).reshape(4, 4)
-
-
 ORDERED_PAIRS = tuple(permutations(states.LABELS, 2))
 
 
@@ -235,7 +225,7 @@ class TestOrderedPairs:
         for _ in range(5):
             rho = random_state(rng, 3)
             for (pair, record) in pair_records(rho, ORDERED_PAIRS):
-                want = _ordered_marginal(rho.matrix, pair)
+                want = corpus.marginal(rho.matrix, pair)
                 assert np.abs(record.reduced.matrix - want).max() <= 1e-15, pair
 
     @pytest.mark.parametrize("pair", [p for p in ORDERED_PAIRS if p[0] > p[1]], ids="".join)
@@ -508,7 +498,7 @@ class TestSolveCounts:
         # witness with K = -0.0643: the replacement strength is undefined
         gen = np.random.default_rng(0)
         for _ in range(5):
-            ket = random_pure(gen, 8)
+            ket = corpus.random_pure(gen, 8)
         rho = states.validate(np.outer(ket, ket.conj()), 3)
         spectra = dict(pair_records(rho))[("A", "C")]
         solves.clear()
@@ -560,7 +550,7 @@ class TestWeightIndependence:
         rho_values = np.linalg.eigvalsh(rho.matrix)
         state_root, pair_root = root(rho.matrix), root(reduced.matrix)
         product = np.linalg.eigvalsh(state_root @ embed_pair(reduced.matrix, pair) @ state_root)
-        pt = np.linalg.eigvalsh(oracle_partial_transpose(reduced.matrix, second=True))
+        pt = np.linalg.eigvalsh(corpus.partial_transpose(reduced.matrix))
         n = -pt[pt < 0.0].sum()
         h = product[0] - k * n * pt[-1] * rho_values[-1] / np.min(pt ** 2)
         wr_max = np.linalg.eigvalsh(pair_root @ witness @ pair_root)[-1]
@@ -595,7 +585,7 @@ class TestWeightIndependence:
     def test_random_pure_states(self, rng):
         checked = 0
         for _ in range(20):
-            ket = random_pure(rng, 8)
+            ket = corpus.random_pure(rng, 8)
             rho = states.validate(np.outer(ket, ket.conj()), 3)
             for pair in SEARCH_ORDER:
                 traced = next(label for label in states.LABELS if label not in pair)

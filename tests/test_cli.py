@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from svetlichny import cli, operators, reproduce, states
 from svetlichny.bounds import BoundsReport, Verdict, Window
-from conftest import random_density, random_pure
+import corpus
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -163,7 +163,7 @@ def _child_env() -> dict:
 class TestMatrixGrammar:
     def test_round_trip_at_full_precision(self, rng):
         for _ in range(25):
-            m = random_density(rng, 8)
+            m = corpus.random_density(rng, 8)
             back = cli.parse_matrix_text(cli.format_matrix_text(m))
             assert np.abs(back - m).max() <= 1e-15
 
@@ -285,8 +285,7 @@ class TestAnalyzeOutput:
         # P_max = 0.8051 exceeds 3/4 + K (K = 0.00111) on pair AB under xz:
         # every weight keeps the strength positive, so the cap is 1
         gen = np.random.default_rng(15)
-        ket = gen.normal(size=8) + 1j * gen.normal(size=8)
-        ket /= np.linalg.norm(ket)
+        ket = corpus.random_pure(gen, 8)
         path = tmp_path / "vacuous.mat"
         path.write_text(cli.format_matrix_text(np.outer(ket, ket.conj())))
         run("analyze", "--matrix", str(path), "--pair", "AB", "--witness", "xz",
@@ -301,7 +300,7 @@ class TestAnalyzeOutput:
         # the search still fires on AC under xy
         gen = np.random.default_rng(0)
         for _ in range(5):
-            ket = random_pure(gen, 8)
+            ket = corpus.random_pure(gen, 8)
         path = tmp_path / "k-negative.mat"
         path.write_text(cli.format_matrix_text(np.outer(ket, ket.conj())))
         assert run("analyze", "--matrix", str(path), "--pair", "AC", "--witness", "xz") == 0

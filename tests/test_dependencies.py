@@ -1,5 +1,6 @@
 """The package depends on the standard library and numpy only, and holds
-no function, import or private name that nothing reads.
+no function, import or private name that nothing reads. The tests' state
+corpus depends on them only too, and never on the package.
 
 scipy may be installed next to it, but the package must not reach for it
 (or anything else): every absolute import in src/svetlichny is checked
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "svetlichny"
+CORPUS = Path(__file__).resolve().parent / "corpus.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -38,6 +40,16 @@ def test_imports_only_stdlib_and_numpy(path):
     foreign = [name for name in _absolute_imports(path)
                if name.partition(".")[0] not in ALLOWED]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_corpus_stands_apart_from_the_package():
+    # the tests' shared oracles check src/, so they must not be built from it
+    tree = ast.parse(CORPUS.read_text(encoding="utf-8"), filename=str(CORPUS))
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    foreign = [name for name in _absolute_imports(CORPUS)
+               if name.partition(".")[0] not in ALLOWED]
+    assert not relative and not foreign, f"corpus.py imports {relative + foreign}"
 
 
 def _functions_and_reads(path: Path) -> tuple[list[str], set[str]]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svetlichny import bounds, linalg, operators, states
-from conftest import random_density
+import corpus
 import lemmas
 
 JACOBI_OFFDIAG_TOL = 1e-13
@@ -276,7 +276,7 @@ class TestKron:
 
 class TestPsdSqrt:
     def test_square_recovers_input(self, rng):
-        m = random_density(rng, 4)
+        m = corpus.random_density(rng, 4)
         root = linalg.eigen_root(*linalg.hermitian_eigensystem(m))
         assert np.allclose(root @ root, m, atol=1e-10)
 

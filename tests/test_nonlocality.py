@@ -9,7 +9,6 @@ oracle lives in tests/lemmas.py.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 
@@ -18,6 +17,7 @@ import pytest
 
 from svetlichny import bounds, linalg, nonlocality, operators, states
 from conftest import random_state
+import corpus
 import lemmas
 
 XY = operators.plane_witness("xy")
@@ -31,28 +31,19 @@ def _reduced(family, param):
 class TestCorrelationMatrix:
     """T against the textbook entries t[m,n,...] = Tr[rho sigma_m (x) sigma_n (x) ...]."""
 
-    @staticmethod
-    def _textbook(rho):
-        paulis = [operators.pauli(axis) for axis in "xyz"]
-        t = np.empty((3,) * rho.qubits)
-        for index in np.ndindex(t.shape):
-            product = functools.reduce(np.kron, [paulis[m] for m in index])
-            t[index] = np.trace(rho.matrix @ product).real
-        return t
-
     def test_matches_textbook_entries_on_random_states(self, rng):
         for _ in range(50):
             rho = random_state(rng, 2)
             t = nonlocality.correlation_tensor(rho)
             assert t.shape == (3, 3) and t.dtype == np.float64
-            assert np.allclose(t, self._textbook(rho), atol=1e-14, rtol=0.0)
+            assert np.allclose(t, corpus.correlation_tensor(rho.matrix), atol=1e-14, rtol=0.0)
 
     def test_three_qubit_tensor_matches_textbook_entries(self, rng):
         for _ in range(20):
             rho = random_state(rng, 3)
             t = nonlocality.correlation_tensor(rho)
             assert t.shape == (3, 3, 3) and t.dtype == np.float64
-            assert np.allclose(t, self._textbook(rho), atol=1e-14, rtol=0.0)
+            assert np.allclose(t, corpus.correlation_tensor(rho.matrix), atol=1e-14, rtol=0.0)
 
     def test_bell_phi_plus(self):
         t = nonlocality.correlation_tensor(states.make_reference("Bell-Phi+"))
@@ -279,13 +270,6 @@ class TestLemmaSandwichGrids:
             assert k <= lemmas.k_upper_bound(rho, XY) + 1e-10
 
 
-def _random_rank(rng: np.random.Generator, rank: int) -> states.DensityMatrix:
-    """Three-qubit state of the given rank from an 8 x rank Ginibre block."""
-    g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
-    m = g @ g.conj().T
-    return states.validate(m / np.trace(m).real, 3)
-
-
 class TestOneFormulaPerQuantity:
     """The partial-transpose numbers and the congruence spectrum each have one
     formula: the negativity and the pair record read it, and the pair record
@@ -311,7 +295,8 @@ class TestOneFormulaPerQuantity:
         rng = np.random.default_rng(700)
         checked = 0
         for rank in (1, 2, 3, 4, 8) * 20:
-            for pair, record in bounds.pair_records(_random_rank(rng, rank)):
+            for pair, record in bounds.pair_records(
+                    states.validate(corpus.random_density(rng, 8, rank), 3)):
                 if record.negativity <= nonlocality.NEG_TOL:
                     continue
                 rho = record.reduced

@@ -1,8 +1,8 @@
 """State construction, reductions, and negativity against index oracles.
 
-partial_trace and partial_transpose are checked against direct
-index-summation implementations written independently of the library
-code, so a bug in the reshaping logic cannot hide in both places.
+partial_trace and partial_transpose are checked against the
+index-summation oracles of tests/corpus.py, written independently of the
+library code, so a bug in the reshaping logic cannot hide in both places.
 """
 
 from __future__ import annotations
@@ -14,35 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svetlichny import linalg, states
-from conftest import random_density, random_product_two_qubit, random_pure, random_state
+from conftest import random_state
+import corpus
 import lemmas
-
-
-def oracle_partial_trace(matrix: np.ndarray, traced: int) -> np.ndarray:
-    """Sum over one qubit index explicitly; traced is the qubit position."""
-    t = matrix.reshape(2, 2, 2, 2, 2, 2)
-    axes = {0: (0, 3), 1: (1, 4), 2: (2, 5)}[traced]
-    return np.trace(t, axis1=axes[0], axis2=axes[1]).reshape(4, 4)
-
-
-def oracle_partial_transpose(matrix: np.ndarray, second: bool) -> np.ndarray:
-    """Transpose one factor of a two-qubit matrix by explicit indexing."""
-    t = matrix.reshape(2, 2, 2, 2)
-    if second:
-        swapped = t.transpose(0, 3, 2, 1)
-    else:
-        swapped = t.transpose(2, 1, 0, 3)
-    return swapped.reshape(4, 4)
 
 
 class TestValidate:
     def test_accepts_proper_density_matrix(self, rng):
-        rho = states.validate(random_density(rng, 8), 3)
+        rho = states.validate(corpus.random_density(rng, 8), 3)
         assert rho.qubits == 3
         assert rho.dim == 8
 
     def test_keeps_the_eigensystem_it_solved(self, rng, solves):
-        matrix = random_density(rng, 8)
+        matrix = corpus.random_density(rng, 8)
         solves.clear()
         rho = states.validate(matrix, 3)
         values, vectors = rho.eigensystem
@@ -64,7 +48,7 @@ class TestValidate:
 
     def test_rejects_wrong_dimension(self, rng):
         with pytest.raises(states.StateError):
-            states.validate(random_density(rng, 4), 3)
+            states.validate(corpus.random_density(rng, 4), 3)
 
 
 class TestValidateStack:
@@ -78,7 +62,7 @@ class TestValidateStack:
 
     @staticmethod
     def _bad(reason, rng):
-        m = random_density(rng, 8)
+        m = corpus.random_density(rng, 8)
         if reason == "not-hermitian":
             m[0, 1] += 1e-6
         elif reason == "trace-not-one":
@@ -95,7 +79,7 @@ class TestValidateStack:
         bad = self._bad(reason, rng)
         alone = self._error(bad, 3)
         assert alone.reason == reason
-        stack = [random_density(rng, 8) for _ in range(5)]
+        stack = [corpus.random_density(rng, 8) for _ in range(5)]
         stack[position] = bad
         stacked = self._error(np.array(stack), 3)
         assert type(stacked) is type(alone)
@@ -105,7 +89,7 @@ class TestValidateStack:
     def test_single_matrix_is_a_stack_of_one(self, rng, reason):
         bad = self._bad(reason, rng)
         assert str(self._error(bad, 3)) == str(self._error(bad[None], 3))
-        good = random_density(rng, 8)
+        good = corpus.random_density(rng, 8)
         (member,) = states.validate(good[None], 3)
         single = states.validate(good, 3)
         assert member.qubits == single.qubits
@@ -114,14 +98,14 @@ class TestValidateStack:
             assert np.array_equal(got, want)
 
     def test_dimension_errors_name_the_member_shape(self, rng):
-        assert str(self._error(random_density(rng, 4), 3)) == (
+        assert str(self._error(corpus.random_density(rng, 4), 3)) == (
             "bad-dimension: expected 8x8, got (4, 4)")
         assert str(self._error(np.zeros(8), 3)) == "bad-dimension: expected 8x8, got (8,)"
         assert str(self._error(np.zeros((2, 4, 4)), 3)) == (
             "bad-dimension: expected 8x8, got (4, 4)")
 
     def test_members_match_single_validation_bit_for_bit(self, rng, solves):
-        stack = np.array([random_density(rng, 8) for _ in range(6)])
+        stack = np.array([corpus.random_density(rng, 8) for _ in range(6)])
         solves.clear()
         members = states.validate(stack, 3)
         assert dict(solves) == {8: 6}
@@ -177,10 +161,10 @@ class TestValidateGatesOnce:
     @pytest.mark.parametrize("members", (None, 1, 5), ids=("single", "stack-1", "stack-5"))
     def test_symmetrizes_once_and_keeps_the_eigh_bits(self, rng, symmetrized, members):
         if members is None:
-            candidate = random_density(rng, 8)
+            candidate = corpus.random_density(rng, 8)
             rhos = [states.validate(candidate, 3)]
         else:
-            candidate = np.array([random_density(rng, 8) for _ in range(members)])
+            candidate = np.array([corpus.random_density(rng, 8) for _ in range(members)])
             rhos = states.validate(candidate, 3)
         assert symmetrized == [(1, 8, 8) if members is None else (members, 8, 8)]
         for rho in rhos:
@@ -195,13 +179,13 @@ class TestValidateGatesOnce:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(linalg.NoConvergenceError):
-            states.validate(random_density(rng, 8), 3)
+            states.validate(corpus.random_density(rng, 8), 3)
         with pytest.raises(linalg.NoConvergenceError):
-            states.validate(np.array([random_density(rng, 8)] * 2), 3)
+            states.validate(np.array([corpus.random_density(rng, 8)] * 2), 3)
 
     def test_four_qubits_exceed_the_kernel(self, rng):
         with pytest.raises(linalg.DimensionMismatchError) as excinfo:
-            states.validate(random_density(rng, 16), 4)
+            states.validate(corpus.random_density(rng, 16), 4)
         assert str(excinfo.value) == f"kernel handles dimensions <= {linalg.MAX_DIM}, got 16"
 
 
@@ -211,9 +195,9 @@ class TestPartialTrace:
            traced=st.sampled_from(states.LABELS))
     def test_matches_index_oracle(self, seed, traced):
         gen = np.random.default_rng(seed)
-        rho = states.validate(random_density(gen, 8), 3)
+        rho = states.validate(corpus.random_density(gen, 8), 3)
         reduced = states.partial_trace(rho, traced)
-        expected = oracle_partial_trace(rho.matrix, states.LABELS.index(traced))
+        expected = corpus.marginal(rho.matrix, corpus.PARTIES.replace(traced, ""))
         assert np.abs(reduced.matrix - expected).max() <= 1e-13
 
     def test_reduced_state_is_valid(self, rng):
@@ -245,15 +229,15 @@ class TestPartialTranspose:
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_matches_index_oracle(self, seed):
         gen = np.random.default_rng(seed)
-        rho = states.validate(random_density(gen, 4), 2)
+        rho = states.validate(corpus.random_density(gen, 4), 2)
         out = states.partial_transpose(rho)
-        expected = oracle_partial_transpose(rho.matrix, second=True)
+        expected = corpus.partial_transpose(rho.matrix)
         assert np.abs(out - expected).max() <= 1e-13
 
     def test_involution(self, rng):
         rho = random_state(rng, 2)
         once = states.partial_transpose(rho)
-        twice = oracle_partial_transpose(once, second=True)
+        twice = corpus.partial_transpose(once)
         assert np.allclose(twice, rho.matrix, atol=1e-14)
 
     def test_preserves_trace_and_hermiticity(self, rng):
@@ -270,16 +254,17 @@ class TestNegativity:
 
     def test_separable_mixtures_have_zero(self, rng):
         for _ in range(50):
-            rho = states.validate(random_product_two_qubit(rng), 2)
+            rho = states.validate(corpus.random_product_two_qubit(rng), 2)
             assert states.negativity(rho) <= 1e-12
 
     def test_transpose_side_is_irrelevant(self, rng):
         # negativity transposes the second qubit; the first-qubit transpose
         # has the same spectrum (pure states, so the pair is entangled)
         for _ in range(20):
-            ket = random_pure(rng, 4)
+            ket = corpus.random_pure(rng, 4)
             rho = states.validate(np.outer(ket, ket.conj()), 2)
-            first = np.linalg.eigvalsh(oracle_partial_transpose(rho.matrix, second=False))
+            first_pt = rho.matrix.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+            first = np.linalg.eigvalsh(first_pt)
             first_negativity = -first[first < 0.0].sum()
             assert first_negativity > 1e-3
             assert states.negativity(rho) == pytest.approx(first_negativity, abs=1e-12)
