@@ -17,7 +17,9 @@ The Svetlichny maximum has no closed form, so it is ascended from
 restarts, and both backends work on the unit vectors themselves. The
 gradient backend takes Riemannian Newton steps on the product of
 spheres. Multilinearity makes the exact Hessian cheap: the block of two
-parties is K contracted with the third. Its projection onto the tangent
+parties is K contracted with the third; one gather through a fixed index
+table lays out the full Hessian from the three pair blocks, their
+transposes and zeros. Its projection onto the tangent
 planes is diagonalized, and the step divides the gradient by the
 absolute curvature along each eigenvector, so it climbs even where the
 Hessian is indefinite and strides along the nearly flat ridges these
@@ -39,7 +41,8 @@ Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
 Every restart then ascends in one batch: the restarts are the leading
 axis of every array, each restart keeps its own step and stopping state,
-and a restart that has stopped drops out of the batch. A restart's
+and the live restarts' points and values are compact arrays; a restart
+that stops is written out once and drops out of the batch. A restart's
 arithmetic does not depend on which other restarts share its batch, so
 its result is the same bits at any restart count, and the best value is
 nondecreasing in the restart count.
@@ -177,15 +180,31 @@ class _SvetlichnyObjective(_Multilinear):
                                   for r in (2, 1, 0)])
 
     def hessian(self, vectors: np.ndarray) -> np.ndarray:
-        """The (restarts, 18, 18) Hessian from its blocks AB, AC and BC."""
+        """The (restarts, 18, 18) Hessian, gathered from its blocks AB, AC and BC."""
         count = len(vectors)
         # parties C, B, A: the one outside each pair
         x = vectors.reshape(count, 3, 6)[:, ::-1, :, None]
-        blocks = (self._outside @ x).reshape(count, 3, 6, 6)
-        grid = np.zeros((count, 3, 3, 6, 6))
-        grid[:, (0, 0, 1), (1, 2, 2)] = blocks
-        grid[:, (1, 2, 2), (0, 0, 1)] = blocks.swapaxes(-1, -2)
-        return grid.swapaxes(2, 3).reshape(count, 18, 18)
+        blocks = (self._outside @ x).reshape(count, 108)
+        padded = np.concatenate((blocks, np.zeros((count, 1))), axis=1)
+        # np.take writes a C-contiguous result. padded[:, _HESSIAN_INDEX] would
+        # lay the batch axis out last, and H @ v on that layout takes another
+        # BLAS path whose bits depend on the batch size.
+        return np.take(padded, _HESSIAN_INDEX, axis=1)
+
+
+def _hessian_index() -> np.ndarray:
+    """Where each entry of the 18x18 Hessian sits in the 108 entries of the
+    pair blocks AB, AC and BC followed by one zero: the block of parties
+    p < q is their pair block, the block (q, p) its transpose, and the
+    block of a party with itself is zero."""
+    blocks = np.arange(108).reshape(3, 6, 6)
+    grid = np.full((3, 3, 6, 6), 108)
+    grid[(0, 0, 1), (1, 2, 2)] = blocks
+    grid[(1, 2, 2), (0, 0, 1)] = blocks.swapaxes(-1, -2)
+    return grid.swapaxes(1, 2).reshape(18, 18)
+
+
+_HESSIAN_INDEX = _hessian_index()
 
 
 class _ChshObjective(_Multilinear):
@@ -196,19 +215,19 @@ _E_Z = np.array([0.0, 0.0, 1.0])
 _PLANE = np.eye(3)[:, :2]
 
 
-def _tangent_frame(vectors: np.ndarray) -> np.ndarray:
+def _tangent_frame(vectors: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Orthonormal tangent bases of (count, n, 3) unit vectors, block-diagonal.
 
     Returns (count, 3n, 2n) with vector i's basis in block (i, i): the
     first two columns of the Householder reflection I - uu^T / (1 + |z|),
     u = v + sign(z) e_z, which maps v to -sign(z) e_z. No division is by
-    less than 1, whatever the vector.
+    less than 1, whatever the vector. eye is np.eye(n)[:, None, :, None].
     """
     count, n = vectors.shape[:2]
     z = vectors[..., 2:]
     u = vectors + np.copysign(_E_Z, z)
     basis = _PLANE - u[..., None] * (u[..., None, :2] / (1.0 + np.abs(z))[..., None])
-    return (basis[:, :, :, None] * np.eye(n)[:, None, :, None]).reshape(count, 3 * n, 2 * n)
+    return (basis[:, :, :, None] * eye).reshape(count, 3 * n, 2 * n)
 
 
 class _Batch(NamedTuple):
@@ -244,57 +263,63 @@ def _gradient_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATI
     radius), the trial point renormalized, and the step halved until the
     value rises. A restart stops when its tangent gradient is below _TOL,
     when the predicted gain g.d is at the rounding level of its value, or
-    when no halving raises the value; each counts as converged.
+    when no halving raises the value; each counts as converged. The live
+    restarts' points and values are compact arrays, and a restart's row
+    is written out once, when it stops.
     """
     count, n = vectors.shape[:2]
-    vectors = vectors.copy()
-    energy = objective.energy(vectors)
-    used = np.zeros(count, dtype=int)
+    live, here = np.arange(count), vectors.copy()
+    current = objective.energy(here)
+    vectors, energy = np.empty_like(here), np.empty_like(current)
+    used = np.full(count, max_iterations)
     stopped = np.zeros(count, dtype=bool)
-    live = np.arange(count)
-    diagonal = np.arange(2 * n)
-    for iteration in range(max_iterations):
-        used[live] = iteration + 1
-        here = vectors[live]
+    eye = np.eye(n)[:, None, :, None]
+    for iteration in range(1, max_iterations + 1):
         hessian = objective.hessian(here)
         gradient = hessian @ here.reshape(-1, 3 * n, 1)
         gradient /= objective.degree - 1
         radial = np.add.reduce(gradient.reshape(here.shape) * here, axis=2)
-        frame = _tangent_frame(here)
+        frame = _tangent_frame(here, eye)
         frame_t = frame.swapaxes(1, 2)
         projected = frame_t @ hessian @ frame
-        projected[:, diagonal, diagonal] -= np.repeat(radial, 2, axis=1)
+        projected.reshape(len(here), -1)[:, ::2 * n + 1] -= np.repeat(radial, 2, axis=1)
         curvature, directions = np.linalg.eigh(projected)
         along = directions.swapaxes(1, 2) @ (frame_t @ gradient)
         scaled = along / np.maximum(np.abs(curvature), _CURVATURE_FLOOR)[..., None]
         gain = _dot(along, scaled)
-        done = (np.sqrt(_dot(along, along)) < _TOL) | (
-            gain <= 1e-15 * np.maximum(1.0, np.abs(energy[live])))
+        stop = (np.sqrt(_dot(along, along)) < _TOL) | (
+            gain <= 1e-15 * np.maximum(1.0, np.abs(current)))
         step = (frame @ (directions @ scaled)).reshape(here.shape)
         step /= np.maximum(1.0, np.sqrt(_dot(step, step)))[:, None, None]
-        if done.any():
-            stopped[live[done]] = True
-            live, here, step = (x[~done] for x in (live, here, step))
-            if live.size == 0:
-                break
-        pending, current = live, energy[live]
+        # the rows still halving, and their points, steps and values
+        rows, base, before = np.arange(len(here)), here, current
+        if stop.any():
+            rows = rows[~stop]
+            base, step, before = base[rows], step[rows], before[rows]
         for _ in range(_HALVINGS):
-            candidate = here + step
+            if rows.size == 0:
+                break
+            candidate = base + step
             candidate /= _norms(candidate, axis=2)
             value = objective.energy(candidate)
-            rose = value > current
-            if rose.any():
-                stepped = pending[rose]
-                vectors[stepped], energy[stepped] = candidate[rose], value[rose]
-                pending, here, step, current = (
-                    x[~rose] for x in (pending, here, step, current))
-                if pending.size == 0:
-                    break
+            rose = value > before
+            if rose.all() and rows.size == len(here):
+                here, current = candidate, value
+                break
+            here[rows[rose]], current[rows[rose]] = candidate[rose], value[rose]
+            rows, base, step, before = (x[~rose] for x in (rows, base, step, before))
             step *= 0.5
-        stopped[pending] = True
-        live = live[~stopped[live]]
-        if live.size == 0:
-            break
+        else:
+            # no halving raised these rows' values
+            stop[rows] = True
+        if stop.any():
+            done = live[stop]
+            vectors[done], energy[done], used[done] = here[stop], current[stop], iteration
+            stopped[done] = True
+            live, here, current = (x[~stop] for x in (live, here, current))
+            if live.size == 0:
+                break
+    vectors[live], energy[live] = here, current
     return _batch(energy, vectors, used, stopped)
 
 

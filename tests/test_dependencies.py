@@ -7,9 +7,10 @@ scipy may be installed next to it, but the package must not reach for it
 against the interpreter's list of standard-library modules. A public
 module-level function must be read somewhere else in the package, where
 an export through __all__ counts; a check that only the tests call
-belongs in tests/. Within each module (__init__ aside, whose imports are
-its exports), every import and every private module-level function,
-class and constant must be loaded somewhere in that module.
+belongs in tests/. Within each module of the package (__init__ aside,
+whose imports are its exports) and of tests/, every import and every
+private module-level function, class and constant must be loaded
+somewhere in that module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "svetlichny"
-CORPUS = Path(__file__).resolve().parent / "corpus.py"
+TESTS = Path(__file__).resolve().parent
+CORPUS = TESTS / "corpus.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -117,8 +119,8 @@ def unloaded_names(path: Path) -> list[str]:
     return [name for name in bound if name not in loaded]
 
 
-@pytest.mark.parametrize("path", sorted(set(SOURCE.glob("*.py")) - {SOURCE / "__init__.py"}),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(set(SOURCE.glob("*.py")) - {SOURCE / "__init__.py"})
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_and_private_name_is_loaded(path):
     unloaded = unloaded_names(path)
     assert not unloaded, f"nothing in {path.name} loads {unloaded}"

@@ -365,6 +365,25 @@ class TestKernels:
                                        every_row(objective, vectors),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_hessian_is_laid_out_exactly_from_its_pair_blocks(self, batch):
+        # eigh reads one triangle, so the Hessian must be symmetric bit for
+        # bit, and a C-contiguous result keeps H @ v on one BLAS path
+        rng = np.random.default_rng(29 + batch)
+        objective = optimize._SvetlichnyObjective(rng.normal(size=(3, 3, 3)))
+        vectors = _unit_vectors(rng, (batch, objective.n_vectors))
+        hessian = objective.hessian(vectors)
+        assert hessian.flags.c_contiguous
+        np.testing.assert_array_equal(hessian, hessian.swapaxes(1, 2))
+        parties = hessian.reshape(batch, 3, 6, 3, 6)
+        for p in range(3):
+            assert (parties[:, p, :, p] == 0).all()
+        # parties C, B, A: the one outside each pair AB, AC, BC
+        outside = vectors.reshape(batch, 3, 6)[:, ::-1, :, None]
+        blocks = (objective._outside @ outside).reshape(batch, 3, 6, 6)
+        for k, (p, q) in enumerate([(0, 1), (0, 2), (1, 2)]):
+            np.testing.assert_array_equal(parties[:, p, :, q], blocks[:, k])
+
     def test_bc_block_is_the_per_setting_matrix(self):
         # K(a, a') = [[T(a + a'), T(a - a')], [T(a - a'), -T(a + a')]], with
         # T(x) the correlation tensor contracted with x on Alice's index
@@ -432,15 +451,19 @@ class TestBatch:
         assert long.value == max(long.restart_values)
         assert 0 <= short.restarts_capped <= 4
 
+    # on both states the gradient restarts stop at different iterations,
+    # so every batch shrinks as they stop
     @pytest.mark.parametrize("ascend", [optimize._gradient_ascent,
                                         optimize._coordinate_ascent])
-    def test_each_restart_is_independent_of_its_batch(self, ascend):
-        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+    @pytest.mark.parametrize("family, param", [(states.FAMILY_IDENTITY_W, 0.82),
+                                               (states.FAMILY_GHZ_W_CONVEX, 0.525)])
+    def test_each_restart_is_independent_of_its_batch(self, family, param, ascend):
+        rho = states.make_example(family, param)
         objective = optimize._SvetlichnyObjective(nonlocality.correlation_tensor(rho))
         starts = _unit_vectors(np.random.default_rng(5), (17, objective.n_vectors))
         full = ascend(objective, starts, 60)
         assert isinstance(full.converged, bool)
-        for size in (1, 3, 4):
+        for size in (1, 2, 3, 4):
             part = ascend(objective, starts[:size], 60)
             for mine, theirs in zip(part, full):
                 if isinstance(mine, np.ndarray):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import fields
 
 import numpy as np
