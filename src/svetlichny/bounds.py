@@ -225,9 +225,11 @@ def _product_spectra(values: np.ndarray, vectors: np.ndarray, reduced: np.ndarra
                                          embed_pair(reduced, pair))
 
 
-def _bound(numerator: float, visibility: float, denominator: float) -> float:
-    """8 (1 - v) N / (v D), the shape of every visibility bound."""
-    return 8.0 * (1.0 - visibility) * numerator / (visibility * denominator)
+def _bound(numerator: float, weight: float, denominator: float) -> float:
+    """8 (1 - w) N / (w D), the shape of every bound: w is the weight of the
+    mixture of the Svetlichny operator with the lifted witness, not a noise
+    visibility of the state."""
+    return 8.0 * (1.0 - weight) * numerator / (weight * denominator)
 
 
 def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
@@ -369,7 +371,7 @@ class PairSpectra:
         return Routes("undetected", k, h, f / 4.0)
 
     def bounds(self, routes: Routes, p: float, q: float) -> tuple[float, float]:
-        """The lower route's bound at visibility p and the upper route's at q."""
+        """The lower route's bound at weight p and the upper route's at weight q."""
         return (_bound(routes.lower_numerator, p, self.lambda_max_embedded),
                 _bound(routes.upper_numerator, q, self.lambda_k))
 

@@ -18,12 +18,6 @@ PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-# B = sum of signs . (A0B0, A0B1, A1B0, A1B1).
-SIGNS_DEFAULT = (1, 1, 1, -1)
-# Alternate pattern used by one worked example: its witness is written
-# 2I - A0B0 + A0B1 - A1B0 - A1B1, i.e. B = A0B0 - A0B1 + A1B0 + A1B1.
-SIGNS_VARIANT = (1, -1, 1, 1)
-
 PLANES = ("xy", "xz", "yz")
 
 
@@ -108,19 +102,16 @@ def spin_observable(n: UnitVector3) -> np.ndarray:
     return n.x * PAULI_X + n.y * PAULI_Y + n.z * PAULI_Z
 
 
-def chsh_operator(settings: ChshSettings, signs=SIGNS_DEFAULT) -> np.ndarray:
-    """Two-party Bell operator sum(signs . Ai (x) Bj).
+def _chsh(a0, a1, b0, b1) -> np.ndarray:
+    """A0B0 + A0B1 + A1B0 - A1B1: a term counts +1 when at most one party
+    uses its primed setting (Svetlichny, PRD 35, 3066, 1987)."""
+    return (linalg.kron(a0, b0) + linalg.kron(a0, b1)
+            + linalg.kron(a1, b0) - linalg.kron(a1, b1))
 
-    The default sign pattern is (+, +, +, -); SIGNS_VARIANT gives the
-    alternate (+, -, +, +) arrangement.
-    """
-    if len(signs) != 4:
-        raise OperatorError("sign pattern needs exactly four entries")
-    s00, s01, s10, s11 = signs
-    return (s00 * linalg.kron(settings.A0, settings.B0)
-            + s01 * linalg.kron(settings.A0, settings.B1)
-            + s10 * linalg.kron(settings.A1, settings.B0)
-            + s11 * linalg.kron(settings.A1, settings.B1))
+
+def chsh_operator(settings: ChshSettings) -> np.ndarray:
+    """Two-party Bell operator A0B0 + A0B1 + A1B0 - A1B1."""
+    return _chsh(settings.A0, settings.A1, settings.B0, settings.B1)
 
 
 def chsh_plane_operator(plane: str) -> np.ndarray:
@@ -171,17 +162,13 @@ def plane_witness(plane: str) -> np.ndarray:
 def svetlichny_operator(settings: SvetlichnySettings) -> np.ndarray:
     """The 8x8 three-party operator
 
-        A (x) [B (x) (C + C') + B' (x) (C - C')]
-      + A' (x) [B (x) (C - C') - B' (x) (C + C')]
+        CHSH(A, A', B, B') (x) C - CHSH(A', A, B', B) (x) C'
 
-    with each capital letter the spin observable along its direction.
-    Hermitian and traceless for every choice of directions.
+    with each capital letter the spin observable along its direction: the
+    CHSH sign rule over three parties. Hermitian and traceless for every
+    choice of directions.
     """
     a, ap, b, bp, c, cp = (spin_observable(v) for v in
                            (settings.a, settings.a_prime, settings.b,
                             settings.b_prime, settings.c, settings.c_prime))
-    plus = c + cp
-    minus = c - cp
-    inner_a = linalg.kron(b, plus) + linalg.kron(bp, minus)
-    inner_ap = linalg.kron(b, minus) - linalg.kron(bp, plus)
-    return linalg.kron(a, inner_a) + linalg.kron(ap, inner_ap)
+    return linalg.kron(_chsh(a, ap, b, bp), c) - linalg.kron(_chsh(ap, a, bp, b), cp)

@@ -215,19 +215,23 @@ _E_Z = np.array([0.0, 0.0, 1.0])
 _PLANE = np.eye(3)[:, :2]
 
 
-def _tangent_frame(vectors: np.ndarray, eye: np.ndarray) -> np.ndarray:
+def _tangent_frame(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal tangent bases of (count, n, 3) unit vectors, block-diagonal.
 
     Returns (count, 3n, 2n) with vector i's basis in block (i, i): the
     first two columns of the Householder reflection I - uu^T / (1 + |z|),
     u = v + sign(z) e_z, which maps v to -sign(z) e_z. No division is by
-    less than 1, whatever the vector. eye is np.eye(n)[:, None, :, None].
+    less than 1, whatever the vector.
     """
     count, n = vectors.shape[:2]
     z = vectors[..., 2:]
     u = vectors + np.copysign(_E_Z, z)
     basis = _PLANE - u[..., None] * (u[..., None, :2] / (1.0 + np.abs(z))[..., None])
-    return (basis[:, :, :, None] * eye).reshape(count, 3 * n, 2 * n)
+    frame = np.zeros((count, n, 3, n, 2))
+    diagonal = np.arange(n)
+    # the two index arrays, split by a slice, put the block axis first
+    frame[:, diagonal, :, diagonal] = basis.swapaxes(0, 1)
+    return frame.reshape(count, 3 * n, 2 * n)
 
 
 class _Batch(NamedTuple):
@@ -273,13 +277,12 @@ def _gradient_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATI
     vectors, energy = np.empty_like(here), np.empty_like(current)
     used = np.full(count, max_iterations)
     stopped = np.zeros(count, dtype=bool)
-    eye = np.eye(n)[:, None, :, None]
     for iteration in range(1, max_iterations + 1):
         hessian = objective.hessian(here)
         gradient = hessian @ here.reshape(-1, 3 * n, 1)
         gradient /= objective.degree - 1
         radial = np.add.reduce(gradient.reshape(here.shape) * here, axis=2)
-        frame = _tangent_frame(here, eye)
+        frame = _tangent_frame(here)
         frame_t = frame.swapaxes(1, 2)
         projected = frame_t @ hessian @ frame
         projected.reshape(len(here), -1)[:, ::2 * n + 1] -= np.repeat(radial, 2, axis=1)

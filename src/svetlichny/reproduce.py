@@ -163,17 +163,17 @@ class ClosedFormCheck:
 
 
 # Family 2's witness, built at import like the plane witnesses; shared,
-# so read-only.
+# so read-only. It is written 2I - A0B0 + A0B1 - A1B0 - A1B1: the one CHSH
+# sign rule with B1 -> -B1, so B1 enters negated.
 _FAMILY2_WITNESS = operators.chsh_witness(operators.chsh_operator(
     operators.ChshSettings(
         A0=operators.PAULI_X,
         A1=operators.PAULI_Y,
         B0=0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
             + 0.447 * operators.PAULI_Z,
-        B1=-0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
-            + 0.447 * operators.PAULI_Z,
+        B1=-(-0.95 * operators.PAULI_X + 0.95 * operators.PAULI_Y
+             + 0.447 * operators.PAULI_Z),
     ),
-    operators.SIGNS_VARIANT,
 ))
 _FAMILY2_WITNESS.flags.writeable = False
 

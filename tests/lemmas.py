@@ -44,8 +44,9 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending spectrum of a Hermitian matrix, from numpy.linalg.eigh.
 
     eigh is the package's solver too. N is small near the PPT border and
-    the bounds divide by it, so a second LAPACK driver's roundoff alone
-    would move them by more than the 1e-12 the tests compare at.
+    the K bounds divide by it, so a second LAPACK driver (eigvalsh) moves
+    them by up to 7e-10, 1.8e-12 relative: the tests compare them at a
+    relative tolerance.
     """
     return np.linalg.eigh(m)[0]
 

@@ -7,10 +7,10 @@ scipy may be installed next to it, but the package must not reach for it
 against the interpreter's list of standard-library modules. A public
 module-level function must be read somewhere else in the package, where
 an export through __all__ counts; a check that only the tests call
-belongs in tests/. Within each module of the package (__init__ aside,
-whose imports are its exports) and of tests/, every import and every
-private module-level function, class and constant must be loaded
-somewhere in that module.
+belongs in tests/. __init__'s imports are its exports, and its __all__
+names exactly them. Within each other module of the package and of
+tests/, every import and every private module-level function, class and
+constant must be loaded somewhere in that module.
 """
 
 from __future__ import annotations
@@ -92,6 +92,18 @@ def unread_functions() -> list[str]:
 def test_every_public_function_is_read():
     unread = unread_functions()
     assert not unread, f"no package code reads {unread}; move test-only checks to tests/"
+
+
+def test_all_is_exactly_what_init_imports():
+    # the unread-function guard counts every __init__ import as an export
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    assert sorted(exported) == sorted(imported)
 
 
 def unloaded_names(path: Path) -> list[str]:

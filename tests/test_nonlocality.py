@@ -92,11 +92,11 @@ class TestDetectedStrength:
             A1=operators.pauli("y"),
             B0=0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
             + 0.447 * operators.pauli("z"),
-            B1=-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
-            + 0.447 * operators.pauli("z"),
+            # the witness's (+, -, +, +) signs are the CHSH rule with B1 negated
+            B1=-(-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
+                 + 0.447 * operators.pauli("z")),
         )
-        w = operators.chsh_witness(
-            operators.chsh_operator(settings, signs=operators.SIGNS_VARIANT))
+        w = operators.chsh_witness(operators.chsh_operator(settings))
         assert nonlocality.is_detected(rho, w)
         assert nonlocality.s_nl_detected(rho, w) == pytest.approx(1.0 / 300.0, abs=1e-12)
 
@@ -310,8 +310,11 @@ class TestOneFormulaPerQuantity:
                     lower = record.lambda_min_pt_squared * trw / (
                         4.0 * record.lambda_max_pt * n)
                     upper = (record.witness_max(w) * trw + record.trace_pt_squared) / (8.0 * n)
-                    assert lemmas.k_lower_bound(rho, w) == pytest.approx(lower, abs=1e-12)
-                    assert lemmas.k_upper_bound(rho, w) == pytest.approx(upper, abs=1e-12)
+                    # K reaches 397 here: relative, so the oracle may use another solver
+                    assert lemmas.k_lower_bound(rho, w) == pytest.approx(lower, rel=1e-11,
+                                                                         abs=1e-12)
+                    assert lemmas.k_upper_bound(rho, w) == pytest.approx(upper, rel=1e-11,
+                                                                         abs=1e-12)
                     checked += 1
         assert checked > 300
 

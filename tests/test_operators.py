@@ -69,6 +69,22 @@ class TestChshOperator:
         assert np.trace(w).real == pytest.approx(8.0 - np.trace(b).real, abs=1e-12)
         assert np.allclose(w, 2.0 * np.eye(4) - b, atol=1e-13)
 
+    def test_is_the_written_out_sign_rule(self, rng):
+        # (+, +, +, -): a term counts +1 when at most one party is primed
+        for _ in range(20):
+            a0, a1, b0, b1 = (operators.spin_observable(_unit(rng)) for _ in range(4))
+            b = operators.chsh_operator(operators.ChshSettings(A0=a0, A1=a1, B0=b0, B1=b1))
+            expected = np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
+            assert np.array_equal(b, expected)
+
+    def test_variant_signs_are_the_rule_with_b1_negated(self, rng):
+        # the (+, -, +, +) arrangement of one worked example's witness
+        for _ in range(20):
+            a0, a1, b0, b1 = (operators.spin_observable(_unit(rng)) for _ in range(4))
+            b = operators.chsh_operator(operators.ChshSettings(A0=a0, A1=a1, B0=b0, B1=-b1))
+            expected = np.kron(a0, b0) - np.kron(a0, b1) + np.kron(a1, b0) + np.kron(a1, b1)
+            assert np.array_equal(b, expected)
+
     def test_non_hermitian_observable_rejected(self):
         from svetlichny.linalg import NotHermitianError
         with pytest.raises(NotHermitianError):
@@ -123,10 +139,11 @@ class TestFrozenWitnessTraces:
             A1=operators.pauli("y"),
             B0=0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
             + 0.447 * operators.pauli("z"),
-            B1=-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
-            + 0.447 * operators.pauli("z"),
+            # the witness's (+, -, +, +) signs are the CHSH rule with B1 negated
+            B1=-(-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
+                 + 0.447 * operators.pauli("z")),
         )
-        b = operators.chsh_operator(settings, signs=operators.SIGNS_VARIANT)
+        b = operators.chsh_operator(settings)
         w = operators.chsh_witness(b)
         rho = states.make_example(states.FAMILY_MIXED_GHZ_2W, 0.55)
         reduced = states.partial_trace(rho, "A")
@@ -153,6 +170,18 @@ class TestSvetlichnyOperator:
         s = operators.svetlichny_operator(self._random_settings(rng))
         assert np.allclose(s, s.conj().T, atol=1e-12)
         assert abs(np.trace(s)) <= 1e-10
+
+    def test_matches_the_nested_eight_term_formula(self):
+        rng = np.random.default_rng(3066)
+        for _ in range(200):
+            settings = self._random_settings(rng)
+            a, ap, b, bp, c, cp = (operators.spin_observable(v) for v in
+                                   (settings.a, settings.a_prime, settings.b,
+                                    settings.b_prime, settings.c, settings.c_prime))
+            nested = (np.kron(a, np.kron(b, c + cp) + np.kron(bp, c - cp))
+                      + np.kron(ap, np.kron(b, c - cp) - np.kron(bp, c + cp)))
+            s = operators.svetlichny_operator(settings)
+            assert np.max(np.abs(s - nested)) <= 1e-14
 
     def test_operator_norm_within_quantum_bound(self, rng):
         bound = 4.0 * math.sqrt(2.0)

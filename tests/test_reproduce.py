@@ -265,11 +265,11 @@ class TestFamilyWitness:
             A1=operators.pauli("y"),
             B0=0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
             + 0.447 * operators.pauli("z"),
-            B1=-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
-            + 0.447 * operators.pauli("z"),
+            # the witness's (+, -, +, +) signs are the CHSH rule with B1 negated
+            B1=-(-0.95 * operators.pauli("x") + 0.95 * operators.pauli("y")
+                 + 0.447 * operators.pauli("z")),
         )
-        expected = operators.chsh_witness(
-            operators.chsh_operator(settings, signs=operators.SIGNS_VARIANT))
+        expected = operators.chsh_witness(operators.chsh_operator(settings))
         assert np.array_equal(w, expected)
         with pytest.raises(ValueError):
             w[0, 0] = 0.0
