@@ -26,9 +26,9 @@ the printed interval is always attainable by the reported parameters.
 The undetected-regime strength is printed at the default weight r, half
 its cap; the certificate reads only its K, so no weight is asked for.
 JSON output is the records: BoundsReport and Verdict, fields in declaration order.
-One writer prints every JSON text, analyze's and optimize's --format json
-and reproduce's erratum file, and its bytes are those of
-json.dumps(value, indent=2), which runs json's slower pure-Python encoder.
+Every JSON text, analyze's and optimize's --format json and reproduce's
+erratum file, is one json.dumps call without indent, so json's C encoder
+prints it as one line.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import json
 import os
 import sys
 from dataclasses import fields
-from math import isfinite
 
 import numpy as np
 
@@ -137,12 +136,12 @@ def format_matrix_text(matrix: np.ndarray) -> str:
 # Input resolution.
 
 def _read_file(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -190,76 +189,15 @@ def _pair_arg(value: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Serialization helpers.
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+def _fields(record) -> dict:
+    """json's default: a dataclass's fields in declaration order; fields()
+    raises TypeError for anything else, which json.dumps passes on."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _json_text(value) -> str:
-    """The text of json.dumps(value, indent=2), a dataclass printed as its fields.
-
-    With indent set, json runs its pure-Python encoder, whose closures also
-    leave cyclic garbage on every call; this walk writes the same bytes in
-    one list joined once. Strings are escaped by json's C function, keys
-    must be strings, and a value json cannot print raises TypeError.
-    """
-    parts = []
-    _json_parts(value, parts.append, "\n")
-    return "".join(parts)
-
-
-def _json_parts(value, put, newline: str) -> None:
-    # True and False come before int, as in json, because bool is an int.
-    # Floats and strings, the commonest values, come first: no type is
-    # both one of them and another kind json prints.
-    if isinstance(value, float):
-        if isfinite(value):
-            put(float.__repr__(value))
-        else:
-            put("NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
-    elif isinstance(value, str):
-        put(_ESCAPE(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            put(separator)
-            separator = "," + inner
-            _json_parts(item, put, inner)
-        put(newline + "]")
-    else:
-        if not isinstance(value, dict):
-            value = _field_dict(value)
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            put(separator + _ESCAPE(key) + ": ")
-            separator = "," + inner
-            _json_parts(item, put, inner)
-        put(newline + "}")
-
-
-def _field_dict(record) -> dict:
-    """A dataclass's fields in declaration order, TypeError for anything else."""
-    names = _FIELD_NAMES.get(type(record))
-    if names is None:
-        names = _FIELD_NAMES[type(record)] = tuple(f.name for f in fields(record))
-    return {name: getattr(record, name) for name in names}
+    """The one JSON text of value, on one line, from json's C encoder."""
+    return json.dumps(value, default=_fields)
 
 
 def _window_str(window: Window) -> str:

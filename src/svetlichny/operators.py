@@ -36,7 +36,8 @@ class UnitVector3:
 
     def __post_init__(self):
         norm2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm2 - 1.0) > UNIT_TOL:
+        # written so that a NaN norm, from a NaN or infinite component, fails too
+        if not abs(norm2 - 1.0) <= UNIT_TOL:
             raise OperatorError(f"direction ({self.x}, {self.y}, {self.z}) has |v|^2 = {norm2!r}")
 
     @classmethod

@@ -248,17 +248,14 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 def _check_range(family: str, param: float) -> None:
     lo, hi = FAMILY_RANGES[family]
-    open_left = family == FAMILY_IDENTITY_W
-    open_both = family == FAMILY_MAXIMAL_SLICE
-    if open_both:
-        ok = lo < param < hi
-    elif open_left:
-        ok = lo < param <= hi
-    else:
-        ok = lo <= param <= hi
-    if not ok:
+    open_left = family in (FAMILY_IDENTITY_W, FAMILY_MAXIMAL_SLICE)
+    open_right = family == FAMILY_MAXIMAL_SLICE
+    above = lo < param if open_left else lo <= param
+    below = param < hi if open_right else param <= hi
+    if not (above and below):
         raise ParameterRangeError(
-            f"{family} parameter {param!r} outside validity range ({lo}, {hi})"
+            f"{family} parameter {param!r} outside validity range "
+            f"{'(' if open_left else '['}{lo}, {hi}{')' if open_right else ']'}"
         )
 
 

@@ -270,7 +270,7 @@ class TestCriterion8:
             states.negativity(states.validate(corpus.random_product_two_qubit(rng), 2))
             <= 1e-12
             for _ in range(100))
-        # every bound formula returns exactly zero at unit visibility
+        # every bound formula returns exactly zero at unit weight
         rho1 = states.make_example(states.FAMILY_PURE_W1, 0.92)
         red1 = states.partial_trace(rho1, "B")
         s_nl = nonlocality.s_nl_detected(red1, XZ)

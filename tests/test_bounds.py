@@ -1,4 +1,4 @@
-"""Certificate windows, visibility bounds, and the verdict search.
+"""Certificate windows, the bounds at operator weights p and q, and the verdict search.
 
 The frozen decimals were computed from the defining eigenvalue
 expressions in a standalone script before this module existed; they pin
@@ -122,7 +122,7 @@ def test_every_entry_point_rejects_a_malformed_witness(entry, witness, tmp_path,
 
 
 class TestBoundConfig:
-    def test_rejects_out_of_range_visibilities(self):
+    def test_rejects_out_of_range_weights(self):
         for p, q in ((0.0, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 1.0001)):
             with pytest.raises(BoundsError):
                 BoundConfig(p=p, q=q, witness=XY)
@@ -281,13 +281,13 @@ class TestDetectedRoute:
             0.951426891272455, abs=1e-13)
         assert rep.genuine_q_window.upper == pytest.approx(
             0.965157936662651, abs=1e-13)
-        # the listed visibility sits inside the genuine p window
+        # the listed weight sits inside the genuine p window
         assert rep.genuine_p_window.contains(0.0065)
         # admissible windows share an endpoint with the genuine ones
         assert rep.p_window.lower == pytest.approx(rep.genuine_p_window.upper)
         assert rep.q_window.lower == pytest.approx(rep.genuine_q_window.upper)
 
-    def test_bounds_vanish_at_unit_visibility_exactly(self):
+    def test_bounds_vanish_at_unit_weight_exactly(self):
         rho, cfg, _ = _f1_report()
         reduced = states.partial_trace(rho, "B")
         from svetlichny.nonlocality import s_nl_detected
@@ -336,7 +336,7 @@ class TestUndetectedRoute:
         assert inter["s_nl_new"] == pytest.approx(
             inter["r"] * (inter["p_max"] - 0.75) + (1.0 - inter["r"]) * inter["k"], abs=1e-15)
 
-    def test_bounds_vanish_at_unit_visibility_exactly(self):
+    def test_bounds_vanish_at_unit_weight_exactly(self):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         reduced = states.partial_trace(rho, "A")
         strength = s_nl_new(reduced, XY, 0.0)

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from svetlichny import cli, operators, reproduce, states
-from svetlichny.bounds import BoundsReport, Verdict, Window
+from svetlichny.bounds import BoundsReport, Verdict
 import corpus
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -48,6 +47,22 @@ class TestExitCodes:
         assert run("nonsense") == 64
         assert run("analyze", "--family", "pure-W-class-1", "--param", "oops") == 64
         capsys.readouterr()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("flag", ["--matrix", "--witness"])
+    def test_non_utf8_input_is_sixty_four(self, flag, source, tmp_path, monkeypatch, capsys):
+        # bytes that do not decode are a parse failure that names the file
+        raw = b"\xff\xfe\x00bad"
+        if source == "file":
+            path = str(tmp_path / "bad.mat")
+            Path(path).write_bytes(raw)
+        else:
+            path = "-"
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        state = [] if flag == "--matrix" else ["--ref", "GHZ"]
+        assert run("analyze", *state, flag, path) == 64
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0")
 
     @pytest.mark.parametrize("command", ["analyze", "optimize"])
     def test_param_without_family_is_sixty_four(self, command, capsys):
@@ -441,53 +456,13 @@ class TestReproduceCommand:
         assert (tmp_path / "3.json").read_bytes() == (tmp_path / "all.json").read_bytes()
 
 
-def _fields(record) -> dict:
-    """json's default for the oracle: a dataclass's fields in declaration order."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-_CHARACTERS = st.one_of(st.characters(),
-                        st.sampled_from("\ud800\udbff\udc00\udfff\"\\/\x00\x1f\x7f\n\té€😀"))
-_TEXT = st.text(_CHARACTERS, max_size=8)
-_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
-    st.floats().map(np.float64),
-)
-_SCALARS = st.one_of(_TEXT, st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-                     st.booleans(), st.none(), _FLOATS)
-_WINDOWS = st.builds(Window, _FLOATS, _FLOATS)
-
-
-def _records(children):
-    reports = st.builds(BoundsReport, _TEXT, _FLOATS, _FLOATS, _FLOATS, _FLOATS,
-                        _WINDOWS, _WINDOWS, _WINDOWS, _WINDOWS,
-                        st.dictionaries(_TEXT, children, max_size=3))
-    verdicts = st.builds(Verdict, _TEXT, st.none() | _TEXT, st.none() | _TEXT,
-                         st.none() | _FLOATS, st.none() | _WINDOWS,
-                         st.none() | st.tuples(_TEXT, _TEXT), st.none() | _TEXT)
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_TEXT, children, max_size=4),
-        _WINDOWS, reports, verdicts,
-    )
-
-
-_VALUES = st.recursive(_SCALARS, _records, max_leaves=24)
-
-
 class TestJsonWriter:
-    """The CLI's JSON writer prints the bytes of json.dumps(indent=2)."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(value=_VALUES)
-    def test_matches_json_dumps(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2, default=_fields)
+    """The CLI's one json.dumps call raises TypeError on a value that is
+    neither a dataclass nor something json can print."""
 
     @pytest.mark.parametrize("value", [
-        np.int64(1), object(), {1, 2}, {1: 2}, [0.5, {"a": np.int64(1)}], {"a": {None: 1}},
-    ], ids=["np.int64", "object", "set", "int-key", "nested-np.int64", "nested-None-key"])
+        np.int64(1), object(), {1, 2}, [0.5, {"a": np.int64(1)}],
+    ], ids=["np.int64", "object", "set", "nested-np.int64"])
     def test_unprintable_values_raise_type_error(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value)
@@ -521,15 +496,15 @@ def _json_outputs(tmp_path) -> dict[str, str]:
 
 class TestJsonOutputs:
     def test_each_output_is_its_own_json_dumps(self, tmp_path):
-        # json.dumps(json.loads(text), indent=2) gives the text back: this
-        # oracle reads only the printed bytes, never the writer
+        # json.dumps(json.loads(text)) gives the text back: this oracle
+        # reads only the printed bytes, never the writer
         outputs = _json_outputs(tmp_path)
         assert json.loads(outputs["analyze-product"])["report"] is None
         assert isinstance(json.loads(outputs["analyze-product"])["report_error"], str)
         assert r'\u00e9tat \"q\".mat",' in outputs["analyze-witness-file"]
         for name, text in outputs.items():
             assert text.endswith("\n"), name
-            assert json.dumps(json.loads(text), indent=2) == text[:-1], name
+            assert json.dumps(json.loads(text)) == text[:-1], name
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--family", "identity-W", "--param", "0.82", "--format", "json"],

@@ -8,9 +8,9 @@ against the interpreter's list of standard-library modules. A public
 module-level function must be read somewhere else in the package, where
 an export through __all__ counts; a check that only the tests call
 belongs in tests/. __init__'s imports are its exports, and its __all__
-names exactly them. Within each other module of the package and of
-tests/, every import and every private module-level function, class and
-constant must be loaded somewhere in that module.
+names exactly them. Within each other module of the package, of tests/
+and of tools/, every import and every private module-level function,
+class and constant must be loaded somewhere in that module.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "svetlichny"
 TESTS = Path(__file__).resolve().parent
+TOOLS = TESTS.parent / "tools"
 CORPUS = TESTS / "corpus.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
@@ -132,7 +133,8 @@ def unloaded_names(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("path", sorted(set(SOURCE.glob("*.py")) - {SOURCE / "__init__.py"})
-                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+                         + sorted(TESTS.glob("*.py")) + sorted(TOOLS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_every_import_and_private_name_is_loaded(path):
     unloaded = unloaded_names(path)
     assert not unloaded, f"nothing in {path.name} loads {unloaded}"

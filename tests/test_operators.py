@@ -42,6 +42,20 @@ class TestSpinObservable:
         with pytest.raises(operators.OperatorError):
             operators.UnitVector3(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("build", ["init", "from_array"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_direction(self, bad, axis, build):
+        # a NaN norm fails every comparison, so the unit check must fail closed
+        v = [0.6, 0.8, 0.0]
+        v[axis] = bad
+        # from_array divides inf by the infinite norm, which numpy warns of
+        with pytest.raises(operators.OperatorError), np.errstate(invalid="ignore"):
+            if build == "init":
+                operators.UnitVector3(*v)
+            else:
+                operators.UnitVector3.from_array(v)
+
 
 class TestChshOperator:
     def test_hermitian_and_bounded(self, rng):

@@ -302,6 +302,19 @@ class TestExampleFamilies:
         with pytest.raises(states.StateError):
             states.make_example(states.FAMILY_MIXED_GHZ_2W, 0.81)
 
+    @pytest.mark.parametrize("family, param, message", [
+        (states.FAMILY_PURE_W1, -0.1,
+         "pure-W-class-1 parameter -0.1 outside validity range [0.0, 0.953939]"),
+        (states.FAMILY_IDENTITY_W, 0.816,
+         "identity-W parameter 0.816 outside validity range (0.816, 1.0]"),
+        (states.FAMILY_MAXIMAL_SLICE, 0.0,
+         "maximal-slice parameter 0.0 outside validity range (0.0, 1.5707963267948966)"),
+    ], ids=["closed", "open-left", "open"])
+    def test_range_error_shows_each_end_as_accepted(self, family, param, message):
+        with pytest.raises(states.ParameterRangeError) as caught:
+            states.make_example(family, param)
+        assert str(caught.value) == message
+
     def test_unknown_family_rejected(self):
         with pytest.raises(states.StateError):
             states.make_example("no-such-family", 0.5)
