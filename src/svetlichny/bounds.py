@@ -22,8 +22,10 @@ read, and its methods are the only certificate arithmetic; each (pair,
 witness) is evaluated once, into the Routes value that the report and
 the search read. One column builder reads the numbers of many (state,
 reduction) points together, one array per field: each state's
-eigensystem is the one validation solved, and one stacked solve covers
-the partial transposes and the reductions not solved yet.
+eigensystem is the one validation solved, the reductions are gated as
+one stack, their partial transposes' spectra are solved without
+eigenvectors in one call, and the reductions not solved yet with them,
+for their roots, in one more.
 build_records cuts the columns into one record of floats per point,
 whose 8x8 product spectrum is solved only when a route reads it.
 grid_record keeps them as one record of arrays over a grid, its
@@ -57,8 +59,8 @@ from .operators import PLANES, plane_witness, witness_matrix
 from .states import (
     DensityMatrix,
     pair_positions,
-    partial_transpose,
     partial_transpose_numbers,
+    partial_transposes,
     reduce_to_pair,
 )
 
@@ -440,27 +442,31 @@ def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMat
 def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
              ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Every number field of the records of (state, reduction) points, one array each, and the
-    reductions' square roots, from one gated solve of their 4x4 matrices.
+    reductions' square roots, from one gated stack of their 4x4 matrices.
 
     state_values holds each state's ascending spectrum, from the
-    eigensystem validation solved. The stack holds every second-qubit
-    partial transpose, then each reduction whose eigensystem is not
-    solved yet (a validated reduction, such as maximal-slice's designated
-    matrix, arrives solved); the roots come from those eigensystems. The
-    negativity and the other partial-transpose numbers come from
-    partial_transpose_numbers, the formula states.negativity reads.
+    eigensystem validation solved. linalg.symmetrize gates the
+    reductions' stack once. A partial transpose only moves entries, so a
+    reduction passes the gates exactly when its partial transpose does,
+    and the partial transposes of the gated stack are the gated partial
+    transposes, bit for bit; their spectra are solved without
+    eigenvectors. Each reduction whose eigensystem is not solved yet (a
+    validated reduction, such as maximal-slice's designated matrix,
+    arrives solved) is solved with them, and the roots come from those
+    eigensystems. The negativity and the other partial-transpose numbers
+    come from partial_transpose_numbers, the formula states.negativity
+    reads.
     """
-    k = len(reductions)
     cached = [rho.solved_eigensystem for rho in reductions]
-    values, vectors = linalg.hermitian_eigensystem(
-        [partial_transpose(rho) for rho in reductions]
-        + [rho.matrix for rho, system in zip(reductions, cached) if system is None])
-    reduced_values, reduced_vectors = values[k:], vectors[k:]
-    if any(system is not None for system in cached):
-        solved = zip(reduced_values, reduced_vectors)
-        reduced_values, reduced_vectors = (np.array(part) for part in zip(*(
-            system or next(solved) for system in cached)))
-    n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(values[:k])
+    unsolved = [i for i, system in enumerate(cached) if system is None]
+    gated = linalg.symmetrize([rho.matrix for rho in reductions])
+    pt_values = linalg._solve(partial_transposes(gated), vectors=False)
+    reduced = linalg._solve(gated[unsolved], vectors=True) if unsolved else ((), ())
+    if len(unsolved) < len(cached):
+        solved = zip(*reduced)
+        reduced = [np.array(part) for part in zip(*(system or next(solved) for system in cached))]
+    reduced_values, reduced_vectors = reduced
+    n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(pt_values)
     columns = dict(lambda_min_rho=state_values[:, 0], lambda_max_rho=state_values[:, -1],
                    lambda_max_embedded=reduced_values[:, -1],
                    lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values),

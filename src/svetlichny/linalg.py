@@ -2,12 +2,14 @@
 
 Everything downstream (states, operators, bounds) funnels its spectral
 needs through this module: Kronecker products, trace pairings, and the
-Hermitian eigensolver. The solver is LAPACK's (numpy.linalg.eigh) behind
-the kernel's own gates: inputs must be square, finite, at most MAX_DIM
-wide and Hermitian to HERMITICITY_TOL, because eigh reads only one
-triangle and would silently diagonalize a non-Hermitian input. The gates
-and the solver also take a (k, n, n) stack, checked once as a whole, so
-that a caller with several small matrices pays for one gated call.
+Hermitian eigensolver. The solver is LAPACK's behind the kernel's own
+gates: numpy.linalg.eigh where the eigenvectors are read (a square root),
+numpy.linalg.eigvalsh where only the spectrum is. Inputs must be square,
+finite, at most MAX_DIM wide and Hermitian to HERMITICITY_TOL, because
+LAPACK reads only one triangle and would silently diagonalize a
+non-Hermitian input. The gates and the solver also take a (k, n, n)
+stack, checked once as a whole, so that a caller with several small
+matrices pays for one gated call.
 
 Each gate reads its matrix in one pass. A NaN or Inf entry makes the
 hermiticity residual, or the trace pairing, non-finite, so the
@@ -16,8 +18,8 @@ pass fails, the errors come in the same order: DimensionMismatchError
 for a shape, then LinalgError for a non-finite entry, then
 NotHermitianError, then DimensionMismatchError above MAX_DIM and
 NoConvergenceError from LAPACK. A caller that has symmetrized a matrix
-already (states.validate) hands it to _eigh, the solver's LAPACK step,
-so that no matrix passes the gates twice.
+already (states.validate, bounds' column builder) hands it to _solve,
+the solver's one LAPACK step, so that no matrix passes the gates twice.
 
 A spectrum is an ascending float array, its extremes at [0] and [-1];
 congruence_eigenvalues solves the spectrum of a product rho X, rho PSD,
@@ -109,24 +111,32 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     and one matrix of vectors per member. A LAPACK failure to converge is
     reported as NoConvergenceError.
     """
-    return _eigh(symmetrize(m))
+    return _solve(symmetrize(m), vectors=True)
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_eigensystem of what symmetrize returned: the size cap and LAPACK alone."""
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending real spectrum of a Hermitian matrix, or one row per member of a stack,
+    as a float array; no eigenvectors are computed."""
+    return _solve(symmetrize(m), vectors=False)
+
+
+def _solve(a: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The solve of what symmetrize returned: the size cap and LAPACK alone.
+
+    (values, vectors) from eigh when the vectors are read, the values
+    alone from eigvalsh otherwise.
+    """
     n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatchError(f"kernel handles dimensions <= {MAX_DIM}, got {n}")
     try:
-        values, vectors = np.linalg.eigh(a)
+        if vectors:
+            values, eigenvectors = np.linalg.eigh(a)
+            return values, eigenvectors
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
-    return values, vectors
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real spectrum of a Hermitian matrix, as a float array."""
-    return hermitian_eigensystem(m)[0]
+        solver = "eigh" if vectors else "eigvalsh"
+        raise NoConvergenceError(f"{solver} did not converge: {exc}") from exc
 
 
 def congruence_eigenvalues(root, op) -> np.ndarray:

@@ -44,6 +44,8 @@ class UnitVector3:
     def from_array(cls, v) -> "UnitVector3":
         a = np.asarray(v, dtype=float)
         n = float(np.linalg.norm(a))
+        if not np.isfinite(n):  # checked before dividing, which warns on an infinite norm
+            raise OperatorError(f"direction {a.tolist()} has norm {n!r}")
         if n == 0.0:
             raise OperatorError("zero vector has no direction")
         return cls(float(a[0] / n), float(a[1] / n), float(a[2] / n))

@@ -481,7 +481,7 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     rhos = states.make_examples(name, params)
     # maximal-slice's designated matrix is not a reduction of rho
     reductions = (states.example_reductions(name, params) if name == states.FAMILY_MAXIMAL_SLICE
-                  else [states.reduce_to_pair(rho, pair) for rho in rhos])
+                  else states.reduce_to_pairs(rhos, pair))
     spectra = grid_record(rhos, reductions, pair)
     w = _family_witness(family)
     columns = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
@@ -490,7 +490,7 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     if family in _DETECTED:
         columns["s_nl"] = nonlocality.s_nl_from_pairing(np.einsum("ij,kji->k", w, matrices).real)
     else:
-        products = matrices @ np.array([states.partial_transpose(r) for r in reductions])
+        products = matrices @ states.partial_transposes(matrices)
         columns["trace_witness_product"] = np.einsum("ij,kji->k", w, products).real
         columns["lambda_max_witness_state"] = spectra.witness_max(w)
     columns["p_window"], columns["q_window"] = (

@@ -7,7 +7,11 @@ of whichever pair survived the partial trace, in ascending label order.
 validate checks a (k, d, d) stack under the same gates as one matrix and
 solves all its members in one call; each validated state keeps its
 eigensystem. The family builders build a whole parameter grid that way,
-and the single-state builders are the same code on a list of one.
+and the single-state builders are the same code on a list of one. So are
+the reductions and the partial transpose: reduce_to_pairs and
+partial_transposes reshape a whole stack once, and reduce_to_pair,
+partial_trace and partial_transpose run the same kernels on a stack of
+one.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     for tr in np.trace(sym, axis1=1, axis2=2).real.tolist():
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
-    values, vectors = linalg._eigh(sym)
+    values, vectors = linalg._solve(sym, vectors=True)
     for lambda_min in values[:, 0].tolist():
         if lambda_min < PSD_TOL:
             raise InvalidStateError("not-psd", f"lambda_min = {lambda_min:.3e}")
@@ -156,6 +160,21 @@ def _label_index(label: str) -> int:
         raise UnknownNameError(f"subsystem label must be one of {LABELS}, got {label!r}") from None
 
 
+def _marginals(matrices: np.ndarray, pair) -> np.ndarray:
+    """The (k, 4, 4) marginals of an ordered pair of a (k, 8, 8) stack, an 8x8 matrix being a
+    stack of one: one trace over the spectator, then one swap of the survivors when the pair
+    is in descending order."""
+    first, second = pair_positions(pair)
+    if matrices.size and matrices.shape[-2:] != (8, 8):  # an empty stack has no shape to check
+        raise InvalidStateError("bad-dimension", "partial_trace expects a 3-qubit state")
+    spectator = 3 - first - second
+    t = matrices.reshape(-1, 2, 2, 2, 2, 2, 2)
+    reduced = np.trace(t, axis1=1 + spectator, axis2=4 + spectator)
+    if first > second:
+        reduced = reduced.transpose(0, 2, 1, 4, 3)
+    return reduced.reshape(-1, 4, 4)
+
+
 def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     """Trace out one subsystem of a 3-qubit state.
 
@@ -165,12 +184,8 @@ def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
     second positivity check could reject what the tolerance let through,
     since tracing out a qubit can add two tolerated negative eigenvalues.
     """
-    if rho.qubits != 3:
-        raise InvalidStateError("bad-dimension", "partial_trace expects a 3-qubit state")
     k = _label_index(traced)
-    t = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
-    reduced = np.trace(t, axis1=k, axis2=k + 3)
-    return DensityMatrix(qubits=2, matrix=reduced.reshape(4, 4))
+    return reduce_to_pair(rho, LABELS[:k] + LABELS[k + 1:])
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -178,11 +193,18 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
     Transposing the first qubit instead gives the full transpose of this
     result, with the same spectrum, so the negativity does not depend on
-    the side.
+    the side. partial_transposes on a stack of one.
     """
-    if rho.qubits != 2:
+    return partial_transposes(rho.matrix)[0]
+
+
+def partial_transposes(matrices) -> np.ndarray:
+    """partial_transpose of each member of a (k, 4, 4) stack of 2-qubit matrices, a 4x4
+    matrix being a stack of one, by one transpose: <ij|rho^T|kl> = <il|rho|kj>."""
+    m = np.asarray(matrices)
+    if m.size and m.shape[-2:] != (4, 4):
         raise InvalidStateError("bad-dimension", "partial_transpose expects a 2-qubit state")
-    return rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
 def pair_positions(pair) -> tuple[int, int]:
@@ -195,17 +217,19 @@ def pair_positions(pair) -> tuple[int, int]:
 
 
 def reduce_to_pair(rho: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
-    """The marginal of an ordered pair of a 3-qubit state.
+    """The marginal of an ordered pair of a 3-qubit state, by reduce_to_pairs's kernel on a
+    stack of one.
 
     The pair's first label takes the first tensor slot, so ("C", "A")
     gives rho_CA, the swap of the rho_AC that partial_trace returns.
     """
-    first, second = pair_positions(pair)
-    reduced = partial_trace(rho, LABELS[3 - first - second])
-    if first < second:
-        return reduced
-    swapped = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return DensityMatrix(qubits=2, matrix=swapped)
+    return DensityMatrix(qubits=2, matrix=_marginals(rho.matrix, pair)[0])
+
+
+def reduce_to_pairs(rhos, pair: tuple[str, str]) -> list[DensityMatrix]:
+    """reduce_to_pair of each 3-qubit state on one pair, from one trace over their stack."""
+    matrices = np.array([rho.matrix for rho in rhos])
+    return [DensityMatrix(qubits=2, matrix=matrix) for matrix in _marginals(matrices, pair)]
 
 
 def partial_transpose_numbers(values) -> tuple:
@@ -295,7 +319,7 @@ def _family_params(family: str, params) -> np.ndarray:
     if family not in FAMILIES:
         raise UnknownNameError(f"unknown example family {family!r}")
     for param in params:
-        _check_range(family, param)
+        _check_range(family, float(param))
     return np.asarray(params, dtype=float).reshape(-1)
 
 
@@ -355,7 +379,7 @@ def example_reductions(family: str, params) -> list[DensityMatrix]:
     leave the true reductions to partial_trace.
     """
     if family != FAMILY_MAXIMAL_SLICE:
-        return [reduce_to_pair(rho, EXAMPLE_PAIRS[family]) for rho in make_examples(family, params)]
+        return reduce_to_pairs(make_examples(family, params), EXAMPLE_PAIRS[family])
     c = np.cos(_family_params(family, params))
     m = np.zeros((len(c), 4, 4), dtype=complex)
     m[:, 0, 0] = m[:, 3, 3] = 0.5

@@ -43,10 +43,10 @@ def _matrix(rho) -> np.ndarray:
 def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending spectrum of a Hermitian matrix, from numpy.linalg.eigh.
 
-    eigh is the package's solver too. N is small near the PPT border and
-    the K bounds divide by it, so a second LAPACK driver (eigvalsh) moves
-    them by up to 7e-10, 1.8e-12 relative: the tests compare them at a
-    relative tolerance.
+    The package reads every spectrum it needs no eigenvectors for, N's
+    among them, from eigvalsh, a second LAPACK driver. N is small near the PPT border and the K bounds
+    divide by it, so the two drivers move them by up to 7e-10, 1.8e-12
+    relative: the tests compare them at a relative tolerance.
     """
     return np.linalg.eigh(m)[0]
 

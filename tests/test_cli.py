@@ -320,8 +320,22 @@ class TestAnalyzeOutput:
         path.write_text(cli.format_matrix_text(np.outer(ket, ket.conj())))
         assert run("analyze", "--matrix", str(path), "--pair", "AC", "--witness", "xz") == 0
         out = capsys.readouterr().out
-        assert "  unavailable: the cap needs K > 0, got -0.06429993149031803\n" in out
+        assert "  unavailable: the cap needs K > 0, got -0.06429993149031794\n" in out
         assert "verdict: genuine\n  route undetected-p, pair A-C, witness xy\n" in out
+
+    def test_eigenvectors_are_solved_only_where_a_root_reads_them(self, monkeypatch, capsys):
+        # the state's validation and the three reductions; every product,
+        # partial transpose, witness maximum and T^t T is a spectrum alone
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def solver(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, solver)
+        assert run("analyze", "--family", "identity-W", "--param", "0.82") == 0
+        assert "verdict: genuine" in capsys.readouterr().out
+        assert [shape for name, shape in calls if name == "eigh"] == [(1, 8, 8), (3, 4, 4)]
+        assert {name for name, _ in calls} == {"eigh", "eigvalsh"}
 
 
 class TestOptimizeCommand:

@@ -147,7 +147,9 @@ class TestKernelGates:
         def fail(a, *args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        # the vector solve is eigh, the value-only solve eigvalsh
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(linalg.NoConvergenceError):
             linalg.hermitian_eigensystem(np.eye(4))
         with pytest.raises(linalg.NoConvergenceError):
@@ -162,16 +164,18 @@ class TestKernelGates:
         values, vectors = np.linalg.eigh(states.partial_trace(rho, "C").matrix)
         root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
         target = root @ operators.plane_witness("xy") @ root
-        solve = np.linalg.eigh
         failed = []
 
-        def eigh(a, *args, **kwargs):
-            if np.shape(a) == (4, 4) and np.allclose(a, target, atol=1e-12):
-                failed.append(True)
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return solve(a, *args, **kwargs)
+        def failing_on_target(solve):
+            def solver(a, *args, **kwargs):
+                if np.shape(a) == (4, 4) and np.allclose(a, target, atol=1e-12):
+                    failed.append(True)
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return solve(a, *args, **kwargs)
+            return solver
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, failing_on_target(getattr(np.linalg, name)))
         verdict = bounds.detect_genuine(rho)
         assert failed
         assert verdict.outcome == "genuine"
@@ -195,6 +199,26 @@ class TestStacks:
         for member, root in zip(stack, roots):
             assert np.array_equal(
                 root, linalg.eigen_root(*linalg.hermitian_eigensystem(member @ member)))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_value_only_stack_gives_the_bits_of_per_matrix_calls(self, rng, dim):
+        stack = np.array([_random_hermitian(rng, dim) for _ in range(5)])
+        values = linalg.hermitian_eigenvalues(stack)
+        assert values.shape == (5, dim)
+        for member, member_values in zip(stack, values):
+            assert linalg.hermitian_eigenvalues(member).tobytes() == member_values.tobytes()
+        # eigvalsh's bits are not eigh's, but the spectra agree to roundoff
+        assert np.allclose(values, linalg.hermitian_eigensystem(stack)[0], atol=1e-12)
+
+    def test_value_only_solve_computes_no_vectors(self, rng, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise AssertionError("eigh called for a spectrum alone")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        spectrum = linalg.hermitian_eigenvalues(_random_hermitian(rng, 4))
+        assert spectrum.shape == (4,)
+        root = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+        assert linalg.congruence_eigenvalues(root, np.eye(4)).tolist() == [0.0, 0.0625, 0.0625, 0.25]
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
                              ids=["nan", "inf", "imag-nan"])

@@ -16,7 +16,7 @@ import pytest
 
 import lemmas
 from svetlichny import linalg, nonlocality, operators, reproduce, states
-from svetlichny.bounds import pair_spectra, product_spectrum
+from svetlichny.bounds import grid_record, pair_spectra, product_spectrum
 
 EXPECTED_STATUSES = {
     1: ("match", "match", "discrepancy", "match"),
@@ -156,11 +156,12 @@ class TestClosedFormGrid:
     """Each family's grid is validated, reduced and solved as one stack."""
 
     # stacked solves per family, counted at the kernel's LAPACK step,
-    # which validation's gated stack reaches directly: the states,
-    # maximal-slice's designated matrices, the records' 4x4 stack, the
+    # which validation's and the records' gated stacks reach directly: the
+    # states, maximal-slice's designated matrices, the records' partial
+    # transposes and their reductions (maximal-slice's arrive solved), the
     # products, and the witness congruences of the undetected families
     # (150/150/250/200/200 one point at a time on the 50-point grid)
-    CALLS = {1: 3, 2: 3, 3: 5, 4: 4, 5: 4}
+    CALLS = {1: 4, 2: 4, 3: 5, 4: 5, 5: 5}
     # matrices per grid point, by size: what the per-point route solved,
     # less its second solve of maximal-slice's designated matrix
     PER_POINT = {1: {8: 2, 4: 2}, 2: {8: 2, 4: 2}, 3: {8: 2, 4: 3},
@@ -171,16 +172,27 @@ class TestClosedFormGrid:
     def test_solve_calls_do_not_grow_with_the_grid(self, monkeypatch, solves, family, points):
         monkeypatch.setattr(reproduce, "GRID_POINTS", points)
         calls = []
-        solver = linalg._eigh
+        solver = linalg._solve
 
-        def counted(m):
-            calls.append(np.shape(m))
-            return solver(m)
+        def counted(m, vectors):
+            calls.append((np.shape(m), vectors))
+            return solver(m, vectors)
 
-        monkeypatch.setattr(linalg, "_eigh", counted)
+        monkeypatch.setattr(linalg, "_solve", counted)
         reproduce.reproduce_closed_forms(family)
         assert len(calls) == self.CALLS[family], calls
         assert dict(solves) == {size: n * points for size, n in self.PER_POINT[family].items()}
+
+    @pytest.mark.parametrize("family", range(1, 6))
+    def test_grid_negativity_is_each_reductions_own(self, family):
+        # the grid's partial transposes are solved in one value-only stack,
+        # states.negativity's one at a time: the bits agree
+        name = states.FAMILIES[family - 1]
+        params = np.linspace(*reproduce.CLOSED_FORM_RANGES[family], 10)
+        reductions = states.example_reductions(name, params)
+        record = grid_record(states.make_examples(name, params), reductions,
+                             states.EXAMPLE_PAIRS[name])
+        assert record.negativity.tolist() == [states.negativity(r) for r in reductions]
 
     @pytest.mark.parametrize("family", range(1, 6))
     def test_grid_route_equals_the_per_point_route(self, family):

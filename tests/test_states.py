@@ -7,6 +7,7 @@ library code, so a bug in the reshaping logic cannot hide in both places.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -247,6 +248,58 @@ class TestPartialTranspose:
         assert np.allclose(out, out.conj().T, atol=1e-13)
 
 
+class TestStackedReductions:
+    """reduce_to_pairs and partial_transposes are the one kernel each: the
+    single-state functions are the same code on a stack of one."""
+
+    @pytest.mark.parametrize("members", (1, 50))
+    @pytest.mark.parametrize("pair", list(itertools.permutations(states.LABELS, 2)), ids="".join)
+    def test_stack_gives_the_bits_of_single_calls_and_the_oracle(self, rng, pair, members):
+        rhos = states.validate(
+            np.array([corpus.random_density(rng, 8, rank=1 + i % 8) for i in range(members)]), 3)
+        reductions = states.reduce_to_pairs(rhos, pair)
+        transposes = states.partial_transposes([reduced.matrix for reduced in reductions])
+        assert len(reductions) == members and transposes.shape == (members, 4, 4)
+        for rho, reduced, transposed in zip(rhos, reductions, transposes):
+            assert reduced.qubits == 2
+            marginal = reduced.matrix.tobytes()
+            assert marginal == states.reduce_to_pair(rho, pair).matrix.tobytes()
+            assert marginal == corpus.marginal(rho.matrix, pair).tobytes()
+            assert transposed.tobytes() == states.partial_transpose(reduced).tobytes()
+            assert transposed.tobytes() == corpus.partial_transpose(reduced.matrix).tobytes()
+
+    def test_wrong_qubit_count_is_rejected(self, rng):
+        two, three = random_state(rng, 2), random_state(rng, 3)
+        for reduce in (lambda: states.reduce_to_pairs([two, two], ("A", "B")),
+                       lambda: states.reduce_to_pair(two, ("A", "B")),
+                       lambda: states.partial_trace(two, "A")):
+            with pytest.raises(states.InvalidStateError, match="partial_trace expects a 3-qubit"):
+                reduce()
+        for transpose in (lambda: states.partial_transposes([three.matrix] * 2),
+                          lambda: states.partial_transpose(three)):
+            with pytest.raises(states.InvalidStateError,
+                               match="partial_transpose expects a 2-qubit"):
+                transpose()
+
+    def test_transpose_commutes_with_the_hermiticity_gate(self, rng):
+        # bounds gates the reductions and transposes the gated stack
+        stack = np.array([corpus.random_density(rng, 4) for _ in range(6)])
+        noisy = stack + 1e-12 * (rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape))
+        assert (states.partial_transposes(linalg.symmetrize(noisy)).tobytes()
+                == linalg.symmetrize(states.partial_transposes(noisy)).tobytes())
+        noisy[3, 0, 2] += 1e-6
+        messages = set()
+        for candidate in (noisy, states.partial_transposes(noisy)):
+            with pytest.raises(linalg.NotHermitianError) as caught:
+                linalg.symmetrize(candidate)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+
+    def test_empty_stacks_give_empty_results(self):
+        assert states.reduce_to_pairs([], ("A", "B")) == []
+        assert states.partial_transposes(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
 class TestNegativity:
     def test_bell_state_is_half(self):
         rho = states.make_reference("Bell-Phi+")
@@ -314,6 +367,14 @@ class TestExampleFamilies:
         with pytest.raises(states.ParameterRangeError) as caught:
             states.make_example(family, param)
         assert str(caught.value) == message
+
+    def test_grid_range_error_reads_as_the_single_builds(self):
+        with pytest.raises(states.ParameterRangeError) as single:
+            states.make_example(states.FAMILY_PURE_W1, 2.0)
+        with pytest.raises(states.ParameterRangeError) as grid:
+            states.make_examples(states.FAMILY_PURE_W1, np.array([0.5, 2.0]))
+        assert str(grid.value) == str(single.value) == (
+            "pure-W-class-1 parameter 2.0 outside validity range [0.0, 0.953939]")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(states.StateError):
