@@ -21,24 +21,21 @@ One PairSpectra record per (state, pair) holds every number the routes
 read, and its methods are the only certificate arithmetic; each (pair,
 witness) is evaluated once, into the Routes value that the report and
 the search read. One column builder reads the numbers of many (state,
-reduction) points together, one array per field: each state's
+reduction, pair) points together, one array per field: each state's
 eigensystem is the one validation solved, the reductions are gated as
 one stack, their partial transposes' spectra are solved without
-eigenvectors in one call, and the reductions not solved yet with them,
-for their roots, in one more.
-build_records cuts the columns into one record of floats per point,
-whose 8x8 product spectrum is solved only when a route reads it.
-grid_record keeps them as one record of arrays over a grid, its
-products solved in one stacked call through the congruence that
-product_spectrum solves for one point, and its witness maxima in one
-more.
+eigenvectors in one call, the reductions not solved yet with them, for
+their roots, in one more, and the products in one stacked
+product_spectrum call. build_records cuts the columns into one record
+of floats per point; grid_record keeps them as one record of arrays
+over a grid on one pair, whose witness maxima come from one more
+stacked solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 from typing import NamedTuple
 
@@ -206,25 +203,31 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     return padded[..., index]
 
 
-def product_spectrum(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                     pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
-    """Ascending spectrum of the state times the embedded reduced pair.
+def product_spectrum(rho_abc: DensityMatrix | Sequence[DensityMatrix],
+                     rho_ij: DensityMatrix | Sequence[DensityMatrix],
+                     pair: tuple[str, str] | Sequence[tuple[str, str]] = ("B", "C")) -> np.ndarray:
+    """Ascending spectrum of the state times the embedded reduced pair, or one row of it per
+    member of a stack.
 
     The raw product is not Hermitian, but it is similar to the congruence
     of the embedded operator by the square root of the state, so its
     spectrum is real whenever the state is a genuine density matrix. A
-    hermiticity failure of the congruence signals an invalid input.
-    grid_record solves the same congruence for a stack.
+    hermiticity failure of the congruence signals an invalid input. The
+    root comes from the eigensystem that validation solved.
+
+    A stack gives the states and reductions as equal-length sequences and
+    one pair per member, and solves them all in one call; a stack on one
+    pair is embedded by one gather. One state is the stack of one.
     """
-    return _product_spectra(*rho_abc.eigensystem, rho_ij.matrix, pair)
-
-
-def _product_spectra(values: np.ndarray, vectors: np.ndarray, reduced: np.ndarray,
-                     pair: tuple[str, str]) -> np.ndarray:
-    """The product congruence's spectrum for one state or a stack, its root taken from the
-    eigensystem that validation solved."""
-    return linalg.congruence_eigenvalues(linalg.eigen_root(values, vectors),
-                                         embed_pair(reduced, pair))
+    single = isinstance(rho_abc, DensityMatrix)
+    states, reductions, pairs = ([rho_abc], [rho_ij], [pair]) if single else (rho_abc, rho_ij, pair)
+    values, vectors = (np.array(part) for part in zip(*(rho.eigensystem for rho in states)))
+    reduced = np.array([rho.matrix for rho in reductions])
+    first = tuple(pairs[0])
+    embedded = (embed_pair(reduced, first) if all(tuple(p) == first for p in pairs)
+                else np.array([embed_pair(m, p) for m, p in zip(reduced, pairs)]))
+    spectra = linalg.congruence_eigenvalues(linalg.eigen_root(values, vectors), embedded)
+    return spectra[0] if single else spectra
 
 
 def _bound(numerator: float, weight: float, denominator: float) -> float:
@@ -253,18 +256,17 @@ def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
 class PairSpectra:
     """Every spectral number the certificates read, for one (state, pair) or for a grid of them.
 
-    build_records fills it from the state's eigensystem and from the
-    spectra of the reduced pair and its partial transpose. Embedding the
-    pair only doubles multiplicities, so the embedded extremes are read
-    off the 4x4 spectrum. The extremes of the product congruence
-    rho^{1/2} embed(rho_ij) rho^{1/2} are solved on first read
-    (product_spectrum, with the root from the same eigensystem), unless
-    given as product_extremes. The partial-transpose numbers, the reduced
-    pair, its labels and square root and the state are None in records
-    built from listed data that lacks them. A grid record (grid_record)
-    holds arrays over the grid in its number fields, product_extremes and
-    reduced_root, and leaves reduced and state None, so routes, which
-    reads the reduced pair, serves records of one point only.
+    build_records fills it from the state's eigensystem, from the spectra
+    of the reduced pair and its partial transpose, and from the extremes
+    of the product congruence rho^{1/2} embed(rho_ij) rho^{1/2}
+    (product_spectrum, with the root from the same eigensystem). Embedding
+    the pair only doubles multiplicities, so the embedded extremes are
+    read off the 4x4 spectrum. The partial-transpose numbers, the reduced
+    pair and its square root are None in records built from listed data
+    that lacks them. A grid record (grid_record) holds arrays over the
+    grid in its number fields and reduced_root, and leaves reduced None,
+    so routes, which reads the reduced pair, serves records of one point
+    only.
 
     The methods are the certificate arithmetic. routes(witness) is the
     one regime dispatch; detected (from S_NL) and undetected (from K)
@@ -284,32 +286,15 @@ class PairSpectra:
     lambda_max_rho: float
     lambda_max_embedded: float
     lambda_k_embedded: float
-    product_extremes: tuple | None = None
+    lambda_min_product: float
+    lambda_max_product: float
     lambda_max_pt: float | None = None
     lambda_min_pt_squared: float | None = None
     trace_pt_squared: float | None = None
     negativity: float | None = None
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
-    pair: tuple[str, str] | None = None
-    state: DensityMatrix | None = field(default=None, repr=False, compare=False)
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def product(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max) of the product congruence: product_extremes when given,
-        otherwise solved on first read only."""
-        if self.product_extremes is not None:
-            return self.product_extremes
-        return tuple(product_spectrum(self.state, self.reduced, self.pair)[[0, -1]].tolist())
-
-    @property
-    def lambda_min_product(self) -> float:
-        return self.product[0]
-
-    @property
-    def lambda_max_product(self) -> float:
-        return self.product[1]
 
     @property
     def lambda_k(self) -> float:
@@ -417,46 +402,39 @@ def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityM
 
     The pairs are the caller's to check.
     """
-    columns, roots = _columns(np.array([rho.eigensystem[0] for rho in states]), reductions)
+    columns, roots = _columns(states, reductions, pairs)
     rows = zip(*(column.tolist() for column in columns.values()))
-    return [PairSpectra(**dict(zip(columns, row)), reduced_root=root, reduced=rho_ij, pair=pair,
-                        state=rho_abc)
-            for row, root, rho_abc, rho_ij, pair in zip(rows, roots, states, reductions, pairs)]
+    return [PairSpectra(**dict(zip(columns, row)), reduced_root=root, reduced=rho_ij)
+            for row, root, rho_ij in zip(rows, roots, reductions)]
 
 
 def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
                 pair: tuple[str, str]) -> PairSpectra:
-    """One record for a grid of (state, reduction) points on one pair, each field an array.
+    """One record for a grid of (state, reduction) points on one pair, each field an array:
+    the columns of build_records, uncut."""
+    columns, roots = _columns(states, reductions, [pair] * len(states))
+    return PairSpectra(**columns, reduced_root=roots)
 
-    The numbers are build_records's columns; the products come from one
-    stacked congruence solve with the roots taken from the states'
-    eigensystems, as product_spectrum takes one.
+
+def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
+             pairs: Sequence[tuple[str, str]]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Every number field of the records of (state, reduction, pair) points, one array each, and
+    the reductions' square roots, from one gated stack of their 4x4 matrices.
+
+    Each state's spectrum is the eigensystem validation solved.
+    linalg.symmetrize gates the reductions' stack once. A partial
+    transpose only moves entries, so a reduction passes the gates exactly
+    when its partial transpose does, and the partial transposes of the
+    gated stack are the gated partial transposes, bit for bit; their
+    spectra are solved without eigenvectors. Each reduction whose
+    eigensystem is not solved yet (a validated reduction, such as
+    maximal-slice's designated matrix, arrives solved) is solved with
+    them, and the roots come from those eigensystems. The negativity and
+    the other partial-transpose numbers come from
+    partial_transpose_numbers, the formula states.negativity reads, and
+    the products from one stacked product_spectrum call.
     """
-    values, vectors = (np.array(part) for part in zip(*(rho.eigensystem for rho in states)))
-    columns, roots = _columns(values, reductions)
-    products = _product_spectra(values, vectors, np.array([rho.matrix for rho in reductions]), pair)
-    return PairSpectra(**columns, product_extremes=(products[:, 0], products[:, -1]),
-                       reduced_root=roots, pair=pair)
-
-
-def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
-             ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Every number field of the records of (state, reduction) points, one array each, and the
-    reductions' square roots, from one gated stack of their 4x4 matrices.
-
-    state_values holds each state's ascending spectrum, from the
-    eigensystem validation solved. linalg.symmetrize gates the
-    reductions' stack once. A partial transpose only moves entries, so a
-    reduction passes the gates exactly when its partial transpose does,
-    and the partial transposes of the gated stack are the gated partial
-    transposes, bit for bit; their spectra are solved without
-    eigenvectors. Each reduction whose eigensystem is not solved yet (a
-    validated reduction, such as maximal-slice's designated matrix,
-    arrives solved) is solved with them, and the roots come from those
-    eigensystems. The negativity and the other partial-transpose numbers
-    come from partial_transpose_numbers, the formula states.negativity
-    reads.
-    """
+    state_values = np.array([rho.eigensystem[0] for rho in states])
     cached = [rho.solved_eigensystem for rho in reductions]
     unsolved = [i for i, system in enumerate(cached) if system is None]
     gated = linalg.symmetrize([rho.matrix for rho in reductions])
@@ -467,9 +445,11 @@ def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
         reduced = [np.array(part) for part in zip(*(system or next(solved) for system in cached))]
     reduced_values, reduced_vectors = reduced
     n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(pt_values)
+    products = product_spectrum(states, reductions, pairs)
     columns = dict(lambda_min_rho=state_values[:, 0], lambda_max_rho=state_values[:, -1],
                    lambda_max_embedded=reduced_values[:, -1],
                    lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values),
+                   lambda_min_product=products[:, 0], lambda_max_product=products[:, -1],
                    lambda_max_pt=pt_max, lambda_min_pt_squared=pt2_min,
                    trace_pt_squared=pt2_trace, negativity=n)
     return columns, linalg.eigen_root(reduced_values, reduced_vectors)
@@ -477,7 +457,7 @@ def _columns(state_values: np.ndarray, reductions: Sequence[DensityMatrix]
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
                  ) -> list[tuple[tuple[str, str], PairSpectra]]:
-    """(pair, record) for each pair, as a tuple, all built together; products are solved as read."""
+    """(pair, record) for each pair, as a tuple, all built together."""
     pairs = [tuple(pair) for pair in pairs]
     return list(zip(pairs, build_records(
         [rho_abc] * len(pairs), [reduce_to_pair(rho_abc, p) for p in pairs], pairs)))
@@ -563,7 +543,6 @@ def detect_genuine(rho_abc: DensityMatrix, pair: tuple[str, str] | None = None,
     undetected, in a fixed order so the answer is deterministic. The first
     nonempty genuine window wins. With no firing window the verdict is
     inconclusive when some pair was entangled, not-applicable otherwise.
-    Each pair's product is solved only when its candidates read it.
     """
     return search_records(pair_records(rho_abc, SEARCH_ORDER if pair is None else (pair,)),
                           witness)

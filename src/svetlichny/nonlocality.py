@@ -133,8 +133,8 @@ def k_from_pairing(pairing, n):
 
 
 def _nonzero_negativity(n):
-    """N itself, once no entry is numerically zero: K divides by it."""
-    small = n <= NEG_TOL
+    """N itself, once no entry is numerically zero or NaN: K divides by it."""
+    small = np.logical_not(n > NEG_TOL)  # not n <= NEG_TOL, which a NaN passes
     if _anywhere(small):
         raise ZeroNegativityError(
             f"negativity {_first(n, small)} is numerically zero; K is undefined")
@@ -157,9 +157,11 @@ def _first(values, mask) -> float:
 
 
 def positive_k(k: float) -> float:
-    """K itself, once it is positive: the cap, and so S_NL_new, is defined only then."""
-    if k <= 0.0:
-        raise WindowParameterError(f"the cap needs K > 0, got {float(k)}")
+    """K itself, once it is positive, or once every entry of an array is: the cap, and so
+    S_NL_new, is defined only then. A NaN is not positive."""
+    bad = np.logical_not(k > 0.0)
+    if _anywhere(bad):
+        raise WindowParameterError(f"the cap needs K > 0, got {_first(k, bad)}")
     return k
 
 

@@ -43,6 +43,8 @@ class UnitVector3:
     @classmethod
     def from_array(cls, v) -> "UnitVector3":
         a = np.asarray(v, dtype=float)
+        if a.shape != (3,):
+            raise OperatorError(f"a direction has shape (3,), got {a.shape}")
         n = float(np.linalg.norm(a))
         if not np.isfinite(n):  # checked before dividing, which warns on an infinite norm
             raise OperatorError(f"direction {a.tolist()} has norm {n!r}")

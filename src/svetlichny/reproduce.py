@@ -294,15 +294,13 @@ _QUANTITIES = ("s_nl", "lambda_max_embedded", "lambda_min_product", "lambda_max_
                "negativity", "lambda_max_witness_state", "trace_pt_squared",
                "p_window", "q_window")
 
-# Quantities that name a PairSpectra field; the product extremes go in product_extremes.
+# Quantities that name a PairSpectra field.
 _RECORD_FIELDS = tuple(f.name for f in fields(PairSpectra) if f.name in _QUANTITIES)
 
 
 def _listed_spectra(qs: dict) -> PairSpectra:
     """Listed spectral components as the record the certificate arithmetic reads."""
-    return PairSpectra(**{name: qs.get(name) for name in _RECORD_FIELDS},
-                       product_extremes=(qs.get("lambda_min_product"),
-                                         qs.get("lambda_max_product")))
+    return PairSpectra(**{name: qs.get(name) for name in _RECORD_FIELDS})
 
 
 def _family_routes(family: int, spectra: PairSpectra, quantities: dict) -> Routes:
@@ -485,7 +483,6 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     spectra = grid_record(rhos, reductions, pair)
     w = _family_witness(family)
     columns = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
-    columns["lambda_min_product"], columns["lambda_max_product"] = spectra.product
     matrices = np.array([r.matrix for r in reductions])
     if family in _DETECTED:
         columns["s_nl"] = nonlocality.s_nl_from_pairing(np.einsum("ij,kji->k", w, matrices).real)

@@ -115,8 +115,8 @@ def closed_form_general(family: int, param: float) -> dict:
     spectra = pair_spectra(rho, reduced, pair)
     out = {name: getattr(spectra, name) for name in (
         "lambda_min_rho", "lambda_max_rho", "lambda_max_embedded", "lambda_k_embedded",
-        "lambda_max_pt", "lambda_min_pt_squared", "trace_pt_squared", "negativity")}
-    out["lambda_min_product"], out["lambda_max_product"] = spectra.product
+        "lambda_min_product", "lambda_max_product", "lambda_max_pt", "lambda_min_pt_squared",
+        "trace_pt_squared", "negativity")}
     if family in (1, 2):
         s_nl = out["s_nl"] = nonlocality.s_nl_detected(reduced, w)
         routes = spectra.detected(s_nl)

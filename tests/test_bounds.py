@@ -234,7 +234,9 @@ class TestOrderedPairs:
         for _ in range(5):
             rho = random_state(rng, 3)
             (_, record), (_, ascending) = pair_records(rho, [pair, twin])
-            assert record.product == pytest.approx(ascending.product, abs=1e-12)
+            for name in ("lambda_min_product", "lambda_max_product"):
+                assert getattr(record, name) == pytest.approx(
+                    getattr(ascending, name), abs=1e-12), name
             assert record.negativity == pytest.approx(ascending.negativity, abs=1e-12)
             for name in ("lambda_max_embedded", "lambda_k_embedded", "lambda_max_pt",
                          "trace_pt_squared"):
@@ -255,6 +257,43 @@ class TestOrderedPairs:
         descending = detect_genuine(rho, pair=("C", "A"))
         assert (descending.outcome, descending.route) == (ascending.outcome, ascending.route)
         assert descending.value == pytest.approx(ascending.value, abs=1e-12)
+
+
+class TestStackedProducts:
+    """One product_spectrum call solves a whole stack, each member as its single call does,
+    and every record holds its pair's product extremes as two plain fields."""
+
+    @staticmethod
+    def _assert_stack_is_each_single_call(rhos, reductions, pairs):
+        stacked = product_spectrum(rhos, reductions, pairs)
+        singles = [product_spectrum(*member) for member in zip(rhos, reductions, pairs)]
+        assert stacked.tolist() == [spectrum.tolist() for spectrum in singles]
+
+    @pytest.mark.parametrize("pair", ORDERED_PAIRS, ids="".join)
+    def test_stack_matches_single_calls_on_random_states(self, rng, pair):
+        rhos = [states.validate(corpus.random_density(rng, 8, rank), 3) for rank in range(1, 9)]
+        self._assert_stack_is_each_single_call(
+            rhos, [states.reduce_to_pair(rho, pair) for rho in rhos], [pair] * len(rhos))
+
+    @pytest.mark.parametrize("pair", ORDERED_PAIRS, ids="".join)
+    def test_stack_matches_single_calls_on_a_family_grid(self, pair):
+        rhos = states.make_examples(states.FAMILY_GHZ_W_CONVEX, np.linspace(0.4, 0.9, 50))
+        self._assert_stack_is_each_single_call(
+            rhos, states.reduce_to_pairs(rhos, pair), [pair] * len(rhos))
+
+    def test_stack_of_mixed_pairs_embeds_each_member_on_its_own(self, rng):
+        rho = random_state(rng, 3)
+        self._assert_stack_is_each_single_call(
+            [rho] * len(ORDERED_PAIRS), [states.reduce_to_pair(rho, pair) for pair in ORDERED_PAIRS],
+            ORDERED_PAIRS)
+
+    def test_record_products_are_their_product_spectrum(self, rng):
+        for rank in range(1, 9):
+            rho = states.validate(corpus.random_density(rng, 8, rank), 3)
+            for pair, record in pair_records(rho, ORDERED_PAIRS):
+                spectrum = product_spectrum(rho, record.reduced, pair)
+                assert (record.lambda_min_product, record.lambda_max_product) == (
+                    spectrum[0], spectrum[-1]), (rank, pair)
 
 
 class TestDetectedRoute:
@@ -428,9 +467,9 @@ SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
 
 class TestSolveCounts:
     """Each 8x8 spectrum is computed once: the state once, by validation
-    (it also gives the state's square root), and a pair's product only
-    when a route reads it. The 4x4 matrices of all pairs share one
-    stacked solve."""
+    (it also gives the state's square root), and the products of every
+    pair a record set holds in one stacked solve, when the records are
+    built. The 4x4 matrices of all pairs share one stacked solve."""
 
     def test_full_report_diagonalizes_state_and_product_only(self, solves):
         for pair in (("B", "C"), ("A", "C")):
@@ -445,17 +484,18 @@ class TestSolveCounts:
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         verdict = detect_genuine(rho, pair=pair)
         assert verdict.outcome == "genuine"
-        # the first pair tried fires, so one product is read
-        assert solves[8] == 2, solves
+        # the state, then the product of each pair searched
+        assert solves[8] == 1 + (len(SEARCH_ORDER) if pair is None else 1), solves
 
     def test_unvalidated_state_is_solved_once(self, solves):
         matrix = states.make_example(states.FAMILY_IDENTITY_W, 0.82).matrix
         rho = states.DensityMatrix(qubits=3, matrix=matrix)
         solves.clear()
         pair_records(rho)
-        assert solves[8] == 1 and solves[4] == 2 * len(SEARCH_ORDER), solves
+        assert solves[8] == 1 + len(SEARCH_ORDER) and solves[4] == 2 * len(SEARCH_ORDER), solves
+        # a second record set solves its products again, never the state
         detect_genuine(rho)
-        assert solves[8] == 2, solves
+        assert solves[8] == 1 + 2 * len(SEARCH_ORDER), solves
 
     def test_search_firing_on_ab_solves_no_other_product(self, solves):
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
@@ -463,21 +503,16 @@ class TestSolveCounts:
         solves.clear()
         verdict = search_records(records)
         assert verdict.pair == ("A", "B")
-        assert solves[8] == 1, solves
-        # that one solve was AB's: reading it again is free, the others are not
-        by_pair = dict(records)
-        by_pair[("A", "B")].lambda_max_product
-        assert solves[8] == 1, solves
-        by_pair[("A", "C")].lambda_max_product
-        by_pair[("B", "C")].lambda_max_product
-        assert solves[8] == 3, solves
+        # the records arrive with every product: the search solves none
+        assert solves[8] == 0, solves
 
     def test_detect_genuine_without_verdict_tries_every_pair(self, solves):
         rho = states.make_reference("GHZ")
         solves.clear()
         assert detect_genuine(rho).outcome == "not-applicable"
-        # no GHZ pair is entangled, so no route reaches a product
-        assert solves[8] == 0, solves
+        # no GHZ pair is entangled, so no route is formed; the record set still
+        # holds every pair's product, from one stacked solve
+        assert solves[8] == len(SEARCH_ORDER), solves
 
     def test_search_solves_no_p_max(self, solves):
         # every (pair, plane) candidate, undetected ones included, reads K
@@ -617,9 +652,7 @@ def _record(grid: bool, **changed) -> PairSpectra:
     """A listed record of _NUMBERS, the changed fields taking their value at the grid's middle."""
     values = {name: _middle(grid, number, changed.get(name, number))
               for name, number in _NUMBERS.items()}
-    return PairSpectra(**{name: values[name] for name in _NUMBERS if "product" not in name},
-                       product_extremes=(values["lambda_min_product"],
-                                         values["lambda_max_product"]))
+    return PairSpectra(**values)
 
 
 def _flat(values) -> list:
@@ -675,16 +708,14 @@ class TestGridRecord:
             records = [reproduce._listed_spectra(qs) for qs in points]
             wr_max = np.array([qs["lambda_max_witness_state"] for qs in points])
         else:
-            # grid_record's fields are build_records's rows, and its products and
-            # witness maxima the ones each row solves on its own
+            # grid_record's fields, products included, are build_records's rows,
+            # and its witness maxima the ones each row solves on its own
             rhos = states.make_examples(states.FAMILY_IDENTITY_W, [0.82, 0.87, 0.92])
             reductions = [states.reduce_to_pair(rho, ("B", "C")) for rho in rhos]
             grid = grid_record(rhos, reductions, ("B", "C"))
             records = build_records(rhos, reductions, [("B", "C")] * 3)
-            for name in (name for name in _NUMBERS if "product" not in name):
+            for name in _NUMBERS:
                 assert getattr(grid, name).tolist() == [getattr(r, name) for r in records], name
-            assert list(zip(*(column.tolist() for column in grid.product))) == [
-                r.product for r in records]
             wr_max = grid.witness_max(XY)
             assert wr_max.tolist() == [r.witness_max(XY) for r in records]
         strengths = np.array([0.05, 0.2, 0.3])

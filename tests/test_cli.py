@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svetlichny import cli, operators, reproduce, states
+from svetlichny import cli, linalg, operators, reproduce, states
 from svetlichny.bounds import BoundsReport, Verdict
 import corpus
 
@@ -262,31 +262,42 @@ class TestAnalyzeOutput:
                    "--witness", str(path)) == 0
         assert "witness user" in capsys.readouterr().out
 
-    def test_analyze_solve_counts(self, solves, capsys):
+    def test_analyze_solve_counts(self, solves, capsys, monkeypatch):
         # one record per pair serves the negativities, the certificate and
         # the search: the state once (by validation), one stack of the
-        # three pairs and their transposes, and the product of a pair only
-        # when a route reads it; each certificate adds its witness, the
-        # report alone solves P_max, and no plane witness is rebuilt
+        # three pairs and their transposes, and one stack of the three
+        # pairs' products; each certificate adds its witness, the report
+        # alone solves P_max, and no plane witness is rebuilt
+        calls = []
+        solver = linalg._solve
+
+        def counted(m, vectors):
+            calls.append(np.shape(m)[-1])
+            return solver(m, vectors)
+
+        monkeypatch.setattr(linalg, "_solve", counted)
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--format", "json") == 0
         capsys.readouterr()
-        # the search fires on AB and the certificate reads BC: no AC product
-        assert solves[8] == 3 and solves[4] == 8 and solves[3] == 1, solves
+        assert solves[8] == 4 and solves[4] == 8 and solves[3] == 1, solves
         assert solves[2] == 0, solves
-        # GHZ has no entangled pair, so no route reaches a product
+        assert calls.count(8) == 2, calls
+        # GHZ has no entangled pair, so no route is formed, but its records
+        # hold their products all the same
         solves.clear()
+        calls.clear()
         assert run("analyze", "--ref", "GHZ", "--format", "json") == 2
         capsys.readouterr()
-        assert solves[8] == 1 and solves[4] == 6, solves
-        # the certificate and the search share the pair's product and its
+        assert solves[8] == 4 and solves[4] == 6, solves
+        assert calls.count(8) == 2, calls
+        # the certificate and the search share the pair's record and its
         # (AC, xy) candidate with its witness congruence
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--pair", "AC", "--format", "json") == 0
         capsys.readouterr()
-        assert solves[8] == 2 and solves[4] == 7 and solves[3] == 1, solves
+        assert solves[8] == 4 and solves[4] == 7 and solves[3] == 1, solves
 
     def test_analyze_accepts_state_with_tolerated_negative_eigenvalues(
             self, tmp_path, capsys):

@@ -132,9 +132,13 @@ class TestKValue:
         with pytest.raises(nonlocality.ZeroNegativityError):
             nonlocality.k_value(rho, XY)
 
-    @pytest.mark.parametrize("n", [0.0, np.array([0.1, 0.0, 0.2])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("n", [0.0, np.array([0.1, 0.0, 0.2]),
+                                   math.nan, np.array([0.1, math.nan, 0.2])],
+                             ids=["scalar", "array", "nan-scalar", "nan-array"])
     def test_k_from_pairing_rejects_a_zero_negativity(self, n):
-        with pytest.raises(nonlocality.ZeroNegativityError, match=r"^negativity 0\.0 is"):
+        # a NaN fails every comparison, so the guard asks whether n > NEG_TOL fails
+        named = "nan" if np.isnan(n).any() else r"0\.0"
+        with pytest.raises(nonlocality.ZeroNegativityError, match=rf"^negativity {named} is"):
             nonlocality.k_from_pairing(np.ones_like(n), n)
 
     def test_k_from_pairing_is_k_value_elementwise(self):
@@ -229,6 +233,19 @@ class TestInterpolatedStrength:
         assert strength.r is grid
         assert strength.s_nl_new.tolist() == [
             nonlocality.undetected_strength(k, p_max, r).s_nl_new for r in grid.tolist()]
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: nonlocality.r_cap(math.nan, 0.8), math.nan),
+        (lambda: nonlocality.undetected_strength(math.nan, 0.8), math.nan),
+        (lambda: nonlocality.positive_k(np.array([0.1, math.nan, -0.2])), math.nan),
+        (lambda: nonlocality.positive_k(np.array([0.1, 0.3, -0.2])), -0.2),
+    ], ids=["r_cap", "undetected_strength", "array-nan", "array-negative"])
+    def test_k_not_positive_rejected(self, call, named):
+        # a NaN fails every comparison, so the guard asks whether k > 0 fails;
+        # an array names its first failing entry
+        with pytest.raises(nonlocality.WindowParameterError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"the cap needs K > 0, got {named}"
 
     def test_vacuous_cap_is_one(self):
         # 3/4 - P_max + K <= 0: the strength is positive for every r

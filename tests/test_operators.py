@@ -57,6 +57,13 @@ class TestSpinObservable:
             else:
                 operators.UnitVector3.from_array(v)
 
+    @pytest.mark.parametrize("v", [[1, 0, 0, 0], [1, 0], [[1, 0, 0]]], ids=["4", "2", "1x3"])
+    def test_from_array_rejects_a_shape_other_than_three(self, v):
+        # the shape is checked before the three components are read, so none is
+        # dropped and no IndexError or TypeError escapes
+        with pytest.raises(operators.OperatorError, match=r"shape \(3,\), got"):
+            operators.UnitVector3.from_array(v)
+
 
 class TestChshOperator:
     def test_hermitian_and_bounded(self, rng):
