@@ -94,13 +94,19 @@ def symmetrize(m) -> np.ndarray:
     and gets averaged away.
     """
     a = _as_square(m)
-    adjoint = a.swapaxes(-1, -2).conj()
-    with np.errstate(invalid="ignore"):  # inf - inf, answered by the finiteness check
-        residual = np.abs(a - adjoint).max()
-    if not residual <= HERMITICITY_TOL:
+    # Halved first, so that neither the difference nor the sum can overflow
+    # on finite entries. Halving a normal number is exact, so the half
+    # residual and the result keep the bits of |M - M†|/2 and (M + M†)/2.
+    # A NaN or Inf entry is answered by the finiteness check.
+    with np.errstate(invalid="ignore"):
+        half = a / 2
+        adjoint = half.swapaxes(-1, -2).conj()
+        half_residual = np.abs(half - adjoint).max()
+    if not half_residual <= HERMITICITY_TOL / 2:
         _check_finite(a)
+        residual = 2 * float(half_residual)  # a Python float: inf, not an overflow warning
         raise NotHermitianError(f"hermiticity residual {residual:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    return (a + adjoint) / 2
+    return half + adjoint
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:

@@ -15,17 +15,22 @@ half the cap, and s_nl_new evaluates it at any admissible r. S_NL and K
 also evaluate elementwise over arrays of pairings (and negativities),
 and the strength over an array of weights r; each guard then checks the
 whole array and raises as it does for one number.
+
+The Pauli correlation tensor T that horodecki_m reads is built by
+operators.correlation_tensor, in the base layer, so that the optimizer
+reads T without importing this module.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .operators import PAULIS
+from .operators import correlation_tensor
 from .states import DensityMatrix, negativity, partial_transpose
 
 NEG_TOL = 1e-12
@@ -58,20 +63,6 @@ class NonlocalityStrength:
     k: float
     p_max: float
     r: float
-
-
-def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
-    """Pauli correlations T[m, n, ...] = Tr[rho sigma_m (x) sigma_n (x) ...].
-
-    Shape (3, 3) for two qubits, (3, 3, 3) for three.
-    """
-    n = rho.qubits
-    if n not in (2, 3):
-        raise NonlocalityError(f"expected two or three qubits, got {n}")
-    rows, cols, out = "abc"[:n], "abcdef"[n:2 * n], "mno"[:n]
-    subscripts = ",".join([rows + cols, *map("".join, zip(out, cols, rows))])
-    return np.real(np.einsum(f"{subscripts}->{out}", rho.matrix.reshape((2,) * (2 * n)),
-                             *[PAULIS] * n))
 
 
 def horodecki_m(rho: DensityMatrix) -> float:
@@ -136,8 +127,9 @@ def _nonzero_negativity(n):
     """N itself, once no entry is numerically zero or NaN: K divides by it."""
     small = np.logical_not(n > NEG_TOL)  # not n <= NEG_TOL, which a NaN passes
     if _anywhere(small):
-        raise ZeroNegativityError(
-            f"negativity {_first(n, small)} is numerically zero; K is undefined")
+        first = _first(n, small)
+        fault = "not finite" if math.isnan(first) else "numerically zero"
+        raise ZeroNegativityError(f"negativity {first} is {fault}; K is undefined")
     return n
 
 
@@ -171,9 +163,14 @@ def r_cap(k: float, p_max: float) -> float:
     Positivity of S_NL_new needs r below this value when P_max <= 3/4.
     When P_max exceeds 3/4 both terms of S_NL_new are positive for every r:
     the formula lands above 1, or its denominator is not positive once
-    P_max >= 3/4 + K, and either way the cap is vacuous.
+    P_max >= 3/4 + K, and either way the cap is vacuous. A NaN or infinite
+    P_max, or an infinite K, is rejected, since the comparison below would
+    let it through.
     """
     k = positive_k(k)
+    for name, value in (("K", k), ("P_max", p_max)):
+        if not math.isfinite(value):
+            raise WindowParameterError(f"{name} = {float(value)} is not finite")
     denominator = 0.75 - p_max + k
     if denominator <= 0.0:
         return 1.0

@@ -1,5 +1,6 @@
-"""Builders for spin observables, CHSH operators and witnesses, and the
-three-party Svetlichny operator."""
+"""Builders for spin observables, CHSH operators and witnesses, the
+three-party Svetlichny operator, and the Pauli correlation tensor T that
+both the paper's nonlocality measures and the optimizer read."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .states import DensityMatrix
 
 UNIT_TOL = 1e-12
 
@@ -23,6 +25,20 @@ PLANES = ("xy", "xz", "yz")
 
 class OperatorError(ValueError):
     pass
+
+
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
+    """Pauli correlations T[m, n, ...] = Tr[rho sigma_m (x) sigma_n (x) ...].
+
+    Shape (3, 3) for two qubits, (3, 3, 3) for three.
+    """
+    n = rho.qubits
+    if n not in (2, 3):
+        raise OperatorError(f"expected two or three qubits, got {n}")
+    rows, cols, out = "abc"[:n], "abcdef"[n:2 * n], "mno"[:n]
+    subscripts = ",".join([rows + cols, *map("".join, zip(out, cols, rows))])
+    return np.real(np.einsum(f"{subscripts}->{out}", rho.matrix.reshape((2,) * (2 * n)),
+                             *[PAULIS] * n))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ that stops is written out once and drops out of the batch. A restart's
 arithmetic does not depend on which other restarts share its batch, so
 its result is the same bits at any restart count, and the best value is
 nondecreasing in the restart count.
+
+T comes from operators.correlation_tensor. This module imports only the
+base modules (linalg, operators, states), never the paper's certificate
+(nonlocality, bounds, reproduce), so the two routes share the base layer
+and nothing else; tests/test_dependencies.py holds the layers apart.
 """
 
 from __future__ import annotations
@@ -56,12 +61,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .nonlocality import correlation_tensor
 from .operators import (
     ChshSettings,
     SvetlichnySettings,
     UnitVector3,
     chsh_operator,
+    correlation_tensor,
     svetlichny_operator,
 )
 from .states import DensityMatrix
@@ -376,6 +381,9 @@ def maximize_svetlichny(rho: DensityMatrix, *, restarts: int = DEFAULT_RESTARTS,
                         seed: int = DEFAULT_SEED, backend: str = "gradient") -> Optimum:
     """Best Svetlichny expectation over all six measurement directions, from
     `restarts` starts drawn with `seed`, each ascended by `backend`."""
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise OptimizerError(f"{name} must be an integer, got {value!r}")
     if restarts < 1:
         raise OptimizerError("restarts must be at least 1")
     if seed < 0:

@@ -140,7 +140,9 @@ def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
         sym = linalg.symmetrize(stack)
     except linalg.NotHermitianError as exc:
         raise InvalidStateError("not-hermitian", str(exc)) from exc
-    for tr in np.trace(sym, axis1=1, axis2=2).real.tolist():
+    with np.errstate(over="ignore"):  # finite entries may sum to inf, which the check rejects
+        traces = np.trace(sym, axis1=1, axis2=2).real.tolist()
+    for tr in traces:
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
     values, vectors = linalg._solve(sym, vectors=True)

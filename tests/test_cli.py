@@ -101,6 +101,17 @@ class TestExitCodes:
         assert caught == []
         assert capsys.readouterr().err == "error: matrix contains NaN or Inf entries\n"
 
+    def test_overflowing_trace_is_sixty_five_without_warnings(self, tmp_path, capsys):
+        # every entry of 1e308 I is finite, but its trace is not
+        big = tmp_path / "big.mat"
+        big.write_text("dim 8\n" + "\n".join(" ".join("1e308,0" if i == j else "0,0"
+                                                      for j in range(8)) for i in range(8)) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--matrix", str(big)) == 65
+        assert caught == []
+        assert capsys.readouterr().err == "error: trace-not-one: trace = inf\n"
+
     def test_out_of_range_family_parameter_is_sixty_five(self, capsys):
         assert run("analyze", "--family", "pure-W-class-1", "--param", "2.0") == 65
         capsys.readouterr()

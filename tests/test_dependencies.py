@@ -11,6 +11,14 @@ belongs in tests/. __init__'s imports are its exports, and its __all__
 names exactly them. Within each other module of the package, of tests/
 and of tools/, every import and every private module-level function,
 class and constant must be loaded somewhere in that module.
+
+The package's two routes stay independent by layering. Every module sits
+in one layer of LAYERS: the base (the matrix kernel, the operators and
+the states), the paper's certificate, the decision (the optimizer), and
+the composition (the command line and the package's exports). The paper
+and the decision build on the base alone, never on each other, and the
+base on neither; a module that no layer holds fails too, so a new module
+is placed when it lands.
 """
 
 from __future__ import annotations
@@ -26,6 +34,20 @@ TESTS = Path(__file__).resolve().parent
 TOOLS = TESTS.parent / "tools"
 CORPUS = TESTS / "corpus.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+LAYERS = {
+    "linalg": "base", "operators": "base", "states": "base",
+    "nonlocality": "paper", "bounds": "paper", "reproduce": "paper",
+    "optimize": "decision",
+    "cli": "composition", "__init__": "composition",
+}
+# the layers that a module of each layer may import from
+READS = {
+    "base": {"base"},
+    "paper": {"base", "paper"},
+    "decision": {"base", "decision"},
+    "composition": {"base", "paper", "decision"},
+}
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -43,6 +65,28 @@ def test_imports_only_stdlib_and_numpy(path):
     foreign = [name for name in _absolute_imports(path)
                if name.partition(".")[0] not in ALLOWED]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _package_imports(path: Path) -> list[str]:
+    """The package modules a module imports relatively, at any depth of its code
+    (a function-level import too)."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.append(node.module.partition(".")[0])
+            else:
+                names += [alias.name for alias in node.names]
+    return names
+
+
+def test_layers_keep_the_decision_apart_from_the_paper():
+    modules = sorted(path.stem for path in SOURCE.glob("*.py"))
+    assert sorted(LAYERS) == modules, f"LAYERS places {sorted(LAYERS)}, the package has {modules}"
+    crossings = [f"{module} ({LAYERS[module]}) imports {name} ({LAYERS[name]})"
+                 for module in modules for name in _package_imports(SOURCE / f"{module}.py")
+                 if LAYERS[name] not in READS[LAYERS[module]]]
+    assert not crossings, "; ".join(crossings)
 
 
 def test_corpus_stands_apart_from_the_package():

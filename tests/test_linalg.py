@@ -349,6 +349,16 @@ class TestSymmetrize:
         with pytest.raises(linalg.NotHermitianError):
             linalg.symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_finite_extremes_give_no_warning(self):
+        # M + M† would overflow at 1e308; halving first keeps the sum finite,
+        # and a residual beyond the largest float is reported as inf
+        big = np.eye(8) * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.symmetrize(big).tobytes() == big.astype(complex).tobytes()
+            with pytest.raises(linalg.NotHermitianError, match="residual inf exceeds"):
+                linalg.symmetrize(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
 
 POISONS = (np.nan, np.inf, -np.inf)
 

@@ -28,32 +28,6 @@ def _reduced(family, param):
     return lemmas.example_reduced(family, param)
 
 
-class TestCorrelationMatrix:
-    """T against the textbook entries t[m,n,...] = Tr[rho sigma_m (x) sigma_n (x) ...]."""
-
-    def test_matches_textbook_entries_on_random_states(self, rng):
-        for _ in range(50):
-            rho = random_state(rng, 2)
-            t = nonlocality.correlation_tensor(rho)
-            assert t.shape == (3, 3) and t.dtype == np.float64
-            assert np.allclose(t, corpus.correlation_tensor(rho.matrix), atol=1e-14, rtol=0.0)
-
-    def test_three_qubit_tensor_matches_textbook_entries(self, rng):
-        for _ in range(20):
-            rho = random_state(rng, 3)
-            t = nonlocality.correlation_tensor(rho)
-            assert t.shape == (3, 3, 3) and t.dtype == np.float64
-            assert np.allclose(t, corpus.correlation_tensor(rho.matrix), atol=1e-14, rtol=0.0)
-
-    def test_bell_phi_plus(self):
-        t = nonlocality.correlation_tensor(states.make_reference("Bell-Phi+"))
-        assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-15, rtol=0.0)
-
-    def test_other_qubit_counts_rejected(self):
-        with pytest.raises(nonlocality.NonlocalityError):
-            nonlocality.correlation_tensor(states.validate(np.eye(2) / 2.0, 1))
-
-
 class TestHorodecki:
     def test_bell_state_reaches_two(self):
         rho = states.make_reference("Bell-Phi+")
@@ -136,10 +110,13 @@ class TestKValue:
                                    math.nan, np.array([0.1, math.nan, 0.2])],
                              ids=["scalar", "array", "nan-scalar", "nan-array"])
     def test_k_from_pairing_rejects_a_zero_negativity(self, n):
-        # a NaN fails every comparison, so the guard asks whether n > NEG_TOL fails
-        named = "nan" if np.isnan(n).any() else r"0\.0"
-        with pytest.raises(nonlocality.ZeroNegativityError, match=rf"^negativity {named} is"):
+        # a NaN fails every comparison, so the guard asks whether n > NEG_TOL fails,
+        # and the message names the fault of the first entry that fails it
+        message = ("negativity nan is not finite" if np.isnan(n).any()
+                   else "negativity 0.0 is numerically zero")
+        with pytest.raises(nonlocality.ZeroNegativityError) as excinfo:
             nonlocality.k_from_pairing(np.ones_like(n), n)
+        assert str(excinfo.value) == f"{message}; K is undefined"
 
     def test_k_from_pairing_is_k_value_elementwise(self):
         rhos = [_reduced(states.FAMILY_IDENTITY_W, x) for x in (0.82, 0.87, 0.92)]
@@ -246,6 +223,18 @@ class TestInterpolatedStrength:
         with pytest.raises(nonlocality.WindowParameterError) as excinfo:
             call()
         assert str(excinfo.value) == f"the cap needs K > 0, got {named}"
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: nonlocality.r_cap(0.1, math.nan), "P_max = nan"),
+        (lambda: nonlocality.r_cap(0.1, math.inf), "P_max = inf"),
+        (lambda: nonlocality.r_cap(math.inf, 0.5), "K = inf"),
+        (lambda: nonlocality.undetected_strength(0.1, math.nan), "P_max = nan"),
+    ], ids=["p_max-nan", "p_max-inf", "k-inf", "undetected_strength"])
+    def test_non_finite_cap_inputs_rejected(self, call, named):
+        # a NaN P_max fails 3/4 - P_max + K <= 0, and min(K/denominator, 1) would return it
+        with pytest.raises(nonlocality.WindowParameterError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{named} is not finite"
 
     def test_vacuous_cap_is_one(self):
         # 3/4 - P_max + K <= 0: the strength is positive for every r

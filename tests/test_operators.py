@@ -14,11 +14,38 @@ import pytest
 from svetlichny import operators, states
 from svetlichny.linalg import hermitian_eigenvalues, kron, trace_product
 from conftest import random_state
+import corpus
 
 
 def _unit(rng):
     v = rng.normal(size=3)
     return operators.UnitVector3.from_array(v / np.linalg.norm(v))
+
+
+class TestCorrelationMatrix:
+    """T against the textbook entries t[m,n,...] = Tr[rho sigma_m (x) sigma_n (x) ...]."""
+
+    def test_matches_textbook_entries_on_random_states(self, rng):
+        for _ in range(50):
+            rho = random_state(rng, 2)
+            t = operators.correlation_tensor(rho)
+            assert t.shape == (3, 3) and t.dtype == np.float64
+            assert np.allclose(t, corpus.correlation_tensor(rho.matrix), atol=1e-14, rtol=0.0)
+
+    def test_three_qubit_tensor_matches_textbook_entries(self, rng):
+        for _ in range(20):
+            rho = random_state(rng, 3)
+            t = operators.correlation_tensor(rho)
+            assert t.shape == (3, 3, 3) and t.dtype == np.float64
+            assert np.allclose(t, corpus.correlation_tensor(rho.matrix), atol=1e-14, rtol=0.0)
+
+    def test_bell_phi_plus(self):
+        t = operators.correlation_tensor(states.make_reference("Bell-Phi+"))
+        assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-15, rtol=0.0)
+
+    def test_other_qubit_counts_rejected(self):
+        with pytest.raises(operators.OperatorError):
+            operators.correlation_tensor(states.validate(np.eye(2) / 2.0, 1))
 
 
 class TestSpinObservable:

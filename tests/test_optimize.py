@@ -318,6 +318,21 @@ class TestInputChecks:
         with pytest.raises(OptimizerError, match="backend"):
             maximize_svetlichny(rho, backend="newton")
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+    ], ids=["float-restarts", "float-seed", "bool-restarts"])
+    def test_non_integer_counts_rejected(self, settings, message):
+        with pytest.raises(OptimizerError) as excinfo:
+            maximize_svetlichny(states.make_reference("GHZ"), **settings)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integers_accepted(self):
+        rho = states.make_reference("GHZ")
+        assert (maximize_svetlichny(rho, restarts=np.int64(2), seed=np.int64(7))
+                == maximize_svetlichny(rho, restarts=2, seed=7))
+
     def test_settings_are_keyword_only(self):
         # a leftover positional settings object must fail, not run
         with pytest.raises(TypeError):
@@ -459,7 +474,7 @@ class TestBatch:
                                                (states.FAMILY_GHZ_W_CONVEX, 0.525)])
     def test_each_restart_is_independent_of_its_batch(self, family, param, ascend):
         rho = states.make_example(family, param)
-        objective = optimize._SvetlichnyObjective(nonlocality.correlation_tensor(rho))
+        objective = optimize._SvetlichnyObjective(operators.correlation_tensor(rho))
         starts = _unit_vectors(np.random.default_rng(5), (17, objective.n_vectors))
         full = ascend(objective, starts, 60)
         assert isinstance(full.converged, bool)
