@@ -22,14 +22,14 @@ read, and its methods are the only certificate arithmetic; each (pair,
 witness) is evaluated once, into the Routes value that the report and
 the search read. One column builder reads the numbers of many (state,
 reduction, pair) points together, one array per field: each state's
-eigensystem is the one validation solved, the reductions are gated as
-one stack, their partial transposes' spectra are solved without
-eigenvectors in one call, the reductions not solved yet with them, for
-their roots, in one more, and the products in one stacked
-product_spectrum call. build_records cuts the columns into one record
-of floats per point; grid_record keeps them as one record of arrays
-over a grid on one pair, whose witness maxima come from one more
-stacked solve.
+spectrum is the one validation solved, the reductions are solved with
+their eigenvectors, for their square roots, in one gated call, their
+partial transposes' spectra without eigenvectors in one more, and the
+products, from those 4x4 roots, in one stacked product_spectrum call.
+Only a reduced pair's root reads eigenvectors: no 8x8 matrix is ever
+solved for them. build_records cuts the columns into one record of
+floats per point; grid_record keeps them as one record of arrays over a
+grid on one pair, whose witness maxima come from one more stacked solve.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .nonlocality import (
     NonlocalityError,
     NEG_TOL,
     _anywhere,
+    _first,
     k_from_negativity,
     p_max_optimal,
     positive_k,
@@ -203,30 +204,32 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     return padded[..., index]
 
 
-def product_spectrum(rho_abc: DensityMatrix | Sequence[DensityMatrix],
-                     rho_ij: DensityMatrix | Sequence[DensityMatrix],
+def product_spectrum(rho_abc: DensityMatrix | Sequence[DensityMatrix], root_ij,
                      pair: tuple[str, str] | Sequence[tuple[str, str]] = ("B", "C")) -> np.ndarray:
     """Ascending spectrum of the state times the embedded reduced pair, or one row of it per
-    member of a stack.
+    member of a stack, from the pair's Hermitian square root root_ij.
 
-    The raw product is not Hermitian, but it is similar to the congruence
-    of the embedded operator by the square root of the state, so its
-    spectrum is real whenever the state is a genuine density matrix. A
-    hermiticity failure of the congruence signals an invalid input. The
-    root comes from the eigensystem that validation solved.
+    The raw product rho E, E = embed(rho_ij), is not Hermitian. But
+    E^{1/2} = embed(root_ij), and for any square A and B the products AB
+    and BA share their spectrum, so rho E = (rho E^{1/2}) E^{1/2} has the
+    spectrum of the congruence E^{1/2} rho E^{1/2}, which is Hermitian.
+    The similarity needs the embedded pair to be PSD, not the state. Every
+    pair that reaches it is a marginal of a validated state or a validated
+    designated matrix, and linalg.eigen_root clips its tolerance band. A
+    hermiticity failure of the congruence signals an invalid input.
 
-    A stack gives the states and reductions as equal-length sequences and
-    one pair per member, and solves them all in one call; a stack on one
-    pair is embedded by one gather. One state is the stack of one.
+    A stack gives the states as a sequence, root_ij as a (k, 4, 4) stack
+    and one pair per member, and solves them all in one call; a stack on
+    one pair is embedded by one gather. One state, with one 4x4 root, is
+    the stack of one.
     """
     single = isinstance(rho_abc, DensityMatrix)
-    states, reductions, pairs = ([rho_abc], [rho_ij], [pair]) if single else (rho_abc, rho_ij, pair)
-    values, vectors = (np.array(part) for part in zip(*(rho.eigensystem for rho in states)))
-    reduced = np.array([rho.matrix for rho in reductions])
+    states, roots, pairs = ([rho_abc], [root_ij], [pair]) if single else (rho_abc, root_ij, pair)
+    roots = np.asarray(roots, dtype=complex)
     first = tuple(pairs[0])
-    embedded = (embed_pair(reduced, first) if all(tuple(p) == first for p in pairs)
-                else np.array([embed_pair(m, p) for m, p in zip(reduced, pairs)]))
-    spectra = linalg.congruence_eigenvalues(linalg.eigen_root(values, vectors), embedded)
+    embedded = (embed_pair(roots, first) if all(tuple(p) == first for p in pairs)
+                else np.array([embed_pair(r, p) for r, p in zip(roots, pairs)]))
+    spectra = linalg.congruence_eigenvalues(embedded, np.array([rho.matrix for rho in states]))
     return spectra[0] if single else spectra
 
 
@@ -243,8 +246,13 @@ def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
     The route's bound reaches the biseparable threshold at the edge
     2N/(2N + D), where the admissible window [edge, admissible_upper)
     opens, and the quantum maximum at the cutoff sqrt(2) N/(sqrt(2) N + D),
-    where the genuine window [cutoff, edge) opens.
+    where the genuine window [cutoff, edge) opens. A numerator that is not
+    finite (a huge user witness overflows H or F) opens no window, and
+    would only make NaN edges.
     """
+    infinite = ~np.isfinite(numerator)
+    if _anywhere(infinite):
+        raise BoundsError(f"window numerator {_first(numerator, infinite)} is not finite")
     edge_den = 2.0 * numerator + denominator
     cutoff_den = _SQRT2 * numerator + denominator
     if _anywhere((abs(edge_den) <= SINGULAR_TOL) | (abs(cutoff_den) <= SINGULAR_TOL)):
@@ -256,12 +264,12 @@ def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
 class PairSpectra:
     """Every spectral number the certificates read, for one (state, pair) or for a grid of them.
 
-    build_records fills it from the state's eigensystem, from the spectra
+    build_records fills it from the state's spectrum, from the spectra
     of the reduced pair and its partial transpose, and from the extremes
-    of the product congruence rho^{1/2} embed(rho_ij) rho^{1/2}
-    (product_spectrum, with the root from the same eigensystem). Embedding
-    the pair only doubles multiplicities, so the embedded extremes are
-    read off the 4x4 spectrum. The partial-transpose numbers, the reduced
+    of the product congruence embed(rho_ij)^{1/2} rho embed(rho_ij)^{1/2}
+    (product_spectrum, with the pair's root from the pair's own solve).
+    Embedding the pair only doubles multiplicities, so the embedded
+    extremes are read off the 4x4 spectrum. The partial-transpose numbers, the reduced
     pair and its square root are None in records built from listed data
     that lacks them. A grid record (grid_record) holds arrays over the
     grid in its number fields and reduced_root, and leaves reduced None,
@@ -419,40 +427,33 @@ def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMat
 def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
              pairs: Sequence[tuple[str, str]]) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Every number field of the records of (state, reduction, pair) points, one array each, and
-    the reductions' square roots, from one gated stack of their 4x4 matrices.
+    the reductions' square roots.
 
-    Each state's spectrum is the eigensystem validation solved.
-    linalg.symmetrize gates the reductions' stack once. A partial
-    transpose only moves entries, so a reduction passes the gates exactly
-    when its partial transpose does, and the partial transposes of the
-    gated stack are the gated partial transposes, bit for bit; their
-    spectra are solved without eigenvectors. Each reduction whose
-    eigensystem is not solved yet (a validated reduction, such as
-    maximal-slice's designated matrix, arrives solved) is solved with
-    them, and the roots come from those eigensystems. The negativity and
-    the other partial-transpose numbers come from
-    partial_transpose_numbers, the formula states.negativity reads, and
-    the products from one stacked product_spectrum call.
+    Each state's spectrum is the one validation solved. The reductions
+    are solved with their eigenvectors in one gated call, and their roots
+    come from those eigensystems. A partial transpose only moves entries,
+    and it commutes with the adjoint, so a reduction passes the gates
+    exactly when its partial transpose does, and the gated partial
+    transposes are those of the gated reductions, bit for bit; their
+    spectra are solved without eigenvectors in one more gated call. The negativity and the other
+    partial-transpose numbers come from partial_transpose_numbers, the
+    formula states.negativity reads, and the products from the roots, in
+    one stacked product_spectrum call.
     """
-    state_values = np.array([rho.eigensystem[0] for rho in states])
-    cached = [rho.solved_eigensystem for rho in reductions]
-    unsolved = [i for i, system in enumerate(cached) if system is None]
-    gated = linalg.symmetrize([rho.matrix for rho in reductions])
-    pt_values = linalg._solve(partial_transposes(gated), vectors=False)
-    reduced = linalg._solve(gated[unsolved], vectors=True) if unsolved else ((), ())
-    if len(unsolved) < len(cached):
-        solved = zip(*reduced)
-        reduced = [np.array(part) for part in zip(*(system or next(solved) for system in cached))]
-    reduced_values, reduced_vectors = reduced
+    state_values = np.array([rho.spectrum for rho in states])
+    matrices = np.array([rho.matrix for rho in reductions])
+    reduced_values, reduced_vectors = linalg.hermitian_eigensystem(matrices)
+    pt_values = linalg.hermitian_eigenvalues(partial_transposes(matrices))
+    roots = linalg.eigen_root(reduced_values, reduced_vectors)
     n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(pt_values)
-    products = product_spectrum(states, reductions, pairs)
+    products = product_spectrum(states, roots, pairs)
     columns = dict(lambda_min_rho=state_values[:, 0], lambda_max_rho=state_values[:, -1],
                    lambda_max_embedded=reduced_values[:, -1],
                    lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values),
                    lambda_min_product=products[:, 0], lambda_max_product=products[:, -1],
                    lambda_max_pt=pt_max, lambda_min_pt_squared=pt2_min,
                    trace_pt_squared=pt2_trace, negativity=n)
-    return columns, linalg.eigen_root(reduced_values, reduced_vectors)
+    return columns, roots
 
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER

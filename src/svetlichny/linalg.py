@@ -3,7 +3,8 @@
 Everything downstream (states, operators, bounds) funnels its spectral
 needs through this module: Kronecker products, trace pairings, and the
 Hermitian eigensolver. The solver is LAPACK's behind the kernel's own
-gates: numpy.linalg.eigh where the eigenvectors are read (a square root),
+gates: numpy.linalg.eigh where the eigenvectors are read (the square
+root of a 4x4 reduced pair, the only root the package builds),
 numpy.linalg.eigvalsh where only the spectrum is. Inputs must be square,
 finite, at most MAX_DIM wide and Hermitian to HERMITICITY_TOL, because
 LAPACK reads only one triangle and would silently diagonalize a
@@ -18,15 +19,16 @@ pass fails, the errors come in the same order: DimensionMismatchError
 for a shape, then LinalgError for a non-finite entry, then
 NotHermitianError, then DimensionMismatchError above MAX_DIM and
 NoConvergenceError from LAPACK. A caller that has symmetrized a matrix
-already (states.validate, bounds' column builder) hands it to _solve,
-the solver's one LAPACK step, so that no matrix passes the gates twice.
+already for a check of its own (states.validate, whose trace check reads
+the symmetrized stack) hands it to _solve, the solver's one LAPACK step,
+so that the matrix does not pass the gates twice.
 
 A spectrum is an ascending float array, its extremes at [0] and [-1];
-congruence_eigenvalues solves the spectrum of a product rho X, rho PSD,
-as that of rho^{1/2} X rho^{1/2}. Several quantities later on (first
-nonzero eigenvalue, window endpoints) sit close to zero, so
-first_nonzero_eigenvalue reads the first entry outside ZERO_TOL, of one
-spectrum or of each row of a stack.
+congruence_eigenvalues solves the spectrum of a product P X, P PSD, as
+that of P^{1/2} X P^{1/2}, from the root P^{1/2}. Several quantities
+later on (first nonzero eigenvalue, window endpoints) sit close to zero,
+so first_nonzero_eigenvalue reads the first entry outside ZERO_TOL, of
+one spectrum or of each row of a stack.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def _solve(a: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.nd
 
 
 def congruence_eigenvalues(root, op) -> np.ndarray:
-    """Ascending spectrum of root op root, which the raw product root^2 op shares."""
+    """Ascending spectrum of root op root, which the raw products root^2 op and op root^2
+    share: AB and BA have one spectrum, for A = root op and B = root."""
     return hermitian_eigenvalues(root @ op @ root)
 
 
@@ -194,7 +197,8 @@ def eigen_root(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each in a stack, from its eigensystem.
 
     Eigenvalues inside the PSD tolerance band are clipped at zero for the
-    root so that construction noise cannot turn into NaN.
+    root so that construction noise cannot turn into NaN. The package
+    roots 4x4 reduced pairs only, never a three-qubit state.
     """
     roots = np.sqrt(np.maximum(values, 0.0))
     return (vectors * roots[..., None, :]) @ np.swapaxes(vectors, -1, -2).conj()

@@ -124,11 +124,11 @@ def k_from_pairing(pairing, n):
 
 
 def _nonzero_negativity(n):
-    """N itself, once no entry is numerically zero or NaN: K divides by it."""
-    small = np.logical_not(n > NEG_TOL)  # not n <= NEG_TOL, which a NaN passes
-    if _anywhere(small):
-        first = _first(n, small)
-        fault = "not finite" if math.isnan(first) else "numerically zero"
+    """N itself, once every entry is finite and not numerically zero: K divides by it."""
+    bad = np.logical_not((n > NEG_TOL) & (n < math.inf))  # a NaN fails both comparisons
+    if _anywhere(bad):
+        first = _first(n, bad)
+        fault = "numerically zero" if math.isfinite(first) else "not finite"
         raise ZeroNegativityError(f"negativity {first} is {fault}; K is undefined")
     return n
 

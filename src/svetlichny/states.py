@@ -5,9 +5,11 @@ Qubit registers are ordered A (x) B (x) C with basis index 4a + 2b + c, so
 of whichever pair survived the partial trace, in ascending label order.
 
 validate checks a (k, d, d) stack under the same gates as one matrix and
-solves all its members in one call; each validated state keeps its
-eigensystem. The family builders build a whole parameter grid that way,
-and the single-state builders are the same code on a list of one. So are
+solves all its members' spectra in one value-only call; each validated
+state keeps its spectrum. validate reads no eigenvector: the
+certificates take square roots of the 4x4 reduced pairs only. The
+family builders build a whole parameter grid that way, and the
+single-state builders are the same code on a list of one. So are
 the reductions and the partial transpose: reduce_to_pairs and
 partial_transposes reshape a whole stack once, and reduce_to_pair,
 partial_trace and partial_transpose run the same kernels on a stack of
@@ -97,19 +99,13 @@ class DensityMatrix:
         return 2 ** self.qubits
 
     @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """linalg.hermitian_eigensystem of the matrix, solved on first read only.
+    def spectrum(self) -> np.ndarray:
+        """linalg.hermitian_eigenvalues of the matrix, solved on first read only.
 
         validate fills it from the solve its positivity check reads, so a
-        validated state arrives with its spectrum and eigenvectors already
-        solved.
+        validated state arrives with its spectrum already solved.
         """
-        return linalg.hermitian_eigensystem(self.matrix)
-
-    @property
-    def solved_eigensystem(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The eigensystem if it is already solved, else None; solves nothing."""
-        return self.__dict__.get("eigensystem")
+        return linalg.hermitian_eigenvalues(self.matrix)
 
 
 def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
@@ -120,14 +116,14 @@ def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     of order machine epsilon, which must not reject a valid state).
 
     A (k, d, d) stack passes the same gates member by member and gives one
-    DensityMatrix per member, in a list; each member's eigensystem comes
-    from one stacked solve. Any other input is a single matrix, checked as
-    a stack of one.
+    DensityMatrix per member, in a list; each member's spectrum comes
+    from one stacked value-only solve. Any other input is a single
+    matrix, checked as a stack of one.
 
     The stack is gated once: linalg.symmetrize checks its shape,
     finiteness and hermiticity, and the symmetrized stack goes straight
-    to the solver's LAPACK step, which keeps the MAX_DIM cap and reports
-    a LAPACK failure as NoConvergenceError.
+    to the solver's LAPACK step (eigvalsh, no eigenvectors), which keeps
+    the MAX_DIM cap and reports a LAPACK failure as NoConvergenceError.
     """
     a = np.asarray(candidate, dtype=complex)
     stack = a if a.ndim == 3 else a[None]
@@ -145,13 +141,13 @@ def validate(candidate, qubits: int) -> DensityMatrix | list[DensityMatrix]:
     for tr in traces:
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError("trace-not-one", f"trace = {tr!r}")
-    values, vectors = linalg._solve(sym, vectors=True)
+    values = linalg._solve(sym, vectors=False)
     for lambda_min in values[:, 0].tolist():
         if lambda_min < PSD_TOL:
             raise InvalidStateError("not-psd", f"lambda_min = {lambda_min:.3e}")
     rhos = [DensityMatrix(qubits=qubits, matrix=matrix) for matrix in sym]
-    for rho, system in zip(rhos, zip(values, vectors)):
-        rho.__dict__["eigensystem"] = system  # the cached_property's own slot
+    for rho, spectrum in zip(rhos, values):
+        rho.__dict__["spectrum"] = spectrum  # the cached_property's own slot
     return rhos if a.ndim == 3 else rhos[0]
 
 
@@ -239,15 +235,13 @@ def partial_transpose_numbers(values) -> tuple:
     as floats, or as four arrays with one entry per row of a (k, n) stack of spectra.
 
     The square's spectrum is the squares of the spectrum, so no second
-    solve is needed. A PPT spectrum has N = +0.0. The rows are read as
-    Python lists, which on the three rows of a pair search costs less than
-    numpy's reductions.
+    solve is needed. A PPT spectrum has N = +0.0. Each number is one
+    reduction over the last axis, the same on one spectrum as on a stack.
     """
     pt = np.asarray(values, dtype=float)
-    rows = [(0.0 - sum(v for v in row if v < 0.0), row[-1],
-             min(v * v for v in row), sum(v * v for v in row))
-            for row in pt.reshape(-1, pt.shape[-1]).tolist()]
-    return tuple(map(np.array, zip(*rows))) if pt.ndim > 1 else rows[0]
+    squares = pt * pt
+    numbers = (0.0 - np.minimum(pt, 0.0).sum(-1), pt[..., -1], squares.min(-1), squares.sum(-1))
+    return numbers if pt.ndim > 1 else tuple(map(float, numbers))
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -1,4 +1,5 @@
-"""Shared fixtures: a reproducible generator, solve counts, and one validating state draw.
+"""Shared fixtures: a reproducible generator, solve counts, one validating state draw, and
+the square root of a reduced pair that bounds.product_spectrum reads.
 
 The states and numpy oracles that the tests share live in tests/corpus.py;
 random_state here only validates the corpus's full-rank draw.
@@ -25,6 +26,14 @@ settings.load_profile("deterministic")
 
 def random_state(rng: np.random.Generator, qubits: int) -> DensityMatrix:
     return validate(random_density(rng, 2 ** qubits), qubits)
+
+
+def pair_root(rho_ij) -> np.ndarray:
+    """The Hermitian square root of a two-qubit DensityMatrix, or the (k, 4, 4) stack of the
+    roots of a list of them, through the package's gated solve."""
+    matrices = np.array([rho.matrix for rho in rho_ij] if isinstance(rho_ij, list)
+                        else rho_ij.matrix)
+    return linalg.eigen_root(*linalg.hermitian_eigensystem(matrices))
 
 
 @pytest.fixture

@@ -12,6 +12,10 @@ directly.
 - The two-sided trace inequality
   lambda_min(M) Tr N <= Tr[M N] <= lambda_max(M) Tr N holds for Hermitian
   M and positive semidefinite N.
+- product_extremes reads the extremes of the raw, non-Hermitian product
+  rho (I x rho_ij) with numpy.linalg.eigvals, the definition that
+  bounds.product_spectrum's congruence of the pair's square root stands
+  in for; lift is its index-wise embedding of the pair's operator.
 
 closed_form_general and table_scans are the other kind of oracle: the
 general route of the closed-form check and the weight and strength scans
@@ -92,6 +96,23 @@ def sandwich(m, n) -> tuple[float, float, float]:
     values = _spectrum(m)
     tn = float(np.trace(n).real)
     return float(values[0]) * tn, float(np.trace(m @ n).real), float(values[-1]) * tn
+
+
+def lift(op: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
+    """Index-wise lift: kron(op, I) on qubit order (pair, spectator),
+    with tensor axes then permuted back to A, B, C."""
+    slots = [corpus.PARTIES.index(label) for label in pair]
+    order = slots + [k for k in range(3) if k not in slots]
+    inverse = list(np.argsort(order))
+    lifted = np.kron(op, np.eye(2)).reshape([2] * 6)
+    return lifted.transpose(inverse + [3 + k for k in inverse]).reshape(8, 8)
+
+
+def product_extremes(rho_abc, rho_ij, pair: tuple[str, str]) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of rho_abc (I x rho_ij), from the sorted real parts of the
+    raw product's eigenvalues."""
+    values = np.sort(np.linalg.eigvals(_matrix(rho_abc) @ lift(_matrix(rho_ij), pair)).real)
+    return float(values[0]), float(values[-1])
 
 
 def example_reduced(family: str, param: float):

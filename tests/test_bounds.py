@@ -18,6 +18,7 @@ from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
     PairSpectra,
+    Routes,
     build_records,
     SingularDenominatorError,
     Window,
@@ -42,7 +43,7 @@ from svetlichny.nonlocality import (
     s_nl_new,
     undetected_strength,
 )
-from conftest import random_state
+from conftest import pair_root, random_state
 import corpus
 import lemmas
 
@@ -72,6 +73,15 @@ class TestWindow:
         assert w.midpoint == pytest.approx(0.3)
         assert w.contains(0.25)
         assert not w.contains(0.45)
+
+    @pytest.mark.parametrize("lower", [-np.inf, np.nan, np.array([-0.1, -np.inf])],
+                             ids=["inf", "nan", "array"])
+    def test_non_finite_numerator_opens_no_window(self, lower):
+        # a huge witness overflows H; its edges would be NaN, with a numpy warning
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
+        with pytest.raises(BoundsError, match=r"^window numerator -?(inf|nan) is not finite$"):
+            record.window_edges(Routes("undetected", 0.2, lower, 0.1))
 
 
 GHZ_W_06 = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
@@ -134,16 +144,6 @@ class TestBoundConfig:
             BoundConfig(p=0.5, q=0.5, witness=bad)
 
 
-def _kron_embed(op: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
-    """Index-wise lift: kron(op, I) on qubit order (pair, spectator),
-    with tensor axes then permuted back to A, B, C."""
-    slots = [states.LABELS.index(label) for label in pair]
-    order = slots + [k for k in range(3) if k not in slots]
-    inverse = list(np.argsort(order))
-    lifted = np.kron(op, np.eye(2)).reshape([2] * 6)
-    return lifted.transpose(inverse + [3 + k for k in inverse]).reshape(8, 8)
-
-
 PAIRS = (("A", "B"), ("A", "C"), ("B", "C"), ("C", "A"))
 
 
@@ -153,7 +153,7 @@ class TestEmbedding:
         # a non-Hermitian operator with no tensor symmetry: a misplaced or
         # swapped slot changes the lift
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.abs(embed_pair(op, pair) - _kron_embed(op, pair)).max() <= 1e-15
+        assert np.abs(embed_pair(op, pair) - lemmas.lift(op, pair)).max() <= 1e-15
 
     @pytest.mark.parametrize("pair", PAIRS[:3], ids="".join)
     def test_product_spectrum_matches_raw_product(self, rng, pair):
@@ -162,9 +162,9 @@ class TestEmbedding:
         for _ in range(5):
             rho = random_state(rng, 3)
             reduced = random_state(rng, 2)
-            raw = np.linalg.eigvals(rho.matrix @ _kron_embed(reduced.matrix, pair))
+            raw = np.linalg.eigvals(rho.matrix @ lemmas.lift(reduced.matrix, pair))
             assert np.abs(raw.imag).max() <= 1e-12
-            spec = product_spectrum(rho, reduced, pair)
+            spec = product_spectrum(rho, pair_root(reduced), pair)
             assert np.abs(np.sort(raw.real) - spec).max() <= 1e-12
 
     @pytest.mark.parametrize("family,param", [
@@ -180,8 +180,8 @@ class TestEmbedding:
         rho = states.make_example(family, param)
         reduced = lemmas.example_reduced(family, param)
         pair = states.EXAMPLE_PAIRS[family]
-        raw = np.linalg.eigvals(rho.matrix @ _kron_embed(reduced.matrix, pair))
-        spec = product_spectrum(rho, reduced, pair)
+        raw = np.linalg.eigvals(rho.matrix @ lemmas.lift(reduced.matrix, pair))
+        spec = product_spectrum(rho, pair_root(reduced), pair)
         assert np.abs(np.sort(raw.real) - spec).max() <= 1e-12
 
     def test_embed_bc_matches_kron(self, rng):
@@ -204,12 +204,12 @@ class TestEmbedding:
         # the index gather copies entries: no roundoff against the kron oracle
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for pair in permutations(states.LABELS, 2):
-            assert np.array_equal(embed_pair(op, pair), _kron_embed(op, pair))
+            assert np.array_equal(embed_pair(op, pair), lemmas.lift(op, pair))
 
     def test_product_spectrum_is_real_and_psd_shaped(self, rng):
         rho = random_state(rng, 3)
         reduced = states.partial_trace(rho, "A")
-        spec = product_spectrum(rho, reduced, ("B", "C"))
+        spec = product_spectrum(rho, pair_root(reduced), ("B", "C"))
         assert spec[0] >= -1e-12
         assert spec[-1] <= 1.0 + 1e-12
 
@@ -265,8 +265,9 @@ class TestStackedProducts:
 
     @staticmethod
     def _assert_stack_is_each_single_call(rhos, reductions, pairs):
-        stacked = product_spectrum(rhos, reductions, pairs)
-        singles = [product_spectrum(*member) for member in zip(rhos, reductions, pairs)]
+        roots = pair_root(list(reductions))
+        stacked = product_spectrum(rhos, roots, pairs)
+        singles = [product_spectrum(*member) for member in zip(rhos, roots, pairs)]
         assert stacked.tolist() == [spectrum.tolist() for spectrum in singles]
 
     @pytest.mark.parametrize("pair", ORDERED_PAIRS, ids="".join)
@@ -287,11 +288,36 @@ class TestStackedProducts:
             [rho] * len(ORDERED_PAIRS), [states.reduce_to_pair(rho, pair) for pair in ORDERED_PAIRS],
             ORDERED_PAIRS)
 
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_extremes_match_the_raw_product_on_random_states(self, rng, rank):
+        # the congruence of the pair's 4x4 root against the eigenvalues of
+        # the non-Hermitian product rho (I x rho_ij), on every ordered pair
+        for _ in range(3):
+            rho = states.validate(corpus.random_density(rng, 8, rank), 3)
+            reductions = [states.reduce_to_pair(rho, pair) for pair in ORDERED_PAIRS]
+            spectra = product_spectrum([rho] * len(ORDERED_PAIRS), pair_root(reductions),
+                                       ORDERED_PAIRS)
+            for pair, reduced, spectrum in zip(ORDERED_PAIRS, reductions, spectra):
+                want = lemmas.product_extremes(rho, reduced, pair)
+                assert np.abs(np.array(want) - spectrum[[0, -1]]).max() <= 1e-12, (rank, pair)
+
+    @pytest.mark.parametrize("family", states.FAMILIES)
+    def test_extremes_match_the_raw_product_on_a_family_grid(self, family):
+        index = states.FAMILIES.index(family) + 1
+        grid = np.linspace(*reproduce.CLOSED_FORM_RANGES[index], reproduce.GRID_POINTS)
+        rhos = states.make_examples(family, grid)
+        reductions = states.example_reductions(family, grid)
+        pair = states.EXAMPLE_PAIRS[family]
+        spectra = product_spectrum(rhos, pair_root(reductions), [pair] * len(rhos))
+        for x, rho, reduced, spectrum in zip(grid, rhos, reductions, spectra):
+            want = lemmas.product_extremes(rho, reduced, pair)
+            assert np.abs(np.array(want) - spectrum[[0, -1]]).max() <= 1e-12, x
+
     def test_record_products_are_their_product_spectrum(self, rng):
         for rank in range(1, 9):
             rho = states.validate(corpus.random_density(rng, 8, rank), 3)
             for pair, record in pair_records(rho, ORDERED_PAIRS):
-                spectrum = product_spectrum(rho, record.reduced, pair)
+                spectrum = product_spectrum(rho, record.reduced_root, pair)
                 assert (record.lambda_min_product, record.lambda_max_product) == (
                     spectrum[0], spectrum[-1]), (rank, pair)
 
@@ -467,7 +493,7 @@ SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
 
 class TestSolveCounts:
     """Each 8x8 spectrum is computed once: the state once, by validation
-    (it also gives the state's square root), and the products of every
+    (no eigenvector of it is read), and the products of every
     pair a record set holds in one stacked solve, when the records are
     built. The 4x4 matrices of all pairs share one stacked solve."""
 

@@ -265,6 +265,24 @@ class TestAnalyzeOutput:
         assert "pair A-C, witness xz" in out
         assert "regime: detected" in out
 
+    def test_huge_witness_is_unavailable_without_warnings(self, tmp_path, capsys):
+        # every entry of 1e308 I is finite, but H overflows to -inf: the
+        # user witness's report is unavailable, its candidate is skipped,
+        # and no numpy warning or NaN window reaches the output
+        path = tmp_path / "w.mat"
+        path.write_text("dim 4\n" + "\n".join(" ".join("1e308,0" if i == j else "0,0"
+                                                       for j in range(4)) for i in range(4)) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--family", "identity-W", "--param", "0.82",
+                       "--witness", str(path)) == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "  unavailable: window numerator -inf is not finite\n" in captured.out
+        assert "nan" not in captured.out
+        assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in captured.out
+
     def test_witness_file_joins_search(self, tmp_path, capsys):
         from svetlichny.operators import plane_witness
         path = tmp_path / "w.mat"
@@ -346,8 +364,9 @@ class TestAnalyzeOutput:
         assert "verdict: genuine\n  route undetected-p, pair A-C, witness xy\n" in out
 
     def test_eigenvectors_are_solved_only_where_a_root_reads_them(self, monkeypatch, capsys):
-        # the state's validation and the three reductions; every product,
-        # partial transpose, witness maximum and T^t T is a spectrum alone
+        # eigh runs for the three reductions alone, whose roots give the
+        # products; the state's validation, every product, partial
+        # transpose, witness maximum and T^t T solve a spectrum alone
         calls = []
         for name in ("eigh", "eigvalsh"):
             def solver(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
@@ -356,7 +375,7 @@ class TestAnalyzeOutput:
             monkeypatch.setattr(np.linalg, name, solver)
         assert run("analyze", "--family", "identity-W", "--param", "0.82") == 0
         assert "verdict: genuine" in capsys.readouterr().out
-        assert [shape for name, shape in calls if name == "eigh"] == [(1, 8, 8), (3, 4, 4)]
+        assert [shape for name, shape in calls if name == "eigh"] == [(3, 4, 4)]
         assert {name for name, _ in calls} == {"eigh", "eigvalsh"}
 
 

@@ -118,6 +118,15 @@ class TestKValue:
             nonlocality.k_from_pairing(np.ones_like(n), n)
         assert str(excinfo.value) == f"{message}; K is undefined"
 
+    @pytest.mark.parametrize("n", [math.inf, np.array([0.1, math.inf, 0.2])],
+                             ids=["scalar", "array"])
+    def test_k_from_pairing_rejects_an_infinite_negativity(self, n):
+        # an infinite N passes n > NEG_TOL and would give K = 0, which the
+        # cap would then blame on K
+        with pytest.raises(nonlocality.ZeroNegativityError) as excinfo:
+            nonlocality.k_from_pairing(np.full_like(n, 0.1), n)
+        assert str(excinfo.value) == "negativity inf is not finite; K is undefined"
+
     def test_k_from_pairing_is_k_value_elementwise(self):
         rhos = [_reduced(states.FAMILY_IDENTITY_W, x) for x in (0.82, 0.87, 0.92)]
         pairings = np.einsum("ij,kji->k", XY, np.array(

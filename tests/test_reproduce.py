@@ -14,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import pair_root
 import lemmas
 from svetlichny import linalg, nonlocality, operators, reproduce, states
 from svetlichny.bounds import grid_record, pair_spectra, product_spectrum
@@ -155,16 +156,15 @@ class TestClosedForms:
 class TestClosedFormGrid:
     """Each family's grid is validated, reduced and solved as one stack."""
 
-    # stacked solves per family, counted at the kernel's LAPACK step,
-    # which validation's and the records' gated stacks reach directly: the
-    # states, maximal-slice's designated matrices, the records' partial
-    # transposes and their reductions (maximal-slice's arrive solved), the
-    # products, and the witness congruences of the undetected families
+    # stacked solves per family, counted at the kernel's LAPACK step: the
+    # states, maximal-slice's designated matrices (their spectra), the
+    # records' reductions (their roots, maximal-slice's designated
+    # matrices a second time) and partial transposes, the products, and
+    # the witness congruences of the undetected families
     # (150/150/250/200/200 one point at a time on the 50-point grid)
-    CALLS = {1: 4, 2: 4, 3: 5, 4: 5, 5: 5}
-    # matrices per grid point, by size: what the per-point route solved,
-    # less its second solve of maximal-slice's designated matrix
-    PER_POINT = {1: {8: 2, 4: 2}, 2: {8: 2, 4: 2}, 3: {8: 2, 4: 3},
+    CALLS = {1: 4, 2: 4, 3: 6, 4: 5, 5: 5}
+    # matrices per grid point, by size: what the per-point route solved
+    PER_POINT = {1: {8: 2, 4: 2}, 2: {8: 2, 4: 2}, 3: {8: 2, 4: 4},
                  4: {8: 2, 4: 3}, 5: {8: 2, 4: 3}}
 
     @pytest.mark.parametrize("points", (10, 50))
@@ -401,7 +401,7 @@ class TestErratumReasons:
         for lam in np.linspace(*reproduce.CLOSED_FORM_RANGES[1], 10):
             lam2 = lam ** 2
             top = product_spectrum(states.make_example(family, lam),
-                                   lemmas.example_reduced(family, lam),
+                                   pair_root(lemmas.example_reduced(family, lam)),
                                    pair)[-1]
             assert top == pytest.approx((lam2 + 0.09) ** 2 + (0.91 - lam2) ** 2,
                                         abs=1e-12)
