@@ -15,21 +15,23 @@ p-route and q-route built from S_NL; undetected regime (entangled but
 witness-positive) gives the corresponding routes built from K, the part
 of the replacement strength they read. The verdict search tries all of
 them, and skips a candidate with K <= 0, where the replacement strength
-is undefined.
+is undefined. S_NL reads the witness pairing Tr[W rho_ij], K the pairing
+Tr[W rho_ij rho_ij^T], both off the matrices the record keeps.
 
-One PairSpectra record per (state, pair) holds every number the routes
-read, and its methods are the only certificate arithmetic; each (pair,
-witness) is evaluated once, into the Routes value that the report and
-the search read. One column builder reads the numbers of many (state,
-reduction, pair) points together, one array per field: each state's
-spectrum is the one validation solved, the reductions are solved with
-their eigenvectors, for their square roots, in one gated call, their
-partial transposes' spectra without eigenvectors in one more, and the
-products, from those 4x4 roots, in one stacked product_spectrum call.
-Only a reduced pair's root reads eigenvectors: no 8x8 matrix is ever
-solved for them. build_records cuts the columns into one record of
-floats per point; grid_record keeps them as one record of arrays over a
-grid on one pair, whose witness maxima come from one more stacked solve.
+One PairSpectra record per (state, pair) holds every number and matrix
+the routes read, and its methods are the only certificate arithmetic;
+each (pair, witness) is evaluated once, into the Routes value that the
+report and the search read. One column builder reads the numbers of many
+(state, reduction, pair) points together, one array per field: each
+state's spectrum is the one validation solved, the reductions are solved
+with their eigenvectors, for their square roots, in one gated call, their
+partial transposes, formed by one stacked call, are solved without
+eigenvectors, and the products, from those 4x4 roots, in one stacked
+product_spectrum call. Only a reduced pair's root reads eigenvectors: no
+8x8 matrix is ever solved for them. build_records cuts the columns into
+one record of floats per point; grid_record keeps them as one record of
+arrays over a grid on one pair, whose witness maxima come from one more
+stacked solve.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .nonlocality import (
     NEG_TOL,
     _anywhere,
     _first,
-    k_from_negativity,
+    k_from_pairing,
     p_max_optimal,
     positive_k,
     s_nl_from_pairing,
@@ -101,7 +103,7 @@ class Window:
         return 0.5 * (self.lower + self.upper)
 
     def contains(self, value: float) -> bool:
-        return (not self.empty) and self.lower < value < self.upper
+        return (not self.empty) and self.lower <= value < self.upper
 
 
 @dataclass(frozen=True)
@@ -269,25 +271,26 @@ class PairSpectra:
     of the product congruence embed(rho_ij)^{1/2} rho embed(rho_ij)^{1/2}
     (product_spectrum, with the pair's root from the pair's own solve).
     Embedding the pair only doubles multiplicities, so the embedded
-    extremes are read off the 4x4 spectrum. The partial-transpose numbers, the reduced
-    pair and its square root are None in records built from listed data
-    that lacks them. A grid record (grid_record) holds arrays over the
-    grid in its number fields and reduced_root, and leaves reduced None,
-    so routes, which reads the reduced pair, serves records of one point
-    only.
+    extremes are read off the 4x4 spectrum. Beside the numbers it keeps
+    the reduced pair's matrix, its square root and the product
+    rho_ij rho_ij^T, which are None, as are the partial-transpose numbers,
+    in records built from listed data that lacks them. A grid record
+    (grid_record) holds arrays over the grid in its number fields and a
+    (k, 4, 4) stack in each matrix field.
 
-    The methods are the certificate arithmetic. routes(witness) is the
-    one regime dispatch; detected (from S_NL) and undetected (from K)
-    give the two regimes' numerators to callers that hold the strength
-    already. bounds, window_edges and windows read a Routes value: the
-    lower route divides by lambda_max of the embedded pair, the upper
-    route by lambda_k. The paper's undetected 2 (1 - q) F/(q lambda_k) is
-    the upper shape with numerator F/4.
+    The methods are the certificate arithmetic. pairings(witness) gives
+    the two witness pairings the strengths read; routes(witness) is the
+    one regime dispatch on them, for a record of one point; detected
+    (from S_NL) and undetected (from K) give the two regimes' numerators
+    to callers that hold the strength already. bounds, window_edges and
+    windows read a Routes value: the lower route divides by lambda_max of
+    the embedded pair, the upper route by lambda_k. The paper's undetected
+    2 (1 - q) F/(q lambda_k) is the upper shape with numerator F/4.
 
-    detected, undetected, bounds, window_edges and witness_max also work
-    elementwise: on a strength given as an array, and on a grid record.
-    Each guard then checks the whole array and raises as it does for one
-    number.
+    pairings, detected, undetected, bounds, window_edges and witness_max
+    also work elementwise: on a strength given as an array, and on a grid
+    record. Each guard then checks the whole array and raises as it does
+    for one number.
     """
 
     lambda_min_rho: float
@@ -301,7 +304,8 @@ class PairSpectra:
     trace_pt_squared: float | None = None
     negativity: float | None = None
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
-    reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
+    reduced: np.ndarray | None = field(default=None, repr=False, compare=False)
+    reduced_pt_product: np.ndarray | None = field(default=None, repr=False, compare=False)
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -320,14 +324,21 @@ class PairSpectra:
         w = np.asarray(witness, dtype=complex)
         key = w.tobytes()
         if key not in self._routes:
-            pairing = linalg.trace_product(w, self.reduced.matrix)
+            pairing, product_pairing = map(float, self.pairings(w))
             if pairing < 0.0:
                 routes = self.detected(float(s_nl_from_pairing(pairing)))
             else:
-                k = positive_k(k_from_negativity(self.reduced, w, self.negativity))
+                k = positive_k(k_from_pairing(product_pairing, self.negativity))
                 routes = self.undetected(k, self.witness_max(w))
             self._routes[key] = routes
         return self._routes[key]
+
+    def pairings(self, witness: np.ndarray) -> tuple:
+        """(Tr[W rho_ij], Tr[W rho_ij rho_ij^T]), the pairings S_NL and K read; one per point
+        of a grid record."""
+        w = np.asarray(witness, dtype=complex)
+        return tuple(np.einsum("ij,...ji->...", w, m).real
+                     for m in (self.reduced, self.reduced_pt_product))
 
     def witness_max(self, witness: np.ndarray):
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij,
@@ -410,32 +421,33 @@ def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityM
 
     The pairs are the caller's to check.
     """
-    columns, roots = _columns(states, reductions, pairs)
-    rows = zip(*(column.tolist() for column in columns.values()))
-    return [PairSpectra(**dict(zip(columns, row)), reduced_root=root, reduced=rho_ij)
-            for row, root, rho_ij in zip(rows, roots, reductions)]
+    columns, stacks = _columns(states, reductions, pairs)
+    names = [*columns, *stacks]
+    points = zip(*(column.tolist() for column in columns.values()), *stacks.values())
+    return [PairSpectra(**dict(zip(names, point))) for point in points]
 
 
 def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
                 pair: tuple[str, str]) -> PairSpectra:
     """One record for a grid of (state, reduction) points on one pair, each field an array:
     the columns of build_records, uncut."""
-    columns, roots = _columns(states, reductions, [pair] * len(states))
-    return PairSpectra(**columns, reduced_root=roots)
+    columns, stacks = _columns(states, reductions, [pair] * len(states))
+    return PairSpectra(**columns, **stacks)
 
 
 def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
-             pairs: Sequence[tuple[str, str]]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+             pairs: Sequence[tuple[str, str]]) -> tuple[dict, dict]:
     """Every number field of the records of (state, reduction, pair) points, one array each, and
-    the reductions' square roots.
+    every matrix field, one (k, 4, 4) stack each.
 
     Each state's spectrum is the one validation solved. The reductions
     are solved with their eigenvectors in one gated call, and their roots
     come from those eigensystems. A partial transpose only moves entries,
     and it commutes with the adjoint, so a reduction passes the gates
-    exactly when its partial transpose does, and the gated partial
-    transposes are those of the gated reductions, bit for bit; their
-    spectra are solved without eigenvectors in one more gated call. The negativity and the other
+    exactly when its partial transpose does: the partial transposes, from
+    one stacked call, go straight to the solver's LAPACK step, without
+    eigenvectors. A validated state's reductions are exactly Hermitian, so
+    the gates would leave them as they are. The negativity and the other
     partial-transpose numbers come from partial_transpose_numbers, the
     formula states.negativity reads, and the products from the roots, in
     one stacked product_spectrum call.
@@ -443,7 +455,8 @@ def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix
     state_values = np.array([rho.spectrum for rho in states])
     matrices = np.array([rho.matrix for rho in reductions])
     reduced_values, reduced_vectors = linalg.hermitian_eigensystem(matrices)
-    pt_values = linalg.hermitian_eigenvalues(partial_transposes(matrices))
+    transposes = partial_transposes(matrices)
+    pt_values = linalg._solve(transposes, vectors=False)
     roots = linalg.eigen_root(reduced_values, reduced_vectors)
     n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(pt_values)
     products = product_spectrum(states, roots, pairs)
@@ -453,7 +466,8 @@ def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix
                    lambda_min_product=products[:, 0], lambda_max_product=products[:, -1],
                    lambda_max_pt=pt_max, lambda_min_pt_squared=pt2_min,
                    trace_pt_squared=pt2_trace, negativity=n)
-    return columns, roots
+    return columns, dict(reduced_root=roots, reduced=matrices,
+                         reduced_pt_product=matrices @ transposes)
 
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
@@ -495,44 +509,20 @@ def _report(spectra: PairSpectra, witness: np.ndarray,
         "Z": spectra.negativity * spectra.lambda_max_pt,
     }
     if routes.regime == "detected":
-        intermediates.update(
-            {
-                "d1_plus": 2.0 * low + emb_max,
-                "d1_minus": 2.0 * low - emb_max,
-                "d2_plus": 2.0 * high + lam_k,
-                "d2_minus": 2.0 * high - lam_k,
-                "s_nl": routes.strength,
-            }
-        )
+        intermediates.update(d1_plus=2.0 * low + emb_max, d1_minus=2.0 * low - emb_max,
+                             d2_plus=2.0 * high + lam_k, d2_minus=2.0 * high - lam_k,
+                             s_nl=routes.strength)
     else:
         # the reported strength, at the default weight, is formed here only
-        strength = undetected_strength(routes.strength, p_max_optimal(spectra.reduced))
-        intermediates.update(
-            {
-                "H": low,
-                "F": 4.0 * high,
-                "G": spectra.lambda_max_rho
-                * strength.k
-                * intermediates["Z"]
-                / (p * spectra.lambda_min_pt_squared * emb_max),
-                "s_nl_new": strength.s_nl_new,
-                "k": strength.k,
-                "p_max": strength.p_max,
-                "r": strength.r,
-            }
-        )
-    return BoundsReport(
-        regime=routes.regime,
-        sv_lower=sv_lower,
-        sv_upper=sv_upper,
-        p=p,
-        q=q,
-        p_window=p_adm,
-        q_window=q_adm,
-        genuine_p_window=p_gen,
-        genuine_q_window=q_gen,
-        intermediates=intermediates,
-    )
+        strength = undetected_strength(
+            routes.strength, p_max_optimal(DensityMatrix(qubits=2, matrix=spectra.reduced)))
+        g = (spectra.lambda_max_rho * strength.k * intermediates["Z"]
+             / (p * spectra.lambda_min_pt_squared * emb_max))
+        intermediates.update(H=low, F=4.0 * high, G=g, s_nl_new=strength.s_nl_new,
+                             k=strength.k, p_max=strength.p_max, r=strength.r)
+    return BoundsReport(regime=routes.regime, sv_lower=sv_lower, sv_upper=sv_upper, p=p, q=q,
+                        p_window=p_adm, q_window=q_adm, genuine_p_window=p_gen,
+                        genuine_q_window=q_gen, intermediates=intermediates)
 
 
 def detect_genuine(rho_abc: DensityMatrix, pair: tuple[str, str] | None = None,

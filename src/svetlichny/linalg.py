@@ -18,10 +18,11 @@ finiteness check runs only once that one pass has failed; whichever
 pass fails, the errors come in the same order: DimensionMismatchError
 for a shape, then LinalgError for a non-finite entry, then
 NotHermitianError, then DimensionMismatchError above MAX_DIM and
-NoConvergenceError from LAPACK. A caller that has symmetrized a matrix
-already for a check of its own (states.validate, whose trace check reads
-the symmetrized stack) hands it to _solve, the solver's one LAPACK step,
-so that the matrix does not pass the gates twice.
+NoConvergenceError from LAPACK. A caller whose matrix has passed the
+gates already (states.validate, whose trace check reads the symmetrized
+stack, and bounds, whose partial transposes are those of gated pairs)
+hands it to _solve, the solver's one LAPACK step, so that the matrix
+does not pass the gates twice.
 
 A spectrum is an ascending float array, its extremes at [0] and [-1];
 congruence_eigenvalues solves the spectrum of a product P X, P PSD, as

@@ -12,9 +12,13 @@ positivity. The certificates built on this measure read K alone (and
 need K > 0, the cap's own hypothesis, checked by positive_k), so they
 take no r; a report forms NonlocalityStrength at the default weight,
 half the cap, and s_nl_new evaluates it at any admissible r. S_NL and K
-also evaluate elementwise over arrays of pairings (and negativities),
-and the strength over an array of weights r; each guard then checks the
-whole array and raises as it does for one number.
+are formulas of the pairings Tr[W rho] and Tr[W rho rho^T], which the
+single-state functions form through linalg.trace_product, the gate of a
+caller's witness, and a certificate record reads off the matrices it
+keeps (bounds.PairSpectra.pairings). Both also evaluate elementwise over
+arrays of pairings (and negativities), and the strength over an array of
+weights r; each guard then checks the whole array and raises as it does
+for one number.
 
 The Pauli correlation tensor T that horodecki_m reads is built by
 operators.correlation_tensor, in the base layer, so that the optimizer
@@ -106,16 +110,8 @@ def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
             RegimeMismatchWarning,
             stacklevel=2,
         )
-    return k_from_negativity(rho, w, negativity(rho))
-
-
-def k_from_negativity(rho: DensityMatrix, w: np.ndarray, n: float) -> float:
-    """k_value's arithmetic for a negativity N already read off the same partial transpose.
-
-    A zero N raises before the pairing is formed.
-    """
-    n = _nonzero_negativity(n)
-    return k_from_pairing(linalg.trace_product(w, rho.matrix @ partial_transpose(rho)), n)
+    return k_from_pairing(linalg.trace_product(w, rho.matrix @ partial_transpose(rho)),
+                          negativity(rho))
 
 
 def k_from_pairing(pairing, n):

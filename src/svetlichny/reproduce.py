@@ -10,10 +10,10 @@ validated and solved as one stack, and bounds.grid_record reads it into
 one record whose fields are arrays over the grid (its 4x4 matrices, its
 products and its witness congruences solved in one call each). Both
 sides then run once per grid on arrays, through the formulas and record
-methods one point uses (each witness pairing one stacked einsum; the
-listed forms land within 2 ulp of one point at a time, as numpy's array
-power and a Python float's ** n can differ in the last bit), and each
-deviation is reduced by one max.
+methods one point uses (the witness pairings are the record's, bit for
+bit those of one point; the listed forms land within 2 ulp of one point
+at a time, as numpy's array power and a Python float's ** n can differ
+in the last bit), and each deviation is reduced by one max.
 
 Two routes coexist on purpose. Table rows are evaluated from the closed
 forms exactly as the reference derivation used them, so a row mismatch
@@ -470,9 +470,10 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     """The general route's value of every listed quantity over the grid, one array each.
 
     The grid's states and reductions are built as one stack each and read
-    into one grid record, so the numerators and windows are evaluated
-    once, elementwise, through the record's methods and the nonlocality
-    formulas. A window's array holds one (lower, upper) row per parameter.
+    into one grid record, so the pairings, numerators and windows are
+    evaluated once, elementwise, through the record's methods and the
+    nonlocality formulas. A window's array holds one (lower, upper) row
+    per parameter.
     """
     name = states.FAMILIES[family - 1]
     pair = states.EXAMPLE_PAIRS[name]
@@ -483,12 +484,11 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     spectra = grid_record(rhos, reductions, pair)
     w = _family_witness(family)
     columns = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
-    matrices = np.array([r.matrix for r in reductions])
+    pairing, product_pairing = spectra.pairings(w)
     if family in _DETECTED:
-        columns["s_nl"] = nonlocality.s_nl_from_pairing(np.einsum("ij,kji->k", w, matrices).real)
+        columns["s_nl"] = nonlocality.s_nl_from_pairing(pairing)
     else:
-        products = matrices @ states.partial_transposes(matrices)
-        columns["trace_witness_product"] = np.einsum("ij,kji->k", w, products).real
+        columns["trace_witness_product"] = product_pairing
         columns["lambda_max_witness_state"] = spectra.witness_max(w)
     columns["p_window"], columns["q_window"] = (
         np.column_stack(edges) for edges in _genuine_windows(family, spectra, columns))

@@ -145,7 +145,7 @@ def closed_form_general(family: int, param: float) -> dict:
         pt = states.partial_transpose(reduced)
         out["trace_witness_product"] = linalg.trace_product(w, reduced.matrix @ pt)
         wr_max = out["lambda_max_witness_state"] = spectra.witness_max(w)
-        k = nonlocality.k_from_negativity(reduced, w, spectra.negativity)
+        k = nonlocality.k_from_pairing(out["trace_witness_product"], spectra.negativity)
         routes = spectra.undetected(k, wr_max)
     (_, p_gen), (_, q_gen) = spectra.windows(routes)
     out["p_window"] = (p_gen.lower, p_gen.upper)

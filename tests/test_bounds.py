@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from svetlichny import cli, linalg, operators, reproduce, states
+from svetlichny import bounds, cli, linalg, operators, reproduce, states
 from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
@@ -73,6 +73,9 @@ class TestWindow:
         assert w.midpoint == pytest.approx(0.3)
         assert w.contains(0.25)
         assert not w.contains(0.45)
+        # half-open, as _window_edges names the windows: [lower, upper)
+        assert w.contains(0.2)
+        assert not w.contains(0.4)
 
     @pytest.mark.parametrize("lower", [-np.inf, np.nan, np.array([-0.1, -np.inf])],
                              ids=["inf", "nan", "array"])
@@ -226,7 +229,7 @@ class TestOrderedPairs:
             rho = random_state(rng, 3)
             for (pair, record) in pair_records(rho, ORDERED_PAIRS):
                 want = corpus.marginal(rho.matrix, pair)
-                assert np.abs(record.reduced.matrix - want).max() <= 1e-15, pair
+                assert np.abs(record.reduced - want).max() <= 1e-15, pair
 
     @pytest.mark.parametrize("pair", [p for p in ORDERED_PAIRS if p[0] > p[1]], ids="".join)
     def test_descending_pair_matches_its_ascending_twin(self, rng, pair):
@@ -320,6 +323,71 @@ class TestStackedProducts:
                 spectrum = product_spectrum(rho, record.reduced_root, pair)
                 assert (record.lambda_min_product, record.lambda_max_product) == (
                     spectrum[0], spectrum[-1]), (rank, pair)
+
+
+class TestPairings:
+    """Every record keeps its reduced pair and rho_ij rho_ij^T from one stacked partial
+    transpose, and reads both witness pairings off them: a grid record gives each
+    point's pairings bit for bit, and the search forms no partial transpose."""
+
+    WITNESSES = [operators.plane_witness(plane) for plane in operators.PLANES]
+
+    def _assert_grid_is_each_point(self, rhos, reductions, pair, witnesses):
+        grid = grid_record(rhos, reductions, pair)
+        points = [pair_spectra(rho, reduced, pair) for rho, reduced in zip(rhos, reductions)]
+        for w in witnesses:
+            for column, values in zip(grid.pairings(w), zip(*(p.pairings(w) for p in points))):
+                assert column.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("family", states.FAMILIES)
+    def test_grid_pairings_are_each_points_on_a_family_grid(self, family):
+        index = states.FAMILIES.index(family) + 1
+        grid = np.linspace(*reproduce.CLOSED_FORM_RANGES[index], reproduce.GRID_POINTS)
+        self._assert_grid_is_each_point(
+            states.make_examples(family, grid), states.example_reductions(family, grid),
+            states.EXAMPLE_PAIRS[family], self.WITNESSES + [reproduce._family_witness(index)])
+
+    @pytest.mark.parametrize("pair", ORDERED_PAIRS, ids="".join)
+    def test_grid_pairings_are_each_points_on_random_states(self, rng, pair):
+        rhos = [states.validate(corpus.random_density(rng, 8, rank), 3)
+                for rank in range(1, 9) for _ in range(3)]
+        self._assert_grid_is_each_point(rhos, states.reduce_to_pairs(rhos, pair), pair,
+                                        self.WITNESSES)
+
+    def test_pairings_are_the_single_state_pairings(self, rng):
+        for rank in range(1, 9):
+            rho = states.validate(corpus.random_density(rng, 8, rank), 3)
+            for pair, record in pair_records(rho, ORDERED_PAIRS):
+                reduced = states.reduce_to_pair(rho, pair)
+                product = reduced.matrix @ states.partial_transpose(reduced)
+                for w in self.WITNESSES:
+                    assert tuple(map(float, record.pairings(w))) == (
+                        linalg.trace_product(w, reduced.matrix),
+                        linalg.trace_product(w, product)), (rank, pair)
+
+    def test_transposes_are_formed_once_per_record_set(self, monkeypatch, rng):
+        calls, undetected = [], []
+
+        def counting(fn, log):
+            def counted(*args, **kwargs):
+                log.append(1)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (bounds, states):
+            monkeypatch.setattr(module, "partial_transposes",
+                                counting(states.partial_transposes, calls))
+        monkeypatch.setattr(bounds, "positive_k", counting(bounds.positive_k, undetected))
+        rhos = [states.make_example(states.FAMILY_IDENTITY_W, 0.82)] + [
+            states.validate(corpus.random_density(rng, 8, rank), 3) for rank in (1, 2, 3)]
+        for rho in rhos:
+            calls.clear()
+            records = pair_records(rho)
+            assert len(calls) == 1
+            search_records(records)
+            assert len(calls) == 1
+        # the searches reached undetected candidates, which read K
+        assert undetected
 
 
 class TestDetectedRoute:

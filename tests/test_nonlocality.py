@@ -134,6 +134,23 @@ class TestKValue:
         k = nonlocality.k_from_pairing(pairings, np.array([states.negativity(r) for r in rhos]))
         assert k.tolist() == [nonlocality.k_value(rho, XY) for rho in rhos]
 
+    def test_errors_come_in_order(self):
+        # the witness's gate first (is_detected), then the regime warning, then
+        # the zero-negativity error: -I detects the product state, which has N = 0
+        product = states.validate(np.diag([1.0, 0.0, 0.0, 0.0]), 2)
+        for witness, message in ((np.eye(3), "trace pairing needs equal shapes"),
+                                 (np.full((4, 4), np.nan), "matrix contains NaN or Inf")):
+            with pytest.raises(linalg.LinalgError, match=message):
+                nonlocality.k_value(product, witness)
+        zero = "negativity 0.0 is numerically zero; K is undefined"
+        with pytest.warns(nonlocality.RegimeMismatchWarning, match=(
+                "k_value evaluated on a witness-detected state; the detected-regime "
+                "measure is s_nl_detected")):
+            with pytest.raises(nonlocality.ZeroNegativityError, match=zero):
+                nonlocality.k_value(product, -np.eye(4))
+        with pytest.raises(nonlocality.ZeroNegativityError, match=zero):
+            nonlocality.k_value(product, XY)
+
     def test_detected_state_warns(self):
         rho = _reduced(states.FAMILY_PURE_W1, 0.92)
         # reduced pair A-C of the first family, where the xz witness detects
@@ -314,7 +331,7 @@ class TestOneFormulaPerQuantity:
                     states.validate(corpus.random_density(rng, 8, rank), 3)):
                 if record.negativity <= nonlocality.NEG_TOL:
                     continue
-                rho = record.reduced
+                rho = states.DensityMatrix(qubits=2, matrix=record.reduced)
                 assert states.negativity(rho) == record.negativity, pair
                 for plane in operators.PLANES:
                     w = operators.plane_witness(plane)
