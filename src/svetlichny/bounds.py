@@ -337,8 +337,7 @@ class PairSpectra:
         """(Tr[W rho_ij], Tr[W rho_ij rho_ij^T]), the pairings S_NL and K read; one per point
         of a grid record."""
         w = np.asarray(witness, dtype=complex)
-        return tuple(np.einsum("ij,...ji->...", w, m).real
-                     for m in (self.reduced, self.reduced_pt_product))
+        return tuple(linalg.trace_product(w, m) for m in (self.reduced, self.reduced_pt_product))
 
     def witness_max(self, witness: np.ndarray):
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij,

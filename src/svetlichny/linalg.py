@@ -1,10 +1,11 @@
 """Dense complex matrix kernel for dimensions up to 8.
 
 Everything downstream (states, operators, bounds) funnels its spectral
-needs through this module: Kronecker products, trace pairings, and the
-Hermitian eigensolver. The solver is LAPACK's behind the kernel's own
-gates: numpy.linalg.eigh where the eigenvectors are read (the square
-root of a 4x4 reduced pair, the only root the package builds),
+needs through this module: the Hermitian eigensolver behind its gates,
+and trace_product, the one trace pairing, which checks no operand, since
+each of its callers checks its own. The solver is LAPACK's behind the
+kernel's gates: numpy.linalg.eigh where the eigenvectors are read (the
+square root of a 4x4 reduced pair, the only root the package builds),
 numpy.linalg.eigvalsh where only the spectrum is. Inputs must be square,
 finite, at most MAX_DIM wide and Hermitian to HERMITICITY_TOL, because
 LAPACK reads only one triangle and would silently diagonalize a
@@ -13,12 +14,11 @@ stack, checked once as a whole, so that a caller with several small
 matrices pays for one gated call.
 
 Each gate reads its matrix in one pass. A NaN or Inf entry makes the
-hermiticity residual, or the trace pairing, non-finite, so the
-finiteness check runs only once that one pass has failed; whichever
-pass fails, the errors come in the same order: DimensionMismatchError
-for a shape, then LinalgError for a non-finite entry, then
-NotHermitianError, then DimensionMismatchError above MAX_DIM and
-NoConvergenceError from LAPACK. A caller whose matrix has passed the
+hermiticity residual non-finite, so the finiteness check runs only once
+that pass has failed; either way, the errors come in the same order:
+DimensionMismatchError for a shape, then LinalgError for a non-finite
+entry, then NotHermitianError, then DimensionMismatchError above MAX_DIM
+and NoConvergenceError from LAPACK. A caller whose matrix has passed the
 gates already (states.validate, whose trace check reads the symmetrized
 stack, and bounds, whose partial transposes are those of gated pairs)
 hands it to _solve, the solver's one LAPACK step, so that the matrix
@@ -73,20 +73,6 @@ def _as_square(m) -> np.ndarray:
 def _check_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise LinalgError("matrix contains NaN or Inf entries")
-
-
-def _as_matrix(m) -> np.ndarray:
-    """A single square matrix, as complex, all entries finite."""
-    a = _as_square(m)
-    _check_finite(a)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def symmetrize(m) -> np.ndarray:
@@ -154,26 +140,16 @@ def congruence_eigenvalues(root, op) -> np.ndarray:
     return hermitian_eigenvalues(root @ op @ root)
 
 
-def trace_product(a, b) -> float:
-    """Re Tr[a b] via the entrywise pairing sum(a[i,j] b[j,i]).
+def trace_product(w, m):
+    """Re Tr[w m] via the entrywise pairing sum(w[i,j] m[j,i]), or one per member of a
+    (k, n, n) stack m.
 
-    Never forms the product matrix; for Hermitian inputs the imaginary
-    part is pure roundoff and is discarded. Each entry of a meets one of
-    b in the pairing, so a non-finite entry leaves it non-finite: the
-    operands' gates run only when the pairing is not finite or a shape
-    is wrong, and finite operands whose pairing overflows give inf.
+    Never forms the product matrix; for Hermitian operands the imaginary
+    part is pure roundoff and is discarded. Neither operand is checked:
+    each caller checks its own at its entry, and finite operands whose
+    pairing overflows give inf.
     """
-    am = np.asarray(a, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
-    if am.ndim == 2 and am.shape[0] == am.shape[1] and am.shape == bm.shape:
-        pairing = np.einsum("ij,ji->", am, bm)
-        if np.isfinite(pairing):
-            return float(pairing.real)
-    am = _as_matrix(am)
-    bm = _as_matrix(bm)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"trace pairing needs equal shapes, got {am.shape} vs {bm.shape}")
-    return float(np.einsum("ij,ji->", am, bm).real)
+    return np.einsum("ij,...ji->...", w, m).real
 
 
 def first_nonzero_eigenvalue(values):

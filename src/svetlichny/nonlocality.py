@@ -13,12 +13,14 @@ need K > 0, the cap's own hypothesis, checked by positive_k), so they
 take no r; a report forms NonlocalityStrength at the default weight,
 half the cap, and s_nl_new evaluates it at any admissible r. S_NL and K
 are formulas of the pairings Tr[W rho] and Tr[W rho rho^T], which the
-single-state functions form through linalg.trace_product, the gate of a
-caller's witness, and a certificate record reads off the matrices it
-keeps (bounds.PairSpectra.pairings). Both also evaluate elementwise over
-arrays of pairings (and negativities), and the strength over an array of
-weights r; each guard then checks the whole array and raises as it does
-for one number.
+single-state functions and a certificate record's pairings
+(bounds.PairSpectra.pairings) both form with linalg.trace_product. That
+kernel checks no operand, so each single-state function checks its own
+at its entry: the witness by operators.witness_matrix, the one witness
+rule, then the state's qubit count. Both formulas also evaluate
+elementwise over arrays of pairings (and negativities), and the strength
+over an array of weights r; each guard then checks the whole array and
+raises as it does for one number.
 
 The Pauli correlation tensor T that horodecki_m reads is built by
 operators.correlation_tensor, in the base layer, so that the optimizer
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .operators import correlation_tensor
+from .operators import correlation_tensor, witness_matrix
 from .states import DensityMatrix, negativity, partial_transpose
 
 NEG_TOL = 1e-12
@@ -69,9 +71,16 @@ class NonlocalityStrength:
     r: float
 
 
+def _two_qubit(rho: DensityMatrix) -> DensityMatrix:
+    """rho itself, once it is a two-qubit state: every quantity here is one of a pair."""
+    if rho.qubits != 2:
+        raise NonlocalityError(f"expected a two-qubit state, got {rho.qubits} qubits")
+    return rho
+
+
 def horodecki_m(rho: DensityMatrix) -> float:
     """Sum of the two largest eigenvalues of T^t T; CHSH violation iff > 1."""
-    t = correlation_tensor(rho)
+    t = correlation_tensor(_two_qubit(rho))
     values = linalg.hermitian_eigenvalues(t.T @ t)
     return float(values[-1] + values[-2])
 
@@ -82,12 +91,13 @@ def p_max_optimal(rho: DensityMatrix) -> float:
 
 
 def is_detected(rho: DensityMatrix, w: np.ndarray) -> bool:
-    return linalg.trace_product(w, rho.matrix) < 0.0
+    return bool(linalg.trace_product(witness_matrix(w), _two_qubit(rho).matrix) < 0.0)
 
 
 def s_nl_detected(rho: DensityMatrix, w: np.ndarray) -> float:
     """max{-Tr[W rho]/8, 0}; zero whenever the witness fails to detect."""
-    return float(s_nl_from_pairing(linalg.trace_product(w, rho.matrix)))
+    pairing = linalg.trace_product(witness_matrix(w), _two_qubit(rho).matrix)
+    return float(s_nl_from_pairing(pairing))
 
 
 def s_nl_from_pairing(pairing):
@@ -103,15 +113,16 @@ def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
     always a sign the caller mixed up the two measures, so that case is
     flagged with a warning rather than an error.
     """
-    if is_detected(rho, w):
+    w = witness_matrix(w)
+    if linalg.trace_product(w, _two_qubit(rho).matrix) < 0.0:
         warnings.warn(
             "k_value evaluated on a witness-detected state; the detected-regime "
             "measure is s_nl_detected",
             RegimeMismatchWarning,
             stacklevel=2,
         )
-    return k_from_pairing(linalg.trace_product(w, rho.matrix @ partial_transpose(rho)),
-                          negativity(rho))
+    pairing = float(linalg.trace_product(w, rho.matrix @ partial_transpose(rho)))
+    return k_from_pairing(pairing, negativity(rho))
 
 
 def k_from_pairing(pairing, n):

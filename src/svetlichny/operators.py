@@ -91,7 +91,7 @@ class SvetlichnySettings:
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Four 2x2 Hermitian observables.
+    """Four 2x2 Hermitian observables, kept as the complex arrays checked on construction.
 
     Dichotomic +-1 observables have spectrum exactly {-1, +1}; observables
     whose spectral radius exceeds 1 are accepted too (one published
@@ -108,7 +108,8 @@ class ChshSettings:
             obs = np.asarray(getattr(self, name), dtype=complex)
             if obs.shape != (2, 2):
                 raise OperatorError(f"{name} must be 2x2, got {obs.shape}")
-            linalg.symmetrize(obs)  # raises if not Hermitian
+            linalg.symmetrize(obs)  # raises if not finite and Hermitian
+            object.__setattr__(self, name, obs)
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -125,9 +126,9 @@ def spin_observable(n: UnitVector3) -> np.ndarray:
 
 def _chsh(a0, a1, b0, b1) -> np.ndarray:
     """A0B0 + A0B1 + A1B0 - A1B1: a term counts +1 when at most one party
-    uses its primed setting (Svetlichny, PRD 35, 3066, 1987)."""
-    return (linalg.kron(a0, b0) + linalg.kron(a0, b1)
-            + linalg.kron(a1, b0) - linalg.kron(a1, b1))
+    uses its primed setting (Svetlichny, PRD 35, 3066, 1987). The operands
+    are complex arrays that UnitVector3 or ChshSettings has checked."""
+    return np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
 
 
 def chsh_operator(settings: ChshSettings) -> np.ndarray:
@@ -192,4 +193,4 @@ def svetlichny_operator(settings: SvetlichnySettings) -> np.ndarray:
     a, ap, b, bp, c, cp = (spin_observable(v) for v in
                            (settings.a, settings.a_prime, settings.b,
                             settings.b_prime, settings.c, settings.c_prime))
-    return linalg.kron(_chsh(a, ap, b, bp), c) - linalg.kron(_chsh(ap, a, bp, b), cp)
+    return np.kron(_chsh(a, ap, b, bp), c) - np.kron(_chsh(ap, a, bp, b), cp)

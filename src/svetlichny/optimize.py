@@ -89,6 +89,14 @@ class OptimizerError(ValueError):
     pass
 
 
+def _qubits(rho: DensityMatrix, count: int) -> DensityMatrix:
+    """rho itself, once it has the qubit count its target acts on."""
+    if rho.qubits != count:
+        word = {2: "two", 3: "three"}[count]
+        raise OptimizerError(f"expected a {word}-qubit state, got {rho.qubits} qubits")
+    return rho
+
+
 @dataclass(frozen=True)
 class Optimum:
     """Best value found, the unit vectors achieving it, and how hard it was.
@@ -390,8 +398,7 @@ def maximize_svetlichny(rho: DensityMatrix, *, restarts: int = DEFAULT_RESTARTS,
         raise OptimizerError("seed must be non-negative")
     if backend not in BACKENDS:
         raise OptimizerError(f"backend must be one of {BACKENDS}")
-    if rho.qubits != 3:
-        raise OptimizerError(f"expected a three-qubit state, got {rho.qubits} qubits")
+    _qubits(rho, 3)
     draws = np.random.default_rng(seed).random((restarts, 6, 2))
     theta, phi = np.arccos(1.0 - 2.0 * draws[..., 0]), 2.0 * np.pi * draws[..., 1]
     sin_t = np.sin(theta)
@@ -411,9 +418,7 @@ def maximize_svetlichny(rho: DensityMatrix, *, restarts: int = DEFAULT_RESTARTS,
 
 def maximize_chsh(rho: DensityMatrix) -> Optimum:
     """Best CHSH expectation over traceless spin observables, in closed form."""
-    if rho.qubits != 2:
-        raise OptimizerError(f"expected a two-qubit state, got {rho.qubits} qubits")
-    tensor = correlation_tensor(rho)
+    tensor = correlation_tensor(_qubits(rho, 2))
     left, singular, right = np.linalg.svd(tensor)
     angle = np.arctan2(singular[1], singular[0])
     mix = np.array([[np.cos(angle), np.sin(angle)], [np.cos(angle), -np.sin(angle)]])
@@ -426,9 +431,9 @@ def maximize_chsh(rho: DensityMatrix) -> Optimum:
 
 def svetlichny_expectation(rho: DensityMatrix, settings: SvetlichnySettings) -> float:
     """Tr[S_v rho] for explicit settings; the recheck for optimizer output."""
-    return linalg.trace_product(svetlichny_operator(settings), rho.matrix)
+    return float(linalg.trace_product(svetlichny_operator(settings), _qubits(rho, 3).matrix))
 
 
 def chsh_expectation(rho: DensityMatrix, settings: ChshSettings) -> float:
     """Tr[B rho] for explicit two-qubit settings."""
-    return linalg.trace_product(chsh_operator(settings), rho.matrix)
+    return float(linalg.trace_product(chsh_operator(settings), _qubits(rho, 2).matrix))

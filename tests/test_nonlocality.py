@@ -9,7 +9,9 @@ oracle lives in tests/lemmas.py.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -135,12 +137,15 @@ class TestKValue:
         assert k.tolist() == [nonlocality.k_value(rho, XY) for rho in rhos]
 
     def test_errors_come_in_order(self):
-        # the witness's gate first (is_detected), then the regime warning, then
-        # the zero-negativity error: -I detects the product state, which has N = 0
+        # the witness check first (witness_matrix, the rule of every bounds entry),
+        # then the regime warning, then the zero-negativity error: -I detects the
+        # product state, which has N = 0
         product = states.validate(np.diag([1.0, 0.0, 0.0, 0.0]), 2)
-        for witness, message in ((np.eye(3), "trace pairing needs equal shapes"),
-                                 (np.full((4, 4), np.nan), "matrix contains NaN or Inf")):
-            with pytest.raises(linalg.LinalgError, match=message):
+        for witness, error, message in (
+                (np.eye(3), operators.OperatorError,
+                 re.escape("witness must be a 4x4 matrix, got shape (3, 3)")),
+                (np.full((4, 4), np.nan), linalg.LinalgError, "matrix contains NaN or Inf")):
+            with pytest.raises(error, match=message):
                 nonlocality.k_value(product, witness)
         zero = "negativity 0.0 is numerically zero; K is undefined"
         with pytest.warns(nonlocality.RegimeMismatchWarning, match=(
@@ -159,6 +164,37 @@ class TestKValue:
         with pytest.warns(nonlocality.RegimeMismatchWarning):
             nonlocality.k_value(rho_ac, XZ)
         del rho
+
+
+class TestInputRules:
+    """Each single-state function checks its own witness and state at its entry:
+    the witness by operators.witness_matrix, the state's qubit count by its own rule."""
+
+    STRENGTHS = [nonlocality.is_detected, nonlocality.s_nl_detected, nonlocality.k_value,
+                 functools.partial(nonlocality.s_nl_new, r=0.0)]
+    IDS = ["is_detected", "s_nl_detected", "k_value", "s_nl_new"]
+
+    @pytest.mark.parametrize("strength", STRENGTHS, ids=IDS)
+    def test_non_hermitian_witness_rejected(self, strength):
+        # identity-W 0.82's pair is undetected by the plane witnesses, and K of
+        # this upper-triangular "witness" would read 0.8177
+        rho = states.reduce_to_pair(states.make_example(states.FAMILY_IDENTITY_W, 0.82),
+                                    ("B", "C"))
+        with pytest.raises(linalg.NotHermitianError):
+            strength(rho, np.triu(np.ones((4, 4))))
+
+    @pytest.mark.parametrize("strength", STRENGTHS, ids=IDS)
+    def test_three_qubit_state_rejected_by_the_strengths(self, strength):
+        with pytest.raises(nonlocality.NonlocalityError,
+                           match="expected a two-qubit state, got 3 qubits"):
+            strength(states.make_reference("GHZ"), XY)
+
+    @pytest.mark.parametrize("quantity", [nonlocality.horodecki_m, nonlocality.p_max_optimal],
+                             ids=["horodecki_m", "p_max_optimal"])
+    def test_three_qubit_state_rejected_by_the_chsh_quantities(self, quantity):
+        with pytest.raises(nonlocality.NonlocalityError,
+                           match="expected a two-qubit state, got 3 qubits"):
+            quantity(states.make_reference("GHZ"))
 
 
 class TestKBounds:

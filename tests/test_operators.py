@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from svetlichny import operators, states
-from svetlichny.linalg import hermitian_eigenvalues, kron, trace_product
+from svetlichny.linalg import hermitian_eigenvalues, trace_product
 from conftest import random_state
 import corpus
 
@@ -134,6 +134,19 @@ class TestChshOperator:
             expected = np.kron(a0, b0) - np.kron(a0, b1) + np.kron(a1, b0) + np.kron(a1, b1)
             assert np.array_equal(b, expected)
 
+    def test_integer_observables_are_kept_complex(self):
+        # the settings keep the complex arrays they checked, so the operator is
+        # the Kronecker sum of those arrays, bit for bit
+        lists = {"A0": [[0, 1], [1, 0]], "A1": [[1, 0], [0, -1]],
+                 "B0": [[1, 1], [1, -1]], "B1": [[1, -1], [-1, -1]]}
+        settings = operators.ChshSettings(**lists)
+        assert all(getattr(settings, name).dtype == np.complex128 for name in lists)
+        a0, a1, b0, b1 = (np.asarray(m, dtype=complex) for m in lists.values())
+        expected = np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
+        b = operators.chsh_operator(settings)
+        assert b.dtype == np.complex128
+        assert b.tobytes() == expected.tobytes()
+
     def test_non_hermitian_observable_rejected(self):
         from svetlichny.linalg import NotHermitianError
         with pytest.raises(NotHermitianError):
@@ -151,8 +164,8 @@ class TestPlaneOperators:
             b = operators.chsh_plane_operator(plane)
             i, j = plane
             expected = math.sqrt(2.0) * (
-                kron(operators.pauli(i), operators.pauli(i))
-                + kron(operators.pauli(j), operators.pauli(j)))
+                np.kron(operators.pauli(i), operators.pauli(i))
+                + np.kron(operators.pauli(j), operators.pauli(j)))
             assert np.allclose(b, expected, atol=1e-12)
 
     def test_plane_witness_eigenvalues(self):

@@ -309,6 +309,16 @@ class TestInputChecks:
         with pytest.raises(OptimizerError):
             maximize_chsh(states.make_reference("GHZ"))
 
+    def test_svetlichny_expectation_needs_three_qubits(self):
+        settings = operators.SvetlichnySettings(*[operators.UnitVector3(0.0, 0.0, 1.0)] * 6)
+        with pytest.raises(OptimizerError, match="expected a three-qubit state, got 2 qubits"):
+            svetlichny_expectation(states.make_reference("Bell-Phi+"), settings)
+
+    def test_chsh_expectation_needs_two_qubits(self):
+        settings = operators.ChshSettings(*[operators.pauli("z")] * 4)
+        with pytest.raises(OptimizerError, match="expected a two-qubit state, got 3 qubits"):
+            chsh_expectation(states.make_reference("GHZ"), settings)
+
     def test_bad_config_values_rejected(self):
         rho = states.make_reference("GHZ")
         with pytest.raises(OptimizerError, match="restarts"):

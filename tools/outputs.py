@@ -39,6 +39,18 @@ The set:
   GHZ-W-convex 0.525 and maximal-slice 1.3 (where restarts stop at the
   sweep cap) and `analyze --ref GHZ --param 0.5` (a parameter without a
   family).
+
+After the invocations, `OUT_DIR/library.txt` holds the `repr` of library
+calls that no command reaches:
+- on the marginal of each of the 60 family points on its family's
+  designated pair (`states.EXAMPLE_PAIRS`): `horodecki_m` and
+  `p_max_optimal`, and under each plane witness `trace_product`,
+  `is_detected` and `s_nl_detected`, then `k_value` and `s_nl_new` at
+  half the cap where the witness misses the pair;
+- `svetlichny_expectation` or `chsh_expectation` at the best settings
+  that `maximize_svetlichny` (on each backend) or `maximize_chsh` finds
+  on the optimize cases above.
+A call that raises writes its error's type and message.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ import tempfile
 
 import numpy as np
 
-from svetlichny import cli, states
+from svetlichny import cli, linalg, nonlocality, operators, optimize, states
 
 FAMILY_RANGES = {
     "pure-W-class-1": (0.0, 0.953939),
@@ -127,12 +139,17 @@ def _matrix_files(inputs: str, prefix: str, matrices) -> list[tuple[str, list[st
     return sources
 
 
+def _family_points(family: str) -> list[float]:
+    """The family's FAMILY_POINTS interior points, evenly spaced over its range."""
+    lo, hi = FAMILY_RANGES[family]
+    return [lo + (hi - lo) * (k + 1) / (FAMILY_POINTS + 1) for k in range(FAMILY_POINTS)]
+
+
 def _sources(inputs: str) -> list[tuple[str, list[str]]]:
     """(name, state flags) of every analyze input; random states are written under inputs."""
     sources = []
-    for family, (lo, hi) in FAMILY_RANGES.items():
-        for k in range(FAMILY_POINTS):
-            param = lo + (hi - lo) * (k + 1) / (FAMILY_POINTS + 1)
+    for family in FAMILY_RANGES:
+        for k, param in enumerate(_family_points(family)):
             sources.append((f"{family}-{k:02d}", ["--family", family, "--param", repr(param)]))
     sources += [(name, ["--ref", name]) for name in REFERENCES]
     randoms = _random_states(RANDOM_SEED, 8, RANDOM_RANKS, STATES_PER_RANK)
@@ -173,6 +190,68 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
     return calls
 
 
+def _outcome(call, *args) -> str:
+    """The repr of call(*args), or its error's type and message."""
+    try:
+        return repr(call(*args))
+    except ValueError as exc:  # every package error is one
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _case_state(flags: list[str]) -> states.DensityMatrix:
+    """The state an optimize case's flags name: --ref, or --family and --param, then --pair."""
+    given = dict(zip(flags[::2], flags[1::2]))
+    if "--ref" in given:
+        rho = states.make_reference(given["--ref"])
+    else:
+        rho = states.make_example(given["--family"], float(given["--param"]))
+    return states.reduce_to_pair(rho, tuple(given["--pair"])) if "--pair" in given else rho
+
+
+def _library_lines() -> list[str]:
+    """The lines of library.txt, one call each."""
+    lines = []
+    for family in FAMILY_RANGES:
+        params = _family_points(family)
+        pairs = states.reduce_to_pairs(states.make_examples(family, params),
+                                       states.EXAMPLE_PAIRS[family])
+        for param, rho in zip(params, pairs):
+            lines += [f"{family} {param!r} {quantity.__name__}: {_outcome(quantity, rho)}"
+                      for quantity in (nonlocality.horodecki_m, nonlocality.p_max_optimal)]
+            for plane in operators.PLANES:
+                w = operators.plane_witness(plane)
+                head = f"{family} {param!r} {plane}"
+                pairing = float(linalg.trace_product(w, rho.matrix))
+                detected = nonlocality.is_detected(rho, w)
+                lines += [f"{head} trace_product: {pairing!r}",
+                          f"{head} is_detected: {detected!r}",
+                          f"{head} s_nl_detected: {_outcome(nonlocality.s_nl_detected, rho, w)}"]
+                if not detected:
+                    lines.append(f"{head} k_value: {_outcome(nonlocality.k_value, rho, w)}")
+                    lines.append(f"{head} s_nl_new: {_outcome(_half_cap_strength, rho, w)}")
+    for target, flags in OPTIMIZE_CASES:
+        rho = _case_state(flags)
+        head = f"{target} {' '.join(flags)}"
+        if target == "chsh":
+            optimum = optimize.maximize_chsh(rho)
+            settings = operators.ChshSettings(*map(operators.spin_observable, optimum.vectors))
+            lines.append(f"{head} chsh_expectation: "
+                         f"{_outcome(optimize.chsh_expectation, rho, settings)}")
+            continue
+        for backend in BACKENDS:
+            optimum = optimize.maximize_svetlichny(rho, restarts=4, seed=1729, backend=backend)
+            settings = operators.SvetlichnySettings(*optimum.vectors)
+            lines.append(f"{head} {backend} svetlichny_expectation: "
+                         f"{_outcome(optimize.svetlichny_expectation, rho, settings)}")
+    return lines
+
+
+def _half_cap_strength(rho: states.DensityMatrix, w: np.ndarray):
+    """s_nl_new at half the cap, the weight a report takes."""
+    cap = nonlocality.r_cap(nonlocality.k_value(rho, w), nonlocality.p_max_optimal(rho))
+    return nonlocality.s_nl_new(rho, w, 0.5 * cap)
+
+
 def _files(root: str) -> set[str]:
     return {os.path.relpath(os.path.join(base, name), root)
             for base, _, names in os.walk(root) for name in names}
@@ -202,6 +281,8 @@ def run(out_dir: str) -> int:
     finally:
         os.chdir(home)
         shutil.rmtree(work)
+    with open(os.path.join(out_dir, "library.txt"), "w", encoding="utf-8") as handle:
+        handle.write("\n".join(_library_lines()) + "\n")
     return len(calls)
 
 
