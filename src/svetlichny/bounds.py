@@ -19,23 +19,24 @@ is undefined. S_NL reads the witness pairing Tr[W rho_ij], K the pairing
 Tr[W rho_ij rho_ij^T], both off the matrices the record keeps.
 
 One PairSpectra record per (state, pair) holds every number and matrix
-the routes read, and its methods are the only certificate arithmetic;
-each (pair, witness) is evaluated once, into the Routes value that the
-report and the search read. One column builder reads the numbers of many
-(state, reduction, pair) points together, one array per field: each
-state's spectrum is the one validation solved, the reductions are solved
-with their eigenvectors, for their square roots, in one gated call, their
-partial transposes, formed by one stacked call, are solved without
-eigenvectors, and the products, from those 4x4 roots, in one stacked
-product_spectrum call. Only a reduced pair's root reads eigenvectors: no
-8x8 matrix is ever solved for them. build_records cuts the columns into
-one record of floats per point; grid_record keeps them as one record of
-arrays over a grid on one pair, whose witness maxima come from one more
-stacked solve.
+the routes read, and its methods are the only certificate arithmetic.
+A record is immutable data: each (pair, witness) candidate is evaluated
+into a Routes value where it is read, by the search and by the report.
+One column builder reads the numbers of many (state, reduction, pair)
+points together, one array per field: each state's spectrum is the one
+validation solved, the reductions are solved with their eigenvectors,
+for their square roots, in one gated call, their partial transposes,
+formed by one stacked call, are solved without eigenvectors, and the
+products, from those 4x4 roots, in one stacked product_spectrum call.
+Only a reduced pair's root reads eigenvectors: no 8x8 matrix is ever
+solved for them. build_records cuts the columns into one record of
+floats per point; grid_record keeps them as one record of arrays over a
+grid on one pair, whose witness maxima come from one more stacked solve.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -85,15 +86,18 @@ CANDIDATE_ERRORS = (NonlocalityError, BoundsError, linalg.LinalgError)
 
 @dataclass(frozen=True)
 class Window:
-    """Half-open parameter interval; empty when it is narrower than tolerance."""
+    """Half-open parameter interval with finite ends; empty when narrower than tolerance."""
 
     lower: float
     upper: float
     empty: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
+        for end in ("lower", "upper"):
+            value = float(getattr(self, end))
+            if not math.isfinite(value):
+                raise BoundsError(f"window {end} end {value} is not finite")
+            object.__setattr__(self, end, value)
         object.__setattr__(
             self, "empty", not (self.upper - self.lower > WINDOW_EMPTY_TOL)
         )
@@ -206,10 +210,10 @@ def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.nd
     return padded[..., index]
 
 
-def product_spectrum(rho_abc: DensityMatrix | Sequence[DensityMatrix], root_ij,
-                     pair: tuple[str, str] | Sequence[tuple[str, str]] = ("B", "C")) -> np.ndarray:
-    """Ascending spectrum of the state times the embedded reduced pair, or one row of it per
-    member of a stack, from the pair's Hermitian square root root_ij.
+def product_spectrum(states: Sequence[DensityMatrix], roots: np.ndarray,
+                     pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Ascending spectrum of each state times its embedded reduced pair, one row per member
+    of the stack, from the pair's Hermitian square root.
 
     The raw product rho E, E = embed(rho_ij), is not Hermitian. But
     E^{1/2} = embed(root_ij), and for any square A and B the products AB
@@ -220,19 +224,15 @@ def product_spectrum(rho_abc: DensityMatrix | Sequence[DensityMatrix], root_ij,
     designated matrix, and linalg.eigen_root clips its tolerance band. A
     hermiticity failure of the congruence signals an invalid input.
 
-    A stack gives the states as a sequence, root_ij as a (k, 4, 4) stack
-    and one pair per member, and solves them all in one call; a stack on
-    one pair is embedded by one gather. One state, with one 4x4 root, is
-    the stack of one.
+    The states come as a sequence, the roots as a (k, 4, 4) stack and one
+    pair per member, all solved in one call; a stack on one pair is
+    embedded by one gather. One state is the stack of one.
     """
-    single = isinstance(rho_abc, DensityMatrix)
-    states, roots, pairs = ([rho_abc], [root_ij], [pair]) if single else (rho_abc, root_ij, pair)
     roots = np.asarray(roots, dtype=complex)
     first = tuple(pairs[0])
     embedded = (embed_pair(roots, first) if all(tuple(p) == first for p in pairs)
                 else np.array([embed_pair(r, p) for r, p in zip(roots, pairs)]))
-    spectra = linalg.congruence_eigenvalues(embedded, np.array([rho.matrix for rho in states]))
-    return spectra[0] if single else spectra
+    return linalg.congruence_eigenvalues(embedded, np.array([rho.matrix for rho in states]))
 
 
 def _bound(numerator: float, weight: float, denominator: float) -> float:
@@ -306,7 +306,6 @@ class PairSpectra:
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced_pt_product: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lambda_k(self) -> float:
@@ -316,22 +315,17 @@ class PairSpectra:
         return self.lambda_k_embedded
 
     def routes(self, witness: np.ndarray) -> Routes:
-        """The candidate under this witness, cached by the witness's value.
+        """The candidate under this witness, evaluated on every call.
 
         An undetected candidate with K <= 0 raises WindowParameterError
         before any solve: the replacement strength is undefined there.
         """
         w = np.asarray(witness, dtype=complex)
-        key = w.tobytes()
-        if key not in self._routes:
-            pairing, product_pairing = map(float, self.pairings(w))
-            if pairing < 0.0:
-                routes = self.detected(float(s_nl_from_pairing(pairing)))
-            else:
-                k = positive_k(k_from_pairing(product_pairing, self.negativity))
-                routes = self.undetected(k, self.witness_max(w))
-            self._routes[key] = routes
-        return self._routes[key]
+        pairing, product_pairing = map(float, self.pairings(w))
+        if pairing < 0.0:
+            return self.detected(float(s_nl_from_pairing(pairing)))
+        k = positive_k(k_from_pairing(product_pairing, self.negativity))
+        return self.undetected(k, self.witness_max(w))
 
     def pairings(self, witness: np.ndarray) -> tuple:
         """(Tr[W rho_ij], Tr[W rho_ij rho_ij^T]), the pairings S_NL and K read; one per point

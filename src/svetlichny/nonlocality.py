@@ -87,7 +87,7 @@ def horodecki_m(rho: DensityMatrix) -> float:
 
 def p_max_optimal(rho: DensityMatrix) -> float:
     """Best winning probability over all settings: (1 + sqrt(M)/2)/2."""
-    return 0.5 * (1.0 + np.sqrt(max(horodecki_m(rho), 0.0)) / 2.0)
+    return 0.5 * (1.0 + math.sqrt(max(horodecki_m(rho), 0.0)) / 2.0)
 
 
 def is_detected(rho: DensityMatrix, w: np.ndarray) -> bool:

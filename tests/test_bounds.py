@@ -12,6 +12,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from svetlichny import bounds, cli, linalg, operators, reproduce, states
 from svetlichny.bounds import (
@@ -22,7 +23,9 @@ from svetlichny.bounds import (
     build_records,
     SingularDenominatorError,
     Window,
+    _SQRT2,
     _candidate_windows,
+    _window_edges,
     detect_genuine,
     embed_pair,
     full_report,
@@ -77,6 +80,14 @@ class TestWindow:
         assert w.contains(0.2)
         assert not w.contains(0.4)
 
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_end_is_rejected(self, end, value):
+        # a NaN end would build an empty window, which no route could tell from a closed one
+        ends = {"lower": 0.2, "upper": 0.4, end: value}
+        with pytest.raises(BoundsError, match=rf"^window {end} end -?(nan|inf) is not finite$"):
+            Window(**ends)
+
     @pytest.mark.parametrize("lower", [-np.inf, np.nan, np.array([-0.1, -np.inf])],
                              ids=["inf", "nan", "array"])
     def test_non_finite_numerator_opens_no_window(self, lower):
@@ -85,6 +96,82 @@ class TestWindow:
         record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
         with pytest.raises(BoundsError, match=r"^window numerator -?(inf|nan) is not finite$"):
             record.window_edges(Routes("undetected", 0.2, lower, 0.1))
+
+
+class TestFiringRule:
+    """Every route's genuine window is [cutoff, edge) = [sqrt(2) x/(sqrt(2) x + 1), 2x/(2x + 1))
+    in the ratio x = N/D of its numerator to its signed denominator. It opens for x > 0 and
+    stays shut for x in [-1/2, 0] and for x <= -1/sqrt(2); in the gap between, the formula
+    opens a spurious window reaching below 0 and above 1, which no candidate has reached."""
+
+    GAP = (-1.0 / np.sqrt(2.0), -0.5)
+
+    @given(n=st.floats(-1e3, 1e3), d=st.floats(1e-3, 1e3), negative=st.booleans())
+    @example(n=-0.5, d=1.0, negative=False)
+    @example(n=-1.0 / np.sqrt(2.0), d=1.0, negative=False)
+    @example(n=0.6, d=1.0, negative=True)
+    @example(n=1.0, d=2.0, negative=False)
+    @example(n=0.0, d=1.0, negative=False)
+    @example(n=-1.0, d=1.0, negative=False)
+    @settings(max_examples=500, deadline=None)
+    def test_window_edges_open_on_the_ratio(self, n, d, negative):
+        d = -d if negative else d
+        if abs(2.0 * n + d) <= bounds.SINGULAR_TOL or abs(_SQRT2 * n + d) <= bounds.SINGULAR_TOL:
+            with pytest.raises(SingularDenominatorError):
+                _window_edges(n, d)
+            return
+        cutoff, edge, _ = _window_edges(n, d)
+        genuine = Window(cutoff, edge)
+        x = n / d
+        if 1e-8 <= x <= 1e8:
+            assert not genuine.empty, (n, d)
+        elif -0.5 <= x <= 0.0 or x <= self.GAP[0]:
+            assert genuine.empty, (n, d)
+        elif self.GAP[0] < x < self.GAP[1]:
+            # no route reads this: the bound never crosses the thresholds here
+            assert not genuine.empty and cutoff < 0.0 and edge > 1.0, (n, d)
+
+    def test_the_gap_opens_a_window_around_the_unit_interval(self):
+        cutoff, edge, _ = _window_edges(-0.6, 1.0)
+        assert (cutoff, edge) == pytest.approx((-5.6, 6.0), abs=0.01)
+
+    @staticmethod
+    def _sweep_states() -> list[states.DensityMatrix]:
+        """282 states: placed products in all three places, biseparable mixtures and random
+        states of ranks 1-8."""
+        matrices = [corpus.placed(pair, single, lone)
+                    for pair, single in corpus.product_factors(np.random.default_rng(1987))
+                    for lone in corpus.PARTIES]
+        gen = np.random.default_rng(7)
+        matrices += [corpus.random_biseparable(gen) for _ in range(100)]
+        gen = np.random.default_rng(13)
+        matrices += [corpus.random_density(gen, 8, rank) for rank in range(1, 9) for _ in range(10)]
+        return [states.validate(m, 3) for m in matrices]
+
+    def test_every_formed_candidate_fires_on_its_sign_and_misses_the_gap(self):
+        witnesses = [operators.plane_witness(plane) for plane in operators.PLANES]
+        formed = opened = 0
+        for rho in self._sweep_states():
+            for pair, record in pair_records(rho, ORDERED_PAIRS):
+                for w in witnesses:
+                    try:
+                        routes = record.routes(w)
+                        (_, p_gen), (_, q_gen) = record.windows(routes)
+                    except bounds.CANDIDATE_ERRORS:
+                        continue
+                    formed += 1
+                    # the undetected p route fires for H < 0, against -lambda_max
+                    p_sign = 1.0 if routes.regime == "detected" else -1.0
+                    for numerator, denominator, genuine, sign in (
+                            (routes.lower_numerator, p_sign * record.lambda_max_embedded,
+                             p_gen, p_sign),
+                            (routes.upper_numerator, record.lambda_k, q_gen, 1.0)):
+                        ratio = numerator / denominator
+                        assert not self.GAP[0] < ratio < self.GAP[1], (pair, routes)
+                        if not genuine.empty:
+                            opened += 1
+                            assert sign * numerator > 0.0, (pair, routes)
+        assert (formed, opened) == (1813, 3624)
 
 
 GHZ_W_06 = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
@@ -167,7 +254,7 @@ class TestEmbedding:
             reduced = random_state(rng, 2)
             raw = np.linalg.eigvals(rho.matrix @ lemmas.lift(reduced.matrix, pair))
             assert np.abs(raw.imag).max() <= 1e-12
-            spec = product_spectrum(rho, pair_root(reduced), pair)
+            spec = product_spectrum([rho], pair_root(reduced)[None], [pair])[0]
             assert np.abs(np.sort(raw.real) - spec).max() <= 1e-12
 
     @pytest.mark.parametrize("family,param", [
@@ -184,7 +271,7 @@ class TestEmbedding:
         reduced = lemmas.example_reduced(family, param)
         pair = states.EXAMPLE_PAIRS[family]
         raw = np.linalg.eigvals(rho.matrix @ lemmas.lift(reduced.matrix, pair))
-        spec = product_spectrum(rho, pair_root(reduced), pair)
+        spec = product_spectrum([rho], pair_root(reduced)[None], [pair])[0]
         assert np.abs(np.sort(raw.real) - spec).max() <= 1e-12
 
     def test_embed_bc_matches_kron(self, rng):
@@ -212,7 +299,7 @@ class TestEmbedding:
     def test_product_spectrum_is_real_and_psd_shaped(self, rng):
         rho = random_state(rng, 3)
         reduced = states.partial_trace(rho, "A")
-        spec = product_spectrum(rho, pair_root(reduced), ("B", "C"))
+        spec = product_spectrum([rho], pair_root(reduced)[None], [("B", "C")])[0]
         assert spec[0] >= -1e-12
         assert spec[-1] <= 1.0 + 1e-12
 
@@ -270,7 +357,8 @@ class TestStackedProducts:
     def _assert_stack_is_each_single_call(rhos, reductions, pairs):
         roots = pair_root(list(reductions))
         stacked = product_spectrum(rhos, roots, pairs)
-        singles = [product_spectrum(*member) for member in zip(rhos, roots, pairs)]
+        singles = [product_spectrum([rho], root[None], [pair])[0]
+                   for rho, root, pair in zip(rhos, roots, pairs)]
         assert stacked.tolist() == [spectrum.tolist() for spectrum in singles]
 
     @pytest.mark.parametrize("pair", ORDERED_PAIRS, ids="".join)
@@ -320,7 +408,7 @@ class TestStackedProducts:
         for rank in range(1, 9):
             rho = states.validate(corpus.random_density(rng, 8, rank), 3)
             for pair, record in pair_records(rho, ORDERED_PAIRS):
-                spectrum = product_spectrum(rho, record.reduced_root, pair)
+                spectrum = product_spectrum([rho], record.reduced_root[None], [pair])[0]
                 assert (record.lambda_min_product, record.lambda_max_product) == (
                     spectrum[0], spectrum[-1]), (rank, pair)
 
@@ -634,32 +722,6 @@ class TestSolveCounts:
         with pytest.raises(WindowParameterError, match="K > 0"):
             spectra.routes(XZ)
         assert sum(solves.values()) == 0, solves
-
-
-class TestRoutesCache:
-    """A record evaluates each witness once, keyed by the witness's value."""
-
-    def test_equal_witnesses_share_one_evaluation(self, solves):
-        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        spectra = pair_spectra(rho, lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
-        solves.clear()
-        first = spectra.routes(XY)
-        assert spectra.routes(XY.copy()) is first
-        # one 4x4 solve between them: the congruence rho_ij^{1/2} W rho_ij^{1/2}
-        assert solves[4] == 1, solves
-
-    def test_witness_changed_in_place_is_evaluated_again(self, solves):
-        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        spectra = pair_spectra(rho, lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82))
-        witness = XY.copy()
-        first = spectra.routes(witness)
-        solves.clear()
-        witness *= 0.5
-        halved = spectra.routes(witness)
-        assert solves[4] == 1, solves
-        assert halved.strength == pytest.approx(0.5 * first.strength, rel=1e-12)
-        assert halved.lower_numerator != first.lower_numerator
-        assert spectra.routes(XY) is first
 
 
 class TestWeightIndependence:

@@ -320,13 +320,14 @@ class TestAnalyzeOutput:
         capsys.readouterr()
         assert solves[8] == 4 and solves[4] == 6, solves
         assert calls.count(8) == 2, calls
-        # the certificate and the search share the pair's record and its
-        # (AC, xy) candidate with its witness congruence
+        # the certificate and the search share the pair's record, but each
+        # evaluates the (AC, xy) candidate where it reads it, so each solves
+        # its witness congruence
         solves.clear()
         assert run("analyze", "--family", "identity-W", "--param", "0.82",
                    "--pair", "AC", "--format", "json") == 0
         capsys.readouterr()
-        assert solves[8] == 4 and solves[4] == 7 and solves[3] == 1, solves
+        assert solves[8] == 4 and solves[4] == 8 and solves[3] == 1, solves
 
     def test_analyze_accepts_state_with_tolerated_negative_eigenvalues(
             self, tmp_path, capsys):

@@ -392,7 +392,10 @@ class TestOneFormulaPerQuantity:
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
         assert list(values) == sorted(values)
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.9)
-        for x in (states.negativity(rho), nonlocality.horodecki_m(rho),
+        p_max = nonlocality.p_max_optimal(rho)
+        strength = nonlocality.undetected_strength(nonlocality.k_value(rho, XY), p_max)
+        for x in (states.negativity(rho), nonlocality.horodecki_m(rho), p_max,
+                  strength.s_nl_new, strength.k, strength.p_max, strength.r,
                   lemmas.k_lower_bound(rho, XY), lemmas.k_upper_bound(rho, XY),
                   linalg.first_nonzero_eigenvalue(values),
                   *states.partial_transpose_numbers(values)):

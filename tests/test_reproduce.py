@@ -400,9 +400,9 @@ class TestErratumReasons:
         pair = states.EXAMPLE_PAIRS[family]
         for lam in np.linspace(*reproduce.CLOSED_FORM_RANGES[1], 10):
             lam2 = lam ** 2
-            top = product_spectrum(states.make_example(family, lam),
-                                   pair_root(lemmas.example_reduced(family, lam)),
-                                   pair)[-1]
+            top = product_spectrum([states.make_example(family, lam)],
+                                   pair_root(lemmas.example_reduced(family, lam))[None],
+                                   [pair])[0][-1]
             assert top == pytest.approx((lam2 + 0.09) ** 2 + (0.91 - lam2) ** 2,
                                         abs=1e-12)
 

@@ -13,7 +13,9 @@ checkout, one that predates it included:
 Each invocation calls `svetlichny.cli.main` in this process. Its exit
 code, stdout and stderr go to `OUT_DIR/<name>.txt`, and every file it
 writes goes under `OUT_DIR/<name>/`. Commands run with a scratch working
-directory and relative paths, so no absolute path reaches an output.
+directory and relative paths, and a warning is written as its category and
+message alone, without the source file and line that raised it, so no
+absolute path reaches an output.
 
 The set:
 - `analyze` in text, JSON and CSV on 12 interior points of each worked
@@ -21,6 +23,11 @@ The set:
   (`default_rng(2024)`, 20 each of ranks 1, 2, 3, 4 and 8, read from
   matrix files), each with default flags, `--pair AC`,
   `--pair AB --witness xz` and `--witness yz`: 1,968 calls;
+- `analyze --witness FILE` in text and JSON, with default flags and with
+  `--pair AC`, on the 12 points of identity-W and of mixed-GHZ-2W and the
+  20 random states of rank 2, for three witness files: the xz plane
+  witness (which joins the search as `user`), 2·xy, and 1e308·I (whose
+  report is unavailable): 528 calls;
 - `analyze` in text, JSON and CSV on identity-W 0.82 read from the matrix
   file `état "q".mat`: the state label is the only free text in an
   output, and this name puts a non-ASCII letter and a double quote in it;
@@ -47,6 +54,9 @@ calls that no command reaches:
   `p_max_optimal`, and under each plane witness `trace_product`,
   `is_detected` and `s_nl_detected`, then `k_value` and `s_nl_new` at
   half the cap where the witness misses the pair;
+- on each of the 60 family points: `detect_genuine` with default
+  arguments, on pair AC alone and with the xz witness, and `full_report`
+  at p = q = 0.5 under the xy witness on the family's designated pair;
 - `svetlichny_expectation` or `chsh_expectation` at the best settings
   that `maximize_svetlichny` (on each backend) or `maximize_chsh` finds
   on the optimize cases above.
@@ -61,10 +71,11 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
-from svetlichny import cli, linalg, nonlocality, operators, optimize, states
+from svetlichny import bounds, cli, linalg, nonlocality, operators, optimize, states
 
 FAMILY_RANGES = {
     "pure-W-class-1": (0.0, 0.953939),
@@ -89,6 +100,13 @@ ANALYZE_FLAGS = {
     "yz": ["--witness", "yz"],
 }
 FORMATS = ("text", "json", "csv")
+WITNESS_FILES = {
+    "xz": operators.plane_witness("xz"),
+    "2xy": 2.0 * operators.plane_witness("xy"),
+    "huge": 1e308 * np.eye(4),
+}
+WITNESS_SOURCES = ("identity-W-", "mixed-GHZ-2W-", "rank2-")  # name prefixes
+WITNESS_FLAGS = {"default": [], "pairAC": ["--pair", "AC"]}
 OPTIMIZE_CASES = (
     ("svetlichny", ["--ref", "GHZ"]),
     ("svetlichny", ["--family", "mixed-GHZ-2W", "--param", "0.4"]),
@@ -139,6 +157,17 @@ def _matrix_files(inputs: str, prefix: str, matrices) -> list[tuple[str, list[st
     return sources
 
 
+def _witness_files(inputs: str) -> list[tuple[str, str]]:
+    """(name, relative path) of each witness, written to inputs/witness-<name>.mat."""
+    paths = []
+    for name, matrix in WITNESS_FILES.items():
+        file = f"witness-{name}.mat"
+        with open(os.path.join(inputs, file), "w", encoding="utf-8") as handle:
+            handle.write(cli.format_matrix_text(matrix))
+        paths.append((name, os.path.join(os.path.basename(inputs), file)))
+    return paths
+
+
 def _family_points(family: str) -> list[float]:
     """The family's FAMILY_POINTS interior points, evenly spaced over its range."""
     lo, hi = FAMILY_RANGES[family]
@@ -159,11 +188,22 @@ def _sources(inputs: str) -> list[tuple[str, list[str]]]:
 def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
     os.makedirs(inputs)
     calls = []
-    for name, state in _sources(inputs):
+    sources = _sources(inputs)
+    for name, state in sources:
         for flag_name, flags in ANALYZE_FLAGS.items():
             for fmt in FORMATS:
                 calls.append((f"analyze/{name}_{flag_name}.{fmt}",
                               ["analyze", *state, *flags, "--format", fmt]))
+    witnesses = _witness_files(inputs)
+    for name, state in sources:
+        if not name.startswith(WITNESS_SOURCES):
+            continue
+        for witness, path in witnesses:
+            for flag_name, flags in WITNESS_FLAGS.items():
+                for fmt in ("text", "json"):
+                    calls.append((f"analyze/{name}_witness-{witness}_{flag_name}.{fmt}",
+                                  ["analyze", *state, "--witness", path, *flags,
+                                   "--format", fmt]))
     name, family, param = NAMED_MATRIX
     named = {name: states.make_example(family, param).matrix}
     for _, state in _matrix_files(inputs, "", named):
@@ -211,10 +251,21 @@ def _case_state(flags: list[str]) -> states.DensityMatrix:
 def _library_lines() -> list[str]:
     """The lines of library.txt, one call each."""
     lines = []
+    xy, xz = operators.plane_witness("xy"), operators.plane_witness("xz")
     for family in FAMILY_RANGES:
         params = _family_points(family)
-        pairs = states.reduce_to_pairs(states.make_examples(family, params),
-                                       states.EXAMPLE_PAIRS[family])
+        report_cfg = bounds.BoundConfig(p=0.5, q=0.5, witness=xy,
+                                        reduced_pair=states.EXAMPLE_PAIRS[family])
+        rhos = states.make_examples(family, params)
+        for param, rho in zip(params, rhos):
+            head = f"{family} {param!r}"
+            lines += [f"{head} detect_genuine: {_outcome(bounds.detect_genuine, rho)}",
+                      f"{head} detect_genuine AC: "
+                      f"{_outcome(bounds.detect_genuine, rho, ('A', 'C'))}",
+                      f"{head} detect_genuine xz: "
+                      f"{_outcome(bounds.detect_genuine, rho, None, xz)}",
+                      f"{head} full_report xy: {_outcome(bounds.full_report, rho, report_cfg)}"]
+        pairs = states.reduce_to_pairs(rhos, states.EXAMPLE_PAIRS[family])
         for param, rho in zip(params, pairs):
             lines += [f"{family} {param!r} {quantity.__name__}: {_outcome(quantity, rho)}"
                       for quantity in (nonlocality.horodecki_m, nonlocality.p_max_optimal)]
@@ -261,6 +312,7 @@ def run(out_dir: str) -> int:
     """Run every invocation and write its outputs under out_dir; returns the call count."""
     work = tempfile.mkdtemp(prefix="svet-outputs-")
     home = os.getcwd()
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         calls = _invocations(os.path.join(work, "inputs"))
         os.chdir(work)
