@@ -28,6 +28,10 @@ validation solved, the reductions are solved with their eigenvectors,
 for their square roots, in one gated call, their partial transposes,
 formed by one stacked call, are solved without eigenvectors, and the
 products, from those 4x4 roots, in one stacked product_spectrum call.
+Any (state, pair) stack is reduced and lifted by one gather each:
+pair_records reduces all its pairs in one states.marginals call, and
+embed_pair lifts a stack that mixes pairs through one index table per
+pair, each member offset to its own entries.
 Only a reduced pair's root reads eigenvectors: no 8x8 matrix is ever
 solved for them. build_records cuts the columns into one record of
 floats per point; grid_record keeps them as one record of arrays over a
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -59,7 +64,9 @@ from .nonlocality import (
 from .operators import PLANES, plane_witness, witness_matrix
 from .states import (
     DensityMatrix,
+    marginals,
     pair_positions,
+    pair_positions_of,
     partial_transpose_numbers,
     partial_transposes,
     reduce_to_pair,
@@ -70,6 +77,8 @@ SINGULAR_TOL = 1e-12
 SEARCH_ORDER = (("A", "B"), ("A", "C"), ("B", "C"))
 
 _SQRT2 = np.sqrt(2.0)
+# the largest numerator whose 2N, and so every window edge's terms, stays finite
+_EDGE_NUMERATOR_MAX = np.finfo(float).max / 2.0
 
 
 class BoundsError(ValueError):
@@ -192,22 +201,40 @@ def _embedding_index(first: int, second: int) -> np.ndarray:
     return np.where(spectator[:, None] == spectator[None, :], 4 * sub[:, None] + sub[None, :], 16)
 
 
-_EMBEDDING = {pair: _embedding_index(*pair) for pair in permutations(range(3), 2)}  # by position
+_EMBEDDING = np.zeros((3, 3, 8, 8), dtype=np.intp)  # by positions; the diagonal is never read
+for _positions in permutations(range(3), 2):
+    _EMBEDDING[_positions] = _embedding_index(*_positions)
 
 
-def embed_pair(op_pair: np.ndarray, pair: tuple[str, str] = ("B", "C")) -> np.ndarray:
-    """Lift a two-qubit operator, or each of a (k, 4, 4) stack, to three qubits, identity on the rest.
+def embed_pair(op_pair: np.ndarray, pairs) -> np.ndarray:
+    """Lift a two-qubit operator on an ordered pair to three qubits, identity on the rest; or
+    each member of a (k, 4, 4) stack on its own pair, given one pair per member.
 
-    The pair is ordered: its first label takes the operator's first tensor
-    slot. Basis convention is |abc> at index 4a + 2b + c.
+    The pair's first label takes the operator's first tensor slot. Basis
+    convention is |abc> at index 4a + 2b + c. A stack is lifted by one
+    gather: each member reads its pair's index table, offset to its own
+    entries, whichever pairs the stack mixes.
     """
     op = np.asarray(op_pair, dtype=complex)
     if op.ndim not in (2, 3) or op.shape[-2:] != (4, 4):
         raise BoundsError("pair operator must be 4x4")
-    index = _EMBEDDING[pair_positions(pair)]
-    flat = op.reshape(op.shape[:-2] + (16,))
-    padded = np.concatenate([flat, np.zeros(op.shape[:-2] + (1,), dtype=complex)], axis=-1)
-    return padded[..., index]
+    index = _lift_gather((tuple(pairs),) if op.ndim == 2 else tuple(map(tuple, pairs)))
+    flat = op.reshape(-1, 16)
+    if len(index) != len(flat):
+        raise BoundsError(f"{len(index)} pairs for {len(flat)} pair operators")
+    padded = np.concatenate([flat, np.zeros((len(flat), 1), dtype=complex)], axis=1)
+    lifted = padded.reshape(-1)[index]
+    return lifted if op.ndim == 3 else lifted[0]
+
+
+@lru_cache(maxsize=64)
+def _lift_gather(pairs: tuple) -> np.ndarray:
+    """The (k, 8, 8) index of embed_pair's gather over a stack with these pairs, member m
+    offset by 17 m into the padded stack. Built once per pair sequence."""
+    positions = pair_positions_of(pairs)
+    index = _EMBEDDING[positions[:, 0], positions[:, 1]] + 17 * np.arange(len(pairs))[:, None, None]
+    index.flags.writeable = False
+    return index
 
 
 def product_spectrum(states: Sequence[DensityMatrix], roots: np.ndarray,
@@ -225,14 +252,11 @@ def product_spectrum(states: Sequence[DensityMatrix], roots: np.ndarray,
     hermiticity failure of the congruence signals an invalid input.
 
     The states come as a sequence, the roots as a (k, 4, 4) stack and one
-    pair per member, all solved in one call; a stack on one pair is
-    embedded by one gather. One state is the stack of one.
+    pair per member, lifted by one embed_pair gather and solved in one
+    call. One state is the stack of one.
     """
-    roots = np.asarray(roots, dtype=complex)
-    first = tuple(pairs[0])
-    embedded = (embed_pair(roots, first) if all(tuple(p) == first for p in pairs)
-                else np.array([embed_pair(r, p) for r, p in zip(roots, pairs)]))
-    return linalg.congruence_eigenvalues(embedded, np.array([rho.matrix for rho in states]))
+    return linalg.congruence_eigenvalues(embed_pair(roots, pairs),
+                                         np.array([rho.matrix for rho in states]))
 
 
 def _bound(numerator: float, weight: float, denominator: float) -> float:
@@ -250,11 +274,16 @@ def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
     opens, and the quantum maximum at the cutoff sqrt(2) N/(sqrt(2) N + D),
     where the genuine window [cutoff, edge) opens. A numerator that is not
     finite (a huge user witness overflows H or F) opens no window, and
-    would only make NaN edges.
+    would only make NaN edges; nor does a finite one so large that 2N
+    overflows, which would make them before any arithmetic warned.
     """
     infinite = ~np.isfinite(numerator)
     if _anywhere(infinite):
         raise BoundsError(f"window numerator {_first(numerator, infinite)} is not finite")
+    huge = abs(numerator) > _EDGE_NUMERATOR_MAX
+    if _anywhere(huge):
+        raise BoundsError(f"window numerator {_first(numerator, huge)} is too large: "
+                          "its window edges overflow")
     edge_den = 2.0 * numerator + denominator
     cutoff_den = _SQRT2 * numerator + denominator
     if _anywhere((abs(edge_den) <= SINGULAR_TOL) | (abs(cutoff_den) <= SINGULAR_TOL)):
@@ -414,7 +443,11 @@ def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityM
 
     The pairs are the caller's to check.
     """
-    columns, stacks = _columns(states, reductions, pairs)
+    return _rows(*_columns(states, np.array([rho.matrix for rho in reductions]), pairs))
+
+
+def _rows(columns: dict, stacks: dict) -> list[PairSpectra]:
+    """The columns of _columns cut into one record of floats per point."""
     names = [*columns, *stacks]
     points = zip(*(column.tolist() for column in columns.values()), *stacks.values())
     return [PairSpectra(**dict(zip(names, point))) for point in points]
@@ -424,14 +457,15 @@ def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMat
                 pair: tuple[str, str]) -> PairSpectra:
     """One record for a grid of (state, reduction) points on one pair, each field an array:
     the columns of build_records, uncut."""
-    columns, stacks = _columns(states, reductions, [pair] * len(states))
+    columns, stacks = _columns(states, np.array([rho.matrix for rho in reductions]),
+                               [pair] * len(states))
     return PairSpectra(**columns, **stacks)
 
 
-def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
+def _columns(states: Sequence[DensityMatrix], matrices: np.ndarray,
              pairs: Sequence[tuple[str, str]]) -> tuple[dict, dict]:
     """Every number field of the records of (state, reduction, pair) points, one array each, and
-    every matrix field, one (k, 4, 4) stack each.
+    every matrix field, one (k, 4, 4) stack each; the reductions come as one (k, 4, 4) stack.
 
     Each state's spectrum is the one validation solved. The reductions
     are solved with their eigenvectors in one gated call, and their roots
@@ -446,7 +480,6 @@ def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix
     one stacked product_spectrum call.
     """
     state_values = np.array([rho.spectrum for rho in states])
-    matrices = np.array([rho.matrix for rho in reductions])
     reduced_values, reduced_vectors = linalg.hermitian_eigensystem(matrices)
     transposes = partial_transposes(matrices)
     pt_values = linalg._solve(transposes, vectors=False)
@@ -465,10 +498,11 @@ def _columns(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
                  ) -> list[tuple[tuple[str, str], PairSpectra]]:
-    """(pair, record) for each pair, as a tuple, all built together."""
+    """(pair, record) for each pair, as a tuple, all built together from one marginals gather."""
     pairs = [tuple(pair) for pair in pairs]
-    return list(zip(pairs, build_records(
-        [rho_abc] * len(pairs), [reduce_to_pair(rho_abc, p) for p in pairs], pairs)))
+    stack = np.broadcast_to(rho_abc.matrix, (len(pairs), *rho_abc.matrix.shape))
+    return list(zip(pairs, _rows(*_columns([rho_abc] * len(pairs), marginals(stack, pairs),
+                                           pairs))))
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
@@ -573,6 +607,8 @@ def search_records(records: Iterable[tuple[tuple[str, str], PairSpectra]],
 
 def _candidate_windows(spectra: PairSpectra, witness: np.ndarray
                        ) -> list[tuple[str, str, Window]]:
+    """The candidate's two genuine windows, the only ones the search reads, tagged by route."""
     routes = spectra.routes(witness)
-    (_, p_gen), (_, q_gen) = spectra.windows(routes)
-    return [(f"{routes.regime}-p", "p", p_gen), (f"{routes.regime}-q", "q", q_gen)]
+    (p_cutoff, p_edge, _), (q_cutoff, q_edge, _) = spectra.window_edges(routes)
+    return [(f"{routes.regime}-p", "p", Window(p_cutoff, p_edge)),
+            (f"{routes.regime}-q", "q", Window(q_cutoff, q_edge))]

@@ -38,6 +38,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -192,7 +193,13 @@ def _pair_arg(value: str) -> tuple[str, str]:
 def _fields(record) -> dict:
     """json's default: a dataclass's fields in declaration order; fields()
     raises TypeError for anything else, which json.dumps passes on."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: getattr(record, name) for name in _field_names(type(record))}
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The names of a dataclass's fields, read once per class."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _json_text(value) -> str:

@@ -9,17 +9,22 @@ solves all its members' spectra in one value-only call; each validated
 state keeps its spectrum. validate reads no eigenvector: the
 certificates take square roots of the 4x4 reduced pairs only. The
 family builders build a whole parameter grid that way, and the
-single-state builders are the same code on a list of one. So are
-the reductions and the partial transpose: reduce_to_pairs and
-partial_transposes reshape a whole stack once, and reduce_to_pair,
-partial_trace and partial_transpose run the same kernels on a stack of
-one.
+single-state builders are the same code on a list of one.
+
+marginals is the one reduction kernel: one gather over a (k, 8, 8)
+stack with one ordered pair per member, whichever pairs it mixes,
+through per-pair index tables built at import. Its index for a pair
+sequence is built once, each distinct pair checked once, so a grid on
+one pair runs no per-member step. reduce_to_pairs, reduce_to_pair and
+partial_trace are that gather on one pair; partial_transposes reshapes
+a whole stack once, and partial_transpose runs it on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -158,19 +163,53 @@ def _label_index(label: str) -> int:
         raise UnknownNameError(f"subsystem label must be one of {LABELS}, got {label!r}") from None
 
 
-def _marginals(matrices: np.ndarray, pair) -> np.ndarray:
-    """The (k, 4, 4) marginals of an ordered pair of a (k, 8, 8) stack, an 8x8 matrix being a
-    stack of one: one trace over the spectator, then one swap of the survivors when the pair
-    is in descending order."""
-    first, second = pair_positions(pair)
-    if matrices.size and matrices.shape[-2:] != (8, 8):  # an empty stack has no shape to check
+def _marginal_index(first: int, second: int) -> np.ndarray:
+    """Where each entry of an ordered pair's marginal reads its two terms in a flattened 8x8
+    matrix: a (2, 4, 4) table, one layer per value of the spectator qubit.
+
+    first and second are the pair's positions in LABELS. Entry (r, c) of
+    layer s is the flat position of row (r, s) and column (c, s), where r
+    and c hold the pair's bits in the pair's order and s the spectator's.
+    """
+    shifts = 2 - np.array([first, second, 3 - first - second])  # bit of each qubit in 4a + 2b + c
+    bits = (np.arange(4)[:, None] >> np.array([1, 0])) & 1  # columns: the pair's first, second bit
+    rows = (bits << shifts[:2]).sum(1)[None, :] + (np.arange(2) << shifts[2])[:, None]
+    return 8 * rows[:, :, None] + rows[:, None, :]
+
+
+# by spectator value, then positions; the diagonal is never read
+_MARGINAL = np.zeros((2, 3, 3, 4, 4), dtype=np.intp)
+for _first, _second in permutations(range(3), 2):
+    _MARGINAL[:, _first, _second] = _marginal_index(_first, _second)
+
+
+def marginals(matrices, pairs) -> np.ndarray:
+    """The (k, 4, 4) marginals of a (k, 8, 8) stack of 3-qubit matrices, one ordered pair per
+    member, an 8x8 matrix being a stack of one: one gather through the pairs' index tables.
+
+    Each entry is the sum a + b of its two terms, spectator 0 then 1,
+    the sum the trace over the spectator forms, so a marginal has the
+    same bits whichever members share its stack.
+    """
+    m = np.asarray(matrices)
+    if m.size and m.shape[-2:] != (8, 8):  # an empty stack has no shape to check
         raise InvalidStateError("bad-dimension", "partial_trace expects a 3-qubit state")
-    spectator = 3 - first - second
-    t = matrices.reshape(-1, 2, 2, 2, 2, 2, 2)
-    reduced = np.trace(t, axis1=1 + spectator, axis2=4 + spectator)
-    if first > second:
-        reduced = reduced.transpose(0, 2, 1, 4, 3)
-    return reduced.reshape(-1, 4, 4)
+    first, second = _marginal_gather(tuple(map(tuple, pairs)))
+    flat = m.reshape(-1)
+    if len(first) * 64 != flat.size:
+        raise StateError(f"{len(first)} pairs for {flat.size // 64} states")
+    return flat[first] + flat[second]
+
+
+@lru_cache(maxsize=64)
+def _marginal_gather(pairs: tuple) -> np.ndarray:
+    """The index of marginals' gather over a stack with these pairs, member m offset by 64 m:
+    the two terms' positions, as two (k, 4, 4) layers. Built once per pair sequence."""
+    positions = pair_positions_of(pairs)
+    offsets = 64 * np.arange(len(pairs))[:, None, None]
+    index = _MARGINAL[:, positions[:, 0], positions[:, 1]] + offsets
+    index.flags.writeable = False
+    return index
 
 
 def partial_trace(rho: DensityMatrix, traced: str) -> DensityMatrix:
@@ -214,20 +253,30 @@ def pair_positions(pair) -> tuple[int, int]:
     return positions
 
 
+def pair_positions_of(pairs) -> np.ndarray:
+    """The (k, 2) LABELS positions of k pairs, each distinct pair checked once by
+    pair_positions, so a stack on one pair runs no check per member."""
+    keys = list(map(tuple, pairs))
+    checked = {key: pair_positions(key) for key in dict.fromkeys(keys)}
+    return np.array(list(map(checked.__getitem__, keys)), dtype=np.intp).reshape(-1, 2)
+
+
 def reduce_to_pair(rho: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:
-    """The marginal of an ordered pair of a 3-qubit state, by reduce_to_pairs's kernel on a
-    stack of one.
+    """The marginal of an ordered pair of a 3-qubit state, by the marginals gather on a stack
+    of one.
 
     The pair's first label takes the first tensor slot, so ("C", "A")
     gives rho_CA, the swap of the rho_AC that partial_trace returns.
     """
-    return DensityMatrix(qubits=2, matrix=_marginals(rho.matrix, pair)[0])
+    return DensityMatrix(qubits=2, matrix=marginals(rho.matrix, [pair])[0])
 
 
 def reduce_to_pairs(rhos, pair: tuple[str, str]) -> list[DensityMatrix]:
-    """reduce_to_pair of each 3-qubit state on one pair, from one trace over their stack."""
+    """reduce_to_pair of each 3-qubit state on one pair, from one gather over their stack."""
+    pair_positions(pair)  # an empty stack checks its pair too
     matrices = np.array([rho.matrix for rho in rhos])
-    return [DensityMatrix(qubits=2, matrix=matrix) for matrix in _marginals(matrices, pair)]
+    return [DensityMatrix(qubits=2, matrix=matrix)
+            for matrix in marginals(matrices, [pair] * len(matrices))]
 
 
 def partial_transpose_numbers(values) -> tuple:

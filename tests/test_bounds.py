@@ -8,13 +8,14 @@ on the fifth.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from svetlichny import bounds, cli, linalg, operators, reproduce, states
+from svetlichny import bounds, cli, linalg, operators, optimize, reproduce, states
 from svetlichny.bounds import (
     BoundConfig,
     BoundsError,
@@ -97,6 +98,18 @@ class TestWindow:
         with pytest.raises(BoundsError, match=r"^window numerator -?(inf|nan) is not finite$"):
             record.window_edges(Routes("undetected", 0.2, lower, 0.1))
 
+    @pytest.mark.parametrize("lower", [-1.7e308, np.array([-0.1, -1.7e308])],
+                             ids=["number", "array"])
+    def test_numerator_whose_double_overflows_opens_no_window(self, lower):
+        # finite, but 2N and sqrt(2) N are not: the error names the numerator,
+        # before any arithmetic could warn or make a NaN edge
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
+        with pytest.raises(BoundsError, match=r"^window numerator -1\.7e\+308 is too large"):
+            record.window_edges(Routes("undetected", 0.2, lower, 0.1))
+        cutoff, edge, _ = _window_edges(np.finfo(float).max / 2.0, 1.0)
+        assert np.isfinite([cutoff, edge]).all()
+
 
 class TestFiringRule:
     """Every route's genuine window is [cutoff, edge) = [sqrt(2) x/(sqrt(2) x + 1), 2x/(2x + 1))
@@ -148,18 +161,26 @@ class TestFiringRule:
         matrices += [corpus.random_density(gen, 8, rank) for rank in range(1, 9) for _ in range(10)]
         return [states.validate(m, 3) for m in matrices]
 
+    @staticmethod
+    def _best_chsh_witness(record: PairSpectra) -> np.ndarray:
+        """W = 2I - B_opt, from the settings maximize_chsh gives the record's reduced pair."""
+        optimum = optimize.maximize_chsh(states.DensityMatrix(qubits=2, matrix=record.reduced))
+        settings = operators.ChshSettings(*map(operators.spin_observable, optimum.vectors))
+        return operators.chsh_witness(operators.chsh_operator(settings))
+
     def test_every_formed_candidate_fires_on_its_sign_and_misses_the_gap(self):
-        witnesses = [operators.plane_witness(plane) for plane in operators.PLANES]
-        formed = opened = 0
+        # the three plane witnesses, and each pair's own best CHSH witness
+        planes = [("plane", operators.plane_witness(plane)) for plane in operators.PLANES]
+        formed, opened = Counter(), Counter()
         for rho in self._sweep_states():
             for pair, record in pair_records(rho, ORDERED_PAIRS):
-                for w in witnesses:
+                for kind, w in planes + [("best", self._best_chsh_witness(record))]:
                     try:
                         routes = record.routes(w)
                         (_, p_gen), (_, q_gen) = record.windows(routes)
                     except bounds.CANDIDATE_ERRORS:
                         continue
-                    formed += 1
+                    formed[kind] += 1
                     # the undetected p route fires for H < 0, against -lambda_max
                     p_sign = 1.0 if routes.regime == "detected" else -1.0
                     for numerator, denominator, genuine, sign in (
@@ -169,9 +190,10 @@ class TestFiringRule:
                         ratio = numerator / denominator
                         assert not self.GAP[0] < ratio < self.GAP[1], (pair, routes)
                         if not genuine.empty:
-                            opened += 1
+                            opened[kind] += 1
                             assert sign * numerator > 0.0, (pair, routes)
-        assert (formed, opened) == (1813, 3624)
+        assert (formed["plane"], opened["plane"]) == (1813, 3624)
+        assert (formed["best"], opened["best"]) == (552, 1104)
 
 
 GHZ_W_06 = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
@@ -296,6 +318,21 @@ class TestEmbedding:
         for pair in permutations(states.LABELS, 2):
             assert np.array_equal(embed_pair(op, pair), lemmas.lift(op, pair))
 
+    def test_mixed_pair_stack_lifts_each_member_on_its_own(self, rng):
+        # one gather, each member through its own pair's table
+        pairs = list(permutations(states.LABELS, 2)) * 3
+        ops = rng.normal(size=(len(pairs), 4, 4)) + 1j * rng.normal(size=(len(pairs), 4, 4))
+        lifted = embed_pair(ops, pairs)
+        assert lifted.shape == (len(pairs), 8, 8)
+        for op, pair, lift in zip(ops, pairs, lifted):
+            assert lift.tobytes() == embed_pair(op, pair).tobytes()
+            assert np.array_equal(lift, lemmas.lift(op, pair))  # kron's zeros carry signs
+
+    def test_a_stack_takes_one_pair_per_member(self):
+        with pytest.raises(BoundsError, match="2 pairs for 3 pair operators"):
+            embed_pair(np.zeros((3, 4, 4)), [("A", "B"), ("B", "C")])
+        assert embed_pair(np.zeros((0, 4, 4)), []).shape == (0, 8, 8)
+
     def test_product_spectrum_is_real_and_psd_shaped(self, rng):
         rho = random_state(rng, 3)
         reduced = states.partial_trace(rho, "A")
@@ -374,10 +411,58 @@ class TestStackedProducts:
             rhos, states.reduce_to_pairs(rhos, pair), [pair] * len(rhos))
 
     def test_stack_of_mixed_pairs_embeds_each_member_on_its_own(self, rng):
-        rho = random_state(rng, 3)
+        # states of every rank, each on all six ordered pairs, interleaved in one stack
+        rhos = [states.validate(corpus.random_density(rng, 8, rank), 3) for rank in range(1, 9)]
+        members = [(rho, pair) for rho in rhos for pair in ORDERED_PAIRS]
         self._assert_stack_is_each_single_call(
-            [rho] * len(ORDERED_PAIRS), [states.reduce_to_pair(rho, pair) for pair in ORDERED_PAIRS],
-            ORDERED_PAIRS)
+            [rho for rho, _ in members],
+            [states.reduce_to_pair(rho, pair) for rho, pair in members],
+            [pair for _, pair in members])
+
+    def test_records_reduce_and_lift_their_pairs_in_one_gather_each(self, monkeypatch, rng):
+        calls = {"marginals": 0, "embed_pair": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(bounds, "marginals", counting("marginals", states.marginals))
+        monkeypatch.setattr(bounds, "embed_pair", counting("embed_pair", bounds.embed_pair))
+        for rank in (1, 3, 8):
+            rho = states.validate(corpus.random_density(rng, 8, rank), 3)
+            for pairs in (bounds.SEARCH_ORDER, ORDERED_PAIRS):
+                calls.update(marginals=0, embed_pair=0)
+                records = pair_records(rho, pairs)
+                assert calls == {"marginals": 1, "embed_pair": 1}
+                for (pair, record), reduced in zip(records, states.marginals(
+                        np.array([rho.matrix] * len(pairs)), pairs)):
+                    assert record.reduced.tobytes() == reduced.tobytes()
+                    assert record.reduced.tobytes() == states.reduce_to_pair(
+                        rho, pair).matrix.tobytes()
+
+    def test_a_grid_on_one_pair_checks_its_pair_as_often_as_a_grid_of_one(self, monkeypatch):
+        # no per-member loop: the gathers' indices are built per distinct pair
+        checked = []
+
+        def counted(pair):
+            checked.append(pair)
+            return pair_positions(pair)
+
+        pair_positions = states.pair_positions
+        monkeypatch.setattr(states, "pair_positions", counted)
+        pair = states.EXAMPLE_PAIRS[states.FAMILY_GHZ_W_CONVEX]
+        counts = []
+        for members in (1, 50):
+            states._marginal_gather.cache_clear()
+            bounds._lift_gather.cache_clear()
+            checked.clear()
+            rhos = states.make_examples(states.FAMILY_GHZ_W_CONVEX,
+                                        np.linspace(0.4, 0.9, members))
+            grid_record(rhos, states.reduce_to_pairs(rhos, pair), pair)
+            counts.append(len(checked))
+        assert counts[0] == counts[1] <= 3
 
     @pytest.mark.parametrize("rank", range(1, 9))
     def test_extremes_match_the_raw_product_on_random_states(self, rng, rank):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from svetlichny import cli, linalg, operators, reproduce, states
-from svetlichny.bounds import BoundsReport, Verdict
+from svetlichny.bounds import BoundsReport, Verdict, Window
 import corpus
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -283,6 +283,23 @@ class TestAnalyzeOutput:
         assert "nan" not in captured.out
         assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in captured.out
 
+    def test_witness_whose_numerator_overflows_its_edges_names_it(self, tmp_path, capsys):
+        # H is finite here, near -1.7e308, but 2H and sqrt(2) H are not
+        path = tmp_path / "w.mat"
+        path.write_text(cli.format_matrix_text(1e308 * np.eye(4)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("analyze", "--family", "identity-W", "--param", "0.8584615384615384",
+                       "--witness", str(path))
+        assert code == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert ("  unavailable: window numerator -1.6986737913291667e+308 is too large: "
+                "its window edges overflow\n") in captured.out
+        assert "nan" not in captured.out
+        assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in captured.out
+
     def test_witness_file_joins_search(self, tmp_path, capsys):
         from svetlichny.operators import plane_witness
         path = tmp_path / "w.mat"
@@ -522,6 +539,15 @@ class TestJsonWriter:
     def test_unprintable_values_raise_type_error(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value)
+
+    def test_a_record_class_is_read_once_and_a_non_dataclass_still_raises(self):
+        window = Window(0.25, 0.5)
+        first = cli._json_text(window)
+        assert cli._json_text(Window(0.25, 0.5)) == first
+        assert first == '{"lower": 0.25, "upper": 0.5, "empty": false}'
+        assert cli._field_names(Window) is cli._field_names(Window)
+        with pytest.raises(TypeError):
+            cli._fields(object())
 
 
 def _json_outputs(tmp_path) -> dict[str, str]:

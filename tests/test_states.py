@@ -265,6 +265,28 @@ class TestStackedReductions:
             assert transposed.tobytes() == states.partial_transpose(reduced).tobytes()
             assert transposed.tobytes() == corpus.partial_transpose(reduced.matrix).tobytes()
 
+    def test_mixed_pair_stack_gives_the_bits_of_single_calls(self, rng):
+        # one gather over states of every rank, each on all six ordered pairs
+        pairs = list(itertools.permutations(states.LABELS, 2))
+        rhos = [states.validate(corpus.random_density(rng, 8, rank), 3) for rank in range(1, 9)]
+        members = [(rho, pair) for rho in rhos for pair in pairs]
+        stack = states.marginals(np.array([rho.matrix for rho, _ in members]),
+                                 [pair for _, pair in members])
+        assert stack.shape == (len(members), 4, 4)
+        for (rho, pair), marginal in zip(members, stack):
+            assert marginal.tobytes() == states.reduce_to_pair(rho, pair).matrix.tobytes()
+            assert marginal.tobytes() == corpus.marginal(rho.matrix, pair).tobytes()
+
+    def test_a_stack_takes_one_pair_per_member(self, rng):
+        three = random_state(rng, 3).matrix
+        with pytest.raises(states.StateError, match="1 pairs for 2 states"):
+            states.marginals(np.array([three, three]), [("A", "B")])
+        with pytest.raises(states.UnknownNameError):
+            states.marginals(np.array([three, three]), [("A", "B"), ("A", "A")])
+        # the dimension rule comes first, before any pair is read
+        with pytest.raises(states.InvalidStateError, match="partial_trace expects a 3-qubit"):
+            states.marginals(np.zeros((2, 4, 4)), [("A", "D")] * 2)
+
     def test_wrong_qubit_count_is_rejected(self, rng):
         two, three = random_state(rng, 2), random_state(rng, 3)
         for reduce in (lambda: states.reduce_to_pairs([two, two], ("A", "B")),
