@@ -399,9 +399,20 @@ class PairSpectra:
         return Routes("undetected", k, h, f / 4.0)
 
     def bounds(self, routes: Routes, p: float, q: float) -> tuple[float, float]:
-        """The lower route's bound at weight p and the upper route's at weight q."""
-        return (_bound(routes.lower_numerator, p, self.lambda_max_embedded),
+        """The lower route's bound at weight p and the upper route's at weight q.
+
+        A numerator below the window limit can still overflow its bound (a
+        huge user witness at a small weight), which raises, as a window end
+        that is not finite does.
+        """
+        pair = (_bound(routes.lower_numerator, p, self.lambda_max_embedded),
                 _bound(routes.upper_numerator, q, self.lambda_k))
+        for end, bound in zip(("lower", "upper"), pair):
+            infinite = (~np.isfinite(bound) if isinstance(bound, np.ndarray)
+                        else not math.isfinite(bound))
+            if _anywhere(infinite):
+                raise BoundsError(f"{end} bound {_first(bound, infinite)} is not finite")
+        return pair
 
     def window_edges(self, routes: Routes) -> tuple[tuple, tuple]:
         """(cutoff, edge, admissible upper) of the lower route in p, then of the upper route in q.

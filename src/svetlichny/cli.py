@@ -15,7 +15,10 @@ name, or a matrix file. The file grammar is one header line "dim N",
 then N rows of N whitespace-separated "re,im" tokens; '#' starts a
 comment. Parse failures exit 64, semantically invalid inputs exit 65.
 The parser is built once, at import, and main dispatches on the command
-name to the module's cmd_* function. The reproduce module is imported by
+name: the named command's own subparser parses the rest of argv, and
+only argv that names no command (empty, unknown, -h) meets the
+top-level parser, whose messages and exit codes it keeps; then the
+module's cmd_* function runs. The reproduce module is imported by
 cmd_reproduce on the first reproduce command, not here: analyze and
 optimize never read it, and compiling and running it would cost each of
 their calls several milliseconds.
@@ -302,11 +305,6 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # optimize
 
-def _spherical(vector: np.ndarray) -> tuple[float, float]:
-    z = float(np.clip(vector[2], -1.0, 1.0))
-    return float(np.arccos(z)), float(np.arctan2(vector[1], vector[0]))
-
-
 def cmd_optimize(args) -> int:
     rho, label = _resolve_state(args)
     if args.pair is not None and (args.target != "chsh" or rho.qubits != 3):
@@ -325,8 +323,11 @@ def cmd_optimize(args) -> int:
         optimum = maximize_chsh(rho)
         names = ("A0", "A1", "B0", "B1")
 
-    named = zip(names, (unit.as_array() for unit in optimum.vectors))
-    vectors = [(name, vec, *_spherical(vec)) for name, vec in named]
+    units = np.array([(unit.x, unit.y, unit.z) for unit in optimum.vectors])
+    # every setting's polar and azimuthal angle, from two array calls
+    thetas = np.arccos(np.clip(units[:, 2], -1.0, 1.0)).tolist()
+    phis = np.arctan2(units[:, 1], units[:, 0]).tolist()
+    vectors = list(zip(names, units.tolist(), thetas, phis))
     at_best = sum(v >= optimum.value - 1e-6 for v in optimum.restart_values)
     spread = optimum.value - min(optimum.restart_values)
     if args.format == "json":
@@ -340,8 +341,7 @@ def cmd_optimize(args) -> int:
             "restarts_capped": optimum.restarts_capped,
             "restart_spread": spread,
             **ascent,
-            "settings": {name: {"vector": [float(x) for x in vec],
-                                "theta": theta, "phi": phi}
+            "settings": {name: {"vector": vec, "theta": theta, "phi": phi}
                          for name, vec, theta, phi in vectors},
         }
         print(_json_text(payload))
@@ -412,6 +412,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="svet", allow_abbrev=False,
                      description="genuine tripartite nonlocality certificates")
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices  # name -> subparser
 
     analyze = commands.add_parser("analyze", allow_abbrev=False,
                                   help="negativities, certificate report, verdict")
@@ -452,13 +453,26 @@ def build_parser() -> _Parser:
 
 
 # Built once per process: parsing leaves the parser unchanged, and building
-# it costs about as much as a small analysis.
+# it costs about as much as a small analysis. A command's arguments go to its
+# own subparser, which the top-level parser would call through a second
+# argparse level.
 _PARSER = build_parser()
+_COMMANDS = _PARSER.commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The top-level parser's namespace for argv, from the named command's subparser."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         # looked up at call time, so a cmd_* rebound on the module is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except CliParseError as exc:

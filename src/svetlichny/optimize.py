@@ -6,7 +6,11 @@ objectives follow one sign rule: a term of the correlation tensor T at
 one setting per party counts +1 when at most one party uses its primed
 setting, and -1 otherwise. So each is the party tensor K = s (x) T
 contracted with every party's stacked vector [a; a'], [b; b'], ...,
-multilinear in the Bloch vectors.
+multilinear in the Bloch vectors. K is read off T by one gather, in the
+layouts the contractions take (each party's facing layout, and the
+Hessian's outside layout), through an index and sign table built once
+per qubit count, on first use. Each contraction is written out for two
+and for three parties, with no generic loop.
 
 The CHSH maximum is exact. With T = U diag(s1, s2, s3) V^T, it is
 2 sqrt(s1^2 + s2^2) (Horodecki, Horodecki and Horodecki, PLA 200, 340,
@@ -56,6 +60,7 @@ and nothing else; tests/test_dependencies.py holds the layers apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -140,43 +145,72 @@ class _Multilinear:
     where s is +1 when at most one party uses its primed setting (bit 1)
     and -1 otherwise: the expectation is K contracted with every x_p. A
     party's two coefficient rows are K contracted with every other party,
-    so they never read its own vectors.
+    so they never read its own vectors. K is read in the layouts the
+    contractions take, party p's facing layout (its axis first, the
+    others in order after it) for each p, by one gather of T.
     """
 
     def __init__(self, tensor: np.ndarray) -> None:
         n = tensor.ndim
         self.degree, self.n_vectors = n, 2 * n
-        signs = np.where(np.indices((2,) * n).sum(axis=0) <= 1, 1.0, -1.0)
-        interleave = np.arange(2 * n).reshape(2, n).T.reshape(-1)
-        self._tensor = np.multiply.outer(signs, tensor).transpose(interleave).reshape((6,) * n)
-        # party p's axis first, the others in order after it
-        self._facing = [np.moveaxis(self._tensor, p, 0).reshape(-1, 6) for p in range(n)]
+        index, sign = _layout_tables(n)
+        self._layouts = tensor.reshape(-1)[index] * sign
+        # party 0's facing layout is K itself. One view per party, made here:
+        # indexing the stack would make a new view on every contraction.
+        self._facing = tuple(self._layouts[:n])
 
-    def _contract(self, x: np.ndarray, p: int, parties) -> np.ndarray:
-        """K with party p's axis first, contracted with `parties` (the last first)
-        of the (restarts, n, 6) stacked vectors x."""
-        out = self._facing[p]
-        for q in reversed(parties):
-            out = (out @ x[:, q, :, None]).reshape(len(x), -1, 6)
-        return out
-
-    def _party(self, x: np.ndarray, p: int) -> np.ndarray:
-        """Party p's two rows, (restarts, 6), from (restarts, n, 6) stacked vectors."""
-        return self._contract(x, p, [q for q in range(self.degree) if q != p])[:, 0]
+    def _rows(self, x: np.ndarray, party: int) -> np.ndarray:
+        """`party`'s two rows, (restarts, 6, 1), from (restarts, n, 6) stacked vectors:
+        its facing layout contracted with the last other party, then the first."""
+        rows = self._facing[party]
+        if self.degree == 2:
+            return rows @ x[:, 1 - party, :, None]
+        first, last = _OTHERS[party]
+        rows = (rows @ x[:, last, :, None]).reshape(len(x), 6, 6)
+        return rows @ x[:, first, :, None]
 
     def pair_block(self, x: np.ndarray) -> np.ndarray:
         """K contracted with every party after the first two, (restarts, 6, 6)
         from (restarts, n, 6) stacked vectors; K itself, (6, 6), for two parties."""
-        return self._contract(x, 0, range(2, self.degree))
+        if self.degree == 2:
+            return self._facing[0]
+        return (self._facing[0] @ x[:, 2, :, None]).reshape(len(x), 6, 6)
 
     def energy(self, vectors: np.ndarray) -> np.ndarray:
         x = vectors.reshape(len(vectors), -1, 6)
-        return _dot(x[:, 0], self._party(x, 0))
+        return _dot(x[:, 0], self._rows(x, 0))
 
     def coefficient_gradients(self, vectors: np.ndarray, party: int):
         """`party`'s two coefficient rows, (restarts, 2, 3)."""
         x = vectors.reshape(len(vectors), -1, 6)
-        return self._party(x, party).reshape(len(x), 2, 3)
+        return self._rows(x, party).reshape(len(x), 2, 3)
+
+
+# the two other parties of each of three, in order
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
+@cache
+def _layout_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of K's layouts sits in the flattened T of n qubits, and its sign.
+
+    The layouts are each party's facing layout, (6^(n-1), 6), and for
+    three parties the Hessian's outside layout after them: K with the
+    party outside each pair AB, AC, BC last. They are laid out by
+    moveaxis from K = s (x) t, where t holds each entry's position in T
+    counted from 1, so |K| - 1 is the index and the sign is +1.0 or -1.0:
+    T gathered through them is s (x) T in those layouts, bit for bit.
+    Built once per qubit count, on first use.
+    """
+    signs = np.where(np.indices((2,) * n).sum(axis=0) <= 1, 1, -1)
+    interleave = np.arange(2 * n).reshape(2, n).T.reshape(-1)
+    positions = np.arange(1, 3 ** n + 1).reshape((3,) * n)
+    k = np.multiply.outer(signs, positions).transpose(interleave).reshape((6,) * n)
+    moves = [(p, 0) for p in range(n)] + ([(r, -1) for r in (2, 1, 0)] if n == 3 else [])
+    layouts = np.stack([np.moveaxis(k, p, q).reshape(-1, 6) for p, q in moves])
+    index, sign = np.abs(layouts) - 1, np.sign(layouts).astype(float)
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
 
 
 class _SvetlichnyObjective(_Multilinear):
@@ -189,8 +223,7 @@ class _SvetlichnyObjective(_Multilinear):
     def __init__(self, tensor: np.ndarray) -> None:
         super().__init__(tensor)
         # K with the party outside each pair (AB, AC, BC) last
-        self._outside = np.stack([np.moveaxis(self._tensor, r, -1).reshape(36, 6)
-                                  for r in (2, 1, 0)])
+        self._outside = self._layouts[3:]
 
     def hessian(self, vectors: np.ndarray) -> np.ndarray:
         """The (restarts, 18, 18) Hessian, gathered from its blocks AB, AC and BC."""

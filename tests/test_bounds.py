@@ -111,6 +111,23 @@ class TestWindow:
         assert np.isfinite([cutoff, edge]).all()
 
 
+    @pytest.mark.parametrize("lower", [-6e307, np.array([-0.1, -6e307])],
+                             ids=["number", "array"])
+    def test_bound_that_overflows_is_rejected(self, lower):
+        # below the window limit, so the windows form, but 8 (1 - p) H / (p lambda_max)
+        # overflows at p = 0.5; the upper bound is checked the same way
+        rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
+        record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
+        routes = Routes("undetected", 0.2, lower, 0.1)
+        record.window_edges(routes)
+        with np.errstate(over="ignore"), pytest.raises(
+                BoundsError, match=r"^lower bound -inf is not finite$"):
+            record.bounds(routes, 0.5, 0.5)
+        with np.errstate(over="ignore"), pytest.raises(
+                BoundsError, match=r"^upper bound inf is not finite$"):
+            record.bounds(Routes("undetected", 0.2, -0.1, 6e307), 0.5, 1e-3)
+
+
 class TestFiringRule:
     """Every route's genuine window is [cutoff, edge) = [sqrt(2) x/(sqrt(2) x + 1), 2x/(2x + 1))
     in the ratio x = N/D of its numerator to its signed denominator. It opens for x > 0 and

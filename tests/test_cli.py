@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -23,7 +24,8 @@ from svetlichny import cli, linalg, operators, reproduce, states
 from svetlichny.bounds import BoundsReport, Verdict, Window
 import corpus
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def run(*argv):
@@ -142,6 +144,66 @@ class TestParserReuse:
         assert run("analyze", "--ref", "W") == 7
         assert seen == ["W"]
         capsys.readouterr()
+
+
+class TestDispatch:
+    """main parses a command's arguments with that command's subparser;
+    argv that names no command meets the top-level parser."""
+
+    # each parse error's exit code and message, as the top-level parser gives them
+    ERRORS = (
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'analyze', 'optimize', 'reproduce')\n"),
+        (["analyze", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+        (["--format", "json", "analyze"], "error: argument command: invalid choice: 'json' "
+                                          "(choose from 'analyze', 'optimize', 'reproduce')\n"),
+    )
+
+    @pytest.mark.parametrize("argv, message", ERRORS, ids=["empty", "unknown-command",
+                                                          "unknown-flag", "flag-first"])
+    def test_parse_errors_keep_their_exit_code_and_text(self, argv, message, capsys):
+        assert cli.main(list(argv)) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    @staticmethod
+    def _assert_subparser_matches_top_level(argv):
+        # argv names a command, so _parse reads it with that command's subparser
+        assert argv[0] in cli._COMMANDS
+        assert cli._parse(argv) == cli._PARSER.parse_args(argv), argv
+
+    @pytest.mark.parametrize("workload", ["certify", "optimize", "reproduce"])
+    def test_every_benchmark_argv_parses_as_at_the_top_level(self, workload, monkeypatch,
+                                                             tmp_path):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        ops = workloads.WORKLOADS[workload](401, str(tmp_path))
+        assert ops
+        for op in ops:
+            self._assert_subparser_matches_top_level(op.argv)
+
+    def test_every_output_argv_parses_as_at_the_top_level(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("outputs", ROOT / "tools" / "outputs.py")
+        outputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(outputs)
+        rejected = [argv for _, argv in outputs.PARSE_ERRORS]
+        calls = [argv for _, argv in outputs._invocations(str(tmp_path / "inputs"))]
+        assert len(calls) > 2000
+        for argv in calls:
+            if argv in rejected:
+                with pytest.raises(cli.CliParseError):
+                    cli._PARSER.parse_args(argv)
+            else:
+                self._assert_subparser_matches_top_level(argv)
+
+    def test_help_is_printed_by_the_named_parser(self, capsys):
+        for argv, usage in ((["-h"], "usage: svet "), (["optimize", "-h"], "usage: svet optimize")):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+            assert exit_.value.code == 0
+            assert capsys.readouterr().out.startswith(usage)
 
 
 class TestImportOnDemand:
@@ -299,6 +361,28 @@ class TestAnalyzeOutput:
                 "its window edges overflow\n") in captured.out
         assert "nan" not in captured.out
         assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in captured.out
+
+    def test_witness_whose_bound_overflows_names_it(self, tmp_path, capsys):
+        # H is near -6.1e307, below the window limit, so both windows form;
+        # at p = 0.5 the lower bound 8 H / lambda_max overflows to -inf
+        path = tmp_path / "w.mat"
+        path.write_text(cli.format_matrix_text(3e307 * np.eye(4)))
+        argv = ["analyze", "--family", "identity-W", "--param", "0.82", "--witness", str(path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 0
+            assert run(*argv, "--format", "json") == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        text, payload = captured.out.split("{", 1)
+        assert "  unavailable: lower bound -inf is not finite\n" in text
+        assert "inf," not in text
+        assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in text
+        payload = json.loads("{" + payload)
+        assert payload["report"] is None
+        assert payload["report_error"] == "lower bound -inf is not finite"
+        assert payload["verdict"]["outcome"] == "genuine"
 
     def test_witness_file_joins_search(self, tmp_path, capsys):
         from svetlichny.operators import plane_witness

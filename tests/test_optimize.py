@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from svetlichny.optimize import (
 from conftest import random_state
 import corpus
 
+SOURCE = Path(optimize.__file__).resolve().parent.parent
 SV_MAX = 4.0 * math.sqrt(2.0)
 CHSH_MAX = 2.0 * math.sqrt(2.0)
 
@@ -347,6 +352,59 @@ class TestInputChecks:
         # a leftover positional settings object must fail, not run
         with pytest.raises(TypeError):
             maximize_svetlichny(states.make_reference("GHZ"), 4)
+
+
+def moveaxis_layouts(tensor):
+    """K = s (x) T, each party's facing layout and, for three parties, the
+    Hessian's outside layout, built as multiply.outer, moveaxis and stack."""
+    n = tensor.ndim
+    signs = np.where(np.indices((2,) * n).sum(axis=0) <= 1, 1.0, -1.0)
+    interleave = np.arange(2 * n).reshape(2, n).T.reshape(-1)
+    k = np.multiply.outer(signs, tensor).transpose(interleave).reshape((6,) * n)
+    facing = [np.moveaxis(k, p, 0).reshape(-1, 6) for p in range(n)]
+    outside = (np.stack([np.moveaxis(k, r, -1).reshape(36, 6) for r in (2, 1, 0)])
+               if n == 3 else None)
+    return k, facing, outside
+
+
+def _same_bits(got, expected):
+    expected = np.ascontiguousarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_gathered_layouts_are_the_moveaxis_layouts(self, kind):
+        make, shape, _, _ = KERNELS[kind]
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            tensor = rng.normal(size=shape)
+            # signed zeros too: -1.0 * 0.0 is -0.0 on both sides
+            tensor[rng.random(shape) < 0.2] = 0.0
+            objective = make(tensor)
+            k, facing, outside = moveaxis_layouts(tensor)
+            _same_bits(objective._facing[0].reshape(k.shape), k)
+            for p in range(len(shape)):
+                _same_bits(objective._facing[p], facing[p])
+            if outside is not None:
+                _same_bits(objective._outside, outside)
+
+    def test_tables_are_built_once_per_degree_on_first_use(self):
+        code = ("from svetlichny import optimize, states\n"
+                "before = optimize._layout_tables.cache_info().currsize\n"
+                "optimize.maximize_svetlichny(states.make_reference('GHZ'), restarts=2)\n"
+                "optimize.maximize_svetlichny(states.make_reference('W'), restarts=2)\n"
+                "print(before, optimize._layout_tables.cache_info().currsize)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(SOURCE), os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
+        index, sign = optimize._layout_tables(3)
+        assert optimize._layout_tables(3) is optimize._layout_tables(3)
+        assert not index.flags.writeable and not sign.flags.writeable
 
 
 class TestKernels:

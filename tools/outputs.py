@@ -25,9 +25,10 @@ The set:
   `--pair AB --witness xz` and `--witness yz`: 1,968 calls;
 - `analyze --witness FILE` in text and JSON, with default flags and with
   `--pair AC`, on the 12 points of identity-W and of mixed-GHZ-2W and the
-  20 random states of rank 2, for three witness files: the xz plane
-  witness (which joins the search as `user`), 2·xy, and 1e308·I (whose
-  report is unavailable): 528 calls;
+  20 random states of rank 2, for four witness files: the xz plane
+  witness (which joins the search as `user`), 2·xy, 3e307·I (whose
+  windows form, but whose lower bound can overflow) and 1e308·I (whose
+  report is unavailable): 704 calls;
 - `analyze` in text, JSON and CSV on identity-W 0.82 read from the matrix
   file `état "q".mat`: the state label is the only free text in an
   output, and this name puts a non-ASCII letter and a double quote in it;
@@ -45,7 +46,10 @@ The set:
   coordinate` at the default restart count on the ridge states
   GHZ-W-convex 0.525 and maximal-slice 1.3 (where restarts stop at the
   sweep cap) and `analyze --ref GHZ --param 0.5` (a parameter without a
-  family).
+  family);
+- four invocations the parser rejects, each once: no arguments, an
+  unknown command (`bogus`), an unknown flag (`analyze --bogus`) and a
+  flag before the command (`--format json analyze`).
 
 After the invocations, `OUT_DIR/library.txt` holds the `repr` of library
 calls that no command reaches:
@@ -103,6 +107,7 @@ FORMATS = ("text", "json", "csv")
 WITNESS_FILES = {
     "xz": operators.plane_witness("xz"),
     "2xy": 2.0 * operators.plane_witness("xy"),
+    "large": 3e307 * np.eye(4),
     "huge": 1e308 * np.eye(4),
 }
 WITNESS_SOURCES = ("identity-W-", "mixed-GHZ-2W-", "rank2-")  # name prefixes
@@ -126,6 +131,12 @@ EXTRA_CASES = (
     ("optimize/maximal-slice-1.3-coordinate-default",
      ["optimize", "--family", "maximal-slice", "--param", "1.3", "--backend", "coordinate"]),
     ("analyze/GHZ-param", ["analyze", "--ref", "GHZ", "--param", "0.5"]),
+)
+PARSE_ERRORS = (
+    ("errors/no-command", []),
+    ("errors/unknown-command", ["bogus"]),
+    ("errors/unknown-flag", ["analyze", "--bogus"]),
+    ("errors/flag-before-command", ["--format", "json", "analyze"]),
 )
 
 
@@ -227,7 +238,7 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
     for name, argv in EXTRA_CASES:
         for fmt in ("text", "json"):
             calls.append((f"{name}.{fmt}", [*argv, "--format", fmt]))
-    return calls
+    return calls + list(PARSE_ERRORS)
 
 
 def _outcome(call, *args) -> str:
