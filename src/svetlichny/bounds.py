@@ -248,8 +248,7 @@ def product_spectrum(states: Sequence[DensityMatrix], roots: np.ndarray,
     spectrum of the congruence E^{1/2} rho E^{1/2}, which is Hermitian.
     The similarity needs the embedded pair to be PSD, not the state. Every
     pair that reaches it is a marginal of a validated state or a validated
-    designated matrix, and linalg.eigen_root clips its tolerance band. A
-    hermiticity failure of the congruence signals an invalid input.
+    designated matrix, and linalg.eigen_root clips its tolerance band.
 
     The states come as a sequence, the roots as a (k, 4, 4) stack and one
     pair per member, lifted by one embed_pair gather and solved in one

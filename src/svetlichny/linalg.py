@@ -136,8 +136,12 @@ def _solve(a: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.nd
 
 def congruence_eigenvalues(root, op) -> np.ndarray:
     """Ascending spectrum of root op root, which the raw products root^2 op and op root^2
-    share: AB and BA have one spectrum, for A = root op and B = root."""
-    return hermitian_eigenvalues(root @ op @ root)
+    share: AB and BA have one spectrum, for A = root op and B = root. The operands were
+    gated at entry, so the Hermitian part of a finite product is solved ungated."""
+    product = root @ op @ root
+    _check_finite(product)
+    half = product / 2
+    return _solve(half + half.swapaxes(-1, -2).conj(), vectors=False)
 
 
 def trace_product(w, m):

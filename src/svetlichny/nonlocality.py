@@ -102,7 +102,7 @@ def s_nl_detected(rho: DensityMatrix, w: np.ndarray) -> float:
 
 def s_nl_from_pairing(pairing):
     """S_NL = max{-Tr[W rho]/8, 0} from the pairing Tr[W rho], or elementwise from an array."""
-    return np.maximum(-pairing / 8.0, 0.0)
+    return np.maximum(-_finite_pairing(pairing) / 8.0, 0.0)
 
 
 def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
@@ -127,7 +127,15 @@ def k_value(rho: DensityMatrix, w: np.ndarray) -> float:
 
 def k_from_pairing(pairing, n):
     """K = Tr[W rho rho^T]/(4 N) from the pairing and the negativity, or elementwise from arrays."""
-    return pairing / (4.0 * _nonzero_negativity(n))
+    return _finite_pairing(pairing) / (4.0 * _nonzero_negativity(n))
+
+
+def _finite_pairing(pairing):
+    """The pairing itself, once every entry is finite."""
+    bad = np.logical_not((pairing > -math.inf) & (pairing < math.inf))  # a NaN fails both
+    if _anywhere(bad):
+        raise NonlocalityError(f"pairing {_first(pairing, bad)} is not finite")
+    return pairing
 
 
 def _nonzero_negativity(n):

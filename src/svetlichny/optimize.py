@@ -30,16 +30,16 @@ Hessian is indefinite and strides along the nearly flat ridges these
 landscapes develop near product-state optima. Each trial point is
 renormalized (a retraction onto the sphere, which has no poles to stall
 at) and the step halved until the value rises. The coordinate backend
-exploits multilinearity directly: freezing the other parties leaves a
-linear functional of one party's two vectors, maximized by its two
-normalized coefficient rows, which never read that party's own vectors;
-a sweep updates one party at a time, A, then B, then C. One pair block,
-K contracted with x_C, serves A and B: A's rows are the block times x_B,
-then B's rows are its transpose times A's new vectors. One more
-contraction gives C's rows, and C's rows dotted with C's new vectors are
-the sweep's value, so a sweep evaluates no separate energy. It can end
-slightly below the gradient backend, and on ridge states it stops at its
-cap of 500 sweeps, which restarts_capped reports.
+is the higher-order power method (De Lathauwer, De Moor and Vandewalle,
+SIAM J. Matrix Anal. Appl. 21, 1324, 2000): with the other parties
+frozen, a party's two vectors are best at its two normalized coefficient
+rows, so a sweep updates A, then B, then C. One pair block, K contracted
+with x_C, gives A's rows (times x_B) and B's (A's new vectors times it);
+C's rows dotted with C's new vectors are the sweep's value. The sweep
+writes the live batch in place, through views bound once per live batch
+and again only when a restart stops. It can end slightly below the
+gradient backend, and on ridge states it stops at its cap of 500 sweeps,
+which restarts_capped reports.
 
 Restarts draw uniform starting directions from a seeded generator, all
 draws made up front so a longer restart schedule extends a shorter one.
@@ -169,13 +169,6 @@ class _Multilinear:
         rows = (rows @ x[:, last, :, None]).reshape(len(x), 6, 6)
         return rows @ x[:, first, :, None]
 
-    def pair_block(self, x: np.ndarray) -> np.ndarray:
-        """K contracted with every party after the first two, (restarts, 6, 6)
-        from (restarts, n, 6) stacked vectors; K itself, (6, 6), for two parties."""
-        if self.degree == 2:
-            return self._facing[0]
-        return (self._facing[0] @ x[:, 2, :, None]).reshape(len(x), 6, 6)
-
     def energy(self, vectors: np.ndarray) -> np.ndarray:
         x = vectors.reshape(len(vectors), -1, 6)
         return _dot(x[:, 0], self._rows(x, 0))
@@ -295,10 +288,6 @@ class _Batch(NamedTuple):
     capped: np.ndarray
 
 
-def _batch(values, vectors, used, stopped) -> _Batch:
-    return _Batch(values, vectors, used, bool(stopped.all()), ~stopped)
-
-
 def _gradient_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATIONS) -> _Batch:
     """Riemannian Newton ascent on the product of unit spheres.
 
@@ -369,25 +358,15 @@ def _gradient_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATI
             if live.size == 0:
                 break
     vectors[live], energy[live] = here, current
-    return _batch(energy, vectors, used, stopped)
-
-
-def _normalize(rows: np.ndarray, out: np.ndarray) -> None:
-    """Write one party's two normalized rows into its (restarts, 2, 3) vectors,
-    leaving a vector whose row vanishes as it was."""
-    rows = rows.reshape(out.shape)
-    norm = _norms(rows, axis=2)
-    np.divide(rows, norm, out=out, where=norm > 1e-14)
+    return _Batch(energy, vectors, used, bool(stopped.all()), ~stopped)
 
 
 def _coordinate_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERATIONS) -> _Batch:
     """Sweep the parties, replacing both vectors of each by their normalized rows.
 
-    The first two parties read their rows off one pair block (for CHSH, K
-    itself), each later party off one coefficient_gradients call, and the
-    sweep's value is the last party's rows dotted with its new vectors.
-    The live restarts are updated in place; one that stops is written out
-    and leaves the batch.
+    A row that vanishes leaves its vector as it was. The live restarts are
+    updated in place, through views bound once per live batch; a restart
+    that stops is written out and leaves the batch.
     """
     count = len(vectors)
     energy = objective.energy(vectors)
@@ -395,16 +374,26 @@ def _coordinate_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERA
     stopped = np.zeros(count, dtype=bool)
     live, batch, current = np.arange(count), vectors.copy(), energy
     vectors = np.empty_like(batch)
+    k, three, size = objective._facing[0], objective.degree == 3, 0
     for sweep in range(1, max_iterations + 1):
-        x = batch.reshape(len(batch), -1, 6)
-        block = objective.pair_block(x)
-        _normalize(block @ x[:, 1, :, None], batch[:, 0:2])
-        rows = x[:, 0, None] @ block
-        _normalize(rows, batch[:, 2:4])
-        for party in range(2, objective.degree):
-            rows = objective.coefficient_gradients(batch, party=party)
-            _normalize(rows, batch[:, 2 * party:2 * party + 2])
-        improved = _dot(rows, batch[:, -2:])
+        if len(batch) != size:
+            size, x = len(batch), batch.reshape(len(batch), -1, 6)
+            # x_A as a row, x_B and x_C as columns; x_C is read for three parties only
+            x_a, x_b, x_c = x[:, 0, None], x[:, 1, :, None], x[:, -1, :, None]
+            a_out, b_out, c_out = batch[:, 0:2], batch[:, 2:4], batch[:, 4:6]
+            last_column = batch[:, -2:].reshape(size, -1, 1)
+        block = (k @ x_c).reshape(size, 6, 6) if three else k
+        rows = (block @ x_b).reshape(size, 2, 3)
+        norm = _norms(rows, axis=2)
+        np.divide(rows, norm, out=a_out, where=norm > 1e-14)
+        rows = (x_a @ block).reshape(size, 2, 3)
+        norm = _norms(rows, axis=2)
+        np.divide(rows, norm, out=b_out, where=norm > 1e-14)
+        if three:
+            rows = objective.coefficient_gradients(batch, party=2)
+            norm = _norms(rows, axis=2)
+            np.divide(rows, norm, out=c_out, where=norm > 1e-14)
+        improved = (rows.reshape(size, 1, -1) @ last_column)[:, 0, 0]
         flat = improved - current < _TOL
         current = improved
         if flat.any():
@@ -415,7 +404,7 @@ def _coordinate_ascent(objective, vectors: np.ndarray, max_iterations=_MAX_ITERA
             if live.size == 0:
                 break
     vectors[live], energy[live] = batch, current
-    return _batch(energy, vectors, used, stopped)
+    return _Batch(energy, vectors, used, bool(stopped.all()), ~stopped)
 
 
 def maximize_svetlichny(rho: DensityMatrix, *, restarts: int = DEFAULT_RESTARTS,

@@ -16,6 +16,9 @@ directly.
   rho (I x rho_ij) with numpy.linalg.eigvals, the definition that
   bounds.product_spectrum's congruence of the pair's square root stands
   in for; lift is its index-wise embedding of the pair's operator.
+- report_numbers gives the numbers a report prints beyond its bounds and
+  windows: d1+- and d2+- and the admissible p window's end in the
+  detected regime, G in the undetected one.
 
 closed_form_general and table_scans are the other kind of oracle: the
 general route of the closed-form check and the weight and strength scans
@@ -113,6 +116,43 @@ def product_extremes(rho_abc, rho_ij, pair: tuple[str, str]) -> tuple[float, flo
     raw product's eigenvalues."""
     values = np.sort(np.linalg.eigvals(_matrix(rho_abc) @ lift(_matrix(rho_ij), pair)).real)
     return float(values[0]), float(values[-1])
+
+
+def report_numbers(rho_abc, pair: tuple[str, str], w, p: float) -> dict:
+    """The numbers a report derives from its spectra at lower weight p, from the definitions.
+
+    Detected (Tr[W rho_ij] < 0): with S_NL = -Tr[W rho_ij]/8, the lower
+    and upper numerators N1 = lambda_min(P) + 2 S_NL lambda_max(rho) and
+    N2 = lambda_max(P) + 2 S_NL lambda_min(rho), P = rho (I x rho_ij),
+    give d1+- = 2 N1 +- lambda_max(rho_ij) and d2+- = 2 N2 +- lambda_k,
+    the first nonzero eigenvalue of rho_ij; the admissible p window ends at
+    2 N1 / d1- where d1- > 0, at 1 otherwise. Undetected: with
+    K = Tr[W rho_ij rho_ij^T]/(4N) and Z = N lambda_max(rho_ij^T),
+    G = lambda_max(rho) K Z / (p lambda_min[(rho_ij^T)^2] lambda_max(rho_ij)).
+    """
+    m = _matrix(rho_abc)
+    reduced = corpus.marginal(m, pair)
+    w = np.asarray(w, dtype=complex)
+    state, pair_values = _spectrum(m), _spectrum(reduced)
+    lam_min_product, lam_max_product = product_extremes(m, reduced, pair)
+    trw = float(np.trace(w @ reduced).real)
+    if trw < 0.0:
+        s_nl = -trw / 8.0
+        low = lam_min_product + 2.0 * s_nl * state[-1]
+        high = lam_max_product + 2.0 * s_nl * state[0]
+        lam_k = next(v for v in pair_values if abs(v) > 1e-9)
+        d1_minus = 2.0 * low - pair_values[-1]
+        return {"regime": "detected", "d1_plus": 2.0 * low + pair_values[-1],
+                "d1_minus": d1_minus, "d2_plus": 2.0 * high + lam_k,
+                "d2_minus": 2.0 * high - lam_k,
+                "p_upper": 2.0 * low / d1_minus if d1_minus > 0.0 else 1.0}
+    pt = corpus.partial_transpose(reduced)
+    pt_values = _spectrum(pt)
+    n = float(-pt_values[pt_values < 0.0].sum())
+    k = float(np.trace(w @ reduced @ pt).real) / (4.0 * n)
+    z = n * pt_values[-1]
+    return {"regime": "undetected",
+            "G": state[-1] * k * z / (p * np.min(pt_values ** 2) * pair_values[-1])}
 
 
 def example_reduced(family: str, param: float):

@@ -8,6 +8,7 @@ on the fifth.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import permutations
 
@@ -507,7 +508,7 @@ class TestStackedProducts:
             assert np.abs(np.array(want) - spectrum[[0, -1]]).max() <= 1e-12, x
 
     def test_record_products_are_their_product_spectrum(self, rng):
-        for rank in range(1, 9):
+        for rank in (*range(1, 9), *range(1, 9)):
             rho = states.validate(corpus.random_density(rng, 8, rank), 3)
             for pair, record in pair_records(rho, ORDERED_PAIRS):
                 spectrum = product_spectrum([rho], record.reduced_root[None], [pair])[0]
@@ -545,7 +546,7 @@ class TestPairings:
                                         self.WITNESSES)
 
     def test_pairings_are_the_single_state_pairings(self, rng):
-        for rank in range(1, 9):
+        for rank in (*range(1, 9), *range(1, 9)):
             rho = states.validate(corpus.random_density(rng, 8, rank), 3)
             for pair, record in pair_records(rho, ORDERED_PAIRS):
                 reduced = states.reduce_to_pair(rho, pair)
@@ -824,6 +825,82 @@ class TestSolveCounts:
         with pytest.raises(WindowParameterError, match="K > 0"):
             spectra.routes(XZ)
         assert sum(solves.values()) == 0, solves
+
+
+class TestPrintedNumbers:
+    """The report's d1+-, d2+-, G and detected admissible p window end against
+    lemmas.report_numbers, on family points of both regimes and random states."""
+
+    # (family, parameter, pair, witness plane, witness scale); a scaled witness
+    # raises S_NL until the detected admissible p window closes below infinity
+    FAMILY_CASES = [
+        (states.FAMILY_PURE_W1, 0.92, "AC", "xz", 1.0),
+        (states.FAMILY_PURE_W1, 0.65, "AB", "xz", 4.0),
+        (states.FAMILY_MAXIMAL_SLICE, 0.1, "AB", "xz", 4.0),
+        (states.FAMILY_MAXIMAL_SLICE, 0.567, "AB", "xz", 4.0),
+        (states.FAMILY_MAXIMAL_SLICE, 1.2, "AB", "xy", 1.0),
+        (states.FAMILY_GHZ_W_CONVEX, 0.5, "BC", "xy", 1.0),
+        (states.FAMILY_IDENTITY_W, 0.82, "BC", "xy", 1.0),
+        (states.FAMILY_IDENTITY_W, 0.92, "AC", "xy", 2.0),
+    ]
+
+    @staticmethod
+    def _assert_printed(report, oracle):
+        assert report.regime == oracle["regime"]
+        inter = report.intermediates
+        if report.regime == "detected":
+            for name in ("d1_plus", "d1_minus", "d2_plus", "d2_minus"):
+                assert inter[name] == pytest.approx(oracle[name], rel=1e-9, abs=1e-12), name
+            assert report.p_window.upper == pytest.approx(oracle["p_upper"], rel=1e-9)
+        else:
+            assert inter["G"] == pytest.approx(oracle["G"], rel=1e-8)
+
+    def test_family_points(self):
+        closing = Counter()
+        for family, param, pair, plane, scale in self.FAMILY_CASES:
+            rho = states.make_example(family, param)
+            witness = scale * operators.plane_witness(plane)
+            report = full_report(rho, BoundConfig(p=0.5, q=0.5, witness=witness,
+                                                  reduced_pair=tuple(pair)))
+            oracle = lemmas.report_numbers(rho, tuple(pair), witness, 0.5)
+            self._assert_printed(report, oracle)
+            closing[report.regime, oracle.get("p_upper", 1.0) != 1.0] += 1
+        assert closing == {("detected", False): 2, ("detected", True): 2,
+                           ("undetected", False): 4}
+
+    def test_random_states(self, rng):
+        checked = Counter()
+        for rank in (*range(1, 9), *range(1, 9)):
+            rho = states.validate(corpus.random_density(rng, 8, rank), 3)
+            for pair in (("A", "B"), ("A", "C"), ("B", "C")):
+                try:
+                    report = full_report(rho, BoundConfig(p=0.3, q=0.5, witness=XY,
+                                                          reduced_pair=pair))
+                except bounds.CANDIDATE_ERRORS:
+                    continue
+                self._assert_printed(report, lemmas.report_numbers(rho, pair, XY, 0.3))
+                checked[report.regime] += 1
+        assert checked["undetected"] >= 8
+
+    def test_cli_json_prints_them(self, tmp_path, capsys):
+        path = tmp_path / "w.mat"
+        witness = 4.0 * XZ
+        path.write_text(cli.format_matrix_text(witness))
+        for family, param in ((states.FAMILY_MAXIMAL_SLICE, "0.1"),
+                              (states.FAMILY_IDENTITY_W, "0.92")):
+            assert cli.main(["analyze", "--family", family, "--param", param, "--pair", "AB",
+                             "--witness", str(path), "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)["report"]
+            rho = states.make_example(family, float(param))
+            oracle = lemmas.report_numbers(rho, ("A", "B"), witness, report["p"])
+            assert report["regime"] == oracle["regime"]
+            inter = report["intermediates"]
+            if oracle["regime"] == "detected":
+                assert report["p_window"]["upper"] == pytest.approx(oracle["p_upper"], rel=1e-9)
+                for name in ("d1_plus", "d1_minus", "d2_plus", "d2_minus"):
+                    assert inter[name] == pytest.approx(oracle[name], rel=1e-9), name
+            else:
+                assert inter["G"] == pytest.approx(oracle["G"], rel=1e-8)
 
 
 class TestWeightIndependence:

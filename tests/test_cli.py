@@ -345,13 +345,13 @@ class TestAnalyzeOutput:
         assert "nan" not in captured.out
         assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in captured.out
 
-    def test_witness_whose_numerator_overflows_its_edges_names_it(self, tmp_path, capsys):
-        # H is finite here, near -1.7e308, but 2H and sqrt(2) H are not
+    @staticmethod
+    def _assert_numerator_overflow_named(param, tmp_path, capsys):
         path = tmp_path / "w.mat"
         path.write_text(cli.format_matrix_text(1e308 * np.eye(4)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run("analyze", "--family", "identity-W", "--param", "0.8584615384615384",
+            code = run("analyze", "--family", "identity-W", "--param", param,
                        "--witness", str(path))
         assert code == 0
         assert caught == []
@@ -361,6 +361,16 @@ class TestAnalyzeOutput:
                 "its window edges overflow\n") in captured.out
         assert "nan" not in captured.out
         assert "verdict: genuine\n  route undetected-p, pair A-B, witness xy\n" in captured.out
+
+    def test_witness_whose_numerator_overflows_its_edges_names_it(self, tmp_path, capsys):
+        # H is finite here, near -1.7e308, but 2H and sqrt(2) H are not
+        self._assert_numerator_overflow_named("0.8584615384615384", tmp_path, capsys)
+
+    def test_huge_exact_witness_is_not_a_hermiticity_fault(self, tmp_path, capsys):
+        # one ulp further on, root W root for the exactly Hermitian W = 1e308 I is
+        # Hermitian only up to a roundoff near 5e291, far above the absolute
+        # entry gate; the report still names the numerator's overflow
+        self._assert_numerator_overflow_named("0.8584615384615385", tmp_path, capsys)
 
     def test_witness_whose_bound_overflows_names_it(self, tmp_path, capsys):
         # H is near -6.1e307, below the window limit, so both windows form;

@@ -344,6 +344,41 @@ class TestSymmetrize:
                 linalg.symmetrize(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
+class TestCongruence:
+    @pytest.fixture
+    def root(self):
+        gen = np.random.default_rng(3)
+        g = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+        pair = g @ g.conj().T
+        return linalg.eigen_root(*linalg.hermitian_eigensystem(pair / np.trace(pair).real))
+
+    def test_keeps_the_bits_of_the_gated_solve(self, rng, root):
+        w = _random_hermitian(rng, 4)
+        for roots in (root, np.stack([root, root.conj()])):
+            expected = linalg.hermitian_eigenvalues(roots @ w @ roots)
+            assert linalg.congruence_eigenvalues(roots, w).tobytes() == expected.tobytes()
+
+    def test_huge_exact_operand_is_solved_not_gated(self, root):
+        # root (1e308 I) root is Hermitian up to a roundoff near 1e291, which
+        # the absolute gate rejects; its spectrum is 1e308 times root^2's
+        big = 1e308 * np.eye(4)
+        with pytest.raises(linalg.NotHermitianError, match="residual 2.502e"):
+            linalg.hermitian_eigenvalues(root @ big @ root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = linalg.congruence_eigenvalues(root, big)
+        expected = 1e308 * linalg.hermitian_eigenvalues(root @ root)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+
+    def test_non_finite_product_is_rejected(self):
+        # 4 I (1.7e308 I) overflows; the product's warnings are not what is tested
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(linalg.LinalgError) as excinfo):
+            linalg.congruence_eigenvalues(4.0 * np.eye(4), 1.7e308 * np.eye(4))
+        assert excinfo.type is linalg.LinalgError
+        assert str(excinfo.value) == "matrix contains NaN or Inf entries"
+
+
 POISONS = (np.nan, np.inf, -np.inf)
 
 

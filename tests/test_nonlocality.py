@@ -136,6 +136,31 @@ class TestKValue:
         k = nonlocality.k_from_pairing(pairings, np.array([states.negativity(r) for r in rhos]))
         assert k.tolist() == [nonlocality.k_value(rho, XY) for rho in rhos]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("formula", ["s_nl", "k"])
+    def test_pairing_must_be_finite(self, value, shape, formula):
+        # a NaN pairing would give a NaN strength, an infinite one an infinite
+        # strength; the message names the first entry that is not finite
+        pairing = value if shape == "scalar" else np.array([0.1, value, -0.2, math.nan])
+        with pytest.raises(nonlocality.NonlocalityError) as excinfo:
+            if formula == "s_nl":
+                nonlocality.s_nl_from_pairing(pairing)
+            else:
+                nonlocality.k_from_pairing(pairing, np.full_like(pairing, 0.1))
+        assert excinfo.type is nonlocality.NonlocalityError
+        assert str(excinfo.value) == f"pairing {value} is not finite"
+
+    def test_finite_pairings_keep_their_bits(self, rng):
+        pairings, n = rng.normal(size=50), rng.uniform(0.01, 0.5, size=50)
+        s_nl = nonlocality.s_nl_from_pairing(pairings)
+        assert s_nl.tobytes() == np.maximum(-pairings / 8.0, 0.0).tobytes()
+        assert nonlocality.k_from_pairing(pairings, n).tobytes() == (pairings / (4.0 * n)).tobytes()
+        for p, m in zip(pairings.tolist(), n.tolist()):
+            assert nonlocality.s_nl_from_pairing(p) == max(-p / 8.0, 0.0)
+            assert nonlocality.k_from_pairing(p, m) == p / (4.0 * m)
+
     def test_errors_come_in_order(self):
         # the witness check first (witness_matrix, the rule of every bounds entry),
         # then the regime warning, then the zero-negativity error: -I detects the
