@@ -28,10 +28,10 @@ validation solved, the reductions are solved with their eigenvectors,
 for their square roots, in one gated call, their partial transposes,
 formed by one stacked call, are solved without eigenvectors, and the
 products, from those 4x4 roots, in one stacked product_spectrum call.
-Any (state, pair) stack is reduced and lifted by one gather each:
+Any (state, pair) stack is reduced and lifted through one index:
 pair_records reduces all its pairs in one states.marginals call, and
-embed_pair lifts a stack that mixes pairs through one index table per
-pair, each member offset to its own entries.
+product_spectrum lifts their roots in one states.embed_pair call, the
+marginal's adjoint, which reads the index the reduction built.
 Only a reduced pair's root reads eigenvectors: no 8x8 matrix is ever
 solved for them. build_records cuts the columns into one record of
 floats per point; grid_record keeps them as one record of arrays over a
@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -64,9 +62,9 @@ from .nonlocality import (
 from .operators import PLANES, plane_witness, witness_matrix
 from .states import (
     DensityMatrix,
+    embed_pair,
     marginals,
     pair_positions,
-    pair_positions_of,
     partial_transpose_numbers,
     partial_transposes,
     reduce_to_pair,
@@ -188,55 +186,6 @@ class Verdict:
     witness_label: str | None = None
 
 
-def _embedding_index(first: int, second: int) -> np.ndarray:
-    """Where each entry of the lift reads from op.reshape(16) with a zero appended.
-
-    first and second are the pair's positions in LABELS. Entry (r, c) is
-    op[pair bits of r, pair bits of c] when r and c agree on the spectator
-    qubit, and zero (index 16) otherwise.
-    """
-    bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # columns A, B, C
-    sub = 2 * bits[:, first] + bits[:, second]
-    spectator = bits[:, 3 - first - second]
-    return np.where(spectator[:, None] == spectator[None, :], 4 * sub[:, None] + sub[None, :], 16)
-
-
-_EMBEDDING = np.zeros((3, 3, 8, 8), dtype=np.intp)  # by positions; the diagonal is never read
-for _positions in permutations(range(3), 2):
-    _EMBEDDING[_positions] = _embedding_index(*_positions)
-
-
-def embed_pair(op_pair: np.ndarray, pairs) -> np.ndarray:
-    """Lift a two-qubit operator on an ordered pair to three qubits, identity on the rest; or
-    each member of a (k, 4, 4) stack on its own pair, given one pair per member.
-
-    The pair's first label takes the operator's first tensor slot. Basis
-    convention is |abc> at index 4a + 2b + c. A stack is lifted by one
-    gather: each member reads its pair's index table, offset to its own
-    entries, whichever pairs the stack mixes.
-    """
-    op = np.asarray(op_pair, dtype=complex)
-    if op.ndim not in (2, 3) or op.shape[-2:] != (4, 4):
-        raise BoundsError("pair operator must be 4x4")
-    index = _lift_gather((tuple(pairs),) if op.ndim == 2 else tuple(map(tuple, pairs)))
-    flat = op.reshape(-1, 16)
-    if len(index) != len(flat):
-        raise BoundsError(f"{len(index)} pairs for {len(flat)} pair operators")
-    padded = np.concatenate([flat, np.zeros((len(flat), 1), dtype=complex)], axis=1)
-    lifted = padded.reshape(-1)[index]
-    return lifted if op.ndim == 3 else lifted[0]
-
-
-@lru_cache(maxsize=64)
-def _lift_gather(pairs: tuple) -> np.ndarray:
-    """The (k, 8, 8) index of embed_pair's gather over a stack with these pairs, member m
-    offset by 17 m into the padded stack. Built once per pair sequence."""
-    positions = pair_positions_of(pairs)
-    index = _EMBEDDING[positions[:, 0], positions[:, 1]] + 17 * np.arange(len(pairs))[:, None, None]
-    index.flags.writeable = False
-    return index
-
-
 def product_spectrum(states: Sequence[DensityMatrix], roots: np.ndarray,
                      pairs: Sequence[tuple[str, str]]) -> np.ndarray:
     """Ascending spectrum of each state times its embedded reduced pair, one row per member
@@ -251,7 +200,7 @@ def product_spectrum(states: Sequence[DensityMatrix], roots: np.ndarray,
     designated matrix, and linalg.eigen_root clips its tolerance band.
 
     The states come as a sequence, the roots as a (k, 4, 4) stack and one
-    pair per member, lifted by one embed_pair gather and solved in one
+    pair per member, lifted by one embed_pair call and solved in one
     call. One state is the stack of one.
     """
     return linalg.congruence_eigenvalues(embed_pair(roots, pairs),
@@ -265,12 +214,12 @@ def _bound(numerator: float, weight: float, denominator: float) -> float:
     return 8.0 * (1.0 - weight) * numerator / (weight * denominator)
 
 
-def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
-    """(cutoff, edge, admissible_upper) of one route, elementwise over arrays.
+def _window_edges(numerator, denominator) -> tuple:
+    """(cutoff, edge) of one route, elementwise over arrays.
 
     The route's bound reaches the biseparable threshold at the edge
-    2N/(2N + D), where the admissible window [edge, admissible_upper)
-    opens, and the quantum maximum at the cutoff sqrt(2) N/(sqrt(2) N + D),
+    2N/(2N + D), where the admissible window [edge, 1) opens, and the
+    quantum maximum at the cutoff sqrt(2) N/(sqrt(2) N + D),
     where the genuine window [cutoff, edge) opens. A numerator that is not
     finite (a huge user witness overflows H or F) opens no window, and
     would only make NaN edges; nor does a finite one so large that 2N
@@ -287,7 +236,7 @@ def _window_edges(numerator, denominator, admissible_upper=1.0) -> tuple:
     cutoff_den = _SQRT2 * numerator + denominator
     if _anywhere((abs(edge_den) <= SINGULAR_TOL) | (abs(cutoff_den) <= SINGULAR_TOL)):
         raise SingularDenominatorError("window denominator vanished")
-    return _SQRT2 * numerator / cutoff_den, 2.0 * numerator / edge_den, admissible_upper
+    return _SQRT2 * numerator / cutoff_den, 2.0 * numerator / edge_den
 
 
 @dataclass(frozen=True)
@@ -414,30 +363,23 @@ class PairSpectra:
         return pair
 
     def window_edges(self, routes: Routes) -> tuple[tuple, tuple]:
-        """(cutoff, edge, admissible upper) of the lower route in p, then of the upper route in q.
+        """(cutoff, edge) of the lower route in p, then of the upper route in q.
 
         The undetected lower route fires with H < 0 and so meets the
-        negative thresholds, which flips the sign of lambda_max. The
-        detected admissible p window closes at 2N/(2N - lambda_max) when
-        that denominator is positive, at 1 otherwise.
+        negative thresholds, which flips the sign of lambda_max.
         """
-        low, emb_max = routes.lower_numerator, self.lambda_max_embedded
-        if routes.regime == "detected":
-            d_minus = 2.0 * low - emb_max
-            closes = d_minus > 0.0
-            # the inner where keeps a non-positive d_minus out of the division
-            p_edges = _window_edges(low, emb_max, np.where(
-                closes, 2.0 * low / np.where(closes, d_minus, 1.0), 1.0))
-        else:
-            p_edges = _window_edges(low, -emb_max)
-        return p_edges, _window_edges(routes.upper_numerator, self.lambda_k)
+        sign = 1.0 if routes.regime == "detected" else -1.0
+        return (_window_edges(routes.lower_numerator, sign * self.lambda_max_embedded),
+                _window_edges(routes.upper_numerator, self.lambda_k))
 
     def windows(self, routes: Routes) -> tuple[tuple[Window, Window], tuple[Window, Window]]:
         """(admissible, genuine) windows of the lower route in p, then of the upper route in q,
-        for a record of numbers."""
-        (p_cutoff, p_edge, p_upper), (q_cutoff, q_edge, q_upper) = self.window_edges(routes)
-        return ((Window(p_edge, p_upper), Window(p_cutoff, p_edge)),
-                (Window(q_edge, q_upper), Window(q_cutoff, q_edge)))
+        for a record of numbers. Both admissible windows close at 1, the end of the weights'
+        domain (0, 1]: the paper's detected p window end 2N/(2N - lambda_max) applies only
+        where 2N > lambda_max >= 0, and there it exceeds 1."""
+        (p_cutoff, p_edge), (q_cutoff, q_edge) = self.window_edges(routes)
+        return ((Window(p_edge, 1.0), Window(p_cutoff, p_edge)),
+                (Window(q_edge, 1.0), Window(q_cutoff, q_edge)))
 
 
 def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
@@ -619,6 +561,6 @@ def _candidate_windows(spectra: PairSpectra, witness: np.ndarray
                        ) -> list[tuple[str, str, Window]]:
     """The candidate's two genuine windows, the only ones the search reads, tagged by route."""
     routes = spectra.routes(witness)
-    (p_cutoff, p_edge, _), (q_cutoff, q_edge, _) = spectra.window_edges(routes)
+    (p_cutoff, p_edge), (q_cutoff, q_edge) = spectra.window_edges(routes)
     return [(f"{routes.regime}-p", "p", Window(p_cutoff, p_edge)),
             (f"{routes.regime}-q", "q", Window(q_cutoff, q_edge))]

@@ -137,8 +137,10 @@ def _solve(a: np.ndarray, vectors: bool) -> np.ndarray | tuple[np.ndarray, np.nd
 def congruence_eigenvalues(root, op) -> np.ndarray:
     """Ascending spectrum of root op root, which the raw products root^2 op and op root^2
     share: AB and BA have one spectrum, for A = root op and B = root. The operands were
-    gated at entry, so the Hermitian part of a finite product is solved ungated."""
-    product = root @ op @ root
+    gated at entry, so the Hermitian part of a finite product is solved ungated. Finite
+    operands whose product overflows are answered by the finiteness check, not by numpy."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = root @ op @ root
     _check_finite(product)
     half = product / 2
     return _solve(half + half.swapaxes(-1, -2).conj(), vectors=False)

@@ -316,9 +316,7 @@ def _family_routes(family: int, spectra: PairSpectra, quantities: dict) -> Route
 def _genuine_windows(family: int, spectra: PairSpectra, quantities: dict) -> tuple[tuple, tuple]:
     """Genuine (p window, q window) of the family's routes, each (lower, upper), elementwise
     over a grid."""
-    (p_cutoff, p_edge, _), (q_cutoff, q_edge, _) = spectra.window_edges(
-        _family_routes(family, spectra, quantities))
-    return (p_cutoff, p_edge), (q_cutoff, q_edge)
+    return spectra.window_edges(_family_routes(family, spectra, quantities))
 
 
 def _printed_windows(family: int, param, qs: dict) -> tuple[tuple, tuple]:

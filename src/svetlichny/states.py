@@ -13,11 +13,15 @@ single-state builders are the same code on a list of one.
 
 marginals is the one reduction kernel: one gather over a (k, 8, 8)
 stack with one ordered pair per member, whichever pairs it mixes,
-through per-pair index tables built at import. Its index for a pair
-sequence is built once, each distinct pair checked once, so a grid on
-one pair runs no per-member step. reduce_to_pairs, reduce_to_pair and
-partial_trace are that gather on one pair; partial_transposes reshapes
-a whole stack once, and partial_transpose runs it on a stack of one.
+through per-pair index tables built at import. embed_pair, the lift
+I (x) X of a pair operator, is its adjoint through the same index: it
+writes each member's entries where marginals reads their two terms. The
+index for a pair sequence is built once, each distinct pair checked
+once, so a grid on one pair runs no per-member step, and a record set
+that reduces and lifts the same pairs builds it once for both.
+reduce_to_pairs, reduce_to_pair and partial_trace are that gather on one
+pair; partial_transposes reshapes a whole stack once, and
+partial_transpose runs it on a stack of one.
 """
 
 from __future__ import annotations
@@ -194,18 +198,42 @@ def marginals(matrices, pairs) -> np.ndarray:
     m = np.asarray(matrices)
     if m.size and m.shape[-2:] != (8, 8):  # an empty stack has no shape to check
         raise InvalidStateError("bad-dimension", "partial_trace expects a 3-qubit state")
-    first, second = _marginal_gather(tuple(map(tuple, pairs)))
+    first, second = _stack_index(tuple(map(tuple, pairs)))
     flat = m.reshape(-1)
     if len(first) * 64 != flat.size:
         raise StateError(f"{len(first)} pairs for {flat.size // 64} states")
     return flat[first] + flat[second]
 
 
+def embed_pair(op_pair, pairs) -> np.ndarray:
+    """Lift a two-qubit operator on an ordered pair to three qubits, identity on the rest; or
+    each member of a (k, 4, 4) stack on its own pair, given one pair per member.
+
+    The pair's first label takes the operator's first tensor slot. The
+    lift is marginals' adjoint, Tr[embed_pair(X) rho] = Tr[X rho_ij]:
+    for each spectator value, each member's 16 entries are written where
+    marginals reads its terms, through the same index, and every other
+    entry is zero.
+    """
+    op = np.asarray(op_pair, dtype=complex)
+    if op.ndim not in (2, 3) or op.shape[-2:] != (4, 4):
+        raise StateError("pair operator must be 4x4")
+    index = _stack_index((tuple(pairs),) if op.ndim == 2 else tuple(map(tuple, pairs)))
+    stack = op.reshape(-1, 4, 4)
+    if index.shape[1] != len(stack):
+        raise StateError(f"{index.shape[1]} pairs for {len(stack)} pair operators")
+    lifted = np.zeros((len(stack), 8, 8), dtype=complex)
+    lifted.reshape(-1)[index] = stack  # one write per spectator value
+    return lifted if op.ndim == 3 else lifted[0]
+
+
 @lru_cache(maxsize=64)
-def _marginal_gather(pairs: tuple) -> np.ndarray:
-    """The index of marginals' gather over a stack with these pairs, member m offset by 64 m:
-    the two terms' positions, as two (k, 4, 4) layers. Built once per pair sequence."""
-    positions = pair_positions_of(pairs)
+def _stack_index(pairs: tuple) -> np.ndarray:
+    """The index marginals and embed_pair read for a stack with these pairs, member m offset
+    by 64 m: each entry's two terms, spectator 0 then 1, as two (k, 4, 4) layers. Built once
+    per pair sequence, each distinct pair checked once by pair_positions."""
+    checked = {pair: pair_positions(pair) for pair in dict.fromkeys(pairs)}
+    positions = np.array([checked[pair] for pair in pairs], dtype=np.intp).reshape(-1, 2)
     offsets = 64 * np.arange(len(pairs))[:, None, None]
     index = _MARGINAL[:, positions[:, 0], positions[:, 1]] + offsets
     index.flags.writeable = False
@@ -251,14 +279,6 @@ def pair_positions(pair) -> tuple[int, int]:
     if len(positions) != 2 or positions[0] == positions[1]:
         raise UnknownNameError(f"a pair names two distinct qubits of {LABELS}, got {pair!r}")
     return positions
-
-
-def pair_positions_of(pairs) -> np.ndarray:
-    """The (k, 2) LABELS positions of k pairs, each distinct pair checked once by
-    pair_positions, so a stack on one pair runs no check per member."""
-    keys = list(map(tuple, pairs))
-    checked = {key: pair_positions(key) for key in dict.fromkeys(keys)}
-    return np.array(list(map(checked.__getitem__, keys)), dtype=np.intp).reshape(-1, 2)
 
 
 def reduce_to_pair(rho: DensityMatrix, pair: tuple[str, str]) -> DensityMatrix:

@@ -17,8 +17,9 @@ directly.
   bounds.product_spectrum's congruence of the pair's square root stands
   in for; lift is its index-wise embedding of the pair's operator.
 - report_numbers gives the numbers a report prints beyond its bounds and
-  windows: d1+- and d2+- and the admissible p window's end in the
-  detected regime, G in the undetected one.
+  windows: d1+- and d2+- and the paper's admissible p window end in the
+  detected regime, G in the undetected one. That end is never below 1,
+  so a report, whose p lies in (0, 1], closes the window at 1.
 
 closed_form_general and table_scans are the other kind of oracle: the
 general route of the closed-form check and the weight and strength scans

@@ -108,7 +108,7 @@ class TestWindow:
         record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
         with pytest.raises(BoundsError, match=r"^window numerator -1\.7e\+308 is too large"):
             record.window_edges(Routes("undetected", 0.2, lower, 0.1))
-        cutoff, edge, _ = _window_edges(np.finfo(float).max / 2.0, 1.0)
+        cutoff, edge = _window_edges(np.finfo(float).max / 2.0, 1.0)
         assert np.isfinite([cutoff, edge]).all()
 
 
@@ -151,7 +151,7 @@ class TestFiringRule:
             with pytest.raises(SingularDenominatorError):
                 _window_edges(n, d)
             return
-        cutoff, edge, _ = _window_edges(n, d)
+        cutoff, edge = _window_edges(n, d)
         genuine = Window(cutoff, edge)
         x = n / d
         if 1e-8 <= x <= 1e8:
@@ -163,7 +163,7 @@ class TestFiringRule:
             assert not genuine.empty and cutoff < 0.0 and edge > 1.0, (n, d)
 
     def test_the_gap_opens_a_window_around_the_unit_interval(self):
-        cutoff, edge, _ = _window_edges(-0.6, 1.0)
+        cutoff, edge = _window_edges(-0.6, 1.0)
         assert (cutoff, edge) == pytest.approx((-5.6, 6.0), abs=0.01)
 
     @staticmethod
@@ -346,8 +346,26 @@ class TestEmbedding:
             assert lift.tobytes() == embed_pair(op, pair).tobytes()
             assert np.array_equal(lift, lemmas.lift(op, pair))  # kron's zeros carry signs
 
+    def test_lift_is_the_adjoint_of_the_marginal(self, rng):
+        # Re Tr[embed_pair(X) rho] = Re Tr[X rho_ij]: the lift writes each entry where
+        # marginals reads its terms, on every ordered pair and on a stack that mixes them
+        def pairing(a, b):
+            return np.trace(a @ b).real
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        op, rho = draw(4, 4), draw(8, 8)
+        for pair in ORDERED_PAIRS:
+            want = pairing(op, states.marginals(rho, [pair])[0])
+            assert pairing(embed_pair(op, pair), rho) == pytest.approx(want, rel=1e-15), pair
+        ops, rhos = draw(len(ORDERED_PAIRS), 4, 4), draw(len(ORDERED_PAIRS), 8, 8)
+        for op, lift, rho, marginal in zip(ops, embed_pair(ops, ORDERED_PAIRS), rhos,
+                                           states.marginals(rhos, ORDERED_PAIRS)):
+            assert pairing(lift, rho) == pytest.approx(pairing(op, marginal), rel=1e-15)
+
     def test_a_stack_takes_one_pair_per_member(self):
-        with pytest.raises(BoundsError, match="2 pairs for 3 pair operators"):
+        with pytest.raises(states.StateError, match="2 pairs for 3 pair operators"):
             embed_pair(np.zeros((3, 4, 4)), [("A", "B"), ("B", "C")])
         assert embed_pair(np.zeros((0, 4, 4)), []).shape == (0, 8, 8)
 
@@ -460,6 +478,14 @@ class TestStackedProducts:
                     assert record.reduced.tobytes() == states.reduce_to_pair(
                         rho, pair).matrix.tobytes()
 
+    def test_records_build_one_index_for_their_reduction_and_lift(self):
+        # states holds the one index: the lift reads the one the reduction built
+        rho = states.make_example(states.FAMILY_GHZ_W_CONVEX, 0.6)
+        states._stack_index.cache_clear()
+        pair_records(rho, bounds.SEARCH_ORDER)
+        info = states._stack_index.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_a_grid_on_one_pair_checks_its_pair_as_often_as_a_grid_of_one(self, monkeypatch):
         # no per-member loop: the gathers' indices are built per distinct pair
         checked = []
@@ -473,8 +499,7 @@ class TestStackedProducts:
         pair = states.EXAMPLE_PAIRS[states.FAMILY_GHZ_W_CONVEX]
         counts = []
         for members in (1, 50):
-            states._marginal_gather.cache_clear()
-            bounds._lift_gather.cache_clear()
+            states._stack_index.cache_clear()
             checked.clear()
             rhos = states.make_examples(states.FAMILY_GHZ_W_CONVEX,
                                         np.linspace(0.4, 0.9, members))
@@ -829,10 +854,12 @@ class TestSolveCounts:
 
 class TestPrintedNumbers:
     """The report's d1+-, d2+-, G and detected admissible p window end against
-    lemmas.report_numbers, on family points of both regimes and random states."""
+    lemmas.report_numbers, on family points of both regimes and random states.
+    The paper's p window end is never below 1, so the report closes the window
+    at 1, the end of p's domain."""
 
     # (family, parameter, pair, witness plane, witness scale); a scaled witness
-    # raises S_NL until the detected admissible p window closes below infinity
+    # raises S_NL until the paper's detected admissible p window end is finite
     FAMILY_CASES = [
         (states.FAMILY_PURE_W1, 0.92, "AC", "xz", 1.0),
         (states.FAMILY_PURE_W1, 0.65, "AB", "xz", 4.0),
@@ -851,7 +878,8 @@ class TestPrintedNumbers:
         if report.regime == "detected":
             for name in ("d1_plus", "d1_minus", "d2_plus", "d2_minus"):
                 assert inter[name] == pytest.approx(oracle[name], rel=1e-9, abs=1e-12), name
-            assert report.p_window.upper == pytest.approx(oracle["p_upper"], rel=1e-9)
+            assert oracle["p_upper"] >= 1.0
+            assert report.p_window.upper == min(oracle["p_upper"], 1.0)
         else:
             assert inter["G"] == pytest.approx(oracle["G"], rel=1e-8)
 
@@ -896,7 +924,8 @@ class TestPrintedNumbers:
             assert report["regime"] == oracle["regime"]
             inter = report["intermediates"]
             if oracle["regime"] == "detected":
-                assert report["p_window"]["upper"] == pytest.approx(oracle["p_upper"], rel=1e-9)
+                assert oracle["p_upper"] > 1.0  # so the printed end is the cut at 1
+                assert report["p_window"]["upper"] == min(oracle["p_upper"], 1.0)
                 for name in ("d1_plus", "d1_minus", "d2_plus", "d2_minus"):
                     assert inter[name] == pytest.approx(oracle[name], rel=1e-9), name
             else:

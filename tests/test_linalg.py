@@ -371,9 +371,9 @@ class TestCongruence:
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
 
     def test_non_finite_product_is_rejected(self):
-        # 4 I (1.7e308 I) overflows; the product's warnings are not what is tested
-        with (np.errstate(over="ignore", invalid="ignore"),
-              pytest.raises(linalg.LinalgError) as excinfo):
+        # 4 I (1.7e308 I) overflows: the finiteness check answers, with no numpy warning
+        with warnings.catch_warnings(), pytest.raises(linalg.LinalgError) as excinfo:
+            warnings.simplefilter("error")
             linalg.congruence_eigenvalues(4.0 * np.eye(4), 1.7e308 * np.eye(4))
         assert excinfo.type is linalg.LinalgError
         assert str(excinfo.value) == "matrix contains NaN or Inf entries"

@@ -29,6 +29,9 @@ The set:
   witness (which joins the search as `user`), 2·xy, 3e307·I (whose
   windows form, but whose lower bound can overflow) and 1e308·I (whose
   report is unavailable): 704 calls;
+- `analyze --pair AB --witness FILE` in text and JSON on the 12 points of
+  maximal-slice, with the witness 4·xz: its S_NL is large enough that the
+  paper's detected admissible p window would end above 1: 24 calls;
 - `analyze` in text, JSON and CSV on identity-W 0.82 read from the matrix
   file `état "q".mat`: the state label is the only free text in an
   output, and this name puts a non-ASCII letter and a double quote in it;
@@ -112,6 +115,8 @@ WITNESS_FILES = {
 }
 WITNESS_SOURCES = ("identity-W-", "mixed-GHZ-2W-", "rank2-")  # name prefixes
 WITNESS_FLAGS = {"default": [], "pairAC": ["--pair", "AC"]}
+DETECTED_WINDOW_FILES = {"4xz": 4.0 * operators.plane_witness("xz")}
+DETECTED_WINDOW_SOURCES = ("maximal-slice-",)
 OPTIMIZE_CASES = (
     ("svetlichny", ["--ref", "GHZ"]),
     ("svetlichny", ["--family", "mixed-GHZ-2W", "--param", "0.4"]),
@@ -168,10 +173,10 @@ def _matrix_files(inputs: str, prefix: str, matrices) -> list[tuple[str, list[st
     return sources
 
 
-def _witness_files(inputs: str) -> list[tuple[str, str]]:
+def _witness_files(inputs: str, witnesses: dict) -> list[tuple[str, str]]:
     """(name, relative path) of each witness, written to inputs/witness-<name>.mat."""
     paths = []
-    for name, matrix in WITNESS_FILES.items():
+    for name, matrix in witnesses.items():
         file = f"witness-{name}.mat"
         with open(os.path.join(inputs, file), "w", encoding="utf-8") as handle:
             handle.write(cli.format_matrix_text(matrix))
@@ -205,7 +210,7 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
             for fmt in FORMATS:
                 calls.append((f"analyze/{name}_{flag_name}.{fmt}",
                               ["analyze", *state, *flags, "--format", fmt]))
-    witnesses = _witness_files(inputs)
+    witnesses = _witness_files(inputs, WITNESS_FILES)
     for name, state in sources:
         if not name.startswith(WITNESS_SOURCES):
             continue
@@ -215,6 +220,15 @@ def _invocations(inputs: str) -> list[tuple[str, list[str]]]:
                     calls.append((f"analyze/{name}_witness-{witness}_{flag_name}.{fmt}",
                                   ["analyze", *state, "--witness", path, *flags,
                                    "--format", fmt]))
+    detected = _witness_files(inputs, DETECTED_WINDOW_FILES)
+    for name, state in sources:
+        if not name.startswith(DETECTED_WINDOW_SOURCES):
+            continue
+        for witness, path in detected:
+            for fmt in ("text", "json"):
+                calls.append((f"analyze/{name}_witness-{witness}_pairAB.{fmt}",
+                              ["analyze", *state, "--pair", "AB", "--witness", path,
+                               "--format", fmt]))
     name, family, param = NAMED_MATRIX
     named = {name: states.make_example(family, param).matrix}
     for _, state in _matrix_files(inputs, "", named):
