@@ -22,27 +22,26 @@ One PairSpectra record per (state, pair) holds every number and matrix
 the routes read, and its methods are the only certificate arithmetic.
 A record is immutable data: each (pair, witness) candidate is evaluated
 into a Routes value where it is read, by the search and by the report.
-One column builder reads the numbers of many (state, reduction, pair)
-points together, one array per field: each state's spectrum is the one
+One builder, stack_record, reads any stack of (state, reduction, pair)
+points into one record of arrays: each state's spectrum is the one
 validation solved, the reductions are solved with their eigenvectors,
 for their square roots, in one gated call, their partial transposes,
 formed by one stacked call, are solved without eigenvectors, and the
 products, from those 4x4 roots, in one stacked product_spectrum call.
-Any (state, pair) stack is reduced and lifted through one index:
-pair_records reduces all its pairs in one states.marginals call, and
-product_spectrum lifts their roots in one states.embed_pair call, the
-marginal's adjoint, which reads the index the reduction built.
 Only a reduced pair's root reads eigenvectors: no 8x8 matrix is ever
-solved for them. build_records cuts the columns into one record of
-floats per point; grid_record keeps them as one record of arrays over a
-grid on one pair, whose witness maxima come from one more stacked solve.
+solved for them. pair_records reduces one state's pairs in one
+states.marginals call and cuts the stack's record into one record of
+floats per pair (PairSpectra.points); product_spectrum lifts the roots
+in one states.embed_pair call, the marginal's adjoint, which reads the
+index the reduction built. A closed-form grid is the same builder's
+stack, kept as one record of arrays.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +66,6 @@ from .states import (
     pair_positions,
     partial_transpose_numbers,
     partial_transposes,
-    reduce_to_pair,
 )
 
 WINDOW_EMPTY_TOL = 1e-9
@@ -241,19 +239,20 @@ def _window_edges(numerator, denominator) -> tuple:
 
 @dataclass(frozen=True)
 class PairSpectra:
-    """Every spectral number the certificates read, for one (state, pair) or for a grid of them.
+    """Every spectral number the certificates read, for one (state, pair) or for a stack of them.
 
-    build_records fills it from the state's spectrum, from the spectra
-    of the reduced pair and its partial transpose, and from the extremes
-    of the product congruence embed(rho_ij)^{1/2} rho embed(rho_ij)^{1/2}
-    (product_spectrum, with the pair's root from the pair's own solve).
-    Embedding the pair only doubles multiplicities, so the embedded
-    extremes are read off the 4x4 spectrum. Beside the numbers it keeps
-    the reduced pair's matrix, its square root and the product
-    rho_ij rho_ij^T, which are None, as are the partial-transpose numbers,
-    in records built from listed data that lacks them. A grid record
-    (grid_record) holds arrays over the grid in its number fields and a
-    (k, 4, 4) stack in each matrix field.
+    stack_record fills it, over a stack of points, from each state's
+    spectrum, from the spectra of the reduced pair and its partial
+    transpose, and from the extremes of the product congruence
+    embed(rho_ij)^{1/2} rho embed(rho_ij)^{1/2} (product_spectrum, with
+    the pair's root from the pair's own solve). Embedding the pair only
+    doubles multiplicities, so the embedded extremes are read off the 4x4
+    spectrum. Beside the numbers it keeps the reduced pair's matrix, its
+    square root and the product rho_ij rho_ij^T, which are None, as are
+    the partial-transpose numbers, in records built from listed data that
+    lacks them. A stack record holds arrays over the stack in its number
+    fields and a (k, 4, 4) stack in each matrix field; points cuts it into
+    one record of floats per point.
 
     The methods are the certificate arithmetic. pairings(witness) gives
     the two witness pairings the strengths read; routes(witness) is the
@@ -265,7 +264,7 @@ class PairSpectra:
     2 (1 - q) F/(q lambda_k) is the upper shape with numerator F/4.
 
     pairings, detected, undetected, bounds, window_edges and witness_max
-    also work elementwise: on a strength given as an array, and on a grid
+    also work elementwise: on a strength given as an array, and on a stack
     record. Each guard then checks the whole array and raises as it does
     for one number.
     """
@@ -283,6 +282,13 @@ class PairSpectra:
     reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced: np.ndarray | None = field(default=None, repr=False, compare=False)
     reduced_pt_product: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def points(self) -> list[PairSpectra]:
+        """A stack record cut into one record per point: floats in its number fields, one 4x4
+        matrix in each matrix field."""
+        columns = [getattr(self, f.name) for f in fields(self)]
+        return [PairSpectra(*point) for point in
+                zip(*(c if c.ndim == 3 else c.tolist() for c in columns))]
 
     @property
     def lambda_k(self) -> float:
@@ -306,13 +312,13 @@ class PairSpectra:
 
     def pairings(self, witness: np.ndarray) -> tuple:
         """(Tr[W rho_ij], Tr[W rho_ij rho_ij^T]), the pairings S_NL and K read; one per point
-        of a grid record."""
+        of a stack record."""
         w = np.asarray(witness, dtype=complex)
         return tuple(linalg.trace_product(w, m) for m in (self.reduced, self.reduced_pt_product))
 
     def witness_max(self, witness: np.ndarray):
         """lambda_max(rho_ij^{1/2} W rho_ij^{1/2}), the top of the spectrum of W rho_ij,
-        checked for use as a divisor; one per point of a grid record, from one stacked solve."""
+        checked for use as a divisor; one per point of a stack record, from one stacked solve."""
         wr_max = linalg.congruence_eigenvalues(
             self.reduced_root, np.asarray(witness, dtype=complex))[..., -1]
         if _anywhere(abs(wr_max) <= SINGULAR_TOL):
@@ -330,7 +336,7 @@ class PairSpectra:
 
         F's witness correction carries a factor lambda_min(rho), so a
         state with lambda_min(rho) = 0 drops it and needs no wr_max; on a
-        grid record, each point with lambda_min(rho) = 0 drops it.
+        stack record, each point with lambda_min(rho) = 0 drops it.
         """
         pt2_min = self.lambda_min_pt_squared
         if _anywhere(pt2_min <= SINGULAR_TOL):
@@ -382,70 +388,39 @@ class PairSpectra:
                 (Window(q_edge, 1.0), Window(q_cutoff, q_edge)))
 
 
-def pair_spectra(rho_abc: DensityMatrix, rho_ij: DensityMatrix,
-                 pair: tuple[str, str] = ("B", "C")) -> PairSpectra:
-    """The record of one reduced pair: build_records on a stack of one."""
-    pair_positions(pair)
-    return build_records([rho_abc], [rho_ij], [pair])[0]
+def stack_record(states: Sequence[DensityMatrix], reductions: np.ndarray,
+                 pairs: Sequence[tuple[str, str]]) -> PairSpectra:
+    """The one record builder: the record of a stack of (state, reduction, pair) points, each
+    number field an array over the stack and each matrix field a (k, 4, 4) stack.
 
-
-def build_records(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
-                  pairs: Sequence[tuple[str, str]]) -> list[PairSpectra]:
-    """One record of floats per (state, reduction, pair), from the rows of _columns.
-
-    The pairs are the caller's to check.
-    """
-    return _rows(*_columns(states, np.array([rho.matrix for rho in reductions]), pairs))
-
-
-def _rows(columns: dict, stacks: dict) -> list[PairSpectra]:
-    """The columns of _columns cut into one record of floats per point."""
-    names = [*columns, *stacks]
-    points = zip(*(column.tolist() for column in columns.values()), *stacks.values())
-    return [PairSpectra(**dict(zip(names, point))) for point in points]
-
-
-def grid_record(states: Sequence[DensityMatrix], reductions: Sequence[DensityMatrix],
-                pair: tuple[str, str]) -> PairSpectra:
-    """One record for a grid of (state, reduction) points on one pair, each field an array:
-    the columns of build_records, uncut."""
-    columns, stacks = _columns(states, np.array([rho.matrix for rho in reductions]),
-                               [pair] * len(states))
-    return PairSpectra(**columns, **stacks)
-
-
-def _columns(states: Sequence[DensityMatrix], matrices: np.ndarray,
-             pairs: Sequence[tuple[str, str]]) -> tuple[dict, dict]:
-    """Every number field of the records of (state, reduction, pair) points, one array each, and
-    every matrix field, one (k, 4, 4) stack each; the reductions come as one (k, 4, 4) stack.
-
-    Each state's spectrum is the one validation solved. The reductions
-    are solved with their eigenvectors in one gated call, and their roots
-    come from those eigensystems. A partial transpose only moves entries,
-    and it commutes with the adjoint, so a reduction passes the gates
-    exactly when its partial transpose does: the partial transposes, from
-    one stacked call, go straight to the solver's LAPACK step, without
-    eigenvectors. A validated state's reductions are exactly Hermitian, so
-    the gates would leave them as they are. The negativity and the other
-    partial-transpose numbers come from partial_transpose_numbers, the
-    formula states.negativity reads, and the products from the roots, in
-    one stacked product_spectrum call.
+    The reductions come as one (k, 4, 4) stack, one pair per member; the
+    pairs are the caller's to check. Each state's spectrum is the one
+    validation solved. The reductions are solved with their eigenvectors
+    in one gated call, and their roots come from those eigensystems. A
+    partial transpose only moves entries, and it commutes with the
+    adjoint, so a reduction passes the gates exactly when its partial
+    transpose does: the partial transposes, from one stacked call, go
+    straight to the solver's LAPACK step, without eigenvectors. A
+    validated state's reductions are exactly Hermitian, so the gates would
+    leave them as they are. The negativity and the other partial-transpose
+    numbers come from partial_transpose_numbers, the formula
+    states.negativity reads, and the products from the roots, in one
+    stacked product_spectrum call.
     """
     state_values = np.array([rho.spectrum for rho in states])
-    reduced_values, reduced_vectors = linalg.hermitian_eigensystem(matrices)
-    transposes = partial_transposes(matrices)
+    reduced_values, reduced_vectors = linalg.hermitian_eigensystem(reductions)
+    transposes = partial_transposes(reductions)
     pt_values = linalg._solve(transposes, vectors=False)
     roots = linalg.eigen_root(reduced_values, reduced_vectors)
     n, pt_max, pt2_min, pt2_trace = partial_transpose_numbers(pt_values)
     products = product_spectrum(states, roots, pairs)
-    columns = dict(lambda_min_rho=state_values[:, 0], lambda_max_rho=state_values[:, -1],
-                   lambda_max_embedded=reduced_values[:, -1],
-                   lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values),
-                   lambda_min_product=products[:, 0], lambda_max_product=products[:, -1],
-                   lambda_max_pt=pt_max, lambda_min_pt_squared=pt2_min,
-                   trace_pt_squared=pt2_trace, negativity=n)
-    return columns, dict(reduced_root=roots, reduced=matrices,
-                         reduced_pt_product=matrices @ transposes)
+    return PairSpectra(lambda_min_rho=state_values[:, 0], lambda_max_rho=state_values[:, -1],
+                       lambda_max_embedded=reduced_values[:, -1],
+                       lambda_k_embedded=linalg.first_nonzero_eigenvalue(reduced_values),
+                       lambda_min_product=products[:, 0], lambda_max_product=products[:, -1],
+                       lambda_max_pt=pt_max, lambda_min_pt_squared=pt2_min,
+                       trace_pt_squared=pt2_trace, negativity=n, reduced_root=roots,
+                       reduced=reductions, reduced_pt_product=reductions @ transposes)
 
 
 def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEARCH_ORDER
@@ -453,13 +428,13 @@ def pair_records(rho_abc: DensityMatrix, pairs: Iterable[tuple[str, str]] = SEAR
     """(pair, record) for each pair, as a tuple, all built together from one marginals gather."""
     pairs = [tuple(pair) for pair in pairs]
     stack = np.broadcast_to(rho_abc.matrix, (len(pairs), *rho_abc.matrix.shape))
-    return list(zip(pairs, _rows(*_columns([rho_abc] * len(pairs), marginals(stack, pairs),
-                                           pairs))))
+    return list(zip(pairs, stack_record([rho_abc] * len(pairs), marginals(stack, pairs),
+                                        pairs).points()))
 
 
 def full_report(rho_abc: DensityMatrix, cfg: BoundConfig) -> BoundsReport:
     """Evaluate the applicable route pair and collect every intermediate."""
-    spectra = pair_spectra(rho_abc, reduce_to_pair(rho_abc, cfg.reduced_pair), cfg.reduced_pair)
+    ((_, spectra),) = pair_records(rho_abc, [cfg.reduced_pair])
     return _report(spectra, cfg.witness, (cfg.p, cfg.q))
 
 

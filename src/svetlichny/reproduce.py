@@ -6,7 +6,7 @@ forms for every spectral quantity those certificates consume. This module
 rebuilds each table row through the certificate formulas and attaches a
 match or discrepancy status, then cross-checks every closed form against
 the general eigensolver route on a parameter grid. Each family's grid is
-validated and solved as one stack, and bounds.grid_record reads it into
+validated and solved as one stack, and bounds.stack_record reads it into
 one record whose fields are arrays over the grid (its 4x4 matrices, its
 products and its witness congruences solved in one call each). Both
 sides then run once per grid on arrays, through the formulas and record
@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nonlocality, operators, states
-from .bounds import PairSpectra, Routes, grid_record
+from .bounds import PairSpectra, Routes, stack_record
 
 TABLE_TOLERANCE = {1: 5e-3, 2: 5e-3, 3: 1e-2, 4: 1e-2, 5: 1e-2}
 CLOSED_FORM_TOL = 1e-9
@@ -468,7 +468,7 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     """The general route's value of every listed quantity over the grid, one array each.
 
     The grid's states and reductions are built as one stack each and read
-    into one grid record, so the pairings, numerators and windows are
+    into one stack record, so the pairings, numerators and windows are
     evaluated once, elementwise, through the record's methods and the
     nonlocality formulas. A window's array holds one (lower, upper) row
     per parameter.
@@ -479,7 +479,8 @@ def _closed_forms_general(family: int, params) -> dict[str, np.ndarray]:
     # maximal-slice's designated matrix is not a reduction of rho
     reductions = (states.example_reductions(name, params) if name == states.FAMILY_MAXIMAL_SLICE
                   else states.reduce_to_pairs(rhos, pair))
-    spectra = grid_record(rhos, reductions, pair)
+    spectra = stack_record(rhos, np.array([rho.matrix for rho in reductions]),
+                           [pair] * len(rhos))
     w = _family_witness(family)
     columns = {field: getattr(spectra, field) for field in _RECORD_FIELDS}
     pairing, product_pairing = spectra.pairings(w)

@@ -24,7 +24,7 @@ directly.
 closed_form_general and table_scans are the other kind of oracle: the
 general route of the closed-form check and the weight and strength scans
 of a table row, written one grid point at a time through the package's
-scalar formulas (make_example, pair_spectra, the record's methods), against
+scalar formulas (make_example, a stack record of one, the record's methods), against
 which the package's array evaluations are compared. example_reduced is
 their one-parameter designated reduction.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from svetlichny import linalg, nonlocality, reproduce, states
-from svetlichny.bounds import pair_spectra
+from svetlichny.bounds import stack_record
 import corpus
 
 NEG_TOL = 1e-12
@@ -174,7 +174,7 @@ def closed_form_general(family: int, param: float) -> dict:
     reduced = (example_reduced(name, param) if name == states.FAMILY_MAXIMAL_SLICE
                else states.reduce_to_pair(rho, pair))
     w = reproduce._family_witness(family)
-    spectra = pair_spectra(rho, reduced, pair)
+    spectra = stack_record([rho], reduced.matrix[None], [pair]).points()[0]
     out = {name: getattr(spectra, name) for name in (
         "lambda_min_rho", "lambda_max_rho", "lambda_max_embedded", "lambda_k_embedded",
         "lambda_min_product", "lambda_max_product", "lambda_max_pt", "lambda_min_pt_squared",

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from svetlichny import nonlocality, operators, reproduce, states
-from svetlichny.bounds import detect_genuine, pair_spectra
+from svetlichny.bounds import detect_genuine, pair_records
 from svetlichny.optimize import (
     chsh_expectation,
     maximize_chsh,
@@ -274,12 +274,12 @@ class TestCriterion8:
         rho1 = states.make_example(states.FAMILY_PURE_W1, 0.92)
         red1 = states.partial_trace(rho1, "B")
         s_nl = nonlocality.s_nl_detected(red1, XZ)
-        spectra1 = pair_spectra(rho1, red1, ("A", "C"))
+        ((_, spectra1),) = pair_records(rho1, [("A", "C")])
         lower1, upper1 = spectra1.bounds(spectra1.detected(s_nl), 1.0, 1.0)
         rho5 = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         red5 = states.partial_trace(rho5, "A")
         k5 = nonlocality.s_nl_new(red5, XY, 0.0).k
-        spectra5 = pair_spectra(rho5, red5, ("B", "C"))
+        ((_, spectra5),) = pair_records(rho5, [("B", "C")])
         lower5, upper5 = spectra5.bounds(
             spectra5.undetected(k5, spectra5.witness_max(XY)), 1.0, 1.0)
         vanish_ok = (

@@ -8,6 +8,7 @@ on the fifth.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from itertools import permutations
@@ -22,7 +23,6 @@ from svetlichny.bounds import (
     BoundsError,
     PairSpectra,
     Routes,
-    build_records,
     SingularDenominatorError,
     Window,
     _SQRT2,
@@ -31,11 +31,10 @@ from svetlichny.bounds import (
     detect_genuine,
     embed_pair,
     full_report,
-    grid_record,
     pair_records,
-    pair_spectra,
     product_spectrum,
     search_records,
+    stack_record,
 )
 from svetlichny.nonlocality import (
     NEG_TOL,
@@ -95,7 +94,7 @@ class TestWindow:
     def test_non_finite_numerator_opens_no_window(self, lower):
         # a huge witness overflows H; its edges would be NaN, with a numpy warning
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
+        ((_, record),) = pair_records(rho, [("B", "C")])
         with pytest.raises(BoundsError, match=r"^window numerator -?(inf|nan) is not finite$"):
             record.window_edges(Routes("undetected", 0.2, lower, 0.1))
 
@@ -105,7 +104,7 @@ class TestWindow:
         # finite, but 2N and sqrt(2) N are not: the error names the numerator,
         # before any arithmetic could warn or make a NaN edge
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
+        ((_, record),) = pair_records(rho, [("B", "C")])
         with pytest.raises(BoundsError, match=r"^window numerator -1\.7e\+308 is too large"):
             record.window_edges(Routes("undetected", 0.2, lower, 0.1))
         cutoff, edge = _window_edges(np.finfo(float).max / 2.0, 1.0)
@@ -118,7 +117,7 @@ class TestWindow:
         # below the window limit, so the windows form, but 8 (1 - p) H / (p lambda_max)
         # overflows at p = 0.5; the upper bound is checked the same way
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
-        record = pair_spectra(rho, states.reduce_to_pair(rho, ("B", "C")))
+        ((_, record),) = pair_records(rho, [("B", "C")])
         routes = Routes("undetected", 0.2, lower, 0.1)
         record.window_edges(routes)
         with np.errstate(over="ignore"), pytest.raises(
@@ -220,8 +219,6 @@ PAIR_ENTRY_POINTS = {
     "reduce_to_pair": lambda pair: states.reduce_to_pair(GHZ_W_06, pair),
     "embed_pair": lambda pair: embed_pair(np.eye(4), pair),
     "BoundConfig": lambda pair: BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=pair),
-    "pair_spectra": lambda pair: pair_spectra(
-        GHZ_W_06, states.reduce_to_pair(GHZ_W_06, ("A", "B")), pair),
     "pair_records": lambda pair: pair_records(GHZ_W_06, [pair]),
     "detect_genuine": lambda pair: detect_genuine(GHZ_W_06, pair=pair),
 }
@@ -503,7 +500,8 @@ class TestStackedProducts:
             checked.clear()
             rhos = states.make_examples(states.FAMILY_GHZ_W_CONVEX,
                                         np.linspace(0.4, 0.9, members))
-            grid_record(rhos, states.reduce_to_pairs(rhos, pair), pair)
+            reductions = states.reduce_to_pairs(rhos, pair)
+            stack_record(rhos, np.array([r.matrix for r in reductions]), [pair] * members)
             counts.append(len(checked))
         assert counts[0] == counts[1] <= 3
 
@@ -549,8 +547,9 @@ class TestPairings:
     WITNESSES = [operators.plane_witness(plane) for plane in operators.PLANES]
 
     def _assert_grid_is_each_point(self, rhos, reductions, pair, witnesses):
-        grid = grid_record(rhos, reductions, pair)
-        points = [pair_spectra(rho, reduced, pair) for rho, reduced in zip(rhos, reductions)]
+        grid = stack_record(rhos, np.array([r.matrix for r in reductions]), [pair] * len(rhos))
+        points = [stack_record([rho], reduced.matrix[None], [pair]).points()[0]
+                  for rho, reduced in zip(rhos, reductions)]
         for w in witnesses:
             for column, values in zip(grid.pairings(w), zip(*(p.pairings(w) for p in points))):
                 assert column.tobytes() == np.array(values).tobytes()
@@ -642,7 +641,7 @@ class TestDetectedRoute:
         from svetlichny.nonlocality import s_nl_detected
         s_nl = s_nl_detected(reduced, XZ)
         assert is_detected(reduced, XZ)
-        spectra = pair_spectra(rho, reduced, ("A", "C"))
+        ((_, spectra),) = pair_records(rho, [("A", "C")])
         lower, upper = spectra.bounds(spectra.detected(s_nl), 1.0, 1.0)
         assert lower == 0.0
         assert upper == 0.0
@@ -690,7 +689,7 @@ class TestUndetectedRoute:
         reduced = states.partial_trace(rho, "A")
         strength = s_nl_new(reduced, XY, 0.0)
         assert not is_detected(reduced, XY)
-        spectra = pair_spectra(rho, reduced, ("B", "C"))
+        ((_, spectra),) = pair_records(rho, [("B", "C")])
         routes = spectra.undetected(strength.k, spectra.witness_max(XY))
         lower, upper = spectra.bounds(routes, 1.0, 1.0)
         assert lower == 0.0
@@ -700,7 +699,7 @@ class TestUndetectedRoute:
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         reduced = lemmas.example_reduced(states.FAMILY_IDENTITY_W, 0.82)
         strength = s_nl_new(reduced, XY, 0.0)
-        spectra = pair_spectra(rho, reduced)
+        ((_, spectra),) = pair_records(rho, [("B", "C")])
         wr_max = spectra.witness_max(XY)
         (_, genuine), _ = spectra.windows(spectra.undetected(strength.k, wr_max))
         assert not genuine.empty
@@ -1072,12 +1071,13 @@ class TestGridRecord:
             records = [reproduce._listed_spectra(qs) for qs in points]
             wr_max = np.array([qs["lambda_max_witness_state"] for qs in points])
         else:
-            # grid_record's fields, products included, are build_records's rows,
-            # and its witness maxima the ones each row solves on its own
+            # a stack record's fields, products included, are each state's own record's,
+            # and its witness maxima the ones each record solves on its own
             rhos = states.make_examples(states.FAMILY_IDENTITY_W, [0.82, 0.87, 0.92])
-            reductions = [states.reduce_to_pair(rho, ("B", "C")) for rho in rhos]
-            grid = grid_record(rhos, reductions, ("B", "C"))
-            records = build_records(rhos, reductions, [("B", "C")] * 3)
+            reductions = states.marginals(np.array([rho.matrix for rho in rhos]),
+                                          [("B", "C")] * 3)
+            grid = stack_record(rhos, reductions, [("B", "C")] * 3)
+            records = [pair_records(rho, [("B", "C")])[0][1] for rho in rhos]
             for name in _NUMBERS:
                 assert getattr(grid, name).tolist() == [getattr(r, name) for r in records], name
             wr_max = grid.witness_max(XY)
@@ -1093,3 +1093,21 @@ class TestGridRecord:
         for i, record in enumerate(records):
             expected = _flat(evaluate(record, float(strengths[i]), float(wr_max[i])))
             assert [float(c[i]) for c in columns] == [float(x) for x in expected], i
+
+    def test_a_stack_of_states_and_pairs_cuts_into_each_states_records(self, rng):
+        # two states times the search's pairs, reduced in one gather: each point of the one
+        # record is, bit for bit, the record its own state's pair_records builds
+        rhos = [states.validate(corpus.random_density(rng, 8, rank), 3) for rank in (2, 8)]
+        members = [(rho, pair) for rho in rhos for pair in bounds.SEARCH_ORDER]
+        pairs = [pair for _, pair in members]
+        reductions = states.marginals(np.array([rho.matrix for rho, _ in members]), pairs)
+        points = stack_record([rho for rho, _ in members], reductions, pairs).points()
+        expected = [record for rho in rhos for _, record in pair_records(rho)]
+        assert len(points) == len(expected) == 6
+        for i, (point, record) in enumerate(zip(points, expected)):
+            for f in dataclasses.fields(PairSpectra):
+                got, want = getattr(point, f.name), getattr(record, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.tobytes() == want.tobytes(), (i, f.name)
+                else:
+                    assert type(got) is float and got == want, (i, f.name)

@@ -9,6 +9,12 @@ A command-line flag the workloads pass but the parser no longer knows
 would only show as failed benchmark operations, so every argv is parsed
 here. The benchmark's own test suite runs here too, in a fresh
 interpreter.
+
+The benchmark's set-up purges the package from sys.modules and imports
+it again, and the tracer patches the modules it finds there. So each
+test looks the package's modules up when it runs, through _package, and
+never holds one bound at import: run after perfbench/test_perfbench.py in
+one process, it would call modules the tracer never patched.
 """
 
 from __future__ import annotations
@@ -24,11 +30,13 @@ import types
 
 import pytest
 
-from svetlichny import bounds, cli, operators, states
-from svetlichny.optimize import maximize_chsh, maximize_svetlichny
-
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+
+
+def _package(name: str) -> types.ModuleType:
+    """The package's module as sys.modules holds it now."""
+    return importlib.import_module(f"svetlichny.{name}")
 
 
 def _load_tracer() -> types.ModuleType:
@@ -91,15 +99,16 @@ def test_traced_ascents_report_a_bool_and_raise_nothing():
     # the tracer reads item 3 of an ascent's result with bool(); an array
     # there would raise inside the wrapper and fail every traced optimize
     tracer = _load_tracer()
+    states, optimize = _package("states"), _package("optimize")
     traced = tracer.Tracer()
     traced.install()
     try:
         traced.op = 0
         rho = states.make_example(states.FAMILY_IDENTITY_W, 0.82)
         for backend in ("gradient", "coordinate"):
-            maximize_svetlichny(rho, restarts=4, backend=backend)
+            optimize.maximize_svetlichny(rho, restarts=4, backend=backend)
         chsh_start = len(traced.spans)
-        maximize_chsh(states.make_reference("Bell-Phi+"))
+        optimize.maximize_chsh(states.make_reference("Bell-Phi+"))
     finally:
         traced.op = None
         traced.uninstall()
@@ -133,14 +142,15 @@ def test_search_traces_one_span_per_candidate(state, user_witness, candidates, r
     # tries, a skipped one included. GHZ has no entangled pair, so every
     # candidate raises; identity-W 0.82 fires on its first.
     tracer = _load_tracer()
+    states = _package("states")
     traced = tracer.Tracer()
     traced.install()
     try:
         traced.op = 0
         rho = (states.make_reference(state) if state == "GHZ"
                else states.make_example(state, 0.82))
-        witness = operators.plane_witness("xz") if user_witness else None
-        bounds.detect_genuine(rho, witness=witness)
+        witness = _package("operators").plane_witness("xz") if user_witness else None
+        _package("bounds").detect_genuine(rho, witness=witness)
     finally:
         traced.op = None
         traced.uninstall()
@@ -155,7 +165,7 @@ def test_every_benchmark_argv_parses(workload, monkeypatch, tmp_path):
     workloads = importlib.import_module("workloads")
     ops = workloads.WORKLOADS[workload](401, str(tmp_path))
     assert ops
-    parser = cli.build_parser()
+    parser = _package("cli").build_parser()
     for op in ops:
         parser.parse_args(op.argv)
 
@@ -172,7 +182,7 @@ def test_every_benchmark_op_passes_its_check(workload, monkeypatch, tmp_path, ca
         if op.prepare is not None:
             op.prepare()
         capsys.readouterr()
-        code = cli.main(op.argv)
+        code = _package("cli").main(op.argv)
         stdout = capsys.readouterr().out
         try:
             op.check(code, stdout)

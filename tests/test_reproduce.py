@@ -17,7 +17,7 @@ import pytest
 from conftest import pair_root
 import lemmas
 from svetlichny import linalg, nonlocality, operators, reproduce, states
-from svetlichny.bounds import grid_record, pair_spectra, product_spectrum
+from svetlichny.bounds import pair_records, product_spectrum, stack_record
 
 EXPECTED_STATUSES = {
     1: ("match", "match", "discrepancy", "match"),
@@ -190,8 +190,9 @@ class TestClosedFormGrid:
         name = states.FAMILIES[family - 1]
         params = np.linspace(*reproduce.CLOSED_FORM_RANGES[family], 10)
         reductions = states.example_reductions(name, params)
-        record = grid_record(states.make_examples(name, params), reductions,
-                             states.EXAMPLE_PAIRS[name])
+        record = stack_record(states.make_examples(name, params),
+                              np.array([r.matrix for r in reductions]),
+                              [states.EXAMPLE_PAIRS[name]] * len(params))
         assert record.negativity.tolist() == [states.negativity(r) for r in reductions]
 
     @pytest.mark.parametrize("family", range(1, 6))
@@ -364,8 +365,8 @@ class TestErratumReasons:
             assert abs(hi - ref_hi) <= tol, (param, hi, ref_hi)
             reduced = lemmas.example_reduced(family, param)
             assert nonlocality.is_detected(reduced, witness)
-            spectra = pair_spectra(states.make_example(family, param), reduced,
-                                   states.EXAMPLE_PAIRS[family])
+            ((_, spectra),) = pair_records(states.make_example(family, param),
+                                           [states.EXAMPLE_PAIRS[family]])
             certified, _ = spectra.bounds(spectra.detected(0.0033), p, q)
             assert abs(certified - ref_lo) <= tol, (param, certified, ref_lo)
 
