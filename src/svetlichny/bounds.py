@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -115,29 +115,33 @@ class Window:
         return (not self.empty) and self.lower <= value < self.upper
 
 
-@dataclass(frozen=True)
-class BoundConfig:
+class BoundConfig(NamedTuple("BoundConfig", [("p", float), ("q", float), ("witness", np.ndarray),
+                                             ("reduced_pair", tuple[str, str])])):
     """Mixing parameters and reduction choices for one certificate evaluation.
 
     p weights the lower-route mixture, q the upper-route mixture; both are
     strictly positive because every bound divides by them. The witness acts
     on the ordered reduced pair; the partial transpose always acts on the
     second qubit of that pair. The undetected routes read the strength
-    through K alone, so no mixing weight r is needed.
+    through K alone, so no mixing weight r is needed. Every build, _replace
+    included, checks them and keeps the symmetrized witness.
     """
 
-    p: float
-    q: float
-    witness: np.ndarray
-    reduced_pair: tuple[str, str] = ("B", "C")
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise BoundsError(f"p must lie in (0, 1], got {self.p}")
-        if not 0.0 < self.q <= 1.0:
-            raise BoundsError(f"q must lie in (0, 1], got {self.q}")
-        object.__setattr__(self, "witness", witness_matrix(self.witness))
-        pair_positions(self.reduced_pair)
+    def __new__(cls, p: float, q: float, witness: np.ndarray,
+                reduced_pair: tuple[str, str] = ("B", "C")):
+        if not 0.0 < p <= 1.0:
+            raise BoundsError(f"p must lie in (0, 1], got {p}")
+        if not 0.0 < q <= 1.0:
+            raise BoundsError(f"q must lie in (0, 1], got {q}")
+        witness = witness_matrix(witness)
+        pair_positions(reduced_pair)
+        return super().__new__(cls, p, q, witness, reduced_pair)
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundConfig":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -237,8 +241,7 @@ def _window_edges(numerator, denominator) -> tuple:
     return _SQRT2 * numerator / cutoff_den, 2.0 * numerator / edge_den
 
 
-@dataclass(frozen=True)
-class PairSpectra:
+class PairSpectra(NamedTuple):
     """Every spectral number the certificates read, for one (state, pair) or for a stack of them.
 
     stack_record fills it, over a stack of points, from each state's
@@ -252,7 +255,8 @@ class PairSpectra:
     the partial-transpose numbers, in records built from listed data that
     lacks them. A stack record holds arrays over the stack in its number
     fields and a (k, 4, 4) stack in each matrix field; points cuts it into
-    one record of floats per point.
+    one record of floats per point. As a tuple, its ==, hash and repr read
+    all thirteen fields, the matrices included.
 
     The methods are the certificate arithmetic. pairings(witness) gives
     the two witness pairings the strengths read; routes(witness) is the
@@ -279,16 +283,15 @@ class PairSpectra:
     lambda_min_pt_squared: float | None = None
     trace_pt_squared: float | None = None
     negativity: float | None = None
-    reduced_root: np.ndarray | None = field(default=None, repr=False, compare=False)
-    reduced: np.ndarray | None = field(default=None, repr=False, compare=False)
-    reduced_pt_product: np.ndarray | None = field(default=None, repr=False, compare=False)
+    reduced_root: np.ndarray | None = None
+    reduced: np.ndarray | None = None
+    reduced_pt_product: np.ndarray | None = None
 
     def points(self) -> list[PairSpectra]:
         """A stack record cut into one record per point: floats in its number fields, one 4x4
         matrix in each matrix field."""
-        columns = [getattr(self, f.name) for f in fields(self)]
         return [PairSpectra(*point) for point in
-                zip(*(c if c.ndim == 3 else c.tolist() for c in columns))]
+                zip(*(c if c.ndim == 3 else c.tolist() for c in self))]
 
     @property
     def lambda_k(self) -> float:

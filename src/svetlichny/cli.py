@@ -194,14 +194,15 @@ def _pair_arg(value: str) -> tuple[str, str]:
 # Serialization helpers.
 
 def _fields(record) -> dict:
-    """json's default: a dataclass's fields in declaration order; fields()
-    raises TypeError for anything else, which json.dumps passes on."""
+    """json's default: a dataclass's fields in declaration order (json writes a NamedTuple
+    as an array, so only a dataclass prints as an object); fields() raises TypeError for
+    anything else, which json.dumps passes on."""
     return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
 @cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    """The names of a dataclass's fields, read once per class."""
+    """The field names of a Window, BoundsReport or Verdict dataclass, read once per class."""
     return tuple(f.name for f in fields(cls))
 
 
@@ -323,7 +324,7 @@ def cmd_optimize(args) -> int:
         optimum = maximize_chsh(rho)
         names = ("A0", "A1", "B0", "B1")
 
-    units = np.array([(unit.x, unit.y, unit.z) for unit in optimum.vectors])
+    units = np.array(optimum.vectors)
     # every setting's polar and azimuthal angle, from two array calls
     thetas = np.arccos(np.clip(units[:, 2], -1.0, 1.0)).tolist()
     phis = np.arctan2(units[:, 1], units[:, 0]).tolist()

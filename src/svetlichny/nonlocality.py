@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class RegimeMismatchWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class NonlocalityStrength:
+class NonlocalityStrength(NamedTuple):
     """S_NL_new = r (P_max - 3/4) + (1 - r) K, with the K, P_max and r it was formed from.
 
     s_nl_new and r are arrays when the strength was formed on an array of weights.

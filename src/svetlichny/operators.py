@@ -4,7 +4,7 @@ both the paper's nonlocality measures and the optimizer read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,20 +41,22 @@ def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
                              *[PAULIS] * n))
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class UnitVector3(NamedTuple("UnitVector3", [("x", float), ("y", float), ("z", float)])):
     """A measurement direction: a vector of R^3 whose squared length is 1
-    within UNIT_TOL, checked on construction."""
+    within UNIT_TOL, checked by every way to build one, _replace included."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        norm2 = self.x * self.x + self.y * self.y + self.z * self.z
+    def __new__(cls, x: float, y: float, z: float):
+        norm2 = x * x + y * y + z * z
         # written so that a NaN norm, from a NaN or infinite component, fails too
         if not abs(norm2 - 1.0) <= UNIT_TOL:
-            raise OperatorError(f"direction ({self.x}, {self.y}, {self.z}) has |v|^2 = {norm2!r}")
+            raise OperatorError(f"direction ({x}, {y}, {z}) has |v|^2 = {norm2!r}")
+        return super().__new__(cls, x, y, z)
+
+    @classmethod
+    def _make(cls, iterable) -> "UnitVector3":
+        return cls(*iterable)
 
     @classmethod
     def from_array(cls, v) -> "UnitVector3":
@@ -68,12 +70,8 @@ class UnitVector3:
             raise OperatorError("zero vector has no direction")
         return cls(float(a[0] / n), float(a[1] / n), float(a[2] / n))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
-
-@dataclass(frozen=True)
-class SvetlichnySettings:
+class SvetlichnySettings(NamedTuple):
     """The six directions of a Svetlichny test: a, a' for party A, b, b'
     for B and c, c' for C."""
 
@@ -85,31 +83,33 @@ class SvetlichnySettings:
     c_prime: UnitVector3
 
     def vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(v.as_array() for v in (self.a, self.a_prime, self.b,
-                                            self.b_prime, self.c, self.c_prime))
+        return tuple(np.array(v) for v in self)
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    """Four 2x2 Hermitian observables, kept as the complex arrays checked on construction.
+class ChshSettings(NamedTuple("ChshSettings", [("A0", np.ndarray), ("A1", np.ndarray),
+                                               ("B0", np.ndarray), ("B1", np.ndarray)])):
+    """Four 2x2 Hermitian observables, kept as the complex arrays every build checks.
 
     Dichotomic +-1 observables have spectrum exactly {-1, +1}; observables
     whose spectral radius exceeds 1 are accepted too (one published
     example uses them).
     """
 
-    A0: np.ndarray
-    A1: np.ndarray
-    B0: np.ndarray
-    B1: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("A0", "A1", "B0", "B1"):
-            obs = np.asarray(getattr(self, name), dtype=complex)
+    def __new__(cls, A0, A1, B0, B1):
+        checked = []
+        for name, obs in zip(cls._fields, (A0, A1, B0, B1)):
+            obs = np.asarray(obs, dtype=complex)
             if obs.shape != (2, 2):
                 raise OperatorError(f"{name} must be 2x2, got {obs.shape}")
             linalg.symmetrize(obs)  # raises if not finite and Hermitian
-            object.__setattr__(self, name, obs)
+            checked.append(obs)
+        return super().__new__(cls, *checked)
+
+    @classmethod
+    def _make(cls, iterable) -> "ChshSettings":
+        return cls(*iterable)
 
 
 def pauli(axis: str) -> np.ndarray:

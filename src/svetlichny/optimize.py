@@ -59,7 +59,6 @@ and nothing else; tests/test_dependencies.py holds the layers apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -102,8 +101,7 @@ def _qubits(rho: DensityMatrix, count: int) -> DensityMatrix:
     return rho
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     """Best value found, the unit vectors achieving it, and how hard it was.
 
     vectors are in setting order (a, a', b, b', c, c' or a0, a1, b0, b1).
@@ -445,7 +443,7 @@ def maximize_chsh(rho: DensityMatrix) -> Optimum:
     angle = np.arctan2(singular[1], singular[0])
     mix = np.array([[np.cos(angle), np.sin(angle)], [np.cos(angle), -np.sin(angle)]])
     units = tuple(map(UnitVector3.from_array, [*left.T[:2], *mix @ right[:2]]))
-    vectors = np.array([unit.as_array() for unit in units])
+    vectors = np.array(units)
     value = float(_ChshObjective(tensor).energy(vectors[None])[0])
     return Optimum(value=value, vectors=units, iterations_used=0, converged=True,
                    restart_values=(value,), restarts_capped=0)

@@ -40,7 +40,7 @@ one array evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +106,7 @@ CLOSED_FORM_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Record of one per-row parameter scan.
 
     name is the scanned quantity. The "r" scan tests admissibility: best
@@ -123,8 +122,7 @@ class ScanResult:
     achieved_delta: float
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One reference row recomputed.
 
     paper_lower and paper_upper carry the bundled reference bounds; the
@@ -147,9 +145,9 @@ class TableRow:
     strength_scan: ScanResult | None = None
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
-    """Largest deviation of one listed closed form from the general route."""
+class ClosedFormCheck(NamedTuple):
+    """Largest deviation of one listed closed form from the general route; its
+    _asdict() is the body of an erratum closed-form entry."""
 
     family: int
     quantity: str
@@ -295,7 +293,7 @@ _QUANTITIES = ("s_nl", "lambda_max_embedded", "lambda_min_product", "lambda_max_
                "p_window", "q_window")
 
 # Quantities that name a PairSpectra field.
-_RECORD_FIELDS = tuple(f.name for f in fields(PairSpectra) if f.name in _QUANTITIES)
+_RECORD_FIELDS = tuple(name for name in PairSpectra._fields if name in _QUANTITIES)
 
 
 def _listed_spectra(qs: dict) -> PairSpectra:
@@ -589,7 +587,7 @@ def erratum_entries(tables: dict[int, list[TableRow]],
             if check.status != STATUS_DISCREPANCY:
                 continue
             entries.append({"kind": "closed-form",
-                            **{f.name: getattr(check, f.name) for f in fields(check)},
+                            **check._asdict(),
                             "note": _FORM_NOTES.get((family, check.quantity), "")})
     return entries
 

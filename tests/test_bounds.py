@@ -8,7 +8,6 @@ on the fifth.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 from itertools import permutations
@@ -47,7 +46,8 @@ from svetlichny.nonlocality import (
     s_nl_new,
     undetected_strength,
 )
-from conftest import pair_root, random_state
+from conftest import (REBUILDS, assert_checked_on_rebuild, assert_immutable, pair_root,
+                      random_state, rebuild)
 import corpus
 import lemmas
 
@@ -269,6 +269,30 @@ class TestBoundConfig:
         bad[0, 1] = 1.0
         with pytest.raises((BoundsError, linalg.NotHermitianError)):
             BoundConfig(p=0.5, q=0.5, witness=bad)
+
+    def test_no_field_of_a_config_or_a_pair_record_can_be_set_or_deleted(self):
+        assert_immutable(BoundConfig(p=0.5, q=0.5, witness=XY))
+        for _, record in pair_records(states.make_example(states.FAMILY_IDENTITY_W, 0.82)):
+            assert_immutable(record)
+
+    @pytest.mark.parametrize("path", REBUILDS)
+    @pytest.mark.parametrize("bad, error", [
+        ({"p": 1.5}, BoundsError),
+        ({"q": 0.0}, BoundsError),
+        ({"witness": np.eye(3)}, operators.OperatorError),
+        ({"reduced_pair": ("A", "A")}, states.StateError),
+    ], ids=["p", "q", "witness", "pair"])
+    def test_every_rebuild_checks_as_the_constructor_does(self, path, bad, error):
+        cfg = BoundConfig(p=0.5, q=0.5, witness=XY, reduced_pair=("A", "C"))
+        assert_checked_on_rebuild(cfg, path, error, **bad)
+
+    @pytest.mark.parametrize("path", REBUILDS)
+    def test_a_rebuild_keeps_the_symmetrized_witness(self, path):
+        # a witness Hermitian only to tolerance is stored as its Hermitian part
+        skewed = XY + 1e-14j * np.triu(np.ones((4, 4)), 1)
+        cfg = rebuild(BoundConfig(p=0.5, q=0.5, witness=XY), path, witness=skewed)
+        assert cfg.witness.tobytes() == operators.witness_matrix(skewed).tobytes()
+        assert np.array_equal(cfg.witness, cfg.witness.conj().T)
 
 
 PAIRS = (("A", "B"), ("A", "C"), ("B", "C"), ("C", "A"))
@@ -1105,9 +1129,9 @@ class TestGridRecord:
         expected = [record for rho in rhos for _, record in pair_records(rho)]
         assert len(points) == len(expected) == 6
         for i, (point, record) in enumerate(zip(points, expected)):
-            for f in dataclasses.fields(PairSpectra):
-                got, want = getattr(point, f.name), getattr(record, f.name)
+            for name in PairSpectra._fields:
+                got, want = getattr(point, name), getattr(record, name)
                 if isinstance(want, np.ndarray):
-                    assert got.tobytes() == want.tobytes(), (i, f.name)
+                    assert got.tobytes() == want.tobytes(), (i, name)
                 else:
-                    assert type(got) is float and got == want, (i, f.name)
+                    assert type(got) is float and got == want, (i, name)

@@ -19,6 +19,11 @@ the composition (the command line and the package's exports). The paper
 and the decision build on the base alone, never on each other, and the
 base on neither; a module that no layer holds fails too, so a new module
 is placed when it lands.
+
+A record is a NamedTuple unless it cannot be: a frozen dataclass
+generates and compiles its methods when its class is created, most of
+the package's import, and a NamedTuple class generates none. The records
+kept as dataclasses are listed with their reasons.
 """
 
 from __future__ import annotations
@@ -49,6 +54,14 @@ READS = {
     "composition": {"base", "paper", "decision"},
 }
 
+# json writes any tuple as an array, and a tuple has no __dict__ for a cached_property
+DATACLASSES = {
+    "Window": "printed as a JSON object",
+    "BoundsReport": "printed as a JSON object",
+    "Verdict": "printed as a JSON object",
+    "DensityMatrix": "caches a property",
+}
+
 
 def _absolute_imports(path: Path) -> list[str]:
     names = []
@@ -65,6 +78,21 @@ def test_imports_only_stdlib_and_numpy(path):
     foreign = [name for name in _absolute_imports(path)
                if name.partition(".")[0] not in ALLOWED]
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _decorator_name(node: ast.expr) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_only_the_listed_records_are_dataclasses():
+    decorated = {node.name for path in SOURCE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ClassDef)
+                 and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)}
+    unlisted, gone = sorted(decorated - set(DATACLASSES)), sorted(set(DATACLASSES) - decorated)
+    assert not unlisted and not gone, (f"dataclasses not listed: {unlisted}, listed but not "
+                                       f"dataclasses: {gone}; make a new record a NamedTuple")
 
 
 def _package_imports(path: Path) -> list[str]:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from svetlichny import bounds, linalg, nonlocality, operators, states
-from conftest import random_state
+from conftest import assert_immutable, random_state
 import corpus
 import lemmas
 
@@ -248,6 +248,9 @@ class TestInterpolatedStrength:
         k = nonlocality.k_value(rho, XY)
         cap = nonlocality.r_cap(k, nonlocality.p_max_optimal(rho))
         assert cap == pytest.approx(0.8099758479680508, abs=1e-12)
+
+    def test_no_field_of_a_strength_can_be_set_or_deleted(self):
+        assert_immutable(nonlocality.undetected_strength(0.3, 0.8))
 
     def test_r_zero_reduces_to_k(self):
         rho = _reduced(states.FAMILY_IDENTITY_W, 0.82)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from svetlichny import operators, states
-from svetlichny.linalg import hermitian_eigenvalues, trace_product
-from conftest import random_state
+from svetlichny.linalg import LinalgError, NotHermitianError, hermitian_eigenvalues, trace_product
+from conftest import REBUILDS, assert_checked_on_rebuild, assert_immutable, random_state, rebuild
 import corpus
 
 
@@ -148,7 +148,6 @@ class TestChshOperator:
         assert b.tobytes() == expected.tobytes()
 
     def test_non_hermitian_observable_rejected(self):
-        from svetlichny.linalg import NotHermitianError
         with pytest.raises(NotHermitianError):
             operators.ChshSettings(
                 A0=np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -288,3 +287,40 @@ class TestSvetlichnyOperator:
             c_prime=operators.UnitVector3.from_array(vecs[5]),
         )
         assert rebuilt == settings
+
+
+class TestRecords:
+    """The settings records are tuples: no field can be set or deleted, and a checked one
+    checks on every rebuild as its constructor does."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: operators.UnitVector3(0.6, 0.8, 0.0),
+        lambda: operators.SvetlichnySettings(*[operators.UnitVector3(0.0, 0.0, 1.0)] * 6),
+        lambda: operators.ChshSettings(*operators.PAULIS, operators.PAULI_X),
+    ], ids=["UnitVector3", "SvetlichnySettings", "ChshSettings"])
+    def test_no_field_can_be_set_or_deleted(self, build):
+        assert_immutable(build())
+
+    @pytest.mark.parametrize("path", REBUILDS)
+    @pytest.mark.parametrize("bad", [{"x": 0.7}, {"z": math.nan}, {"y": math.inf}],
+                             ids=["long", "nan", "inf"])
+    def test_a_direction_is_checked_on_every_rebuild(self, path, bad):
+        assert_checked_on_rebuild(operators.UnitVector3(0.6, 0.8, 0.0), path,
+                                  operators.OperatorError, **bad)
+
+    @pytest.mark.parametrize("path", REBUILDS)
+    @pytest.mark.parametrize("bad, error", [
+        ({"B0": np.eye(3)}, operators.OperatorError),
+        ({"A1": [[0.0, 1.0], [0.0, 0.0]]}, NotHermitianError),
+        ({"B1": [[math.nan, 0.0], [0.0, 1.0]]}, LinalgError),
+    ], ids=["3x3", "non-hermitian", "nan"])
+    def test_chsh_settings_are_checked_on_every_rebuild(self, path, bad, error):
+        settings = operators.ChshSettings(*operators.PAULIS, operators.PAULI_X)
+        assert_checked_on_rebuild(settings, path, error, **bad)
+
+    @pytest.mark.parametrize("path", REBUILDS)
+    def test_a_rebuild_keeps_the_complex_arrays(self, path):
+        settings = rebuild(operators.ChshSettings(*operators.PAULIS, operators.PAULI_X), path,
+                           A0=[[0, 1], [1, 0]])
+        assert settings.A0.dtype == np.complex128
+        assert np.array_equal(settings.A0, operators.PAULI_X)

@@ -27,7 +27,7 @@ from svetlichny.optimize import (
     maximize_svetlichny,
     svetlichny_expectation,
 )
-from conftest import random_state
+from conftest import assert_immutable, random_state
 import corpus
 
 SOURCE = Path(optimize.__file__).resolve().parent.parent
@@ -222,13 +222,16 @@ class TestChshClosedForm:
     def test_settings_are_unit_and_attain_two_sqrt_m(self, rho):
         opt = maximize_chsh(rho)
         for unit in opt.vectors:
-            assert np.linalg.norm(unit.as_array()) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(np.array(unit)) == pytest.approx(1.0, abs=1e-12)
         m = nonlocality.horodecki_m(rho)
         assert abs(opt.value - 2.0 * math.sqrt(max(m, 0.0))) <= 1e-12
         settings = operators.ChshSettings(*map(operators.spin_observable, opt.vectors))
         assert abs(chsh_expectation(rho, settings) - opt.value) <= 1e-12
         assert (opt.iterations_used, opt.converged, opt.restarts_capped) == (0, True, 0)
         assert opt.restart_values == (opt.value,)
+
+    def test_no_field_of_an_optimum_can_be_set_or_deleted(self):
+        assert_immutable(maximize_chsh(states.make_reference("Bell-Phi+")))
 
 
 class TestBackends:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import pair_root
+from conftest import assert_immutable, pair_root
 import lemmas
 from svetlichny import linalg, nonlocality, operators, reproduce, states
 from svetlichny.bounds import pair_records, product_spectrum, stack_record
@@ -335,18 +334,23 @@ class TestRecordContract:
     """The CSV and the erratum write the records' own fields, in their order."""
 
     def test_outputs_are_the_record_fields(self, tables, entries):
-        values = [f.name for f in fields(reproduce.TableRow)
-                  if f.name not in ("status", "scan", "strength_scan")]
+        values = [name for name in reproduce.TableRow._fields
+                  if name not in ("status", "scan", "strength_scan")]
         header = next(csv.reader(io.StringIO(reproduce.render_table_csv(tables[1]))))
         assert header[0] == "param" and header[-1] == "status"
         assert ["parameter"] + header[1:-1] == values
-        checks = [f.name for f in fields(reproduce.ClosedFormCheck)]
+        checks = list(reproduce.ClosedFormCheck._fields)
         for entry in entries:
             keys = list(entry)
             if entry["kind"] == "table-row":
                 assert keys[keys.index("table") + 1:keys.index("note")] == values
             else:
                 assert keys[1:keys.index("note")] == checks
+
+    def test_no_field_of_a_row_scan_or_check_can_be_set_or_deleted(self, tables, checks):
+        row = tables[3][0]
+        for record in (row, row.scan, checks[1][0]):
+            assert_immutable(record)
 
 
 class TestErratumReasons:
